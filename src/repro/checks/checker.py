@@ -128,7 +128,7 @@ class InvariantChecker:
     # ------------------------------------------------------------------
     # Engine hooks
     # ------------------------------------------------------------------
-    def on_event(self, sim) -> None:
+    def on_event(self, sim, fn) -> None:
         """Called by the engine before dispatching each event."""
         last = self._last_time.get(id(sim))
         if last is not None and sim.now < last:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from heapq import heappush as _heappush
 from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.checks import runtime as checks_runtime
@@ -111,54 +110,18 @@ class Channel:
         return accepted
 
     def _transmit_next(self) -> None:
-        sim = self.sim
-        packet = self.queue.poll(sim.now)
+        packet = self.queue.poll(self.sim.now)
         if packet is None:
             self._busy = False
             return
         self._busy = True
         self.in_transit += 1
-        # The two hottest schedule sites in the simulator inline the
-        # anonymous-event push (same (time, seq) bookkeeping as
-        # Simulator.schedule_anon, so ordering is bit-identical); the
-        # slow path keeps the engine call so its heap stays Event-typed.
-        # With no parked buckets (_far_count == 0) a heap push is
-        # always order-safe (_far_bound is inf), so the engine's
-        # wheel-activation threshold is deliberately not re-checked
-        # here: parking only ever *starts* at the engine's own push
-        # sites, and these near-future link events would not park.
-        if sim._fast and not sim._far_count:
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._live += 1
-            time = sim.now + packet.size / self.bandwidth
-            if time > sim._heap_max:
-                sim._heap_max = time
-            _heappush(sim._heap, (time, seq, self._tx_done_b, (packet,)))
-        elif sim._fast:
-            # Calendar wheel active: route through the engine so the
-            # parking decision stays in one place.
-            sim.schedule_anon(packet.size / self.bandwidth,
-                              self._tx_done_b, packet)
-        else:
-            self._schedule(packet.size / self.bandwidth, self._tx_done, packet)
+        self._schedule(packet.size / self.bandwidth, self._tx_done_b, packet)
 
     def _tx_done(self, packet: Packet) -> None:
         # The wire is free as soon as the last bit leaves; the packet
         # arrives one propagation delay later.
-        sim = self.sim
-        if sim._fast and not sim._far_count:
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._live += 1
-            time = sim.now + self.delay
-            if time > sim._heap_max:
-                sim._heap_max = time
-            _heappush(sim._heap, (time, seq, self._deliver_fn, (packet,)))
-        elif sim._fast:
-            sim.schedule_anon(self.delay, self._deliver_fn, packet)
-        else:
-            self._schedule(self.delay, self._deliver_fn, packet)
+        self._schedule(self.delay, self._deliver_fn, packet)
         # Empty-queue fast exit: skip the poll round-trip.  Tests patch
         # offer, never poll, so reading the deque directly makes the
         # same decision poll() would.
@@ -420,7 +383,6 @@ class EthernetLan:
         if dst_node not in self._node_set:
             raise ConfigurationError(
                 f"{dst_node.name} is not attached to {self.name}")
-        sim = self.sim
         if not self._busy:
             # Idle medium: the queue round-trip (offer, then the
             # immediate poll in _transmit_next) is pure bookkeeping —
@@ -429,69 +391,28 @@ class EthernetLan:
             self._busy = True
             self.in_transit += 1
             self.bypassed += 1
-            if sim._fast and not sim._far_count:
-                seq = sim._seq
-                sim._seq = seq + 1
-                sim._live += 1
-                time = sim.now + packet.size / self.bandwidth
-                if time > sim._heap_max:
-                    sim._heap_max = time
-                _heappush(sim._heap,
-                          (time, seq, self._tx_done_b, (packet, dst_node)))
-            elif sim._fast:
-                sim.schedule_anon(packet.size / self.bandwidth,
-                                  self._tx_done_b, packet, dst_node)
-            else:
-                self._schedule(packet.size / self.bandwidth, self._tx_done,
-                               packet, dst_node)
+            self._schedule(packet.size / self.bandwidth, self._tx_done_b,
+                           packet, dst_node)
             return True
         # The dst FIFO mirrors the medium queue entry for entry.  The
         # medium is unbounded so offers normally always succeed, but a
         # patched/lossy queue must not desynchronise the two.
-        if self.queue.offer(packet, sim.now):
+        if self.queue.offer(packet, self.sim.now):
             self._dsts.append(dst_node)
         return True
 
     def _transmit_next(self) -> None:
-        sim = self.sim
-        packet = self.queue.poll(sim.now)
+        packet = self.queue.poll(self.sim.now)
         if packet is None:
             self._busy = False
             return
         self._busy = True
         self.in_transit += 1
-        # Inline anonymous-event push; see Channel._transmit_next.
-        if sim._fast and not sim._far_count:
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._live += 1
-            time = sim.now + packet.size / self.bandwidth
-            if time > sim._heap_max:
-                sim._heap_max = time
-            _heappush(sim._heap,
-                      (time, seq, self._tx_done_b,
-                       (packet, self._dsts.popleft())))
-        elif sim._fast:
-            sim.schedule_anon(packet.size / self.bandwidth,
-                              self._tx_done_b, packet, self._dsts.popleft())
-        else:
-            self._schedule(packet.size / self.bandwidth, self._tx_done,
-                           packet, self._dsts.popleft())
+        self._schedule(packet.size / self.bandwidth, self._tx_done_b,
+                       packet, self._dsts.popleft())
 
     def _tx_done(self, packet: Packet, dst: "Node") -> None:
-        sim = self.sim
-        if sim._fast and not sim._far_count:
-            seq = sim._seq
-            sim._seq = seq + 1
-            sim._live += 1
-            time = sim.now + self.latency
-            if time > sim._heap_max:
-                sim._heap_max = time
-            _heappush(sim._heap, (time, seq, self._deliver_b, (packet, dst)))
-        elif sim._fast:
-            sim.schedule_anon(self.latency, self._deliver_b, packet, dst)
-        else:
-            self._schedule(self.latency, self._deliver, packet, dst)
+        self._schedule(self.latency, self._deliver_b, packet, dst)
         # The dst FIFO is in lockstep with the medium queue, so an
         # empty _dsts means nothing is queued: skip the poll call.
         if self._dsts:

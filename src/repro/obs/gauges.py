@@ -73,7 +73,7 @@ class GaugeSampler:
     # ------------------------------------------------------------------
     # Engine hooks (piggybacked on the run loop; never scheduled)
     # ------------------------------------------------------------------
-    def on_event(self, sim) -> None:
+    def on_event(self, sim, fn) -> None:
         self._tick += 1
         if self._tick % self.sample_every:
             return

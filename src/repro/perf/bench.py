@@ -162,7 +162,6 @@ def run_suite(rounds: int = 3,
               cells_filter: Optional[Sequence[str]] = None) -> Dict[str, Any]:
     """Run every suite cell plus the micro section; build the document."""
     from repro.perf.micro import vegas_overhead
-    from repro.sim.engine import slow_path_requested
 
     cells: Dict[str, Any] = {}
     for descriptor in select_cells(cells_filter):
@@ -180,7 +179,6 @@ def run_suite(rounds: int = 3,
     return {
         "schema_version": SCHEMA_VERSION,
         "rounds": rounds,
-        "slow_path": slow_path_requested(),
         "cells": cells,
         "micro": micro,
     }

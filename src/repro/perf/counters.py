@@ -1,8 +1,10 @@
 """Lightweight counters and timers for the event engine.
 
 A :class:`PerfProbe` is attached to simulators through
-:mod:`repro.perf.runtime` (activation at construction, one ``is not
-None`` test per event when off).  While attached it records:
+:mod:`repro.perf.runtime` (activation at construction) as one of the
+engine's observers, on the same ``register_simulator`` / ``on_event``
+/ ``on_run_end`` shape as the checker, watchdog and gauges.  While
+attached it records:
 
 * ``events`` — events dispatched across all registered simulators;
 * ``peak_heap`` — the largest event-heap length observed at dispatch;
@@ -58,9 +60,10 @@ class PerfProbe:
     def register_simulator(self, sim) -> None:
         self._sims.append(sim)
 
-    def on_event(self, fn, heap_len: int) -> None:
-        """Called by the engine for every dispatched event."""
+    def on_event(self, sim, fn) -> None:
+        """Called by the engine before dispatching each event."""
         self.events += 1
+        heap_len = sim.heap_size
         if heap_len > self.peak_heap:
             self.peak_heap = heap_len
         counts = self._raw_counts
@@ -72,6 +75,9 @@ class PerfProbe:
             # Unhashable callable: fall back to its reporting key.
             key = _component_key(fn)
             counts[key] = counts.get(key, 0) + 1
+
+    def on_run_end(self, sim) -> None:
+        """Nothing to settle: every counter is current after each event."""
 
     @property
     def component_counts(self) -> Dict[str, int]:

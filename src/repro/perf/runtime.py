@@ -2,9 +2,9 @@
 
 Mirrors :mod:`repro.checks.runtime`: the probe is wired into the
 engine at *construction* time — while a probe is active, every newly
-built :class:`~repro.sim.engine.Simulator` registers itself and keeps
-a direct reference, so the dispatch loop pays a single ``is not
-None`` test when profiling is off.
+built :class:`~repro.sim.engine.Simulator` registers it as one of its
+observers, so the dispatch loop pays nothing per event when profiling
+is off.
 
 This module deliberately imports nothing from the rest of the package
 (beyond the standard library) so that ``sim.engine`` can consult it

@@ -1,10 +1,9 @@
 """Discrete-event simulation engine.
 
-The engine is a classic event-heap scheduler.  Events are callbacks
-scheduled at absolute simulated times; ties are broken by insertion
-order so runs are fully deterministic.  The x-kernel simulator the
-paper used worked the same way: real protocol code driven by a virtual
-clock.
+A classic event-heap scheduler: callbacks scheduled at absolute
+simulated times, ties broken by insertion order, so runs are fully
+deterministic.  The x-kernel simulator the paper used worked the same
+way: real protocol code driven by a virtual clock.
 
 Typical use::
 
@@ -12,42 +11,51 @@ Typical use::
     sim.schedule(1.0, lambda: print("one second in"))
     sim.run(until=10.0)
 
-Components keep a reference to their :class:`Simulator` and use
-:meth:`Simulator.schedule` for everything time-related: link
-transmission completions, protocol timers, application send times.
+Components keep a reference to their :class:`Simulator` and use its
+``schedule*`` methods for everything time-related: link transmission
+completions, protocol timers, application send times.
 
-Hot path
---------
+One engine
+----------
 
-Millions of events per run means the scheduler's constant factors
-dominate wall clock, so the default ("fast") engine:
+Every event enters through :meth:`Simulator._push` and leaves through
+:meth:`Simulator._dispatch`; there is no mode switch.  Millions of
+events per run make the constant factors dominate wall clock, so:
 
-* stores ``(time, seq, event)`` tuples in the heap, so ``heapq``
-  compares C tuples instead of calling ``Event.__lt__`` — ``seq`` is
-  unique, so the comparison never reaches the event object;
-* recycles :class:`Event` objects through a free list, cutting
+* the heap holds ``(time, seq, event)`` tuples — ``heapq`` compares C
+  tuples, and ``seq`` is unique, so a comparison never reaches the
+  event object;
+* handle-less events (:meth:`Simulator.schedule_anon`) are bare
+  ``(time, seq, fn, args)`` tuples, with no :class:`Event` at all;
+* :class:`Event` objects are recycled through a free list, cutting
   allocator churn on the schedule/fire cycle.
 
-Both changes preserve execution order bit-for-bit: ordering is
-``(time, seq)`` either way.  The pre-optimization engine survives as
-the *slow path* — set ``REPRO_ENGINE_SLOWPATH=1`` before constructing
-a :class:`Simulator` to get an object heap ordered by
-``Event.__lt__`` with a fresh allocation per event.  The determinism
-suite runs the same cell on both paths and asserts identical results.
+The entry format and the parking rule below are private to this
+module; other layers use the public methods only, which is what lets
+``tests/reference_engine.py`` — the seed's object-heap scheduler, kept
+deliberately naive — stand in for this class under the whole stack as
+the oracle of ``tests/test_engine_differential.py``.
+
+Observers: whichever of the invariant checker, liveness watchdog,
+telemetry gauges and perf probe are active when a simulator is built
+register with it, and are called as ``on_event(sim, fn)`` just before
+each dispatch and ``on_run_end(sim)`` when ``run()`` returns.  They
+read state and never schedule, so ``events_processed`` is identical
+however many are armed; with none, the loop pays one truthiness test
+per event.
 
 Far-horizon calendar overflow
 -----------------------------
 
-A binary heap is the right structure for the dense near-term event
-population (packet transmissions, deliveries), but thousand-flow runs
-also carry thousands of *far* events — conversation start times and
-think-time timers seconds in the future — and every one of them
-inflates each ``heappush``/``heappop`` along the way.  Above a
-live-event threshold the fast path therefore parks far events in
-calendar buckets (one unsorted list per ``_wheel_width``-second
-epoch) and only heapifies a bucket when the heap drains down to it:
-O(1) insertion for the far population, and the heap stays sized to
-the near-term burst.
+A binary heap suits the dense near-term event population (packet
+transmissions, deliveries), but thousand-flow runs also carry
+thousands of *far* events — conversation start times and think-time
+timers seconds in the future — and every one of them inflates each
+``heappush``/``heappop`` along the way.  Above a heap-length threshold
+the engine therefore parks far events in calendar buckets (one
+unsorted list per ``_WHEEL_WIDTH``-second epoch) and only heapifies a
+bucket when the heap drains down to it: O(1) insertion for the far
+population, and the heap stays sized to the near-term burst.
 
 Ordering stays bit-identical to the pure heap by construction, via
 two complementary rules.  An entry may *start* a bucket ``e`` only
@@ -59,26 +67,15 @@ the lowest nonempty bucket's boundary (``_far_bound``) *must* park
 rather than enter the heap, so the heap can never leapfrog a parked
 entry.  Buckets are merged back through ``heapify``, where ``(time,
 seq)`` uniqueness restores the exact global order.  Below the
-threshold (every quick-sweep cell) no event is ever parked and the
-engine is the plain tuple heap.
-``REPRO_WHEEL_THRESHOLD``/``REPRO_WHEEL_WIDTH`` override the
-activation point and bucket width; the property suite forces the
-threshold to zero to cross-check dispatch order against the slow
-path.
-
-Event-handle contract: an :class:`Event` returned by ``schedule`` is
-only a valid handle until it fires.  Cancelling after the callback ran
-is a safe no-op, but holders that may outlive their event must null
-their reference when it fires (see ``TCPConnection._pace_fire``),
-because a fired event's object may be recycled for a later
-``schedule`` call.
+threshold (every quick-sweep cell) no event is ever parked.  The
+differential suite patches ``_WHEEL_THRESHOLD`` to zero so every far
+event parks, and cross-checks dispatch order against the reference.
 """
 
 from __future__ import annotations
 
 import gc
-import heapq
-import os
+from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional
 
 from repro.checks import runtime as checks_runtime
@@ -87,49 +84,24 @@ from repro.obs import runtime as obs_runtime
 from repro.perf import runtime as perf_runtime
 from repro.sim import watchdog as watchdog_runtime
 
-#: Most recently constructed Simulator in this process; see
-#: :func:`last_simulator`.
+#: What :func:`last_simulator` returns.
 _last_simulator: Optional["Simulator"] = None
 
-_heappush = heapq.heappush
+_INF = float("inf")
 
 #: Upper bound on the event free list.  Steady-state simulations churn
 #: far fewer live events than this; the cap only bounds memory after a
 #: transient burst of cancellations.
 _POOL_MAX = 4096
 
-#: Environment variable selecting the seed-equivalent slow path.
-SLOWPATH_ENV = "REPRO_ENGINE_SLOWPATH"
-
-#: Live-event count above which far events overflow into calendar
-#: buckets.  Small cells (the whole quick sweep) never cross this, so
-#: their scheduling is byte-for-byte the plain tuple heap.
-WHEEL_THRESHOLD_ENV = "REPRO_WHEEL_THRESHOLD"
-_DEFAULT_WHEEL_THRESHOLD = 256
+#: Heap length above which far events overflow into calendar buckets;
+#: small cells (the whole quick sweep) never cross it.
+_WHEEL_THRESHOLD = 256
 
 #: Calendar bucket width in simulated seconds.  Near events (within
 #: the current epoch or below ``_heap_max``) always go to the heap,
 #: so the width only tunes how coarsely the far population is binned.
-WHEEL_WIDTH_ENV = "REPRO_WHEEL_WIDTH"
-_DEFAULT_WHEEL_WIDTH = 1.0
-
-
-def _wheel_threshold() -> int:
-    raw = os.environ.get(WHEEL_THRESHOLD_ENV, "")
-    return int(raw) if raw else _DEFAULT_WHEEL_THRESHOLD
-
-
-def _wheel_width() -> float:
-    raw = os.environ.get(WHEEL_WIDTH_ENV, "")
-    width = float(raw) if raw else _DEFAULT_WHEEL_WIDTH
-    if width <= 0:
-        raise SimulationError(f"{WHEEL_WIDTH_ENV} must be positive")
-    return width
-
-
-def slow_path_requested() -> bool:
-    """True when the environment asks for the pre-optimization engine."""
-    return os.environ.get(SLOWPATH_ENV, "") not in ("", "0")
+_WHEEL_WIDTH = 1.0
 
 
 def last_simulator() -> Optional["Simulator"]:
@@ -154,13 +126,14 @@ class Event:
     Once the callback has fired the handle is dead: ``cancel()`` is a
     no-op (``cancelled`` is set as the event leaves the heap), and the
     object may be reused for a future ``schedule`` call, so holders
-    must drop their reference when their event fires.
+    that may outlive their event must drop their reference when it
+    fires (see ``TCPConnection._pace_fire``).
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable[..., Any], args: tuple,
-                 sim: Optional["Simulator"] = None):
+    def __init__(self, time: float, seq: int, fn: Callable[..., Any],
+                 args: tuple, sim: "Simulator"):
         self.time = time
         self.seq = seq
         self.fn = fn
@@ -178,14 +151,6 @@ class Event:
                 self._sim._live -= 1
                 self._sim = None
 
-    def __lt__(self, other: "Event") -> bool:
-        # heapq needs a total order; (time, seq) is unique per event.
-        # Only exercised by the slow path — the fast path's heap holds
-        # (time, seq, event) tuples that never compare beyond seq.
-        if self.time != other.time:
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -202,50 +167,31 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        # Fast path: list of (time, seq, Event).  Slow path: list of
-        # Event ordered by Event.__lt__.  Never mixed — the path is
-        # fixed at construction.
-        self._heap: List[Any] = []
+        # (time, seq, Event) and anonymous (time, seq, fn, args) entries.
+        self._heap: List[tuple] = []
         self._seq: int = 0
         self._live: int = 0
         self._events_processed: int = 0
         self._running = False
-        self._fast = not slow_path_requested()
         self._pool: List[Event] = []
-        # Far-horizon calendar overflow (fast path only; see the
-        # module docstring).  ``_far`` maps epoch index -> unsorted
-        # list of heap entries; ``_heap_max`` is the largest timestamp
-        # pushed onto the heap since it last drained, the safety bound
-        # that keeps parked entries strictly after every heap entry.
+        # Calendar state (see the module docstring): ``_far`` maps
+        # epoch index -> unsorted list of parked heap entries.
         self._far: dict = {}
         self._far_count: int = 0
         self._epoch: int = 0
         self._heap_max: float = 0.0
-        self._far_bound: float = float("inf")
+        self._far_bound: float = _INF
         self._far_peak: int = 0
-        self._wheel_threshold: int = _wheel_threshold()
-        self._wheel_width: float = _wheel_width()
-        # Bound at construction so the run loop pays one attribute
-        # test when checking/profiling is off (see repro.checks.runtime
-        # and repro.perf.runtime).
-        self.checker = checks_runtime.active()
-        if self.checker is not None:
-            self.checker.register_simulator(self)
-        self.perf = perf_runtime.active()
-        if self.perf is not None:
-            self.perf.register_simulator(self)
-        # Liveness watchdog (repro.sim.watchdog): like the checker, its
-        # hooks read state and schedule nothing, so events_processed is
-        # identical with the watchdog on.
-        self.watchdog = watchdog_runtime.active()
-        if self.watchdog is not None:
-            self.watchdog.register_simulator(self)
-        # Telemetry gauges (repro.obs): read-only sampler on the same
-        # contract — it never schedules, so events_processed is
-        # identical with gauges armed.
-        self.obs = obs_runtime.active()
-        if self.obs is not None:
-            self.obs.register_simulator(self)
+        # Whichever observers are active now, bound for this
+        # simulator's lifetime in a fixed call order (checker,
+        # watchdog, gauges, probe).
+        self._observers: tuple = tuple(
+            observer for observer in (
+                checks_runtime.active(), watchdog_runtime.active(),
+                obs_runtime.active(), perf_runtime.active())
+            if observer is not None)
+        for observer in self._observers:
+            observer.register_simulator(self)
         global _last_simulator
         _last_simulator = self
 
@@ -258,48 +204,7 @@ class Simulator:
         Negative delays are rejected: an event in the past would break
         the monotone-clock invariant.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay}s in the past")
-        # _push inlined: this is the single hottest entry point (one
-        # call per event), and the extra frame is measurable.
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if self._fast:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.time = time
-                event.seq = seq
-                event.fn = fn
-                event.args = args
-                event.cancelled = False
-                event._sim = self
-            else:
-                event = Event(time, seq, fn, args, sim=self)
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append((time, seq, event))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return event
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, event))
-        else:
-            event = Event(time, seq, fn, args, sim=self)
-            _heappush(self._heap, event)
-        return event
+        return self._push(self.now + delay, fn, args, True)
 
     def schedule_anon(self, delay: float, fn: Callable[..., Any],
                       *args: Any) -> None:
@@ -307,112 +212,82 @@ class Simulator:
 
         The fire-and-forget variant of :meth:`schedule` for callers
         that drop the returned handle — packet deliveries, transmission
-        completions, one-shot application timers.  The fast path pushes
-        a bare ``(time, seq, fn, args)`` tuple: no :class:`Event`
-        object, no free-list churn, and none of the handle-neutralising
-        stores on dispatch.  Ordering is the same ``(time, seq)`` as
-        handled events, so the two kinds interleave bit-identically
-        with how :meth:`schedule` would have ordered them.
+        completions, one-shot application timers: no :class:`Event`
+        object, no free-list churn, no handle to neutralise on
+        dispatch.  Ordering is the same ``(time, seq)``, so the two
+        kinds interleave exactly as :meth:`schedule` alone would have
+        ordered them.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule event {delay}s in the past")
-        time = self.now + delay
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if self._fast:
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append(
-                        (time, seq, fn, args))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, fn, args))
-        else:
-            _heappush(self._heap, Event(time, seq, fn, args, sim=self))
+        self._push(self.now + delay, fn, args, False)
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* at absolute simulated time *time*."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule event at t={time:.6f} before now={self.now:.6f}"
-            )
-        return self._push(time, fn, args)
+        return self._push(time, fn, args, True)
 
-    def _push(self, time: float, fn: Callable[..., Any], args: tuple) -> Event:
+    def _push(self, time: float, fn: Callable[..., Any], args: tuple,
+              handled: bool) -> Optional[Event]:
+        """The one way an event enters the scheduler."""
+        # One chained comparison rejects the past, NaN (every
+        # comparison with it is false) and +inf (int(inf / width)
+        # below would raise a bare OverflowError) together.
+        if not self.now <= time < _INF:
+            raise SimulationError(
+                f"cannot schedule event at t={time!r}: not a finite time "
+                f"at or after now={self.now:.6f}")
         seq = self._seq
         self._seq = seq + 1
         self._live += 1
-        if self._fast:
+        if handled:
             pool = self._pool
             if pool:
                 event = pool.pop()
-                event.time = time
-                event.seq = seq
-                event.fn = fn
-                event.args = args
-                event.cancelled = False
-                event._sim = self
+                event.__init__(time, seq, fn, args, self)
             else:
-                event = Event(time, seq, fn, args, sim=self)
-            if self._far_count or len(self._heap) > self._wheel_threshold:
-                width = self._wheel_width
-                epoch = int(time / width)
-                if (time >= self._far_bound
-                        or (epoch > self._epoch
-                            and epoch * width > self._heap_max)):
-                    self._far.setdefault(epoch, []).append((time, seq, event))
-                    count = self._far_count + 1
-                    self._far_count = count
-                    if count > self._far_peak:
-                        self._far_peak = count
-                    bound = epoch * width
-                    if bound < self._far_bound:
-                        self._far_bound = bound
-                    return event
-            if time > self._heap_max:
-                self._heap_max = time
-            _heappush(self._heap, (time, seq, event))
+                event = Event(time, seq, fn, args, self)
+            entry = (time, seq, event)
         else:
-            event = Event(time, seq, fn, args, sim=self)
-            _heappush(self._heap, event)
+            event = None
+            entry = (time, seq, fn, args)
+        heap = self._heap
+        if self._far_count or len(heap) > _WHEEL_THRESHOLD:
+            epoch = int(time / _WHEEL_WIDTH)
+            if (time >= self._far_bound
+                    or (epoch > self._epoch
+                        and epoch * _WHEEL_WIDTH > self._heap_max)):
+                self._far.setdefault(epoch, []).append(entry)
+                count = self._far_count + 1
+                self._far_count = count
+                if count > self._far_peak:
+                    self._far_peak = count
+                bound = epoch * _WHEEL_WIDTH
+                if bound < self._far_bound:
+                    self._far_bound = bound
+                return event
+        if time > self._heap_max:
+            self._heap_max = time
+        _heappush(heap, entry)
         return event
 
-    def _advance_epoch(self) -> bool:
+    def _advance_epoch(self) -> None:
         """Load the earliest calendar bucket into the (empty) heap.
 
-        Returns False when no far events remain.  Entries are merged
-        with ``heapify``; ``(time, seq)`` uniqueness makes the merged
-        order exactly what a single global heap would have produced.
-        ``_heap_max`` conservatively becomes the loaded epoch's upper
-        boundary, so subsequent parking decisions stay safe.
+        Only called while ``_far_count`` is nonzero.  Entries are
+        merged with ``heapify``; ``(time, seq)`` uniqueness makes the
+        merged order exactly what a single global heap would have
+        produced.  ``_heap_max`` conservatively becomes the loaded
+        epoch's upper boundary, so subsequent parking decisions stay
+        safe.
         """
         far = self._far
-        if not far:
-            return False
         epoch = min(far)
         entries = far.pop(epoch)
         self._far_count -= len(entries)
         heap = self._heap
         heap.extend(entries)
-        heapq.heapify(heap)
+        heapify(heap)
         self._epoch = epoch
-        self._heap_max = (epoch + 1) * self._wheel_width
-        self._far_bound = (min(far) * self._wheel_width if far
-                           else float("inf"))
-        return True
+        self._heap_max = (epoch + 1) * _WHEEL_WIDTH
+        self._far_bound = min(far) * _WHEEL_WIDTH if far else _INF
 
     def _recycle(self, event: Event) -> None:
         # Neutralise the handle before pooling: a late cancel() on a
@@ -450,366 +325,89 @@ class Simulator:
         # connections) are long-lived anyway and are swept once the
         # collector resumes.
         gc_was_enabled = gc.isenabled()
-        if gc_was_enabled:
-            gc.disable()
+        gc.disable()
         try:
-            if self._fast:
-                processed = self._run_fast(until, max_events)
-            else:
-                processed = self._run_slow(until, max_events)
-            if (until is not None and self.now < until
-                    and not self._has_pending_before(until)):
-                # Advance the clock to the horizon so back-to-back
-                # run(until=...) calls observe monotone time.
-                self.now = until
+            processed = self._dispatch(
+                _INF if until is None else until,
+                _INF if max_events is None else max_events)
         finally:
             self._running = False
             if gc_was_enabled:
                 gc.enable()
-        if self.checker is not None:
-            self.checker.on_run_end(self)
-        if self.watchdog is not None:
-            self.watchdog.on_run_end(self)
-        if self.obs is not None:
-            self.obs.on_run_end(self)
+        for observer in self._observers:
+            observer.on_run_end(self)
         return processed
 
-    def _run_fast(self, until: Optional[float],
-                  max_events: Optional[int]) -> int:
-        """Tuple-heap dispatch loop with hoisted lookups."""
-        checker = self.checker
-        perf = self.perf
-        watchdog = self.watchdog
-        obs = self.obs
-        # Single cached test: with no probe/checker/watchdog/gauges
-        # attached (the overwhelmingly common case) dispatch runs the
-        # hook-free loop, paying zero per-event hook checks.
-        if checker is None and watchdog is None and obs is None:
-            if perf is None:
-                return self._run_fast_bare(until, max_events)
-            # Probe-only (the bench protocol): a dedicated loop with
-            # the probe hook hoisted and the bookkeeping counters
-            # batched, so the profiled number reflects the engine
-            # rather than per-event hook plumbing.
-            return self._run_fast_perf(until, max_events, perf)
+    def _dispatch(self, horizon: float, limit: float) -> int:
+        """The dispatch loop: pop, advance the clock, observe, call."""
         heap = self._heap
-        heappop = heapq.heappop
-        pool = self._pool
-        pool_append = pool.append
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
-        processed = 0
-        while True:
-            if not heap:
-                if self._far_count and self._advance_epoch():
-                    continue
-                break
-            entry = heappop(heap)
-            if len(entry) == 4:
-                # Anonymous event (time, seq, fn, args): no handle to
-                # neutralise, no cancellation to test, no pool churn.
-                time = entry[0]
-                if time > horizon:
-                    heapq.heappush(heap, entry)
-                    break
-                self._live -= 1
-                if time < self.now:
-                    raise SimulationError(
-                        "event heap yielded an event in the past")
-                self.now = time
-                if checker is not None:
-                    checker.on_event(self)
-                if watchdog is not None:
-                    watchdog.on_event(self)
-                if obs is not None:
-                    obs.on_event(self)
-                fn = entry[2]
-                if perf is not None:
-                    perf.on_event(fn, len(heap))
-                fn(*entry[3])
-                processed += 1
-                self._events_processed += 1
-                if processed >= limit:
-                    break
-                continue
-            event = entry[2]
-            if event.cancelled:
-                event.fn = None
-                event.args = ()
-                if len(pool) < _POOL_MAX:
-                    pool_append(event)
-                continue
-            time = entry[0]
-            if time > horizon:
-                # Overshot the horizon: the popped event stays pending.
-                heapq.heappush(heap, entry)
-                break
-            self._live -= 1
-            event._sim = None
-            if time < self.now:
-                raise SimulationError("event heap yielded an event in the past")
-            self.now = time
-            if checker is not None:
-                # Clock monotonicity plus a periodic structural
-                # audit; piggybacked here (never scheduled) so
-                # events_processed is identical with checks on.
-                checker.on_event(self)
-            if watchdog is not None:
-                watchdog.on_event(self)
-            if obs is not None:
-                obs.on_event(self)
-            fn = event.fn
-            args = event.args
-            if perf is not None:
-                perf.on_event(fn, len(heap))
-            fn(*args)
-            # Recycle only after dispatch (inlined): the callback may
-            # legally cancel the event that invoked it (timer
-            # self-stop), which must hit this dead handle, not a
-            # recycled live one.
-            event.cancelled = True
-            event._sim = None
-            event.fn = None
-            event.args = ()
-            if len(pool) < _POOL_MAX:
-                pool_append(event)
-            processed += 1
-            self._events_processed += 1
-            if processed >= limit:
-                break
-        return processed
-
-    def _run_fast_perf(self, until: Optional[float],
-                       max_events: Optional[int], perf) -> int:
-        """The probe-only dispatch loop (bench protocol).
-
-        Identical event ordering and counting to :meth:`_run_fast`
-        with only the probe attached; the probe's per-event counting
-        is inlined on loop locals and the ``_live``/
-        ``_events_processed`` bookkeeping is batched (safe here: the
-        probe never reads either, and with no gauges/watchdog nothing
-        samples them mid-run).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        pool = self._pool
-        pool_append = pool.append
-        # Probe bookkeeping is inlined on locals (the counts dict, the
-        # running heap peak) and folded back in ``finally`` — exactly
-        # what PerfProbe.on_event computes, without a method call per
-        # event.  Safe for the same reason the _live batching is: the
-        # probe is only read after run() returns.
-        counts = perf._raw_counts
-        peak = perf.peak_heap
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
-        processed = 0
-        fired = 0
+        observers = self._observers
         now = self.now
+        # ``_live`` and ``_events_processed`` are batched on locals and
+        # folded back whenever someone can look: before observers run
+        # (so what they read mid-run is exact) and on the way out.
+        # ``fired`` counts events popped since the last fold,
+        # ``processed`` callbacks that returned, ``folded`` how many of
+        # those ``_events_processed`` already holds.
+        processed = folded = fired = 0
         try:
             while True:
                 if not heap:
-                    if self._far_count and self._advance_epoch():
-                        continue
-                    break
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        _heappush(heap, entry)
+                    if not self._far_count:
                         break
-                    if time < now:
-                        raise SimulationError(
-                            "event heap yielded an event in the past")
-                    fired += 1
-                    self.now = now = time
+                    self._advance_epoch()
+                entry = _heappop(heap)
+                if len(entry) == 4:
+                    # Anonymous event (time, seq, fn, args): no handle
+                    # to neutralise, no cancellation to test.
+                    event = None
                     fn = entry[2]
-                    depth = len(heap)
-                    if depth > peak:
-                        peak = depth
-                    try:
-                        counts[fn] += 1
-                    except KeyError:
-                        counts[fn] = 1
-                    except TypeError:
-                        key = getattr(fn, "__qualname__", None) or repr(fn)
-                        counts[key] = counts.get(key, 0) + 1
-                    fn(*entry[3])
-                    processed += 1
-                    if processed >= limit:
-                        break
-                    continue
-                event = entry[2]
-                if event.cancelled:
-                    event.fn = None
-                    event.args = ()
-                    if len(pool) < _POOL_MAX:
-                        pool_append(event)
-                    continue
-                time = entry[0]
-                if time > horizon:
-                    _heappush(heap, entry)
-                    break
-                event._sim = None
-                if time < now:
-                    raise SimulationError(
-                        "event heap yielded an event in the past")
-                fired += 1
-                self.now = now = time
-                fn = event.fn
-                args = event.args
-                depth = len(heap)
-                if depth > peak:
-                    peak = depth
-                try:
-                    counts[fn] += 1
-                except KeyError:
-                    counts[fn] = 1
-                except TypeError:
-                    key = getattr(fn, "__qualname__", None) or repr(fn)
-                    counts[key] = counts.get(key, 0) + 1
-                fn(*args)
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
-                if len(pool) < _POOL_MAX:
-                    pool_append(event)
-                processed += 1
-                if processed >= limit:
-                    break
-        finally:
-            self._live -= fired
-            self._events_processed += processed
-            perf.events += fired
-            if peak > perf.peak_heap:
-                perf.peak_heap = peak
-        return processed
-
-    def _run_fast_bare(self, until: Optional[float],
-                       max_events: Optional[int]) -> int:
-        """The no-hooks dispatch loop (no probe/checker/watchdog/gauges).
-
-        Identical event ordering and counting to :meth:`_run_fast`;
-        only the per-event hook tests are gone and the
-        ``_live``/``_events_processed`` bookkeeping is batched (safe:
-        nothing reads either mid-run without a hook attached).
-        """
-        heap = self._heap
-        heappop = heapq.heappop
-        pool = self._pool
-        pool_append = pool.append
-        horizon = float("inf") if until is None else until
-        limit = float("inf") if max_events is None else max_events
-        processed = 0
-        fired = 0
-        now = self.now
-        try:
-            while True:
-                if not heap:
-                    if self._far_count and self._advance_epoch():
+                    args = entry[3]
+                else:
+                    event = entry[2]
+                    if event.cancelled:
+                        self._recycle(event)
                         continue
-                    break
-                entry = heappop(heap)
-                if len(entry) == 4:
-                    time = entry[0]
-                    if time > horizon:
-                        _heappush(heap, entry)
-                        break
-                    if time < now:
-                        raise SimulationError(
-                            "event heap yielded an event in the past")
-                    fired += 1
-                    self.now = now = time
-                    entry[2](*entry[3])
-                    processed += 1
-                    if processed >= limit:
-                        break
-                    continue
-                event = entry[2]
-                if event.cancelled:
-                    event.fn = None
-                    event.args = ()
-                    if len(pool) < _POOL_MAX:
-                        pool_append(event)
-                    continue
+                    fn = event.fn
+                    args = event.args
                 time = entry[0]
-                if time > horizon:
+                if time > horizon or processed >= limit:
+                    # A bound is reached: the event stays pending.
                     _heappush(heap, entry)
+                    if time <= horizon:
+                        return processed
                     break
-                event._sim = None
                 if time < now:
                     raise SimulationError(
                         "event heap yielded an event in the past")
                 fired += 1
                 self.now = now = time
-                fn = event.fn
-                args = event.args
+                if event is not None:
+                    event._sim = None
+                if observers:
+                    self._live -= fired
+                    fired = 0
+                    self._events_processed += processed - folded
+                    folded = processed
+                    for observer in observers:
+                        observer.on_event(self, fn)
                 fn(*args)
-                event.cancelled = True
-                event.fn = None
-                event.args = ()
-                if len(pool) < _POOL_MAX:
-                    pool_append(event)
+                if event is not None:
+                    # Recycle only after dispatch: the callback may
+                    # legally cancel the event that invoked it (timer
+                    # self-stop), which must hit this dead handle, not
+                    # a recycled live one.
+                    self._recycle(event)
                 processed += 1
-                if processed >= limit:
-                    break
+            # Nothing live remains at or before the horizon: advance
+            # the clock to it so back-to-back run(until=...) calls
+            # observe monotone time.
+            if now < horizon < _INF:
+                self.now = horizon
         finally:
             self._live -= fired
-            self._events_processed += processed
+            self._events_processed += processed - folded
         return processed
-
-    def _run_slow(self, until: Optional[float],
-                  max_events: Optional[int]) -> int:
-        """The seed engine's loop, kept verbatim as the reference path."""
-        processed = 0
-        while self._heap:
-            event = self._heap[0]
-            if event.cancelled:
-                heapq.heappop(self._heap)
-                continue
-            if until is not None and event.time > until:
-                break
-            heapq.heappop(self._heap)
-            self._live -= 1
-            event._sim = None
-            if event.time < self.now:
-                raise SimulationError("event heap yielded an event in the past")
-            self.now = event.time
-            if self.checker is not None:
-                self.checker.on_event(self)
-            if self.watchdog is not None:
-                self.watchdog.on_event(self)
-            if self.obs is not None:
-                self.obs.on_event(self)
-            if self.perf is not None:
-                self.perf.on_event(event.fn, len(self._heap))
-            event.fn(*event.args)
-            processed += 1
-            self._events_processed += 1
-            if max_events is not None and processed >= max_events:
-                break
-        return processed
-
-    def _has_pending_before(self, horizon: float) -> bool:
-        # Pruning cancelled events off the top keeps this O(1)
-        # amortised: each cancelled event is popped at most once over
-        # the simulator's lifetime.  Once the top is live it is the
-        # global minimum, so a single comparison answers the question.
-        heap = self._heap
-        if self._fast:
-            while True:
-                while heap and len(heap[0]) == 3 and heap[0][2].cancelled:
-                    self._recycle(heapq.heappop(heap)[2])
-                if heap:
-                    return heap[0][0] <= horizon
-                # Heap drained to all-cancelled: pull the next calendar
-                # bucket (if any) and keep pruning.  Amortised O(1) —
-                # each entry is loaded at most once ever.
-                if not (self._far_count and self._advance_epoch()):
-                    return False
-        while heap and heap[0].cancelled:
-            heapq.heappop(heap)
-        return bool(heap) and heap[0].time <= horizon
 
     # ------------------------------------------------------------------
     # Introspection

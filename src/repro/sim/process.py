@@ -52,21 +52,6 @@ class PeriodicTimer:
             self._event.cancel()
             self._event = None
 
-    # -- idle suppression ------------------------------------------------
-    # A suspended timer schedules nothing at all: a host whose
-    # connections are quiescent pays zero events per period instead of
-    # one.  Resuming behaves like a fresh start (first fire one full
-    # period out), so a resumed timer's ticks are NOT phase-aligned
-    # with the uninterrupted schedule — which is why idle suppression
-    # is opt-in and excluded from the bit-identical gate.
-    def suspend(self) -> None:
-        """Alias of :meth:`stop`, named for the idle-suppression path."""
-        self.stop()
-
-    def resume(self) -> None:
-        """Start ticking again after :meth:`suspend` (no-op if running)."""
-        self.start()
-
     @property
     def running(self) -> bool:
         return self._running

@@ -106,7 +106,7 @@ class LivenessWatchdog:
     # ------------------------------------------------------------------
     # Engine hooks (piggybacked on the run loop; never scheduled)
     # ------------------------------------------------------------------
-    def on_event(self, sim) -> None:
+    def on_event(self, sim, fn) -> None:
         """Periodic progress audit; raises on a no-progress window."""
         self._tick += 1
         if self._tick % self.check_every:

@@ -25,9 +25,8 @@ of a simulator, which is what lets the host protocol's periodic scans
 and a future compiled dispatch path walk flat memory.  The accessor
 properties below keep the public attribute API (``conn.snd_una``,
 ``conn.t_rexmt``...) unchanged; hot methods hoist the store columns
-into locals instead.  Under ``REPRO_ENGINE_SLOWPATH`` each connection
-gets a private store, restoring the seed's per-object state layout
-for the bit-identity differential.
+into locals instead.  There is one layout: every connection takes a
+slot in its simulator's shared store, whichever engine drives it.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from repro.net.addresses import FlowId
 from repro.net.packet import Packet
 from repro.tcp import constants as C
 from repro.tcp.buffers import SendBuffer
-from repro.tcp.flatstate import ConnStateStore, store_for
+from repro.tcp.flatstate import store_for
 from repro.tcp.receiver import AckAction, ReceiverHalf
 from repro.tcp.rtt import CoarseRttEstimator, FineRttEstimator
 from repro.tcp.sack import SackScoreboard
@@ -106,16 +105,9 @@ class TCPConnection:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = FlowStats()
 
-        # Flat hot-state slot.  Fast path: the simulator-wide shared
-        # store, so protocol timer scans walk packed arrays.  Slow path
-        # (REPRO_ENGINE_SLOWPATH): a private store per connection —
-        # state is per-object again, as in the seed, and the protocol
-        # falls back to the per-connection method scan.
-        if getattr(sim, "_fast", True):
-            st = store_for(sim)
-        else:
-            st = ConnStateStore()
-        self._st = st
+        # Flat hot-state slot in the simulator-wide shared store, so
+        # protocol timer scans walk packed arrays.
+        self._st = st = store_for(sim)
         self._slot = slot = st.alloc()
         self._state = State.CLOSED  # state_code default is CLOSED
 
@@ -473,7 +465,6 @@ class TCPConnection:
         """Queue *nbytes* of application data; returns the accepted count."""
         if self.fin_pending or self.fin_sent:
             raise ProtocolError("cannot send after close()")
-        self.protocol.notify_activity()
         accepted = self.sendbuf.write(nbytes)
         if accepted:
             self.stats.app_bytes_queued += accepted
@@ -487,7 +478,6 @@ class TCPConnection:
         """Half-close: send FIN once all queued data has been sent."""
         if self.fin_pending or self.fin_sent:
             return
-        self.protocol.notify_activity()
         self.fin_pending = True
         state = self._state
         if state is State.ESTABLISHED or state is State.CLOSING:
@@ -1054,55 +1044,6 @@ class TCPConnection:
     # ------------------------------------------------------------------
     # Timers (driven by the host protocol's periodic timers)
     # ------------------------------------------------------------------
-    def slow_tick(self) -> None:
-        """One 500 ms coarse-timer tick (the Figure-2 'diamond').
-
-        On the fast path the protocol's flat array scan performs this
-        same sequence directly on the store; this method is the
-        per-object form used by the slow path, direct tests, and the
-        idle-suppression scan.
-        """
-        if self._state is State.CLOSED:
-            return
-        st = self._st
-        i = self._slot
-        t = st.t_rexmt[i]
-        self._trace(Kind.TIMER_CHECK, t)  # -1 sentinel == the old "unarmed"
-        if st.timing_seq[i] >= 0:
-            st.timing_ticks[i] += 1
-        if t >= 0:
-            t -= 1
-            st.t_rexmt[i] = t
-            if t <= 0:
-                self._coarse_timeout()
-        self._maybe_persist_probe()
-
-    def fast_tick(self) -> None:
-        """One 200 ms fast-timer tick: flush a pending delayed ACK."""
-        if self._state is State.CLOSED:
-            return
-        if self._st.delack[self._slot]:
-            self.send_ack()
-
-    def needs_coarse_timers(self) -> bool:
-        """False only when the host's periodic timers have no work here.
-
-        Used by the protocol's opt-in idle suppression: a connection
-        is quiescent when it is established with nothing in flight,
-        nothing queued, no retransmit countdown, and no delayed ACK
-        pending.  Everything else (handshake, FIN exchange, zero-window
-        persist) conservatively keeps the timers running.
-        """
-        st = self._st
-        i = self._slot
-        snd_nxt = st.snd_nxt[i]
-        return (self._state is not State.ESTABLISHED
-                or st.t_rexmt[i] >= 0
-                or snd_nxt != st.snd_una[i]
-                or self.sendbuf.queued_end != snd_nxt
-                or self.fin_pending
-                or st.delack[i] != 0)
-
     def _arm_rexmt(self, force: bool = False) -> None:
         st = self._st
         i = self._slot
@@ -1176,36 +1117,14 @@ class TCPConnection:
         if self.on_closed is not None:
             self.on_closed(self)
 
-    def _maybe_persist_probe(self) -> None:
-        """Zero-window persist probes with BSD-style exponential backoff.
-
-        The seed sent one probe per 500 ms slow tick forever.  Real BSD
-        backs the persist interval off exponentially (TCPTV_PERSMIN up
-        to TCPTV_PERSMAX); here the countdown doubles per probe, capped
-        at :data:`~repro.tcp.constants.MAX_PERSIST_TICKS`.  Leaving
-        persist (window opened, or nothing left to send) resets the
-        backoff so the next stall starts probing promptly again.
-        """
-        st = self._st
-        i = self._slot
-        state = self._state
-        if ((state is not State.ESTABLISHED and state is not State.CLOSING)
-                or st.peer_wnd[i] != 0
-                or self.sendbuf.queued_end - st.snd_nxt[i] <= 0):
-            st.persist_shift[i] = 0
-            st.persist_countdown[i] = 0
-            return
-        if st.snd_nxt[i] - st.snd_una[i] > 0:
-            # An earlier probe (or data) is still unacknowledged; the
-            # retransmit machinery owns it.  Backoff state is kept.
-            return
-        if st.persist_countdown[i] > 0:
-            st.persist_countdown[i] -= 1
-            return
-        self._persist_fire()
-
     def _persist_fire(self) -> None:
-        """Send one zero-window probe and back its interval off."""
+        """Send one zero-window probe and back its interval off.
+
+        Real BSD backs the persist interval off exponentially
+        (TCPTV_PERSMIN up to TCPTV_PERSMAX); here the countdown the
+        protocol's slow-timer scan runs down doubles per probe, capped
+        at :data:`~repro.tcp.constants.MAX_PERSIST_TICKS`.
+        """
         st = self._st
         i = self._slot
         seq = st.snd_nxt[i]

@@ -20,12 +20,11 @@ subscript in isolation, but end-to-end the typed arrays win ~5% —
 the contiguous C columns keep the protocol scans and per-ACK updates
 cache-resident, and they enforce int-ness at every write.)
 
-On the fast path every connection of a simulator shares one store
-(``store_for(sim)``), so a protocol scan is sequential over packed
-memory.  On the ``REPRO_ENGINE_SLOWPATH`` object path each connection
-allocates a *private* store: state is then per-object again and the
-protocol uses the per-connection method scan, which is what the
-bit-identity differential compares against.
+Every connection of a simulator shares one store (``store_for(sim)``),
+so a protocol scan is sequential over packed memory.  There is no
+per-object layout to fall back to: estimators, receiver halves and
+controllers build a private single-slot store only when used
+standalone (unit tests), never inside a connection.
 
 Columns use sentinels instead of ``None``: ``-1`` for absent
 ints (``t_rexmt``, ``timing_seq``, ``cam_end``) and NaN for absent

@@ -12,7 +12,6 @@ machines whose clocks are not synchronised.
 
 from __future__ import annotations
 
-import os
 import random
 import zlib
 from typing import Callable, Dict, Optional, Tuple
@@ -30,18 +29,6 @@ from repro.trace.tracer import NULL_TRACER, ConnectionTracer
 
 CCFactory = Callable[[], "object"]
 ConnKey = Tuple[int, str, int]  # (local port, remote addr, remote port)
-
-#: Environment switch turning idle timer suppression on by default for
-#: protocols constructed without an explicit ``idle_timer_suppression``
-#: argument.  Opt-in: suppressed ticks change ``events_processed`` (and
-#: re-armed timers lose phase alignment), so runs with this enabled are
-#: excluded from the bit-identical regression gate.
-IDLE_SUPPRESS_ENV = "REPRO_IDLE_SUPPRESS"
-
-
-def idle_suppression_default() -> bool:
-    """True when the environment enables idle timer suppression."""
-    return os.environ.get(IDLE_SUPPRESS_ENV, "") not in ("", "0")
 
 
 class Listener:
@@ -62,18 +49,11 @@ class TCPProtocol:
 
     def __init__(self, host: Host, rng: Optional[random.Random] = None,
                  slow_tick: float = C.SLOW_TICK,
-                 fast_tick: float = C.FAST_TICK,
-                 idle_timer_suppression: Optional[bool] = None):
+                 fast_tick: float = C.FAST_TICK):
         from repro.sim.process import PeriodicTimer
 
         self.host = host
         self.sim = host.sim
-        if idle_timer_suppression is None:
-            idle_timer_suppression = idle_suppression_default()
-        self.idle_timer_suppression = idle_timer_suppression
-        # True while the periodic timers are parked because every
-        # connection is quiescent; any activity re-arms them.
-        self._suppressed = False
         # Default seed from a *stable* hash of the host name: Python's
         # builtin hash() is randomized per process and would make runs
         # unreproducible across invocations.
@@ -94,11 +74,8 @@ class TCPProtocol:
         # Shared flat-state store backing every connection of this
         # simulator (see repro.tcp.flatstate): the periodic scans below
         # read the timer/window columns straight out of its packed
-        # arrays.  ``None`` on the REPRO_ENGINE_SLOWPATH object path,
-        # where each connection owns a private store and the scans fall
-        # back to the per-connection methods.
-        self._flat = store_for(self.sim) if getattr(self.sim, "_fast", True) \
-            else None
+        # arrays.
+        self._flat = store_for(self.sim)
         self.listeners: Dict[int, Listener] = {}
         self._next_port = 1024
         self._slow = PeriodicTimer(self.sim, slow_tick, self._slow_tick,
@@ -211,12 +188,8 @@ class TCPProtocol:
         conn = self.connections.get((seg.dst_port, packet.src, seg.src_port))
         if conn is not None:
             self.segments_demuxed += 1
-            if self._suppressed:
-                self._ensure_timers()
             conn.handle_segment(seg, ecn_marked=packet.ecn_marked)
             return
-        if self._suppressed:
-            self._ensure_timers()
         if seg.syn and not seg.has_ack:
             listener = self.listeners.get(seg.dst_port)
             if listener is not None:
@@ -241,26 +214,18 @@ class TCPProtocol:
     # Timers
     # ------------------------------------------------------------------
     def _ensure_timers(self) -> None:
-        self._suppressed = False
         if not self._slow.running:
             self._slow.start()
         if not self._fast.running:
             self._fast.start()
 
-    def notify_activity(self) -> None:
-        """Re-arm suppressed timers; called on application sends."""
-        if self._suppressed:
-            self._ensure_timers()
-
     def _slow_tick(self) -> None:
-        if self._flat is None or self.idle_timer_suppression:
-            self._slow_tick_objects()
-            return
-        # Flat scan: the per-connection slow_tick() sequence performed
-        # directly on the shared store's columns.  Calls back into the
-        # connection only for the rare events (timeout fired, persist
-        # probe due); the per-tick common case touches a handful of
-        # array cells per open connection.
+        """One 500 ms coarse-timer tick (the Figure-2 'diamond') per
+        open connection, performed directly on the shared store's
+        columns.  Calls back into the connection only for the rare
+        events (timeout fired, persist probe due); the per-tick common
+        case touches a handful of array cells per open connection.
+        """
         st = self._flat
         state_code = st.state_code
         t_rexmt = st.t_rexmt
@@ -277,8 +242,7 @@ class TCPProtocol:
             i = conn._slot
             # A connection ticked earlier in this scan may have closed
             # a later one (e.g. an abort tearing down its peer):
-            # CLOSED (code 0) slots are skipped, exactly as the
-            # per-object tick returns immediately for them.
+            # CLOSED (code 0) slots are skipped.
             if state_code[i] == 0:
                 continue
             t = t_rexmt[i]
@@ -292,9 +256,11 @@ class TCPProtocol:
                 t_rexmt[i] = t
                 if t <= 0:
                     conn._coarse_timeout()
-            # Zero-window persist (the _maybe_persist_probe sequence;
-            # state re-read because a timeout above may have closed or
-            # aborted the connection mid-tick).
+            # Zero-window persist with BSD-style exponential backoff
+            # (state re-read because a timeout above may have closed
+            # or aborted the connection mid-tick).  Leaving persist —
+            # window opened, or nothing left to send — resets the
+            # backoff so the next stall starts probing promptly again.
             sc = state_code[i]
             if ((sc != 3 and sc != 4)  # ESTABLISHED / CLOSING
                     or peer_wnd[i] != 0
@@ -302,7 +268,9 @@ class TCPProtocol:
                 persist_shift[i] = 0
                 persist_countdown[i] = 0
             elif snd_nxt[i] - snd_una[i] > 0:
-                pass  # probe or data already outstanding
+                # An earlier probe (or data) is still unacknowledged;
+                # the retransmit machinery owns it.  Backoff is kept.
+                pass
             elif persist_countdown[i] > 0:
                 persist_countdown[i] -= 1
             else:
@@ -310,32 +278,8 @@ class TCPProtocol:
         if not self._open:
             self._stop_timers()
 
-    def _slow_tick_objects(self) -> None:
-        """Per-object slow-timer scan (slow path and idle suppression)."""
-        idle = True
-        for conn in list(self._open.values()):
-            # A connection ticked earlier in this scan may have closed
-            # a later one (e.g. an abort tearing down its peer), so
-            # each snapshot entry is re-checked before ticking.
-            if not conn.is_closed:
-                conn.slow_tick()
-                if idle and not conn.is_closed and conn.needs_coarse_timers():
-                    idle = False
-        if not self._open:
-            self._stop_timers()
-        elif idle and self.idle_timer_suppression:
-            # Every connection is quiescent: park both timers instead
-            # of ticking through the idle period.  Any inbound segment
-            # or application send re-arms them (see _packet_arrived /
-            # notify_activity).  Opt-in — this changes event counts.
-            self._suppress_timers()
-
     def _fast_tick(self) -> None:
-        if self._flat is None:
-            for conn in list(self._open.values()):
-                if not conn.is_closed:
-                    conn.fast_tick()
-            return
+        """One 200 ms fast-timer tick: flush pending delayed ACKs."""
         state_code = self._flat.state_code
         delack = self._flat.delack
         for conn in list(self._open.values()):
@@ -344,14 +288,8 @@ class TCPProtocol:
                 conn.send_ack()
 
     def _stop_timers(self) -> None:
-        self._suppressed = False
         self._slow.stop()
         self._fast.stop()
-
-    def _suppress_timers(self) -> None:
-        self._slow.suspend()
-        self._fast.suspend()
-        self._suppressed = True
 
     def connection_closed(self, conn: TCPConnection) -> None:
         """Hook called by connections reaching CLOSED; stops timers when idle."""

@@ -127,7 +127,7 @@ class TestCleanRuns:
 
     def test_inactive_checker_costs_nothing(self):
         pair = make_pair()
-        assert pair.sim.checker is None
+        assert pair.sim._observers == ()
         assert pair.forward_queue.checker is None
 
 
@@ -139,9 +139,9 @@ class TestClockMonotonicity:
             now = 5.0
 
         sim = _Sim()
-        chk.on_event(sim)
+        chk.on_event(sim, None)
         sim.now = 4.0
-        chk.on_event(sim)
+        chk.on_event(sim, None)
         assert [v.invariant for v in chk.violations] == ["clock-monotonicity"]
 
     def test_raise_mode_propagates_from_engine(self):
@@ -381,11 +381,11 @@ class TestCollectModeAndReport:
             now = 5.0
 
         sim = _Sim()
-        chk.on_event(sim)
+        chk.on_event(sim, None)
         sim.now = 4.0
-        chk.on_event(sim)
+        chk.on_event(sim, None)
         sim.now = 3.0
-        chk.on_event(sim)
+        chk.on_event(sim, None)
         assert len(chk.violations) == 2  # no raise, both recorded
 
     def test_report_is_json_serialisable(self):

@@ -1,22 +1,25 @@
-"""Property-based engine differential: fast path ≡ slowpath.
+"""Property-based engine differential: production ≡ reference.
 
-The optimized dispatch machinery — tuple heap, inline link-layer
-pushes, the far-horizon calendar wheel, the hook-free run loops — must
-be *bit-identical* in observable behaviour to the pre-optimization
-object engine kept alive behind ``REPRO_ENGINE_SLOWPATH``.  This suite
-is the property-level half of that gate (the 66-cell quick sweep vs
+The production engine — tuple heap, anonymous entries, event free
+list, the far-horizon calendar, batched counters — must be
+*bit-identical* in observable behaviour to the deliberately naive
+object-heap scheduler in ``tests/reference_engine.py``.  This suite is
+the property-level half of that gate (the 66-cell quick sweep vs
 ``baselines/expected.json`` is the other): Hypothesis drives random
-scenarios through three engine configurations in-process — the env
-vars are read at :class:`Simulator` construction, so no subprocesses
-are needed — and asserts identical fingerprints:
+scenarios through three modes in-process and asserts identical
+fingerprints:
 
-* ``fast``      — the default engine, wheel at its stock threshold;
-* ``wheel``     — ``REPRO_WHEEL_THRESHOLD=0``: every far event parks,
-  exercising epoch advancement and bucket merges constantly;
-* ``slowpath``  — the object heap, fresh allocation per event.
+* ``production`` — :class:`repro.sim.engine.Simulator` as shipped;
+* ``calendar``   — the same class with the module constants
+  ``_WHEEL_THRESHOLD``/``_WHEEL_WIDTH`` patched to 0 / 0.25 s: every
+  far event parks, exercising epoch advancement and bucket merges
+  constantly;
+* ``reference``  — ``ReferenceSimulator``, constructed directly for
+  scheduler-only scenarios and substituted at
+  ``repro.experiments.figure5.Simulator`` for full-stack ones.
 
 ``far_events_peak`` is deliberately excluded from every fingerprint:
-the slow path never parks events, so wheel occupancy is the one
+the reference never parks events, so calendar occupancy is the one
 counter allowed to differ by design.
 
 Three scenario families:
@@ -29,82 +32,90 @@ Three scenario families:
    :class:`ConnectionTracer` attached, under a random fault profile;
    every tracer row must match exactly.
 3. **Many-flows populations** — 2–64 tcplib conversations over the
-   Figure-5 bottleneck (the tentpole workload), random seeds and
-   fault profiles, compared down to per-connection final stats.
+   Figure-5 bottleneck, random seeds and fault profiles, compared down
+   to per-connection final stats.
 """
 
 import contextlib
-import os
 import random as pyrandom
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import (SLOWPATH_ENV, WHEEL_THRESHOLD_ENV,
-                              WHEEL_WIDTH_ENV, Simulator, last_simulator)
+from repro.experiments import figure5
+from repro.obs import runtime as obs_runtime
+from repro.sim import engine
+from repro.sim.engine import Simulator
 
-#: The engine configurations every scenario is replayed under.
+from reference_engine import ReferenceSimulator
+
+#: Mode -> (simulator class, engine module constants patched for it).
 MODES = {
-    "fast": {},
-    "wheel": {WHEEL_THRESHOLD_ENV: "0", WHEEL_WIDTH_ENV: "0.25"},
-    "slowpath": {SLOWPATH_ENV: "1"},
+    "production": (Simulator, {}),
+    "calendar": (Simulator, {"_WHEEL_THRESHOLD": 0, "_WHEEL_WIDTH": 0.25}),
+    "reference": (ReferenceSimulator, {}),
 }
-
-_ENGINE_KEYS = (SLOWPATH_ENV, WHEEL_THRESHOLD_ENV, WHEEL_WIDTH_ENV)
 
 #: Fault profiles drawn per example (None = clean network).
 FAULT_PROFILES = (None, "light", "heavy", "flap")
 
 
-@contextlib.contextmanager
-def _engine_env(extra):
-    """Run a block under exactly the engine env vars in *extra*."""
-    saved = {key: os.environ.pop(key, None) for key in _ENGINE_KEYS}
-    os.environ.update(extra)
-    try:
-        yield
-    finally:
-        for key in _ENGINE_KEYS:
-            os.environ.pop(key, None)
-            if saved[key] is not None:
-                os.environ[key] = saved[key]
+class _Factory:
+    """Builds one mode's simulators and remembers the latest."""
+
+    def __init__(self, cls):
+        self.cls = cls
+        self.last = None
+
+    def __call__(self):
+        self.last = self.cls()
+        return self.last
 
 
 def _replay(fingerprint_fn):
-    """Run *fingerprint_fn* under every mode; assert all agree."""
+    """Run *fingerprint_fn(make_sim)* under every mode; assert all agree.
+
+    ``make_sim`` is the mode's simulator factory — also what
+    ``build_figure5`` constructs while the mode is in force — and
+    ``make_sim.last`` the simulator it built most recently.
+    """
     prints = {}
-    for mode, env in MODES.items():
-        with _engine_env(env):
-            prints[mode] = fingerprint_fn()
-    assert prints["fast"] == prints["slowpath"], \
-        "fast path diverged from slowpath"
-    assert prints["wheel"] == prints["slowpath"], \
-        "forced calendar wheel diverged from slowpath"
+    for mode, (cls, constants) in MODES.items():
+        make_sim = _Factory(cls)
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in constants.items():
+                patch.setattr(engine, name, value)
+            patch.setattr(figure5, "Simulator", make_sim)
+            prints[mode] = fingerprint_fn(make_sim)
+    assert prints["production"] == prints["reference"], \
+        "production engine diverged from the reference"
+    assert prints["calendar"] == prints["reference"], \
+        "forced calendar diverged from the reference"
+    return prints
 
 
 class TestEventSoupOrder:
     """Random scheduling programs fire in identical order everywhere."""
 
     @staticmethod
-    def _run_soup(program_seed: int, seeds: int, budget: int):
-        sim = Simulator()
+    def _run_soup(make_sim, program_seed: int, seeds: int, budget: int,
+                  observe=None):
+        sim = make_sim()
         rng = pyrandom.Random(program_seed)
         fired = []
         live = {}          # handle id -> Event, removed when it fires
         remaining = [budget]
         next_id = [0]
 
-        def fire(tag, hid=None):
-            if hid is not None:
-                live.pop(hid, None)
-            fired.append((sim.now, tag))
-            if remaining[0] <= 0:
-                return
-            remaining[0] -= 1
+        def spawn():
             # Mix of near-term and far-horizon delays so the forced
-            # wheel parks constantly while the heap still churns.
+            # calendar parks constantly while the heap still churns.
             delay = rng.random() * (20.0 if rng.random() < 0.3 else 0.05)
+            if rng.random() < 0.2:
+                # A coarse grid (zero included) so equal timestamps
+                # occur and the insertion-order tie-break is on trial.
+                delay = rng.randrange(4) * 0.01
             kind = rng.randrange(3)
             tag = rng.randrange(10_000)
             if kind == 0:
@@ -115,6 +126,21 @@ class TestEventSoupOrder:
             else:
                 hid = next_id[0] = next_id[0] + 1
                 live[hid] = sim.schedule_at(sim.now + delay, fire, tag, hid)
+
+        def fire(tag, hid=None):
+            if observe is not None:
+                observe(sim)
+            if hid is not None:
+                live.pop(hid, None)
+            fired.append((sim.now, tag))
+            # One successor, sometimes two: cancellations below kill
+            # chains, so without the occasional fork a soup dies out
+            # after a few dozen events.
+            for _ in range(1 + (rng.random() < 0.3)):
+                if remaining[0] <= 0:
+                    return
+                remaining[0] -= 1
+                spawn()
             # Occasionally cancel a random still-pending handle (a
             # handle is only valid until it fires — `live` tracks
             # exactly that window).
@@ -133,7 +159,49 @@ class TestEventSoupOrder:
            seeds=st.integers(1, 12),
            budget=st.integers(0, 300))
     def test_dispatch_order_identical(self, program_seed, seeds, budget):
-        _replay(lambda: self._run_soup(program_seed, seeds, budget))
+        _replay(lambda make_sim: self._run_soup(make_sim, program_seed,
+                                                seeds, budget))
+
+    @settings(max_examples=20, deadline=None)
+    @given(program_seed=st.integers(0, 2**32 - 1),
+           seeds=st.integers(1, 12),
+           budget=st.integers(0, 300))
+    def test_observer_reads_exact_counters(self, program_seed, seeds,
+                                           budget):
+        """Batched counters are folded before an observer can look.
+
+        The production loop keeps ``events_processed`` and
+        ``pending_events`` on locals between observer calls; the
+        reference recomputes both from its heap.  What an observer
+        reads at every ``on_event`` must be what the reference holds
+        on entry to the same callback.
+        """
+        class Recorder:
+            def __init__(self):
+                self.seen = []
+
+            def register_simulator(self, sim):
+                pass
+
+            def on_event(self, sim, fn):
+                self.seen.append((sim.events_processed, sim.pending_events))
+
+            def on_run_end(self, sim):
+                pass
+
+        recorder = Recorder()
+        obs_runtime.activate(recorder)
+        try:
+            self._run_soup(Simulator, program_seed, seeds, budget)
+        finally:
+            obs_runtime.deactivate()
+        expected = []
+        # The seeding calls to fire() run before the simulator does.
+        self._run_soup(
+            ReferenceSimulator, program_seed, seeds, budget,
+            observe=lambda sim: expected.append(
+                (sim.events_processed, sim.pending_events)))
+        assert recorder.seen == expected[seeds:]
 
 
 class TestTracedTransferDifferential:
@@ -150,13 +218,13 @@ class TestTracedTransferDifferential:
         from repro.trace.tracer import ConnectionTracer
         from repro.units import kb
 
-        def fingerprint():
+        def fingerprint(make_sim):
             tracer = ConnectionTracer("diff")
             ctx = injecting(faults) if faults else contextlib.nullcontext()
             with ctx:
                 result = run_solo_transfer(cc, size=kb(64), buffers=10,
                                            seed=seed, tracer=tracer)
-            return (last_simulator().events_processed,
+            return (make_sim.last.events_processed,
                     tuple(tracer.rows()),
                     result.throughput_kbps,
                     result.retransmitted_kb,
@@ -171,7 +239,6 @@ class TestManyFlowsDifferential:
     @staticmethod
     def _population_fingerprint(flows: int, seed: int, cc: str,
                                 faults):
-        from repro.experiments.figure5 import build_figure5
         from repro.experiments.many_flows import HOST_PAIRS
         from repro.experiments.transfers import resolve_cc
         from repro.faults import injecting
@@ -179,7 +246,7 @@ class TestManyFlowsDifferential:
 
         ctx = injecting(faults) if faults else contextlib.nullcontext()
         with ctx:
-            net = build_figure5(buffers=10, seed=seed)
+            net = figure5.build_figure5(buffers=10, seed=seed)
             factory = resolve_cc(cc)
             share, extra = divmod(flows, len(HOST_PAIRS))
             generators = []
@@ -221,23 +288,31 @@ class TestManyFlowsDifferential:
            cc=st.sampled_from(("reno", "vegas-1,3")),
            faults=st.sampled_from(FAULT_PROFILES))
     def test_population_identical(self, flows, seed, cc, faults):
-        _replay(lambda: self._population_fingerprint(flows, seed, cc,
-                                                     faults))
+        _replay(lambda make_sim: self._population_fingerprint(
+            flows, seed, cc, faults))
 
     def test_thousand_flow_cell_matches_slowpath(self):
-        """The headline 1,000-flow bench cell, once, fast vs slowpath.
+        """The headline 1,000-flow bench cell, once, against the slow
+        path — the reference engine.
 
         Too heavy for a Hypothesis example but exactly the population
-        the calendar wheel exists for, so pin it explicitly.  The
-        ``far_events_peak`` field is stripped: the slow path never
-        parks events.
+        the calendar exists for, so pin it explicitly, down to the
+        numbers ``bench/expected.json`` holds for the cell.  The
+        ``far_events_peak`` field is stripped before comparing: the
+        reference never parks events.
         """
         from repro.experiments.many_flows import many_flows_metrics
 
-        def fingerprint():
+        peaks = []  # one per mode, in MODES order
+
+        def fingerprint(make_sim):
             metrics = dict(many_flows_metrics(1000, 0))
-            metrics.pop("far_events_peak")
-            metrics["events"] = last_simulator().events_processed
+            peaks.append(metrics.pop("far_events_peak"))
+            metrics["events"] = make_sim.last.events_processed
             return metrics
 
-        _replay(fingerprint)
+        prints = _replay(fingerprint)
+        assert prints["production"]["events"] == 99_847
+        # The forced calendar must really have parked more than the
+        # stock threshold does, or the middle mode tested nothing.
+        assert peaks[0] == 335 and peaks[1] > 335 and peaks[2] == 0

@@ -1,18 +1,20 @@
-"""Tests for the perf subsystem and the engine's hot-path rewrites.
+"""Tests for the perf subsystem and the engine's hot-path mechanics.
 
 Three layers:
 
-* the optimized engine against its seed-equivalent slow path — the
-  same registry cell must produce identical flow statistics and
-  ``events_processed`` on both (the bit-identical guarantee the
-  regression gate relies on);
-* the fast path's mechanics in isolation (event free list, tuple heap,
-  cancel semantics after recycling);
+* the engine's observers (checker, watchdog, gauges, probe): armed
+  alone or together, the same registry cell must produce identical
+  metrics and ``events_processed`` (the engine-vs-reference
+  differential lives in ``tests/test_engine_differential.py``);
+* the hot path's mechanics in isolation (event free list, cancel
+  semantics after recycling);
 * the :class:`~repro.perf.counters.PerfProbe` counters and the
   ``repro bench`` comparator logic.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import pytest
 
@@ -20,61 +22,55 @@ from repro.errors import ReproError
 from repro.perf import runtime as perf_runtime
 from repro.perf.bench import SCHEMA_VERSION, compare
 from repro.perf.counters import PerfProbe
-from repro.sim.engine import SLOWPATH_ENV, Event, Simulator
+from repro.sim.engine import Simulator
 from repro.trace.records import Kind
 from repro.trace.tracer import ConnectionTracer
 
 
 # ----------------------------------------------------------------------
-# Fast path vs slow path determinism
+# Observers never change the run
 # ----------------------------------------------------------------------
-class TestSlowPathEquivalence:
-    def _run_figure6(self):
+OBSERVERS = ("checker", "watchdog", "gauges", "probe")
+
+
+class TestObserversAreBitIdentical:
+    @staticmethod
+    def _run_figure6(armed, tmp_path):
         from repro.harness.registry import Cell, run_cell
 
-        return run_cell(Cell.make("figure6", seed=0))
+        kwargs = {
+            "checks": "checker" in armed,
+            "watchdog": "watchdog" in armed,
+            "telemetry": (str(tmp_path / "gauges.jsonl")
+                          if "gauges" in armed else None),
+        }
+        probing = (perf_runtime.profiling() if "probe" in armed
+                   else contextlib.nullcontext())
+        with probing as probe:
+            return run_cell(Cell.make("figure6", seed=0), **kwargs), probe
 
-    def test_registry_cell_is_bit_identical(self, monkeypatch):
-        """The tentpole guarantee: same cell, both engines, same numbers.
-
-        The engine path is chosen per-Simulator at construction from
-        the environment, so the two runs share one process.
-        """
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
-        fast = self._run_figure6()
-        monkeypatch.setenv(SLOWPATH_ENV, "1")
-        slow = self._run_figure6()
-        assert fast == slow
-        assert fast["events_processed"] > 0
-
-    def test_slow_path_flag_selects_object_heap(self, monkeypatch):
-        monkeypatch.setenv(SLOWPATH_ENV, "1")
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert isinstance(sim._heap[0], Event)
-        monkeypatch.delenv(SLOWPATH_ENV)
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        assert isinstance(sim._heap[0], tuple)
-
-    def test_slow_path_ordering_and_cancel(self, monkeypatch):
-        monkeypatch.setenv(SLOWPATH_ENV, "1")
-        sim = Simulator()
-        fired = []
-        sim.schedule(2.0, fired.append, "late")
-        sim.schedule(1.0, fired.append, "early")
-        victim = sim.schedule(1.5, fired.append, "never")
-        victim.cancel()
-        assert sim.run() == 2
-        assert fired == ["early", "late"]
+    @pytest.mark.parametrize("armed", [(name,) for name in OBSERVERS]
+                             + [OBSERVERS], ids="+".join)
+    def test_armed_run_matches_unarmed(self, armed, tmp_path):
+        """One loop serves every observer combination: metrics and
+        ``events_processed`` are those of the run with none armed."""
+        bare, _ = self._run_figure6((), tmp_path)
+        metrics, probe = self._run_figure6(armed, tmp_path)
+        if "checker" in armed:
+            assert metrics.pop("invariant_violations") == 0
+        assert metrics == bare
+        assert bare["events_processed"] > 0
+        if probe is not None:
+            assert probe.events == bare["events_processed"]
+        if "gauges" in armed:
+            assert (tmp_path / "gauges.jsonl").stat().st_size > 0
 
 
 # ----------------------------------------------------------------------
 # Event free list
 # ----------------------------------------------------------------------
 class TestEventPool:
-    def test_fired_event_is_recycled(self, monkeypatch):
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
+    def test_fired_event_is_recycled(self):
         sim = Simulator()
         first = sim.schedule(0.0, lambda: None)
         sim.run()
@@ -82,8 +78,7 @@ class TestEventPool:
         assert second is first  # came back off the free list
         assert not second.cancelled
 
-    def test_cancelled_event_is_recycled(self, monkeypatch):
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
+    def test_cancelled_event_is_recycled(self):
         sim = Simulator()
         victim = sim.schedule(1.0, lambda: None)
         keeper = []
@@ -93,9 +88,8 @@ class TestEventPool:
         assert keeper == ["ran"]
         assert victim in sim._pool
 
-    def test_cancel_after_fire_is_noop(self, monkeypatch):
+    def test_cancel_after_fire_is_noop(self):
         """A fired handle can be cancelled safely — before reuse."""
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
         sim = Simulator()
         handle = sim.schedule(0.0, lambda: None)
         later = []
@@ -105,9 +99,8 @@ class TestEventPool:
         sim.run()
         assert later == ["ran"]
 
-    def test_callback_may_cancel_its_own_event(self, monkeypatch):
+    def test_callback_may_cancel_its_own_event(self):
         """The recycle happens after dispatch, so self-cancel is safe."""
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
         sim = Simulator()
         handles = {}
 
@@ -120,54 +113,12 @@ class TestEventPool:
         sim.run()
         assert fired == ["after"]
 
-    def test_recycled_events_do_not_leak_args(self, monkeypatch):
-        monkeypatch.delenv(SLOWPATH_ENV, raising=False)
+    def test_recycled_events_do_not_leak_args(self):
         sim = Simulator()
         payload = object()
         sim.schedule(0.0, lambda _x: None, payload)
         sim.run()
         assert all(e.fn is None and e.args == () for e in sim._pool)
-
-
-# ----------------------------------------------------------------------
-# Idle timer suppression (opt-in)
-# ----------------------------------------------------------------------
-class TestIdleSuppression:
-    def _idle_pair(self, suppress):
-        from helpers import make_pair
-
-        pair = make_pair()
-        pair.proto_a.idle_timer_suppression = suppress
-        pair.proto_b.idle_timer_suppression = suppress
-        pair.proto_b.listen(9000)
-        conn = pair.proto_a.connect("B", 9000)
-        pair.sim.run(until=2.0)
-        conn.app_send(4096)
-        pair.sim.run(until=10.0)
-        return pair, conn
-
-    def test_quiescent_connection_parks_timers(self):
-        pair, conn = self._idle_pair(suppress=True)
-        assert not conn.needs_coarse_timers()
-        assert pair.proto_a._suppressed and pair.proto_b._suppressed
-        before = pair.sim.events_processed
-        pair.sim.run(until=60.0)
-        assert pair.sim.events_processed == before  # zero idle ticks
-
-    def test_default_keeps_ticking(self):
-        pair, conn = self._idle_pair(suppress=False)
-        assert not pair.proto_a._suppressed
-        before = pair.sim.events_processed
-        pair.sim.run(until=60.0)
-        assert pair.sim.events_processed > before
-
-    def test_activity_rearms_timers(self):
-        pair, conn = self._idle_pair(suppress=True)
-        pair.sim.run(until=60.0)
-        conn.app_send(4096)
-        pair.sim.run(until=90.0)
-        assert conn.snd_una == conn.sendbuf.queued_end  # delivered
-        assert pair.proto_a._suppressed  # idle again afterwards
 
 
 # ----------------------------------------------------------------------
@@ -248,7 +199,7 @@ class TestPerfProbe:
 
     def test_inactive_probe_costs_nothing(self):
         sim = Simulator()
-        assert sim.perf is None
+        assert sim._observers == ()
         sim.schedule(0.0, lambda: None)
         assert sim.run() == 1
 

@@ -1,9 +1,15 @@
 """Tests for the discrete-event engine."""
 
+import math
+import re
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
+import repro
 from repro.errors import SimulationError
+from repro.sim import engine
 from repro.sim.engine import Simulator
 
 
@@ -44,6 +50,31 @@ class TestScheduling:
         sim.run()
         with pytest.raises(SimulationError):
             sim.schedule_at(0.5, lambda: None)
+
+    @pytest.mark.parametrize("calendar_engaged", [False, True])
+    @pytest.mark.parametrize("entry", ["schedule", "schedule_anon",
+                                       "schedule_at"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_non_finite_and_past_times_rejected(self, bad, entry,
+                                                calendar_engaged,
+                                                monkeypatch):
+        """NaN slips through ``delay < 0``; inf overflows the calendar's
+        epoch arithmetic.  One guard rejects both, and the past, on
+        every entry point, whether or not events are parked."""
+        if calendar_engaged:
+            monkeypatch.setattr(engine, "_WHEEL_THRESHOLD", 0)
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "near")
+        sim.schedule(5.0, fired.append, "far")
+        assert (sim.far_events > 0) == calendar_engaged
+        sim.run(until=0.5)
+        with pytest.raises(SimulationError):
+            getattr(sim, entry)(bad, fired.append, "bad")
+        assert sim.pending_events == 2
+        sim.run()
+        assert fired == ["near", "far"]
+        assert sim.now == 5.0
 
     def test_args_are_passed(self):
         sim = Simulator()
@@ -133,6 +164,16 @@ class TestRunBounds:
         assert sim.run() == 4
         assert sim.events_processed == 4
 
+    def test_max_events_zero_dispatches_nothing(self):
+        sim = Simulator()
+        fired = []
+        sim.schedule(1.0, fired.append, "a")
+        assert sim.run(max_events=0) == 0
+        assert fired == []
+        assert sim.events_processed == 0
+        assert sim.pending_events == 1
+        assert sim.now == 0.0
+
     def test_run_is_not_reentrant(self):
         sim = Simulator()
 
@@ -173,3 +214,46 @@ class TestPropertyBased:
         sim.run()
         expected = {i for i, (_, cancel) in enumerate(items) if not cancel}
         assert set(fired) == expected
+
+
+class TestSourceGuard:
+    """The engine has no modes and no privileged callers; keep it so."""
+
+    SRC = Path(repro.__file__).parent
+
+    def _matches(self, pattern):
+        found = []
+        for path in sorted(self.SRC.rglob("*.py")):
+            rel = path.relative_to(self.SRC).as_posix()
+            for number, line in enumerate(path.read_text().splitlines(), 1):
+                if re.search(pattern, line):
+                    found.append((rel, number, line.strip()))
+        return found
+
+    def test_only_the_cache_dir_comes_from_the_environment(self):
+        """No behaviour toggle may hide in an environment variable:
+        the result cache is keyed by source hash, not by environment."""
+        reads = {(rel, line) for rel, _, line
+                 in self._matches(r"\benviron\b|\bgetenv\b")}
+        assert reads == {
+            ("harness/cache.py",
+             "return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)"),
+            # The dist master hands its whole environment to workers.
+            ("harness/dist/master.py", "env = dict(os.environ)"),
+        }
+        names = {name for _, _, line in self._matches(r"REPRO_[A-Z]")
+                 for name in re.findall(r"REPRO_[A-Z_]+", line)}
+        assert names == {"REPRO_CACHE_DIR"}
+
+    def test_scheduler_internals_stay_inside_the_engine(self):
+        """The heap-entry format and the parking rule live in
+        ``sim/engine.py`` only — which is also what lets the reference
+        engine drop in under the whole stack."""
+        touches = [hit for hit in self._matches(
+            r"\._(heap|seq|live|heap_max|far_count|fast)\b")
+            if hit[0] != "sim/engine.py"]
+        # TCPProtocol's 200 ms delayed-ACK timer shares a name, nothing more.
+        touches = [hit for hit in touches
+                   if not (hit[0] == "tcp/protocol.py"
+                           and "self._fast" in hit[2])]
+        assert touches == []
