@@ -28,7 +28,7 @@ from repro.errors import ReproError
 
 def configure_parser(sub) -> None:
     """Attach the ``arena`` subparser to *sub* (a subparsers action)."""
-    from repro.harness import supervisor as supervisor_mod
+    from repro.harness import lease as lease_mod
 
     arena = sub.add_parser(
         "arena",
@@ -68,16 +68,16 @@ def configure_parser(sub) -> None:
                        help="cache location (default: $REPRO_CACHE_DIR "
                             "or .repro-cache)")
     arena.add_argument("--timeout", type=float, metavar="SECONDS",
-                       default=supervisor_mod.DEFAULT_TIMEOUT_S,
+                       default=lease_mod.DEFAULT_TIMEOUT_S,
                        help="per-cell wall-clock deadline (default "
-                            f"{supervisor_mod.DEFAULT_TIMEOUT_S:g}s)")
+                            f"{lease_mod.DEFAULT_TIMEOUT_S:g}s)")
     arena.add_argument("--no-timeout", action="store_true",
                        help="run unsupervised in-process (crashes and "
                             "hangs propagate raw)")
     arena.add_argument("--retries", type=int, metavar="N",
-                       default=supervisor_mod.DEFAULT_RETRIES,
+                       default=lease_mod.DEFAULT_RETRIES,
                        help="re-executions before quarantine (default "
-                            f"{supervisor_mod.DEFAULT_RETRIES})")
+                            f"{lease_mod.DEFAULT_RETRIES})")
     arena.add_argument("--checks", nargs="?", const="raise",
                        choices=("raise", "collect"), default=False,
                        help="run with the runtime invariant checker")

@@ -525,12 +525,13 @@ def _cmd_dist_journal(args) -> int:
     return 0
 
 
-def _add_sweep_options(cmd, supervisor_mod) -> None:
+def _add_sweep_options(cmd, lease_mod) -> None:
     """The shared run-all/dist-run flag set (one sweep, any backend)."""
     cmd.add_argument("--quick", action="store_true",
                      help="reduced grids (the CI smoke configuration)")
     cmd.add_argument("--jobs", type=int, default=None,
-                     help="worker processes (default: cpu count)")
+                     help="forked children at a time (default: cpu "
+                          "count; ignored with --no-timeout)")
     cmd.add_argument("--json", metavar="PATH",
                      help="write the sweep as a JSON artifact")
     cmd.add_argument("--experiments", metavar="A,B,...",
@@ -555,23 +556,23 @@ def _add_sweep_options(cmd, supervisor_mod) -> None:
                           "prefixed by) a selector — the way to "
                           "reproduce one quarantined cell")
     cmd.add_argument("--timeout", type=float, metavar="SECONDS",
-                     default=supervisor_mod.DEFAULT_TIMEOUT_S,
+                     default=lease_mod.DEFAULT_TIMEOUT_S,
                      help="per-cell wall-clock deadline under the "
                           "supervised runner (default "
-                          f"{supervisor_mod.DEFAULT_TIMEOUT_S:g}s); a "
+                          f"{lease_mod.DEFAULT_TIMEOUT_S:g}s); a "
                           "timed-out worker is killed, retried, and "
                           "finally quarantined into the failure "
                           "manifest; experiments with a registered "
                           "timeout hint get the larger of the two")
     cmd.add_argument("--no-timeout", action="store_true",
-                     help="run unsupervised in-process (no deadline, no "
-                          "quarantine) — crashes and hangs propagate "
+                     help="run serially in this process (no deadline, "
+                          "no quarantine) — crashes and hangs propagate "
                           "raw, for debugging a quarantined cell")
     cmd.add_argument("--retries", type=int, metavar="N",
-                     default=supervisor_mod.DEFAULT_RETRIES,
+                     default=lease_mod.DEFAULT_RETRIES,
                      help="re-executions of a failed cell before it is "
                           "quarantined (default "
-                          f"{supervisor_mod.DEFAULT_RETRIES}; seeded "
+                          f"{lease_mod.DEFAULT_RETRIES}; seeded "
                           "deterministic backoff between attempts)")
     cmd.add_argument("--watchdog", nargs="?", type=float,
                      metavar="STALL_SECONDS", const=True, default=False,
@@ -589,10 +590,11 @@ def _add_sweep_options(cmd, supervisor_mod) -> None:
                           "it with `repro report`")
     cmd.add_argument("--backend", choices=("local", "dist"),
                      default="local",
-                     help="execution backend: 'local' runs cells in this "
-                          "process's pool; 'dist' runs them on the "
-                          "fault-tolerant distributed master (leases, "
-                          "heartbeats, journal + resume)")
+                     help="transport: 'local' forks one child per cell; "
+                          "'dist' sends cells to worker processes over "
+                          "sockets (heartbeats, journal + resume); "
+                          "timeouts, retries and quarantine are the "
+                          "same on both")
     cmd.add_argument("--workers", type=int, default=2, metavar="N",
                      help="[dist] local worker processes to spawn "
                           "(default 2; 0 = attach-only, wait for "
@@ -617,7 +619,7 @@ def _add_sweep_options(cmd, supervisor_mod) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.harness import supervisor as supervisor_mod
+    from repro.harness import lease as lease_mod
     from repro.harness.dist import protocol as protocol_mod
 
     parser = argparse.ArgumentParser(
@@ -661,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_all = sub.add_parser(
         "run-all",
         help="run every experiment's cell grid in parallel, with caching")
-    _add_sweep_options(run_all, supervisor_mod)
+    _add_sweep_options(run_all, lease_mod)
     run_all.set_defaults(fn=_cmd_run_all)
 
     dist_cmd = sub.add_parser(
@@ -673,7 +675,7 @@ def build_parser() -> argparse.ArgumentParser:
         "run",
         help="run-all on the distributed backend "
              "(shorthand for `run-all --backend dist`)")
-    _add_sweep_options(dist_run, supervisor_mod)
+    _add_sweep_options(dist_run, lease_mod)
     dist_run.set_defaults(fn=_cmd_run_all, backend="dist")
     dist_worker = dist_sub.add_parser(
         "worker",

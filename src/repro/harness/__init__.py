@@ -9,21 +9,30 @@ through one pipeline:
 - :mod:`repro.harness.registry` — the scenario registry: every
   experiment's quick/full grids as :class:`~repro.harness.registry.Cell`
   objects with stable string keys.
-- :mod:`repro.harness.runner` — executes cells serially or on a
-  ``multiprocessing`` pool; results are bit-identical either way
-  because each cell builds its own :class:`~repro.sim.engine.Simulator`
-  from its own seed.
-- :mod:`repro.harness.supervisor` — supervised execution: per-cell
-  wall-clock deadlines, crash quarantine, deterministic retries, and
-  the failure manifest that lets a sweep survive pathological cells.
+- :mod:`repro.harness.runner` — :func:`run_cells`: serves cells from
+  the cache and runs the rest one of **three ways** — in this process
+  (``timeout_s=None``: serial, raw exceptions, for debugging one
+  cell), on the **fork transport** or on the **socket transport**.
+  Results are bit-identical whichever way, because each cell builds
+  its own :class:`~repro.sim.engine.Simulator` from its own seed.
+- :mod:`repro.harness.lease` — the **one policy** both transports
+  share: :class:`~repro.harness.lease.LeaseTable` owns attempts, the
+  deterministic retry backoff, per-cell deadlines, stale-result
+  rejection and quarantine into the failure manifest
+  (:class:`~repro.harness.lease.FailureRecord`); every settled cell
+  is a :class:`~repro.harness.lease.CellResult`.
+- :mod:`repro.harness.supervisor` — the worker body every way of
+  running shares (:func:`~repro.harness.supervisor.execute_cell`) and
+  the fork transport: one forked child per lease, reporting through
+  a pipe.
 - :mod:`repro.harness.cache` — an on-disk result cache under
   ``.repro-cache/`` keyed by cell key plus a content hash of
   ``src/repro``, so unchanged code never re-simulates.
 - :mod:`repro.harness.artifacts` — schema-versioned JSON documents of
   every cell's metrics.
-- :mod:`repro.harness.dist` — the fault-tolerant distributed backend:
-  lease-based work assignment over worker processes, heartbeats,
-  journal + resume, graceful degradation to the local pool.
+- :mod:`repro.harness.dist` — the socket transport: worker processes
+  speaking line-JSON, heartbeats, journal + resume, graceful
+  degradation to the fork transport.
 - :mod:`repro.harness.check` — the regression gate CI runs against
   ``baselines/expected.json``.
 - :mod:`repro.harness.aggregate` — re-assembles cells into the
@@ -40,6 +49,13 @@ from repro.harness.artifacts import (
     write_document,
 )
 from repro.harness.cache import ResultCache, compute_src_hash
+from repro.harness.lease import (
+    FAILURE_KINDS,
+    CellResult,
+    FailureRecord,
+    LeaseTable,
+    retry_backoff,
+)
 from repro.harness.registry import (
     Cell,
     all_cells,
@@ -51,14 +67,8 @@ from repro.harness.registry import (
     timeout_hint,
     unregister_experiment,
 )
-from repro.harness.runner import CellResult, RunReport, run_cells
-from repro.harness.supervisor import (
-    FAILURE_KINDS,
-    FailureRecord,
-    SuccessRecord,
-    retry_backoff,
-    run_supervised,
-)
+from repro.harness.runner import RunReport, run_cells
+from repro.harness.supervisor import run_supervised
 
 __all__ = [
     "FAILURE_KINDS",
@@ -66,9 +76,9 @@ __all__ = [
     "Cell",
     "CellResult",
     "FailureRecord",
+    "LeaseTable",
     "ResultCache",
     "RunReport",
-    "SuccessRecord",
     "all_cells",
     "build_document",
     "cell_budget",

@@ -5,18 +5,17 @@ cell with its parameters and metrics, plus run metadata (job count,
 cache accounting, wall clock).  Determinism contract: for the same
 source tree and cells, the ``cells`` array is byte-identical across
 ``--jobs`` settings, across cached/uncached runs, **and across
-execution backends** (local pool vs the distributed master) except for
+execution backends** (forked children vs the distributed master) except for
 the ``wall_clock_s``/``cached`` bookkeeping and the v3 provenance
 fields (``worker``/``attempts``/``attempt_log``), which is why
 :func:`cells_fingerprint` — the hash CI compares — covers only the
 deterministic fields.
 
-Since v2 the document also carries a ``failures`` array — the
-supervised runner's quarantine manifest (see
-:mod:`repro.harness.supervisor`): one structured record per cell that
-timed out, crashed, diverged or violated an invariant after its
-retries were exhausted.  Failures never enter the fingerprint; they
-describe what could *not* be computed.
+The document also carries a ``failures`` array — the quarantine
+manifest (see :mod:`repro.harness.lease`): one structured record per
+cell that timed out, crashed, diverged or violated an invariant after
+its retries were exhausted.  Failures never enter the fingerprint;
+they describe what could *not* be computed.
 """
 
 from __future__ import annotations
@@ -28,17 +27,12 @@ from typing import Any, Dict, List
 from repro.errors import ReproError
 
 #: Bump on any change to the document layout or cell key format.
-#: v2 added the ``failures`` section (the supervised runner's
-#: quarantine manifest); v3 adds per-cell execution provenance —
+#: v2 added the ``failures`` section (the quarantine manifest); v3 adds per-cell execution provenance —
 #: ``worker`` (the executing distributed worker, ``null`` locally),
 #: ``attempts`` and ``attempt_log`` (retry history) — plus the run's
-#: ``backend`` and ``interrupted`` markers.  Older documents are still
-#: readable; they simply predate those fields.
+#: ``backend`` and ``interrupted`` markers.  :func:`load_document`
+#: accepts this version only; re-run the sweep to refresh an older file.
 SCHEMA_VERSION = "repro-harness/v3"
-
-#: Versions :func:`load_document` accepts.
-COMPATIBLE_VERSIONS = ("repro-harness/v1", "repro-harness/v2",
-                       "repro-harness/v3")
 
 
 def build_document(report, mode: str, src_hash: str,
@@ -58,21 +52,20 @@ def build_document(report, mode: str, src_hash: str,
             "metrics": dict(sorted(result.metrics.items())),
             "wall_clock_s": result.wall_clock_s,
             "cached": result.cached,
-            "worker": getattr(result, "worker", None),
-            "attempts": getattr(result, "attempts", 1),
-            "attempt_log": list(getattr(result, "attempt_log", ()) or ()),
+            "worker": result.worker,
+            "attempts": result.attempts,
+            "attempt_log": list(result.attempt_log),
         })
     failures = [f.as_dict() for f in
-                sorted(getattr(report, "failures", ()) or (),
-                       key=lambda f: f.key)]
+                sorted(report.failures, key=lambda f: f.key)]
     return {
         "schema_version": SCHEMA_VERSION,
         "mode": mode,
         "src_hash": src_hash,
         "run": {
             "jobs": report.jobs,
-            "backend": getattr(report, "backend", "local"),
-            "interrupted": getattr(report, "interrupted", False),
+            "backend": report.backend,
+            "interrupted": report.interrupted,
             "cache_hits": report.cache_hits,
             "cache_misses": report.cache_misses,
             "cells": len(cells),
@@ -113,10 +106,10 @@ def load_document(path: str) -> Dict[str, Any]:
     except (OSError, ValueError) as exc:
         raise ReproError(f"cannot read harness artifact {path!r}: {exc}") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version not in COMPATIBLE_VERSIONS:
+    if version != SCHEMA_VERSION:
         raise ReproError(
             f"{path!r}: unsupported schema {version!r} "
-            f"(expected one of {', '.join(COMPATIBLE_VERSIONS)})")
+            f"(expected {SCHEMA_VERSION})")
     if not isinstance(doc.get("cells"), list):
         raise ReproError(f"{path!r}: artifact has no cells array")
     if not isinstance(doc.get("failures", []), list):

@@ -2,14 +2,14 @@
 
 The ``dist`` backend shards a sweep's cells across worker processes —
 spawned locally by the master or attached over a socket — with
-robustness as the design driver rather than raw throughput:
+robustness as the design driver rather than raw throughput.  It is a
+*transport*: what a lease, a retry or a quarantine means is decided by
+:class:`repro.harness.lease.LeaseTable`, the same table the fork
+transport drives.
 
 * :mod:`~repro.harness.dist.protocol` — the newline-delimited JSON
   wire format (versioned; ``hello``/``heartbeat``/``grant``/``result``/
   ``fail``/``shutdown``);
-* :mod:`~repro.harness.dist.lease` — lease-based work assignment:
-  deadlines per cell (timeout hints included), expiry re-queue with
-  seeded backoff, stale-result rejection, ``worker-lost`` revocation;
 * :mod:`~repro.harness.dist.journal` — the append-only run journal
   behind ``--resume``;
 * :mod:`~repro.harness.dist.master` — the asyncio master
@@ -24,7 +24,6 @@ Entry points: ``python -m repro run-all --backend dist --workers N``
 """
 
 from repro.harness.dist.journal import JournalState, RunJournal, replay
-from repro.harness.dist.lease import DistTask, Lease, LeaseTable
 from repro.harness.dist.master import run_distributed
 from repro.harness.dist.protocol import (
     PROTOCOL_VERSION,
@@ -32,10 +31,7 @@ from repro.harness.dist.protocol import (
 )
 
 __all__ = [
-    "DistTask",
     "JournalState",
-    "Lease",
-    "LeaseTable",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "RunJournal",

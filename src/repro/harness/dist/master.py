@@ -1,15 +1,15 @@
-"""The distributed sweep master: leases, heartbeats, journal, drain.
+"""The distributed sweep master: the socket transport.
 
-:func:`run_distributed` is the dist backend's entry point, mirroring
+:func:`run_distributed` is the dist backend's entry point, with
 :func:`~repro.harness.supervisor.run_supervised`'s contract — it takes
-pending cells and returns ``(successes, failures, interrupted)`` — but
-executes them across worker *processes* speaking the
-:mod:`~repro.harness.dist.protocol` wire format over TCP, instead of
-forked children on pipes.  Robustness is the design driver:
+pending cells and returns ``(successes, failures, interrupted)`` — and
+the same scheduler core, but moves cells to worker *processes* speaking
+the :mod:`~repro.harness.dist.protocol` wire format over TCP, instead
+of forked children on pipes.  Robustness is the design driver:
 
-* work moves only as **leases** (:mod:`~repro.harness.dist.lease`):
-  every grant has a deadline sized from the cell's budget, expiry
-  re-queues the cell, and stale results are dropped;
+* work moves only as **leases** (:mod:`repro.harness.lease`): every
+  grant has a deadline sized from the cell's budget, expiry re-queues
+  the cell, and stale results are dropped;
 * workers prove liveness with **heartbeats**; a worker that misses
   enough beats (or whose connection drops) is declared dead, its
   leases revoked as ``worker-lost``, and — when the master spawned it —
@@ -20,10 +20,10 @@ forked children on pipes.  Robustness is the design driver:
   executes;
 * ``SIGINT``/``SIGTERM`` **drain**: stop granting, shut workers down,
   keep everything settled, report ``interrupted=True`` — the same
-  partial-artifact contract as the local supervised pool;
-* **zero reachable workers degrades** to the local supervised pool
-  (with a warning) instead of hanging a sweep on missing
-  infrastructure.
+  partial-artifact contract as the fork transport;
+* **zero reachable workers degrades**: the same lease table carries on
+  over the fork transport (with a warning) instead of hanging a sweep
+  on missing infrastructure — attempts already burned stay burned.
 
 The master is a single asyncio task plus one reader coroutine per
 worker connection; all lease/journal state is touched from the event
@@ -46,21 +46,24 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from repro.errors import ReproError
 from repro.harness.dist import protocol
 from repro.harness.dist.journal import RunJournal, replay
-from repro.harness.dist.lease import LeaseTable
-from repro.harness.registry import Cell, resolve_faults
-from repro.harness.supervisor import (
+from repro.harness.lease import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_RETRIES,
+    CellResult,
     FailureRecord,
-    SuccessRecord,
-    run_supervised,
+    LeaseTable,
+    Outcome,
+    Task,
+    note_failed_attempt,
 )
+from repro.harness.registry import Cell, resolve_faults
+from repro.harness.supervisor import supervise
 
 #: Scheduler tick (seconds): lease expiry and heartbeat scans, grants.
 _TICK_S = 0.02
 
 #: How long the master waits for a spawned/attached worker before
-#: degrading to the local supervised pool.
+#: degrading to the fork transport.
 DEFAULT_CONNECT_TIMEOUT_S = 15.0
 
 
@@ -86,7 +89,6 @@ class _Master:
                  progress: Optional[Callable[[str], None]],
                  heartbeat_interval_s: float, heartbeat_misses: int,
                  preload: Sequence[str], connect_timeout_s: float,
-                 max_respawns: Optional[int],
                  chaos_kill_after: Optional[int]):
         self.table = table
         self.target_workers = workers
@@ -102,11 +104,9 @@ class _Master:
         self.heartbeat_misses = heartbeat_misses
         self.preload = tuple(preload)
         self.connect_timeout_s = connect_timeout_s
-        self.respawns_left = (workers * 2 if max_respawns is None
-                              else max_respawns)
+        self.respawns_left = 2 * workers
         self.chaos_kill_after = chaos_kill_after
 
-        self.successes: List[SuccessRecord] = []
         self.workers: Dict[str, _Worker] = {}
         self.procs: Dict[str, subprocess.Popen] = {}
         self.port: Optional[int] = None
@@ -198,7 +198,7 @@ class _Master:
         now = self._now()
         for lease, outcome in self.table.revoke_worker(
                 worker.worker_id, reason, now):
-            self._note_failed_attempt(lease.task, "worker-lost", outcome)
+            self._note_failed_attempt(lease.task, outcome, lease.worker)
         self._emit("dist.worker.lost", worker=worker.worker_id, reason=reason)
         self._rec("worker.lost", worker=worker.worker_id, reason=reason)
         self._say(f"worker {worker.worker_id} lost ({reason})")
@@ -214,24 +214,15 @@ class _Master:
     # ------------------------------------------------------------------
     # Settlement bookkeeping shared by fail/expire/revoke paths
     # ------------------------------------------------------------------
-    def _note_failed_attempt(self, task, kind: str,
-                             outcome: Tuple[str, float]) -> None:
-        action, backoff = outcome
+    def _note_failed_attempt(self, task: Task, outcome: Outcome,
+                             worker: str) -> None:
         entry = task.attempt_log[-1]
-        self._rec("attempt", key=task.key, kind=kind,
+        self._rec("attempt", key=task.key, kind=entry["kind"],
                   attempt=entry["attempt"], message=entry["message"])
-        if action == "retry":
-            self._emit("dist.retry", cell=task.key, kind=kind,
-                       attempt=entry["attempt"], backoff_s=round(backoff, 6))
-            self._say(f"{task.key}: {kind} on attempt {entry['attempt']}, "
-                      f"retrying in {backoff:.2f}s")
-        else:
-            failure = self.table.failures[-1]
-            self._rec("quarantine", failure=failure.as_dict())
-            self._emit("dist.quarantine", cell=task.key, kind=kind,
-                       attempts=failure.attempts)
-            self._say(f"{task.key}: FAILED ({kind}) after "
-                      f"{failure.attempts} attempt(s)")
+        if outcome[0] == "quarantine":
+            self._rec("quarantine", failure=self.table.failures[-1].as_dict())
+        note_failed_attempt(task, outcome, sink=self.sink,
+                            progress=self.progress, worker=worker)
 
     # ------------------------------------------------------------------
     # Connection handling (one coroutine per worker)
@@ -285,25 +276,22 @@ class _Master:
     def _on_result(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
             worker.lease_id = None
-        task = self.table.settle_ok(message["lease_id"], worker.worker_id,
-                                    message["metrics"],
-                                    message["wall_clock_s"])
-        if task is None:
+        result = self.table.settle_ok(message["lease_id"], worker.worker_id,
+                                      message["metrics"],
+                                      message["wall_clock_s"])
+        if result is None:
             self._emit("dist.stale", worker=worker.worker_id,
                        key=message.get("key"))
             return
-        record = SuccessRecord(
-            cell=task.cell, metrics=message["metrics"],
-            wall_clock_s=message["wall_clock_s"], worker=worker.worker_id,
-            attempts=task.attempts, attempt_log=list(task.attempt_log))
-        self.successes.append(record)
         self.results_seen += 1
-        self._rec("result", key=task.key, metrics=record.metrics,
-                  wall_clock_s=record.wall_clock_s, worker=record.worker,
-                  attempts=record.attempts, attempt_log=record.attempt_log)
-        note = " (retry)" if task.attempts > 1 else ""
-        self._say(f"{task.key}: {record.wall_clock_s:.2f}s{note}")
+        self._rec_result(result)
+        self._say(result.settled_line())
         self._maybe_chaos_kill()
+
+    def _rec_result(self, result: CellResult) -> None:
+        self._rec("result", key=result.key, metrics=result.metrics,
+                  wall_clock_s=result.wall_clock_s, worker=result.worker,
+                  attempts=result.attempts, attempt_log=result.attempt_log)
 
     def _on_fail(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
@@ -316,8 +304,7 @@ class _Master:
             self._emit("dist.stale", worker=worker.worker_id,
                        key=message.get("key"))
             return
-        task, outcome = settled
-        self._note_failed_attempt(task, message["kind"], outcome)
+        self._note_failed_attempt(*settled, worker.worker_id)
 
     def _maybe_chaos_kill(self) -> None:
         """CI fault injection: SIGKILL one busy local worker mid-sweep."""
@@ -351,7 +338,7 @@ class _Master:
             outcome = self.table.expire(lease, now)
             self._emit("dist.lease.expire", cell=lease.task.key,
                        worker=lease.worker, lease=lease.lease_id)
-            self._note_failed_attempt(lease.task, "timeout", outcome)
+            self._note_failed_attempt(lease.task, outcome, lease.worker)
             # The (single-threaded) worker is still grinding on the
             # expired cell; reclaim the slot by dropping it.  Local
             # workers are killed and respawned; a remote worker sees
@@ -492,16 +479,16 @@ def _wire_specs(checks: Any, faults: Any,
 
 
 def _replayed_records(cells: Sequence[Cell], state
-                      ) -> Tuple[List[SuccessRecord], List[FailureRecord],
+                      ) -> Tuple[List[CellResult], List[FailureRecord],
                                  List[Cell]]:
     """Split *cells* into journal-served results and the remainder."""
-    successes: List[SuccessRecord] = []
+    successes: List[CellResult] = []
     failures: List[FailureRecord] = []
     remainder: List[Cell] = []
     for cell in cells:
         if cell.key in state.results:
             entry = state.results[cell.key]
-            successes.append(SuccessRecord(
+            successes.append(CellResult(
                 cell=cell, metrics=entry["metrics"],
                 wall_clock_s=entry["wall_clock_s"], worker=entry["worker"],
                 attempts=entry["attempts"],
@@ -539,26 +526,26 @@ def run_distributed(cells: Sequence[Cell],
                     lease_grace_s: float = protocol.DEFAULT_LEASE_GRACE_S,
                     preload: Sequence[str] = (),
                     connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
-                    max_respawns: Optional[int] = None,
                     chaos_kill_after: Optional[int] = None,
-                    fallback_jobs: Optional[int] = None,
-                    ) -> Tuple[List[SuccessRecord], List[FailureRecord], bool]:
+                    jobs: Optional[int] = None,
+                    ) -> Tuple[List[CellResult], List[FailureRecord], bool]:
     """Execute *cells* on the distributed backend.
 
     Same contract as :func:`~repro.harness.supervisor.run_supervised`:
     returns ``(successes, failures, interrupted)`` and never raises for
     a cell.  ``workers`` local worker processes are spawned (0 = attach
     only: listen on ``bind`` and wait ``connect_timeout_s`` for
-    external ``python -m repro dist worker`` processes).  With
-    ``journal`` set every decision is logged; ``resume=True`` replays
-    an existing journal first and executes only the remainder.  If no
-    worker is ever reachable (or every worker died and the respawn
-    budget is spent) the remaining cells degrade to the local
-    supervised pool rather than stranding the sweep.
+    external ``python -m repro dist worker`` processes); each may be
+    respawned twice over the run.  With ``journal`` set every decision
+    is logged; ``resume=True`` replays an existing journal first and
+    executes only the remainder.  If no worker is ever reachable (or
+    every worker died and the respawn budget is spent) the lease table
+    carries on over the fork transport, ``jobs`` children wide
+    (``None`` = ``os.cpu_count()``), rather than stranding the sweep.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    replayed_ok: List[SuccessRecord] = []
+    replayed_ok: List[CellResult] = []
     replayed_fail: List[FailureRecord] = []
     pending = list(cells)
     if resume:
@@ -594,7 +581,7 @@ def run_distributed(cells: Sequence[Cell],
         telemetry=telemetry, sink=sink, journal=journal_file,
         progress=progress, heartbeat_interval_s=heartbeat_interval_s,
         heartbeat_misses=heartbeat_misses, preload=preload,
-        connect_timeout_s=connect_timeout_s, max_respawns=max_respawns,
+        connect_timeout_s=connect_timeout_s,
         chaos_kill_after=chaos_kill_after)
     if resume:
         master._rec("run.resume", replayed=len(replayed_ok),
@@ -616,36 +603,25 @@ def run_distributed(cells: Sequence[Cell],
             asyncio.set_event_loop(None)
             loop.close()
 
-    successes = replayed_ok + master.successes
-    failures = replayed_fail + list(table.failures)
+    if master.degraded and not interrupted and table.pending:
+        if progress is not None:
+            progress(f"warning: no reachable dist workers — degrading "
+                     f"{len(table.pending)} cells to the fork transport")
+        if sink is not None:
+            sink.emit("dist.degrade", remaining=len(table.pending))
+        master._rec("degrade", remaining=len(table.pending))
+        n_ok, n_failed = len(table.successes), len(table.failures)
+        interrupted = supervise(
+            table, jobs or os.cpu_count() or 1, checks=checks,
+            faults=faults, watchdog=watchdog, progress=progress,
+            telemetry=telemetry)
+        for result in table.successes[n_ok:]:
+            master._rec_result(result)
+        for failure in table.failures[n_failed:]:
+            master._rec("quarantine", failure=failure.as_dict())
 
-    if master.degraded and not interrupted:
-        remaining = [task.cell for task in table.pending]
-        if remaining:
-            if progress is not None:
-                progress(f"warning: no reachable dist workers — degrading "
-                         f"{len(remaining)} cells to the local supervised "
-                         "pool")
-            if sink is not None:
-                sink.emit("dist.degrade", remaining=len(remaining))
-            master._rec("degrade", remaining=len(remaining))
-            import multiprocessing
-
-            local_ok, local_fail, interrupted = run_supervised(
-                remaining,
-                jobs=fallback_jobs or multiprocessing.cpu_count(),
-                timeout_s=timeout_s, retries=retries,
-                backoff_base=backoff_base, checks=checks, faults=faults,
-                watchdog=watchdog, progress=progress, telemetry=telemetry)
-            successes.extend(local_ok)
-            failures.extend(local_fail)
-            for record in local_ok:
-                master._rec("result", key=record.key, metrics=record.metrics,
-                            wall_clock_s=record.wall_clock_s, worker=None,
-                            attempts=record.attempts,
-                            attempt_log=record.attempt_log)
-            for failure in local_fail:
-                master._rec("quarantine", failure=failure.as_dict())
+    successes = replayed_ok + table.successes
+    failures = replayed_fail + table.failures
 
     if sink is not None:
         sink.emit("dist.end", ok=len(successes), failed=len(failures),

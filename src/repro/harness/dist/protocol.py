@@ -20,7 +20,7 @@ Worker -> master:
 ``result``      a completed cell: ``lease_id``, ``key``, ``metrics``,
                 ``wall_clock_s``.
 ``fail``        a cell whose execution raised: ``lease_id``, ``key``,
-                plus the supervisor taxonomy fields ``kind`` /
+                plus the failure taxonomy fields ``kind`` /
                 ``message`` / ``detail`` and ``wall_clock_s``.
 
 Master -> worker:

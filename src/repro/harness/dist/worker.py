@@ -2,9 +2,9 @@
 
 One worker = one process = one cell at a time.  It connects to the
 master, introduces itself with ``hello``, then loops: read a ``grant``,
-run the cell through the exact same :func:`~repro.harness.registry.run_cell`
-path as every other backend, and report ``result`` or ``fail`` using
-the supervisor's failure taxonomy.  A daemon thread heartbeats on the
+run the cell through the one worker body every transport uses
+(:func:`~repro.harness.supervisor.execute_cell`), and report its
+payload as ``result`` or ``fail``.  A daemon thread heartbeats on the
 same socket (serialised by a lock) so the master can tell "busy on a
 long cell" from "dead" — the execution thread never has to come up for
 air.
@@ -34,47 +34,10 @@ import importlib
 import os
 import socket
 import threading
-import time
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.harness.dist import protocol
-from repro.harness.registry import run_cell
-from repro.harness.supervisor import classify_error
-
-
-def _run_grant(send: Callable[[Dict[str, Any]], None], worker_id: str,
-               message: Dict[str, Any]) -> None:
-    """Execute one granted cell and report its outcome."""
-    cell = protocol.cell_from_grant(message)
-    telemetry = message.get("telemetry")
-    start = time.perf_counter()
-    sink = None
-    if telemetry is not None:
-        from repro.obs.events import TelemetrySink
-
-        sink = TelemetrySink(telemetry)
-    try:
-        if sink is None:
-            metrics = run_cell(cell, checks=message.get("checks", False),
-                               faults=message.get("faults"),
-                               watchdog=message.get("watchdog", False))
-        else:
-            with sink.span("cell", cell=cell.key, worker=worker_id):
-                metrics = run_cell(cell, checks=message.get("checks", False),
-                                   faults=message.get("faults"),
-                                   watchdog=message.get("watchdog", False),
-                                   telemetry=telemetry)
-    except BaseException as exc:  # noqa: BLE001 - taxonomy needs everything
-        kind, text, detail = classify_error(exc)
-        send(protocol.fail(worker_id, message["lease_id"], cell.key,
-                           kind, text, detail,
-                           time.perf_counter() - start))
-    else:
-        send(protocol.result(worker_id, message["lease_id"], cell.key,
-                             metrics, time.perf_counter() - start))
-    finally:
-        if sink is not None:
-            sink.close()
+from repro.harness.supervisor import execute_cell
 
 
 def serve(connect: str, worker_id: str,
@@ -116,7 +79,15 @@ def serve(connect: str, worker_id: str,
             if message["type"] == "shutdown":
                 break
             if message["type"] == "grant":
-                _run_grant(send, worker_id, message)
+                cell = protocol.cell_from_grant(message)
+                status, *payload = execute_cell(
+                    cell, checks=message.get("checks", False),
+                    faults=message.get("faults"),
+                    watchdog=message.get("watchdog", False),
+                    telemetry=message.get("telemetry"), worker=worker_id)
+                report = protocol.result if status == "ok" else protocol.fail
+                send(report(worker_id, message["lease_id"], cell.key,
+                            *payload))
     finally:
         stop.set()
         try:

@@ -1,52 +1,35 @@
-"""Parallel cell execution.
+"""Sweep execution: cache, then one of three ways to run a cell.
 
 Every cell is an independent deterministic simulation — it builds its
 own :class:`~repro.sim.engine.Simulator` from its own seed — so the
 grid is embarrassingly parallel and the results cannot depend on
 worker scheduling.  The runner therefore guarantees: for the same
-registry cells, ``--jobs 1`` and ``--jobs N`` produce identical
-metrics, and a populated cache short-circuits execution entirely.
+registry cells, every way of running them produces identical metrics,
+and a populated cache short-circuits execution entirely.
+
+Pending cells run in this process (``timeout_s=None``: serial, raw
+exceptions, for debugging), on the fork transport
+(:mod:`repro.harness.supervisor`) or on the socket transport
+(:mod:`repro.harness.dist`).  The two transports share one retry /
+deadline / quarantine policy, :class:`~repro.harness.lease.LeaseTable`.
 """
 
 from __future__ import annotations
 
-import functools
 import multiprocessing
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.harness.cache import ResultCache
-from repro.harness.registry import Cell, resolve_faults, run_cell
-from repro.harness.supervisor import (
+from repro.harness.lease import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_RETRIES,
+    CellResult,
     FailureRecord,
-    run_supervised,
 )
-
-
-@dataclass
-class CellResult:
-    """One executed (or cache-served) cell.
-
-    ``worker`` names the executing worker (distributed backend only),
-    ``attempts`` counts executions including the successful one, and
-    ``attempt_log`` carries any failed attempts that preceded it —
-    together the provenance fields of artifact schema v3.
-    """
-
-    cell: Cell
-    metrics: Dict[str, float]
-    wall_clock_s: float
-    cached: bool = False
-    worker: Optional[str] = None
-    attempts: int = 1
-    attempt_log: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def key(self) -> str:
-        return self.cell.key
+from repro.harness.registry import Cell, resolve_faults
+from repro.harness.supervisor import execute_cell, run_supervised
 
 
 @dataclass
@@ -86,30 +69,6 @@ class RunReport:
         return out
 
 
-def execute_cell(cell: Cell, checks: Any = False,
-                 faults: Any = None, watchdog: Any = False,
-                 telemetry: Optional[str] = None) -> CellResult:
-    """Run one cell, timing it.  Top-level so pools can pickle it.
-
-    With ``telemetry`` set, the cell is bracketed by a ``cell`` span
-    written from this (worker) process, and the gauge sampler is armed
-    for the run (see :func:`~repro.harness.registry.run_cell`).
-    """
-    start = time.perf_counter()
-    if telemetry is None:
-        metrics = run_cell(cell, checks=checks, faults=faults,
-                           watchdog=watchdog)
-    else:
-        from repro.obs.events import TelemetrySink
-
-        with TelemetrySink(telemetry) as sink:
-            with sink.span("cell", cell=cell.key):
-                metrics = run_cell(cell, checks=checks, faults=faults,
-                                   watchdog=watchdog, telemetry=telemetry)
-    return CellResult(cell=cell, metrics=metrics,
-                      wall_clock_s=time.perf_counter() - start)
-
-
 def storage_key(cell_key: str, checks: Any = False,
                 faults: Any = None) -> str:
     """Cache key for one cell under a checks/faults configuration.
@@ -128,15 +87,6 @@ def storage_key(cell_key: str, checks: Any = False,
     return key
 
 
-def _pool_context():
-    # fork inherits sys.path and loaded modules, which keeps workers
-    # cheap; fall back to the platform default (spawn) elsewhere.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
               cache: Optional[ResultCache] = None,
               progress: Optional[Callable[[str], None]] = None,
@@ -150,42 +100,50 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
               dist_options: Optional[Dict[str, Any]] = None) -> RunReport:
     """Execute *cells*, serving from *cache* where possible.
 
-    ``jobs=None`` uses ``os.cpu_count()``.  Results come back sorted
-    by cell key regardless of execution order or cache state.
-    ``checks``/``faults``/``watchdog`` are forwarded to every
-    :func:`~repro.harness.registry.run_cell`; cached entries are
-    looked up under a per-configuration namespace (see
+    Results come back sorted by cell key regardless of execution order
+    or cache state.  ``checks``/``faults``/``watchdog`` are forwarded
+    to every :func:`~repro.harness.registry.run_cell`; cached entries
+    are looked up under a per-configuration namespace (see
     :func:`storage_key`) so a checked or faulted sweep never serves a
     plain run's results.
 
     ``telemetry`` (a JSONL path) arms the run-scoped telemetry log:
     this process records the sweep bracket and cache hits, each worker
-    appends its cell span and gauge samples, and the supervisor adds
+    appends its cell span and gauge samples, and the transport adds
     retry/quarantine events — all interleaved into the one file.
     Telemetry never affects metrics: sampler hooks schedule nothing,
     and the cache key is telemetry-independent.
 
-    A non-``None`` ``timeout_s`` selects **supervised execution** (see
-    :mod:`repro.harness.supervisor`): every pending cell runs in its
-    own worker under that wall-clock deadline, failed cells are retried
-    up to ``retries`` times with deterministic backoff, and cells that
-    exhaust their attempts land in :attr:`RunReport.failures` instead
-    of aborting the sweep.  Quarantined cells are never written to the
-    cache, so partial runs cannot poison later sweeps.
+    Pending cells run one of three ways, under one policy:
 
-    ``backend="dist"`` hands the pending cells to the fault-tolerant
-    distributed master (:mod:`repro.harness.dist`): lease-based
-    assignment over worker processes, heartbeats, journal + resume.
-    ``dist_options`` (workers/journal/resume/bind/...) are forwarded to
-    :func:`repro.harness.dist.master.run_distributed`.  Cache serving,
-    cache writing, and result ordering are identical across backends —
+    * ``backend="local"`` with a ``timeout_s`` — the **fork transport**
+      (:mod:`repro.harness.supervisor`): up to ``jobs`` forked children
+      (``None`` = ``os.cpu_count()``), each under the per-cell
+      wall-clock deadline;
+    * ``backend="dist"`` — the **socket transport**
+      (:mod:`repro.harness.dist`): worker processes with heartbeats,
+      journal + resume.  ``dist_options`` (workers/journal/resume/
+      bind/...) are forwarded to
+      :func:`repro.harness.dist.master.run_distributed`; ``jobs`` is
+      the width of the fork transport it degrades to;
+    * ``backend="local"`` with ``timeout_s=None`` — **in-process**:
+      serially in this process, no deadline, no quarantine, crashes
+      propagate raw (``jobs`` is ignored) — for debugging one cell.
+
+    On both transports failed cells are retried up to ``retries`` times
+    with deterministic backoff, and cells that exhaust their attempts
+    land in :attr:`RunReport.failures` instead of aborting the sweep
+    (:class:`~repro.harness.lease.LeaseTable` is the one state machine
+    behind both).  Quarantined cells are never written to the cache, so
+    partial runs cannot poison later sweeps.  Cache serving, cache
+    writing, and result ordering are identical however cells ran —
     which is what makes local and distributed sweeps of the same cells
     produce the same cells fingerprint.
 
-    A ``KeyboardInterrupt`` during any backend drains instead of
-    propagating: already-settled results and failures are returned
-    with :attr:`RunReport.interrupted` set, so callers can flush a
-    partial artifact.
+    A ``KeyboardInterrupt`` drains instead of propagating:
+    already-settled results and failures are returned with
+    :attr:`RunReport.interrupted` set, so callers can flush a partial
+    artifact.
     """
     if backend not in ("local", "dist"):
         raise ValueError(f"unknown backend {backend!r} "
@@ -197,8 +155,6 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     started = time.perf_counter()
     report = RunReport(jobs=jobs, backend=backend)
     faults = resolve_faults(faults)
-    execute = functools.partial(execute_cell, checks=checks, faults=faults,
-                                watchdog=watchdog, telemetry=telemetry)
     sink = None
     if telemetry is not None:
         from repro.obs.events import TelemetrySink
@@ -224,60 +180,32 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
             report.cache_misses += 1
             pending.append(cell)
 
+    options = dict(checks=checks, faults=faults, watchdog=watchdog,
+                   telemetry=telemetry)
+    failures: List[FailureRecord] = []
     if backend == "dist":
         from repro.harness.dist.master import run_distributed
 
-        successes, failures, interrupted = run_distributed(
-            pending, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, checks=checks, faults=faults,
-            watchdog=watchdog, progress=progress, telemetry=telemetry,
-            **(dist_options or {}))
-        executed = [CellResult(cell=s.cell, metrics=s.metrics,
-                               wall_clock_s=s.wall_clock_s, worker=s.worker,
-                               attempts=s.attempts,
-                               attempt_log=list(s.attempt_log))
-                    for s in successes]
-        report.failures = sorted(failures, key=lambda f: f.key)
-        report.interrupted = interrupted
-    elif timeout_s is not None:
-        successes, failures, interrupted = run_supervised(
+        executed, failures, report.interrupted = run_distributed(
             pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, checks=checks, faults=faults,
-            watchdog=watchdog, progress=progress, telemetry=telemetry)
-        executed = [CellResult(cell=s.cell, metrics=s.metrics,
-                               wall_clock_s=s.wall_clock_s,
-                               attempts=s.attempts,
-                               attempt_log=list(s.attempt_log))
-                    for s in successes]
-        report.failures = sorted(failures, key=lambda f: f.key)
-        report.interrupted = interrupted
-    elif len(pending) > 1 and jobs > 1:
-        ctx = _pool_context()
-        executed = []
-        pool = ctx.Pool(processes=min(jobs, len(pending)))
-        try:
-            for result in pool.imap(execute, pending, chunksize=1):
-                executed.append(result)
-                if progress is not None:
-                    progress(f"{result.key}: {result.wall_clock_s:.2f}s")
-            pool.close()
-        except KeyboardInterrupt:
-            # Same drain contract as the supervised/dist paths: keep
-            # what already settled, flush a partial artifact upstream.
-            report.interrupted = True
-            pool.terminate()
-        finally:
-            pool.join()
+            backoff_base=backoff_base, progress=progress, **options,
+            **(dist_options or {}))
+    elif timeout_s is not None:
+        executed, failures, report.interrupted = run_supervised(
+            pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
+            backoff_base=backoff_base, progress=progress, **options)
     else:
         executed = []
         try:
             for cell in pending:
-                result = execute(cell)
+                _, metrics, wall = execute_cell(cell, raw=True, **options)
+                result = CellResult(cell, metrics, wall)
                 executed.append(result)
                 if progress is not None:
-                    progress(f"{result.key}: {result.wall_clock_s:.2f}s")
+                    progress(result.settled_line())
         except KeyboardInterrupt:
             report.interrupted = True
+    report.failures = sorted(failures, key=lambda f: f.key)
 
     for result in executed:
         if cache is not None:

@@ -1,30 +1,27 @@
-"""Supervised cell execution: timeouts, crash quarantine, retries.
+"""The worker body and the fork transport.
 
-The plain runner (:mod:`repro.harness.runner`) maps cells over a
-``multiprocessing`` pool: one hung worker stalls the sweep forever and
-one crashed worker kills it.  The fault profiles (``heavy``, ``flap``)
-and the 17-hop ``experiments.internet`` path exist precisely to push
-cells into pathological regimes, so the sweep needs to *survive* those
-regimes and report them instead of dying.
+:func:`execute_cell` is the one place a cell is run for the harness:
+in this process (``--no-timeout`` debugging), in a forked child, or in
+a socket worker, it times the cell, brackets it with a telemetry span
+and maps whatever it raised onto the failure taxonomy:
 
-This module runs each pending cell in its own worker process under a
-per-cell wall-clock deadline:
+* :class:`~repro.errors.InvariantViolation` is ``check-violation`` and
+  :class:`~repro.errors.SimulationStalled` is ``divergence`` — both
+  carry structured diagnostics;
+* anything else is ``crash``.
 
-* a worker that exceeds the deadline is terminated (then killed) and
-  the attempt is recorded as ``timeout``;
-* a worker that raises is recorded as ``crash`` — except the typed
-  failures :class:`~repro.errors.InvariantViolation`
-  (``check-violation``) and :class:`~repro.errors.SimulationStalled`
-  (``divergence``), which carry structured diagnostics;
-* a worker that dies without reporting (segfault, ``os._exit``) is a
-  ``crash`` with its exit code.
+:func:`run_supervised` is the **fork transport** over the scheduler
+core (:mod:`repro.harness.lease`): each granted lease becomes one
+forked child reporting through a pipe.  The table owns attempts,
+backoff, deadlines and quarantine; this module only launches, reaps
+and kills:
 
-Failed attempts are retried up to ``retries`` times with a seeded
-deterministic backoff (a pure function of the cell key and attempt
-number — two runs of the same sweep wait the same amount).  A cell
-that exhausts its attempts becomes a :class:`FailureRecord` in the
-sweep's failure manifest; sibling cells are unaffected and the sweep
-always completes with partial results.
+* a child that reports settles its lease (``settle_ok`` /
+  ``settle_fail``);
+* a child that dies without reporting (segfault, ``os._exit``) settles
+  as ``crash`` with its exit code — here the process *is* the cell;
+* a child whose lease expires is terminated (then killed) and the
+  attempt settles as ``timeout``.
 
 Nothing here touches the result cache: quarantined cells are never
 written to it, so a partial run cannot poison later sweeps.
@@ -32,90 +29,29 @@ written to it, so a partial run cannot poison later sweeps.
 
 from __future__ import annotations
 
-import hashlib
 import multiprocessing
 import multiprocessing.connection
 import time
 import traceback
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import InvariantViolation, SimulationStalled
-from repro.harness.registry import Cell, cell_budget, run_cell
-
-#: The failure taxonomy, in display order.  ``worker-lost`` is the
-#: distributed backend's kind (see :mod:`repro.harness.dist`): the
-#: *worker* died or went silent, not the cell's own code — distinct
-#: from a cell-level ``crash`` so retry budgets and dashboards can
-#: tell infrastructure failures from simulation failures.
-FAILURE_KINDS = ("timeout", "crash", "divergence", "check-violation",
-                 "worker-lost")
-
-#: Default per-cell wall-clock budget (seconds).  The slowest quick
-#: cell finishes in single-digit seconds on any hardware CI uses; two
-#: minutes is "hung", not "slow".
-DEFAULT_TIMEOUT_S = 120.0
-
-#: Default retry budget: one re-execution before quarantine.
-DEFAULT_RETRIES = 1
-
-#: Base of the deterministic backoff schedule (seconds).
-DEFAULT_BACKOFF_BASE = 0.05
+from repro.harness.lease import (
+    DEFAULT_BACKOFF_BASE,
+    DEFAULT_RETRIES,
+    DEFAULT_TIMEOUT_S,
+    CellResult,
+    FailureRecord,
+    LeaseTable,
+    note_failed_attempt,
+)
+from repro.harness.registry import Cell, run_cell
 
 #: How long a terminated worker gets to die before SIGKILL.
 _TERM_GRACE_S = 2.0
 
 #: Poll granularity of the supervision loop (seconds).
 _POLL_S = 0.02
-
-
-@dataclass
-class SuccessRecord:
-    """One completed cell with its execution provenance.
-
-    ``worker`` is the executing worker's identity (``None`` for the
-    local supervised pool), ``attempts`` counts executions including
-    the successful one, and ``attempt_log`` records any failed
-    attempts that preceded it — the raw material of artifact schema
-    v3's per-cell attempt history.
-    """
-
-    cell: Cell
-    metrics: Dict[str, Any]
-    wall_clock_s: float
-    worker: Optional[str] = None
-    attempts: int = 1
-    attempt_log: List[Dict[str, Any]] = field(default_factory=list)
-
-    @property
-    def key(self) -> str:
-        return self.cell.key
-
-
-@dataclass
-class FailureRecord:
-    """One quarantined cell: the structured entry of the failure manifest."""
-
-    key: str
-    experiment: str
-    kind: str                     # one of FAILURE_KINDS (final attempt)
-    message: str
-    attempts: int                 # executions, including the first
-    wall_clock_s: float           # summed across every attempt
-    detail: Dict[str, Any] = field(default_factory=dict)
-    attempt_log: List[Dict[str, Any]] = field(default_factory=list)
-
-    def as_dict(self) -> Dict[str, Any]:
-        return {
-            "key": self.key,
-            "experiment": self.experiment,
-            "kind": self.kind,
-            "message": self.message,
-            "attempts": self.attempts,
-            "wall_clock_s": self.wall_clock_s,
-            "detail": self.detail,
-            "attempt_log": self.attempt_log,
-        }
 
 
 def classify_error(exc: BaseException) -> Tuple[str, str, Dict[str, Any]]:
@@ -148,18 +84,37 @@ def classify_error(exc: BaseException) -> Tuple[str, str, Dict[str, Any]]:
     }
 
 
-def retry_backoff(key: str, attempt: int,
-                  base: float = DEFAULT_BACKOFF_BASE) -> float:
-    """Deterministic exponential backoff with seeded jitter.
+def execute_cell(cell: Cell, checks: Any = False, faults: Any = None,
+                 watchdog: Any = False, telemetry: Optional[str] = None,
+                 worker: Optional[str] = None, raw: bool = False) -> tuple:
+    """Run one cell, timed; the worker body of every transport.
 
-    A pure function of ``(cell key, attempt)``: doubling per attempt,
-    scaled by a jitter factor in ``[0.5, 1.5)`` drawn from SHA-256 of
-    the pair — reproducible across runs and hosts, no shared RNG
-    state, and distinct cells never thundering-herd their retries.
+    Returns ``("ok", metrics, wall_clock_s)`` or ``("fail", kind,
+    message, detail, wall_clock_s)`` — with ``raw`` set, whatever the
+    cell raised propagates instead.  With ``telemetry`` set, the cell
+    is bracketed by a ``cell`` span written from this (worker) process,
+    and the gauge sampler is armed for the run (see
+    :func:`~repro.harness.registry.run_cell`).
     """
-    digest = hashlib.sha256(f"{key}#retry{attempt}".encode()).digest()
-    jitter = 0.5 + int.from_bytes(digest[:4], "big") / 2 ** 32
-    return base * (2 ** max(0, attempt - 1)) * jitter
+    start = time.perf_counter()
+    try:
+        if telemetry is None:
+            metrics = run_cell(cell, checks=checks, faults=faults,
+                               watchdog=watchdog)
+        else:
+            from repro.obs.events import TelemetrySink
+
+            where = {} if worker is None else {"worker": worker}
+            with TelemetrySink(telemetry) as sink:
+                with sink.span("cell", cell=cell.key, **where):
+                    metrics = run_cell(cell, checks=checks, faults=faults,
+                                       watchdog=watchdog,
+                                       telemetry=telemetry)
+    except BaseException as exc:  # noqa: BLE001 - taxonomy needs everything
+        if raw:
+            raise
+        return ("fail", *classify_error(exc), time.perf_counter() - start)
+    return ("ok", metrics, time.perf_counter() - start)
 
 
 def _mp_context():
@@ -172,66 +127,119 @@ def _mp_context():
     return multiprocessing.get_context()
 
 
-def _supervised_entry(send_conn, cell: Cell, checks: Any, faults: Any,
-                      watchdog: Any, telemetry: Optional[str] = None) -> None:
-    """Worker body: run one cell, report outcome through the pipe."""
-    start = time.perf_counter()
-    sink = None
-    if telemetry is not None:
-        from repro.obs.events import TelemetrySink
-
-        sink = TelemetrySink(telemetry)
+def _child_entry(send_conn, cell: Cell, options: Dict[str, Any]) -> None:
+    """Forked child: run one cell, report its payload through the pipe."""
     try:
-        if sink is None:
-            metrics = run_cell(cell, checks=checks, faults=faults,
-                               watchdog=watchdog)
-        else:
-            with sink.span("cell", cell=cell.key):
-                metrics = run_cell(cell, checks=checks, faults=faults,
-                                   watchdog=watchdog, telemetry=telemetry)
-    except BaseException as exc:  # noqa: BLE001 - taxonomy needs everything
-        kind, message, detail = classify_error(exc)
-        payload = ("fail", kind, message, detail,
-                   time.perf_counter() - start)
-    else:
-        payload = ("ok", metrics, time.perf_counter() - start)
-    finally:
-        if sink is not None:
-            sink.close()
-    try:
-        send_conn.send(payload)
+        send_conn.send(execute_cell(cell, **options))
     finally:
         send_conn.close()
 
 
-@dataclass
-class _Task:
-    """Book-keeping for one cell across its attempts."""
-
-    cell: Cell
-    attempts: int = 0
-    not_before: float = 0.0       # perf_counter() gate for retries
-    wall_clock_s: float = 0.0
-    attempt_log: List[Dict[str, Any]] = field(default_factory=list)
-    last: Optional[Tuple[str, str, Dict[str, Any]]] = None
-
-    @property
-    def key(self) -> str:
-        return self.cell.key
+def _terminate(process, conn) -> None:
+    process.terminate()
+    process.join(_TERM_GRACE_S)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    conn.close()
 
 
-class _Running:
-    """One live worker process and its result pipe."""
+def supervise(table: LeaseTable, jobs: int, checks: Any = False,
+              faults: Any = None, watchdog: Any = False,
+              progress: Optional[Callable[[str], None]] = None,
+              telemetry: Optional[str] = None) -> bool:
+    """Drive *table* to completion on forked children; returns
+    ``interrupted``.
 
-    __slots__ = ("task", "process", "conn", "deadline", "budget")
+    At most *jobs* leases are out at a time, each held by one child.
+    The table may arrive part-settled (the dist master hands its table
+    over when it degrades): attempts, backoff gates and attempt logs
+    carry on where the previous transport left them.  Grace is zero —
+    a forked child's payload crosses a pipe, not a wire.
 
-    def __init__(self, task: _Task, process, conn, deadline: float,
-                 budget: Optional[float]):
-        self.task = task
-        self.process = process
-        self.conn = conn
-        self.deadline = deadline
-        self.budget = budget
+    A ``KeyboardInterrupt`` drains: in-flight children are killed
+    without settling their cells (neither successes nor failures —
+    simply not run) and everything already settled is kept.
+    """
+    table.lease_grace_s = 0.0
+    sink = None
+    if telemetry is not None:
+        from repro.obs.events import TelemetrySink
+
+        sink = TelemetrySink(telemetry, run_id="supervisor")
+    ctx = _mp_context()
+    options = {"checks": checks, "faults": faults, "watchdog": watchdog,
+               "telemetry": telemetry}
+    running: Dict[str, tuple] = {}    # lease id -> (process, read end)
+
+    def fail(lease_id: str, payload: tuple) -> None:
+        task, outcome = table.settle_fail(lease_id, None, *payload,
+                                          time.monotonic())
+        note_failed_attempt(task, outcome, sink=sink, progress=progress)
+
+    def reap(lease_id: str) -> None:
+        process, conn = running.pop(lease_id)
+        payload = None
+        if conn.poll():
+            try:
+                payload = conn.recv()
+            except EOFError:
+                pass
+        conn.close()
+        process.join()
+        if payload is None:
+            code = process.exitcode
+            fail(lease_id, ("crash", f"worker exited with code {code} "
+                            "before reporting", {"exitcode": code}, 0.0))
+        elif payload[0] == "ok":
+            result = table.settle_ok(lease_id, None, *payload[1:])
+            if progress is not None:
+                progress(result.settled_line())
+        else:
+            fail(lease_id, payload[1:])
+
+    try:
+        while not table.done:
+            now = time.monotonic()
+            while len(running) < jobs:
+                lease = table.grant(None, now)
+                if lease is None:
+                    break
+                recv_conn, send_conn = ctx.Pipe(duplex=False)
+                process = ctx.Process(
+                    target=_child_entry,
+                    args=(send_conn, lease.task.cell, options))
+                process.daemon = True
+                process.start()
+                send_conn.close()     # parent keeps only the read end
+                running[lease.lease_id] = (process, recv_conn)
+            if not running:
+                time.sleep(_POLL_S)   # only backoff gates left
+                continue
+            # Block briefly on every live pipe; a child that never
+            # writes is caught by the expiry scan below.
+            multiprocessing.connection.wait(
+                [conn for _, conn in running.values()], timeout=_POLL_S)
+            for lease_id, (process, conn) in list(running.items()):
+                if conn.poll() or not process.is_alive():
+                    reap(lease_id)
+            now = time.monotonic()
+            for lease in table.expired(now):
+                _terminate(*running.pop(lease.lease_id))
+                note_failed_attempt(lease.task, table.expire(lease, now),
+                                    sink=sink, progress=progress)
+    except KeyboardInterrupt:
+        for child in running.values():
+            _terminate(*child)
+        if sink is not None:
+            sink.emit("sweep.interrupted", settled=len(table.successes),
+                      failed=len(table.failures),
+                      abandoned=table.outstanding())
+        return True
+    finally:
+        if sink is not None:
+            sink.close()
+    return False
 
 
 def run_supervised(cells: Sequence[Cell], jobs: int,
@@ -242,185 +250,24 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
                    watchdog: Any = False,
                    progress: Optional[Callable[[str], None]] = None,
                    telemetry: Optional[str] = None,
-                   ) -> Tuple[List[SuccessRecord], List[FailureRecord], bool]:
-    """Execute *cells* under supervision; never raises for a cell.
+                   ) -> Tuple[List[CellResult], List[FailureRecord], bool]:
+    """Execute *cells* on the fork transport; never raises for a cell.
 
-    Returns ``(successes, failures, interrupted)`` where each success
-    is a :class:`SuccessRecord` and each failure a finalized
-    :class:`FailureRecord`.  Every input cell appears in exactly one of
-    the two lists — unless the sweep was interrupted (``SIGINT``), in
-    which case in-flight and not-yet-started cells appear in neither:
-    the drain path kills running workers, keeps everything already
-    settled, and reports ``interrupted=True`` so callers can flush a
-    partial artifact instead of dying with a raw traceback.  ``timeout_s``
-    is the sweep-wide deadline; experiments that registered a
-    :func:`~repro.harness.registry.register_timeout_hint` budget get
-    the larger of the two (see
+    Returns ``(successes, failures, interrupted)``.  Every input cell
+    appears in exactly one of the two lists — unless the sweep was
+    interrupted (``SIGINT``), in which case in-flight and
+    not-yet-started cells appear in neither, and callers can flush a
+    partial artifact instead of dying with a raw traceback.
+    ``timeout_s`` is the sweep-wide deadline; experiments that
+    registered a :func:`~repro.harness.registry.register_timeout_hint`
+    budget get the larger of the two (see
     :func:`~repro.harness.registry.cell_budget`).  With ``telemetry``
     set, retry and quarantine decisions are logged from this process
-    and each worker appends its own cell span and gauges.
+    and each child appends its own cell span and gauges.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    if timeout_s is not None and timeout_s <= 0:
-        raise ValueError(f"timeout_s must be positive, got {timeout_s}")
-    sink = None
-    if telemetry is not None:
-        from repro.obs.events import TelemetrySink
-
-        sink = TelemetrySink(telemetry, run_id="supervisor")
-    ctx = _mp_context()
-    ready: List[_Task] = [_Task(cell) for cell in cells]
-    ready.reverse()               # pop() from the end preserves order
-    waiting: List[_Task] = []     # backoff gate not yet open
-    running: List[_Running] = []
-    successes: List[SuccessRecord] = []
-    failures: List[FailureRecord] = []
-
-    def launch(task: _Task) -> None:
-        recv_conn, send_conn = ctx.Pipe(duplex=False)
-        process = ctx.Process(target=_supervised_entry,
-                              args=(send_conn, task.cell, checks, faults,
-                                    watchdog, telemetry))
-        process.daemon = True
-        process.start()
-        send_conn.close()         # parent keeps only the read end
-        task.attempts += 1
-        budget = cell_budget(task.cell, timeout_s)
-        deadline = (float("inf") if budget is None
-                    else time.perf_counter() + budget)
-        running.append(_Running(task, process, recv_conn, deadline, budget))
-
-    def settle_attempt(task: _Task, kind: str, message: str,
-                       detail: Dict[str, Any], wall: float) -> None:
-        task.wall_clock_s += wall
-        task.last = (kind, message, detail)
-        task.attempt_log.append({"attempt": task.attempts, "kind": kind,
-                                 "message": message,
-                                 "wall_clock_s": round(wall, 6)})
-        if task.attempts <= retries:
-            backoff = retry_backoff(task.key, task.attempts, backoff_base)
-            task.attempt_log[-1]["backoff_s"] = round(backoff, 6)
-            task.not_before = time.perf_counter() + backoff
-            waiting.append(task)
-            if sink is not None:
-                sink.emit("cell.retry", cell=task.key, kind=kind,
-                          attempt=task.attempts, backoff_s=round(backoff, 6))
-            if progress is not None:
-                progress(f"{task.key}: {kind} on attempt {task.attempts}, "
-                         f"retrying in {backoff:.2f}s")
-        else:
-            failures.append(FailureRecord(
-                key=task.key, experiment=task.cell.experiment, kind=kind,
-                message=message, attempts=task.attempts,
-                wall_clock_s=task.wall_clock_s, detail=detail,
-                attempt_log=task.attempt_log))
-            if sink is not None:
-                sink.emit("cell.quarantine", cell=task.key, kind=kind,
-                          attempts=task.attempts, message=message)
-            if progress is not None:
-                progress(f"{task.key}: FAILED ({kind}) after "
-                         f"{task.attempts} attempt(s)")
-
-    def reap(entry: _Running) -> None:
-        running.remove(entry)
-        task = entry.task
-        payload = None
-        if entry.conn.poll():
-            try:
-                payload = entry.conn.recv()
-            except EOFError:
-                payload = None
-        entry.conn.close()
-        if payload is not None:
-            entry.process.join()
-            if payload[0] == "ok":
-                _, metrics, wall = payload
-                task.wall_clock_s += wall
-                successes.append(SuccessRecord(
-                    cell=task.cell, metrics=metrics, wall_clock_s=wall,
-                    attempts=task.attempts,
-                    attempt_log=list(task.attempt_log)))
-                if progress is not None:
-                    note = " (retry)" if task.attempts > 1 else ""
-                    progress(f"{task.key}: {wall:.2f}s{note}")
-            else:
-                _, kind, message, detail, wall = payload
-                settle_attempt(task, kind, message, detail, wall)
-            return
-        # No payload: the worker died before reporting.
-        entry.process.join()
-        code = entry.process.exitcode
-        settle_attempt(task, "crash",
-                       f"worker exited with code {code} before reporting",
-                       {"exitcode": code}, 0.0)
-
-    def terminate(entry: _Running) -> None:
-        process = entry.process
-        process.terminate()
-        process.join(_TERM_GRACE_S)
-        if process.is_alive():
-            process.kill()
-            process.join()
-        entry.conn.close()
-
-    def kill(entry: _Running) -> None:
-        running.remove(entry)
-        terminate(entry)
-        budget = entry.budget
-        settle_attempt(entry.task, "timeout",
-                       f"exceeded the per-cell deadline of {budget:g}s",
-                       {"timeout_s": budget},
-                       budget if budget is not None else 0.0)
-
-    interrupted = False
-    try:
-        _supervise_loop(ready, waiting, running, jobs, launch, reap, kill)
-    except KeyboardInterrupt:
-        # Graceful drain: kill in-flight workers without settling their
-        # cells (they are neither successes nor failures — simply not
-        # run), keep everything already settled, and hand the partial
-        # outcome back so the caller can flush artifacts and the
-        # failure manifest with an `interrupted` marker.
-        interrupted = True
-        for entry in list(running):
-            running.remove(entry)
-            terminate(entry)
-        if sink is not None:
-            sink.emit("sweep.interrupted", settled=len(successes),
-                      failed=len(failures),
-                      abandoned=len(ready) + len(waiting))
-    finally:
-        if sink is not None:
-            sink.close()
-
-    return successes, failures, interrupted
-
-
-def _supervise_loop(ready, waiting, running, jobs, launch, reap, kill) -> None:
-    """The supervision event loop, factored out of :func:`run_supervised`."""
-    while ready or waiting or running:
-        now = time.perf_counter()
-        if waiting:
-            still = [t for t in waiting if t.not_before > now]
-            due = [t for t in waiting if t.not_before <= now]
-            if due:
-                waiting[:] = still
-                ready[:0] = reversed(due)   # retries go to the front
-        while ready and len(running) < jobs:
-            launch(ready.pop())
-        if not running:
-            # Only backoff gates left: sleep until the earliest opens
-            # (bounded by the poll granularity) and rescan.
-            time.sleep(_POLL_S)
-            continue
-        # Block briefly on every live pipe; a timed-out worker that
-        # never writes is caught by the deadline scan below.
-        multiprocessing.connection.wait(
-            [entry.conn for entry in running], timeout=_POLL_S)
-        now = time.perf_counter()
-        for entry in list(running):
-            if entry.conn.poll() or not entry.process.is_alive():
-                reap(entry)
-            elif now >= entry.deadline:
-                kill(entry)
+    table = LeaseTable(cells, timeout_s=timeout_s, retries=retries,
+                       backoff_base=backoff_base)
+    interrupted = supervise(table, jobs, checks=checks, faults=faults,
+                            watchdog=watchdog, progress=progress,
+                            telemetry=telemetry)
+    return table.successes, table.failures, interrupted

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections import defaultdict
+from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ReproError
@@ -96,15 +96,11 @@ def _headline(cells: List[Dict[str, Any]]) -> List[str]:
                    "vegas/reno"], rows)
 
 
-def _dist_section(doc: Dict[str, Any],
-                  events: Optional[List[Dict[str, Any]]]) -> List[str]:
-    """Per-worker and lease/retry/heartbeat counters of a dist run.
-
-    Provenance comes from the artifact's v3 fields (``worker``,
-    ``attempts`` per cell); lease-table counters come from the
-    ``dist.*`` telemetry events when a JSONL was recorded.
-    """
-    cells = doc["cells"]
+def _worker_section(cells: List[Dict[str, Any]],
+                    events: Optional[List[Dict[str, Any]]]) -> List[str]:
+    """Per-worker provenance of a dist run, from the artifact's
+    ``worker``/``attempts`` fields, plus worker-loss reasons from the
+    ``dist.worker.lost`` telemetry events when a JSONL was recorded."""
     lines: List[str] = []
     by_worker: Dict[str, List[Dict[str, Any]]] = defaultdict(list)
     for cell in cells:
@@ -122,40 +118,39 @@ def _dist_section(doc: Dict[str, Any],
         lines.append("")
         lines.extend(markdown_table(
             ["worker", "cells", "retried", "total s", "max s"], rows))
-    if events is not None:
-        counters = {
-            "workers joined": "dist.worker.join",
-            "workers lost": "dist.worker.lost",
-            "workers respawned": "dist.worker.respawn",
-            "leases granted": "dist.lease.grant",
-            "leases expired": "dist.lease.expire",
-            "stale results dropped": "dist.stale",
-            "attempts retried": "dist.retry",
-            "cells quarantined": "dist.quarantine",
-            "degraded to local pool": "dist.degrade",
-        }
-        counts: Dict[str, int] = defaultdict(int)
-        for event in events:
-            counts[event["event"]] += 1
-        rows = [[label, counts[name]] for label, name in counters.items()
-                if counts[name]]
-        if rows:
-            if lines:
-                lines.append("")
-            lines.append("### Lease / heartbeat counters")
-            lines.append("")
-            lines.extend(markdown_table(["counter", "count"], rows))
-        lost = [e for e in events if e["event"] == "dist.worker.lost"]
-        if lost:
-            reasons: Dict[str, int] = defaultdict(int)
-            for event in lost:
-                reasons[event.get("reason", "?")] += 1
-            lines.append("")
-            for reason in sorted(reasons):
-                lines.append(f"- worker loss `{reason}`: {reasons[reason]}")
+    reasons: Dict[str, int] = defaultdict(int)
+    for event in events or ():
+        if event["event"] == "dist.worker.lost":
+            reasons[event.get("reason", "?")] += 1
+    if reasons:
+        lines.append("")
+        for reason in sorted(reasons):
+            lines.append(f"- worker loss `{reason}`: {reasons[reason]}")
     if not lines:
         lines.append("(no per-worker provenance recorded)")
     return lines
+
+
+#: Scheduler counters, label -> telemetry event.  The retry/quarantine
+#: pair is emitted by whichever transport ran the cell; the rest only
+#: exist on the socket transport.
+_COUNTERS = {
+    "attempts retried": "cell.retry",
+    "cells quarantined": "cell.quarantine",
+    "workers joined": "dist.worker.join",
+    "workers lost": "dist.worker.lost",
+    "workers respawned": "dist.worker.respawn",
+    "leases granted": "dist.lease.grant",
+    "leases expired": "dist.lease.expire",
+    "stale results dropped": "dist.stale",
+    "degraded to fork transport": "dist.degrade",
+}
+
+
+def _counter_rows(events: List[Dict[str, Any]]) -> List[List[Any]]:
+    counts = Counter(event["event"] for event in events)
+    return [[label, counts[name]] for label, name in _COUNTERS.items()
+            if counts[name]]
 
 
 def _telemetry_section(events: List[Dict[str, Any]]) -> List[str]:
@@ -291,7 +286,14 @@ def render_report(doc: Dict[str, Any],
             lines.append("**Run was interrupted (drained); cells below "
                          "are the settled subset.**")
             lines.append("")
-        lines.extend(_dist_section(doc, events))
+        lines.extend(_worker_section(cells, events))
+
+    counters = _counter_rows(events or ())
+    if counters:
+        lines.append("")
+        lines.append("## Scheduler counters")
+        lines.append("")
+        lines.extend(markdown_table(["counter", "count"], counters))
 
     lines.append("")
     lines.append("## Vegas vs Reno")

@@ -31,7 +31,7 @@ from repro.errors import ReproError
 
 def configure_parser(sub) -> None:
     """Attach the ``search`` subparser to *sub* (a subparsers action)."""
-    from repro.harness import supervisor as supervisor_mod
+    from repro.harness import lease as lease_mod
     from repro.search.objectives import OBJECTIVES
     from repro.search.strategies import STRATEGIES
 
@@ -74,16 +74,16 @@ def configure_parser(sub) -> None:
                         help="cache location (default: $REPRO_CACHE_DIR "
                              "or .repro-cache)")
     search.add_argument("--timeout", type=float, metavar="SECONDS",
-                        default=supervisor_mod.DEFAULT_TIMEOUT_S,
+                        default=lease_mod.DEFAULT_TIMEOUT_S,
                         help="per-cell wall-clock deadline (default "
-                             f"{supervisor_mod.DEFAULT_TIMEOUT_S:g}s)")
+                             f"{lease_mod.DEFAULT_TIMEOUT_S:g}s)")
     search.add_argument("--no-timeout", action="store_true",
                         help="run unsupervised in-process (crashes and "
                              "hangs propagate raw)")
     search.add_argument("--retries", type=int, metavar="N",
-                        default=supervisor_mod.DEFAULT_RETRIES,
+                        default=lease_mod.DEFAULT_RETRIES,
                         help="re-executions before quarantine (default "
-                             f"{supervisor_mod.DEFAULT_RETRIES})")
+                             f"{lease_mod.DEFAULT_RETRIES})")
     search.add_argument("--watchdog", nargs="?", type=float,
                         metavar="STALL_SECONDS", const=True, default=False,
                         help="arm the simulation liveness watchdog")

@@ -5,8 +5,9 @@ expire and re-queue, dead workers are declared ``worker-lost`` and
 their cells retried on respawned workers, stale results never settle
 (no cache poisoning), the journal replays a killed master's run, the
 drain path flushes partial results, zero reachable workers degrades to
-the local supervised pool — and a distributed sweep's artifact carries
-the same cells fingerprint as a local one.
+the fork transport on the same lease table — and a distributed sweep's
+artifact carries the same cells fingerprint, retry schedule and failure
+records as a local one.
 """
 
 import json
@@ -20,12 +21,18 @@ import time
 import pytest
 
 from repro.errors import ReproError
-from repro.harness import build_document, cells_fingerprint, run_cells
+from repro.harness import (
+    LeaseTable,
+    build_document,
+    cells_fingerprint,
+    retry_backoff,
+    run_cells,
+    run_supervised,
+)
 from repro.harness.cache import ResultCache
 from repro.harness.dist import journal as journal_mod
 from repro.harness.dist import protocol
 from repro.harness.dist.chaos import CHAOS_EXPERIMENT
-from repro.harness.dist.lease import LeaseTable
 from repro.harness.dist.master import run_distributed
 from repro.harness.registry import (
     Cell,
@@ -34,7 +41,6 @@ from repro.harness.registry import (
     timeout_hint,
 )
 from repro.harness.runner import storage_key
-from repro.harness.supervisor import retry_backoff, run_supervised
 
 posix_only = pytest.mark.skipif(
     os.name != "posix", reason="dist worker-failure tests use signals")
@@ -211,6 +217,52 @@ class TestLeaseTable:
         assert all(kind == "quarantine" for _, (kind, _) in revoked)
         assert {f.kind for f in table.failures} == {"worker-lost"}
         assert not table.leases
+
+    def test_grace_zero_expires_exactly_at_the_budget(self):
+        # The fork transport's table: no wire to cross, so no grace.
+        table = LeaseTable([chaos("ok", seed=0)], timeout_s=5.0, retries=0)
+        lease = table.grant(None, now=100.0)
+        assert lease.deadline == pytest.approx(105.0)
+        assert table.expired(now=104.99) == []
+        assert table.expired(now=105.0) == [lease]
+        action, _ = table.expire(lease, now=105.0)
+        assert action == "quarantine"
+        (failure,) = table.failures
+        assert failure.kind == "timeout"
+        assert failure.wall_clock_s == 5.0
+        # No worker to name: the fork transport's leases are anonymous.
+        assert failure.detail == {"timeout_s": 5.0}
+        assert "worker" not in failure.message
+
+    def test_anonymous_lease_settles_with_no_worker_provenance(self):
+        table = LeaseTable([chaos("ok", seed=0)], timeout_s=5.0, retries=0)
+        lease = table.grant(None, now=0.0)
+        # A named worker cannot settle the parent's own child's lease.
+        assert table.settle_ok(lease.lease_id, "w1", {"m": 1.0}, 0.1) is None
+        result = table.settle_ok(lease.lease_id, None, {"m": 1.0}, 0.1)
+        assert result.worker is None and result.attempts == 1
+        assert table.successes == [result] and table.done
+
+    def test_table_carries_attempts_across_transports(self):
+        # What degrading relies on: a worker-lost attempt settled under
+        # the socket transport's grace still counts once grace is 0.
+        table = LeaseTable([chaos("ok", seed=0)], timeout_s=5.0, retries=1,
+                           backoff_base=0.05, lease_grace_s=1.0)
+        table.grant("w1", now=0.0)
+        ((lease, (action, backoff)),) = table.revoke_worker(
+            "w1", "connection closed", now=1.0)
+        assert action == "retry"
+        table.lease_grace_s = 0.0
+        assert table.grant(None, now=1.0) is None       # backoff gate
+        retry = table.grant(None, now=1.0 + backoff)
+        assert retry.attempt == 2 and retry.task is lease.task
+        assert retry.deadline == pytest.approx(1.0 + backoff + 5.0)
+        table.settle_fail(retry.lease_id, None, "crash", "boom", {}, 0.1,
+                          now=2.0)
+        (failure,) = table.failures
+        assert failure.attempts == 2
+        assert [e["kind"] for e in failure.attempt_log] == [
+            "worker-lost", "crash"]
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
@@ -446,10 +498,29 @@ class TestDistExecution:
         cells = [chaos("ok", seed=s) for s in range(2)]
         ok, fail, interrupted = run_distributed(
             cells, timeout_s=30.0, retries=0, workers=0,
-            connect_timeout_s=0.3, fallback_jobs=2)
+            connect_timeout_s=0.3, jobs=2)
         assert not fail and not interrupted
         assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
         assert all(r.worker is None for r in ok)      # ran locally
+
+    def test_degrade_keeps_the_attempts_already_burned(self, tmp_path):
+        # One worker plus its two respawns each die on the exit cell:
+        # three worker-lost attempts, respawn budget spent, degrade.
+        # The fork transport must carry on from attempt 4 — not hand the
+        # cell a fresh retries+1 budget and lose the earlier log.
+        journal = str(tmp_path / "run.journal")
+        ok, fail, interrupted = run_distributed(
+            [chaos("exit", seed=0)], timeout_s=30.0, retries=3, workers=1,
+            preload=PRELOAD, jobs=1, journal=journal, **FAST)
+        assert not ok and not interrupted
+        (failure,) = fail
+        assert failure.attempts == 4
+        assert [e["kind"] for e in failure.attempt_log] == [
+            "worker-lost", "worker-lost", "worker-lost", "crash"]
+        assert failure.kind == "crash"
+        assert failure.detail == {"exitcode": 42}
+        state = journal_mod.replay(journal)
+        assert state.failures[failure.key]["attempts"] == 4
 
     def test_dist_metrics_and_fingerprint_match_local(self, tmp_path):
         cells = [Cell.make("sendbuf", cc="reno", size_kb=5, seed=0),
@@ -462,6 +533,56 @@ class TestDistExecution:
         assert cells_fingerprint(doc_local) == cells_fingerprint(doc_dist)
         assert doc_dist["run"]["backend"] == "dist"
         assert all(c["worker"] for c in doc_dist["cells"])
+
+
+# ----------------------------------------------------------------------
+# Transport parity: one policy, whichever way the cell travelled
+# ----------------------------------------------------------------------
+
+def _outline(ok, fail):
+    """What a one-cell run decided, minus worker ids and wall clocks."""
+    (record,) = ok + fail
+    out = {
+        "settled": "fail" if fail else "ok",
+        "attempts": record.attempts,
+        "attempt_log": [
+            (sorted(entry), entry["attempt"], entry["kind"],
+             entry.get("backoff_s"),
+             re.sub(r" on worker \S+", "", entry["message"]))
+            for entry in record.attempt_log],
+    }
+    if fail:
+        out.update(kind=record.kind, fields=sorted(record.as_dict()),
+                   message=re.sub(r" on worker \S+", "", record.message),
+                   detail_keys=sorted(set(record.detail) - {"worker"}))
+    else:
+        out.update(metrics=record.metrics)
+    return out
+
+
+@posix_only
+@pytest.mark.parametrize("mode", ["ok", "hang", "crash", "flaky"])
+def test_fork_and_socket_transports_settle_a_cell_identically(
+        mode, tmp_path):
+    if mode == "hang":
+        cell = chaos("sleep", delay=30.0, seed=0)
+    elif mode == "flaky":
+        cell = chaos("flaky", seed=0, scratch=str(tmp_path))
+    else:
+        cell = chaos(mode, seed=0)
+    policy = dict(timeout_s=0.5 if mode == "hang" else 30.0, retries=1,
+                  backoff_base=FAST["backoff_base"])
+    forked = _outline(*run_supervised([cell], jobs=1, **policy)[:2])
+    if mode == "flaky":
+        os.remove(tmp_path / "flaky-0.attempted")     # first run again
+    socketed = _outline(*run_distributed(
+        [cell], workers=1, preload=PRELOAD, **FAST_OPTS, **policy)[:2])
+    assert forked == socketed
+    expected = {"ok": ("ok", 1), "hang": ("fail", 2), "crash": ("fail", 2),
+                "flaky": ("ok", 2)}[mode]
+    assert (forked["settled"], forked["attempts"]) == expected
+    if mode == "hang":
+        assert forked["kind"] == "timeout"
 
 
 # ----------------------------------------------------------------------

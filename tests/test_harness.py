@@ -94,8 +94,9 @@ class TestRegistry:
 
 class TestRunner:
     def test_jobs_do_not_change_results(self):
+        # In this process vs. forked children, two at a time.
         serial = run_cells(CHEAP_CELLS, jobs=1)
-        parallel = run_cells(CHEAP_CELLS, jobs=2)
+        parallel = run_cells(CHEAP_CELLS, jobs=2, timeout_s=60.0)
         assert [r.key for r in serial.results] == \
                [r.key for r in parallel.results]
         for a, b in zip(serial.results, parallel.results):
@@ -261,7 +262,7 @@ class TestSeedStability:
 def _document(metric=100.0, key_suffix=""):
     """A minimal one-cell artifact for checker tests."""
     return {
-        "schema_version": "repro-harness/v1",
+        "schema_version": "repro-harness/v3",
         "mode": "quick",
         "src_hash": "x",
         "run": {"jobs": 1, "cache_hits": 0, "cache_misses": 1,

@@ -12,6 +12,7 @@ The two load-bearing contracts:
 """
 
 import json
+import re
 
 import pytest
 
@@ -200,11 +201,34 @@ class TestHarnessTelemetry:
         events = [e["event"] for e in load_events(path)]
         assert "cell.start" in events and "cell.end" in events
 
+    def test_report_counts_retries_of_a_local_supervised_run(self, tmp_path):
+        # The fork transport's retries reach `repro report`: one
+        # cell.retry/cell.quarantine pair whichever transport ran the
+        # cell, and a counters section that no longer needs a dist run.
+        from repro.harness import build_document
+        from repro.harness.dist.chaos import CHAOS_EXPERIMENT
+
+        path = str(tmp_path / "t.jsonl")
+        flaky = Cell.make(CHAOS_EXPERIMENT, mode="flaky", seed=0,
+                          scratch=str(tmp_path))
+        report = run_cells([flaky], jobs=1, timeout_s=60.0, retries=1,
+                           backoff_base=0.01, telemetry=path)
+        assert report.ok and report.results[0].attempts == 2
+        events = load_events(path)
+        (retry,) = [e for e in events if e["event"] == "cell.retry"]
+        assert retry["cell"] == flaky.key and retry["kind"] == "crash"
+        assert "worker" not in retry
+        text = render_report(
+            build_document(report, mode="quick", src_hash="h"), events=events)
+        assert "## Scheduler counters" in text
+        assert re.search(r"\| attempts retried\s*\| 1\s*\|", text)
+        assert "Distributed backend" not in text
+
 
 class TestReport:
     def _doc(self):
         return {
-            "schema_version": "repro-harness/v2",
+            "schema_version": "repro-harness/v3",
             "mode": "quick",
             "src_hash": "f" * 64,
             "run": {"jobs": 2, "cache_hits": 1, "cache_misses": 1,

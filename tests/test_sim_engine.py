@@ -1,5 +1,6 @@
 """Tests for the discrete-event engine."""
 
+import ast
 import math
 import re
 from pathlib import Path
@@ -257,3 +258,30 @@ class TestSourceGuard:
                    if not (hit[0] == "tcp/protocol.py"
                            and "self._fast" in hit[2])]
         assert touches == []
+
+    def test_one_cell_scheduler(self):
+        """Retry, deadline and quarantine policy lives in
+        ``harness/lease.py`` only, and a cell is run for the harness by
+        one worker body — the transports cannot drift apart."""
+        def modules(pattern):
+            return sorted(rel for rel, _, _ in self._matches(pattern))
+
+        assert set(modules(r"\bretry_backoff\(")) == {"harness/lease.py"}
+        # The journal replay rebuilds recorded quarantines; nothing else
+        # outside the table mints a failure.
+        assert modules(r"\bFailureRecord\(") == [
+            "harness/dist/master.py", "harness/lease.py"]
+        assert self._matches(r"\.Pool\(") == []
+
+        wrappers = set()
+        harness = self.SRC / "harness"
+        for path in sorted(harness.rglob("*.py")):
+            for func in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(func, ast.FunctionDef):
+                    continue
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and getattr(node.func, "id", None) == "run_cell"):
+                        wrappers.add((path.relative_to(self.SRC).as_posix(),
+                                      func.name))
+        assert wrappers == {("harness/supervisor.py", "execute_cell")}

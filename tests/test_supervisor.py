@@ -18,9 +18,11 @@ from repro import cli
 from repro.errors import (
     ConfigurationError,
     InvariantViolation,
+    ReproError,
     SimulationStalled,
 )
 from repro.harness import (
+    FAILURE_KINDS,
     Cell,
     ResultCache,
     build_document,
@@ -33,7 +35,7 @@ from repro.harness import (
 )
 from repro.harness import check
 from repro.harness.runner import storage_key
-from repro.harness.supervisor import FAILURE_KINDS, classify_error
+from repro.harness.supervisor import classify_error
 from repro.sim import LivenessWatchdog, Simulator, watching
 from repro.sim import watchdog as watchdog_runtime
 
@@ -342,7 +344,7 @@ class TestSupervisedExecution:
 def _failure_doc(base_doc, key="sendbuf/cc=reno/seed=0/size_kb=5",
                  kind="timeout"):
     doc = json.loads(json.dumps(base_doc))
-    doc["schema_version"] = "repro-harness/v2"
+    doc["schema_version"] = "repro-harness/v3"
     doc["cells"] = [c for c in doc["cells"] if c["key"] != key]
     doc["failures"] = [{
         "key": key, "experiment": key.split("/")[0], "kind": kind,
@@ -355,7 +357,7 @@ def _failure_doc(base_doc, key="sendbuf/cc=reno/seed=0/size_kb=5",
 
 def _base_doc(metric=100.0):
     return {
-        "schema_version": "repro-harness/v2",
+        "schema_version": "repro-harness/v3",
         "mode": "quick",
         "src_hash": "x",
         "run": {"jobs": 1, "cache_hits": 0, "cache_misses": 1, "cells": 1,
@@ -390,12 +392,14 @@ class TestFailureManifest:
         assert failure["kind"] == "crash"
         assert failure["attempts"] == 1
 
-    def test_v1_documents_still_load(self, tmp_path):
+    @pytest.mark.parametrize("version", ["repro-harness/v1",
+                                         "repro-harness/v2"])
+    def test_older_schema_versions_are_refused(self, tmp_path, version):
         doc = _base_doc()
-        doc["schema_version"] = "repro-harness/v1"
-        del doc["failures"]
-        path = self._write(tmp_path, "v1.json", doc)
-        assert load_document(path)["cells"]
+        doc["schema_version"] = version
+        path = self._write(tmp_path, "old.json", doc)
+        with pytest.raises(ReproError, match=version):
+            load_document(path)
 
     def test_roundtrip_with_failures(self, tmp_path):
         doc = _failure_doc(_base_doc())
