@@ -610,9 +610,9 @@ def _add_sweep_options(cmd, lease_mod) -> None:
                           "cells it has not settled")
     cmd.add_argument("--preload", action="append", default=[],
                      metavar="MODULE",
-                     help="[dist] import MODULE in every spawned worker "
-                          "(runtime-registered experiments don't cross "
-                          "the spawn boundary otherwise)")
+                     help="[dist] import MODULE in every local worker "
+                          "(only matters where workers cannot be forked; "
+                          "attached workers take their own --preload)")
     # CI fault injection: SIGKILL a busy worker after N results.
     cmd.add_argument("--chaos-kill-after", type=int, default=None,
                      help=argparse.SUPPRESS)

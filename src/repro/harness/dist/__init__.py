@@ -1,8 +1,9 @@
 """Fault-tolerant distributed sweep backend.
 
 The ``dist`` backend shards a sweep's cells across worker processes —
-spawned locally by the master or attached over a socket — with
-robustness as the design driver rather than raw throughput.  It is a
+forked by the master (so they know every experiment it knows) or
+attached over a socket as fresh interpreters (``--preload`` tells those
+what to import) — with robustness as the design driver.  It is a
 *transport*: what a lease, a retry or a quarantine means is decided by
 :class:`repro.harness.lease.LeaseTable`, the same table the fork
 transport drives.
@@ -12,7 +13,7 @@ transport drives.
   ``fail``/``shutdown``);
 * :mod:`~repro.harness.dist.journal` — the append-only run journal
   behind ``--resume``;
-* :mod:`~repro.harness.dist.master` — the asyncio master
+* :mod:`~repro.harness.dist.master` — the event-driven asyncio master
   (:func:`~repro.harness.dist.master.run_distributed`);
 * :mod:`~repro.harness.dist.worker` — the expendable worker process;
 * :mod:`~repro.harness.dist.chaos` — adversarial cells used by the

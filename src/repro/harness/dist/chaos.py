@@ -20,10 +20,10 @@ the recovery behaviour instead of hoping for it:
             using a marker file under the ``scratch`` parameter —
             exercising re-queue + deterministic backoff end to end.
 
-The module registers the ``dist_chaos`` experiment at import time, so
-spawned workers pick it up via ``--preload repro.harness.dist.chaos``
-(spawned workers are fresh interpreters and see no runtime
-registrations otherwise).  Import is idempotent per process.
+The module registers the ``dist_chaos`` experiment at import time.  The
+master's forked workers inherit that; an attached worker, a fresh
+interpreter, gets it via ``--preload repro.harness.dist.chaos``.
+Import is idempotent per process.
 """
 
 from __future__ import annotations

@@ -27,7 +27,12 @@ of forked children on pipes.  Robustness is the design driver:
 
 The master is a single asyncio task plus one reader coroutine per
 worker connection; all lease/journal state is touched from the event
-loop only, so there is no locking.  Determinism note: *which* worker
+loop only, so there is no locking.  The task sleeps on one event that
+hello, ``result``, ``fail`` and worker loss set, so a grant leaves in
+the loop turn its cause arrived; the tick only paces the heartbeat,
+expiry and backoff scans.  Local workers are forked (where the
+platform forks) before the loop exists, and inherit the master's
+modules and registry.  Determinism note: *which* worker
 runs a cell is scheduling-dependent, but cells seed themselves from
 their parameters, so metrics — and the artifact cells fingerprint —
 are identical to a local run's.
@@ -38,13 +43,12 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
-import subprocess
-import sys
+import socket
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
-from repro.harness.dist import protocol
+from repro.harness.dist import protocol, worker as worker_mod
 from repro.harness.dist.journal import RunJournal, replay
 from repro.harness.lease import (
     DEFAULT_BACKOFF_BASE,
@@ -57,10 +61,13 @@ from repro.harness.lease import (
     note_failed_attempt,
 )
 from repro.harness.registry import Cell, resolve_faults
-from repro.harness.supervisor import supervise
+from repro.harness.supervisor import _mp_context, supervise
 
-#: Scheduler tick (seconds): lease expiry and heartbeat scans, grants.
+#: Cadence (seconds) of the heartbeat, lease-expiry and backoff scans.
 _TICK_S = 0.02
+
+#: What local workers get, together, to exit on ``shutdown``.
+_SHUTDOWN_GRACE_S = 2.0
 
 #: How long the master waits for a spawned/attached worker before
 #: degrading to the fork transport.
@@ -108,8 +115,9 @@ class _Master:
         self.chaos_kill_after = chaos_kill_after
 
         self.workers: Dict[str, _Worker] = {}
-        self.procs: Dict[str, subprocess.Popen] = {}
+        self.procs: Dict[str, Any] = {}    # worker id -> mp Process
         self.port: Optional[int] = None
+        self._wake: Optional[asyncio.Event] = None
         self.draining = False
         self.degraded = False
         self.ever_connected = False
@@ -146,30 +154,24 @@ class _Master:
     def _spawn_worker(self) -> None:
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        cmd = [sys.executable, "-m", "repro.harness.dist.worker",
-               "--connect", f"127.0.0.1:{self.port}",
-               "--worker-id", worker_id,
-               "--heartbeat", str(self.heartbeat_interval_s)]
-        for module in self.preload:
-            cmd.extend(["--preload", module])
-        env = dict(os.environ)
-        # Make sure the child resolves the same `repro` package as the
-        # master, wherever the master was launched from.
-        import repro
+        ctx = _mp_context()
+        proc = ctx.Process(
+            target=worker_mod.serve, name=worker_id, daemon=True,
+            args=(f"127.0.0.1:{self.port}", worker_id,
+                  self.heartbeat_interval_s, self.preload,
+                  ctx.get_start_method() == "fork"))
+        proc.start()
+        self.procs[worker_id] = proc
 
-        pkg_root = os.path.dirname(os.path.dirname(
-            os.path.abspath(repro.__file__)))
-        env["PYTHONPATH"] = os.pathsep.join(
-            [pkg_root] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH")
-                          else []))
-        self.procs[worker_id] = subprocess.Popen(
-            cmd, env=env, stdout=subprocess.DEVNULL)
+    def _over(self) -> bool:
+        """Nothing further will be granted: the run loop has left."""
+        return self.table.done or self.draining or self.degraded
 
     def _alive_local(self) -> int:
-        return sum(1 for proc in self.procs.values() if proc.poll() is None)
+        return sum(1 for proc in self.procs.values() if proc.is_alive())
 
     def _maybe_respawn(self) -> None:
-        if self.draining or self.degraded or self.table.done:
+        if self._over():
             return
         while (self._alive_local() < self.target_workers
                and self.respawns_left > 0):
@@ -181,7 +183,7 @@ class _Master:
     def _reap_procs(self) -> None:
         """Notice local workers that died without ever (re)connecting."""
         for worker_id, proc in list(self.procs.items()):
-            if proc.poll() is None or worker_id in self.workers:
+            if proc.is_alive() or worker_id in self.workers:
                 continue
             # Died outside a connection (e.g. crashed at import, or we
             # killed it after its connection was already dropped).
@@ -207,9 +209,10 @@ class _Master:
         except (OSError, RuntimeError):  # pragma: no cover - close races
             pass
         proc = self.procs.pop(worker.worker_id, None)
-        if proc is not None and proc.poll() is None:
+        if proc is not None:
             proc.kill()
         self._maybe_respawn()
+        self._wake.set()
 
     # ------------------------------------------------------------------
     # Settlement bookkeeping shared by fail/expire/revoke paths
@@ -232,13 +235,19 @@ class _Master:
         self._conn_tasks.add(asyncio.current_task())
         worker = None
         try:
+            # asyncio sets this only on listeners it created itself.
+            writer.get_extra_info("socket").setsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             line = await reader.readline()
             if not line:
                 return
             worker_id = protocol.check_hello(protocol.decode(line))
-            if worker_id in self.workers:
-                writer.write(protocol.encode(
-                    protocol.shutdown(f"duplicate worker id {worker_id!r}")))
+            if worker_id in self.workers or self._over():
+                # A hello that lands after the last settle would
+                # otherwise wait for a grant until it is killed.
+                writer.write(protocol.encode(protocol.shutdown(
+                    "done" if self._over()
+                    else f"duplicate worker id {worker_id!r}")))
                 await writer.drain()
                 return
             worker = _Worker(worker_id, writer, self._now())
@@ -246,6 +255,7 @@ class _Master:
             self.ever_connected = True
             self._emit("dist.worker.join", worker=worker_id)
             self._rec("worker.join", worker=worker_id)
+            self._wake.set()
             while True:
                 line = await reader.readline()
                 if not line:
@@ -253,13 +263,16 @@ class _Master:
                 message = protocol.decode(line)
                 worker.last_beat = self._now()
                 kind = message["type"]
+                if kind == "heartbeat":
+                    continue
                 if kind == "result":
                     self._on_result(worker, message)
                 elif kind == "fail":
                     self._on_fail(worker, message)
-                elif kind != "heartbeat":
+                else:
                     raise protocol.ProtocolError(
                         f"unexpected message from worker: {kind!r}")
+                self._wake.set()       # the worker is idle: grant now
         except (protocol.ProtocolError, ConnectionError, OSError) as exc:
             if worker is not None:
                 self._drop_worker(worker, f"protocol error: {exc}")
@@ -312,7 +325,7 @@ class _Master:
                 or self.results_seen < self.chaos_kill_after):
             return
         victims = [w for w in self.workers.values() if w.worker_id in
-                   self.procs and self.procs[w.worker_id].poll() is None]
+                   self.procs and self.procs[w.worker_id].is_alive()]
         busy = [w for w in victims if w.lease_id is not None]
         victim = (busy or victims or [None])[0]
         if victim is None:
@@ -384,17 +397,21 @@ class _Master:
 
     def _request_drain(self) -> None:
         self.draining = True
+        self._wake.set()
 
     # ------------------------------------------------------------------
     # The run
     # ------------------------------------------------------------------
-    async def run(self) -> bool:
-        """Drive the sweep to completion; returns ``interrupted``."""
+    def open(self) -> socket.socket:
+        """Bind and start the initial workers, before any loop exists
+        for a fork to inherit; returns the listening socket."""
         host, _, port = self.bind.rpartition(":")
-        server = await asyncio.start_server(
-            self._handle_conn, host or "127.0.0.1", int(port or 0))
-        self.port = server.sockets[0].getsockname()[1]
-        self._emit("dist.start", bind=f"{host or '127.0.0.1'}:{self.port}",
+        host = host or "127.0.0.1"
+        listener = socket.create_server(
+            (host, int(port or 0)),
+            family=socket.AF_INET6 if ":" in host else socket.AF_INET)
+        self.port = listener.getsockname()[1]
+        self._emit("dist.start", bind=f"{host}:{self.port}",
                    workers=self.target_workers,
                    cells=self.table.outstanding())
         if self.target_workers == 0:
@@ -403,6 +420,12 @@ class _Master:
                       "to attach")
         for _ in range(self.target_workers):
             self._spawn_worker()
+        return listener
+
+    async def run(self, listener: socket.socket) -> bool:
+        """Drive the sweep to completion; returns ``interrupted``."""
+        self._wake = asyncio.Event()
+        server = await asyncio.start_server(self._handle_conn, sock=listener)
         loop = asyncio.get_running_loop()
         installed = []
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -412,14 +435,19 @@ class _Master:
             except (ValueError, OSError, NotImplementedError, RuntimeError):
                 pass               # non-main thread / platform limits
         try:
-            while not (self.table.done or self.draining or self.degraded):
+            while not self._over():
+                # Cleared first: what lands during the grant write
+                # below must start the next turn at once.
+                self._wake.clear()
                 now = self._now()
                 self._reap_procs()
                 self._check_heartbeats(now)
                 self._check_expiry(now)
                 await self._grant_idle(now)
                 self._check_degrade(now)
-                await asyncio.sleep(_TICK_S)
+                tick = loop.call_later(_TICK_S, self._wake.set)
+                await self._wake.wait()
+                tick.cancel()
         finally:
             for signum in installed:
                 loop.remove_signal_handler(signum)
@@ -445,19 +473,17 @@ class _Master:
                 worker.writer.close()
             except (ConnectionError, OSError, RuntimeError):
                 pass
-        for proc in self.procs.values():
-            try:
-                proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait()
-        self.procs.clear()
+        # Polled: a forked worker closed the pipe join(timeout) reads.
+        deadline = self._now() + _SHUTDOWN_GRACE_S
+        while self._alive_local() and self._now() < deadline:
+            await asyncio.sleep(0.001)
+        self.kill_workers()
 
-    def emergency_cleanup(self) -> None:
-        """Last-resort teardown when the event loop itself was killed."""
+    def kill_workers(self) -> None:
+        """Kill and reap every local worker still on the books."""
         for proc in self.procs.values():
-            if proc.poll() is None:
-                proc.kill()
+            proc.kill()
+            proc.join()
         self.procs.clear()
 
 
@@ -533,12 +559,14 @@ def run_distributed(cells: Sequence[Cell],
 
     Same contract as :func:`~repro.harness.supervisor.run_supervised`:
     returns ``(successes, failures, interrupted)`` and never raises for
-    a cell.  ``workers`` local worker processes are spawned (0 = attach
+    a cell.  ``workers`` local worker processes are forked (0 = attach
     only: listen on ``bind`` and wait ``connect_timeout_s`` for
     external ``python -m repro dist worker`` processes); each may be
-    respawned twice over the run.  With ``journal`` set every decision
-    is logged; ``resume=True`` replays an existing journal first and
-    executes only the remainder.  If no worker is ever reachable (or
+    respawned twice over the run.  ``preload`` modules are imported by
+    a local worker first, which matters only where it cannot be forked.
+    With ``journal`` set every decision is logged; ``resume=True``
+    replays an existing journal first and executes only the
+    remainder.  If no worker is ever reachable (or
     every worker died and the respawn budget is spent) the lease table
     carries on over the fork transport, ``jobs`` children wide
     (``None`` = ``os.cpu_count()``), rather than stranding the sweep.
@@ -592,13 +620,14 @@ def run_distributed(cells: Sequence[Cell],
 
     interrupted = False
     if pending:
+        listener = master.open()   # forks: before any loop exists
         loop = asyncio.new_event_loop()
         try:
             asyncio.set_event_loop(loop)
-            interrupted = loop.run_until_complete(master.run())
+            interrupted = loop.run_until_complete(master.run(listener))
         except KeyboardInterrupt:
             interrupted = True
-            master.emergency_cleanup()
+            master.kill_workers()
         finally:
             asyncio.set_event_loop(None)
             loop.close()

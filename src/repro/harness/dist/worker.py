@@ -15,13 +15,17 @@ a cell, a dropped connection — the master revokes its lease and
 re-queues the cell.  On master EOF or ``shutdown`` the worker simply
 exits; a result it could not deliver is recomputed elsewhere.
 
-Spawned workers are fresh interpreters (not forks), so experiments
-registered at runtime in the master's process do not exist here unless
-re-imported: ``--preload mod`` imports *mod* before serving, which is
-how the chaos test family (:mod:`repro.harness.dist.chaos`) and any
-extension experiments reach remote workers.
+The master's local workers are forks of it (where the platform forks):
+like a fork-transport child they inherit its loaded modules and every
+runtime-registered experiment, and before serving they close whatever
+else came along — listening socket, sibling connections, journal and
+telemetry handles — so a dead peer still reads as EOF to the rest.  A
+worker attached from outside (or started where there is no ``fork``)
+is a fresh interpreter and knows only what it imports: ``--preload
+mod`` is how :mod:`repro.harness.dist.chaos` and extension experiments
+reach those.
 
-Run directly::
+Attach one by hand::
 
     python -m repro.harness.dist.worker --connect HOST:PORT \
         [--worker-id ID] [--preload MODULE]...
@@ -32,6 +36,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import os
+import signal
 import socket
 import threading
 from typing import Any, Dict, Optional, Sequence
@@ -43,12 +48,26 @@ from repro.harness.supervisor import execute_cell
 def serve(connect: str, worker_id: str,
           heartbeat_interval_s: float =
           protocol.DEFAULT_HEARTBEAT_INTERVAL_S,
-          preload: Sequence[str] = ()) -> None:
-    """Connect to the master at ``host:port`` and serve until shutdown."""
+          preload: Sequence[str] = (), forked: bool = False) -> None:
+    """Connect to the master at ``host:port`` and serve until shutdown.
+
+    ``forked`` marks a fork of the master, which keeps nothing of it
+    but stdio: not its descriptors, not its loop's signal wiring.
+    """
     for module in preload:
         importlib.import_module(module)
     host, _, port = connect.rpartition(":")
     sock = socket.create_connection((host or "127.0.0.1", int(port)))
+    if forked:
+        # Connected first, so no stale inherited object shares its number.
+        own = sock.fileno()
+        os.closerange(3, own)
+        os.closerange(own + 1, os.sysconf("SC_OPEN_MAX"))
+        signal.set_wakeup_fd(-1)
+        signal.signal(signal.SIGINT, signal.default_int_handler)
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    # A result written just after a beat must not sit out Nagle.
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     reader = sock.makefile("rb")
     write_lock = threading.Lock()
 
@@ -111,8 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--preload", action="append", default=[],
                         metavar="MODULE",
                         help="import MODULE before serving (repeatable); "
-                        "how runtime-registered experiments reach a "
-                        "spawned worker")
+                        "how runtime-registered experiments reach an "
+                        "attached worker")
     args = parser.parse_args(argv)
     worker_id = args.worker_id or f"pid{os.getpid()}"
     serve(args.connect, worker_id, heartbeat_interval_s=args.heartbeat,

@@ -96,6 +96,34 @@ def _headline(cells: List[Dict[str, Any]]) -> List[str]:
                    "vegas/reno"], rows)
 
 
+def _dist_timings(events: Sequence[Dict[str, Any]]) -> List[str]:
+    """The socket transport's two latencies, derived from event times:
+    start-up, and how long a worker that ended a cell sat idle."""
+    start, joins, gaps = None, [], []
+    ended: Dict[str, float] = {}
+    for event in events:
+        name, worker = event["event"], event.get("worker")
+        if name == "dist.start":
+            start, joins = event, []
+        elif name == "dist.worker.join":
+            joins.append(event["ts"])
+        elif name == "cell.end" and worker:
+            ended[worker] = event["ts"]
+        elif name == "dist.lease.grant" and worker in ended:
+            gaps.append(1e3 * (event["ts"] - ended.pop(worker)))
+    lines = []
+    if start is not None and joins:
+        # Respawns join later; start-up is the initial set.
+        joined = joins[:start.get("workers") or None][-1]
+        lines.append(f"- startup (`dist.start` → last initial worker "
+                     f"joined): {1e3 * (joined - start['ts']):.0f} ms")
+    if gaps:
+        lines.append(f"- result → next grant, per worker: mean "
+                     f"{_mean(gaps):.1f} ms, max {max(gaps):.1f} ms "
+                     f"({len(gaps)} grants)")
+    return lines
+
+
 def _worker_section(cells: List[Dict[str, Any]],
                     events: Optional[List[Dict[str, Any]]]) -> List[str]:
     """Per-worker provenance of a dist run, from the artifact's
@@ -122,10 +150,11 @@ def _worker_section(cells: List[Dict[str, Any]],
     for event in events or ():
         if event["event"] == "dist.worker.lost":
             reasons[event.get("reason", "?")] += 1
-    if reasons:
+    bullets = [f"- worker loss `{reason}`: {reasons[reason]}"
+               for reason in sorted(reasons)] + _dist_timings(events or ())
+    if bullets:
         lines.append("")
-        for reason in sorted(reasons):
-            lines.append(f"- worker loss `{reason}`: {reasons[reason]}")
+        lines.extend(bullets)
     if not lines:
         lines.append("(no per-worker provenance recorded)")
     return lines

@@ -14,6 +14,7 @@ import json
 import os
 import re
 import signal
+import socket
 import subprocess
 import sys
 import time
@@ -31,16 +32,20 @@ from repro.harness import (
 )
 from repro.harness.cache import ResultCache
 from repro.harness.dist import journal as journal_mod
+from repro.harness.dist import master as master_mod
 from repro.harness.dist import protocol
 from repro.harness.dist.chaos import CHAOS_EXPERIMENT
 from repro.harness.dist.master import run_distributed
 from repro.harness.registry import (
     Cell,
     cell_budget,
+    register_experiment,
     register_timeout_hint,
     timeout_hint,
+    unregister_experiment,
 )
 from repro.harness.runner import storage_key
+from repro.harness.supervisor import execute_cell
 
 posix_only = pytest.mark.skipif(
     os.name != "posix", reason="dist worker-failure tests use signals")
@@ -533,6 +538,161 @@ class TestDistExecution:
         assert cells_fingerprint(doc_local) == cells_fingerprint(doc_dist)
         assert doc_dist["run"]["backend"] == "dist"
         assert all(c["worker"] for c in doc_dist["cells"])
+
+
+# ----------------------------------------------------------------------
+# Event-driven granting and forked local workers
+# ----------------------------------------------------------------------
+
+def _echo_cell(seed=0):
+    return {"value": 2.0 * seed + 1.0, "square": float(seed * seed)}
+
+
+def _fd_probe_cell(journal="", telemetry="", seed=0):
+    """What this worker process holds open above stdio, by kind."""
+    held = {"sockets": 0.0, "nodelay": 0.0, "journal": 0.0,
+            "telemetry": 0.0, "other": 0.0}
+    for name in os.listdir("/proc/self/fd"):
+        fd = int(name)
+        if fd <= 2:
+            continue
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue                   # the listing's own descriptor
+        if target.startswith("socket:"):
+            held["sockets"] += 1
+            with socket.socket(fileno=os.dup(fd)) as sock:
+                if sock.type == socket.SOCK_STREAM and sock.family in (
+                        socket.AF_INET, socket.AF_INET6):
+                    held["nodelay"] += sock.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY) and 1
+        elif target == journal:
+            held["journal"] += 1
+        elif target == telemetry:
+            held["telemetry"] += 1
+        else:
+            held["other"] += 1
+    return held
+
+
+@pytest.fixture
+def runtime_experiments():
+    """Experiments that exist only in this process's registry."""
+    register_experiment("echox", _echo_cell)
+    register_experiment("fdprobex", _fd_probe_cell)
+    yield
+    unregister_experiment("echox")
+    unregister_experiment("fdprobex")
+
+
+@posix_only
+class TestEventDrivenMaster:
+    def test_grants_follow_results_not_the_tick(self, monkeypatch):
+        # With the scan cadence stretched to 5 s, tick-driven granting
+        # would need one tick per cell (>= 30 s); hello and each result
+        # wake the loop themselves, so the six cells settle at once.
+        monkeypatch.setattr(master_mod, "_TICK_S", 5.0)
+        cells = [chaos("ok", seed=s) for s in range(6)]
+        started = time.monotonic()
+        ok, fail, interrupted = run_distributed(
+            cells, timeout_s=30.0, retries=0, workers=1, **FAST)
+        assert time.monotonic() - started < 5.0
+        assert len(ok) == 6 and not fail and not interrupted
+
+    def test_runtime_registered_experiment_needs_no_preload(
+            self, runtime_experiments):
+        cells = [Cell.make("echox", seed=s) for s in range(4)]
+        forked = run_cells(cells, jobs=2, timeout_s=30.0)
+        socketed = run_cells(cells, jobs=2, backend="dist", timeout_s=30.0,
+                             dist_options=dict(workers=2, **FAST_OPTS))
+        assert not socketed.failures
+        assert ({r.key: r.metrics for r in socketed.results}
+                == {r.key: r.metrics for r in forked.results})
+        assert all(r.worker for r in socketed.results)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/<pid>/fd")
+    def test_forked_worker_keeps_only_stdio_and_its_own_socket(
+            self, runtime_experiments, tmp_path):
+        # w1 dies on the exit cell, so the probes run on w2 — a respawn,
+        # forked from inside the running loop with the journal, the
+        # telemetry sink, the listener, the loop's own descriptors and
+        # w1's dead connection all open in the master.
+        journal = str(tmp_path / "run.journal")
+        telemetry = str(tmp_path / "events.jsonl")
+        probes = [Cell.make("fdprobex", journal=journal,
+                            telemetry=telemetry, seed=s) for s in range(3)]
+        ok, fail, _ = run_distributed(
+            [chaos("exit", seed=0)] + probes, timeout_s=30.0, retries=0,
+            workers=1, journal=journal, telemetry=telemetry, **FAST)
+        assert [f.kind for f in fail] == ["worker-lost"]
+        assert {r.worker for r in ok} == {"w2"}
+        # What the worker body itself holds on the telemetry file while
+        # a cell runs (span sink, gauge sampler), measured here where
+        # nothing else has it open; the master's handle would be extra.
+        own = execute_cell(probes[0], telemetry=telemetry)[1]["telemetry"]
+        for record in ok:
+            assert record.metrics == {
+                "sockets": 1.0, "nodelay": 1.0, "journal": 0.0,
+                "telemetry": own, "other": 0.0}
+
+    def test_master_side_of_the_connection_has_nodelay(self, monkeypatch):
+        # asyncio sets it only on sockets whose listener it created
+        # itself; the master binds its own, before it forks.
+        seen = []
+        settle = master_mod._Master._on_result
+
+        def spy(self, worker, message):
+            seen.append(worker.writer.get_extra_info("socket").getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+            settle(self, worker, message)
+
+        monkeypatch.setattr(master_mod._Master, "_on_result", spy)
+        ok, _, _ = run_distributed([chaos("ok", seed=0)], timeout_s=30.0,
+                                   workers=1, **FAST)
+        assert len(ok) == 1 and seen and all(seen)
+
+    def test_hello_after_the_last_settle_is_told_to_shut_down(
+            self, monkeypatch):
+        # A worker still connecting when the run ends used to be
+        # registered and then left waiting for a grant until the
+        # shutdown deadline killed it: 2 s on a one-cell, two-worker
+        # run whenever the second fork lost the race.  Here it loses.
+        serve = master_mod.worker_mod.serve
+
+        def slow_w2(connect, worker_id, *rest):
+            if worker_id == "w2":
+                time.sleep(0.3)
+            serve(connect, worker_id, *rest)
+
+        monkeypatch.setattr(master_mod.worker_mod, "serve", slow_w2)
+        started = time.monotonic()
+        ok, _, _ = run_distributed([chaos("ok", seed=0)], timeout_s=30.0,
+                                   workers=2, **FAST)
+        assert len(ok) == 1 and ok[0].worker == "w1"
+        assert 0.3 <= time.monotonic() - started < 1.5
+
+    def test_shutdown_grace_is_shared_not_per_worker(self, monkeypatch):
+        # Drain while three workers sit in 30 s cells: none of them
+        # reads ``shutdown``, so each is killed at the deadline — one
+        # deadline for all three, where it used to be one apiece.
+        monkeypatch.setattr(master_mod, "_SHUTDOWN_GRACE_S", 1.0)
+        cells = ([chaos("ok", seed=0)]
+                 + [chaos("ok", delay=30.0, seed=s) for s in range(1, 7)])
+        drained = []
+
+        def drain_on_first_result(line):
+            if not drained and re.search(r": \d+\.\d+s", line):
+                drained.append(time.monotonic())
+                os.kill(os.getpid(), signal.SIGINT)
+
+        ok, fail, interrupted = run_distributed(
+            cells, timeout_s=60.0, retries=0, workers=3,
+            progress=drain_on_first_result, **FAST)
+        elapsed = time.monotonic() - drained[0]
+        assert interrupted and len(ok) == 1 and not fail
+        assert 1.0 <= elapsed < 2.0
 
 
 # ----------------------------------------------------------------------

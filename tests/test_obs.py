@@ -285,6 +285,27 @@ class TestReport:
         assert "Span durations" in text
         assert "peak depth 7" in text and "2 drops" in text
 
+    def test_dist_section_derives_startup_and_grant_gap(self):
+        def at(ts, event, **fields):
+            return {"event": event, "ts": ts, **fields}
+
+        events = [
+            at(10.000, "dist.start", workers=2),
+            at(10.010, "dist.worker.join", worker="w1"),
+            at(10.011, "dist.lease.grant", worker="w1"),   # no cell before
+            at(10.030, "dist.worker.join", worker="w2"),
+            at(10.500, "cell.end", worker="w1"),
+            at(10.502, "dist.lease.grant", worker="w1"),
+            at(10.600, "cell.end", worker="w2"),
+            at(10.606, "dist.lease.grant", worker="w2"),
+            at(10.700, "cell.end"),                        # fork transport
+            at(12.000, "dist.worker.join", worker="w3"),   # a respawn
+        ]
+        text = render_report(self._doc(), events=events)
+        assert "joined): 30 ms" in text
+        assert "mean 4.0 ms, max 6.0 ms (2 grants)" in text
+        assert "startup" not in render_report(self._doc(), events=events[4:])
+
     def test_main_renders_real_artifact(self, tmp_path, capsys):
         from repro.harness.artifacts import write_document
 

@@ -239,8 +239,6 @@ class TestSourceGuard:
         assert reads == {
             ("harness/cache.py",
              "return os.environ.get(CACHE_DIR_ENV, DEFAULT_CACHE_DIR)"),
-            # The dist master hands its whole environment to workers.
-            ("harness/dist/master.py", "env = dict(os.environ)"),
         }
         names = {name for _, _, line in self._matches(r"REPRO_[A-Z]")
                  for name in re.findall(r"REPRO_[A-Z_]+", line)}
