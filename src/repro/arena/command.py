@@ -1,9 +1,11 @@
-"""The ``python -m repro arena`` command.
+"""The ``python -m repro arena`` and ``python -m repro traces`` commands.
 
-Generates a scheme × scenario × seed matchup matrix (see
-:mod:`repro.arena.matrix`), executes it through the supervised harness
-— per-cell timeouts, retries, quarantine, content-hash result cache —
-and renders the league tables (:mod:`repro.arena.league`).
+``arena`` generates a scheme × scenario × seed matchup matrix (see
+:mod:`repro.arena.matrix`), executes it as one harness sweep and
+renders the league tables (:mod:`repro.arena.league`); the sweep flags
+are the shared table of :mod:`repro.harness.options` (README, "Sweep
+options").  ``traces`` inspects the bandwidth traces behind the
+time-varying scenarios.
 
 ::
 
@@ -12,24 +14,22 @@ and renders the league tables (:mod:`repro.arena.league`).
     python -m repro arena --scenarios classic,lfn --modes duel
     python -m repro arena --quick --json arena.json --out league.md
     python -m repro arena --dry-run                     # print cells, no runs
+    python -m repro traces --scenario lte --seed 0
 
 Exit codes mirror ``run-all``: 0 = every cell completed, 2 = bad
 selection, 3 = cells quarantined (league still rendered from the
-survivors).
+survivors), 130 = interrupted.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.harness import options
 
 
 def configure_parser(sub) -> None:
-    """Attach the ``arena`` subparser to *sub* (a subparsers action)."""
-    from repro.harness import lease as lease_mod
-
+    """Attach ``arena`` and ``traces`` to *sub* (a subparsers action)."""
     arena = sub.add_parser(
         "arena",
         help="tournament: every selected scheme x scenario x seed, solo, "
@@ -54,71 +54,51 @@ def configure_parser(sub) -> None:
                             "(default reno)")
     arena.add_argument("--n-cross", type=int, default=None, metavar="N",
                        help="cross flows per mix cell (default 3)")
-    arena.add_argument("--jobs", type=int, default=None,
-                       help="worker processes (default: cpu count)")
-    arena.add_argument("--json", metavar="PATH",
-                       help="write the matrix results as a harness JSON "
-                            "artifact (gate with `repro check`)")
     arena.add_argument("--out", metavar="PATH", default=None,
                        help="write the league-table Markdown here "
                             "(always printed to stdout)")
-    arena.add_argument("--no-cache", action="store_true",
-                       help="ignore and do not update .repro-cache/")
-    arena.add_argument("--cache-dir", metavar="DIR", default=None,
-                       help="cache location (default: $REPRO_CACHE_DIR "
-                            "or .repro-cache)")
-    arena.add_argument("--timeout", type=float, metavar="SECONDS",
-                       default=lease_mod.DEFAULT_TIMEOUT_S,
-                       help="per-cell wall-clock deadline (default "
-                            f"{lease_mod.DEFAULT_TIMEOUT_S:g}s)")
-    arena.add_argument("--no-timeout", action="store_true",
-                       help="run unsupervised in-process (crashes and "
-                            "hangs propagate raw)")
-    arena.add_argument("--retries", type=int, metavar="N",
-                       default=lease_mod.DEFAULT_RETRIES,
-                       help="re-executions before quarantine (default "
-                            f"{lease_mod.DEFAULT_RETRIES})")
-    arena.add_argument("--checks", nargs="?", const="raise",
-                       choices=("raise", "collect"), default=False,
-                       help="run with the runtime invariant checker")
-    arena.add_argument("--telemetry", metavar="PATH", default=None,
-                       help="append the sweep's JSONL telemetry log here")
     arena.add_argument("--dry-run", action="store_true",
                        help="print the generated cell keys and exit")
+    options.add_sweep_options(arena)
+    options.add_single_sweep_options(arena)
     arena.set_defaults(fn=main)
+
+    traces = sub.add_parser(
+        "traces",
+        help="inspect the time-varying scenarios' bandwidth traces; "
+             "export/import mahimahi delivery-opportunity files")
+    traces.add_argument("--scenario", metavar="NAME", default=None,
+                        help="build and summarize one scenario's trace "
+                             "(default: list the time-varying scenarios)")
+    traces.add_argument("--seed", type=int, default=0,
+                        help="root seed for stochastic trace kinds")
+    traces.add_argument("--export", metavar="PATH", default=None,
+                        help="write the built trace as a mahimahi "
+                             "delivery-opportunity file")
+    traces.add_argument("--duration", type=float, default=None,
+                        help="seconds of trace to export "
+                             "(default: one cycle)")
+    traces.add_argument("--load", metavar="PATH", default=None,
+                        help="summarize a mahimahi file instead")
+    traces.set_defaults(fn=show_traces)
 
 
 def main(args) -> int:
     from repro.arena import league, matrix
-    from repro.harness import artifacts, cache as cache_mod, registry, runner
+    from repro.harness import artifacts, registry
 
     seeds = args.seeds if args.seeds is not None else (2 if args.quick else 3)
-    modes = (matrix.MODES if args.modes is None
-             else tuple(m.strip() for m in args.modes.split(",")
-                        if m.strip()))
-    try:
-        cells = registry.family_cells(
-            "arena", schemes=args.schemes, scenarios=args.scenarios,
-            seeds=seeds, modes=modes,
-            cross=args.cross or matrix.DEFAULT_CROSS,
-            n_cross=(args.n_cross if args.n_cross is not None
-                     else matrix.DEFAULT_N_CROSS),
-            quick=args.quick)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"error: --retries must be >= 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    timeout_s = None if args.no_timeout else args.timeout
-    if timeout_s is not None and timeout_s <= 0:
-        print(f"error: --timeout must be positive, got {timeout_s}",
-              file=sys.stderr)
-        return 2
+    cells = registry.family_cells(
+        "arena", schemes=args.schemes, scenarios=args.scenarios,
+        seeds=seeds,
+        modes=(matrix.MODES if args.modes is None
+               else tuple(options.split_csv(args.modes))),
+        cross=args.cross or matrix.DEFAULT_CROSS,
+        n_cross=(args.n_cross if args.n_cross is not None
+                 else matrix.DEFAULT_N_CROSS),
+        quick=args.quick)
+    opts = options.sweep_options(args)
+    options.require_writable("--out", args.out)
 
     print(f"arena matrix: {matrix.describe_matrix(cells)}", file=sys.stderr)
     if args.dry_run:
@@ -126,62 +106,84 @@ def main(args) -> int:
             print(cell.key)
         return 0
 
-    src_hash = cache_mod.compute_src_hash()
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or cache_mod.default_cache_dir()
-        cache = cache_mod.ResultCache(cache_dir, src_hash)
-
-    total = len(cells)
-    done = [0]
-
-    def progress(line: str) -> None:
-        if "retrying in" not in line:
-            done[0] += 1
-        print(f"[{done[0]}/{total}] {line}", file=sys.stderr)
-
-    report = runner.run_cells(cells, jobs=args.jobs, cache=cache,
-                              progress=progress, checks=args.checks,
-                              timeout_s=timeout_s, retries=args.retries,
-                              telemetry=args.telemetry)
-    doc = artifacts.build_document(
-        report, mode="arena-quick" if args.quick else "arena",
-        src_hash=src_hash, telemetry=args.telemetry)
-    if args.json:
-        artifacts.write_document(args.json, doc)
-
+    report = opts.run(cells, options.counting_progress(len(cells)))
+    doc = opts.document(report, "arena-quick" if args.quick else "arena")
     table = league.render_league(
         doc["cells"], title="Arena league"
         + (f" — {len(report.failures)} cell(s) quarantined"
            if report.failures else ""))
     print(table)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(table)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return 2
+        artifacts.write_text(args.out, table)
         print(f"league written to {args.out}", file=sys.stderr)
 
-    print(f"{total} cells, jobs={report.jobs}, "
+    print(f"{len(cells)} cells, jobs={report.jobs}, "
           f"{report.elapsed_s:.1f}s elapsed; "
           f"cache: {report.cache_hits} hits / {report.cache_misses} misses",
           file=sys.stderr)
-    if args.json:
-        print(f"JSON artifact: {args.json}", file=sys.stderr)
-    if report.failures:
-        print(f"\nFAILED: {len(report.failures)} cell(s) quarantined "
-              "(exit 3; reproduce with `run-all --only <key> --no-timeout`):",
-              file=sys.stderr)
-        for failure in report.failures:
-            print(f"  {failure.key} [{failure.kind}] "
-                  f"after {failure.attempts} attempt(s): {failure.message}",
-                  file=sys.stderr)
-    if args.checks:
-        violations = sum(int(r.metrics.get("invariant_violations", 0.0))
-                         for r in report.results)
-        print(f"invariant violations: {violations}", file=sys.stderr)
-        if violations and not report.failures:
-            return 1
-    return 3 if report.failures else 0
+    return opts.finish(report, out=sys.stderr)
+
+
+_SPARK = "▁▂▃▄▅▆▇█"
+
+
+def _trace_profile(trace, width: int = 64) -> str:
+    """One-line sparkline of the rate profile over one cycle."""
+    span = trace.period if trace.period is not None \
+        else max(trace.times[-1], 1.0)
+    top = trace.max_rate or 1.0
+    cells = []
+    for i in range(width):
+        rate = trace.rate_at(i * span / width)
+        cells.append(_SPARK[min(len(_SPARK) - 1,
+                                int(rate / top * (len(_SPARK) - 1) + 0.5))])
+    return "".join(cells)
+
+
+def _trace_summary(trace) -> str:
+    cyc = (f"cyclic, period {trace.period:g} s" if trace.period is not None
+           else "non-cyclic")
+    return (f"{len(trace.rates)} segment(s), {cyc}; "
+            f"mean {trace.mean_rate / 1024:.1f} KB/s, "
+            f"min {trace.min_rate / 1024:.1f}, "
+            f"max {trace.max_rate / 1024:.1f}")
+
+
+def show_traces(args) -> int:
+    from repro.arena.scenarios import SCENARIOS, get_scenario
+    from repro.net.traces import load_mahimahi, save_mahimahi
+    from repro.sim.rng import RngRegistry
+
+    if args.load:
+        trace = load_mahimahi(args.load)
+        print(f"{args.load}: {_trace_summary(trace)}")
+        print(f"  {_trace_profile(trace)}")
+        return 0
+
+    if not args.scenario:
+        print("Time-varying arena scenarios "
+              "(inspect one with --scenario NAME):")
+        for name in sorted(SCENARIOS):
+            spec = SCENARIOS[name]
+            if not spec.time_varying:
+                continue
+            loss = f", loss {spec.loss:.1%}" if spec.loss else ""
+            print(f"  {name:7s} {spec.trace.describe()}{loss}")
+        return 0
+
+    spec = get_scenario(args.scenario)
+    if spec.trace is None:
+        raise options.UsageError(f"scenario {args.scenario!r} has a static "
+                                 "bottleneck (no trace)")
+    trace = spec.trace.build(RngRegistry(args.seed).stream("link-trace"))
+    loss = f", loss {spec.loss:.1%}" if spec.loss else ""
+    print(f"{args.scenario} (seed {args.seed}): "
+          f"{spec.trace.describe()}{loss}")
+    print(f"  {_trace_summary(trace)}")
+    print(f"  {_trace_profile(trace)}")
+    if args.export:
+        written = save_mahimahi(trace, args.export,
+                                duration=args.duration)
+        print(f"  wrote {written} delivery opportunities "
+              f"(mahimahi format) to {args.export}")
+    return 0

@@ -8,9 +8,25 @@ as confusing behaviour mid-simulation.
 
 from __future__ import annotations
 
+import sys
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the repro library."""
+
+
+def exit_code(run, args) -> int:
+    """Run one command-line verb under the one error policy.
+
+    A :class:`ReproError` that reaches the top is the user's to fix (a
+    bad flag, an unreadable input, an unwritable output): it prints as
+    ``error: ...`` on stderr and exits 2, never as a traceback.
+    """
+    try:
+        return run(args)
+    except ReproError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 class ConfigurationError(ReproError, ValueError):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from typing import Any, Dict, List
 
 from repro.errors import ReproError
@@ -92,24 +93,50 @@ def cells_fingerprint(doc: Dict[str, Any]) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def write_text(path: str, text: str) -> None:
+    """Write *text* to *path* through tmp + rename.
+
+    A reader never sees a torn file, and a directory that vanished or
+    a disk that filled mid-run is a :class:`ReproError`, not a
+    traceback after the sweep's work is done.
+    """
+    tmp = f"{path}.tmp.{os.getpid()}"
+    try:
+        with open(tmp, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise ReproError(f"cannot write {path!r}: {exc}") from exc
+        raise
+
+
 def write_document(path: str, doc: Dict[str, Any]) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    """Write *doc* as indented, key-sorted JSON (see :func:`write_text`)."""
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def load_document(path: str) -> Dict[str, Any]:
-    """Load and validate an artifact written by :func:`write_document`."""
+def load_json(path: str, what: str, schema: str) -> Dict[str, Any]:
+    """Read the JSON object at *path*; it must declare *schema*."""
     try:
         with open(path) as handle:
             doc = json.load(handle)
     except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot read harness artifact {path!r}: {exc}") from exc
+        raise ReproError(f"cannot read {what} {path!r}: {exc}") from exc
     version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise ReproError(
-            f"{path!r}: unsupported schema {version!r} "
-            f"(expected {SCHEMA_VERSION})")
+    if version != schema:
+        raise ReproError(f"{path!r}: unsupported schema {version!r} "
+                         f"(expected {schema})")
+    return doc
+
+
+def load_document(path: str) -> Dict[str, Any]:
+    """Load and validate an artifact written by :func:`write_document`."""
+    doc = load_json(path, "harness artifact", SCHEMA_VERSION)
     if not isinstance(doc.get("cells"), list):
         raise ReproError(f"{path!r}: artifact has no cells array")
     if not isinstance(doc.get("failures", []), list):

@@ -25,7 +25,7 @@ import argparse
 import sys
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import exit_code
 from repro.harness.artifacts import load_document
 
 
@@ -88,25 +88,37 @@ def failed_cells(results: Dict[str, Any],
     return sorted(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro.harness.check",
-        description="Check a run-all JSON artifact against a baseline.")
-    parser.add_argument("results", help="artifact from run-all --json")
+def add_arguments(parser) -> None:
+    parser.add_argument("results",
+                        help="artifact from run-all/arena/search --json")
     parser.add_argument("expected", help="committed baseline artifact")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="relative tolerance per metric (default 0.15)")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
                         help="append the gate verdict to this telemetry "
                              "JSONL (same file run-all --telemetry wrote)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(fn=run)
 
-    try:
-        results = load_document(args.results)
-        expected = load_document(args.expected)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+HELP = ("gate a run-all/arena/search JSON artifact against a committed "
+        "baseline (exit 1 = drift, 3 = quarantined cells)")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``check`` subparser to *sub* (a subparsers action)."""
+    add_arguments(sub.add_parser("check", help=HELP))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro.harness.check",
+                                     description=HELP)
+    add_arguments(parser)
+    return exit_code(run, parser.parse_args(argv))
+
+
+def run(args) -> int:
+    results = load_document(args.results)
+    expected = load_document(args.expected)
 
     failures = failed_cells(results, expected)
     failed_keys = {f.get("key") for f in results.get("failures", []) or []}

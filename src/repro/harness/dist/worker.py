@@ -115,28 +115,44 @@ def serve(connect: str, worker_id: str,
             pass
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.dist.worker",
-        description="Worker process of the distributed sweep backend.")
+def add_arguments(parser) -> None:
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="master address to attach to")
+                        help="master address (a `dist run --workers 0 "
+                        "--bind ...` master prints it)")
     parser.add_argument("--worker-id", default=None,
                         help="identity announced to the master "
                         "(default: pid-derived)")
     parser.add_argument("--heartbeat", type=float,
                         default=protocol.DEFAULT_HEARTBEAT_INTERVAL_S,
-                        metavar="SECONDS", help="heartbeat interval")
+                        metavar="SECONDS", help="heartbeat interval (default "
+                        f"{protocol.DEFAULT_HEARTBEAT_INTERVAL_S:g}s)")
     parser.add_argument("--preload", action="append", default=[],
                         metavar="MODULE",
                         help="import MODULE before serving (repeatable); "
                         "how runtime-registered experiments reach an "
                         "attached worker")
-    args = parser.parse_args(argv)
-    worker_id = args.worker_id or f"pid{os.getpid()}"
-    serve(args.connect, worker_id, heartbeat_interval_s=args.heartbeat,
-          preload=args.preload)
+    parser.set_defaults(fn=run)
+
+
+def run(args) -> int:
+    serve(args.connect, args.worker_id or f"pid{os.getpid()}",
+          heartbeat_interval_s=args.heartbeat, preload=args.preload)
     return 0
+
+
+HELP = "attach one worker process to a listening dist master"
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``worker`` subparser to *sub* (``repro dist``'s)."""
+    add_arguments(sub.add_parser("worker", help=HELP))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="python -m repro.harness.dist.worker", description=HELP)
+    add_arguments(parser)
+    return run(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ without sleeping.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -174,8 +175,11 @@ class LeaseTable:
                  lease_grace_s: float = 0.0):
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout_s}")
+        # `not 0 < nan` is true: a NaN or infinite deadline can never
+        # expire, so it is no deadline at all.
+        if timeout_s is not None and not 0 < timeout_s < math.inf:
+            raise ValueError("timeout_s must be positive and finite, "
+                             f"got {timeout_s}")
         self.timeout_s = timeout_s
         self.retries = retries
         self.backoff_base = backoff_base

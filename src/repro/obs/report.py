@@ -24,7 +24,7 @@ import sys
 from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import exit_code
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -339,40 +339,43 @@ def render_report(doc: Dict[str, Any],
     return "\n".join(lines)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    from repro.harness.artifacts import load_document
-    from repro.obs.events import load_events
-
-    parser = argparse.ArgumentParser(
-        prog="repro report",
-        description="Render a Markdown run report from a run-all artifact "
-                    "(and, optionally, its telemetry JSONL).")
-    parser.add_argument("results", help="artifact from run-all --json")
+def add_arguments(parser) -> None:
+    parser.add_argument("results",
+                        help="artifact from run-all/arena/search --json")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
                         help="telemetry JSONL from run-all --telemetry")
     parser.add_argument("--top", type=int, default=10,
                         help="slowest cells to list (default 10)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
-    args = parser.parse_args(argv)
+    parser.set_defaults(fn=run)
 
-    try:
-        doc = load_document(args.results)
-        events = load_events(args.telemetry) if args.telemetry else None
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+
+HELP = ("render a Markdown run report from a sweep's JSON artifact "
+        "(plus optional --telemetry JSONL)")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``report`` subparser to *sub* (a subparsers action)."""
+    add_arguments(sub.add_parser("report", help=HELP))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro report", description=HELP)
+    add_arguments(parser)
+    return exit_code(run, parser.parse_args(argv))
+
+
+def run(args) -> int:
+    from repro.harness.artifacts import load_document, write_text
+    from repro.obs.events import load_events
+
+    doc = load_document(args.results)
+    events = load_events(args.telemetry) if args.telemetry else None
     report = render_report(doc, events=events, top=args.top)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(report)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return 2
-        print(f"report written to {args.out}")
-    else:
-        print(report)
+        write_text(args.out, report)
+    print(f"report written to {args.out}" if args.out else report)
     return 0
 
 

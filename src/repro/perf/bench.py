@@ -28,14 +28,14 @@ be disabled with ``--no-timing-gate`` where runners are too noisy.
 from __future__ import annotations
 
 import argparse
-import json
 import statistics
 import subprocess
 import sys
 import time
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ReproError, exit_code
+from repro.harness.artifacts import load_json, write_document
 
 #: Bump on any change to the BENCH document layout.
 SCHEMA_VERSION = "repro-bench/v1"
@@ -184,22 +184,8 @@ def run_suite(rounds: int = 3,
     }
 
 
-def write_document(path: str, doc: Dict[str, Any]) -> None:
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
 def load_document(path: str) -> Dict[str, Any]:
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, ValueError) as exc:
-        raise ReproError(f"cannot read bench artifact {path!r}: {exc}") from exc
-    version = doc.get("schema_version") if isinstance(doc, dict) else None
-    if version != SCHEMA_VERSION:
-        raise ReproError(f"{path!r}: unsupported schema {version!r} "
-                         f"(expected {SCHEMA_VERSION!r})")
+    doc = load_json(path, "bench artifact", SCHEMA_VERSION)
     if not isinstance(doc.get("cells"), dict):
         raise ReproError(f"{path!r}: artifact has no cells mapping")
     return doc
@@ -266,11 +252,7 @@ def dirty_tracked_files() -> Optional[List[str]]:
     return [line[3:] for line in out.stdout.splitlines() if line.strip()]
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro bench",
-        description="Run the engine benchmark suite and write "
-                    "BENCH_engine.json.")
+def add_arguments(parser) -> None:
     parser.add_argument("--rounds", type=int, default=3,
                         help="runs per cell; median wall time is reported "
                              "(default 3)")
@@ -300,7 +282,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "the baseline gate then covers just the "
                              "selection — used by CI to keep the heavy "
                              "many-flows points out of the PR loop")
-    args = parser.parse_args(argv)
+    parser.set_defaults(fn=run)
+
+
+HELP = ("run the engine benchmark suite; write BENCH_engine.json and "
+        "gate against the committed baseline")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``bench`` subparser to *sub* (a subparsers action)."""
+    add_arguments(sub.add_parser("bench", help=HELP))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro bench", description=HELP)
+    add_arguments(parser)
+    return exit_code(run, parser.parse_args(argv))
+
+
+def run(args) -> int:
     if args.rounds < 1:
         print(f"error: --rounds must be >= 1, got {args.rounds}",
               file=sys.stderr)
@@ -326,14 +326,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                   "from uncommitted code", file=sys.stderr)
             return 2
 
-    try:
-        doc = run_suite(rounds=args.rounds,
-                        progress=lambda line: print(line, file=sys.stderr),
-                        cells_filter=cells_filter)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    doc = run_suite(rounds=args.rounds,
+                    progress=lambda line: print(line, file=sys.stderr),
+                    cells_filter=cells_filter)
     write_document(args.json, doc)
     print(f"BENCH artifact: {args.json}")
     if args.update_baseline:

@@ -28,7 +28,7 @@ import pstats
 import sys
 from typing import Any, Dict, Optional, Sequence
 
-from repro.errors import ReproError
+from repro.errors import ReproError, exit_code
 
 #: Sort keys accepted by ``--sort`` (pstats spellings).
 SORT_KEYS = ("tottime", "cumulative", "ncalls")
@@ -109,27 +109,38 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
         print(f"  {count:>10}  {qualname}", file=stream)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro profile",
-        description="cProfile one harness cell and print the hottest "
-                    "functions plus per-component event counts.")
+def add_arguments(parser) -> None:
     parser.add_argument("cell",
-                        help="bench cell name (e.g. table2_background) or "
-                             "full cell key (experiment/k=v/...)")
+                        help="bench cell name (table2_background, "
+                             "many_flows_1000, ...) or full cell key "
+                             "(experiment/k=v/...)")
     parser.add_argument("--sort", choices=SORT_KEYS, default="tottime",
                         help="pstats sort key (default tottime)")
     parser.add_argument("--limit", type=int, default=25,
                         help="rows of profile output (default 25)")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="also dump raw pstats data for snakeviz/pstats")
-    args = parser.parse_args(argv)
-    try:
-        cell = resolve_cell(args.cell)
-        profile_cell(cell, sort=args.sort, limit=args.limit, out=args.out)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    parser.set_defaults(fn=run)
+
+
+HELP = ("cProfile one cell (bench name or experiment/k=v/... key) and "
+        "print hotspots plus per-component event counts")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``profile`` subparser to *sub* (a subparsers action)."""
+    add_arguments(sub.add_parser("profile", help=HELP))
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(prog="repro profile", description=HELP)
+    add_arguments(parser)
+    return exit_code(run, parser.parse_args(argv))
+
+
+def run(args) -> int:
+    profile_cell(resolve_cell(args.cell), sort=args.sort, limit=args.limit,
+                 out=args.out)
     return 0
 
 

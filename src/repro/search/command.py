@@ -1,9 +1,9 @@
 """The ``python -m repro search`` command.
 
 Runs a black-box scenario search: points drawn by a seeded strategy,
-each evaluated as registered harness cells through the supervised
-runner — content-hash cache, per-cell timeouts/retries/quarantine, and
-the distributed backend all apply exactly as in ``run-all``.
+each evaluated as registered harness cells, one sweep per round — so
+the shared sweep flags (:mod:`repro.harness.options`; README, "Sweep
+options") apply exactly as in ``run-all``.
 
 ::
 
@@ -24,14 +24,12 @@ interrupted (partial artifacts flushed).
 from __future__ import annotations
 
 import sys
-from typing import List, Optional
 
-from repro.errors import ReproError
+from repro.harness import options
 
 
 def configure_parser(sub) -> None:
     """Attach the ``search`` subparser to *sub* (a subparsers action)."""
-    from repro.harness import lease as lease_mod
     from repro.search.objectives import OBJECTIVES
     from repro.search.strategies import STRATEGIES
 
@@ -56,138 +54,46 @@ def configure_parser(sub) -> None:
     search.add_argument("--quick", action="store_true",
                         help="CI-sized search space: small transfers, "
                              "few flows")
-    search.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: cpu count)")
-    search.add_argument("--json", metavar="PATH",
-                        help="write every evaluated cell as a standard "
-                             "harness JSON artifact (gate with "
-                             "`repro check`)")
     search.add_argument("--result", metavar="PATH", default=None,
                         help="write the repro-search/v1 result document "
                              "(points, fitnesses, leaderboard) here")
     search.add_argument("--out", metavar="PATH", default=None,
                         help="write the Markdown leaderboard here "
                              "(always printed to stdout)")
-    search.add_argument("--no-cache", action="store_true",
-                        help="ignore and do not update .repro-cache/")
-    search.add_argument("--cache-dir", metavar="DIR", default=None,
-                        help="cache location (default: $REPRO_CACHE_DIR "
-                             "or .repro-cache)")
-    search.add_argument("--timeout", type=float, metavar="SECONDS",
-                        default=lease_mod.DEFAULT_TIMEOUT_S,
-                        help="per-cell wall-clock deadline (default "
-                             f"{lease_mod.DEFAULT_TIMEOUT_S:g}s)")
-    search.add_argument("--no-timeout", action="store_true",
-                        help="run unsupervised in-process (crashes and "
-                             "hangs propagate raw)")
-    search.add_argument("--retries", type=int, metavar="N",
-                        default=lease_mod.DEFAULT_RETRIES,
-                        help="re-executions before quarantine (default "
-                             f"{lease_mod.DEFAULT_RETRIES})")
-    search.add_argument("--watchdog", nargs="?", type=float,
-                        metavar="STALL_SECONDS", const=True, default=False,
-                        help="arm the simulation liveness watchdog")
-    search.add_argument("--checks", nargs="?", const="raise",
-                        choices=("raise", "collect"), default=False,
-                        help="run with the runtime invariant checker")
-    search.add_argument("--telemetry", metavar="PATH", default=None,
-                        help="append the sweep's JSONL telemetry log here")
-    search.add_argument("--backend", choices=("local", "dist"),
-                        default="local",
-                        help="execution backend for each evaluation round")
-    search.add_argument("--workers", type=int, default=2, metavar="N",
-                        help="[dist] local worker processes (default 2)")
-    search.add_argument("--bind", metavar="HOST:PORT", default=None,
-                        help="[dist] master listen address")
-    search.add_argument("--preload", action="append", default=[],
-                        metavar="MODULE",
-                        help="[dist] import MODULE in every worker")
+    options.add_sweep_options(search)
     search.set_defaults(fn=main)
 
 
 def main(args) -> int:
-    from repro.harness import artifacts, cache as cache_mod
+    from repro.harness import artifacts
     from repro.search import driver, objectives
 
-    if args.budget < 1:
-        print(f"error: --budget must be >= 1, got {args.budget}",
-              file=sys.stderr)
-        return 2
-    if args.top < 1:
-        print(f"error: --top must be >= 1, got {args.top}", file=sys.stderr)
-        return 2
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-    if args.retries < 0:
-        print(f"error: --retries must be >= 0, got {args.retries}",
-              file=sys.stderr)
-        return 2
-    timeout_s = None if args.no_timeout else args.timeout
-    if timeout_s is not None and timeout_s <= 0:
-        print(f"error: --timeout must be positive, got {timeout_s}",
-              file=sys.stderr)
-        return 2
-
+    options.require_at_least("--budget", args.budget, 1)
+    options.require_at_least("--top", args.top, 1)
+    opts = options.sweep_options(args)
+    options.require_writable("--result", args.result)
+    options.require_writable("--out", args.out)
     objective = objectives.get_objective(args.objective, quick=args.quick)
-
-    src_hash = cache_mod.compute_src_hash()
-    cache = None
-    if not args.no_cache:
-        cache_dir = args.cache_dir or cache_mod.default_cache_dir()
-        cache = cache_mod.ResultCache(cache_dir, src_hash)
-
-    dist_options = None
-    if args.backend == "dist":
-        if args.workers < 0:
-            print(f"error: --workers must be >= 0, got {args.workers}",
-                  file=sys.stderr)
-            return 2
-        dist_options = {"workers": args.workers, "journal": None,
-                        "resume": False, "src_hash": src_hash,
-                        "preload": args.preload, "chaos_kill_after": None}
-        if args.bind:
-            dist_options["bind"] = args.bind
 
     print(f"search: objective={objective.name} "
           f"({objective.direction}imize), strategy={args.strategy}, "
           f"budget={args.budget}, seed={args.seed}", file=sys.stderr)
-
-    def progress(line: str) -> None:
-        print(f"  {line}", file=sys.stderr)
-
-    try:
-        outcome = driver.run_search(
-            objective, strategy=args.strategy, budget=args.budget,
-            seed=args.seed, jobs=args.jobs, cache=cache, progress=progress,
-            checks=args.checks, timeout_s=timeout_s, retries=args.retries,
-            watchdog=args.watchdog, telemetry=args.telemetry,
-            backend=args.backend, dist_options=dist_options)
-    except ReproError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    outcome = driver.run_search(
+        objective, strategy=args.strategy, budget=args.budget,
+        seed=args.seed, opts=opts,
+        progress=lambda line: print(f"  {line}", file=sys.stderr))
 
     report = outcome.report
-    if args.json:
-        doc = artifacts.build_document(
-            report, mode="search-quick" if args.quick else "search",
-            src_hash=src_hash, telemetry=args.telemetry)
-        artifacts.write_document(args.json, doc)
+    opts.document(report, "search-quick" if args.quick else "search")
     if args.result:
-        driver.write_search_document(
+        artifacts.write_document(
             args.result,
             driver.build_search_document(outcome, top=args.top,
-                                         src_hash=src_hash))
-
+                                         src_hash=opts.src_hash))
     board = driver.render_leaderboard(outcome, top=args.top)
     print(board)
     if args.out:
-        try:
-            with open(args.out, "w") as handle:
-                handle.write(board)
-        except OSError as exc:
-            print(f"error: cannot write {args.out!r}: {exc}", file=sys.stderr)
-            return 2
+        artifacts.write_text(args.out, board)
         print(f"leaderboard written to {args.out}", file=sys.stderr)
 
     failed = sum(1 for ev in outcome.evaluations if ev.failed)
@@ -197,24 +103,12 @@ def main(args) -> int:
           f"cells, {report.elapsed_s:.1f}s harness time; "
           f"cache: {report.cache_hits} hits / {report.cache_misses} misses",
           file=sys.stderr)
-    if args.json:
-        print(f"JSON artifact: {args.json}", file=sys.stderr)
     if args.result:
         print(f"search result: {args.result}", file=sys.stderr)
-    if report.failures:
-        print(f"quarantined cells: {len(report.failures)} "
-              "(reproduce with `run-all --only <key> --no-timeout`):",
-              file=sys.stderr)
-        for failure in report.failures:
-            print(f"  {failure.key} [{failure.kind}] "
-                  f"after {failure.attempts} attempt(s): {failure.message}",
-                  file=sys.stderr)
-    if report.interrupted:
-        print("INTERRUPTED: search drained early; artifacts cover the "
-              "settled prefix (exit 130)", file=sys.stderr)
-        return 130
-    if outcome.best is None:
+    # Quarantined cells only cost the points that needed them.
+    code = opts.finish(report, out=sys.stderr, fatal=False)
+    if not code and outcome.best is None:
         print("FAILED: no evaluation produced a score (exit 3)",
               file=sys.stderr)
-        return 3
-    return 0
+        code = 3
+    return code

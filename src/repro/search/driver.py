@@ -3,8 +3,8 @@
 :func:`run_search` is ask/evaluate/tell around the supervised harness:
 every candidate point maps to registered cells
 (:meth:`~repro.search.objectives.Objective.cells_for`) which run
-through :func:`repro.harness.runner.run_cells` — so the content-hash
-cache, per-cell timeouts/retries/quarantine, telemetry, and the
+through :meth:`repro.harness.options.SweepOptions.run` — so the
+content-hash cache, per-cell timeouts/retries/quarantine, telemetry, and the
 distributed backend all work unchanged.  Cell results are memoized by
 key for the lifetime of the search, so a strategy revisiting a point
 (genetic convergence does this constantly) costs nothing even with the
@@ -20,15 +20,14 @@ document plus a Markdown leaderboard rendered through
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ReproError
+from repro.harness.artifacts import load_json
+from repro.harness.options import SweepOptions
 from repro.harness.registry import Cell
-from repro.harness.runner import RunReport, run_cells
+from repro.harness.runner import RunReport
 from repro.obs.report import markdown_table
 from repro.search.objectives import Objective
 from repro.search.space import Point
@@ -92,14 +91,13 @@ class SearchOutcome:
 
 def run_search(objective: Objective, strategy: str = "random",
                budget: int = 20, seed: int = 0, *,
-               jobs: Optional[int] = None, cache=None,
+               opts: SweepOptions = SweepOptions(),
                progress: Optional[Callable[[str], None]] = None,
-               checks: Any = False, timeout_s: Optional[float] = None,
-               retries: int = 1, watchdog: Any = False,
-               telemetry: Optional[str] = None, backend: str = "local",
-               dist_options: Optional[Dict[str, Any]] = None,
                ) -> SearchOutcome:
-    """Search *objective*'s space for *budget* evaluations."""
+    """Search *objective*'s space for *budget* evaluations.
+
+    Every round of cells runs as one sweep under *opts*.
+    """
     if budget < 1:
         raise ReproError(f"search budget must be >= 1, got {budget}")
     strat = make_strategy(strategy, objective.space, seed)
@@ -107,7 +105,7 @@ def run_search(objective: Objective, strategy: str = "random",
     outcome = SearchOutcome(objective=objective, strategy=strategy,
                             budget=budget, seed=seed)
     report = outcome.report
-    report.backend = backend
+    report.backend = opts.backend
     results_by_key: Dict[str, Any] = {}
     failed_keys = set()
     idle_rounds = 0
@@ -131,11 +129,7 @@ def run_search(objective: Objective, strategy: str = "random",
                     queued.add(cell.key)
                     pending.append(cell)
         if pending:
-            round_report = run_cells(
-                pending, jobs=jobs, cache=cache, progress=progress,
-                checks=checks, timeout_s=timeout_s, retries=retries,
-                watchdog=watchdog, telemetry=telemetry, backend=backend,
-                dist_options=dist_options)
+            round_report = opts.run(pending, progress)
             for result in round_report.results:
                 results_by_key[result.key] = result
             for failure in round_report.failures:
@@ -253,36 +247,9 @@ def build_search_document(outcome: SearchOutcome, top: int = 10,
     return doc
 
 
-def write_search_document(path: str, doc: Dict[str, Any]) -> None:
-    """Atomic write (same tmp+rename discipline as harness artifacts)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            json.dump(doc, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
 def load_search_document(path: str) -> Dict[str, Any]:
     """Read and schema-check a search artifact."""
-    try:
-        with open(path) as handle:
-            doc = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ReproError(f"cannot read search artifact {path!r}: {exc}") \
-            from exc
-    if doc.get("schema_version") != SEARCH_SCHEMA:
-        raise ReproError(
-            f"search artifact {path!r} has schema "
-            f"{doc.get('schema_version')!r}, expected {SEARCH_SCHEMA!r}")
-    return doc
+    return load_json(path, "search artifact", SEARCH_SCHEMA)
 
 
 # ----------------------------------------------------------------------

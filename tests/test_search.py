@@ -12,8 +12,10 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, ReproError
+from repro.harness.artifacts import write_document
 from repro.harness.cache import ResultCache
 from repro.harness.dist.chaos import CHAOS_EXPERIMENT
+from repro.harness.options import SweepOptions
 from repro.harness.registry import Cell, family_cells
 from repro.search.cells import cohort_horizon, parse_schemes
 from repro.search.driver import (
@@ -23,7 +25,6 @@ from repro.search.driver import (
     load_search_document,
     render_leaderboard,
     run_search,
-    write_search_document,
 )
 from repro.search.objectives import OBJECTIVES, Objective, get_objective
 from repro.search.space import Dimension, SearchSpace
@@ -42,6 +43,10 @@ STUB_SPACE = SearchSpace.of(
     Dimension.integer("seed", 0, 3),
     Dimension.choice("flavor", "a", "b"),
 )
+
+
+#: In-process, one cell at a time: what every driver-level test runs under.
+SERIAL = SweepOptions(jobs=1)
 
 
 def _stub_cells(point):
@@ -198,9 +203,9 @@ class TestRunSearch:
     def test_seed_determinism_per_strategy(self, name):
         """Same space+seed+budget ⇒ identical evaluation sequence."""
         first = run_search(stub_objective(), strategy=name, budget=12,
-                           seed=2, jobs=1)
+                           seed=2, opts=SERIAL)
         second = run_search(stub_objective(), strategy=name, budget=12,
-                            seed=2, jobs=1)
+                            seed=2, opts=SERIAL)
         assert trace(first) == trace(second)
         assert first.best.point == second.best.point
         assert len(first.evaluations) == 12
@@ -208,16 +213,16 @@ class TestRunSearch:
     @pytest.mark.parametrize("name", sorted(STRATEGIES))
     def test_different_seeds_explore_differently(self, name):
         a = run_search(stub_objective(), strategy=name, budget=8,
-                       seed=0, jobs=1)
+                       seed=0, opts=SERIAL)
         b = run_search(stub_objective(), strategy=name, budget=8,
-                       seed=1, jobs=1)
+                       seed=1, opts=SERIAL)
         assert trace(a) != trace(b)
 
     def test_cells_are_memoized_across_rounds(self):
         # The stub space has only 4 distinct cells (seed 0..3); a 16-
         # evaluation search must not run the harness 16 times.
         outcome = run_search(stub_objective(), strategy="random",
-                             budget=16, seed=0, jobs=1)
+                             budget=16, seed=0, opts=SERIAL)
         unique = {k for ev in outcome.evaluations for k in ev.cells}
         assert len(outcome.evaluations) == 16
         assert len(unique) <= 4
@@ -225,7 +230,8 @@ class TestRunSearch:
 
     def test_min_direction_ranks_smallest_first(self):
         outcome = run_search(stub_objective(direction="min"),
-                             strategy="random", budget=10, seed=4, jobs=1)
+                             strategy="random", budget=10, seed=4,
+                             opts=SERIAL)
         fitnesses = [ev.fitness for ev in outcome.ranked()]
         assert fitnesses == sorted(fitnesses)
 
@@ -234,7 +240,8 @@ class TestRunSearch:
             return None if point["flavor"] == "a" else point["x"]
 
         outcome = run_search(stub_objective(scorer=scorer),
-                             strategy="random", budget=12, seed=0, jobs=1)
+                             strategy="random", budget=12, seed=0,
+                             opts=SERIAL)
         failed = [ev for ev in outcome.evaluations if ev.failed]
         scored = [ev for ev in outcome.evaluations if not ev.failed]
         assert failed and scored          # seed 0 draws both flavors
@@ -243,7 +250,7 @@ class TestRunSearch:
 
     def test_ranked_dedupes_repeated_points(self):
         outcome = run_search(stub_objective(), strategy="genetic",
-                             budget=20, seed=1, jobs=1)
+                             budget=20, seed=1, opts=SERIAL)
         frozen = [tuple(sorted(ev.point.items()))
                   for ev in outcome.ranked()]
         assert len(frozen) == len(set(frozen))
@@ -259,7 +266,8 @@ class TestRunSearch:
         def go():
             cache = ResultCache(str(tmp_path / "cache"), "searchhash")
             return run_search(objective, strategy="random", budget=4,
-                              seed=3, jobs=1, cache=cache)
+                              seed=3,
+                              opts=SweepOptions(jobs=1, cache=cache))
 
         first = go()
         second = go()
@@ -361,13 +369,13 @@ class TestSearchCohort:
 class TestArtifact:
     def _outcome(self):
         return run_search(stub_objective(), strategy="random", budget=6,
-                          seed=0, jobs=1)
+                          seed=0, opts=SERIAL)
 
     def test_document_round_trips(self, tmp_path):
         outcome = self._outcome()
         doc = build_search_document(outcome, top=3, src_hash="abc123")
         path = str(tmp_path / "search_result.json")
-        write_search_document(path, doc)
+        write_document(path, doc)
         loaded = load_search_document(path)
         assert loaded == json.loads(json.dumps(doc))  # JSON-clean
         assert loaded["schema_version"] == SEARCH_SCHEMA
@@ -396,7 +404,7 @@ class TestArtifact:
     def test_leaderboard_with_no_scored_points(self):
         outcome = run_search(
             stub_objective(scorer=lambda point, metrics: None),
-            strategy="random", budget=3, seed=0, jobs=1)
+            strategy="random", budget=3, seed=0, opts=SERIAL)
         assert outcome.best is None
         assert "(no successful evaluations)" in render_leaderboard(outcome)
 

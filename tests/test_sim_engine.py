@@ -283,3 +283,28 @@ class TestSourceGuard:
                         wrappers.add((path.relative_to(self.SRC).as_posix(),
                                       func.name))
         assert wrappers == {("harness/supervisor.py", "execute_cell")}
+
+    def test_one_declaration_per_cli_option(self):
+        """The sweep flags are declared, checked and turned into a
+        ``run_cells`` call in ``harness/options.py`` only, and
+        ``cli.py`` declares nothing — it dispatches."""
+        declared = [(rel, flag) for rel, _, line
+                    in self._matches(r"add_argument\(")
+                    for flag in re.findall(r'add_argument\("(--[a-z-]+)"',
+                                           line)]
+        for flag in ("--jobs", "--timeout", "--no-timeout", "--retries",
+                     "--checks", "--faults", "--watchdog", "--telemetry",
+                     "--no-cache", "--cache-dir", "--backend", "--workers",
+                     "--bind"):
+            homes = [rel for rel, name in declared if name == flag]
+            # report/check take a --telemetry *input*; a sweep writes one.
+            if flag == "--telemetry":
+                homes = [rel for rel in homes
+                         if rel not in ("harness/check.py", "obs/report.py")]
+            assert homes == ["harness/options.py"], flag
+        cli = (self.SRC / "cli.py").read_text()
+        for needle in ("add_argument(", "argv = [", "argv.extend(",
+                       "def _cmd_"):
+            assert needle not in cli, needle
+        assert {rel for rel, _, _ in self._matches(r"\bResultCache\(")} == {
+            "harness/options.py"}
