@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
@@ -24,7 +24,6 @@ from repro.experiments.transfers import (
     resolve_cc,
     start_measured_transfer,
 )
-from repro.metrics.tables import MetricTable
 from repro.trace.tracer import ConnectionTracer
 
 
@@ -90,65 +89,6 @@ def run_with_background(transfer_cc: CCSpec, background_cc: CCSpec = "reno",
         background_conversations=len(generator.conversations),
         telnet_response_times=generator.telnet_response_times(),
     )
-
-
-#: Table 2's measured-transfer protocols.
-TABLE2_PROTOCOLS: Tuple[str, ...] = ("reno", "vegas-1,3", "vegas-2,4")
-
-
-def table2(seeds: Iterable[int] = range(5),
-           buffers: Iterable[int] = DFLT.TABLE2_BUFFERS,
-           background_cc: str = "reno",
-           two_way: bool = False,
-           protocols: Iterable[str] = TABLE2_PROTOCOLS,
-           ) -> Tuple[MetricTable, List[BackgroundRunResult]]:
-    """Run the Table-2 grid: protocols x seeds x buffer counts.
-
-    The paper's 57 runs are seeds x {10,15,20} buffers; pass
-    ``seeds=range(19)`` for the full count (the default keeps bench
-    runtime modest while averaging across both axes).
-    """
-    protocols = list(protocols)
-    table = MetricTable(protocols)
-    results: List[BackgroundRunResult] = []
-    for proto in protocols:
-        for nbuf in buffers:
-            for seed in seeds:
-                run = run_with_background(proto, background_cc=background_cc,
-                                          buffers=nbuf, seed=seed,
-                                          two_way=two_way)
-                results.append(run)
-                table.add_sample("Throughput (KB/s)", proto,
-                                 run.transfer.throughput_kbps)
-                table.add_sample("Retransmissions (KB)", proto,
-                                 run.transfer.retransmitted_kb)
-                table.add_sample("Coarse timeouts", proto,
-                                 run.transfer.coarse_timeouts)
-                table.add_sample("Background throughput (KB/s)", proto,
-                                 run.background_throughput_kbps)
-    return table, results
-
-
-def table3(seeds: Iterable[int] = range(5),
-           buffers: Iterable[int] = DFLT.TABLE2_BUFFERS,
-           ) -> Dict[Tuple[str, str], float]:
-    """Table 3: background throughput for each (background, transfer) CC.
-
-    Returns ``{(background_cc, transfer_cc): mean KB/s}`` for the four
-    Reno/Vegas combinations.
-    """
-    out: Dict[Tuple[str, str], float] = {}
-    for background_cc in ("reno", "vegas"):
-        for transfer_cc in ("reno", "vegas"):
-            samples = []
-            for nbuf in buffers:
-                for seed in seeds:
-                    run = run_with_background(transfer_cc,
-                                              background_cc=background_cc,
-                                              buffers=nbuf, seed=seed)
-                    samples.append(run.background_throughput_kbps)
-            out[(background_cc, transfer_cc)] = sum(samples) / len(samples)
-    return out
 
 
 #: Paper values for side-by-side printing.

@@ -1,11 +1,14 @@
-"""The paper-artifact commands: one printer per table, figure and §4.3/§6 study.
+"""The paper-artifact commands: every table, figure and §4.3/§6 study.
 
-Each prints the regenerated table or trace summary, with the paper's
-numbers alongside where the paper gives them.  ``list`` and ``solo``
-ride along: the roster of algorithms and one ad-hoc transfer.
+The nine tabular verbs are one function, :func:`print_artifact`.  The
+figure verbs draw ASCII panels from a ``TraceGraph``, which is not a
+cell metric, so each keeps its own printer.  ``list`` and ``solo``
+ride along.
 """
 
 from __future__ import annotations
+
+from repro.experiments import defaults as DFLT
 
 
 def print_list(args) -> int:
@@ -76,140 +79,40 @@ def print_figure9(args) -> int:
     return 0
 
 
-def print_table1(args) -> int:
-    from repro.experiments.one_on_one import PAPER_TABLE1, table1
-    from repro.metrics.tables import format_table
+def print_artifact(args) -> int:
+    """A tabular verb: its registry cells in the harness's rendering.
 
-    delays = (0.0, 1.0, 2.0) if args.quick else (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-    table, _ = table1(buffers=(15, 20), delays=delays, seed=args.seed)
-    print(format_table("Table 1: one-on-one transfers", table,
-                       ratios_for={"Small throughput (KB/s)": "reno/reno",
-                                   "Large throughput (KB/s)": "reno/reno"},
-                       paper=PAPER_TABLE1))
-    return 0
+    The full grid (``table1 --quick``: the quick one) with ``--seed S
+    --seeds N`` as its seed axis ``S .. S+N-1``, run serially in this
+    process, uncached, errors raw; ``run-all --experiments <verb>``
+    prints the same table from the same cells.
+    """
+    from repro.harness import aggregate, artifacts, options, registry, runner
 
-
-def print_table2(args) -> int:
-    from repro.experiments.background import PAPER_TABLE2, table2
-    from repro.metrics.tables import format_table
-
-    table, _ = table2(seeds=range(args.seeds), buffers=(10, 15, 20))
-    print(format_table("Table 2: 1MB transfer vs tcplib background",
-                       table,
-                       ratios_for={"Throughput (KB/s)": "reno",
-                                   "Retransmissions (KB)": "reno"},
-                       paper=PAPER_TABLE2))
-    return 0
-
-
-def print_table3(args) -> int:
-    from repro.experiments.background import PAPER_TABLE3, table3
-
-    results = table3(seeds=range(args.seeds), buffers=(10, 15, 20))
-    print("Table 3: background throughput (KB/s)")
-    print("background CC | transfer CC | measured | paper")
-    for (bg, xfer), value in sorted(results.items()):
-        print(f"{bg:>13} | {xfer:>11} | {value:8.1f} | "
-              f"{PAPER_TABLE3[(bg, xfer)]:5.0f}")
-    return 0
-
-
-def print_table4(args) -> int:
-    from repro.experiments.internet import PAPER_TABLE4, table4
-    from repro.metrics.tables import format_table
-
-    table = table4(seeds=range(args.seeds))
-    print(format_table("Table 4: 1MB over the emulated UA->NIH path",
-                       table,
-                       ratios_for={"Throughput (KB/s)": "reno",
-                                   "Retransmissions (KB)": "reno"},
-                       paper=PAPER_TABLE4))
-    return 0
-
-
-def print_table5(args) -> int:
-    from repro.experiments.internet import PAPER_TABLE5, table5
-    from repro.metrics.tables import format_table
-
-    tables = table5(seeds=range(args.seeds))
-    for size in sorted(tables, reverse=True):
-        print(format_table(f"Table 5 — {size // 1024} KB transfers",
-                           tables[size],
-                           ratios_for={"Throughput (KB/s)": "reno",
-                                       "Retransmissions (KB)": "reno"},
-                           paper=PAPER_TABLE5[size]))
-        print()
-    return 0
-
-
-def print_sendbuf(args) -> int:
-    from repro.experiments.sendbuf import DEFAULT_SIZES_KB, sendbuf_sweep
-
-    print("§4.3 send-buffer sweep (1 MB solo transfers)")
-    print("sndbuf | Reno KB/s (retx) | Vegas KB/s (retx)")
-    reno = sendbuf_sweep("reno", sizes_kb=DEFAULT_SIZES_KB, seeds=(args.seed,))
-    vegas = sendbuf_sweep("vegas", sizes_kb=DEFAULT_SIZES_KB,
-                          seeds=(args.seed,))
-    for size in DEFAULT_SIZES_KB:
-        print(f"{size:4d}KB | {reno[size].throughput_kbps:8.1f} "
-              f"({reno[size].retransmitted_kb:5.1f}) | "
-              f"{vegas[size].throughput_kbps:8.1f} "
-              f"({vegas[size].retransmitted_kb:5.1f})")
-    return 0
-
-
-def print_fairness(args) -> int:
-    from repro.experiments.fairness_exp import run_competing_connections
-    from repro.units import kb, mb
-
-    print("§4.3 multiple competing connections (Jain index)")
-    for count in (2, 4, 16):
-        size = mb(2) if count <= 4 else kb(512)
-        for cc in ("reno", "vegas"):
-            for mixed in (False, True):
-                result = run_competing_connections(
-                    cc, count, transfer_bytes=size, mixed_delays=mixed,
-                    buffers=20, seed=args.seed)
-                delays = "2:1" if mixed else "equal"
-                print(f"{count:3d} conns, {delays:5s} delays, {cc:5s}: "
-                      f"Jain {result.fairness_index:.3f}, "
-                      f"{result.coarse_timeouts} timeouts")
-    return 0
-
-
-def print_twoway(args) -> int:
-    from repro.experiments.twoway import table_twoway
-    from repro.metrics.tables import format_table
-
-    table, _ = table_twoway(seeds=range(args.seeds), buffers=(10, 15, 20))
-    print(format_table("§4.3 two-way background traffic", table,
-                       ratios_for={"Throughput (KB/s)": "reno",
-                                   "Retransmissions (KB)": "reno"}))
-    return 0
-
-
-def print_telnet(args) -> int:
-    from repro.experiments.telnet_response import response_time_comparison
-
-    means = response_time_comparison(seeds=range(args.seeds),
-                                     arrival_mean=0.22, duration=120.0)
-    reno, vegas = means["reno"], means["vegas"]
-    speedup = (reno - vegas) / reno * 100 if reno else 0.0
-    print("§6 TELNET response time (all-Reno vs all-Vegas world)")
-    print(f"all-Reno : {reno * 1000:7.1f} ms mean")
-    print(f"all-Vegas: {vegas * 1000:7.1f} ms mean "
-          f"({speedup:+.1f}% vs Reno; paper: ~25% faster)")
+    runs = getattr(args, "seeds", 1)
+    options.require_at_least("--seeds", runs, 1)
+    cells = registry.cells_for(args.command,
+                               quick=getattr(args, "quick", False),
+                               seeds=range(args.seed, args.seed + runs))
+    report = runner.run_cells(cells)
+    if report.interrupted:
+        # run_cells drained a Ctrl-C into the report: a table of the
+        # cells that did finish would pass for the whole one.
+        return 130
+    doc = artifacts.build_document(report, mode="verb", src_hash="")
+    print(aggregate.summarize(doc["cells"]))
     return 0
 
 
 def configure_parser(sub) -> None:
     """Attach the paper-artifact subparsers to *sub*."""
-    def add(name, fn, help_text, seeds=False, quick=False):
+    def add(name, help_text, fn=print_artifact, seeds=False, quick=False):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--seed", type=int, default=0,
                          help="root random seed")
         if seeds:
-            cmd.add_argument("--seeds", type=int, default=3,
+            cmd.add_argument("--seeds", type=int,
+                             default=DFLT.RUNS_PER_CONDITION,
                              help="number of per-condition runs")
         if quick:
             cmd.add_argument("--quick", action="store_true",
@@ -217,21 +120,21 @@ def configure_parser(sub) -> None:
         cmd.set_defaults(fn=fn)
         return cmd
 
-    add("list", print_list, "list algorithms and subcommands")
-    solo = add("solo", print_solo, "one transfer on the Figure-5 network")
+    add("list", "list algorithms and subcommands", print_list)
+    solo = add("solo", "one transfer on the Figure-5 network", print_solo)
     solo.add_argument("--cc", default="vegas",
                       help="congestion control (see `list`)")
     solo.add_argument("--size-kb", type=int, default=1024)
     solo.add_argument("--buffers", type=int, default=10)
-    add("figure6", print_figure6, "Reno solo trace")
-    add("figure7", print_figure7, "Vegas solo trace")
-    add("figure9", print_figure9, "Vegas + tcplib background trace")
-    add("table1", print_table1, "one-on-one transfers", quick=True)
-    add("table2", print_table2, "transfer vs background traffic", seeds=True)
-    add("table3", print_table3, "background throughput", seeds=True)
-    add("table4", print_table4, "Internet 1MB transfers", seeds=True)
-    add("table5", print_table5, "Internet transfer-size sweep", seeds=True)
-    add("sendbuf", print_sendbuf, "send-buffer sweep")
-    add("fairness", print_fairness, "competing connections")
-    add("twoway", print_twoway, "two-way background traffic", seeds=True)
-    add("telnet", print_telnet, "TELNET response time", seeds=True)
+    add("figure6", "Reno solo trace", print_figure6)
+    add("figure7", "Vegas solo trace", print_figure7)
+    add("figure9", "Vegas + tcplib background trace", print_figure9)
+    add("table1", "one-on-one transfers", quick=True)
+    add("table2", "transfer vs background traffic", seeds=True)
+    add("table3", "background throughput", seeds=True)
+    add("table4", "Internet 1MB transfers", seeds=True)
+    add("table5", "Internet transfer-size sweep", seeds=True)
+    add("sendbuf", "send-buffer sweep")
+    add("fairness", "competing connections")
+    add("twoway", "two-way background traffic", seeds=True)
+    add("telnet", "TELNET response time", seeds=True)

@@ -8,8 +8,10 @@ runs the bottleneck router with 10, 15 or 20 buffers, i.e. one half to
 one BDP of queueing — the regime where Reno's probing is costly and
 Vegas' α/β band fits comfortably.
 
-All experiment modules import these so that a single edit rescales the
-whole evaluation.
+The experiment modules and the harness's cell grids
+(:mod:`repro.harness.registry`) both read these, and nothing re-types
+them, so a single edit rescales the whole evaluation.  This module
+imports nothing but :mod:`repro.units`.
 """
 
 from __future__ import annotations
@@ -22,18 +24,34 @@ BOTTLENECK_BANDWIDTH = kbps(200)
 #: Bottleneck one-way propagation delay: 50 ms.
 BOTTLENECK_DELAY = ms(50)
 
-#: Router buffer counts used across the paper's experiments.
+#: Router buffer counts used across the paper's experiments
+#: (TABLE2_BUFFERS also serves Table 3 and the §4.3 two-way study).
 DEFAULT_BUFFERS = 10
 TABLE1_BUFFERS = (15, 20)
 TABLE2_BUFFERS = (10, 15, 20)
 
+#: Table 1's four column combinations, named small/large.
+TABLE1_COMBOS = (("reno", "reno"), ("reno", "vegas"),
+                 ("vegas", "reno"), ("vegas", "vegas"))
+
+#: The measured transfer's protocols in Tables 2 and 4; Table 5 sweeps
+#: the first two.
+TRANSFER_PROTOCOLS = ("reno", "vegas-1,3", "vegas-2,4")
+
+#: Runs per condition of a full grid (the ``--seeds`` default).
+RUNS_PER_CONDITION = 3
+
 #: Transfer sizes.
 LARGE_TRANSFER = mb(1)
 SMALL_TRANSFER = kb(300)
-INTERNET_SIZES = (kb(1024), kb(512), kb(128))
+INTERNET_SIZES_KB = (1024, 512, 128)
 
-#: The paper's socket buffer (50 KB) — swept in §4.3.
+#: The paper's socket buffer (50 KB) — and the §4.3 sweep below it.
 SOCKBUF = 50 * 1024
+SENDBUF_SIZES_KB = (5, 10, 15, 20, 30, 40, 50)
+
+#: §4.3 "Multiple Competing Connections": connections per run.
+FAIRNESS_COUNTS = (2, 4, 16)
 
 #: TRAFFIC generator load producing Table-2-like contention on the
 #: 200 KB/s bottleneck (mean seconds between conversation starts).

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.experiments import defaults as DFLT
@@ -118,18 +118,3 @@ def run_competing_connections(cc: CCSpec, count: int,
         all_done=all(t.done for t in transfers) and len(transfers) == count,
     )
 
-
-def fairness_comparison(counts: Sequence[int] = (2, 4, 16),
-                        seeds: Sequence[int] = (0, 1),
-                        ) -> List[FairnessResult]:
-    """The paper's fairness grid: Reno vs Vegas, equal and 2:1 delays."""
-    results: List[FairnessResult] = []
-    for count in counts:
-        for cc in ("reno", "vegas"):
-            for mixed in (False, True):
-                for seed in seeds:
-                    result = run_competing_connections(
-                        cc, count, mixed_delays=mixed, seed=seed)
-                    result.cc_name = f"{cc}{'/mixed' if mixed else '/equal'}"
-                    results.append(result)
-    return results

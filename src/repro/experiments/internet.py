@@ -8,20 +8,19 @@ T1-class links, with bursty on/off cross-traffic at several interior
 hops whose intensity varies run to run (standing in for time-of-day
 variation).  Absolute KB/s differ from the paper's; the comparative
 structure — Vegas' advantage, its growth as transfers shrink, Reno's
-~20 KB slow-start retransmission floor — is what the benchmarks check.
+~20 KB slow-start retransmission floor — is what the tests check.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.apps.crosstraffic import CrossTrafficSource
 from repro.experiments import defaults as DFLT
 from repro.experiments.transfers import CCSpec, TransferResult, resolve_cc
-from repro.metrics.tables import MetricTable
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -196,57 +195,6 @@ def run_internet_transfer(cc: CCSpec, size: int = kb(1024), seed: int = 0,
     path.stop_cross_traffic()
     name = cc if isinstance(cc, str) else "custom"
     return TransferResult.from_transfer(holder[0], name)
-
-
-#: Table 4's protocols.
-TABLE4_PROTOCOLS: Tuple[str, ...] = ("reno", "vegas-1,3", "vegas-2,4")
-
-
-def table4(seeds: Iterable[int] = range(8),
-           protocols: Iterable[str] = TABLE4_PROTOCOLS,
-           ) -> MetricTable:
-    """Table 4: 1 MB UA→NIH transfers per protocol, averaged over runs.
-
-    Each seed is one "run" in the paper's sense — a different
-    congestion condition; every protocol faces the same set of seeds,
-    mirroring how the paper shuffled transfers within each run.
-    """
-    protocols = list(protocols)
-    table = MetricTable(protocols)
-    for proto in protocols:
-        for seed in seeds:
-            result = run_internet_transfer(proto, size=kb(1024), seed=seed)
-            table.add_sample("Throughput (KB/s)", proto,
-                             result.throughput_kbps)
-            table.add_sample("Retransmissions (KB)", proto,
-                             result.retransmitted_kb)
-            table.add_sample("Coarse timeouts", proto,
-                             result.coarse_timeouts)
-    return table
-
-
-def table5(seeds: Iterable[int] = range(8),
-           sizes: Iterable[int] = DFLT.INTERNET_SIZES,
-           protocols: Tuple[str, str] = ("reno", "vegas-1,3"),
-           ) -> Dict[int, MetricTable]:
-    """Table 5: transfer-size sweep for Reno and Vegas-1,3.
-
-    Returns one MetricTable per size (keyed by size in bytes).
-    """
-    out: Dict[int, MetricTable] = {}
-    for size in sizes:
-        table = MetricTable(list(protocols))
-        for proto in protocols:
-            for seed in seeds:
-                result = run_internet_transfer(proto, size=size, seed=seed)
-                table.add_sample("Throughput (KB/s)", proto,
-                                 result.throughput_kbps)
-                table.add_sample("Retransmissions (KB)", proto,
-                                 result.retransmitted_kb)
-                table.add_sample("Coarse timeouts", proto,
-                                 result.coarse_timeouts)
-        out[size] = table
-    return out
 
 
 #: Paper values for side-by-side printing.

@@ -14,7 +14,7 @@ background".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
@@ -22,15 +22,6 @@ from repro.experiments.transfers import (
     CCSpec,
     TransferResult,
     start_measured_transfer,
-)
-from repro.metrics.tables import MetricTable
-
-#: The paper's four column combinations, named small/large.
-COMBOS: Tuple[Tuple[str, str], ...] = (
-    ("reno", "reno"),
-    ("reno", "vegas"),
-    ("vegas", "reno"),
-    ("vegas", "vegas"),
 )
 
 
@@ -86,44 +77,6 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
         large=TransferResult.from_transfer(large[0], large_name),
         small_cc=small_name, large_cc=large_name,
     )
-
-
-def table1(buffers: Iterable[int] = DFLT.TABLE1_BUFFERS,
-           delays: Iterable[float] = DFLT.TABLE1_DELAYS,
-           seed: int = 0,
-           with_background: bool = False,
-           combos: Iterable[Tuple[str, str]] = COMBOS,
-           ) -> Tuple[MetricTable, List[OneOnOneResult]]:
-    """Run the full Table-1 grid and aggregate it the paper's way.
-
-    Returns the metric table (rows: small/large throughput and
-    retransmit KB) plus all individual run results.
-    """
-    columns = [f"{small}/{large}" for small, large in combos]
-    table = MetricTable(columns)
-    results: List[OneOnOneResult] = []
-    for small_cc, large_cc in combos:
-        column = f"{small_cc}/{large_cc}"
-        run_index = 0
-        for nbuf in buffers:
-            for delay in delays:
-                result = run_one_on_one(small_cc, large_cc, delay, nbuf,
-                                        seed=seed + run_index,
-                                        with_background=with_background)
-                results.append(result)
-                table.add_sample("Small throughput (KB/s)", column,
-                                 result.small.throughput_kbps)
-                table.add_sample("Large throughput (KB/s)", column,
-                                 result.large.throughput_kbps)
-                table.add_sample("Small retransmits (KB)", column,
-                                 result.small.retransmitted_kb)
-                table.add_sample("Large retransmits (KB)", column,
-                                 result.large.retransmitted_kb)
-                table.add_sample("Combined retransmits (KB)", column,
-                                 result.small.retransmitted_kb
-                                 + result.large.retransmitted_kb)
-                run_index += 1
-    return table, results
 
 
 #: The paper's Table 1 numbers, for side-by-side printing.

@@ -64,17 +64,3 @@ def run_telnet_response(cc: CCSpec, seed: int = 0,
     return TelnetResponseResult(cc_name=name,
                                 samples=generator.telnet_response_times())
 
-
-def response_time_comparison(seeds=range(3), **kwargs):
-    """Mean TELNET response time, all-Reno vs all-Vegas.
-
-    Returns ``{"reno": mean_seconds, "vegas": mean_seconds}`` pooled
-    across seeds.
-    """
-    pooled = {"reno": [], "vegas": []}
-    for cc in ("reno", "vegas"):
-        for seed in seeds:
-            result = run_telnet_response(cc, seed=seed, **kwargs)
-            pooled[cc].extend(result.samples)
-    return {cc: (statistics.fmean(samples) if samples else 0.0)
-            for cc, samples in pooled.items()}

@@ -11,7 +11,7 @@ network with a sink on the destination host.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.core.registry import cc_factory
@@ -58,6 +58,14 @@ class TransferResult:
             fine_retransmits=stats.fine_retransmits,
             duration=stats.transfer_seconds,
         )
+
+    def metrics(self) -> Dict[str, float]:
+        """The flat metrics every harness cell reports for a transfer."""
+        return {
+            "throughput_kbps": self.throughput_kbps,
+            "retransmit_kb": self.retransmitted_kb,
+            "coarse_timeouts": self.coarse_timeouts,
+        }
 
 
 def start_measured_transfer(net: Figure5Network, cc: CCSpec,

@@ -35,8 +35,8 @@ through one pipeline:
   degradation to the fork transport.
 - :mod:`repro.harness.check` — the regression gate CI runs against
   ``baselines/expected.json``.
-- :mod:`repro.harness.aggregate` — re-assembles cells into the
-  paper-style tables the individual CLI subcommands print.
+- :mod:`repro.harness.aggregate` — folds cells into the paper-style
+  tables; ``run-all`` and the individual table verbs both print it.
 
 The CLI front end is ``python -m repro.cli run-all``.
 """

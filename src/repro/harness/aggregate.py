@@ -1,10 +1,9 @@
-"""Re-assemble harness cells into the paper-style experiment outputs.
+"""Fold harness cells into the paper-style tables and summaries.
 
-The serial CLI subcommands loop over a grid and feed samples into a
-:class:`~repro.metrics.tables.MetricTable` as they go; the harness
-runs the same grid as independent cells and this module folds the
-cells back into those tables (and the non-tabular summaries) after
-the fact.  Aggregation works on JSON-shaped cell dicts —
+Every paper artifact's title, rows and format strings live here and
+nowhere else: ``run-all`` and the paper verbs (``python -m repro
+table2`` ...) both run registry cells and print :func:`summarize`
+over them.  Aggregation works on JSON-shaped cell dicts —
 ``{"experiment", "params", "metrics"}`` — so it applies equally to a
 fresh :class:`~repro.harness.runner.RunReport` rendered by
 :func:`repro.harness.artifacts.build_document` and to a document

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 
@@ -89,12 +89,8 @@ def _table2_cell(proto: str, buffers: int, seed: int) -> Dict[str, float]:
     from repro.experiments.background import run_with_background
 
     run = run_with_background(proto, buffers=buffers, seed=seed)
-    return {
-        "throughput_kbps": run.transfer.throughput_kbps,
-        "retransmit_kb": run.transfer.retransmitted_kb,
-        "coarse_timeouts": run.transfer.coarse_timeouts,
-        "background_throughput_kbps": run.background_throughput_kbps,
-    }
+    return {**run.transfer.metrics(),
+            "background_throughput_kbps": run.background_throughput_kbps}
 
 
 def _table3_cell(background: str, transfer: str, buffers: int,
@@ -112,33 +108,18 @@ def _table3_cell(background: str, transfer: str, buffers: int,
 def _table4_cell(proto: str, seed: int) -> Dict[str, float]:
     from repro.experiments.internet import run_internet_transfer
 
-    result = run_internet_transfer(proto, seed=seed)
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-    }
+    return run_internet_transfer(proto, seed=seed).metrics()
 
 
 def _table5_cell(proto: str, size_kb: int, seed: int) -> Dict[str, float]:
     from repro.experiments.internet import run_internet_transfer
     from repro.units import kb
 
-    result = run_internet_transfer(proto, size=kb(size_kb), seed=seed)
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-    }
+    return run_internet_transfer(proto, size=kb(size_kb), seed=seed).metrics()
 
 
 def _traced_metrics(graph, result) -> Dict[str, float]:
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-        "segments_lost": graph.losses(),
-    }
+    return {**result.metrics(), "segments_lost": graph.losses()}
 
 
 def _figure6_cell(seed: int) -> Dict[str, float]:
@@ -160,15 +141,23 @@ def _figure9_cell(seed: int) -> Dict[str, float]:
 
 
 def _sendbuf_cell(cc: str, size_kb: int, seed: int) -> Dict[str, float]:
+    """§4.3 "Different TCP send-buffer sizes": one 1 MB solo transfer.
+
+    "For this experiment, we tried send-buffer sizes between 50KB and
+    5KB.  Vegas' throughput and losses stayed unchanged between 50KB
+    and 20KB; from that point on, as the buffer decreased, so did the
+    throughput ... Reno's throughput initially *increased* as the
+    buffers got smaller, and then it decreased.  It always remained
+    under the throughput measured for Vegas."
+
+    A small send buffer caps the window and therefore stops Reno from
+    overrunning the bottleneck queue — an external fix for the exact
+    problem Vegas solves internally.
+    """
     from repro.experiments.transfers import run_solo_transfer
     from repro.units import kb
 
-    result = run_solo_transfer(cc, seed=seed, sndbuf=kb(size_kb))
-    return {
-        "throughput_kbps": result.throughput_kbps,
-        "retransmit_kb": result.retransmitted_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-    }
+    return run_solo_transfer(cc, seed=seed, sndbuf=kb(size_kb)).metrics()
 
 
 def _fairness_cell(cc: str, count: int, mixed: bool,
@@ -176,7 +165,7 @@ def _fairness_cell(cc: str, count: int, mixed: bool,
     from repro.experiments.fairness_exp import run_competing_connections
     from repro.units import kb, mb
 
-    # The CLI's grid: 2 MB transfers for 2/4 connections, 512 KB for 16.
+    # 2 MB transfers for 2/4 connections, 512 KB for 16.
     size = mb(2) if count <= 4 else kb(512)
     result = run_competing_connections(cc, count, transfer_bytes=size,
                                        mixed_delays=mixed, buffers=20,
@@ -190,15 +179,21 @@ def _fairness_cell(cc: str, count: int, mixed: bool,
 
 
 def _twoway_cell(proto: str, buffers: int, seed: int) -> Dict[str, float]:
+    """§4.3 "Two-way background traffic": a Table-2 run plus reverse load.
+
+    "We modified the experiment in Section 4.2 by adding tcplib traffic
+    from Host3b to Host3a.  The throughput ratio stayed the same, but
+    the loss ratio was much better: 0.29.  Reno resent more data and
+    Vegas remained about the same."
+
+    Reverse-direction traffic compresses and batches ACKs, which makes
+    Reno's ACK clock burstier (more self-induced drops) while Vegas'
+    fine-grained retransmit and CAM are largely unaffected.
+    """
     from repro.experiments.background import run_with_background
 
-    run = run_with_background(proto, buffers=buffers, seed=seed,
-                              two_way=True)
-    return {
-        "throughput_kbps": run.transfer.throughput_kbps,
-        "retransmit_kb": run.transfer.retransmitted_kb,
-        "coarse_timeouts": run.transfer.coarse_timeouts,
-    }
+    return run_with_background(proto, buffers=buffers, seed=seed,
+                               two_way=True).transfer.metrics()
 
 
 def _telnet_cell(cc: str, seed: int) -> Dict[str, float]:
@@ -278,96 +273,121 @@ _RUNNERS: Dict[str, Callable[..., Dict[str, float]]] = {
 
 
 # ----------------------------------------------------------------------
-# Grids: the quick/full parameter sweeps, mirroring the CLI defaults.
+# Grids: the quick/full parameter sweeps.  The paper's values are
+# declared once, in repro.experiments.defaults — imported inside each
+# grid so ``import repro.harness`` does not load the experiments
+# package — and a quick grid is a slice of the full one.  Every grid
+# takes the seed axis as an optional second argument: the paper verbs
+# pass ``--seed``/``--seeds`` there, ``run-all`` leaves the default.
 # ----------------------------------------------------------------------
 
-_TABLE1_COMBOS = (("reno", "reno"), ("reno", "vegas"),
-                  ("vegas", "reno"), ("vegas", "vegas"))
-_TABLE2_PROTOCOLS = ("reno", "vegas-1,3", "vegas-2,4")
+def _seed_axis(seeds: Optional[Sequence[int]], quick: bool,
+               quick_runs: int) -> Sequence[int]:
+    """The caller's seeds, else ``quick_runs``/the full run count."""
+    if seeds is not None:
+        return seeds
+    from repro.experiments import defaults as DFLT
+
+    return range(quick_runs if quick else DFLT.RUNS_PER_CONDITION)
 
 
-def _table1_grid(quick: bool) -> List[Cell]:
-    delays = (0.0, 1.0, 2.0) if quick else (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
-    buffers = (15, 20)
-    cells = []
-    for small, large in _TABLE1_COMBOS:
-        # Seeds follow the serial driver: one run index per
-        # (buffers, delay) grid point, restarting per combo.
-        run_index = 0
-        for nbuf in buffers:
-            for delay in delays:
-                cells.append(Cell.make("table1", small=small, large=large,
-                                       buffers=nbuf, delay=delay,
-                                       seed=run_index))
-                run_index += 1
-    return cells
+def _table1_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    delays = DFLT.TABLE1_DELAYS[::2] if quick else DFLT.TABLE1_DELAYS
+    runs = [(nbuf, delay) for nbuf in DFLT.TABLE1_BUFFERS for delay in delays]
+    # Table 1's seed is the run index: one per (buffers, delay) grid
+    # point, restarting per combo, counted from each base in *seeds*.
+    return [Cell.make("table1", small=small, large=large, buffers=nbuf,
+                      delay=delay, seed=base + index)
+            for small, large in DFLT.TABLE1_COMBOS for base in seeds
+            for index, (nbuf, delay) in enumerate(runs)]
 
 
-def _table2_grid(quick: bool) -> List[Cell]:
-    buffers = (10,) if quick else (10, 15, 20)
-    seeds = (0,) if quick else (0, 1, 2)
+def _background_buffers(quick: bool) -> Tuple[int, ...]:
+    from repro.experiments import defaults as DFLT
+
+    return DFLT.TABLE2_BUFFERS[:1] if quick else DFLT.TABLE2_BUFFERS
+
+
+def _table2_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    seeds = _seed_axis(seeds, quick, 1)
     return [Cell.make("table2", proto=proto, buffers=nbuf, seed=seed)
-            for proto in _TABLE2_PROTOCOLS
-            for nbuf in buffers for seed in seeds]
+            for proto in DFLT.TRANSFER_PROTOCOLS
+            for nbuf in _background_buffers(quick) for seed in seeds]
 
 
-def _table3_grid(quick: bool) -> List[Cell]:
-    buffers = (10,) if quick else (10, 15, 20)
-    seeds = (0,) if quick else (0, 1, 2)
+def _table3_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    seeds = _seed_axis(seeds, quick, 1)
     return [Cell.make("table3", background=bg, transfer=xfer,
                       buffers=nbuf, seed=seed)
             for bg in ("reno", "vegas") for xfer in ("reno", "vegas")
-            for nbuf in buffers for seed in seeds]
+            for nbuf in _background_buffers(quick) for seed in seeds]
 
 
-def _table4_grid(quick: bool) -> List[Cell]:
-    seeds = (0, 1) if quick else (0, 1, 2)
+def _table4_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    seeds = _seed_axis(seeds, quick, 2)
     return [Cell.make("table4", proto=proto, seed=seed)
-            for proto in _TABLE2_PROTOCOLS for seed in seeds]
+            for proto in DFLT.TRANSFER_PROTOCOLS for seed in seeds]
 
 
-def _table5_grid(quick: bool) -> List[Cell]:
-    sizes = (512, 128) if quick else (1024, 512, 128)
-    seeds = (0, 1) if quick else (0, 1, 2)
+def _table5_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    sizes = DFLT.INTERNET_SIZES_KB[1:] if quick else DFLT.INTERNET_SIZES_KB
+    seeds = _seed_axis(seeds, quick, 2)
     return [Cell.make("table5", proto=proto, size_kb=size, seed=seed)
-            for size in sizes for proto in ("reno", "vegas-1,3")
+            for size in sizes for proto in DFLT.TRANSFER_PROTOCOLS[:2]
             for seed in seeds]
 
 
 def _figure_grid(name: str):
-    def grid(quick: bool) -> List[Cell]:
-        return [Cell.make(name, seed=0)]
+    def grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
+        return [Cell.make(name, seed=seed) for seed in seeds]
     return grid
 
 
-def _sendbuf_grid(quick: bool) -> List[Cell]:
-    sizes = (5, 20, 50) if quick else (5, 10, 15, 20, 30, 40, 50)
-    return [Cell.make("sendbuf", cc=cc, size_kb=size, seed=0)
-            for cc in ("reno", "vegas") for size in sizes]
+def _sendbuf_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    sizes = DFLT.SENDBUF_SIZES_KB[::3] if quick else DFLT.SENDBUF_SIZES_KB
+    return [Cell.make("sendbuf", cc=cc, size_kb=size, seed=seed)
+            for cc in ("reno", "vegas") for size in sizes for seed in seeds]
 
 
-def _fairness_grid(quick: bool) -> List[Cell]:
-    counts = (2, 16) if quick else (2, 4, 16)
-    return [Cell.make("fairness", cc=cc, count=count, mixed=mixed, seed=0)
+def _fairness_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    counts = DFLT.FAIRNESS_COUNTS[::2] if quick else DFLT.FAIRNESS_COUNTS
+    return [Cell.make("fairness", cc=cc, count=count, mixed=mixed, seed=seed)
             for count in counts for cc in ("reno", "vegas")
-            for mixed in (False, True)]
+            for mixed in (False, True) for seed in seeds]
 
 
-def _twoway_grid(quick: bool) -> List[Cell]:
-    buffers = (10,) if quick else (10, 15, 20)
-    seeds = (0,) if quick else (0, 1, 2)
+def _twoway_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    seeds = _seed_axis(seeds, quick, 1)
     return [Cell.make("twoway", proto=proto, buffers=nbuf, seed=seed)
             for proto in ("reno", "vegas")
-            for nbuf in buffers for seed in seeds]
+            for nbuf in _background_buffers(quick) for seed in seeds]
 
 
-def _telnet_grid(quick: bool) -> List[Cell]:
-    seeds = (0,) if quick else (0, 1, 2)
+def _telnet_grid(quick: bool,
+                 seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    seeds = _seed_axis(seeds, quick, 1)
     return [Cell.make("telnet", cc=cc, seed=seed)
             for cc in ("reno", "vegas") for seed in seeds]
 
 
-_GRIDS: Dict[str, Callable[[bool], List[Cell]]] = {
+_GRIDS: Dict[str, Callable[..., List[Cell]]] = {
     "table1": _table1_grid,
     "table2": _table2_grid,
     "table3": _table3_grid,
@@ -575,15 +595,22 @@ def unregister_experiment(name: str) -> None:
 _BUILTIN_EXPERIMENTS = frozenset(_RUNNERS)
 
 
-def cells_for(experiment: str, quick: bool = False) -> List[Cell]:
-    """All cells of one experiment's grid (quick or full variant)."""
+def cells_for(experiment: str, quick: bool = False,
+              seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    """All cells of one experiment's grid (quick or full variant).
+
+    *seeds* replaces the grid's seed axis: every condition runs once
+    per seed (for ``table1``, whose seed is the run index, each is a
+    base).  Only the built-in grids have one; a runtime-registered
+    grid is ``(quick) -> cells``.
+    """
     try:
         grid = _GRIDS[experiment]
     except KeyError:
         known = ", ".join(EXPERIMENTS)
         raise ReproError(
             f"unknown experiment {experiment!r} (known: {known})") from None
-    return grid(quick)
+    return grid(quick) if seeds is None else grid(quick, seeds)
 
 
 def all_cells(quick: bool = False,

@@ -3,4 +3,38 @@
 import os
 import sys
 
+import pytest
+
 sys.path.insert(0, os.path.dirname(__file__))
+
+
+@pytest.fixture(scope="session")
+def run_shared(tmp_path_factory):
+    """``run_cells`` in this process over one session-wide result cache.
+
+    The paper-verb tests and the paper-claim fixtures need overlapping
+    cells (``table2 --seeds 1`` is a third of the Table-2 claims grid);
+    through this each cell is simulated once per session.
+    """
+    from repro.harness import ResultCache, run_cells
+
+    cache = ResultCache(tmp_path_factory.mktemp("cells"), "session")
+
+    def run(cells):
+        report = run_cells(cells, cache=cache)
+        assert not report.interrupted
+        return report
+
+    return run
+
+
+@pytest.fixture
+def verbs_share_cells(monkeypatch, run_shared):
+    """Serve the paper verbs' ``run_cells`` call through :func:`run_shared`."""
+    from repro.harness import runner
+
+    def through_cache(cells, **options):
+        assert not options, "a paper verb runs its cells with no options"
+        return run_shared(cells)
+
+    monkeypatch.setattr(runner, "run_cells", through_cache)

@@ -21,6 +21,7 @@ class TestParser:
         assert args.buffers == 10
 
 
+@pytest.mark.usefixtures("verbs_share_cells")
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import main
 
 
+@pytest.mark.usefixtures("verbs_share_cells")
 class TestMoreCommands:
     def test_table4_single_seed(self, capsys):
         assert main(["table4", "--seeds", "1"]) == 0
@@ -36,6 +37,94 @@ class TestMoreCommands:
         assert main(["table3", "--seeds", "1"]) == 0
         out = capsys.readouterr().out
         assert "background CC" in out
+
+
+# ----------------------------------------------------------------------
+# The nine tabular verbs are one function over the registry's cells and
+# the harness's renderer: one case list, nine verbs, each at its
+# cheapest arguments, with the grid those arguments select.
+# ----------------------------------------------------------------------
+
+BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
+                        "baselines", "expected.json")
+
+
+def _verb(*argv, slow=False, **grid):
+    return pytest.param(list(argv), grid, id=" ".join(argv),
+                        marks=[pytest.mark.slow] if slow else [])
+
+
+PAPER_VERBS = [
+    _verb("table1", "--quick", quick=True),
+    _verb("table2", "--seeds", "1", seeds=range(1), slow=True),
+    _verb("table3", "--seeds", "1", seeds=range(1), slow=True),
+    _verb("table4", "--seeds", "2", seeds=range(2)),
+    _verb("table5", "--seeds", "2", seeds=range(2)),
+    _verb("sendbuf"),
+    _verb("fairness"),
+    _verb("twoway", "--seeds", "1", seeds=range(1), slow=True),
+    _verb("telnet", "--seeds", "1", seeds=range(1)),
+]
+
+
+@pytest.mark.usefixtures("verbs_share_cells")
+class TestPaperVerbs:
+    @pytest.mark.parametrize("argv,grid", PAPER_VERBS)
+    def test_verb_prints_its_registry_cells(self, argv, grid, capsys,
+                                            run_shared):
+        """stdout is ``aggregate.summarize`` over the grid the arguments
+        select, and every cell the quick baseline pins has its numbers."""
+        from repro.harness import build_document, cells_for, load_document
+        from repro.harness.aggregate import summarize
+
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        report = run_shared(cells_for(argv[0], **grid))
+        doc = build_document(report, mode="test", src_hash="")
+        assert out == summarize(doc["cells"]) + "\n"
+
+        pinned = {cell["key"]: cell["metrics"]
+                  for cell in load_document(BASELINE)["cells"]}
+        gated = [cell for cell in doc["cells"] if cell["key"] in pinned]
+        assert gated, "no cell of this verb is in the quick baseline"
+        for cell in gated:
+            assert cell["metrics"] == pinned[cell["key"]], cell["key"]
+
+    def test_seed_is_the_base_of_the_seed_axis(self, capsys):
+        """Six verbs parsed ``--seed`` and ignored it: ``--seed 1
+        --seeds 1`` now prints the baseline's own ``seed=1`` cells."""
+        from repro.harness import load_document
+        from repro.harness.aggregate import summarize
+
+        assert main(["table4", "--seeds", "1", "--seed", "1"]) == 0
+        shifted = capsys.readouterr().out
+        pinned = [cell for cell in load_document(BASELINE)["cells"]
+                  if cell["experiment"] == "table4"
+                  and cell["params"]["seed"] == 1]
+        assert len(pinned) == 3
+        assert shifted == summarize(pinned) + "\n"
+        assert main(["table4", "--seeds", "1"]) == 0
+        assert capsys.readouterr().out != shifted
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    @pytest.mark.parametrize("verb", ["table3", "table4"])
+    def test_seeds_below_one_is_a_usage_error(self, verb, count, capsys,
+                                              no_cells_run):
+        assert main([verb, "--seeds", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --seeds must be >= 1, got {count}" in captured.err
+
+    def test_interrupted_verb_prints_no_table(self, monkeypatch, capsys):
+        """``run_cells`` drains a Ctrl-C into the report: the cells that
+        did run must not be printed as if they were the table."""
+        from repro.harness import runner
+
+        monkeypatch.setattr(
+            runner, "run_cells",
+            lambda cells, **kwargs: runner.RunReport(interrupted=True))
+        assert main(["table4", "--seeds", "1"]) == 130
+        assert capsys.readouterr().out == ""
 
 
 # ----------------------------------------------------------------------

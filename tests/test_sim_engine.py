@@ -308,3 +308,32 @@ class TestSourceGuard:
             assert needle not in cli, needle
         assert {rel for rel, _, _ in self._matches(r"\bResultCache\(")} == {
             "harness/options.py"}
+
+    def test_one_definition_per_paper_artifact(self):
+        """A paper table is one runner and one grid in
+        ``harness/registry.py`` plus one renderer in
+        ``harness/aggregate.py``: no serial driver walks the grid a
+        second way, no title or grid value is typed a second time."""
+        assert self._matches(
+            r"def (table[1-5]|table_twoway|sendbuf_sweep|"
+            r"response_time_comparison|fairness_comparison|"
+            r"print_(table[1-5]|sendbuf|fairness|twoway|telnet))\(") == []
+        for title in ("Table 1: one-on-one transfers",
+                      "Table 2: 1MB transfer vs tcplib background",
+                      "Table 3: background throughput (KB/s)",
+                      "Table 4: 1MB over the emulated UA->NIH path",
+                      "Table 5 — ",
+                      "§4.3 send-buffer sweep",
+                      "§4.3 multiple competing connections",
+                      "§4.3 two-way background traffic",
+                      "§6 TELNET response time"):
+            # As a string literal: one quote, not a docstring's three.
+            homes = {rel for rel, _, _
+                     in self._matches('(?<!")"' + re.escape(title))}
+            assert homes == {"harness/aggregate.py"}, title
+        assert {rel for rel, _, _ in self._matches(r"\bMetricTable\(")} <= {
+            "metrics/tables.py", "harness/aggregate.py"}
+        registry = (self.SRC / "harness" / "registry.py").read_text()
+        for literal in ('"vegas-1,3"', '"vegas-2,4"', '("reno", "reno")',
+                        '("vegas", "vegas")', "(10, 15, 20)", "(15, 20)"):
+            assert literal not in registry, literal
