@@ -26,7 +26,6 @@ from typing import Dict, List, Tuple
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
 from repro.experiments.transfers import resolve_cc
-from repro.sim.engine import last_simulator
 
 #: The three Figure-5 source/destination pairings used to spread the
 #: conversation population across access LANs.

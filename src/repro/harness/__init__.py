@@ -10,29 +10,32 @@ through one pipeline:
   experiment's quick/full grids as :class:`~repro.harness.registry.Cell`
   objects with stable string keys.
 - :mod:`repro.harness.runner` — :func:`run_cells`: serves cells from
-  the cache and runs the rest one of **three ways** — in this process
+  the cache and runs the rest one of **two ways** — in this process
   (``timeout_s=None``: serial, raw exceptions, for debugging one
-  cell), on the **fork transport** or on the **socket transport**.
-  Results are bit-identical whichever way, because each cell builds
-  its own :class:`~repro.sim.engine.Simulator` from its own seed.
-- :mod:`repro.harness.lease` — the **one policy** both transports
-  share: :class:`~repro.harness.lease.LeaseTable` owns attempts, the
+  cell) or on **socket workers** under the master, which is what both
+  ``--jobs N`` (N workers the master forks) and ``--backend dist``
+  (journal, resume, attached workers) mean.  Results are bit-identical
+  whichever way, because each cell builds its own
+  :class:`~repro.sim.engine.Simulator` from its own seed; each is
+  written to the cache as it settles.
+- :mod:`repro.harness.lease` — the **one policy**:
+  :class:`~repro.harness.lease.LeaseTable` owns attempts, the
   deterministic retry backoff, per-cell deadlines, stale-result
   rejection and quarantine into the failure manifest
   (:class:`~repro.harness.lease.FailureRecord`); every settled cell
   is a :class:`~repro.harness.lease.CellResult`.
 - :mod:`repro.harness.supervisor` — the worker body every way of
   running shares (:func:`~repro.harness.supervisor.execute_cell`) and
-  the fork transport: one forked child per lease, reporting through
-  a pipe.
+  :func:`~repro.harness.supervisor.run_supervised`, the master with
+  the local settings.
 - :mod:`repro.harness.cache` — an on-disk result cache under
   ``.repro-cache/`` keyed by cell key plus a content hash of
   ``src/repro``, so unchanged code never re-simulates.
 - :mod:`repro.harness.artifacts` — schema-versioned JSON documents of
   every cell's metrics.
-- :mod:`repro.harness.dist` — the socket transport: worker processes
-  speaking line-JSON, heartbeats, journal + resume, graceful
-  degradation to the fork transport.
+- :mod:`repro.harness.dist` — the transport: a ``selectors`` master,
+  worker processes speaking line-JSON, heartbeats, journal + resume,
+  and degradation to workers of its own when none is reachable.
 - :mod:`repro.harness.check` — the regression gate CI runs against
   ``baselines/expected.json``.
 - :mod:`repro.harness.aggregate` — folds cells into the paper-style

@@ -5,7 +5,7 @@ cell with its parameters and metrics, plus run metadata (job count,
 cache accounting, wall clock).  Determinism contract: for the same
 source tree and cells, the ``cells`` array is byte-identical across
 ``--jobs`` settings, across cached/uncached runs, **and across
-execution backends** (forked children vs the distributed master) except for
+execution backends** (``--jobs`` vs ``--backend dist``) except for
 the ``wall_clock_s``/``cached`` bookkeeping and the v3 provenance
 fields (``worker``/``attempts``/``attempt_log``), which is why
 :func:`cells_fingerprint` — the hash CI compares — covers only the
@@ -28,8 +28,9 @@ from typing import Any, Dict, List
 from repro.errors import ReproError
 
 #: Bump on any change to the document layout or cell key format.
-#: v2 added the ``failures`` section (the quarantine manifest); v3 adds per-cell execution provenance —
-#: ``worker`` (the executing distributed worker, ``null`` locally),
+#: v2 added the ``failures`` section (the quarantine manifest); v3 adds
+#: per-cell execution provenance —
+#: ``worker`` (the executing worker, ``null`` in-process or cached),
 #: ``attempts`` and ``attempt_log`` (retry history) — plus the run's
 #: ``backend`` and ``interrupted`` markers.  :func:`load_document`
 #: accepts this version only; re-run the sweep to refresh an older file.

@@ -1,20 +1,21 @@
-"""Fault-tolerant distributed sweep backend.
+"""The fault-tolerant sweep transport.
 
-The ``dist`` backend shards a sweep's cells across worker processes —
-forked by the master (so they know every experiment it knows) or
-attached over a socket as fresh interpreters (``--preload`` tells those
-what to import) — with robustness as the design driver.  It is a
-*transport*: what a lease, a retry or a quarantine means is decided by
-:class:`repro.harness.lease.LeaseTable`, the same table the fork
-transport drives.
+The master shards a sweep's cells across worker processes — forked by
+it (so they know every experiment it knows) or attached over a socket
+as fresh interpreters (``--preload`` tells those what to import) — with
+robustness as the design driver.  It is the *only* transport:
+``--jobs N`` is this master with N forked workers, ``--backend dist``
+the same master with a journal and an address.  What a lease, a retry
+or a quarantine means is decided by
+:class:`repro.harness.lease.LeaseTable`.
 
 * :mod:`~repro.harness.dist.protocol` — the newline-delimited JSON
   wire format (versioned; ``hello``/``heartbeat``/``grant``/``result``/
   ``fail``/``shutdown``);
 * :mod:`~repro.harness.dist.journal` — the append-only run journal
   behind ``--resume``;
-* :mod:`~repro.harness.dist.master` — the event-driven asyncio master
-  (:func:`~repro.harness.dist.master.run_distributed`);
+* :mod:`~repro.harness.dist.master` — the event-driven ``selectors``
+  master (:func:`~repro.harness.dist.master.run_distributed`);
 * :mod:`~repro.harness.dist.worker` — the expendable worker process;
 * :mod:`~repro.harness.dist.chaos` — adversarial cells used by the
   failure-mode tests and the CI smoke job.

@@ -1,47 +1,57 @@
-"""The distributed sweep master: the socket transport.
+"""The sweep master: the one transport every supervised cell rides.
 
-:func:`run_distributed` is the dist backend's entry point, with
-:func:`~repro.harness.supervisor.run_supervised`'s contract — it takes
-pending cells and returns ``(successes, failures, interrupted)`` — and
-the same scheduler core, but moves cells to worker *processes* speaking
-the :mod:`~repro.harness.dist.protocol` wire format over TCP, instead
-of forked children on pipes.  Robustness is the design driver:
+:func:`run_distributed` takes pending cells and returns ``(successes,
+failures, interrupted)``; it is how ``run_cells`` executes anything
+under a deadline.  ``--jobs N`` (``backend="local"``) is N workers the
+master forks, no journal, no lease grace; ``--backend dist`` adds the
+journal, ``--resume``, a bind address and attached workers.  Cells move
+to worker *processes* speaking the :mod:`~repro.harness.dist.protocol`
+wire format over TCP.  Robustness is the design driver:
 
 * work moves only as **leases** (:mod:`repro.harness.lease`): every
   grant has a deadline sized from the cell's budget, expiry re-queues
   the cell, and stale results are dropped;
-* workers prove liveness with **heartbeats**; a worker that misses
-  enough beats (or whose connection drops) is declared dead, its
-  leases revoked as ``worker-lost``, and — when the master spawned it —
-  a replacement is started, up to a respawn budget;
+* a **local** worker (one the master forked) that *exits* while holding
+  a lease settles that attempt as ``crash`` with its exit code — the
+  process death is the cell's (``os._exit``, a segfault, the OOM
+  killer).  A worker the master itself gives up on — connection gone
+  while the process lives on or is not ours, missed **heartbeats**,
+  lease expired, the chaos kill — is ``worker-lost``.  Either way a
+  local worker is replaced, and for free if it held a lease: that
+  cell's ``retries`` already bound how often it can happen.  Only
+  workers that die idle or before ``hello`` spend the **respawn
+  budget**;
 * every decision is appended to a **journal**
   (:mod:`~repro.harness.dist.journal`), so a killed master can be
   resumed: replay serves the settled cells and only the remainder
   executes;
 * ``SIGINT``/``SIGTERM`` **drain**: stop granting, shut workers down,
-  keep everything settled, report ``interrupted=True`` — the same
-  partial-artifact contract as the fork transport;
-* **zero reachable workers degrades**: the same lease table carries on
-  over the fork transport (with a warning) instead of hanging a sweep
-  on missing infrastructure — attempts already burned stay burned.
+  keep everything settled, report ``interrupted=True``;
+* **zero reachable workers degrades**: nobody attached inside the
+  connect window, or the respawn budget is spent — the master forks
+  ``jobs`` local workers onto the same table and socket (with a
+  warning) instead of hanging a sweep on missing infrastructure.
+  Attempts already burned stay burned; there is no second transport.
 
-The master is a single asyncio task plus one reader coroutine per
-worker connection; all lease/journal state is touched from the event
-loop only, so there is no locking.  The task sleeps on one event that
-hello, ``result``, ``fail`` and worker loss set, so a grant leaves in
-the loop turn its cause arrived; the tick only paces the heartbeat,
-expiry and backoff scans.  Local workers are forked (where the
-platform forks) before the loop exists, and inherit the master's
-modules and registry.  Determinism note: *which* worker
-runs a cell is scheduling-dependent, but cells seed themselves from
-their parameters, so metrics — and the artifact cells fingerprint —
-are identical to a local run's.
+The master is one thread around a :mod:`selectors` loop: listener and
+worker sockets registered for read, one ``select`` per turn, then the
+scans.  A ``result`` makes its socket readable, so the next grant
+leaves in the turn the result arrived; the tick only paces the
+heartbeat, expiry and backoff scans.  An event-loop framework would
+multiplex the same handful of sockets for 3 MB of resident modules in
+every driver.  Writes are ``sendall`` under a bounded timeout: a peer
+that stops reading is dropped, not waited for.  Local workers are forks
+(where the platform forks) and inherit the master's modules and
+registry.  Determinism note: *which* worker runs a cell is
+scheduling-dependent, but cells seed themselves from their parameters,
+so metrics — and the artifact cells fingerprint — do not depend on it.
 """
 
 from __future__ import annotations
 
-import asyncio
+import multiprocessing
 import os
+import selectors
 import signal
 import socket
 import time
@@ -61,7 +71,6 @@ from repro.harness.lease import (
     note_failed_attempt,
 )
 from repro.harness.registry import Cell, resolve_faults
-from repro.harness.supervisor import _mp_context, supervise
 
 #: Cadence (seconds) of the heartbeat, lease-expiry and backoff scans.
 _TICK_S = 0.02
@@ -69,44 +78,67 @@ _TICK_S = 0.02
 #: What local workers get, together, to exit on ``shutdown``.
 _SHUTDOWN_GRACE_S = 2.0
 
+#: Longest one message may take to leave.  A grant is a few hundred
+#: bytes: a peer whose buffers cannot take it has stopped reading.
+_SEND_TIMEOUT_S = 2.0
+
+#: Longest line a peer may send; a ``fail`` carries kilobytes at most.
+_MAX_LINE = 1 << 24
+
 #: How long the master waits for a spawned/attached worker before
-#: degrading to the fork transport.
+#: degrading to local workers.
 DEFAULT_CONNECT_TIMEOUT_S = 15.0
+
+#: What a worker may say after ``hello``, with the fields the handlers
+#: use and their types: a peer that gets one wrong is a protocol error
+#: on its connection, not a KeyError or TypeError in the master.
+_WORKER_SENDS = {
+    "heartbeat": {},
+    "result": {"lease_id": str, "metrics": dict, "wall_clock_s": (int, float)},
+    "fail": {"lease_id": str, "kind": str, "message": str,
+             "wall_clock_s": (int, float)},
+}
 
 
 class _Worker:
-    """One connected worker, from hello to loss."""
+    """One connection, from accept to loss; a worker once it said hello."""
 
-    __slots__ = ("worker_id", "writer", "last_beat", "lease_id", "lost")
+    __slots__ = ("sock", "buf", "worker_id", "last_beat", "lease_id")
 
-    def __init__(self, worker_id: str, writer, now: float):
-        self.worker_id = worker_id
-        self.writer = writer
+    def __init__(self, sock: socket.socket, now: float):
+        self.sock: Optional[socket.socket] = sock
+        self.buf = b""
+        self.worker_id: Optional[str] = None
         self.last_beat = now
         self.lease_id: Optional[str] = None
-        self.lost = False
+
+
+def _ignore(*args: Any, **fields: Any) -> None:
+    """Stands in for an absent telemetry sink, journal or progress."""
 
 
 class _Master:
-    """State and event handlers of one distributed run."""
+    """State and event handlers of one run."""
 
-    def __init__(self, table: LeaseTable, *, workers: int, bind: str,
-                 checks: Any, faults_spec: Optional[str], watchdog_spec: Any,
-                 telemetry: Optional[str], sink, journal: Optional[RunJournal],
+    def __init__(self, table: LeaseTable, *, workers: int, jobs: int,
+                 bind: str, grant_config: Dict[str, Any], sink,
+                 journal: Optional[RunJournal],
                  progress: Optional[Callable[[str], None]],
+                 on_result: Optional[Callable[[CellResult], None]],
                  heartbeat_interval_s: float, heartbeat_misses: int,
                  preload: Sequence[str], connect_timeout_s: float,
                  chaos_kill_after: Optional[int]):
         self.table = table
         self.target_workers = workers
+        self.jobs = jobs
         self.bind = bind
-        self.checks = checks
-        self.faults_spec = faults_spec
-        self.watchdog_spec = watchdog_spec
-        self.telemetry = telemetry
+        self.grant_config = grant_config
         self.sink = sink
-        self.journal = journal
         self.progress = progress
+        self._emit = sink.emit if sink is not None else _ignore
+        self._rec = journal.record if journal is not None else _ignore
+        self._say = progress or _ignore
+        self.on_result = on_result
         self.heartbeat_interval_s = heartbeat_interval_s
         self.heartbeat_misses = heartbeat_misses
         self.preload = tuple(preload)
@@ -117,7 +149,7 @@ class _Master:
         self.workers: Dict[str, _Worker] = {}
         self.procs: Dict[str, Any] = {}    # worker id -> mp Process
         self.port: Optional[int] = None
-        self._wake: Optional[asyncio.Event] = None
+        self.sel: Optional[selectors.BaseSelector] = None
         self.draining = False
         self.degraded = False
         self.ever_connected = False
@@ -127,98 +159,99 @@ class _Master:
         self.respawned = 0
         self._spawned = 0
         self._chaos_fired = False
-        self._conn_tasks: set = set()
 
-    @staticmethod
-    def _now() -> float:
-        return time.monotonic()
+    _now = staticmethod(time.monotonic)
 
-    # ------------------------------------------------------------------
-    # Small sinks: telemetry / journal / progress, all optional.
-    # ------------------------------------------------------------------
-    def _emit(self, event: str, **fields: Any) -> None:
-        if self.sink is not None:
-            self.sink.emit(event, **fields)
-
-    def _rec(self, rec: str, **fields: Any) -> None:
-        if self.journal is not None:
-            self.journal.record(rec, **fields)
-
-    def _say(self, line: str) -> None:
-        if self.progress is not None:
-            self.progress(line)
-
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
+    # -- Worker lifecycle ------------------------------------------------
     def _spawn_worker(self) -> None:
         self._spawned += 1
         worker_id = f"w{self._spawned}"
-        ctx = _mp_context()
-        proc = ctx.Process(
+        # fork inherits sys.path, loaded modules, and (crucially for the
+        # tests) runtime-registered experiments; elsewhere, the
+        # platform's default start method.
+        forks = "fork" in multiprocessing.get_all_start_methods()
+        proc = multiprocessing.get_context("fork" if forks else None).Process(
             target=worker_mod.serve, name=worker_id, daemon=True,
             args=(f"127.0.0.1:{self.port}", worker_id,
-                  self.heartbeat_interval_s, self.preload,
-                  ctx.get_start_method() == "fork"))
+                  self.heartbeat_interval_s, self.preload, forks))
         proc.start()
         self.procs[worker_id] = proc
 
     def _over(self) -> bool:
         """Nothing further will be granted: the run loop has left."""
-        return self.table.done or self.draining or self.degraded
+        return self.table.done or self.draining
 
     def _alive_local(self) -> int:
         return sum(1 for proc in self.procs.values() if proc.is_alive())
 
-    def _maybe_respawn(self) -> None:
+    def _maybe_respawn(self, free: bool = False) -> None:
+        """Top the local workers back up; one comes *free* when the
+        worker it replaces held a lease (the cell paid an attempt)."""
         if self._over():
             return
-        while (self._alive_local() < self.target_workers
-               and self.respawns_left > 0):
-            self.respawns_left -= 1
+        while self._alive_local() < self.target_workers:
+            if free:
+                free = False
+            elif self.respawns_left > 0:
+                self.respawns_left -= 1
+            else:
+                break
             self.respawned += 1
             self._spawn_worker()
             self._emit("dist.worker.respawn", respawns_left=self.respawns_left)
 
     def _reap_procs(self) -> None:
-        """Notice local workers that died without ever (re)connecting."""
+        """Notice local workers that exited: under a cell, idle, or
+        before hello (crashed at import)."""
         for worker_id, proc in list(self.procs.items()):
-            if proc.is_alive() or worker_id in self.workers:
+            if proc.is_alive():
                 continue
-            # Died outside a connection (e.g. crashed at import, or we
-            # killed it after its connection was already dropped).
-            del self.procs[worker_id]
+            worker = self.workers.get(worker_id)
+            if worker is None:
+                del self.procs[worker_id]
+            else:
+                self._drop_worker(worker, f"exited with code {proc.exitcode}",
+                                  exitcode=proc.exitcode)
         self._maybe_respawn()
 
-    def _drop_worker(self, worker: _Worker, reason: str) -> None:
-        """Declare *worker* dead: revoke its leases, kill, respawn."""
-        if worker.lost:
-            return
-        worker.lost = True
-        self.workers.pop(worker.worker_id, None)
+    def _drop_worker(self, worker: _Worker, reason: str,
+                     exitcode: Optional[int] = None) -> None:
+        """Declare *worker* dead: settle what it held, kill, respawn.
+
+        With *exitcode* the process ended by itself and the attempt is
+        a ``crash`` of its cell; otherwise the master is giving up on
+        the worker and its lease is revoked as ``worker-lost``.
+        """
+        if self.workers.pop(worker.worker_id, None) is not worker:
+            return                     # dropped already
         self.workers_lost += 1
         now = self._now()
-        for lease, outcome in self.table.revoke_worker(
-                worker.worker_id, reason, now):
-            self._note_failed_attempt(lease.task, outcome, lease.worker)
+        busy = worker.lease_id is not None
+        if busy and exitcode is not None:
+            settled = self.table.settle_fail(
+                worker.lease_id, worker.worker_id, "crash",
+                f"worker exited with code {exitcode} before reporting",
+                {"exitcode": exitcode}, 0.0, now)
+            if settled is not None:
+                self._note_failed_attempt(*settled, worker.worker_id)
+        else:
+            for lease, outcome in self.table.revoke_worker(
+                    worker.worker_id, reason, now):
+                self._note_failed_attempt(lease.task, outcome, lease.worker)
         self._emit("dist.worker.lost", worker=worker.worker_id, reason=reason)
         self._rec("worker.lost", worker=worker.worker_id, reason=reason)
         self._say(f"worker {worker.worker_id} lost ({reason})")
-        try:
-            worker.writer.close()
-        except (OSError, RuntimeError):  # pragma: no cover - close races
-            pass
+        self._close(worker)
         proc = self.procs.pop(worker.worker_id, None)
         if proc is not None:
             proc.kill()
-        self._maybe_respawn()
-        self._wake.set()
+            proc.join()
+            self._maybe_respawn(free=busy)
 
-    # ------------------------------------------------------------------
-    # Settlement bookkeeping shared by fail/expire/revoke paths
-    # ------------------------------------------------------------------
     def _note_failed_attempt(self, task: Task, outcome: Outcome,
                              worker: str) -> None:
+        """Journal + announce one attempt the fail/expire/revoke paths
+        settled."""
         entry = task.attempt_log[-1]
         self._rec("attempt", key=task.key, kind=entry["kind"],
                   attempt=entry["attempt"], message=entry["message"])
@@ -227,64 +260,90 @@ class _Master:
         note_failed_attempt(task, outcome, sink=self.sink,
                             progress=self.progress, worker=worker)
 
-    # ------------------------------------------------------------------
-    # Connection handling (one coroutine per worker)
-    # ------------------------------------------------------------------
-    async def _handle_conn(self, reader: asyncio.StreamReader,
-                           writer: asyncio.StreamWriter) -> None:
-        self._conn_tasks.add(asyncio.current_task())
-        worker = None
-        try:
-            # asyncio sets this only on listeners it created itself.
-            writer.get_extra_info("socket").setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            line = await reader.readline()
-            if not line:
-                return
-            worker_id = protocol.check_hello(protocol.decode(line))
-            if worker_id in self.workers or self._over():
-                # A hello that lands after the last settle would
-                # otherwise wait for a grant until it is killed.
-                writer.write(protocol.encode(protocol.shutdown(
-                    "done" if self._over()
-                    else f"duplicate worker id {worker_id!r}")))
-                await writer.drain()
-                return
-            worker = _Worker(worker_id, writer, self._now())
-            self.workers[worker_id] = worker
-            self.ever_connected = True
-            self._emit("dist.worker.join", worker=worker_id)
-            self._rec("worker.join", worker=worker_id)
-            self._wake.set()
-            while True:
-                line = await reader.readline()
-                if not line:
-                    break
-                message = protocol.decode(line)
-                worker.last_beat = self._now()
-                kind = message["type"]
-                if kind == "heartbeat":
-                    continue
-                if kind == "result":
-                    self._on_result(worker, message)
-                elif kind == "fail":
-                    self._on_fail(worker, message)
-                else:
-                    raise protocol.ProtocolError(
-                        f"unexpected message from worker: {kind!r}")
-                self._wake.set()       # the worker is idle: grant now
-        except (protocol.ProtocolError, ConnectionError, OSError) as exc:
-            if worker is not None:
-                self._drop_worker(worker, f"protocol error: {exc}")
-            return
-        finally:
-            self._conn_tasks.discard(asyncio.current_task())
-            if worker is not None:
-                self._drop_worker(worker, "connection closed")
+    # -- Connections: accept, split bytes into lines, dispatch -----------
+    def _pump(self, timeout: float) -> None:
+        """One ``select``: accept what knocked, read what arrived."""
+        for key, _ in self.sel.select(timeout):
+            if key.data is not None:
+                self._read(key.data)
+                continue
             try:
-                writer.close()
-            except (OSError, RuntimeError):  # pragma: no cover
-                pass
+                sock, _ = key.fileobj.accept()
+            except OSError:            # the peer already went away
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(_SEND_TIMEOUT_S)
+            self.sel.register(sock, selectors.EVENT_READ,
+                              _Worker(sock, self._now()))
+
+    def _close(self, conn: _Worker) -> None:
+        if conn.sock is not None:
+            self.sel.unregister(conn.sock)
+            conn.sock.close()
+            conn.sock = None
+
+    def _send(self, conn: _Worker, message: Dict[str, Any]) -> bool:
+        try:
+            conn.sock.sendall(protocol.encode(message))
+        except (OSError, AttributeError):  # send timeout / closed before
+            return False
+        return True
+
+    def _read(self, conn: _Worker) -> None:
+        if conn.sock is None:          # closed earlier in this batch
+            return
+        try:
+            data = conn.sock.recv(1 << 16)
+            reason = "" if data else "connection closed"
+        except OSError as exc:
+            data, reason = b"", f"protocol error: {exc}"
+        *lines, conn.buf = (conn.buf + data).split(b"\n")
+        try:
+            if len(conn.buf) > _MAX_LINE:
+                raise protocol.ProtocolError("unterminated line")
+            for line in lines:
+                if conn.sock is not None:
+                    self._on_line(conn, protocol.decode(line))
+        except protocol.ProtocolError as exc:
+            reason = f"protocol error: {exc}"
+        if reason:
+            self._close(conn)
+            # A local worker's process is looked at before its
+            # connection: if it exited, _reap_procs reads the exit code
+            # this very turn; if it lives on, its silence is a missed
+            # heartbeat.
+            if conn.worker_id is not None and conn.worker_id not in self.procs:
+                self._drop_worker(conn, reason)
+
+    def _on_line(self, conn: _Worker, message: Dict[str, Any]) -> None:
+        if conn.worker_id is None:
+            return self._on_hello(conn, message)
+        kind = message["type"]
+        fields = _WORKER_SENDS.get(kind) if isinstance(kind, str) else None
+        if fields is None or not all(isinstance(message.get(name), types)
+                                     for name, types in fields.items()):
+            raise protocol.ProtocolError(
+                f"unexpected or malformed message from worker: {kind!r}")
+        conn.last_beat = self._now()
+        if kind == "result":
+            self._on_result(conn, message)
+        elif kind == "fail":
+            self._on_fail(conn, message)
+
+    def _on_hello(self, conn: _Worker, message: Dict[str, Any]) -> None:
+        worker_id = protocol.check_hello(message)
+        if worker_id in self.workers or self._over():
+            # A hello that lands after the last settle would
+            # otherwise wait for a grant until it is killed.
+            self._send(conn, protocol.shutdown(
+                "done" if self._over()
+                else f"duplicate worker id {worker_id!r}"))
+            return self._close(conn)
+        conn.worker_id = worker_id
+        self.workers[worker_id] = conn
+        self.ever_connected = True
+        self._emit("dist.worker.join", worker=worker_id)
+        self._rec("worker.join", worker=worker_id)
 
     def _on_result(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
@@ -297,14 +356,13 @@ class _Master:
                        key=message.get("key"))
             return
         self.results_seen += 1
-        self._rec_result(result)
-        self._say(result.settled_line())
-        self._maybe_chaos_kill()
-
-    def _rec_result(self, result: CellResult) -> None:
+        if self.on_result is not None:
+            self.on_result(result)     # before anyone is told: write-through
         self._rec("result", key=result.key, metrics=result.metrics,
                   wall_clock_s=result.wall_clock_s, worker=result.worker,
                   attempts=result.attempts, attempt_log=result.attempt_log)
+        self._say(result.settled_line())
+        self._maybe_chaos_kill()
 
     def _on_fail(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
@@ -326,19 +384,17 @@ class _Master:
             return
         victims = [w for w in self.workers.values() if w.worker_id in
                    self.procs and self.procs[w.worker_id].is_alive()]
-        busy = [w for w in victims if w.lease_id is not None]
-        victim = (busy or victims or [None])[0]
-        if victim is None:
+        if not victims:
             return
+        victim = next((w for w in victims if w.lease_id), victims[0])
         self._chaos_fired = True
         self._emit("dist.chaos.kill", worker=victim.worker_id)
         self._rec("chaos.kill", worker=victim.worker_id)
         self._say(f"chaos: SIGKILL worker {victim.worker_id}")
-        self.procs[victim.worker_id].kill()
+        # The master's own kill: the cell did nothing, so worker-lost.
+        self._drop_worker(victim, "chaos kill")
 
-    # ------------------------------------------------------------------
-    # Scheduler ticks
-    # ------------------------------------------------------------------
+    # -- Scheduler ticks --------------------------------------------------
     def _check_heartbeats(self, now: float) -> None:
         silence = self.heartbeat_interval_s * self.heartbeat_misses
         for worker in list(self.workers.values()):
@@ -360,9 +416,9 @@ class _Master:
             if worker is not None:
                 self._drop_worker(worker, "lease expired")
 
-    async def _grant_idle(self, now: float) -> None:
+    def _grant_idle(self, now: float) -> None:
         for worker in list(self.workers.values()):
-            if worker.lease_id is not None or worker.lost:
+            if worker.lease_id is not None or worker.sock is None:
                 continue
             lease = self.table.grant(worker.worker_id, now)
             if lease is None:
@@ -370,12 +426,8 @@ class _Master:
             worker.lease_id = lease.lease_id
             message = protocol.grant(
                 lease.lease_id, lease.task.cell, lease.attempt,
-                lease.budget_s, checks=self.checks, faults=self.faults_spec,
-                watchdog=self.watchdog_spec, telemetry=self.telemetry)
-            try:
-                worker.writer.write(protocol.encode(message))
-                await worker.writer.drain()
-            except (ConnectionError, OSError, RuntimeError):
+                lease.budget_s, **self.grant_config)
+            if not self._send(worker, message):
                 self._drop_worker(worker, "write failed")
                 continue
             self._emit("dist.lease.grant", cell=lease.task.key,
@@ -393,141 +445,115 @@ class _Master:
         if (not self.ever_connected
                 and now - self.started < self.connect_timeout_s):
             return                 # still inside the attach window
+        remaining = self.table.outstanding()
+        if self.degraded:          # the local workers died idle as well
+            raise ReproError(f"no worker stays alive: {remaining} cells "
+                             "left unrun")
         self.degraded = True
+        self._say(f"warning: no reachable dist workers — degrading "
+                  f"{remaining} cells to {self.jobs} local workers")
+        self._emit("dist.degrade", remaining=remaining)
+        self._rec("degrade", remaining=remaining)
+        self.target_workers = self.jobs
+        self.respawns_left = 2 * self.jobs
+        for _ in range(self.jobs):
+            self._spawn_worker()
 
-    def _request_drain(self) -> None:
+    def _request_drain(self, signum, frame) -> None:
         self.draining = True
-        self._wake.set()
 
-    # ------------------------------------------------------------------
-    # The run
-    # ------------------------------------------------------------------
-    def open(self) -> socket.socket:
-        """Bind and start the initial workers, before any loop exists
-        for a fork to inherit; returns the listening socket."""
+    # -- The run -----------------------------------------------------------
+    def run(self) -> bool:
+        """Bind, start the initial workers and drive the sweep to
+        completion; returns ``interrupted``."""
         host, _, port = self.bind.rpartition(":")
         host = host or "127.0.0.1"
         listener = socket.create_server(
             (host, int(port or 0)),
             family=socket.AF_INET6 if ":" in host else socket.AF_INET)
+        listener.setblocking(False)
         self.port = listener.getsockname()[1]
-        self._emit("dist.start", bind=f"{host}:{self.port}",
-                   workers=self.target_workers,
-                   cells=self.table.outstanding())
-        if self.target_workers == 0:
-            self._say(f"dist master listening on port {self.port}; "
-                      f"waiting {self.connect_timeout_s:g}s for workers "
-                      "to attach")
-        for _ in range(self.target_workers):
-            self._spawn_worker()
-        return listener
-
-    async def run(self, listener: socket.socket) -> bool:
-        """Drive the sweep to completion; returns ``interrupted``."""
-        self._wake = asyncio.Event()
-        server = await asyncio.start_server(self._handle_conn, sock=listener)
-        loop = asyncio.get_running_loop()
-        installed = []
+        self.sel = selectors.DefaultSelector()
+        self.sel.register(listener, selectors.EVENT_READ, None)
+        previous = {}
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                loop.add_signal_handler(signum, self._request_drain)
-                installed.append(signum)
-            except (ValueError, OSError, NotImplementedError, RuntimeError):
+                previous[signum] = signal.signal(signum, self._request_drain)
+            except (ValueError, OSError):
                 pass               # non-main thread / platform limits
         try:
+            self._emit("dist.start", bind=f"{host}:{self.port}",
+                       workers=self.target_workers,
+                       cells=self.table.outstanding())
+            if self.target_workers == 0:
+                self._say(f"dist master listening on port {self.port}; "
+                          f"waiting {self.connect_timeout_s:g}s for workers "
+                          "to attach")
+            for _ in range(self.target_workers):
+                self._spawn_worker()
             while not self._over():
-                # Cleared first: what lands during the grant write
-                # below must start the next turn at once.
-                self._wake.clear()
+                # Reads first: whatever queued up while a scan blocked
+                # (a full send timeout at worst) counts as heard.
+                self._pump(_TICK_S)
                 now = self._now()
                 self._reap_procs()
                 self._check_heartbeats(now)
                 self._check_expiry(now)
-                await self._grant_idle(now)
+                self._grant_idle(now)
                 self._check_degrade(now)
-                tick = loop.call_later(_TICK_S, self._wake.set)
-                await self._wake.wait()
-                tick.cancel()
+        except KeyboardInterrupt:      # no handler of ours, or a callback's
+            self.draining = True
         finally:
-            for signum in installed:
-                loop.remove_signal_handler(signum)
-            await self._shutdown_workers(
-                "drain" if self.draining else "done")
-            server.close()
-            await server.wait_closed()
-            if self._conn_tasks:
-                # Closed writers EOF the reader coroutines; wait for
-                # them rather than cancelling (3.11's stream protocol
-                # logs cancelled handler tasks noisily).
-                await asyncio.wait(self._conn_tasks, timeout=2.0)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler or signal.SIG_DFL)
+            self._shutdown_workers("drain" if self.draining else "done")
+            for key in list(self.sel.get_map().values()):
+                key.fileobj.close()
+            self.sel.close()
         return self.draining
 
-    async def _shutdown_workers(self, reason: str) -> None:
+    def _shutdown_workers(self, reason: str) -> None:
         for worker in list(self.workers.values()):
-            worker.lost = True     # suppress the EOF drop path
-            self.workers.pop(worker.worker_id, None)
-            try:
-                worker.writer.write(protocol.encode(
-                    protocol.shutdown(reason)))
-                await worker.writer.drain()
-                worker.writer.close()
-            except (ConnectionError, OSError, RuntimeError):
-                pass
-        # Polled: a forked worker closed the pipe join(timeout) reads.
+            self._send(worker, protocol.shutdown(reason))
+            self._close(worker)
+        self.workers.clear()
+        # Polled (a forked worker closed the pipe join(timeout) reads),
+        # and pumping: a worker still connecting is told to go.
         deadline = self._now() + _SHUTDOWN_GRACE_S
         while self._alive_local() and self._now() < deadline:
-            await asyncio.sleep(0.001)
-        self.kill_workers()
-
-    def kill_workers(self) -> None:
-        """Kill and reap every local worker still on the books."""
+            self._pump(0.001)
         for proc in self.procs.values():
             proc.kill()
             proc.join()
         self.procs.clear()
 
 
-def _wire_specs(checks: Any, faults: Any,
-                watchdog: Any) -> Tuple[Any, Optional[str], Any]:
+def _grant_config(checks: Any, faults: Any, watchdog: Any,
+                  telemetry: Optional[str]) -> Dict[str, Any]:
     """Flatten run configuration into JSON-safe grant fields."""
-    checks_spec = "collect" if checks == "collect" else bool(checks)
     plan = resolve_faults(faults)
-    faults_spec = plan.describe() if plan is not None else None
-    if not watchdog:
-        watchdog_spec: Any = False
-    elif isinstance(watchdog, bool):
-        watchdog_spec = True
+    if not watchdog or isinstance(watchdog, bool):
+        watchdog_spec: Any = bool(watchdog)
     elif isinstance(watchdog, (int, float)):
         watchdog_spec = float(watchdog)
     else:                          # a built LivenessWatchdog
         watchdog_spec = float(getattr(watchdog, "stall_after", 0.0)) or True
-    return checks_spec, faults_spec, watchdog_spec
+    return {"checks": "collect" if checks == "collect" else bool(checks),
+            "faults": plan.describe() if plan is not None else None,
+            "watchdog": watchdog_spec, "telemetry": telemetry}
 
 
 def _replayed_records(cells: Sequence[Cell], state
                       ) -> Tuple[List[CellResult], List[FailureRecord],
                                  List[Cell]]:
-    """Split *cells* into journal-served results and the remainder."""
-    successes: List[CellResult] = []
-    failures: List[FailureRecord] = []
-    remainder: List[Cell] = []
+    """Split *cells* into journal-served records and the remainder;
+    the journal keeps both kinds of record field for field."""
+    successes, failures, remainder = [], [], []
     for cell in cells:
         if cell.key in state.results:
-            entry = state.results[cell.key]
-            successes.append(CellResult(
-                cell=cell, metrics=entry["metrics"],
-                wall_clock_s=entry["wall_clock_s"], worker=entry["worker"],
-                attempts=entry["attempts"],
-                attempt_log=list(entry["attempt_log"])))
+            successes.append(CellResult(cell=cell, **state.results[cell.key]))
         elif cell.key in state.failures:
-            entry = state.failures[cell.key]
-            failures.append(FailureRecord(
-                key=entry["key"], experiment=entry["experiment"],
-                kind=entry["kind"], message=entry["message"],
-                attempts=entry["attempts"],
-                wall_clock_s=entry["wall_clock_s"],
-                detail=entry.get("detail", {}),
-                attempt_log=entry.get("attempt_log", [])))
+            failures.append(FailureRecord(**state.failures[cell.key]))
         else:
             remainder.append(cell)
     return successes, failures, remainder
@@ -541,10 +567,8 @@ def run_distributed(cells: Sequence[Cell],
                     watchdog: Any = False,
                     progress: Optional[Callable[[str], None]] = None,
                     telemetry: Optional[str] = None,
-                    workers: int = 2,
-                    bind: str = "127.0.0.1:0",
-                    journal: Optional[str] = None,
-                    resume: bool = False,
+                    workers: int = 2, bind: str = "127.0.0.1:0",
+                    journal: Optional[str] = None, resume: bool = False,
                     src_hash: Optional[str] = None,
                     heartbeat_interval_s: float =
                     protocol.DEFAULT_HEARTBEAT_INTERVAL_S,
@@ -554,22 +578,27 @@ def run_distributed(cells: Sequence[Cell],
                     connect_timeout_s: float = DEFAULT_CONNECT_TIMEOUT_S,
                     chaos_kill_after: Optional[int] = None,
                     jobs: Optional[int] = None,
+                    on_result: Optional[Callable[[CellResult], None]] = None,
                     ) -> Tuple[List[CellResult], List[FailureRecord], bool]:
-    """Execute *cells* on the distributed backend.
+    """Execute *cells* on worker processes; never raises for a cell.
 
-    Same contract as :func:`~repro.harness.supervisor.run_supervised`:
-    returns ``(successes, failures, interrupted)`` and never raises for
-    a cell.  ``workers`` local worker processes are forked (0 = attach
-    only: listen on ``bind`` and wait ``connect_timeout_s`` for
-    external ``python -m repro dist worker`` processes); each may be
-    respawned twice over the run.  ``preload`` modules are imported by
-    a local worker first, which matters only where it cannot be forked.
-    With ``journal`` set every decision is logged; ``resume=True``
-    replays an existing journal first and executes only the
-    remainder.  If no worker is ever reachable (or
-    every worker died and the respawn budget is spent) the lease table
-    carries on over the fork transport, ``jobs`` children wide
-    (``None`` = ``os.cpu_count()``), rather than stranding the sweep.
+    Returns ``(successes, failures, interrupted)``.  Every input cell
+    appears in exactly one of the two lists — unless the sweep was
+    interrupted (``SIGINT``/``SIGTERM``), in which case in-flight and
+    not-yet-started cells appear in neither.  ``workers`` local workers
+    are forked (0 = attach only: listen on ``bind`` and wait
+    ``connect_timeout_s`` for ``python -m repro dist worker`` peers).
+    ``preload`` modules are imported by a local worker first, which
+    matters only where it cannot be forked.  With ``journal`` set every
+    decision is logged; ``resume=True`` replays an existing journal
+    first and executes only the remainder.  ``on_result`` is called
+    with each result the moment it settles (replayed ones included),
+    before it is journalled or announced — ``run_cells`` writes the
+    cache through it.  If no worker is reachable (or the respawn budget
+    is spent) the master forks ``jobs`` local workers (``None`` =
+    ``os.cpu_count()``) onto the same lease table rather than stranding
+    the sweep.  With nothing pending, no socket is bound and nothing is
+    forked.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
@@ -586,6 +615,9 @@ def run_distributed(cells: Sequence[Cell],
         state = replay(journal, src_hash=src_hash)
         replayed_ok, replayed_fail, pending = _replayed_records(
             pending, state)
+        if on_result is not None:
+            for result in replayed_ok:
+                on_result(result)
         if progress is not None:
             progress(f"resume: {len(replayed_ok)} results and "
                      f"{len(replayed_fail)} quarantines replayed from "
@@ -598,16 +630,15 @@ def run_distributed(cells: Sequence[Cell],
         sink = TelemetrySink(telemetry, run_id="dist")
     journal_file = (RunJournal(journal, resume=resume)
                     if journal is not None else None)
-    checks_spec, faults_spec, watchdog_spec = _wire_specs(
-        checks, faults, watchdog)
     table = LeaseTable(pending, timeout_s=timeout_s, retries=retries,
                        backoff_base=backoff_base,
                        lease_grace_s=lease_grace_s)
     master = _Master(
-        table, workers=workers, bind=bind, checks=checks_spec,
-        faults_spec=faults_spec, watchdog_spec=watchdog_spec,
-        telemetry=telemetry, sink=sink, journal=journal_file,
-        progress=progress, heartbeat_interval_s=heartbeat_interval_s,
+        table, workers=workers, jobs=jobs or os.cpu_count() or 1, bind=bind,
+        grant_config=_grant_config(checks, faults, watchdog, telemetry),
+        sink=sink, journal=journal_file, progress=progress,
+        on_result=on_result,
+        heartbeat_interval_s=heartbeat_interval_s,
         heartbeat_misses=heartbeat_misses, preload=preload,
         connect_timeout_s=connect_timeout_s,
         chaos_kill_after=chaos_kill_after)
@@ -618,40 +649,9 @@ def run_distributed(cells: Sequence[Cell],
         master._rec("run.start", src_hash=src_hash, cells=len(pending),
                     workers=workers, timeout_s=timeout_s, retries=retries)
 
-    interrupted = False
-    if pending:
-        listener = master.open()   # forks: before any loop exists
-        loop = asyncio.new_event_loop()
-        try:
-            asyncio.set_event_loop(loop)
-            interrupted = loop.run_until_complete(master.run(listener))
-        except KeyboardInterrupt:
-            interrupted = True
-            master.kill_workers()
-        finally:
-            asyncio.set_event_loop(None)
-            loop.close()
-
-    if master.degraded and not interrupted and table.pending:
-        if progress is not None:
-            progress(f"warning: no reachable dist workers — degrading "
-                     f"{len(table.pending)} cells to the fork transport")
-        if sink is not None:
-            sink.emit("dist.degrade", remaining=len(table.pending))
-        master._rec("degrade", remaining=len(table.pending))
-        n_ok, n_failed = len(table.successes), len(table.failures)
-        interrupted = supervise(
-            table, jobs or os.cpu_count() or 1, checks=checks,
-            faults=faults, watchdog=watchdog, progress=progress,
-            telemetry=telemetry)
-        for result in table.successes[n_ok:]:
-            master._rec_result(result)
-        for failure in table.failures[n_failed:]:
-            master._rec("quarantine", failure=failure.as_dict())
-
+    interrupted = master.run() if pending else False
     successes = replayed_ok + table.successes
     failures = replayed_fail + table.failures
-
     if sink is not None:
         sink.emit("dist.end", ok=len(successes), failed=len(failures),
                   interrupted=interrupted,

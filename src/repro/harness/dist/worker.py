@@ -16,8 +16,8 @@ re-queues the cell.  On master EOF or ``shutdown`` the worker simply
 exits; a result it could not deliver is recomputed elsewhere.
 
 The master's local workers are forks of it (where the platform forks):
-like a fork-transport child they inherit its loaded modules and every
-runtime-registered experiment, and before serving they close whatever
+they inherit its loaded modules and every runtime-registered
+experiment, and before serving they close whatever
 else came along — listening socket, sibling connections, journal and
 telemetry handles — so a dead peer still reads as EOF to the rest.  A
 worker attached from outside (or started where there is no ``fork``)

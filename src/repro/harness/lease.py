@@ -1,9 +1,8 @@
 """The cell scheduler core: leases, retries, deadlines, quarantine.
 
-Every supervised sweep — forked children on pipes
-(:mod:`repro.harness.supervisor`) or worker processes on sockets
-(:mod:`repro.harness.dist.master`) — is driven by one
-:class:`LeaseTable`.  The transports only move cells and payloads; what
+Every supervised sweep — ``--jobs N`` or ``--backend dist``, both the
+socket master (:mod:`repro.harness.dist.master`) — is driven by one
+:class:`LeaseTable`.  The master only moves cells and payloads; what
 an attempt *means* is decided here, once:
 
 * a cell is never *sent* to a worker, it is **leased** — granted with a
@@ -15,8 +14,9 @@ an attempt *means* is decided here, once:
   as ``timeout`` and the cell re-queues.  A result arriving after
   expiry is *stale* and dropped (the cell may already be leased
   elsewhere) — the table refuses to settle a lease it no longer holds;
-* a worker dying or going silent revokes every lease it held with the
-  distinct ``worker-lost`` kind.
+* a worker going silent or being given up on revokes every lease it
+  held with the distinct ``worker-lost`` kind (a local worker that
+  *exits* under its cell is the master's call: that is a ``crash``).
 
 Failed attempts are retried up to ``retries`` times with a seeded
 deterministic backoff (a pure function of the cell key and attempt
@@ -39,9 +39,10 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from repro.harness.registry import Cell, cell_budget
 
 #: The failure taxonomy, in display order.  ``worker-lost`` means the
-#: *worker* died or went silent, not the cell's own code — distinct
-#: from a cell-level ``crash`` so retry budgets and dashboards can
-#: tell infrastructure failures from simulation failures.
+#: *worker* went silent or was given up on, not the cell's own code —
+#: distinct from a cell-level ``crash`` (which includes the cell taking
+#: its own forked worker down) so retry budgets and dashboards can tell
+#: infrastructure failures from simulation failures.
 FAILURE_KINDS = ("timeout", "crash", "divergence", "check-violation",
                  "worker-lost")
 
@@ -62,7 +63,7 @@ class CellResult:
     """One executed (or cache-served) cell.
 
     ``worker`` names the executing socket worker (``None`` in-process
-    and on the fork transport), ``attempts`` counts executions
+    and from the cache), ``attempts`` counts executions
     including the successful one, and ``attempt_log`` carries any
     failed attempts that preceded it — together the provenance fields
     of artifact schema v3.
@@ -147,7 +148,7 @@ class Lease:
 
     lease_id: str
     task: Task
-    worker: Optional[str]         # None = a forked child of this process
+    worker: Optional[str]         # None = anonymous (no worker to name)
     attempt: int
     budget_s: Optional[float]
     deadline: float               # the transport's clock; inf when unbounded
@@ -161,12 +162,12 @@ Outcome = Tuple[str, float]
 class LeaseTable:
     """Pending cells, outstanding leases, and the retry policy.
 
-    A transport drives it with five calls: :meth:`grant` when a worker
+    The master drives it with five calls: :meth:`grant` when a worker
     slot is idle, :meth:`settle_ok` / :meth:`settle_fail` when payloads
     arrive, :meth:`expire` on its periodic scan, and
     :meth:`revoke_worker` when a worker is lost.  ``lease_grace_s`` is
-    what the transport adds on top of a cell's budget: zero for a pipe
-    to a forked child, seconds for a socket.
+    what is added on top of a cell's budget: zero for ``--jobs``
+    (forked workers on loopback), seconds for ``--backend dist``.
     """
 
     def __init__(self, cells, timeout_s: Optional[float],
@@ -367,10 +368,10 @@ def note_failed_attempt(task: Task, outcome: Outcome, sink=None,
                         worker: Optional[str] = None) -> None:
     """Announce one settled failed attempt: telemetry event + progress.
 
-    Both transports call this right after the table settled the
-    attempt, so a retry or a quarantine reads the same in the telemetry
-    log (``cell.retry`` / ``cell.quarantine``, with ``worker=`` when
-    there is one) and on stderr whichever way the cell travelled.
+    Called right after the table settled the attempt, so a retry or a
+    quarantine reads the same in the telemetry log (``cell.retry`` /
+    ``cell.quarantine``, with ``worker=`` when there is one) and on
+    stderr whatever settled it — a report, an expiry or a lost worker.
     """
     action, backoff = outcome
     entry = task.attempt_log[-1]

@@ -33,7 +33,7 @@ class UsageError(ReproError):
 def add_sweep_options(cmd) -> None:
     """Declare the flags every sweep verb takes (any backend)."""
     cmd.add_argument("--jobs", type=int, default=None,
-                     help="forked children at a time (default: cpu "
+                     help="forked workers at a time (default: cpu "
                           "count; ignored with --no-timeout)")
     cmd.add_argument("--json", metavar="PATH",
                      help="write every cell as a harness JSON artifact "
@@ -84,9 +84,10 @@ def add_sweep_options(cmd) -> None:
                           "it with `repro report`")
     cmd.add_argument("--backend", choices=("local", "dist"),
                      default="local",
-                     help="transport: 'local' forks one child per cell; "
-                          "'dist' sends cells to worker processes over "
-                          "sockets (heartbeats, journal + resume); "
+                     help="transport: 'local' forks --jobs workers and "
+                          "feeds them cells over loopback sockets; "
+                          "'dist' is the same master with --workers "
+                          "workers plus attach, journal + resume; "
                           "timeouts, retries and quarantine are the "
                           "same on both")
     cmd.add_argument("--workers", type=int, default=2, metavar="N",

@@ -1,4 +1,4 @@
-"""Sweep execution: cache, then one of three ways to run a cell.
+"""Sweep execution: cache, then one of two ways to run a cell.
 
 Every cell is an independent deterministic simulation — it builds its
 own :class:`~repro.sim.engine.Simulator` from its own seed — so the
@@ -8,15 +8,16 @@ registry cells, every way of running them produces identical metrics,
 and a populated cache short-circuits execution entirely.
 
 Pending cells run in this process (``timeout_s=None``: serial, raw
-exceptions, for debugging), on the fork transport
-(:mod:`repro.harness.supervisor`) or on the socket transport
-(:mod:`repro.harness.dist`).  The two transports share one retry /
-deadline / quarantine policy, :class:`~repro.harness.lease.LeaseTable`.
+exceptions, for debugging) or on socket workers driven by the master
+(:mod:`repro.harness.dist.master`) under one retry / deadline /
+quarantine policy, :class:`~repro.harness.lease.LeaseTable`.
+``backend`` only picks the master's settings: ``"local"`` is ``jobs``
+workers it forks itself, ``"dist"`` adds journal, resume and attach.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
@@ -29,7 +30,7 @@ from repro.harness.lease import (
     FailureRecord,
 )
 from repro.harness.registry import Cell, resolve_faults
-from repro.harness.supervisor import execute_cell, run_supervised
+from repro.harness.supervisor import execute_cell, local_transport
 
 
 @dataclass
@@ -109,36 +110,38 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
 
     ``telemetry`` (a JSONL path) arms the run-scoped telemetry log:
     this process records the sweep bracket and cache hits, each worker
-    appends its cell span and gauge samples, and the transport adds
-    retry/quarantine events — all interleaved into the one file.
+    appends its cell span and gauge samples, and the master adds
+    lease/retry/quarantine events — all interleaved into the one file.
     Telemetry never affects metrics: sampler hooks schedule nothing,
     and the cache key is telemetry-independent.
 
-    Pending cells run one of three ways, under one policy:
+    Pending cells run one of two ways:
 
-    * ``backend="local"`` with a ``timeout_s`` — the **fork transport**
-      (:mod:`repro.harness.supervisor`): up to ``jobs`` forked children
-      (``None`` = ``os.cpu_count()``), each under the per-cell
-      wall-clock deadline;
-    * ``backend="dist"`` — the **socket transport**
-      (:mod:`repro.harness.dist`): worker processes with heartbeats,
-      journal + resume.  ``dist_options`` (workers/journal/resume/
-      bind/...) are forwarded to
-      :func:`repro.harness.dist.master.run_distributed`; ``jobs`` is
-      the width of the fork transport it degrades to;
+    * with a ``timeout_s`` (or ``backend="dist"``) — on **socket
+      workers** under the master (:mod:`repro.harness.dist.master`),
+      each cell leased with its wall-clock deadline.
+      ``backend="local"`` is ``jobs`` workers forked by the master
+      (``None`` = ``os.cpu_count()``), loopback, no journal
+      (:func:`~repro.harness.supervisor.local_transport`);
+      ``backend="dist"`` forwards ``dist_options`` (workers/journal/
+      resume/bind/...) to
+      :func:`~repro.harness.dist.master.run_distributed`, and ``jobs``
+      is only how many local workers it degrades to when none of its
+      own is reachable;
     * ``backend="local"`` with ``timeout_s=None`` — **in-process**:
       serially in this process, no deadline, no quarantine, crashes
       propagate raw (``jobs`` is ignored) — for debugging one cell.
 
-    On both transports failed cells are retried up to ``retries`` times
+    Under the master, failed cells are retried up to ``retries`` times
     with deterministic backoff, and cells that exhaust their attempts
     land in :attr:`RunReport.failures` instead of aborting the sweep
-    (:class:`~repro.harness.lease.LeaseTable` is the one state machine
-    behind both).  Quarantined cells are never written to the cache, so
-    partial runs cannot poison later sweeps.  Cache serving, cache
-    writing, and result ordering are identical however cells ran —
-    which is what makes local and distributed sweeps of the same cells
-    produce the same cells fingerprint.
+    (:class:`~repro.harness.lease.LeaseTable` is the state machine).
+    A result is written to the cache the moment it settles, so a killed
+    driver keeps every cell it finished; quarantined cells are never
+    written, so partial runs cannot poison later sweeps.  Cache
+    serving, cache writing, and result ordering are identical however
+    cells ran — which is what makes local and distributed sweeps of the
+    same cells produce the same cells fingerprint.
 
     A ``KeyboardInterrupt`` drains instead of propagating:
     already-settled results and failures are returned with
@@ -149,7 +152,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         raise ValueError(f"unknown backend {backend!r} "
                          "(expected 'local' or 'dist')")
     if jobs is None:
-        jobs = multiprocessing.cpu_count()
+        jobs = os.cpu_count() or 1
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
@@ -180,39 +183,40 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
             report.cache_misses += 1
             pending.append(cell)
 
+    store = None
+    if cache is not None:
+        def store(result: CellResult) -> None:
+            cache.put(storage_key(result.key, checks=checks, faults=faults),
+                      {"metrics": result.metrics,
+                       "wall_clock_s": result.wall_clock_s})
+
     options = dict(checks=checks, faults=faults, watchdog=watchdog,
                    telemetry=telemetry)
-    failures: List[FailureRecord] = []
-    if backend == "dist":
-        from repro.harness.dist.master import run_distributed
-
-        executed, failures, report.interrupted = run_distributed(
-            pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, progress=progress, **options,
-            **(dist_options or {}))
-    elif timeout_s is not None:
-        executed, failures, report.interrupted = run_supervised(
-            pending, jobs=jobs, timeout_s=timeout_s, retries=retries,
-            backoff_base=backoff_base, progress=progress, **options)
-    else:
-        executed = []
+    if backend == "local" and timeout_s is None:
         try:
             for cell in pending:
                 _, metrics, wall = execute_cell(cell, raw=True, **options)
                 result = CellResult(cell, metrics, wall)
-                executed.append(result)
+                if store is not None:
+                    store(result)
+                report.results.append(result)
                 if progress is not None:
                     progress(result.settled_line())
         except KeyboardInterrupt:
             report.interrupted = True
-    report.failures = sorted(failures, key=lambda f: f.key)
+    else:
+        # Imported here so that `import repro.harness` stays free of
+        # the transport's modules (sockets, selectors, multiprocessing).
+        from repro.harness.dist.master import run_distributed
 
-    for result in executed:
-        if cache is not None:
-            cache.put(storage_key(result.key, checks=checks, faults=faults),
-                      {"metrics": result.metrics,
-                       "wall_clock_s": result.wall_clock_s})
-        report.results.append(result)
+        transport = (local_transport(jobs) if backend == "local"
+                     else {"jobs": jobs, **(dist_options or {})})
+        executed, failures, report.interrupted = run_distributed(
+            pending, timeout_s=timeout_s, retries=retries,
+            backoff_base=backoff_base, progress=progress, on_result=store,
+            **options, **transport)
+        report.results.extend(executed)
+        report.failures = sorted(failures, key=lambda f: f.key)
 
     report.results.sort(key=lambda r: r.key)
     report.elapsed_s = time.perf_counter() - started

@@ -1,36 +1,27 @@
-"""The worker body and the fork transport.
+"""The worker body, and the local way into the one transport.
 
 :func:`execute_cell` is the one place a cell is run for the harness:
-in this process (``--no-timeout`` debugging), in a forked child, or in
-a socket worker, it times the cell, brackets it with a telemetry span
-and maps whatever it raised onto the failure taxonomy:
+in this process (``--no-timeout`` debugging) or in a socket worker, it
+times the cell, brackets it with a telemetry span and maps whatever it
+raised onto the failure taxonomy:
 
 * :class:`~repro.errors.InvariantViolation` is ``check-violation`` and
   :class:`~repro.errors.SimulationStalled` is ``divergence`` — both
   carry structured diagnostics;
 * anything else is ``crash``.
 
-:func:`run_supervised` is the **fork transport** over the scheduler
-core (:mod:`repro.harness.lease`): each granted lease becomes one
-forked child reporting through a pipe.  The table owns attempts,
-backoff, deadlines and quarantine; this module only launches, reaps
-and kills:
-
-* a child that reports settles its lease (``settle_ok`` /
-  ``settle_fail``);
-* a child that dies without reporting (segfault, ``os._exit``) settles
-  as ``crash`` with its exit code — here the process *is* the cell;
-* a child whose lease expires is terminated (then killed) and the
-  attempt settles as ``timeout``.
-
-Nothing here touches the result cache: quarantined cells are never
-written to it, so a partial run cannot poison later sweeps.
+:func:`run_supervised` is what ``--jobs N`` means: the socket master
+(:mod:`repro.harness.dist.master`) with N workers it forks itself, on
+loopback, with no journal and no lease grace.  There is no second
+transport behind it: a hung cell's worker is killed at the deadline
+(``timeout``), a worker that dies under its cell is that cell's
+``crash`` with the exit code, and the
+:class:`~repro.harness.lease.LeaseTable` owns attempts, backoff and
+quarantine exactly as it does for ``--backend dist``.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
 import time
 import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -42,16 +33,8 @@ from repro.harness.lease import (
     DEFAULT_TIMEOUT_S,
     CellResult,
     FailureRecord,
-    LeaseTable,
-    note_failed_attempt,
 )
 from repro.harness.registry import Cell, run_cell
-
-#: How long a terminated worker gets to die before SIGKILL.
-_TERM_GRACE_S = 2.0
-
-#: Poll granularity of the supervision loop (seconds).
-_POLL_S = 0.02
 
 
 def classify_error(exc: BaseException) -> Tuple[str, str, Dict[str, Any]]:
@@ -117,129 +100,12 @@ def execute_cell(cell: Cell, checks: Any = False, faults: Any = None,
     return ("ok", metrics, time.perf_counter() - start)
 
 
-def _mp_context():
-    # fork inherits sys.path, loaded modules, and (crucially for the
-    # tests) runtime-registered experiments; fall back to the platform
-    # default elsewhere.
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
-def _child_entry(send_conn, cell: Cell, options: Dict[str, Any]) -> None:
-    """Forked child: run one cell, report its payload through the pipe."""
-    try:
-        send_conn.send(execute_cell(cell, **options))
-    finally:
-        send_conn.close()
-
-
-def _terminate(process, conn) -> None:
-    process.terminate()
-    process.join(_TERM_GRACE_S)
-    if process.is_alive():
-        process.kill()
-        process.join()
-    conn.close()
-
-
-def supervise(table: LeaseTable, jobs: int, checks: Any = False,
-              faults: Any = None, watchdog: Any = False,
-              progress: Optional[Callable[[str], None]] = None,
-              telemetry: Optional[str] = None) -> bool:
-    """Drive *table* to completion on forked children; returns
-    ``interrupted``.
-
-    At most *jobs* leases are out at a time, each held by one child.
-    The table may arrive part-settled (the dist master hands its table
-    over when it degrades): attempts, backoff gates and attempt logs
-    carry on where the previous transport left them.  Grace is zero —
-    a forked child's payload crosses a pipe, not a wire.
-
-    A ``KeyboardInterrupt`` drains: in-flight children are killed
-    without settling their cells (neither successes nor failures —
-    simply not run) and everything already settled is kept.
-    """
-    table.lease_grace_s = 0.0
-    sink = None
-    if telemetry is not None:
-        from repro.obs.events import TelemetrySink
-
-        sink = TelemetrySink(telemetry, run_id="supervisor")
-    ctx = _mp_context()
-    options = {"checks": checks, "faults": faults, "watchdog": watchdog,
-               "telemetry": telemetry}
-    running: Dict[str, tuple] = {}    # lease id -> (process, read end)
-
-    def fail(lease_id: str, payload: tuple) -> None:
-        task, outcome = table.settle_fail(lease_id, None, *payload,
-                                          time.monotonic())
-        note_failed_attempt(task, outcome, sink=sink, progress=progress)
-
-    def reap(lease_id: str) -> None:
-        process, conn = running.pop(lease_id)
-        payload = None
-        if conn.poll():
-            try:
-                payload = conn.recv()
-            except EOFError:
-                pass
-        conn.close()
-        process.join()
-        if payload is None:
-            code = process.exitcode
-            fail(lease_id, ("crash", f"worker exited with code {code} "
-                            "before reporting", {"exitcode": code}, 0.0))
-        elif payload[0] == "ok":
-            result = table.settle_ok(lease_id, None, *payload[1:])
-            if progress is not None:
-                progress(result.settled_line())
-        else:
-            fail(lease_id, payload[1:])
-
-    try:
-        while not table.done:
-            now = time.monotonic()
-            while len(running) < jobs:
-                lease = table.grant(None, now)
-                if lease is None:
-                    break
-                recv_conn, send_conn = ctx.Pipe(duplex=False)
-                process = ctx.Process(
-                    target=_child_entry,
-                    args=(send_conn, lease.task.cell, options))
-                process.daemon = True
-                process.start()
-                send_conn.close()     # parent keeps only the read end
-                running[lease.lease_id] = (process, recv_conn)
-            if not running:
-                time.sleep(_POLL_S)   # only backoff gates left
-                continue
-            # Block briefly on every live pipe; a child that never
-            # writes is caught by the expiry scan below.
-            multiprocessing.connection.wait(
-                [conn for _, conn in running.values()], timeout=_POLL_S)
-            for lease_id, (process, conn) in list(running.items()):
-                if conn.poll() or not process.is_alive():
-                    reap(lease_id)
-            now = time.monotonic()
-            for lease in table.expired(now):
-                _terminate(*running.pop(lease.lease_id))
-                note_failed_attempt(lease.task, table.expire(lease, now),
-                                    sink=sink, progress=progress)
-    except KeyboardInterrupt:
-        for child in running.values():
-            _terminate(*child)
-        if sink is not None:
-            sink.emit("sweep.interrupted", settled=len(table.successes),
-                      failed=len(table.failures),
-                      abandoned=table.outstanding())
-        return True
-    finally:
-        if sink is not None:
-            sink.close()
-    return False
+def local_transport(jobs: int) -> Dict[str, Any]:
+    """What ``--jobs N`` asks of the master: N workers it forks itself
+    (and as many again if it must degrade), default loopback bind, no
+    journal, and no lease grace — the deadline is the cell's budget, a
+    loopback hop needs no allowance."""
+    return {"workers": jobs, "jobs": jobs, "lease_grace_s": 0.0}
 
 
 def run_supervised(cells: Sequence[Cell], jobs: int,
@@ -251,23 +117,21 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
                    progress: Optional[Callable[[str], None]] = None,
                    telemetry: Optional[str] = None,
                    ) -> Tuple[List[CellResult], List[FailureRecord], bool]:
-    """Execute *cells* on the fork transport; never raises for a cell.
+    """Execute *cells* on *jobs* forked workers; never raises for a cell.
 
-    Returns ``(successes, failures, interrupted)``.  Every input cell
-    appears in exactly one of the two lists — unless the sweep was
-    interrupted (``SIGINT``), in which case in-flight and
-    not-yet-started cells appear in neither, and callers can flush a
-    partial artifact instead of dying with a raw traceback.
-    ``timeout_s`` is the sweep-wide deadline; experiments that
-    registered a :func:`~repro.harness.registry.register_timeout_hint`
-    budget get the larger of the two (see
-    :func:`~repro.harness.registry.cell_budget`).  With ``telemetry``
-    set, retry and quarantine decisions are logged from this process
-    and each child appends its own cell span and gauges.
+    Returns ``(successes, failures, interrupted)``: this is
+    :func:`~repro.harness.dist.master.run_distributed` with
+    :func:`local_transport`'s settings, and what ``run_cells`` does for
+    ``backend="local"``.  ``timeout_s`` is the sweep-wide deadline;
+    experiments that registered a
+    :func:`~repro.harness.registry.register_timeout_hint` budget get
+    the larger of the two (see
+    :func:`~repro.harness.registry.cell_budget`).
     """
-    table = LeaseTable(cells, timeout_s=timeout_s, retries=retries,
-                       backoff_base=backoff_base)
-    interrupted = supervise(table, jobs, checks=checks, faults=faults,
-                            watchdog=watchdog, progress=progress,
-                            telemetry=telemetry)
-    return table.successes, table.failures, interrupted
+    from repro.harness.dist.master import run_distributed
+
+    return run_distributed(
+        cells, timeout_s=timeout_s, retries=retries,
+        backoff_base=backoff_base, checks=checks, faults=faults,
+        watchdog=watchdog, progress=progress, telemetry=telemetry,
+        **local_transport(jobs))

@@ -97,7 +97,7 @@ def _headline(cells: List[Dict[str, Any]]) -> List[str]:
 
 
 def _dist_timings(events: Sequence[Dict[str, Any]]) -> List[str]:
-    """The socket transport's two latencies, derived from event times:
+    """The master's two latencies, derived from event times:
     start-up, and how long a worker that ended a cell sat idle."""
     start, joins, gaps = None, [], []
     ended: Dict[str, float] = {}
@@ -160,9 +160,8 @@ def _worker_section(cells: List[Dict[str, Any]],
     return lines
 
 
-#: Scheduler counters, label -> telemetry event.  The retry/quarantine
-#: pair is emitted by whichever transport ran the cell; the rest only
-#: exist on the socket transport.
+#: Scheduler counters, label -> telemetry event, all emitted by the
+#: master (``--jobs`` and ``--backend dist`` alike).
 _COUNTERS = {
     "attempts retried": "cell.retry",
     "cells quarantined": "cell.quarantine",
@@ -172,7 +171,7 @@ _COUNTERS = {
     "leases granted": "dist.lease.grant",
     "leases expired": "dist.lease.expire",
     "stale results dropped": "dist.stale",
-    "degraded to fork transport": "dist.degrade",
+    "degraded to local workers": "dist.degrade",
 }
 
 

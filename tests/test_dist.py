@@ -5,9 +5,10 @@ expire and re-queue, dead workers are declared ``worker-lost`` and
 their cells retried on respawned workers, stale results never settle
 (no cache poisoning), the journal replays a killed master's run, the
 drain path flushes partial results, zero reachable workers degrades to
-the fork transport on the same lease table — and a distributed sweep's
-artifact carries the same cells fingerprint, retry schedule and failure
-records as a local one.
+local workers on the same lease table and socket, a worker that dies
+under its cell is that cell's ``crash`` — and a ``--backend dist``
+sweep's artifact carries the same cells fingerprint, retry schedule and
+failure records as a ``--jobs`` one, because both are this master.
 """
 
 import json
@@ -17,6 +18,7 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
@@ -46,6 +48,7 @@ from repro.harness.registry import (
 )
 from repro.harness.runner import storage_key
 from repro.harness.supervisor import execute_cell
+from repro.obs import load_events
 
 posix_only = pytest.mark.skipif(
     os.name != "posix", reason="dist worker-failure tests use signals")
@@ -441,16 +444,21 @@ class TestDistExecution:
         assert all(r.worker for r in ok)
         assert all(r.attempts == 1 and not r.attempt_log for r in ok)
 
-    def test_os_exit_mid_cell_is_worker_lost_and_siblings_complete(self):
+    def test_os_exit_mid_cell_is_the_cells_crash_and_siblings_complete(self):
+        # The worker was the master's own fork and it exited by itself:
+        # the process death is the cell's, exit code and all.
         cells = [chaos("exit", seed=0), chaos("ok", seed=1)]
         ok, fail, _ = run_distributed(
             cells, timeout_s=30.0, retries=1, workers=2, preload=PRELOAD,
             **FAST)
         assert [r.key for r in ok] == [chaos("ok", seed=1).key]
         (failure,) = fail
-        assert failure.kind == "worker-lost"
+        assert failure.kind == "crash"
         assert failure.attempts == 2          # retried on a respawn first
-        assert all(e["kind"] == "worker-lost" for e in failure.attempt_log)
+        assert failure.message == ("worker exited with code 42 "
+                                   "before reporting")
+        assert failure.detail == {"exitcode": 42}
+        assert all(e["kind"] == "crash" for e in failure.attempt_log)
 
     def test_flaky_cell_retries_on_deterministic_backoff(self, tmp_path):
         cell = chaos("flaky", seed=0, scratch=str(tmp_path))
@@ -499,33 +507,85 @@ class TestDistExecution:
         assert cache.get(storage_key(chaos("crash", seed=0).key)) is None
         assert cache.get(storage_key(chaos("ok", seed=1).key)) is not None
 
-    def test_degrades_to_local_pool_when_no_worker_reachable(self):
+    def test_degrades_to_local_pool_when_no_worker_reachable(self, tmp_path):
         cells = [chaos("ok", seed=s) for s in range(2)]
+        telemetry = str(tmp_path / "events.jsonl")
+        lines = []
         ok, fail, interrupted = run_distributed(
             cells, timeout_s=30.0, retries=0, workers=0,
-            connect_timeout_s=0.3, jobs=2)
+            connect_timeout_s=0.3, jobs=2, telemetry=telemetry,
+            progress=lines.append)
         assert not fail and not interrupted
         assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
-        assert all(r.worker is None for r in ok)      # ran locally
+        # After the attach window the master forked its own workers
+        # onto the same socket: there is no other way to run a cell.
+        assert {r.worker for r in ok} <= {"w1", "w2"}
+        assert all(r.worker for r in ok)
+        (degrade,) = [e for e in load_events(telemetry)
+                      if e["event"] == "dist.degrade"]
+        assert degrade["remaining"] == 2
+        assert any("degrading 2 cells to 2 local workers" in line
+                   for line in lines)
 
-    def test_degrade_keeps_the_attempts_already_burned(self, tmp_path):
-        # One worker plus its two respawns each die on the exit cell:
-        # three worker-lost attempts, respawn budget spent, degrade.
-        # The fork transport must carry on from attempt 4 — not hand the
-        # cell a fresh retries+1 budget and lose the earlier log.
+    def test_cell_that_kills_its_worker_is_quarantined_not_degraded(
+            self, tmp_path, monkeypatch):
+        # Used to be: three worker-lost, respawn budget spent, degrade,
+        # then a forked ``crash``.  The budget is not the cell's to
+        # spend — its own ``retries`` bound it.
+        masters = []
+        run = master_mod._Master.run
+        monkeypatch.setattr(master_mod._Master, "run",
+                            lambda self: masters.append(self) or run(self))
         journal = str(tmp_path / "run.journal")
+        telemetry = str(tmp_path / "events.jsonl")
         ok, fail, interrupted = run_distributed(
             [chaos("exit", seed=0)], timeout_s=30.0, retries=3, workers=1,
-            preload=PRELOAD, jobs=1, journal=journal, **FAST)
+            preload=PRELOAD, jobs=1, journal=journal, telemetry=telemetry,
+            **FAST)
         assert not ok and not interrupted
         (failure,) = fail
-        assert failure.attempts == 4
-        assert [e["kind"] for e in failure.attempt_log] == [
-            "worker-lost", "worker-lost", "worker-lost", "crash"]
-        assert failure.kind == "crash"
+        assert failure.kind == "crash" and failure.attempts == 4
+        assert [e["kind"] for e in failure.attempt_log] == ["crash"] * 4
         assert failure.detail == {"exitcode": 42}
+        (master,) = masters
+        assert master.respawns_left == 2 and not master.degraded
+        events = [e["event"] for e in load_events(telemetry)]
+        assert events.count("dist.lease.grant") == 4
+        assert "dist.degrade" not in events
         state = journal_mod.replay(journal)
         assert state.failures[failure.key]["attempts"] == 4
+        assert state.failures[failure.key]["kind"] == "crash"
+
+    def test_more_killer_cells_than_respawn_budget_still_settle(
+            self, tmp_path):
+        # Ten worker deaths on a budget of four: at the parent this
+        # exhausted the budget and fell back to the other transport.
+        telemetry = str(tmp_path / "events.jsonl")
+        cells = ([chaos("exit", seed=s) for s in range(5)]
+                 + [chaos("ok", seed=s) for s in range(5, 8)])
+        ok, fail, interrupted = run_distributed(
+            cells, timeout_s=30.0, retries=1, workers=2, preload=PRELOAD,
+            telemetry=telemetry, **FAST)
+        assert not interrupted
+        assert sorted(r.key for r in ok) == sorted(c.key for c in cells[5:])
+        assert sorted(f.key for f in fail) == sorted(c.key for c in cells[:5])
+        assert {(f.kind, f.attempts) for f in fail} == {("crash", 2)}
+        events = [e["event"] for e in load_events(telemetry)]
+        assert events.count("dist.worker.respawn") >= 9
+        assert "dist.degrade" not in events
+
+    def test_chaos_kill_is_worker_lost_not_the_cells_crash(self):
+        # The master's own SIGKILL: the cell did nothing wrong.
+        cells = [chaos("ok", delay=0.1, seed=0), chaos("ok", delay=0.6, seed=1),
+                 chaos("ok", delay=0.1, seed=2)]
+        ok, fail, _ = run_distributed(
+            cells, timeout_s=30.0, retries=1, workers=2, preload=PRELOAD,
+            chaos_kill_after=1, **FAST)
+        assert len(ok) == 3 and not fail
+        (victim,) = [r for r in ok if r.attempts == 2]
+        assert victim.key == cells[1].key      # the busy one was picked
+        (lost,) = victim.attempt_log
+        assert lost["kind"] == "worker-lost" and "chaos kill" in lost["message"]
 
     def test_dist_metrics_and_fingerprint_match_local(self, tmp_path):
         cells = [Cell.make("sendbuf", cc="reno", size_kb=5, seed=0),
@@ -603,13 +663,13 @@ class TestEventDrivenMaster:
     def test_runtime_registered_experiment_needs_no_preload(
             self, runtime_experiments):
         cells = [Cell.make("echox", seed=s) for s in range(4)]
-        forked = run_cells(cells, jobs=2, timeout_s=30.0)
-        socketed = run_cells(cells, jobs=2, backend="dist", timeout_s=30.0,
-                             dist_options=dict(workers=2, **FAST_OPTS))
-        assert not socketed.failures
-        assert ({r.key: r.metrics for r in socketed.results}
-                == {r.key: r.metrics for r in forked.results})
-        assert all(r.worker for r in socketed.results)
+        local = run_cells(cells, jobs=2, timeout_s=30.0)
+        dist = run_cells(cells, jobs=2, backend="dist", timeout_s=30.0,
+                         dist_options=dict(workers=2, **FAST_OPTS))
+        assert not local.failures and not dist.failures
+        assert ({r.key: r.metrics for r in dist.results}
+                == {r.key: r.metrics for r in local.results})
+        assert all(r.worker for r in local.results + dist.results)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="needs /proc/<pid>/fd")
@@ -617,8 +677,8 @@ class TestEventDrivenMaster:
             self, runtime_experiments, tmp_path):
         # w1 dies on the exit cell, so the probes run on w2 — a respawn,
         # forked from inside the running loop with the journal, the
-        # telemetry sink, the listener, the loop's own descriptors and
-        # w1's dead connection all open in the master.
+        # telemetry sink, the listener and the selector's own
+        # descriptor all open in the master.
         journal = str(tmp_path / "run.journal")
         telemetry = str(tmp_path / "events.jsonl")
         probes = [Cell.make("fdprobex", journal=journal,
@@ -626,7 +686,7 @@ class TestEventDrivenMaster:
         ok, fail, _ = run_distributed(
             [chaos("exit", seed=0)] + probes, timeout_s=30.0, retries=0,
             workers=1, journal=journal, telemetry=telemetry, **FAST)
-        assert [f.kind for f in fail] == ["worker-lost"]
+        assert [f.kind for f in fail] == ["crash"]
         assert {r.worker for r in ok} == {"w2"}
         # What the worker body itself holds on the telemetry file while
         # a cell runs (span sink, gauge sampler), measured here where
@@ -638,13 +698,12 @@ class TestEventDrivenMaster:
                 "telemetry": own, "other": 0.0}
 
     def test_master_side_of_the_connection_has_nodelay(self, monkeypatch):
-        # asyncio sets it only on sockets whose listener it created
-        # itself; the master binds its own, before it forks.
+        # Accepted sockets do not inherit it from the listener.
         seen = []
         settle = master_mod._Master._on_result
 
         def spy(self, worker, message):
-            seen.append(worker.writer.get_extra_info("socket").getsockopt(
+            seen.append(worker.sock.getsockopt(
                 socket.IPPROTO_TCP, socket.TCP_NODELAY))
             settle(self, worker, message)
 
@@ -696,14 +755,191 @@ class TestEventDrivenMaster:
 
 
 # ----------------------------------------------------------------------
-# Transport parity: one policy, whichever way the cell travelled
+# The local path is this master too: what it may and may not leave behind
 # ----------------------------------------------------------------------
 
-def _outline(ok, fail):
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+def _free_port():
+    """A loopback port for a master a test peer must find."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        return probe.getsockname()[1]
+
+
+def _has_children():
+    """Any child of this process, live or zombie (which it reaps)."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return False
+    return True
+
+
+@posix_only
+class TestLocalPathIsTheMaster:
+    def test_all_hits_sweep_opens_no_socket_and_forks_nothing(
+            self, tmp_path, monkeypatch):
+        made = {"sockets": 0, "forks": 0}
+
+        class CountedSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                made["sockets"] += 1
+                super().__init__(*args, **kwargs)
+
+        fork = os.fork
+
+        def counted_fork():
+            made["forks"] += 1
+            return fork()
+
+        monkeypatch.setattr(socket, "socket", CountedSocket)
+        monkeypatch.setattr(os, "fork", counted_fork)
+        cache = ResultCache(str(tmp_path / "cache"), "hash")
+        cells = [chaos("ok", seed=s) for s in range(3)]
+        cold = run_cells(cells, jobs=2, timeout_s=30.0, cache=cache)
+        assert cold.cache_misses == 3 and not cold.failures
+        assert made["sockets"] >= 1 and made["forks"] == 2   # the spies see
+        made.update(sockets=0, forks=0)
+        for backend in ("local", "dist"):
+            warm = run_cells(cells, jobs=2, timeout_s=30.0, cache=cache,
+                             backend=backend)
+            assert warm.cache_hits == 3 and len(warm.results) == 3
+        assert made == {"sockets": 0, "forks": 0}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="needs /proc/<pid>/fd")
+    @pytest.mark.parametrize("ending", ["clean", "quarantine", "sigint"])
+    def test_run_cells_leaves_no_child_and_no_descriptor(self, ending):
+        import multiprocessing
+
+        multiprocessing.active_children()     # reap other tests' leftovers
+        if _has_children():
+            pytest.skip("this process already had children")
+        cells = {
+            "clean": [chaos("ok", seed=s) for s in range(4)],
+            "quarantine": [chaos("ok", seed=0), chaos("exit", seed=1),
+                           chaos("crash", seed=2),
+                           chaos("sleep", delay=30.0, seed=3)],
+            "sigint": [chaos("ok", seed=0)] + [
+                chaos("ok", delay=30.0, seed=s) for s in range(1, 5)],
+        }[ending]
+        fired = []
+
+        def interrupt_on_first_result(line):
+            if ending == "sigint" and not fired:
+                fired.append(line)
+                os.kill(os.getpid(), signal.SIGINT)
+
+        before = _open_fds()
+        report = run_cells(cells, jobs=2, timeout_s=1.0, retries=0,
+                           progress=interrupt_on_first_result)
+        assert _open_fds() <= before
+        assert not _has_children()
+        assert report.interrupted == (ending == "sigint")
+        if ending == "quarantine":
+            assert sorted(f.kind for f in report.failures) == [
+                "crash", "crash", "timeout"]
+        if ending == "sigint":
+            assert len(report.results) == 1 and not report.failures
+        assert signal.getsignal(signal.SIGINT) is signal.default_int_handler
+
+    @pytest.mark.parametrize("reply", [
+        b'{"type": "result"}\n',                           # fields missing
+        b'{"type": ["result"], "lease_id": "L2"}\n',       # unhashable type
+        b'{"type": "result", "lease_id": ["L2"], "metrics": {}, '
+        b'"wall_clock_s": 0}\n',                           # unhashable id
+        b'{"type": "fail", "lease_id": "L2", "kind": "crash", '
+        b'"message": "m", "wall_clock_s": "soon"}\n',      # wrong type
+        b'{"type": "grant"}\n',                            # not a worker's
+        b"x" * 4096,                                       # never a newline
+    ], ids=["missing", "list-type", "list-lease", "str-wall", "grant",
+            "unterminated"])
+    def test_malformed_report_drops_the_peer_not_the_master(
+            self, reply, monkeypatch):
+        # What a reader coroutine's own traceback used to contain: a
+        # peer's bad message costs that peer its connection, the lease
+        # is revoked as worker-lost and the cell completes on w1.
+        monkeypatch.setattr(master_mod, "_MAX_LINE", 1024)
+        port = _free_port()
+
+        def attach():
+            time.sleep(0.3)                    # w1 is busy on seed 0 by now
+            with socket.create_connection(("127.0.0.1", port)) as peer:
+                peer.sendall(protocol.encode(protocol.hello("evil", 0)))
+                peer.makefile("rb").readline()     # its grant
+                peer.sendall(reply)
+                peer.settimeout(5.0)
+                try:
+                    assert peer.recv(1) == b""     # hung up on
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=attach, daemon=True)
+        thread.start()
+        cells = [chaos("ok", delay=1.0, seed=0), chaos("ok", seed=1)]
+        ok, fail, _ = run_distributed(
+            cells, timeout_s=30.0, retries=1, workers=1,
+            bind=f"127.0.0.1:{port}", **FAST)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert not fail and len(ok) == 2
+        (record,) = [r for r in ok if r.key == cells[1].key]
+        assert record.worker == "w1" and record.attempts == 2
+        (lost,) = record.attempt_log
+        assert lost["kind"] == "worker-lost"
+        assert "evil" in lost["message"]
+        assert "protocol error" in lost["message"]
+
+    def test_peer_that_never_reads_is_dropped_at_the_send_timeout(
+            self, monkeypatch):
+        # A grant too big for the socket buffers, to a peer that said
+        # hello and went deaf: ``sendall`` gives up after the bounded
+        # timeout, the lease is revoked and the cell completes on w1.
+        monkeypatch.setattr(master_mod, "_SEND_TIMEOUT_S", 0.5)
+        port = _free_port()
+        deaf = []
+
+        def attach():
+            time.sleep(0.3)                    # w1 is busy on seed 0 by now
+            peer = socket.socket()
+            peer.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            peer.connect(("127.0.0.1", port))
+            peer.sendall(protocol.encode(protocol.hello("deaf", 0)))
+            deaf.append(peer)                  # held open, never read
+
+        thread = threading.Thread(target=attach, daemon=True)
+        thread.start()
+        big = chaos("ok", seed=1, scratch="x" * (2 << 20))
+        started = time.monotonic()
+        try:
+            ok, fail, _ = run_distributed(
+                [chaos("ok", delay=1.5, seed=0), big], timeout_s=30.0,
+                retries=1, workers=1, bind=f"127.0.0.1:{port}", **FAST)
+        finally:
+            thread.join()
+            for peer in deaf:
+                peer.close()
+        assert time.monotonic() - started < 10.0
+        assert not fail and len(ok) == 2
+        (record,) = [r for r in ok if r.key == big.key]
+        assert record.worker == "w1" and record.attempts == 2
+        (lost,) = record.attempt_log
+        assert lost["kind"] == "worker-lost"
+        assert "deaf" in lost["message"] and "write failed" in lost["message"]
+
+
+# ----------------------------------------------------------------------
+# Backend parity: one policy, whichever settings the master ran with
+# ----------------------------------------------------------------------
+
+def _outline(report):
     """What a one-cell run decided, minus worker ids and wall clocks."""
-    (record,) = ok + fail
+    (record,) = report.results + report.failures
     out = {
-        "settled": "fail" if fail else "ok",
+        "settled": "fail" if report.failures else "ok",
         "attempts": record.attempts,
         "attempt_log": [
             (sorted(entry), entry["attempt"], entry["kind"],
@@ -711,7 +947,7 @@ def _outline(ok, fail):
              re.sub(r" on worker \S+", "", entry["message"]))
             for entry in record.attempt_log],
     }
-    if fail:
+    if report.failures:
         out.update(kind=record.kind, fields=sorted(record.as_dict()),
                    message=re.sub(r" on worker \S+", "", record.message),
                    detail_keys=sorted(set(record.detail) - {"worker"}))
@@ -721,28 +957,38 @@ def _outline(ok, fail):
 
 
 @posix_only
-@pytest.mark.parametrize("mode", ["ok", "hang", "crash", "flaky"])
+@pytest.mark.parametrize("mode", ["ok", "hang", "crash", "flaky", "exit"])
 def test_fork_and_socket_transports_settle_a_cell_identically(
         mode, tmp_path):
+    # The name is from when there were two transports; what it pins now
+    # is that ``--jobs`` and ``--backend dist`` are one master: the same
+    # cell settles the same way under either set of options.
     if mode == "hang":
         cell = chaos("sleep", delay=30.0, seed=0)
     elif mode == "flaky":
         cell = chaos("flaky", seed=0, scratch=str(tmp_path))
     else:
         cell = chaos(mode, seed=0)
-    policy = dict(timeout_s=0.5 if mode == "hang" else 30.0, retries=1,
-                  backoff_base=FAST["backoff_base"])
-    forked = _outline(*run_supervised([cell], jobs=1, **policy)[:2])
+    policy = dict(jobs=1, timeout_s=0.5 if mode == "hang" else 30.0,
+                  retries=1, backoff_base=FAST["backoff_base"])
+    local = run_cells([cell], backend="local", **policy)
     if mode == "flaky":
         os.remove(tmp_path / "flaky-0.attempted")     # first run again
-    socketed = _outline(*run_distributed(
-        [cell], workers=1, preload=PRELOAD, **FAST_OPTS, **policy)[:2])
-    assert forked == socketed
+    dist = run_cells([cell], backend="dist", **policy,
+                     dist_options=dict(workers=1, preload=PRELOAD,
+                                       **FAST_OPTS))
+    assert _outline(local) == _outline(dist)
+    assert local.results + local.failures and all(
+        r.worker for r in local.results + dist.results)
     expected = {"ok": ("ok", 1), "hang": ("fail", 2), "crash": ("fail", 2),
-                "flaky": ("ok", 2)}[mode]
-    assert (forked["settled"], forked["attempts"]) == expected
+                "flaky": ("ok", 2), "exit": ("fail", 2)}[mode]
+    outline = _outline(local)
+    assert (outline["settled"], outline["attempts"]) == expected
     if mode == "hang":
-        assert forked["kind"] == "timeout"
+        assert outline["kind"] == "timeout"
+    if mode == "exit":
+        assert outline["kind"] == "crash"
+        assert outline["detail_keys"] == ["exitcode"]
 
 
 # ----------------------------------------------------------------------
@@ -762,6 +1008,19 @@ ok, fail, interrupted = run_distributed(
     preload=["repro.harness.dist.chaos"],
     heartbeat_interval_s=0.1, heartbeat_misses=4, backoff_base=0.01)
 print(f"DONE ok={len(ok)} fail={len(fail)} intr={interrupted}", flush=True)
+"""
+
+
+_CACHE_DRIVER = """\
+import sys
+from repro.harness import Cell, ResultCache, run_cells
+import repro.harness.dist.chaos
+
+cells = [Cell.make("dist_chaos", mode="ok", delay=0.3, seed=s)
+         for s in range(8)]
+run_cells(cells, jobs=1, timeout_s=30.0,
+          cache=ResultCache(sys.argv[1], "kill-test"),
+          progress=lambda line: print("P " + line, flush=True))
 """
 
 
@@ -819,6 +1078,38 @@ class TestKillAndResume:
             journal=journal, resume=True, src_hash="kill-test",
             preload=PRELOAD, **FAST)
         assert len(ok2) == 8 and not fail2
+
+    def test_killed_driver_keeps_every_cell_it_finished(self, tmp_path):
+        # No journal here: the cache is written as each cell settles,
+        # not after the transport returns, so SIGKILL loses nothing.
+        cache_dir = str(tmp_path / "cache")
+        driver = tmp_path / "driver.py"
+        driver.write_text(_CACHE_DRIVER)
+        proc = subprocess.Popen([sys.executable, str(driver), cache_dir],
+                                env=_env(), stdout=subprocess.PIPE, text=True)
+        settled = []
+        try:
+            for line in proc.stdout:
+                assert line.startswith("P "), line
+                settled.append(line[2:].split(": ")[0])
+                if len(settled) == 4:
+                    break
+        finally:
+            proc.kill()
+            proc.wait()
+
+        cache = ResultCache(cache_dir, "kill-test")
+        cells = [chaos("ok", delay=0.3, seed=s) for s in range(8)]
+        cached = [c.key for c in cells if cache.get(storage_key(c.key))]
+        assert sorted(cached) == sorted(settled) and len(cached) == 4
+        executed = []
+        report = run_cells(cells, jobs=1, timeout_s=30.0, cache=cache,
+                           progress=executed.append)
+        assert report.cache_hits == 4 and report.cache_misses == 4
+        assert len(report.results) == 8 and not report.failures
+        ran = {line.split(": ")[0] for line in executed
+               if not line.endswith(": cached")}
+        assert ran == {c.key for c in cells} - set(settled)
 
     def test_resume_refuses_wrong_src_hash(self, tmp_path):
         journal = str(tmp_path / "run.journal")

@@ -202,9 +202,9 @@ class TestHarnessTelemetry:
         assert "cell.start" in events and "cell.end" in events
 
     def test_report_counts_retries_of_a_local_supervised_run(self, tmp_path):
-        # The fork transport's retries reach `repro report`: one
-        # cell.retry/cell.quarantine pair whichever transport ran the
-        # cell, and a counters section that no longer needs a dist run.
+        # A `--jobs` run's retries reach `repro report`: it rides the
+        # same master as `--backend dist`, so the retry names its worker
+        # and the report carries the counters and the per-worker section.
         from repro.harness import build_document
         from repro.harness.dist.chaos import CHAOS_EXPERIMENT
 
@@ -217,12 +217,13 @@ class TestHarnessTelemetry:
         events = load_events(path)
         (retry,) = [e for e in events if e["event"] == "cell.retry"]
         assert retry["cell"] == flaky.key and retry["kind"] == "crash"
-        assert "worker" not in retry
+        assert retry["worker"] == "w1"
         text = render_report(
             build_document(report, mode="quick", src_hash="h"), events=events)
         assert "## Scheduler counters" in text
         assert re.search(r"\| attempts retried\s*\| 1\s*\|", text)
-        assert "Distributed backend" not in text
+        assert re.search(r"\| leases granted\s*\| 2\s*\|", text)
+        assert "### Per-worker cells" in text
 
 
 class TestReport:
@@ -298,7 +299,7 @@ class TestReport:
             at(10.502, "dist.lease.grant", worker="w1"),
             at(10.600, "cell.end", worker="w2"),
             at(10.606, "dist.lease.grant", worker="w2"),
-            at(10.700, "cell.end"),                        # fork transport
+            at(10.700, "cell.end"),                        # in-process
             at(12.000, "dist.worker.join", worker="w3"),   # a respawn
         ]
         text = render_report(self._doc(), events=events)

@@ -2,7 +2,11 @@
 
 import ast
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -337,3 +341,45 @@ class TestSourceGuard:
         for literal in ('"vegas-1,3"', '"vegas-2,4"', '("reno", "reno")',
                         '("vegas", "vegas")', "(10, 15, 20)", "(15, 20)"):
             assert literal not in registry, literal
+
+    def test_one_transport(self):
+        """A supervised cell travels one way — socket workers under the
+        ``selectors`` master: no event-loop framework, no fork-and-pipe
+        per cell, and ``run_cells`` chooses between exactly two bodies
+        (in this process, or the master)."""
+        assert self._matches(r"^\s*(import|from) asyncio\b") == []
+        assert self._matches(r"multiprocessing\.connection") == []
+        assert self._matches(
+            r"def supervise\(|_child_entry|_terminate\(") == []
+        runner = (self.SRC / "harness" / "runner.py").read_text()
+        assert sorted(re.findall(
+            r"\b(execute_cell|run_distributed|run_supervised|supervise)\(",
+            runner)) == ["execute_cell", "run_distributed"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="local workers are forks")
+    def test_a_local_sweep_loads_no_event_loop(self):
+        """Fresh interpreter: ``import repro.harness`` loads none of the
+        transport's modules (a cache-served sweep never pays for them),
+        and a two-cell ``--jobs 2`` sweep never loads ``asyncio``."""
+        code = textwrap.dedent("""
+            import sys
+            import repro.harness
+            heavy = ("asyncio", "multiprocessing", "selectors", "socket",
+                     "repro.harness.dist")
+            early = sorted(name for name in sys.modules
+                           if name.startswith(heavy))
+            assert not early, early
+            from repro.harness import Cell, run_cells
+            report = run_cells(
+                [Cell.make("sendbuf", cc=cc, size_kb=5, seed=0)
+                 for cc in ("reno", "vegas")], jobs=2, timeout_s=30)
+            assert len(report.results) == 2 and not report.failures
+            assert all(r.worker for r in report.results)
+            assert "repro.harness.dist.master" in sys.modules
+            assert "asyncio" not in sys.modules
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
