@@ -12,13 +12,9 @@ or through the harness/CLI: ``run_cell(cell, checks="raise")`` /
 ``python -m repro.cli run-all --checks``.
 """
 
-from repro.checks.checker import InvariantChecker
-from repro.checks.runtime import activate, active, checking, deactivate
+from repro.checks.checker import InvariantChecker, checking
 
 __all__ = [
     "InvariantChecker",
-    "activate",
-    "active",
     "checking",
-    "deactivate",
 ]

@@ -1,11 +1,12 @@
 """Runtime invariant checker.
 
 The checker audits a running simulation from the outside: components
-register themselves at construction (see :mod:`repro.checks.runtime`)
-and call cheap notification hooks at the few points where protocol
-invariants are decidable.  Structural conservation laws — queue and
-link packet accounting, buffer occupancy — are re-audited periodically
-from the engine's event loop and once more when a run ends.
+register themselves at construction (the ``checker`` role of
+:mod:`repro.sim.observers`) and call cheap notification hooks at the
+few points where protocol invariants are decidable.  Structural
+conservation laws — queue and link packet accounting, buffer
+occupancy — are re-audited periodically from the engine's event loop
+and once more when a run ends.
 
 Checked invariants:
 
@@ -38,9 +39,11 @@ simulation continues.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import InvariantViolation
+from repro.sim.observers import Instrument, armed
 
 #: How many processed events between two structural audits.  Audits
 #: piggyback on the engine's event hook — they schedule nothing — so
@@ -52,7 +55,7 @@ DEFAULT_AUDIT_INTERVAL = 256
 _CWND_SLACK_SEGMENTS = 16
 
 
-class InvariantChecker:
+class InvariantChecker(Instrument):
     """Audits one simulation run; see the module docstring.
 
     Args:
@@ -357,3 +360,21 @@ class InvariantChecker:
                 self._fail("packets-vanished", now, subject=lan.name,
                            detail=f"{lan.in_transit} packet(s) still marked "
                                   "in flight with no pending events")
+
+
+@contextmanager
+def checking(checker: Optional[InvariantChecker] = None, mode: str = "raise"):
+    """Context manager: run a block with an armed checker.
+
+    ::
+
+        with checking() as chk:
+            run_experiment()
+        assert not chk.violations
+
+    A fresh :class:`InvariantChecker` is built unless one is passed in.
+    """
+    if checker is None:
+        checker = InvariantChecker(mode=mode)
+    with armed(checker=checker):
+        yield checker

@@ -8,27 +8,19 @@ Compose a fault plan onto any topology::
         run_experiment()          # channels self-attach injectors
     print(session.totals())
 
-or through the harness/CLI: ``run_cell(cell, faults="light")`` /
+(the session is armed under the ``faults`` role of
+:mod:`repro.sim.observers`, like every other instrument), or through
+the harness/CLI: ``run_cell(cell, faults="light")`` /
 ``python -m repro.cli run-all --faults drop=0.01,seed=3``.
 """
 
-from repro.faults.injector import ChannelFaults
+from repro.faults.injector import ChannelFaults, FaultSession, injecting
 from repro.faults.plan import PROFILES, FaultPlan
-from repro.faults.runtime import (
-    FaultSession,
-    activate,
-    active,
-    deactivate,
-    injecting,
-)
 
 __all__ = [
     "PROFILES",
     "ChannelFaults",
     "FaultPlan",
     "FaultSession",
-    "activate",
-    "active",
-    "deactivate",
     "injecting",
 ]

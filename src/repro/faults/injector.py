@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import TYPE_CHECKING, List
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.faults.plan import FaultPlan
 from repro.net.packet import Packet
+from repro.sim.observers import Instrument, armed
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.link import Channel
@@ -153,3 +155,43 @@ class ChannelFaults:
             self._held.remove(packet)
             self.timer_releases += 1
             self.channel.deliver_now(packet)
+
+
+class FaultSession(Instrument):
+    """One arming of a plan: the plan plus its live injectors.
+
+    Armed under the ``faults`` role of :mod:`repro.sim.observers`;
+    every newly built channel asks it to :meth:`attach`, and the
+    harness totals the injectors' counters after the run.
+    """
+
+    def __init__(self, plan: FaultPlan):
+        self.plan = plan
+        self.injectors: List[ChannelFaults] = []
+
+    def attach(self, channel: "Channel") -> Optional[ChannelFaults]:
+        """Attach an injector to *channel* if the plan targets it."""
+        if self.plan.is_null() or not self.plan.matches(channel.name):
+            return None
+        injector = ChannelFaults(self.plan, channel)
+        self.injectors.append(injector)
+        return injector
+
+    def totals(self) -> Dict[str, int]:
+        """Summed fault counters across every attached channel."""
+        totals: Dict[str, int] = {}
+        for injector in self.injectors:
+            for key, value in injector.counters().items():
+                totals[key] = totals.get(key, 0) + value
+        return totals
+
+
+@contextmanager
+def injecting(plan: Union[FaultPlan, str]):
+    """Context manager: run a block with *plan* (a FaultPlan or spec
+    string) armed."""
+    if isinstance(plan, str):
+        plan = FaultPlan.parse(plan)
+    session = FaultSession(plan)
+    with armed(faults=session):
+        yield session

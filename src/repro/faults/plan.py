@@ -4,8 +4,9 @@ A :class:`FaultPlan` is an immutable value object describing *what* to
 inject — corruption-drop probability, duplication, reordering windows,
 delay-jitter spikes, and link up/down flap schedules — plus a seed and
 an optional channel-name filter.  It is composable onto any topology:
-while a plan is active (see :mod:`repro.faults.runtime`) every newly
-built channel whose name matches the filter gets a
+while a plan is armed (:func:`repro.faults.injecting`, the ``faults``
+role of :mod:`repro.sim.observers`) every newly built channel whose
+name matches the filter gets a
 :class:`~repro.faults.injector.ChannelFaults` attached.
 
 Plans parse from compact CLI specs::

@@ -19,6 +19,7 @@ parameters — never derived from worker identity — which is what makes
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -676,71 +677,44 @@ def run_cell(cell: Cell, checks: Any = False,
     :class:`~repro.errors.SimulationStalled` instead of a spin to the
     horizon.  ``telemetry`` (a JSONL path) arms the telemetry gauge
     sampler (:mod:`repro.obs`) for the run; the file is opened in
-    append mode so a sweep's workers interleave into one log.  The
-    checker's, watchdog's and sampler's hooks schedule nothing, so
-    none of them ever changes ``events_processed``.
+    append mode so a sweep's workers interleave into one log.  All of
+    them are armed through :mod:`repro.sim.observers` for exactly the
+    run; their hooks schedule nothing, so none of them ever changes
+    ``events_processed``.
     """
-    from repro.sim import engine
+    from repro.sim import engine, observers
 
     try:
         runner = _RUNNERS[cell.experiment]
     except KeyError:
         raise ReproError(f"no runner for experiment {cell.experiment!r}") from None
 
-    checker = None
+    them = {}
     if checks:
         from repro.checks.checker import InvariantChecker
 
         mode = "collect" if checks == "collect" else "raise"
-        checker = InvariantChecker(mode=mode)
+        them["checker"] = InvariantChecker(mode=mode)
     plan = resolve_faults(faults)
+    if plan is not None:
+        from repro.faults.injector import FaultSession
+
+        them["faults"] = FaultSession(plan)
     guard = resolve_watchdog(watchdog)
+    if guard is not None:
+        them["watchdog"] = guard
+    gauging = nullcontext()
+    if telemetry is not None:
+        from repro.obs.gauges import observing
 
+        gauging = observing(path=telemetry, cell=cell.key)
     engine._last_simulator = None
-    session = None
-    sink = None
-    try:
-        if checker is not None:
-            from repro.checks import runtime as checks_runtime
-
-            checks_runtime.activate(checker)
-        if plan is not None:
-            from repro.faults import runtime as faults_runtime
-
-            session = faults_runtime.activate(plan)
-        if guard is not None:
-            from repro.sim import watchdog as watchdog_runtime
-
-            watchdog_runtime.activate(guard)
-        if telemetry is not None:
-            from repro.obs import runtime as obs_runtime
-            from repro.obs.events import TelemetrySink
-            from repro.obs.gauges import GaugeSampler
-
-            sink = TelemetrySink(telemetry)
-            obs_runtime.activate(GaugeSampler(sink, cell=cell.key))
+    with observers.armed(**them), gauging:
         metrics = runner(**cell.as_dict())
-    finally:
-        if sink is not None:
-            from repro.obs import runtime as obs_runtime
-
-            obs_runtime.deactivate()
-            sink.close()
-        if guard is not None:
-            from repro.sim import watchdog as watchdog_runtime
-
-            watchdog_runtime.deactivate()
-        if plan is not None:
-            from repro.faults import runtime as faults_runtime
-
-            faults_runtime.deactivate()
-        if checker is not None:
-            from repro.checks import runtime as checks_runtime
-
-            checks_runtime.deactivate()
     sim = engine.last_simulator()
     if sim is not None:
         metrics[EVENTS_METRIC] = sim.events_processed
+    checker = them.get("checker")
     if checker is not None:
         metrics["invariant_violations"] = float(len(checker.violations))
         if checker.violations:
@@ -749,7 +723,7 @@ def run_cell(cell: Cell, checks: Any = False,
             for violation in checker.violations[:10]:
                 print(f"invariant violation in {cell.key}: {violation}",
                       file=sys.stderr)
-    if session is not None:
-        for name, value in sorted(session.totals().items()):
+    if "faults" in them:
+        for name, value in sorted(them["faults"].totals().items()):
             metrics[f"fault_{name}"] = float(value)
     return metrics

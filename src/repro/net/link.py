@@ -22,12 +22,11 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, Deque, List, Optional
 
-from repro.checks import runtime as checks_runtime
 from repro.errors import ConfigurationError
-from repro.faults import runtime as faults_runtime
 from repro.net.packet import Packet
 from repro.net.queue import DropTailQueue
 from repro.net.traces import BandwidthTrace, constant_trace
+from repro.sim import observers
 from repro.sim.engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -72,13 +71,13 @@ class Channel:
         #: Packets dequeued but not yet delivered (serialising,
         #: propagating, or parked by an injected fault).
         self.in_transit = 0
-        # Fault injection and invariant checking attach here when the
-        # corresponding runtime is active at construction time.
-        session = faults_runtime.active()
+        # Whatever is armed in repro.sim.observers at construction
+        # time attaches here; the fault session is asked by name
+        # because its injector sits on the delivery path below.
+        session = observers.get("faults")
         self.faults = session.attach(self) if session is not None else None
-        checker = checks_runtime.active()
-        if checker is not None:
-            checker.register_channel(self)
+        for inst in observers.active():
+            inst.register_channel(self)
         # Hot-path bindings: the simulator and fault state are fixed
         # for the channel's lifetime.  When no fault session is
         # attached the propagation event jumps straight to
@@ -362,9 +361,8 @@ class EthernetLan:
         #: touching the attachment queue (the idle-bypass in ``send``).
         #: The conservation audit adds this to ``queue.dequeued``.
         self.bypassed = 0
-        checker = checks_runtime.active()
-        if checker is not None:
-            checker.register_lan(self)
+        for inst in observers.active():
+            inst.register_lan(self)
         # Same scheduler binding as Channel; queue methods stay late-
         # bound (they are a patch seam for targeted-drop tests).
         self._schedule = sim.schedule_anon

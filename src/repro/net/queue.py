@@ -15,10 +15,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.checks import runtime as checks_runtime
 from repro.errors import ConfigurationError
 from repro.net.packet import Packet
-from repro.obs import runtime as obs_runtime
+from repro.sim import observers
 
 
 class DropTailQueue:
@@ -48,12 +47,10 @@ class DropTailQueue:
         self.dropped_bytes = 0
         self.drops: List[Tuple[float, int]] = []  # (time, size) of each drop
         self.max_depth = 0
-        self.checker = checks_runtime.active()
-        if self.checker is not None:
-            self.checker.register_queue(self)
-        obs = obs_runtime.active()
-        if obs is not None:
-            obs.register_queue(self)
+        # Instruments armed in repro.sim.observers (the checker's
+        # conservation audit, the gauges' depth/drops) poll this queue.
+        for inst in observers.active():
+            inst.register_queue(self)
 
     def __len__(self) -> int:
         return len(self._items)

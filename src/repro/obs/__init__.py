@@ -12,15 +12,14 @@ Three pieces, one file format:
 * :mod:`repro.obs.report` — ``python -m repro report``, rendering a
   Markdown run report from a sweep artifact plus its telemetry.
 
-Activation follows the checker/watchdog pattern via
-:mod:`repro.obs.runtime`: zero cost when off, construction-time
-registration when armed.
+The sampler is armed under the ``gauges`` role of
+:mod:`repro.sim.observers` (``with observing(path=...)``): zero cost
+when off, construction-time registration when armed.
 """
 
 from repro.obs.events import TELEMETRY_SCHEMA, TelemetrySink, load_events
-from repro.obs.gauges import DEFAULT_SAMPLE_EVERY, GaugeSampler
+from repro.obs.gauges import DEFAULT_SAMPLE_EVERY, GaugeSampler, observing
 from repro.obs.report import render_report
-from repro.obs.runtime import activate, active, deactivate, observing
 
 __all__ = [
     "TELEMETRY_SCHEMA",
@@ -29,8 +28,5 @@ __all__ = [
     "DEFAULT_SAMPLE_EVERY",
     "GaugeSampler",
     "render_report",
-    "activate",
-    "active",
-    "deactivate",
     "observing",
 ]

@@ -1,20 +1,20 @@
 """Opt-in periodic gauges, piggybacked on the engine loop.
 
-A :class:`GaugeSampler` mirrors the liveness watchdog's wiring
-(:mod:`repro.sim.watchdog`): activated process-wide through
-:mod:`repro.obs.runtime`, components register with it at construction
-time, and its hooks ride the engine's dispatch loop.  The sampler
-only *reads* state and writes telemetry lines — it never schedules an
-event — so ``events_processed`` is bit-identical with gauges armed
-(asserted in ``tests/test_obs.py``).
+A :class:`GaugeSampler` is armed under the ``gauges`` role of
+:mod:`repro.sim.observers`: components register with it at
+construction time, and its hooks ride the engine's dispatch loop.  The
+sampler only *reads* state and writes telemetry lines — it never
+schedules an event — so ``events_processed`` is bit-identical with
+gauges armed (asserted in ``tests/test_obs.py``).
 
 Every ``sample_every`` engine events it emits one ``gauge`` event
 carrying:
 
 * the engine's clock and lifetime event count, plus wall-clock
   events/sec over the sampling window;
-* per registered connection: flow id, cwnd, ssthresh, flight size and
-  the congestion controller's mode (for Vegas, slow-start vs linear);
+* per connection that is open, or closed since the previous sample:
+  flow id, cwnd, ssthresh, flight size and the congestion controller's
+  mode (for Vegas, slow-start vs linear);
 * per registered queue: name, depth and cumulative drops.
 
 A final sample is taken when ``run()`` returns, so short runs always
@@ -24,14 +24,18 @@ produce at least one gauge record.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack, contextmanager
 from typing import Any, List, Optional
+
+from repro.obs.events import TelemetrySink
+from repro.sim.observers import Instrument, armed
 
 #: Engine events between gauge samples.  Purely a volume knob: the
 #: hooks read state and schedule nothing at any setting.
 DEFAULT_SAMPLE_EVERY = 2048
 
 
-class GaugeSampler:
+class GaugeSampler(Instrument):
     """Periodic state sampler writing ``gauge`` telemetry events.
 
     Args:
@@ -54,7 +58,7 @@ class GaugeSampler:
         self._last_events = 0
 
     # ------------------------------------------------------------------
-    # Registration (construction-time, like the checker and watchdog)
+    # Registration (construction-time, see repro.sim.observers)
     # ------------------------------------------------------------------
     def register_simulator(self, sim) -> None:
         """A fresh simulator starts a fresh gauge episode."""
@@ -97,6 +101,11 @@ class GaugeSampler:
             "flight": conn.flight_size(),
             "mode": getattr(conn.cc, "mode", conn.cc.name),
         } for conn in self._connections]
+        # A closed connection is reported once more, then forgotten: a
+        # tcplib cell builds thousands of short ones, and listing every
+        # dead one in every record made a quick sweep's log 320 MB.
+        self._connections = [conn for conn in self._connections
+                             if not conn.is_closed]
         queues = [{
             "name": queue.name,
             "depth": len(queue),
@@ -115,3 +124,27 @@ class GaugeSampler:
             record["cell"] = self.cell
         self.sink.emit("gauge", **record)
         self.samples_taken += 1
+
+
+@contextmanager
+def observing(sampler: Optional[GaugeSampler] = None,
+              path: Optional[str] = None, **kwargs):
+    """Context manager: run a block with an armed gauge sampler.
+
+    ::
+
+        with observing(path="run.jsonl") as sampler:
+            run_experiment()      # simulators/connections self-register
+
+    A fresh :class:`GaugeSampler` writing to *path* is built unless one
+    is passed in.  The sink is closed on exit — or when building the
+    sampler or arming it fails — only when this function opened it.
+    """
+    with ExitStack() as stack:
+        if sampler is None:
+            if path is None:
+                raise ValueError("observing() needs a sampler or a path")
+            sink = stack.enter_context(TelemetrySink(path))
+            sampler = GaugeSampler(sink, **kwargs)
+        stack.enter_context(armed(gauges=sampler))
+        yield sampler

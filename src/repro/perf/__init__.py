@@ -16,13 +16,9 @@ which writes ``BENCH_engine.json`` and gates it against
 ``baselines/bench_baseline.json`` (see :mod:`repro.perf.bench`).
 """
 
-from repro.perf.counters import PerfProbe
-from repro.perf.runtime import activate, active, deactivate, profiling
+from repro.perf.counters import PerfProbe, profiling
 
 __all__ = [
     "PerfProbe",
-    "activate",
-    "active",
-    "deactivate",
     "profiling",
 ]

@@ -92,18 +92,13 @@ def run_bench_cell(descriptor: Dict[str, Any],
     surface here first.
     """
     from repro.harness.registry import run_cell
-    from repro.perf import runtime as perf_runtime
-    from repro.perf.counters import PerfProbe
+    from repro.perf.counters import profiling
     from repro.sim.engine import last_simulator
 
     kwargs = dict(checks=descriptor.get("checks", False),
                   faults=descriptor.get("faults"))
-    probe = PerfProbe()
-    perf_runtime.activate(probe)
-    try:
+    with profiling() as probe:
         run_cell(descriptor["cell"], **kwargs)
-    finally:
-        perf_runtime.deactivate()
     ref_events = last_simulator().events_processed
 
     walls: List[float] = []

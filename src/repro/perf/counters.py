@@ -1,10 +1,10 @@
 """Lightweight counters and timers for the event engine.
 
-A :class:`PerfProbe` is attached to simulators through
-:mod:`repro.perf.runtime` (activation at construction) as one of the
-engine's observers, on the same ``register_simulator`` / ``on_event``
-/ ``on_run_end`` shape as the checker, watchdog and gauges.  While
-attached it records:
+A :class:`PerfProbe` is armed under the ``probe`` role of
+:mod:`repro.sim.observers` and bound by every simulator built while it
+is, as one of the engine's observers on the same
+:class:`~repro.sim.observers.Instrument` hooks as the checker,
+watchdog and gauges.  While attached it records:
 
 * ``events`` — events dispatched across all registered simulators;
 * ``peak_heap`` — the largest event-heap length observed at dispatch;
@@ -31,7 +31,9 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
+
+from repro.sim.observers import Instrument, armed
 
 
 def _component_key(fn) -> str:
@@ -39,11 +41,11 @@ def _component_key(fn) -> str:
     return getattr(fn, "__qualname__", None) or repr(fn)
 
 
-class PerfProbe:
+class PerfProbe(Instrument):
     """Counters for one profiled run; see the module docstring."""
 
     __slots__ = ("events", "peak_heap", "_raw_counts", "phases",
-                 "cpu_phases", "tracer_records", "_sims")
+                 "cpu_phases", "tracer_records")
 
     def __init__(self) -> None:
         self.events = 0
@@ -54,12 +56,8 @@ class PerfProbe:
         self.phases: Dict[str, float] = {}
         self.cpu_phases: Dict[str, float] = {}
         self.tracer_records: Dict[str, int] = {}
-        self._sims: List[Any] = []
 
-    # -- engine hooks ---------------------------------------------------
-    def register_simulator(self, sim) -> None:
-        self._sims.append(sim)
-
+    # -- engine hook ----------------------------------------------------
     def on_event(self, sim, fn) -> None:
         """Called by the engine before dispatching each event."""
         self.events += 1
@@ -75,9 +73,6 @@ class PerfProbe:
             # Unhashable callable: fall back to its reporting key.
             key = _component_key(fn)
             counts[key] = counts.get(key, 0) + 1
-
-    def on_run_end(self, sim) -> None:
-        """Nothing to settle: every counter is current after each event."""
 
     @property
     def component_counts(self) -> Dict[str, int]:
@@ -134,3 +129,21 @@ class PerfProbe:
         return (f"PerfProbe(events={self.events}, "
                 f"peak_heap={self.peak_heap}, "
                 f"components={len(self._raw_counts)})")
+
+
+@contextmanager
+def profiling(probe: Optional[PerfProbe] = None):
+    """Context manager: run a block with an armed probe.
+
+    ::
+
+        with profiling() as probe:
+            run_experiment()      # simulators self-register
+        print(probe.snapshot())
+
+    A fresh :class:`PerfProbe` is built unless one is passed in.
+    """
+    if probe is None:
+        probe = PerfProbe()
+    with armed(probe=probe):
+        yield probe

@@ -14,25 +14,20 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.perf import runtime as perf_runtime
-from repro.perf.counters import PerfProbe
+from repro.perf.counters import PerfProbe, profiling
 
 
 def _probe_solo(cc: str, rounds: int, size_kb: int, buffers: int) -> PerfProbe:
     from repro.experiments.transfers import run_solo_transfer
     from repro.units import kb
 
-    probe = PerfProbe()
-    perf_runtime.activate(probe)
-    try:
+    with profiling() as probe:
         for _ in range(rounds):
             with probe.phase("run"):
                 result = run_solo_transfer(cc, size=kb(size_kb),
                                            buffers=buffers, seed=0)
             if not result.done:
                 raise RuntimeError(f"{cc}: solo transfer did not complete")
-    finally:
-        perf_runtime.deactivate()
     return probe
 
 

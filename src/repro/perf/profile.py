@@ -77,19 +77,13 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
                  out: Optional[str] = None, stream=sys.stdout) -> None:
     """Run *cell* under cProfile; print stats and probe counters."""
     from repro.harness.registry import run_cell
-    from repro.perf import runtime as perf_runtime
-    from repro.perf.counters import PerfProbe
+    from repro.perf.counters import profiling
 
-    probe = PerfProbe()
     profiler = cProfile.Profile()
-    perf_runtime.activate(probe)
-    try:
-        with probe.phase("run"):
-            profiler.enable()
-            run_cell(cell)
-            profiler.disable()
-    finally:
-        perf_runtime.deactivate()
+    with profiling() as probe, probe.phase("run"):
+        profiler.enable()
+        run_cell(cell)
+        profiler.disable()
 
     stats = pstats.Stats(profiler, stream=stream)
     if out:

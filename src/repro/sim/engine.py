@@ -36,13 +36,14 @@ module; other layers use the public methods only, which is what lets
 deliberately naive — stand in for this class under the whole stack as
 the oracle of ``tests/test_engine_differential.py``.
 
-Observers: whichever of the invariant checker, liveness watchdog,
-telemetry gauges and perf probe are active when a simulator is built
-register with it, and are called as ``on_event(sim, fn)`` just before
-each dispatch and ``on_run_end(sim)`` when ``run()`` returns.  They
-read state and never schedule, so ``events_processed`` is identical
-however many are armed; with none, the loop pays one truthiness test
-per event.
+Observers: whichever instruments are armed in
+:mod:`repro.sim.observers` when a simulator is built (invariant
+checker, fault session, liveness watchdog, telemetry gauges, perf
+probe) register with it, and are called as ``on_event(sim, fn)`` just
+before each dispatch and ``on_run_end(sim)`` when ``run()`` returns.
+They read state and never schedule, so ``events_processed`` is
+identical however many are armed; with none, the loop pays one
+truthiness test per event.
 
 Far-horizon calendar overflow
 -----------------------------
@@ -78,11 +79,8 @@ import gc
 from heapq import heapify, heappop as _heappop, heappush as _heappush
 from typing import Any, Callable, List, Optional
 
-from repro.checks import runtime as checks_runtime
 from repro.errors import SimulationError
-from repro.obs import runtime as obs_runtime
-from repro.perf import runtime as perf_runtime
-from repro.sim import watchdog as watchdog_runtime
+from repro.sim import observers
 
 #: What :func:`last_simulator` returns.
 _last_simulator: Optional["Simulator"] = None
@@ -182,14 +180,9 @@ class Simulator:
         self._heap_max: float = 0.0
         self._far_bound: float = _INF
         self._far_peak: int = 0
-        # Whichever observers are active now, bound for this
-        # simulator's lifetime in a fixed call order (checker,
-        # watchdog, gauges, probe).
-        self._observers: tuple = tuple(
-            observer for observer in (
-                checks_runtime.active(), watchdog_runtime.active(),
-                obs_runtime.active(), perf_runtime.active())
-            if observer is not None)
+        # Whichever instruments are armed now, bound for this
+        # simulator's lifetime in observers.ROLES order.
+        self._observers: tuple = observers.active()
         for observer in self._observers:
             observer.register_simulator(self)
         global _last_simulator

@@ -7,12 +7,12 @@ forward forever, or the event heap drains mid-transfer after an abort.
 Without a guard such a run either spins until its horizon (wasting the
 cell's entire wall-clock budget) or silently returns partial metrics.
 
-The :class:`LivenessWatchdog` is the opt-in guard.  It mirrors the
-invariant checker's wiring (:mod:`repro.checks.runtime`): activated
-process-wide, components register with it at *construction* time, and
-its hooks are piggybacked on the engine's run loop — the watchdog
-never schedules events, so ``events_processed`` is bit-identical with
-the watchdog on.  When it detects a stall it raises a typed
+The :class:`LivenessWatchdog` is the opt-in guard.  It is armed under
+the ``watchdog`` role of :mod:`repro.sim.observers`: components
+register with it at *construction* time, and its hooks are piggybacked
+on the engine's run loop — the watchdog never schedules events, so
+``events_processed`` is bit-identical with the watchdog on.  When it
+detects a stall it raises a typed
 :class:`~repro.errors.SimulationStalled` carrying a snapshot of every
 registered connection's sender state (``snd_una``/``snd_nxt``, flight,
 retransmit-timer status) so the failure is diagnosable post mortem.
@@ -27,8 +27,11 @@ Stall conditions:
   while some connection still had unfinished work: nothing can ever
   complete it.
 
-This module imports only :mod:`repro.errors`, so ``sim.engine`` and
-``tcp.connection`` can consult it without import cycles.
+A cleanly closed connection is forgotten within a few audits (its
+final progress folded into a retired total): cells with tcplib
+background traffic build thousands of short connections, and an audit
+that walked every dead one every 64 events cost three times the run it
+guarded.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from contextlib import contextmanager
 from typing import Any, Dict, List, Optional
 
 from repro.errors import SimulationStalled
+from repro.sim.observers import Instrument, armed
 
 #: Default window (simulated seconds) of zero progress that counts as
 #: a stall.  Generous against delayed handshakes and coarse timeouts:
@@ -47,15 +51,21 @@ DEFAULT_STALL_AFTER = 30.0
 #: constant-factor knob: audits read state and schedule nothing.
 DEFAULT_CHECK_EVERY = 64
 
-_active: Optional["LivenessWatchdog"] = None
+#: Audits between two passes that retire closed connections.  A pass
+#: tests ``is_closed`` on every registered connection where an audit
+#: only reads its progress, so it runs at a fraction of the audit rate;
+#: a dead connection is summed for at most this many audits more.
+_RETIRE_EVERY = 16
 
 
-class LivenessWatchdog:
+class LivenessWatchdog(Instrument):
     """Opt-in stall detector for one simulation run.
 
     Registered connections must expose ``liveness_progress()`` (a
     monotone counter that moves whenever the connection advances),
-    ``has_unfinished_work()`` and ``liveness_snapshot()`` — see
+    ``has_unfinished_work()``, ``liveness_snapshot()`` and the
+    ``is_closed`` / ``aborted`` attributes (closed and not aborted is
+    what lets the watchdog forget a connection) — see
     :class:`repro.tcp.connection.TCPConnection`.
     """
 
@@ -67,16 +77,18 @@ class LivenessWatchdog:
         self.stall_after = stall_after
         self.check_every = max(1, int(check_every))
         self._connections: List[Any] = []
+        self._retired = 0
         self._tick = 0
         self._last_progress = -1
         self._since = 0.0
 
     # ------------------------------------------------------------------
-    # Registration (construction-time, like the invariant checker)
+    # Registration (construction-time, see repro.sim.observers)
     # ------------------------------------------------------------------
     def register_simulator(self, sim) -> None:
         """A fresh simulator starts a fresh liveness episode."""
         self._connections = []
+        self._retired = 0
         self._tick = 0
         self._last_progress = -1
         self._since = sim.now
@@ -88,16 +100,30 @@ class LivenessWatchdog:
     # Progress model
     # ------------------------------------------------------------------
     def _progress(self) -> int:
-        total = 0
+        total = self._retired
         for conn in self._connections:
             total += conn.liveness_progress()
         return total
+
+    def _retire(self) -> None:
+        """Forget cleanly closed connections, keeping their final
+        progress in ``_retired`` so the sum stays monotone.  Aborted
+        ones stay: they are unfinished forever (see
+        ``TCPConnection.has_unfinished_work``)."""
+        live = []
+        for conn in self._connections:
+            if conn.is_closed and not conn.aborted:
+                self._retired += conn.liveness_progress()
+            else:
+                live.append(conn)
+        self._connections = live
 
     def _unfinished(self) -> List[Any]:
         return [c for c in self._connections if c.has_unfinished_work()]
 
     def snapshot(self) -> List[Dict[str, Any]]:
-        """Per-connection diagnostic state, unfinished connections first."""
+        """Diagnostic state of every connection not yet retired,
+        unfinished connections first."""
         snap = [c.liveness_snapshot() for c in self._connections]
         snap.sort(key=lambda entry: (not entry.get("unfinished"),
                                      str(entry.get("flow"))))
@@ -111,6 +137,8 @@ class LivenessWatchdog:
         self._tick += 1
         if self._tick % self.check_every:
             return
+        if self._tick % (self.check_every * _RETIRE_EVERY) == 0:
+            self._retire()
         progress = self._progress()
         if progress != self._last_progress:
             self._last_progress = progress
@@ -132,34 +160,10 @@ class LivenessWatchdog:
                                     snapshot=self.snapshot())
 
 
-# ----------------------------------------------------------------------
-# Process-wide activation, mirroring repro.checks.runtime
-# ----------------------------------------------------------------------
-
-def active() -> Optional[LivenessWatchdog]:
-    """The currently active watchdog, or ``None``."""
-    return _active
-
-
-def activate(watchdog: LivenessWatchdog) -> LivenessWatchdog:
-    """Install *watchdog* as the process-wide active watchdog."""
-    global _active
-    if _active is not None:
-        raise RuntimeError("a liveness watchdog is already active")
-    _active = watchdog
-    return _active
-
-
-def deactivate() -> None:
-    """Remove the active watchdog (idempotent)."""
-    global _active
-    _active = None
-
-
 @contextmanager
 def watching(watchdog: Optional[LivenessWatchdog] = None,
              stall_after: float = DEFAULT_STALL_AFTER):
-    """Context manager: run a block with an active watchdog.
+    """Context manager: run a block with an armed watchdog.
 
     ::
 
@@ -168,8 +172,5 @@ def watching(watchdog: Optional[LivenessWatchdog] = None,
     """
     if watchdog is None:
         watchdog = LivenessWatchdog(stall_after=stall_after)
-    activate(watchdog)
-    try:
+    with armed(watchdog=watchdog):
         yield watchdog
-    finally:
-        deactivate()

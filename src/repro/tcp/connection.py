@@ -35,13 +35,11 @@ import enum
 import heapq
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional
 
-from repro.checks import runtime as checks_runtime
 from repro.errors import ProtocolError
-from repro.obs import runtime as obs_runtime
-from repro.sim import watchdog as watchdog_runtime
 from repro.metrics.flowstats import FlowStats
 from repro.net.addresses import FlowId
 from repro.net.packet import Packet
+from repro.sim import observers
 from repro.tcp import constants as C
 from repro.tcp.buffers import SendBuffer
 from repro.tcp.flatstate import store_for
@@ -158,22 +156,15 @@ class TCPConnection:
         from repro.core.base import CongestionControl as _base_cc
         self._paced = type(cc).pacing_rate is not _base_cc.pacing_rate
 
-        # Invariant checking (repro.checks): bound at construction so
-        # every hook below is one `is not None` test when inactive.
-        self._checker = checks_runtime.active()
-        if self._checker is not None:
-            self._checker.register_connection(self)
-        # Liveness watchdog (repro.sim.watchdog): registration only —
-        # the watchdog polls this connection from the engine loop via
-        # the liveness_* protocol below, so inactive runs pay nothing.
-        _watchdog = watchdog_runtime.active()
-        if _watchdog is not None:
-            _watchdog.register_connection(self)
-        # Telemetry gauges (repro.obs): registration only; the sampler
-        # reads cwnd/flight/mode from the engine loop.
-        _obs = obs_runtime.active()
-        if _obs is not None:
-            _obs.register_connection(self)
+        # Instruments armed in repro.sim.observers register at
+        # construction and poll this connection from the engine loop
+        # (the watchdog through the liveness_* protocol below, the
+        # gauges through cwnd/flight/mode), so unarmed runs pay nothing.
+        # Only the invariant checker is also called inline, so it is
+        # bound by name: every hook below is one `is not None` test.
+        self._checker = observers.get("checker")
+        for inst in observers.active():
+            inst.register_connection(self)
 
     # ------------------------------------------------------------------
     # Flat-state accessors (hot methods hoist the columns instead)

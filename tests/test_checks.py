@@ -8,11 +8,12 @@ reported with structured context.
 
 import pytest
 
-from repro.checks import InvariantChecker, activate, active, checking, deactivate
+from repro.checks import InvariantChecker, checking
 from repro.core.registry import make_cc
 from repro.errors import InvariantViolation, ReproError, SimulationError
 from repro.net.addresses import FlowId
 from repro.net.queue import DropTailQueue
+from repro.sim import observers
 from repro.sim.engine import Simulator
 from repro.units import kb
 
@@ -82,24 +83,23 @@ class TestInvariantViolation:
 class TestRuntimeActivation:
     def test_activate_deactivate(self):
         chk = InvariantChecker()
-        assert active() is None
-        activate(chk)
-        try:
-            assert active() is chk
-        finally:
-            deactivate()
-        assert active() is None
+        assert observers.get("checker") is None
+        with observers.armed(checker=chk):
+            assert observers.get("checker") is chk
+        assert observers.get("checker") is None
 
     def test_double_activate_rejected(self):
-        with checking():
-            with pytest.raises(RuntimeError):
-                activate(InvariantChecker())
+        with checking() as outer:
+            with pytest.raises(RuntimeError, match="already active"):
+                with checking():
+                    pass  # pragma: no cover
+            assert observers.get("checker") is outer
 
     def test_checking_deactivates_on_error(self):
         with pytest.raises(ValueError):
             with checking():
                 raise ValueError("boom")
-        assert active() is None
+        assert observers.get("checker") is None
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -128,7 +128,7 @@ class TestCleanRuns:
     def test_inactive_checker_costs_nothing(self):
         pair = make_pair()
         assert pair.sim._observers == ()
-        assert pair.forward_queue.checker is None
+        assert pair.proto_a.connect("B", 9000)._checker is None
 
 
 class TestClockMonotonicity:

@@ -44,8 +44,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.experiments import figure5
-from repro.obs import runtime as obs_runtime
-from repro.sim import engine
+from repro.sim import engine, observers
 from repro.sim.engine import Simulator
 
 from reference_engine import ReferenceSimulator
@@ -176,25 +175,16 @@ class TestEventSoupOrder:
         reads at every ``on_event`` must be what the reference holds
         on entry to the same callback.
         """
-        class Recorder:
+        class Recorder(observers.Instrument):
             def __init__(self):
                 self.seen = []
-
-            def register_simulator(self, sim):
-                pass
 
             def on_event(self, sim, fn):
                 self.seen.append((sim.events_processed, sim.pending_events))
 
-            def on_run_end(self, sim):
-                pass
-
         recorder = Recorder()
-        obs_runtime.activate(recorder)
-        try:
+        with observers.armed(gauges=recorder):
             self._run_soup(Simulator, program_seed, seeds, budget)
-        finally:
-            obs_runtime.deactivate()
         expected = []
         # The seeding calls to fire() run before the simulator does.
         self._run_soup(

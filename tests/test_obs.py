@@ -28,8 +28,8 @@ from repro.obs import (
     observing,
     render_report,
 )
-from repro.obs import runtime as obs_runtime
 from repro.obs import report as report_mod
+from repro.sim import observers
 
 from helpers import make_pair, run_transfer
 
@@ -105,24 +105,47 @@ class TestTelemetrySink:
 
 class TestRuntime:
     def test_activate_is_exclusive(self):
-        sampler = object()
-        obs_runtime.activate(sampler)
-        try:
-            assert obs_runtime.active() is sampler
-            with pytest.raises(RuntimeError):
-                obs_runtime.activate(object())
-        finally:
-            obs_runtime.deactivate()
-        assert obs_runtime.active() is None
+        sampler = observers.Instrument()
+        with observers.armed(gauges=sampler):
+            assert observers.get("gauges") is sampler
+            with pytest.raises(RuntimeError, match="already active"):
+                with observers.armed(gauges=observers.Instrument()):
+                    pass  # pragma: no cover
+            assert observers.get("gauges") is sampler
+        assert observers.get("gauges") is None
 
     def test_observing_builds_and_closes_own_sink(self, tmp_path):
         path = str(tmp_path / "t.jsonl")
         with observing(path=path) as sampler:
-            assert obs_runtime.active() is sampler
+            assert observers.get("gauges") is sampler
             sampler.sink.emit("inside")
-        assert obs_runtime.active() is None
+        assert observers.get("gauges") is None
         assert not sampler.sink.enabled   # closed on exit
         assert [e["event"] for e in load_events(path)] == ["inside"]
+
+    def test_observing_closes_its_sink_when_refused(self, tmp_path,
+                                                    monkeypatch):
+        """A sink ``observing(path=...)`` opened never outlives it: not
+        when the sampler's arguments are bad, not when arming is refused."""
+        opened = []
+        real_init = TelemetrySink.__init__
+
+        def recording_init(self, *args, **kwargs):
+            real_init(self, *args, **kwargs)
+            opened.append(self)
+
+        monkeypatch.setattr(TelemetrySink, "__init__", recording_init)
+        path = str(tmp_path / "t.jsonl")
+        with pytest.raises(TypeError):
+            with observing(path=path, no_such_option=1):
+                pass  # pragma: no cover
+        with observing(path=path) as outer:
+            with pytest.raises(RuntimeError, match="already active"):
+                with observing(path=path):
+                    pass  # pragma: no cover
+            assert observers.get("gauges") is outer
+        assert len(opened) == 3
+        assert not any(sink.enabled for sink in opened)
 
     def test_observing_requires_sampler_or_path(self):
         with pytest.raises(ValueError):
@@ -161,14 +184,10 @@ class TestGauges:
 
     def test_cell_key_stamped_on_gauges(self, tmp_path):
         path = str(tmp_path / "g.jsonl")
-        sink = TelemetrySink(path)
-        sampler = GaugeSampler(sink, sample_every=512, cell="exp/x=1")
-        obs_runtime.activate(sampler)
-        try:
-            self._transfer()
-        finally:
-            obs_runtime.deactivate()
-            sink.close()
+        with TelemetrySink(path) as sink:
+            sampler = GaugeSampler(sink, sample_every=512, cell="exp/x=1")
+            with observing(sampler):
+                self._transfer()
         gauges = [e for e in load_events(path) if e["event"] == "gauge"]
         assert gauges and all(g["cell"] == "exp/x=1" for g in gauges)
 

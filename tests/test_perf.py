@@ -5,7 +5,9 @@ Three layers:
 * the engine's observers (checker, watchdog, gauges, probe): armed
   alone or together, the same registry cell must produce identical
   metrics and ``events_processed`` (the engine-vs-reference
-  differential lives in ``tests/test_engine_differential.py``);
+  differential lives in ``tests/test_engine_differential.py``), and
+  the registry that arms them (``repro.sim.observers``) keeps its
+  contract: role order, all-or-nothing arming, exact unwinding;
 * the hot path's mechanics in isolation (event free list, cancel
   semantics after recycling);
 * the :class:`~repro.perf.counters.PerfProbe` counters and the
@@ -15,13 +17,15 @@ Three layers:
 from __future__ import annotations
 
 import contextlib
+import json
 
 import pytest
 
 from repro.errors import ReproError
-from repro.perf import runtime as perf_runtime
+from repro.perf import profiling
 from repro.perf.bench import SCHEMA_VERSION, compare
 from repro.perf.counters import PerfProbe
+from repro.sim import observers
 from repro.sim.engine import Simulator
 from repro.trace.records import Kind
 from repro.trace.tracer import ConnectionTracer
@@ -44,7 +48,7 @@ class TestObserversAreBitIdentical:
             "telemetry": (str(tmp_path / "gauges.jsonl")
                           if "gauges" in armed else None),
         }
-        probing = (perf_runtime.profiling() if "probe" in armed
+        probing = (profiling() if "probe" in armed
                    else contextlib.nullcontext())
         with probing as probe:
             return run_cell(Cell.make("figure6", seed=0), **kwargs), probe
@@ -64,6 +68,116 @@ class TestObserversAreBitIdentical:
             assert probe.events == bare["events_processed"]
         if "gauges" in armed:
             assert (tmp_path / "gauges.jsonl").stat().st_size > 0
+
+
+class _Recording(observers.Instrument):
+    """Logs ``(label, hook)`` for every engine call it receives."""
+
+    def __init__(self, label, log):
+        self.label = label
+        self.log = log
+
+    def register_simulator(self, sim):
+        self.log.append((self.label, "register"))
+
+    def on_event(self, sim, fn):
+        self.log.append((self.label, "event"))
+
+    def on_run_end(self, sim):
+        self.log.append((self.label, "end"))
+
+
+def _rearm(role, tmp_path):
+    """Arm *role* through the public path that builds its instrument."""
+    from repro.harness.registry import Cell, run_cell
+
+    if role == "probe":
+        with profiling():
+            pass  # pragma: no cover
+        return
+    run_cell(Cell.make("sendbuf", cc="reno", size_kb=5, seed=0), **{
+        "checker": {"checks": "raise"},
+        "faults": {"faults": "light"},
+        "watchdog": {"watchdog": True},
+        "gauges": {"telemetry": str(tmp_path / "inner.jsonl")},
+    }[role])
+
+
+class TestInstrumentRegistry:
+    """The contract of ``repro.sim.observers``, the one place an
+    instrument is armed."""
+
+    def test_engine_calls_in_role_order_whoever_armed_first(self):
+        log = []
+        with contextlib.ExitStack() as stack:
+            for role in reversed(observers.ROLES):
+                stack.enter_context(
+                    observers.armed(**{role: _Recording(role, log)}))
+            assert [inst.label for inst in observers.active()] \
+                == list(observers.ROLES)
+            sim = Simulator()
+            sim.schedule(0.0, lambda: None)
+            sim.run()
+        assert log == [(role, hook) for hook in ("register", "event", "end")
+                       for role in observers.ROLES]
+        assert observers.active() == ()
+
+    def test_unknown_role_is_a_type_error(self):
+        with pytest.raises(TypeError, match="unknown instrument role"):
+            with observers.armed(tracer=observers.Instrument()):
+                pass  # pragma: no cover
+        assert observers.active() == ()
+
+    def test_nesting_unwinds_to_the_outer_set(self):
+        outer, inner = observers.Instrument(), observers.Instrument()
+        with observers.armed(watchdog=outer):
+            with observers.armed(checker=inner):
+                assert observers.active() == (inner, outer)
+            assert observers.active() == (outer,)
+            with pytest.raises(ValueError):
+                with observers.armed(probe=inner, checker=inner):
+                    raise ValueError("boom")
+            assert observers.active() == (outer,)
+        assert observers.active() == ()
+
+    @pytest.mark.parametrize("role", observers.ROLES)
+    def test_refused_arming_changes_nothing(self, role, tmp_path):
+        """Arming an occupied role raises and leaves the outer
+        instrument — and everything beside it — armed."""
+        outer = {role: observers.Instrument(),
+                 "probe" if role != "probe" else "checker":
+                     observers.Instrument()}
+        with observers.armed(**outer):
+            before = observers.active()
+            with pytest.raises(RuntimeError, match="is already active"):
+                _rearm(role, tmp_path)
+            assert observers.active() == before
+        assert observers.active() == ()
+
+    def test_binding_is_at_construction(self):
+        """An instrument armed after a simulator was built is not
+        called by it."""
+        log = []
+        sim = Simulator()
+        with observers.armed(probe=_Recording("late", log)):
+            sim.schedule(0.0, lambda: None)
+            assert sim.run() == 1
+        assert log == []
+
+    def test_armed_observers_forget_closed_connections(self, tmp_path):
+        """A tcplib-background cell builds ~2,200 short connections:
+        no gauge record may list them all, and the watchdog that drops
+        the closed ones still returns the unarmed run's metrics."""
+        from repro.harness.registry import Cell, run_cell
+
+        cell = Cell.make("table2", proto="vegas-1,3", buffers=10, seed=0)
+        path = tmp_path / "gauges.jsonl"
+        armed = run_cell(cell, watchdog=True, telemetry=str(path))
+        assert armed == run_cell(cell)
+        listed = [len(record["connections"])
+                  for record in map(json.loads, path.read_text().splitlines())
+                  if record["event"] == "gauge"]
+        assert listed and max(listed) <= 500
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +284,7 @@ class TestColumnarTracer:
 # ----------------------------------------------------------------------
 class TestPerfProbe:
     def test_counts_dispatched_events(self):
-        with perf_runtime.profiling() as probe:
+        with profiling() as probe:
             sim = Simulator()
             for i in range(5):
                 sim.schedule(float(i), lambda: None)
@@ -179,7 +293,7 @@ class TestPerfProbe:
         assert probe.peak_heap >= 1
 
     def test_component_counts_use_qualnames(self):
-        with perf_runtime.profiling() as probe:
+        with profiling() as probe:
             sim = Simulator()
             sim.schedule(0.0, _named_callback)
             sim.schedule(1.0, _named_callback)
@@ -204,13 +318,11 @@ class TestPerfProbe:
         assert sim.run() == 1
 
     def test_double_activation_rejected(self):
-        probe = PerfProbe()
-        perf_runtime.activate(probe)
-        try:
-            with pytest.raises(RuntimeError):
-                perf_runtime.activate(PerfProbe())
-        finally:
-            perf_runtime.deactivate()
+        with profiling() as probe:
+            with pytest.raises(RuntimeError, match="already active"):
+                with profiling():
+                    pass  # pragma: no cover
+            assert observers.get("probe") is probe
 
     def test_note_tracer(self):
         probe = PerfProbe()

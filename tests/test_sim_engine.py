@@ -356,6 +356,42 @@ class TestSourceGuard:
             r"\b(execute_cell|run_distributed|run_supervised|supervise)\(",
             runner)) == ["execute_cell", "run_distributed"]
 
+    def test_one_instrumentation_registry(self):
+        """Instruments are armed in ``sim/observers.py`` and nowhere
+        else, and the simulator core imports none of them."""
+        slots = [hit for hit in self._matches(r"^_active\b")
+                 if not hit[0].startswith("harness/dist/")]
+        assert [rel for rel, _, _ in slots] == ["sim/observers.py"]
+        assert self._matches(r"def (activate|deactivate)\(") == []
+        assert list(self.SRC.rglob("runtime.py")) == []
+        instruments = r"repro\.(checks|obs|perf|faults)\b"
+        imports = [hit for hit in self._matches(r"^\s*(import|from)\s")
+                   if hit[0].startswith(("sim/", "net/", "tcp/"))
+                   and re.search(instruments, hit[2])]
+        assert imports == []
+        observers = [line for rel, _, line
+                     in self._matches(r"^\s*(import|from)\s")
+                     if rel == "sim/observers.py"]
+        assert observers and not any("repro" in line for line in observers)
+        registry = (self.SRC / "harness" / "registry.py").read_text()
+        assert "deactivate" not in registry
+        assert registry.count("observers.armed(") == 1
+
+    def test_the_engine_loads_no_instrument(self):
+        """Fresh interpreter: the simulator core stands without the
+        packages that watch it."""
+        code = ("import sys, repro.sim.engine, repro.tcp.connection, "
+                "repro.net.link\n"
+                "print(sorted(name for name in sys.modules if name.startswith("
+                "('repro.checks', 'repro.obs', 'repro.perf', "
+                "'repro.faults'))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     @pytest.mark.skipif(os.name != "posix", reason="local workers are forks")
     def test_a_local_sweep_loads_no_event_loop(self):
         """Fresh interpreter: ``import repro.harness`` loads none of the

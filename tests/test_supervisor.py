@@ -36,8 +36,7 @@ from repro.harness import (
 from repro.harness import check
 from repro.harness.runner import storage_key
 from repro.harness.supervisor import classify_error
-from repro.sim import LivenessWatchdog, Simulator, watching
-from repro.sim import watchdog as watchdog_runtime
+from repro.sim import LivenessWatchdog, Simulator, observers, watching
 
 #: A sub-second real cell that must keep completing next to failures.
 CHEAP = Cell.make("sendbuf", cc="reno", size_kb=5, seed=0)
@@ -68,10 +67,10 @@ def _stall_cell(seed: int):
     # void while its timers tick simulated time forward — the liveness
     # watchdog must turn this into SimulationStalled, not a spin.
     from repro.experiments.transfers import run_solo_transfer
-    from repro.faults import runtime as faults_runtime
+    from repro.faults import injecting
     from repro.units import kb
 
-    with faults_runtime.injecting("flap-period=5,flap-down=5"):
+    with injecting("flap-period=5,flap-down=5"):
         result = run_solo_transfer("reno", size=kb(64), seed=seed)
     return {"throughput_kbps": result.throughput_kbps}
 
@@ -151,6 +150,9 @@ class TestBackoff:
 class _FakeConn:
     """Minimal object satisfying the watchdog's liveness protocol."""
 
+    is_closed = False
+    aborted = False
+
     def __init__(self, unfinished=True):
         self.progress = 0
         self.unfinished = unfinished
@@ -218,6 +220,20 @@ class TestWatchdog:
             sim.schedule(0.5, lambda: None)
             sim.run(until=100.0)            # drains quietly: nothing owed
 
+    def test_cleanly_closed_connections_are_forgotten(self):
+        """Closed and not aborted leaves the scan; its progress joins a
+        retired total so the sum never steps back.  Aborted stays."""
+        guard = LivenessWatchdog()
+        done, dead = _FakeConn(unfinished=False), _FakeConn()
+        done.progress, done.is_closed = 7, True
+        dead.progress, dead.is_closed, dead.aborted = 3, True, True
+        guard.register_connection(done)
+        guard.register_connection(dead)
+        assert guard._progress() == 10
+        guard._retire()
+        assert guard._connections == [dead]
+        assert guard._progress() == 10
+
     def test_stalled_flap_transfer_raises_typed_error(self):
         with watching(stall_after=10.0):
             with pytest.raises(SimulationStalled) as info:
@@ -246,11 +262,12 @@ class TestWatchdog:
         assert plain_events == guarded_events
 
     def test_activation_is_exclusive_and_idempotent(self):
-        with watching(stall_after=1.0):
-            with pytest.raises(RuntimeError):
-                watchdog_runtime.activate(LivenessWatchdog())
-        assert watchdog_runtime.active() is None
-        watchdog_runtime.deactivate()       # idempotent when inactive
+        with watching(stall_after=1.0) as guard:
+            with pytest.raises(RuntimeError, match="already active"):
+                with watching(LivenessWatchdog()):
+                    pass  # pragma: no cover
+            assert observers.get("watchdog") is guard
+        assert observers.get("watchdog") is None
 
 
 # ----------------------------------------------------------------------
