@@ -19,8 +19,8 @@ Checked invariants:
   from the egress queue is either still in flight, delivered, or
   absorbed by an injected fault; when the event heap drains, nothing
   may remain in flight.
-* **Sequence-space sanity** — ``snd_una <= snd_nxt <= snd_max``,
-  cumulative ACKs never regress or overtake ``snd_max``, senders never
+* **Sequence-space sanity** — ``snd_una``/``snd_nxt``/``snd_max`` are
+  integers and ``snd_una <= snd_nxt <= snd_max``, cumulative ACKs never regress or overtake ``snd_max``, senders never
   transmit unqueued data or data below ``snd_una``, and a receiver's
   ``rcv_nxt`` never passes what its peer actually sent.
 * **Congestion-window bounds** — windows stay positive and bounded;
@@ -197,10 +197,17 @@ class InvariantChecker(Instrument):
         self._check_seq(conn, now)
 
     def _check_seq(self, conn, now: float) -> None:
-        if not (conn.snd_una <= conn.snd_nxt <= conn.snd_max):
+        una, nxt, top = conn.snd_una, conn.snd_nxt, conn.snd_max
+        if not (isinstance(una, int) and isinstance(nxt, int)
+                and isinstance(top, int)):
+            # A float sequence number compares fine but drifts once
+            # arithmetic rounds it; catch the write, not the drift.
+            self._fail("sequence-integer", now, flow=conn.flow,
+                       detail=f"snd_una={una!r} snd_nxt={nxt!r} "
+                              f"snd_max={top!r}")
+        if not (una <= nxt <= top):
             self._fail("sequence-space", now, flow=conn.flow,
-                       detail=f"snd_una={conn.snd_una} snd_nxt={conn.snd_nxt} "
-                              f"snd_max={conn.snd_max}")
+                       detail=f"snd_una={una} snd_nxt={nxt} snd_max={top}")
 
     # ------------------------------------------------------------------
     # Congestion-window hooks (called from CongestionControl)

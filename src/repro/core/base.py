@@ -16,18 +16,23 @@ and may use the connection's documented sender-side services:
   ``snd_una``; returns its first sequence number
 * ``conn.first_unacked_send_time()`` — latest transmission time of the
   first unacked segment (``None`` if nothing is outstanding)
+* ``conn.sack_board`` — the peer's SACK scoreboard, and
+  ``conn.retransmit_hole(seq, length)`` — resend one un-SACKed chunk
 * ``conn.fine_rtt`` — the fine-grained estimator (per-segment clocks)
 * ``conn.stats`` — the connection's :class:`FlowStats`
 * ``conn.tracer`` — trace sink
 * ``conn.now`` — current simulated time
+
+Nothing else: a controller keeps its own state (``cwnd``,
+``ssthresh`` and whatever its policy needs) as attributes of its own.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.sim import observers
 from repro.tcp import constants as C
-from repro.tcp.flatstate import ConnStateStore
 from repro.trace.records import Kind
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -40,13 +45,6 @@ class CongestionControl:
     Useful on its own as a "dumb" constant-window transport for tests
     and for generating deterministic cross-traffic; all real protocols
     override the event hooks.
-
-    ``cwnd``/``ssthresh`` (and, for Vegas, the CAM epoch accumulators)
-    live in a :class:`~repro.tcp.flatstate.ConnStateStore` slot.  At
-    :meth:`attach` time the controller rebinds onto its connection's
-    store and slot, so the window shares a cache line with the rest of
-    that connection's hot sender state; before attach a private scratch
-    slot keeps the accessors uniform.
     """
 
     name = "fixed"
@@ -54,48 +52,11 @@ class CongestionControl:
     def __init__(self, initial_cwnd_segments: int = 1):
         self.conn: Optional["TCPConnection"] = None
         self._initial_cwnd_segments = initial_cwnd_segments
-        # The store binding happens at attach(); the scratch slot is
-        # only materialised if state is touched before then (standalone
-        # controllers in tests), so the common construct-then-attach
-        # path never builds a throwaway store.
-        self._fs: Optional[ConnStateStore] = None
-        self._fi: int = 0
-
-    def _scratch_store(self) -> ConnStateStore:
-        fs = ConnStateStore()
-        self._fi = fs.alloc()
-        self._fs = fs
-        return fs
-
-    @property
-    def cwnd(self) -> int:
-        """Congestion window, bytes."""
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        return fs.cwnd[self._fi]
-
-    @cwnd.setter
-    def cwnd(self, value: int) -> None:
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        fs.cwnd[self._fi] = int(value)
-
-    @property
-    def ssthresh(self) -> int:
-        """Slow-start threshold, bytes."""
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        return fs.ssthresh[self._fi]
-
-    @ssthresh.setter
-    def ssthresh(self, value: int) -> None:
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        fs.ssthresh[self._fi] = int(value)
+        #: Congestion window, bytes (always an ``int``).
+        self.cwnd = 0
+        #: Slow-start threshold, bytes (always an ``int``).
+        self.ssthresh = 0
+        self._checker = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -103,15 +64,10 @@ class CongestionControl:
     def attach(self, conn: "TCPConnection") -> None:
         """Bind to *conn*; called once, before the handshake."""
         self.conn = conn
-        store = getattr(conn, "_st", None)
-        if store is not None:
-            self._fs = store
-            self._fi = conn._slot
-        elif self._fs is None:
-            # A fake connection without flat state (test double):
-            # fall back to a private scratch slot.
-            self._scratch_store()
-        self.cwnd = self._initial_cwnd_segments * conn.mss
+        # The same lookup the connection makes in its constructor, so a
+        # window move reaches the armed checker through one test.
+        self._checker = observers.get("checker")
+        self.cwnd = int(self._initial_cwnd_segments * conn.mss)
         self.ssthresh = C.MAX_CWND
 
     def on_established(self, now: float) -> None:
@@ -167,25 +123,23 @@ class CongestionControl:
 
     def _set_cwnd(self, value: int, now: float) -> None:
         value = int(value)
-        old = self._fs.cwnd[self._fi]
+        old = self.cwnd
         if value != old:
-            self._fs.cwnd[self._fi] = value
+            self.cwnd = value
             if self.conn is not None:
                 self.conn.tracer.record(now, Kind.CWND, value)
-            checker = getattr(self.conn, "_checker", None)
-            if checker is not None:
-                checker.on_cwnd(self, old, value, now)
+            if self._checker is not None:
+                self._checker.on_cwnd(self, old, value, now)
 
     def _set_ssthresh(self, value: int, now: float) -> None:
         value = int(value)
-        old = self._fs.ssthresh[self._fi]
+        old = self.ssthresh
         if value != old:
-            self._fs.ssthresh[self._fi] = value
+            self.ssthresh = value
             if self.conn is not None:
                 self.conn.tracer.record(now, Kind.SSTHRESH, value)
-            checker = getattr(self.conn, "_checker", None)
-            if checker is not None:
-                checker.on_ssthresh(self, old, value, now)
+            if self._checker is not None:
+                self._checker.on_ssthresh(self, old, value, now)
 
     def half_window(self) -> int:
         """BSD's loss threshold: half of min(cwnd, peer window), floored

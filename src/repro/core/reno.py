@@ -36,21 +36,17 @@ class RenoCC(CongestionControl):
     # ------------------------------------------------------------------
     def on_new_ack(self, acked_bytes: int, now: float,
                    rtt_sample: Optional[float]) -> None:
-        fs = self._fs
-        i = self._fi
         if self.in_recovery:
             # Recovery ACK: deflate the window back to ssthresh.
             self.in_recovery = False
-            self._set_cwnd(max(fs.ssthresh[i], 2 * self.conn.mss), now)
+            self._set_cwnd(max(self.ssthresh, 2 * self.conn.mss), now)
             return
         self._grow_window(now)
 
     def _grow_window(self, now: float) -> None:
-        fs = self._fs
-        i = self._fi
         mss = self.conn.mss
-        cwnd = fs.cwnd[i]
-        if cwnd < fs.ssthresh[i]:
+        cwnd = self.cwnd
+        if cwnd < self.ssthresh:
             # Slow start: one segment per ACK (exponential per RTT).
             increment = mss
         else:

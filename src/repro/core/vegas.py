@@ -46,7 +46,7 @@ heavy congestion it "falls back" to Reno, as §6 discusses.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from repro.core.base import CongestionControl
 from repro.tcp import constants as C
@@ -111,48 +111,18 @@ class VegasCC(CongestionControl):
         self.in_recovery = False
         self.last_decrease_time = float("-inf")
         self.acks_after_retx = 0          # §3.1 second bullet counter
-        # Distinguished-segment measurement state (one per RTT) lives
-        # in the flat store slot shared with the connection (columns
-        # cam_end/cam_sent/cam_window/cam_bytes_base/cam_cwnd0/
-        # cam_max_flight/cam_samples); see CongestionControl.attach.
+        # Distinguished-segment measurement, one epoch per RTT: the
+        # segment's end (None between epochs), the window when it left,
+        # the largest flight seen since, and the epoch's RTT samples.
+        self._cam_end: Optional[int] = None
+        self._cam_window = 0
+        self._cam_max_flight = 0
+        self._cam_samples: List[float] = []
         # Counters for analysis/tests.
         self.cam_decisions = 0
         self.cam_increases = 0
         self.cam_decreases = 0
         self.early_retransmits = 0
-
-    # ------------------------------------------------------------------
-    # CAM accumulator accessors (hot code reads the store directly)
-    # ------------------------------------------------------------------
-    @property
-    def _cam_end_seq(self) -> Optional[int]:
-        """Distinguished segment end for this epoch (``None`` if idle)."""
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        v = fs.cam_end[self._fi]
-        return None if v < 0 else v
-
-    @_cam_end_seq.setter
-    def _cam_end_seq(self, value: Optional[int]) -> None:
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        fs.cam_end[self._fi] = -1 if value is None else value
-
-    @property
-    def _cam_rtt_samples(self) -> list:
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        return fs.cam_samples[self._fi]
-
-    @_cam_rtt_samples.setter
-    def _cam_rtt_samples(self, value: list) -> None:
-        fs = self._fs
-        if fs is None:
-            fs = self._scratch_store()
-        fs.cam_samples[self._fi] = value
 
     # ------------------------------------------------------------------
     # Sending: distinguished-segment selection
@@ -161,51 +131,41 @@ class VegasCC(CongestionControl):
                         is_retransmit: bool, now: float) -> None:
         if length == 0:
             return
-        fs = self._fs
-        i = self._fi
-        cam_end = fs.cam_end[i]
+        cam_end = self._cam_end
         if is_retransmit:
             # A retransmission overlapping the distinguished segment
             # invalidates the measurement.
-            if cam_end >= 0 and seq < cam_end <= end_seq:
-                fs.cam_end[i] = -1
+            if cam_end is not None and seq < cam_end <= end_seq:
+                self._cam_end = None
             return
-        if cam_end < 0:
-            fs.cam_end[i] = end_seq
-            fs.cam_sent[i] = now
+        if cam_end is None:
+            self._cam_end = end_seq
             # Expected = WindowSize / BaseRTT with WindowSize "the size
             # of the current congestion window" (§3.2).
-            cwnd = fs.cwnd[i]
-            fs.cam_window[i] = cwnd
-            # Count the distinguished segment itself among the bytes
-            # transmitted during its RTT.
-            fs.cam_bytes_base[i] = self.conn.stats.bytes_sent_total - length
-            fs.cam_cwnd0[i] = cwnd
-            fs.cam_max_flight[i] = self.conn.flight_size()
-            fs.cam_samples[i] = []
+            self._cam_window = self.cwnd
+            self._cam_max_flight = self.conn.flight_size()
+            self._cam_samples = []
         else:
             flight = self.conn.flight_size()
-            if flight > fs.cam_max_flight[i]:
-                fs.cam_max_flight[i] = flight
+            if flight > self._cam_max_flight:
+                self._cam_max_flight = flight
 
     # ------------------------------------------------------------------
     # ACK processing
     # ------------------------------------------------------------------
     def on_new_ack(self, acked_bytes: int, now: float,
                    rtt_sample: Optional[float]) -> None:
-        fs = self._fs
-        i = self._fi
         mss = self.conn.mss
         # Collect per-segment clock samples for the current CAM epoch.
         # A robust summary of them drives the rate comparison: single
         # samples can be inflated by up to 200 ms by delayed ACKs,
         # which at small windows would read as phantom queueing.
-        if rtt_sample is not None and fs.cam_end[i] >= 0:
-            fs.cam_samples[i].append(rtt_sample)
+        if rtt_sample is not None and self._cam_end is not None:
+            self._cam_samples.append(rtt_sample)
         if self.in_recovery:
             # Recovery ACK (Reno-style deflation after a 3-dup-ack event).
             self.in_recovery = False
-            self._set_cwnd(max(fs.ssthresh[i], 2 * mss), now)
+            self._set_cwnd(max(self.ssthresh, 2 * mss), now)
 
         # §3.1, second bullet: on the first/second non-duplicate ACK
         # after a retransmission, check the next unacked segment's age.
@@ -214,22 +174,22 @@ class VegasCC(CongestionControl):
             self._check_stale_first_unacked(now, path=2)
 
         # Once-per-RTT congestion-avoidance decision.
-        cam_end = fs.cam_end[i]
-        if cam_end >= 0 and self.conn.snd_una >= cam_end:
+        cam_end = self._cam_end
+        if cam_end is not None and self.conn.snd_una >= cam_end:
             self._cam_decision(now)
-            fs.cam_end[i] = -1
+            self._cam_end = None
 
         # Per-ACK window growth applies only in slow start.
         if self.mode == SLOW_START and not self.in_recovery:
-            cwnd = fs.cwnd[i]
-            if cwnd >= fs.ssthresh[i]:
+            cwnd = self.cwnd
+            if cwnd >= self.ssthresh:
                 # Reno's own slow-start exit (relevant after timeouts).
                 self._leave_slow_start(now, trim=False)
             elif (not self.enable_modified_slowstart) or self.ss_grow:
                 self._set_cwnd(min(C.MAX_CWND, cwnd + mss), now)
         elif self.mode == LINEAR and not self.enable_cam:
             # CAM ablated: fall back to Reno congestion avoidance.
-            cwnd = fs.cwnd[i]
+            cwnd = self.cwnd
             self._set_cwnd(min(C.MAX_CWND,
                                cwnd + max(1, mss * mss // cwnd)),
                            now)
@@ -248,8 +208,6 @@ class VegasCC(CongestionControl):
     # Technique 2: the CAM decision (once per RTT)
     # ------------------------------------------------------------------
     def _cam_decision(self, now: float) -> None:
-        fs = self._fs
-        i = self._fi
         fine = self.conn.fine_rtt
         base_rtt = fine.base_rtt
         # The RTT used for the rate comparison is the *lower median* of
@@ -260,7 +218,7 @@ class VegasCC(CongestionControl):
         # the same reason production Vegas implementations filter their
         # per-ACK samples rather than using any single one.
         rtt = self._epoch_rtt()
-        cam_window = fs.cam_window[i]
+        cam_window = self._cam_window
         if base_rtt is None or rtt is None or rtt <= 0 \
                 or cam_window <= 0:
             return
@@ -268,11 +226,11 @@ class VegasCC(CongestionControl):
         # "A valid comparison of the expected and actual rates" (§3.3)
         # requires the window to have stayed fixed over the
         # measurement.
-        valid = (fs.cwnd[i] == fs.cam_cwnd0[i])
+        valid = (self.cwnd == cam_window)
         # An application-limited flow never fills its window; comparing
         # its Actual against a window-based Expected would shrink the
         # window without any congestion.  Skip such measurements.
-        cwnd_limited = fs.cam_max_flight[i] + mss >= cam_window
+        cwnd_limited = self._cam_max_flight + mss >= cam_window
         if not cwnd_limited:
             return
         # Diff computed from the distinguished segment's window and the
@@ -317,17 +275,16 @@ class VegasCC(CongestionControl):
             return
         if diff_buffers < self.alpha:
             self.cam_increases += 1
-            self._set_cwnd(min(C.MAX_CWND, fs.cwnd[i] + mss), now)
+            self._set_cwnd(min(C.MAX_CWND, self.cwnd + mss), now)
             action = 1
         elif diff_buffers > self.beta:
             self.cam_decreases += 1
-            self._set_cwnd(max(2 * mss, fs.cwnd[i] - mss), now)
+            self._set_cwnd(max(2 * mss, self.cwnd - mss), now)
             action = -1
         else:
             action = 0
-        checker = getattr(self.conn, "_checker", None)
-        if checker is not None:
-            checker.on_cam_decision(self, diff_buffers, action, now)
+        if self._checker is not None:
+            self._checker.on_cam_decision(self, diff_buffers, action, now)
         self.conn.tracer.record(now, Kind.CAM_DECISION,
                                 diff_buffers * 1000.0, action)
 
@@ -348,7 +305,7 @@ class VegasCC(CongestionControl):
 
     def _epoch_rtt(self) -> Optional[float]:
         """Lower median of the current epoch's RTT samples."""
-        samples = self._fs.cam_samples[self._fi]
+        samples = self._cam_samples
         if not samples:
             return None
         ordered = sorted(samples)
@@ -419,5 +376,5 @@ class VegasCC(CongestionControl):
         self.ss_grow = True
         self.acks_after_retx = 0
         self.last_decrease_time = now
-        self._fs.cam_end[self._fi] = -1
+        self._cam_end = None
         self.conn.tracer.record(now, Kind.SS_MODE, 1)

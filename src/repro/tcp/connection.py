@@ -16,17 +16,6 @@ socket + tcpcb).  It owns:
 Everything observable about the connection is recorded through the
 attached :class:`~repro.trace.tracer.ConnectionTracer`, which is what
 the paper's graphing tools consume.
-
-Hot state lives in a :class:`~repro.tcp.flatstate.ConnStateStore`
-slot, not in instance attributes: sequence variables, timer
-countdowns, RTT/CAM accumulators and the send-time heap index are
-columns of a packed struct-of-arrays store shared by every connection
-of a simulator, which is what lets the host protocol's periodic scans
-and a future compiled dispatch path walk flat memory.  The accessor
-properties below keep the public attribute API (``conn.snd_una``,
-``conn.t_rexmt``...) unchanged; hot methods hoist the store columns
-into locals instead.  There is one layout: every connection takes a
-slot in its simulator's shared store, whichever engine drives it.
 """
 
 from __future__ import annotations
@@ -42,7 +31,6 @@ from repro.net.packet import Packet
 from repro.sim import observers
 from repro.tcp import constants as C
 from repro.tcp.buffers import SendBuffer
-from repro.tcp.flatstate import store_for
 from repro.tcp.receiver import AckAction, ReceiverHalf
 from repro.tcp.rtt import CoarseRttEstimator, FineRttEstimator
 from repro.tcp.sack import SackScoreboard
@@ -102,19 +90,45 @@ class TCPConnection:
         self.nagle = nagle
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.stats = FlowStats()
-
-        # Flat hot-state slot in the simulator-wide shared store, so
-        # protocol timer scans walk packed arrays.
-        self._st = st = store_for(sim)
-        self._slot = slot = st.alloc()
-        self._state = State.CLOSED  # state_code default is CLOSED
+        self.state = State.CLOSED
 
         # --- Sender half -------------------------------------------------
         self.iss = 0
-        self.sendbuf = SendBuffer(sndbuf, start_seq=1)
+        self.snd_una = 0
+        self.snd_nxt = 0
+        #: Highest end-sequence ever sent.
+        self.snd_max = 0
+        self.peer_wnd = 0
         self.peer_wnd_seen = False
-        self.coarse_rtt = CoarseRttEstimator(store=st, slot=slot)
-        self.fine_rtt = FineRttEstimator(store=st, slot=slot)
+        self.dupacks = 0
+        self.sendbuf = SendBuffer(sndbuf, start_seq=1)
+        self.coarse_rtt = CoarseRttEstimator()
+        self.fine_rtt = FineRttEstimator()
+        # Coarse retransmit timer: ticks until timeout (None when
+        # unarmed) and its exponential-backoff shift.
+        self.t_rexmt: Optional[int] = None
+        self.rexmt_shift = 0
+        #: Consecutive coarse timeouts without forward progress; the
+        #: connection aborts when this exceeds MAX_REXMT_SHIFT, like
+        #: BSD's dropwithreset after 12 fruitless retransmissions.
+        self.consecutive_timeouts = 0
+        # Coarse-timed sequence number (one at a time, Karn-guarded;
+        # None when nothing is timed) and the slow ticks it has waited.
+        self._timing_seq: Optional[int] = None
+        self._timing_ticks = 0
+        # Zero-window persist backoff.
+        self._persist_shift = 0
+        self._persist_countdown = 0
+        # Fine per-segment clocks (§3.1): end_seq -> last transmit time.
+        self._send_times: Dict[int, float] = {}
+        # Min-heap over exactly _send_times's keys, so the smallest
+        # outstanding end_seq is O(1) and purging on ACK is O(log n)
+        # per removed entry instead of a full-dict scan.
+        self._ends_heap: List[int] = []
+        # End_seqs retransmitted (Karn), and persist-probe end_seqs,
+        # which are excluded from CC measurements.
+        self._ambiguous: set = set()
+        self._probe_ends: set = set()
         self.fin_pending = False
         self.fin_sent = False
         self.fin_end: Optional[int] = None
@@ -123,6 +137,7 @@ class TCPConnection:
         # Optional transmission pacing (used by the experimental
         # rate-controlled slow start of §3.3's future work).
         self._pace_event = None
+        self._pace_next_time = 0.0
         # Selective acknowledgements (§6 extension): when enabled, this
         # endpoint *sends* SACK blocks for its out-of-order reassembly
         # queue and keeps a scoreboard of blocks the peer reports.
@@ -137,8 +152,7 @@ class TCPConnection:
         self.ecn_echoes_received = 0
 
         # --- Receiver half ------------------------------------------------
-        self.recv = ReceiverHalf(rcvbuf, delayed_acks=delayed_acks,
-                                 store=st, slot=slot)
+        self.recv = ReceiverHalf(rcvbuf, delayed_acks=delayed_acks)
         self.peer_fin = False
 
         # --- Application callbacks ----------------------------------------
@@ -167,168 +181,6 @@ class TCPConnection:
             inst.register_connection(self)
 
     # ------------------------------------------------------------------
-    # Flat-state accessors (hot methods hoist the columns instead)
-    # ------------------------------------------------------------------
-    @property
-    def state(self) -> State:
-        return self._state
-
-    @state.setter
-    def state(self, value: State) -> None:
-        self._state = value
-        self._st.state_code[self._slot] = value.value
-
-    @property
-    def snd_una(self) -> int:
-        return self._st.snd_una[self._slot]
-
-    @snd_una.setter
-    def snd_una(self, value: int) -> None:
-        self._st.snd_una[self._slot] = value
-
-    @property
-    def snd_nxt(self) -> int:
-        return self._st.snd_nxt[self._slot]
-
-    @snd_nxt.setter
-    def snd_nxt(self, value: int) -> None:
-        self._st.snd_nxt[self._slot] = value
-
-    @property
-    def snd_max(self) -> int:
-        """Highest end-sequence ever sent."""
-        return self._st.snd_max[self._slot]
-
-    @snd_max.setter
-    def snd_max(self, value: int) -> None:
-        self._st.snd_max[self._slot] = value
-
-    @property
-    def peer_wnd(self) -> int:
-        return self._st.peer_wnd[self._slot]
-
-    @peer_wnd.setter
-    def peer_wnd(self, value: int) -> None:
-        self._st.peer_wnd[self._slot] = value
-
-    @property
-    def dupacks(self) -> int:
-        return self._st.dupacks[self._slot]
-
-    @dupacks.setter
-    def dupacks(self, value: int) -> None:
-        self._st.dupacks[self._slot] = value
-
-    @property
-    def rexmt_shift(self) -> int:
-        return self._st.rexmt_shift[self._slot]
-
-    @rexmt_shift.setter
-    def rexmt_shift(self, value: int) -> None:
-        self._st.rexmt_shift[self._slot] = value
-
-    @property
-    def consecutive_timeouts(self) -> int:
-        """Consecutive coarse timeouts without forward progress; the
-        connection aborts when this exceeds MAX_REXMT_SHIFT, like
-        BSD's dropwithreset after 12 fruitless retransmissions."""
-        return self._st.consec_timeouts[self._slot]
-
-    @consecutive_timeouts.setter
-    def consecutive_timeouts(self, value: int) -> None:
-        self._st.consec_timeouts[self._slot] = value
-
-    @property
-    def t_rexmt(self) -> Optional[int]:
-        """Ticks until coarse timeout (``None`` when unarmed)."""
-        v = self._st.t_rexmt[self._slot]
-        return None if v < 0 else v
-
-    @t_rexmt.setter
-    def t_rexmt(self, value: Optional[int]) -> None:
-        self._st.t_rexmt[self._slot] = -1 if value is None else value
-
-    @property
-    def _timing_seq(self) -> Optional[int]:
-        """Coarse-timed sequence number (one at a time; Karn-guarded)."""
-        v = self._st.timing_seq[self._slot]
-        return None if v < 0 else v
-
-    @_timing_seq.setter
-    def _timing_seq(self, value: Optional[int]) -> None:
-        self._st.timing_seq[self._slot] = -1 if value is None else value
-
-    @property
-    def _timing_ticks(self) -> int:
-        return self._st.timing_ticks[self._slot]
-
-    @_timing_ticks.setter
-    def _timing_ticks(self, value: int) -> None:
-        self._st.timing_ticks[self._slot] = value
-
-    @property
-    def _persist_shift(self) -> int:
-        return self._st.persist_shift[self._slot]
-
-    @_persist_shift.setter
-    def _persist_shift(self, value: int) -> None:
-        self._st.persist_shift[self._slot] = value
-
-    @property
-    def _persist_countdown(self) -> int:
-        return self._st.persist_countdown[self._slot]
-
-    @_persist_countdown.setter
-    def _persist_countdown(self, value: int) -> None:
-        self._st.persist_countdown[self._slot] = value
-
-    @property
-    def _pace_next_time(self) -> float:
-        return self._st.pace_next[self._slot]
-
-    @_pace_next_time.setter
-    def _pace_next_time(self, value: float) -> None:
-        self._st.pace_next[self._slot] = value
-
-    @property
-    def _send_times(self) -> Dict[int, float]:
-        """Fine per-segment clocks: end_seq -> last transmit time."""
-        return self._st.send_times[self._slot]
-
-    @_send_times.setter
-    def _send_times(self, value: Dict[int, float]) -> None:
-        self._st.send_times[self._slot] = value
-
-    @property
-    def _ends_heap(self) -> List[int]:
-        """Min-heap over exactly ``_send_times``'s keys, so the
-        smallest outstanding end_seq is O(1) and purging on ACK is
-        O(log n) per removed entry instead of a full-dict scan."""
-        return self._st.ends_heap[self._slot]
-
-    @_ends_heap.setter
-    def _ends_heap(self, value: List[int]) -> None:
-        self._st.ends_heap[self._slot] = value
-
-    @property
-    def _ambiguous(self) -> set:
-        """End_seqs retransmitted (Karn)."""
-        return self._st.ambiguous[self._slot]
-
-    @_ambiguous.setter
-    def _ambiguous(self, value: set) -> None:
-        self._st.ambiguous[self._slot] = value
-
-    @property
-    def _probe_ends(self) -> set:
-        """Persist-probe end_seqs, excluded from CC measurements."""
-        return self._st.probe_ends[self._slot]
-
-    @_probe_ends.setter
-    def _probe_ends(self, value: set) -> None:
-        self._st.probe_ends[self._slot] = value
-
-    # ------------------------------------------------------------------
     # Convenience properties
     # ------------------------------------------------------------------
     @property
@@ -337,21 +189,19 @@ class TCPConnection:
 
     @property
     def is_closed(self) -> bool:
-        return self._state is State.CLOSED and self.stats.close_time is not None
+        return self.state is State.CLOSED and self.stats.close_time is not None
 
     def flight_size(self) -> int:
         """Bytes sent but not yet acknowledged."""
-        st = self._st
-        i = self._slot
-        return st.snd_nxt[i] - st.snd_una[i]
+        return self.snd_nxt - self.snd_una
 
     @property
     def send_window(self) -> int:
         """min(cwnd, peer advertised window), the paper's send window."""
-        return min(self.cc.cwnd, self._st.peer_wnd[self._slot])
+        return min(self.cc.cwnd, self.peer_wnd)
 
     def unsent_bytes(self) -> int:
-        return self.sendbuf.queued_end - self._st.snd_nxt[self._slot]
+        return self.sendbuf.queued_end - self.snd_nxt
 
     # ------------------------------------------------------------------
     # Liveness protocol (consumed by repro.sim.watchdog)
@@ -376,7 +226,7 @@ class TCPConnection:
         """
         if self.aborted:
             return True
-        if self._state is State.CLOSED:
+        if self.state is State.CLOSED:
             return False
         if self.snd_nxt > self.snd_una or self.unsent_bytes() > 0:
             return True
@@ -386,7 +236,7 @@ class TCPConnection:
         """Diagnostic state for a :class:`~repro.errors.SimulationStalled`."""
         return {
             "flow": str(self.flow),
-            "state": self._state.name,
+            "state": self.state.name,
             "snd_una": self.snd_una,
             "snd_nxt": self.snd_nxt,
             "snd_max": self.snd_max,
@@ -406,19 +256,19 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def open_active(self) -> None:
         """Send a SYN (active open)."""
-        if self._state is not State.CLOSED or self.stats.open_time is not None:
+        if self.state is not State.CLOSED or self.stats.open_time is not None:
             raise ProtocolError("connection already opened")
         self.stats.open_time = self.sim.now
         self.state = State.SYN_SENT
         self.snd_una = self.iss
         self.snd_nxt = self.iss + 1
         self.snd_max = self.iss + 1
-        self._trace(Kind.STATE, self._state.value)
+        self._trace(Kind.STATE, self.state.value)
         self._send_syn()
 
     def open_passive(self, syn: TCPSegment) -> None:
         """Respond to an incoming SYN (passive open)."""
-        if self._state is not State.CLOSED:
+        if self.state is not State.CLOSED:
             raise ProtocolError("connection already opened")
         self.stats.open_time = self.sim.now
         self.recv.init_sequence(syn.seq + 1)
@@ -428,21 +278,19 @@ class TCPConnection:
         self.snd_una = self.iss
         self.snd_nxt = self.iss + 1
         self.snd_max = self.iss + 1
-        self._trace(Kind.STATE, self._state.value)
+        self._trace(Kind.STATE, self.state.value)
         self._send_syn(ack=True)
 
     def _send_syn(self, ack: bool = False) -> None:
-        st = self._st
-        i = self._slot
         flags = FLAG_SYN | (FLAG_ACK if ack else 0)
         seg = TCPSegment(self.flow.local_port, self.flow.remote_port,
                          seq=self.iss, length=0,
                          ack=self.recv.rcv_nxt if ack else 0,
                          flags=flags, wnd=self.recv.rcv_wnd)
         self._note_send_time(self.iss + 1, self.sim.now)
-        if st.timing_seq[i] < 0:
-            st.timing_seq[i] = self.iss
-            st.timing_ticks[i] = 1
+        if self._timing_seq is None:
+            self._timing_seq = self.iss
+            self._timing_ticks = 1
         if self._checker is not None:
             self._checker.note_sent(self, self.iss, self.iss + 1,
                                     is_data=False)
@@ -460,7 +308,7 @@ class TCPConnection:
         if accepted:
             self.stats.app_bytes_queued += accepted
             self._trace(Kind.APP_WRITE, accepted)
-        state = self._state
+        state = self.state
         if state is State.ESTABLISHED or state is State.CLOSING:
             self.output()
         return accepted
@@ -470,7 +318,7 @@ class TCPConnection:
         if self.fin_pending or self.fin_sent:
             return
         self.fin_pending = True
-        state = self._state
+        state = self.state
         if state is State.ESTABLISHED or state is State.CLOSING:
             self.output()
 
@@ -479,26 +327,20 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def output(self) -> None:
         """Send as much queued data as the windows allow (BSD tcp_output)."""
-        state = self._state
+        state = self.state
         if state is not State.ESTABLISHED and state is not State.CLOSING:
             return
         # Hot loop: the window terms are recomputed each iteration (a
-        # sent segment moves snd_nxt) but straight off the flat store's
-        # hoisted columns rather than via helper properties.
-        st = self._st
-        i = self._slot
+        # sent segment moves snd_nxt) inline rather than via helpers.
         mss = self.mss
         sendbuf = self.sendbuf
         paced = self._paced
-        col_nxt = st.snd_nxt
-        col_una = st.snd_una
-        col_cwnd = st.cwnd
-        col_pwnd = st.peer_wnd
+        cc = self.cc
         while True:
-            snd_nxt = col_nxt[i]
-            flight = snd_nxt - col_una[i]
-            window = col_cwnd[i]
-            peer_wnd = col_pwnd[i]
+            snd_nxt = self.snd_nxt
+            flight = snd_nxt - self.snd_una
+            window = cc.cwnd
+            peer_wnd = self.peer_wnd
             if peer_wnd < window:
                 window = peer_wnd
             usable = window - flight
@@ -529,8 +371,6 @@ class TCPConnection:
 
     def _send_data_segment(self, seq: int, length: int,
                            probe: bool = False) -> None:
-        st = self._st
-        i = self._slot
         now = self.sim.now
         stats = self.stats
         recv = self.recv
@@ -538,60 +378,60 @@ class TCPConnection:
         tracing = tracer.enabled
         record = tracer.record
         end_seq = seq + length
-        is_retx = end_seq <= st.snd_max[i]
+        is_retx = end_seq <= self.snd_max
         seg = TCPSegment(self.flow.local_port, self.flow.remote_port,
                          seq, length, recv.rcv_nxt, FLAG_ACK, recv.rcv_wnd,
                          self._sack_blocks() if self.sack_enabled else ())
-        st.delack[i] = 0  # inlined recv.ack_sent()
-        send_times = st.send_times[i]
+        recv.delack_pending = False  # inlined recv.ack_sent()
+        send_times = self._send_times
         if is_retx:
             stats.retransmitted_bytes += length
             stats.retransmit_segments += 1
             if tracing:
                 record(now, Kind.RETX, seq, length)
             if end_seq in send_times:
-                st.ambiguous[i].add(end_seq)
+                self._ambiguous.add(end_seq)
             # Karn: a retransmission covering the timed segment
             # invalidates the coarse measurement.
-            tseq = st.timing_seq[i]
-            if 0 <= tseq and seq <= tseq < end_seq:
-                st.timing_seq[i] = -1
+            tseq = self._timing_seq
+            if tseq is not None and seq <= tseq < end_seq:
+                self._timing_seq = None
         else:
             if tracing:
                 record(now, Kind.SEND, seq, length)
-            if st.timing_seq[i] < 0 and not probe:
-                st.timing_seq[i] = seq
-                st.timing_ticks[i] = 1
+            if self._timing_seq is None and not probe:
+                self._timing_seq = seq
+                self._timing_ticks = 1
         # Inlined _note_send_time: retransmissions refresh the clock of
         # an end_seq that is already indexed; only genuinely new keys
         # enter the heap, so heap and dict hold exactly the same keys.
         if end_seq not in send_times:
-            _heappush(st.ends_heap[i], end_seq)
+            _heappush(self._ends_heap, end_seq)
         send_times[end_seq] = now
         if probe:
             # A persist probe is a forced 1-byte send outside the
             # window discipline.  Its RTT measures a starved path, so
             # it must never become a Vegas distinguished segment or
             # feed BaseRTT — mark it and keep congestion control blind.
-            st.probe_ends[i].add(end_seq)
+            self._probe_ends.add(end_seq)
         stats.bytes_sent_total += length
         stats.segments_sent += 1
         if stats.first_send_time is None:
             stats.first_send_time = now
-        if end_seq > st.snd_nxt[i]:
-            st.snd_nxt[i] = end_seq
-        if end_seq > st.snd_max[i]:
-            st.snd_max[i] = end_seq
+        if end_seq > self.snd_nxt:
+            self.snd_nxt = end_seq
+        if end_seq > self.snd_max:
+            self.snd_max = end_seq
         if self._checker is not None:
             self._checker.note_sent(self, seq, end_seq)
-        if st.t_rexmt[i] < 0:  # _arm_rexmt() inlined
+        if self.t_rexmt is None:  # _arm_rexmt() inlined
             cr = self.coarse_rtt
-            st.t_rexmt[i] = min(cr.max_rto_ticks,
-                                st.coarse_rto_ticks[i] << st.rexmt_shift[i])
+            self.t_rexmt = min(cr.max_rto_ticks,
+                               cr.rto_ticks << self.rexmt_shift)
         if not probe:
             self.cc.on_segment_sent(seq, length, end_seq, is_retx, now)
         if tracing:
-            record(now, Kind.FLIGHT, st.snd_nxt[i] - st.snd_una[i])
+            record(now, Kind.FLIGHT, self.snd_nxt - self.snd_una)
         self._transmit(seg)
 
     def _send_fin(self) -> None:
@@ -611,7 +451,7 @@ class TCPConnection:
             self._checker.note_sent(self, seq, self.fin_end, is_data=False)
         self.state = State.CLOSING
         self._trace(Kind.FIN, seq)
-        self._trace(Kind.STATE, self._state.value)
+        self._trace(Kind.STATE, self.state.value)
         self._arm_rexmt()
         self._transmit(seg)
 
@@ -622,13 +462,11 @@ class TCPConnection:
         Called by congestion-control policies; the window decision is
         theirs, the mechanics are here.
         """
-        st = self._st
-        i = self._slot
-        snd_una = st.snd_una[i]
+        snd_una = self.snd_una
         data_end = self.sendbuf.queued_end
         if snd_una < data_end:
             length = min(self.mss, data_end - snd_una,
-                         max(st.snd_max[i] - snd_una, 0))
+                         max(self.snd_max - snd_una, 0))
             if length <= 0:
                 return snd_una
             if reason.startswith("fine"):
@@ -677,7 +515,7 @@ class TCPConnection:
                          self.snd_nxt, 0, recv.rcv_nxt, FLAG_ACK,
                          recv.rcv_wnd,
                          self._sack_blocks() if self.sack_enabled else ())
-        self._st.delack[self._slot] = 0  # inlined recv.ack_sent()
+        recv.delack_pending = False  # inlined recv.ack_sent()
         self._transmit(seg)
         # One echo (at least) per congestion mark.
         self._ece_pending = False
@@ -721,7 +559,7 @@ class TCPConnection:
         flags = seg.flags
         if self.ecn_enabled and ecn_marked:
             self._ece_pending = True
-        state = self._state
+        state = self.state
         if state is State.SYN_SENT:
             self._handle_syn_sent(seg)
             if self._checker is not None:
@@ -776,7 +614,7 @@ class TCPConnection:
         if seg.has_ack and seg.ack == self.iss + 1:
             self._note_ack_progress(seg.ack)
         self._trace(Kind.ESTABLISHED)
-        self._trace(Kind.STATE, self._state.value)
+        self._trace(Kind.STATE, self.state.value)
         self.cc.on_established(self.sim.now)
         if self.on_established is not None:
             self.on_established(self)
@@ -784,14 +622,12 @@ class TCPConnection:
 
     def _note_ack_progress(self, ack: int) -> None:
         """Minimal ack bookkeeping used during the handshake."""
-        st = self._st
-        i = self._slot
-        if ack <= st.snd_una[i] or ack > st.snd_max[i]:
+        if ack <= self.snd_una or ack > self.snd_max:
             return
-        tseq = st.timing_seq[i]
-        if 0 <= tseq < ack:
-            self.coarse_rtt.update(st.timing_ticks[i])
-            st.timing_seq[i] = -1
+        tseq = self._timing_seq
+        if tseq is not None and tseq < ack:
+            self.coarse_rtt.update(self._timing_ticks)
+            self._timing_seq = None
         sample = self._fine_sample_for(ack)
         if sample is not None:
             # A SYN is 40 bytes on the wire; its RTT under-represents
@@ -800,51 +636,47 @@ class TCPConnection:
             self.fine_rtt.update(sample, update_base=False)
             self.stats.note_rtt(sample)
         self._purge_send_times(ack)
-        st.snd_una[i] = ack
+        self.snd_una = ack
         if self._checker is not None:
             self._checker.on_ack(self, ack)
-        st.rexmt_shift[i] = 0
-        st.consec_timeouts[i] = 0
-        if ack >= st.snd_max[i]:
-            st.t_rexmt[i] = -1
+        self.rexmt_shift = 0
+        self.consecutive_timeouts = 0
+        if ack >= self.snd_max:
+            self.t_rexmt = None
         else:
             self._arm_rexmt(force=True)
 
     def _process_ack(self, seg: TCPSegment) -> None:
-        st = self._st
-        i = self._slot
         ack = seg.ack
-        if ack > st.snd_max[i]:
+        if ack > self.snd_max:
             return  # acks data never sent; ignore
         flags = seg.flags
         if self.ecn_enabled and flags & FLAG_ECE:
             self.ecn_echoes_received += 1
             self.cc.on_ecn_echo(self.sim.now)
         if self.sack_enabled and seg.sack:
-            snd_max = st.snd_max[i]
+            snd_max = self.snd_max
             for start, end in seg.sack:
                 self.sack_board.add(start, min(end, snd_max))
         seg_wnd = seg.wnd
-        snd_una = st.snd_una[i]
+        snd_una = self.snd_una
         if ack > snd_una:
-            st.peer_wnd[i] = seg_wnd
+            self.peer_wnd = seg_wnd
             self._handle_new_ack(ack, seg)
         elif (ack == snd_una and seg.length == 0
               and not flags & (FLAG_SYN | FLAG_FIN)
-              and st.snd_nxt[i] > snd_una
-              and seg_wnd == st.peer_wnd[i]):
-            dupacks = st.dupacks[i] + 1
-            st.dupacks[i] = dupacks
+              and self.snd_nxt > snd_una
+              and seg_wnd == self.peer_wnd):
+            dupacks = self.dupacks + 1
+            self.dupacks = dupacks
             self.stats.dup_acks_received += 1
             self._trace(Kind.DUPACK_RX, ack, dupacks)
             self.cc.on_dup_ack(dupacks, self.sim.now)
             self.output()
         else:
-            st.peer_wnd[i] = seg_wnd
+            self.peer_wnd = seg_wnd
 
     def _handle_new_ack(self, ack: int, seg: TCPSegment) -> None:
-        st = self._st
-        i = self._slot
         now = self.sim.now
         stats = self.stats
         tracer = self.tracer
@@ -853,23 +685,25 @@ class TCPConnection:
         # and saves four calls per ACK on untraced connections.
         tracing = tracer.enabled
         record = tracer.record
-        acked = ack - st.snd_una[i]
+        acked = ack - self.snd_una
         stats.acks_received += 1
         if tracing:
             record(now, Kind.ACK_RX, ack)
         # Coarse RTT sample (one timed segment at a time, Karn-guarded).
-        tseq = st.timing_seq[i]
-        if 0 <= tseq < ack:
-            self.coarse_rtt.update(st.timing_ticks[i])
-            st.timing_seq[i] = -1
+        tseq = self._timing_seq
+        if tseq is not None and tseq < ack:
+            self.coarse_rtt.update(self._timing_ticks)
+            self._timing_seq = None
         # Fine-grained RTT sample from per-segment clocks.  FIN-only
         # segments (40 bytes on the wire) are excluded from BaseRTT for
         # the same reason SYNs are: they pay less serialization than a
         # data segment and would read as an impossibly good path.
-        send_times = st.send_times[i]
+        send_times = self._send_times
+        ambiguous = self._ambiguous
+        probe_ends = self._probe_ends
         ts = send_times.get(ack)
         sample = None
-        if ts is not None and ack not in st.ambiguous[i]:
+        if ts is not None and ack not in ambiguous:
             sample = now - ts
         if sample is not None:
             fin_end = self.fin_end
@@ -879,7 +713,7 @@ class TCPConnection:
             # stall; like SYN/FIN samples it feeds the smoothed
             # estimator but must not lower BaseRTT, and congestion
             # control never sees it.
-            is_probe_sample = ack in st.probe_ends[i]
+            is_probe_sample = ack in probe_ends
             self.fine_rtt.update(
                 sample, update_base=not (is_fin_sample or is_probe_sample))
             stats.note_rtt(sample)
@@ -890,21 +724,19 @@ class TCPConnection:
         # Inlined _purge_send_times: the heap's top is the smallest
         # outstanding end_seq, so the cumulative ACK peels covered
         # entries in O(log n) each.
-        ends_heap = st.ends_heap[i]
-        ambiguous = st.ambiguous[i]
-        probe_ends = st.probe_ends[i]
+        ends_heap = self._ends_heap
         while ends_heap and ends_heap[0] <= ack:
             k = _heappop(ends_heap)
             del send_times[k]
             ambiguous.discard(k)
             probe_ends.discard(k)
-        st.snd_una[i] = ack
-        if st.snd_nxt[i] < ack:
+        self.snd_una = ack
+        if self.snd_nxt < ack:
             # After a timeout rolled snd_nxt back, an ACK for the
             # original (pre-rollback) transmissions can pass it; pull
             # snd_nxt forward so the flight never goes negative (the
             # same guard 4.3 BSD applies after ACK processing).
-            st.snd_nxt[i] = ack
+            self.snd_nxt = ack
         if self._checker is not None:
             self._checker.on_ack(self, ack)
         if self.sack_enabled:
@@ -919,22 +751,23 @@ class TCPConnection:
         if self.fin_sent and fin_end is not None and ack >= fin_end:
             self.fin_acked = True
             stats.last_ack_time = now
-        st.dupacks[i] = 0
-        st.rexmt_shift[i] = 0
-        st.consec_timeouts[i] = 0
+        self.dupacks = 0
+        self.rexmt_shift = 0
+        self.consecutive_timeouts = 0
         self.cc.on_new_ack(acked, now, sample)
-        if ack >= st.snd_max[i]:
-            st.t_rexmt[i] = -1
+        if ack >= self.snd_max:
+            self.t_rexmt = None
         else:
             # _arm_rexmt(force=True) inlined; rexmt_shift was just
             # zeroed, so the backed-off RTO is the clamped base RTO.
-            rto = st.coarse_rto_ticks[i]
-            cap = self.coarse_rtt.max_rto_ticks
-            st.t_rexmt[i] = rto if rto < cap else cap
+            cr = self.coarse_rtt
+            rto = cr.rto_ticks
+            cap = cr.max_rto_ticks
+            self.t_rexmt = rto if rto < cap else cap
         if tracing:
             record(now, Kind.SND_WND,
-                   min(self.sendbuf.capacity, st.peer_wnd[i]))
-            record(now, Kind.FLIGHT, st.snd_nxt[i] - st.snd_una[i])
+                   min(self.sendbuf.capacity, self.peer_wnd))
+            record(now, Kind.FLIGHT, self.snd_nxt - self.snd_una)
         self.output()
         if freed and self.on_send_space is not None:
             self.on_send_space(self)
@@ -956,11 +789,11 @@ class TCPConnection:
 
     def _maybe_done(self) -> None:
         if (self.fin_acked and self.peer_fin
-                and self._state is not State.CLOSED):
+                and self.state is not State.CLOSED):
             self.state = State.CLOSED
             self.t_rexmt = None
             self.stats.close_time = self.sim.now
-            self._trace(Kind.STATE, self._state.value)
+            self._trace(Kind.STATE, self.state.value)
             self.protocol.connection_closed(self)
             if self.on_closed is not None:
                 self.on_closed(self)
@@ -970,10 +803,8 @@ class TCPConnection:
     # ------------------------------------------------------------------
     def _fine_sample_for(self, ack: int) -> Optional[float]:
         """Exact RTT for the segment whose end is *ack*, if unambiguous."""
-        st = self._st
-        i = self._slot
-        ts = st.send_times[i].get(ack)
-        if ts is None or ack in st.ambiguous[i]:
+        ts = self._send_times.get(ack)
+        if ts is None or ack in self._ambiguous:
             return None
         return self.sim.now - ts
 
@@ -984,23 +815,19 @@ class TCPConnection:
         indexed; only genuinely new keys enter the heap, so heap and
         dict always hold exactly the same key set.
         """
-        st = self._st
-        i = self._slot
-        send_times = st.send_times[i]
+        send_times = self._send_times
         if end_seq not in send_times:
-            _heappush(st.ends_heap[i], end_seq)
+            _heappush(self._ends_heap, end_seq)
         send_times[end_seq] = now
 
     def _purge_send_times(self, ack: int) -> None:
         # The heap's top is the smallest outstanding end_seq, so the
         # cumulative ACK peels covered entries in O(log n) each — the
         # seed scanned the whole dict per ACK, O(window) on every ack.
-        st = self._st
-        i = self._slot
-        heap = st.ends_heap[i]
-        send_times = st.send_times[i]
-        ambiguous = st.ambiguous[i]
-        probe_ends = st.probe_ends[i]
+        heap = self._ends_heap
+        send_times = self._send_times
+        ambiguous = self._ambiguous
+        probe_ends = self._probe_ends
         while heap and heap[0] <= ack:
             k = _heappop(heap)
             del send_times[k]
@@ -1018,16 +845,14 @@ class TCPConnection:
         # top is normally already > snd_una; the lazy pop is a
         # defensive sweep that keeps the invariant even if a caller
         # moved snd_una directly.
-        st = self._st
-        i = self._slot
-        heap = st.ends_heap[i]
-        send_times = st.send_times[i]
-        una = st.snd_una[i]
+        heap = self._ends_heap
+        send_times = self._send_times
+        una = self.snd_una
         while heap and heap[0] <= una:
             k = _heappop(heap)
             send_times.pop(k, None)
-            st.ambiguous[i].discard(k)
-            st.probe_ends[i].discard(k)
+            self._ambiguous.discard(k)
+            self._probe_ends.discard(k)
         if not heap:
             return None
         return send_times[heap[0]]
@@ -1036,34 +861,30 @@ class TCPConnection:
     # Timers (driven by the host protocol's periodic timers)
     # ------------------------------------------------------------------
     def _arm_rexmt(self, force: bool = False) -> None:
-        st = self._st
-        i = self._slot
-        if force or st.t_rexmt[i] < 0:
-            st.t_rexmt[i] = self.coarse_rtt.backed_off_rto(st.rexmt_shift[i])
+        if force or self.t_rexmt is None:
+            self.t_rexmt = self.coarse_rtt.backed_off_rto(self.rexmt_shift)
 
     def _coarse_timeout(self) -> None:
-        st = self._st
-        i = self._slot
         self.stats.coarse_timeouts += 1
-        self._trace(Kind.COARSE_TIMEOUT, st.snd_una[i])
-        timeouts = st.consec_timeouts[i] + 1
-        st.consec_timeouts[i] = timeouts
+        self._trace(Kind.COARSE_TIMEOUT, self.snd_una)
+        timeouts = self.consecutive_timeouts + 1
+        self.consecutive_timeouts = timeouts
         if timeouts > C.MAX_REXMT_SHIFT:
             self._abort()
             return
-        st.rexmt_shift[i] = min(st.rexmt_shift[i] + 1, C.MAX_REXMT_SHIFT)
-        st.timing_seq[i] = -1  # Karn
-        st.dupacks[i] = 0
+        self.rexmt_shift = min(self.rexmt_shift + 1, C.MAX_REXMT_SHIFT)
+        self._timing_seq = None  # Karn
+        self.dupacks = 0
         self.cc.on_coarse_timeout(self.sim.now)
         self._arm_rexmt(force=True)
-        state = self._state
+        state = self.state
         if state is State.SYN_SENT or state is State.SYN_RCVD:
             self._send_syn(ack=(state is State.SYN_RCVD))
             return
         # Go back to the first unacknowledged byte; with cwnd reset to
         # one segment, output() resends exactly one segment.
-        snd_una = st.snd_una[i]
-        st.snd_nxt[i] = snd_una
+        snd_una = self.snd_una
+        self.snd_nxt = snd_una
         if snd_una >= self.sendbuf.queued_end and self.fin_sent:
             self._send_fin_again()
         else:
@@ -1072,11 +893,11 @@ class TCPConnection:
     def _pacing_blocked(self) -> bool:
         """True when pacing defers transmission; reschedules output."""
         rate = self.cc.pacing_rate()
-        if rate is None or self.sim.now >= self._st.pace_next[self._slot]:
+        if rate is None or self.sim.now >= self._pace_next_time:
             return False
         if self._pace_event is None:
             self._pace_event = self.sim.schedule(
-                self._st.pace_next[self._slot] - self.sim.now, self._pace_fire)
+                self._pace_next_time - self.sim.now, self._pace_fire)
         return True
 
     def _pace_fire(self) -> None:
@@ -1092,10 +913,8 @@ class TCPConnection:
         rate = self.cc.pacing_rate()
         if rate is None or rate <= 0:
             return
-        st = self._st
-        i = self._slot
-        base = max(st.pace_next[i], self.sim.now)
-        st.pace_next[i] = base + length / rate
+        base = max(self._pace_next_time, self.sim.now)
+        self._pace_next_time = base + length / rate
 
     def _abort(self) -> None:
         """Give up after too many fruitless retransmissions (BSD-style)."""
@@ -1103,7 +922,7 @@ class TCPConnection:
         self.state = State.CLOSED
         self.t_rexmt = None
         self.stats.close_time = self.sim.now
-        self._trace(Kind.STATE, self._state.value)
+        self._trace(Kind.STATE, self.state.value)
         self.protocol.connection_closed(self)
         if self.on_closed is not None:
             self.on_closed(self)
@@ -1116,16 +935,13 @@ class TCPConnection:
         protocol's slow-timer scan runs down doubles per probe, capped
         at :data:`~repro.tcp.constants.MAX_PERSIST_TICKS`.
         """
-        st = self._st
-        i = self._slot
-        seq = st.snd_nxt[i]
+        seq = self.snd_nxt
         self.stats.persist_probes += 1
-        self._trace(Kind.PROBE, seq, st.persist_shift[i])
+        self._trace(Kind.PROBE, seq, self._persist_shift)
         self._send_data_segment(seq, 1, probe=True)
-        st.persist_countdown[i] = min(1 << st.persist_shift[i],
+        self._persist_countdown = min(1 << self._persist_shift,
                                       C.MAX_PERSIST_TICKS)
-        st.persist_shift[i] = min(st.persist_shift[i] + 1,
-                                  C.MAX_REXMT_SHIFT)
+        self._persist_shift = min(self._persist_shift + 1, C.MAX_REXMT_SHIFT)
 
     # ------------------------------------------------------------------
     # Misc
@@ -1134,6 +950,6 @@ class TCPConnection:
         self.tracer.record(self.sim.now, kind, a, b)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"TCPConnection({self.flow}, {self._state.name}, "
+        return (f"TCPConnection({self.flow}, {self.state.name}, "
                 f"una={self.snd_una}, nxt={self.snd_nxt}, "
                 f"cwnd={self.cc.cwnd})")

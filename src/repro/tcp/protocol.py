@@ -21,8 +21,7 @@ from repro.net.addresses import FlowId
 from repro.net.node import Host
 from repro.net.packet import Packet
 from repro.tcp import constants as C
-from repro.tcp.connection import TCPConnection
-from repro.tcp.flatstate import store_for
+from repro.tcp.connection import State, TCPConnection
 from repro.tcp.segment import TCPSegment
 from repro.trace.records import Kind
 from repro.trace.tracer import NULL_TRACER, ConnectionTracer
@@ -71,11 +70,6 @@ class TCPProtocol:
         # :meth:`connection_closed`; closure is terminal, so the
         # surviving iteration order matches the old filtered scan.
         self._open: Dict[ConnKey, TCPConnection] = {}
-        # Shared flat-state store backing every connection of this
-        # simulator (see repro.tcp.flatstate): the periodic scans below
-        # read the timer/window columns straight out of its packed
-        # arrays.
-        self._flat = store_for(self.sim)
         self.listeners: Dict[int, Listener] = {}
         self._next_port = 1024
         self._slow = PeriodicTimer(self.sim, slow_tick, self._slow_tick,
@@ -221,39 +215,29 @@ class TCPProtocol:
 
     def _slow_tick(self) -> None:
         """One 500 ms coarse-timer tick (the Figure-2 'diamond') per
-        open connection, performed directly on the shared store's
-        columns.  Calls back into the connection only for the rare
-        events (timeout fired, persist probe due); the per-tick common
-        case touches a handful of array cells per open connection.
+        open connection.  Calls back into the connection only for the
+        rare events (timeout fired, persist probe due); the per-tick
+        common case reads and writes a few attributes.
         """
-        st = self._flat
-        state_code = st.state_code
-        t_rexmt = st.t_rexmt
-        timing_seq = st.timing_seq
-        timing_ticks = st.timing_ticks
-        peer_wnd = st.peer_wnd
-        snd_nxt = st.snd_nxt
-        snd_una = st.snd_una
-        persist_shift = st.persist_shift
-        persist_countdown = st.persist_countdown
+        closed = State.CLOSED
+        established = State.ESTABLISHED
+        closing = State.CLOSING
         now = self.sim.now
         timer_check = Kind.TIMER_CHECK
         for conn in list(self._open.values()):
-            i = conn._slot
             # A connection ticked earlier in this scan may have closed
-            # a later one (e.g. an abort tearing down its peer):
-            # CLOSED (code 0) slots are skipped.
-            if state_code[i] == 0:
+            # a later one (e.g. an abort tearing down its peer).
+            if conn.state is closed:
                 continue
-            t = t_rexmt[i]
+            t = conn.t_rexmt
             tracer = conn.tracer
             if tracer is not NULL_TRACER:
-                tracer.record(now, timer_check, t)  # -1 == "unarmed"
-            if timing_seq[i] >= 0:
-                timing_ticks[i] += 1
-            if t >= 0:
+                tracer.record(now, timer_check, -1 if t is None else t)
+            if conn._timing_seq is not None:
+                conn._timing_ticks += 1
+            if t is not None:
                 t -= 1
-                t_rexmt[i] = t
+                conn.t_rexmt = t
                 if t <= 0:
                     conn._coarse_timeout()
             # Zero-window persist with BSD-style exponential backoff
@@ -261,18 +245,18 @@ class TCPProtocol:
             # or aborted the connection mid-tick).  Leaving persist —
             # window opened, or nothing left to send — resets the
             # backoff so the next stall starts probing promptly again.
-            sc = state_code[i]
-            if ((sc != 3 and sc != 4)  # ESTABLISHED / CLOSING
-                    or peer_wnd[i] != 0
-                    or conn.sendbuf.queued_end - snd_nxt[i] <= 0):
-                persist_shift[i] = 0
-                persist_countdown[i] = 0
-            elif snd_nxt[i] - snd_una[i] > 0:
+            state = conn.state
+            if ((state is not established and state is not closing)
+                    or conn.peer_wnd != 0
+                    or conn.sendbuf.queued_end - conn.snd_nxt <= 0):
+                conn._persist_shift = 0
+                conn._persist_countdown = 0
+            elif conn.snd_nxt - conn.snd_una > 0:
                 # An earlier probe (or data) is still unacknowledged;
                 # the retransmit machinery owns it.  Backoff is kept.
                 pass
-            elif persist_countdown[i] > 0:
-                persist_countdown[i] -= 1
+            elif conn._persist_countdown > 0:
+                conn._persist_countdown -= 1
             else:
                 conn._persist_fire()
         if not self._open:
@@ -280,11 +264,9 @@ class TCPProtocol:
 
     def _fast_tick(self) -> None:
         """One 200 ms fast-timer tick: flush pending delayed ACKs."""
-        state_code = self._flat.state_code
-        delack = self._flat.delack
+        closed = State.CLOSED
         for conn in list(self._open.values()):
-            i = conn._slot
-            if state_code[i] != 0 and delack[i]:
+            if conn.state is not closed and conn.recv.delack_pending:
                 conn.send_ack()
 
     def _stop_timers(self) -> None:

@@ -16,10 +16,8 @@ Implements the BSD receiver behaviour the paper's senders react to:
 from __future__ import annotations
 
 import enum
-from typing import Optional
 
 from repro.tcp.buffers import ReassemblyBuffer
-from repro.tcp.flatstate import ConnStateStore
 from repro.tcp.segment import TCPSegment
 
 
@@ -34,24 +32,15 @@ class AckAction(enum.Enum):
 class ReceiverHalf:
     """Inbound data state for one connection endpoint.
 
-    The delayed-ACK flag lives in the connection's flat-state slot
-    (column ``delack``) so the host protocol's 200 ms fast-timer scan
-    reads it straight out of the packed array; standalone construction
-    allocates a private one-slot store.  ``__slots__`` keeps per-flow
-    receiver memory flat for many-thousand-conversation runs.
+    ``__slots__`` keeps per-flow receiver memory flat for
+    many-thousand-conversation runs.
     """
 
     __slots__ = ("rcvbuf", "delayed_acks", "reasm", "bytes_delivered",
                  "segments_received", "duplicate_segments",
-                 "out_of_order_segments", "_st", "_i")
+                 "out_of_order_segments", "delack_pending")
 
-    def __init__(self, rcvbuf: int, delayed_acks: bool = True,
-                 store: Optional[ConnStateStore] = None, slot: int = 0):
-        if store is None:
-            store = ConnStateStore()
-            slot = store.alloc()
-        self._st = store
-        self._i = slot
+    def __init__(self, rcvbuf: int, delayed_acks: bool = True):
         self.rcvbuf = rcvbuf
         self.delayed_acks = delayed_acks
         self.reasm = ReassemblyBuffer()
@@ -59,19 +48,12 @@ class ReceiverHalf:
         self.segments_received = 0
         self.duplicate_segments = 0
         self.out_of_order_segments = 0
+        #: True while an ACK for in-order data is being delayed.
+        self.delack_pending = False
 
     # ------------------------------------------------------------------
     # State
     # ------------------------------------------------------------------
-    @property
-    def delack_pending(self) -> bool:
-        """True while an ACK for in-order data is being delayed."""
-        return bool(self._st.delack[self._i])
-
-    @delack_pending.setter
-    def delack_pending(self, value: bool) -> None:
-        self._st.delack[self._i] = 1 if value else 0
-
     @property
     def rcv_nxt(self) -> int:
         return self.reasm.rcv_nxt

@@ -13,14 +13,11 @@ Two estimators coexist, mirroring §3.1 of the paper:
   same smoothing applies, and the RTO floor is tiny.  Vegas uses this
   timeout for its check-on-duplicate-ACK retransmissions.
 
-Both estimators keep their accumulators in a
-:class:`~repro.tcp.flatstate.ConnStateStore` slot — the connection
-passes its own store/slot so the smoothed state sits next to the rest
-of the hot sender state; standalone construction (tests, tooling)
-allocates a private one-slot store.  Absent values (``srtt`` before
-the first sample, ``base_rtt``, ``latest``) are NaN in the store and
-surface as ``None`` through the accessor properties, so the public
-API is unchanged.
+State is plain ``__slots__`` attributes; ``None`` marks a value not
+yet measured (``srtt`` before the first sample, ``base_rtt``,
+``latest``).  Every float accumulator is written through ``float()``
+so an integer tick sample reads back as ``3.0``, not ``3``, and the
+reprs that snapshots and traces print stay stable.
 """
 
 from __future__ import annotations
@@ -28,7 +25,6 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.tcp import constants as C
-from repro.tcp.flatstate import ConnStateStore
 
 
 class CoarseRttEstimator:
@@ -39,67 +35,45 @@ class CoarseRttEstimator:
     applies its own backoff shift.
     """
 
-    __slots__ = ("min_rto_ticks", "max_rto_ticks", "_st", "_i")
+    __slots__ = ("min_rto_ticks", "max_rto_ticks", "srtt", "rttvar",
+                 "rto_ticks", "samples")
 
     def __init__(self,
                  min_rto_ticks: int = C.MIN_RTO_TICKS,
                  max_rto_ticks: int = C.MAX_RTO_TICKS,
-                 initial_rto_ticks: int = C.INITIAL_RTO_TICKS,
-                 store: Optional[ConnStateStore] = None,
-                 slot: int = 0):
-        if store is None:
-            store = ConnStateStore()
-            slot = store.alloc()
-        self._st = store
-        self._i = slot
+                 initial_rto_ticks: int = C.INITIAL_RTO_TICKS):
         self.min_rto_ticks = min_rto_ticks
         self.max_rto_ticks = max_rto_ticks
-        store.coarse_rto_ticks[slot] = initial_rto_ticks
-
-    @property
-    def srtt(self) -> Optional[float]:
-        """Smoothed RTT in ticks (``None`` before the first sample)."""
-        v = self._st.coarse_srtt[self._i]
-        return None if v != v else v  # NaN check
-
-    @property
-    def rttvar(self) -> float:
-        """Mean deviation, ticks."""
-        return self._st.coarse_rttvar[self._i]
-
-    @property
-    def rto_ticks(self) -> int:
-        return self._st.coarse_rto_ticks[self._i]
-
-    @property
-    def samples(self) -> int:
-        return self._st.coarse_samples[self._i]
+        #: Smoothed RTT in ticks (``None`` before the first sample).
+        self.srtt: Optional[float] = None
+        #: Mean deviation, ticks.
+        self.rttvar = 0.0
+        self.rto_ticks = initial_rto_ticks
+        self.samples = 0
 
     def update(self, sample_ticks: float) -> None:
         """Fold one RTT sample (in ticks) into the estimate."""
         if sample_ticks < 0:
             raise ValueError("RTT sample must be non-negative")
-        st = self._st
-        i = self._i
-        st.coarse_samples[i] += 1
-        srtt = st.coarse_srtt[i]
-        if srtt != srtt:  # NaN: first sample
+        self.samples += 1
+        srtt = self.srtt
+        if srtt is None:
             srtt = sample_ticks
             rttvar = sample_ticks / 2.0
         else:
             err = sample_ticks - srtt
             srtt += err / 8.0
-            rttvar = st.coarse_rttvar[i]
+            rttvar = self.rttvar
             rttvar += (abs(err) - rttvar) / 4.0
-        st.coarse_srtt[i] = srtt
-        st.coarse_rttvar[i] = rttvar
+        self.srtt = float(srtt)
+        self.rttvar = float(rttvar)
         raw = srtt + max(1.0, 4.0 * rttvar)
-        st.coarse_rto_ticks[i] = int(min(self.max_rto_ticks,
-                                         max(self.min_rto_ticks, round(raw))))
+        self.rto_ticks = int(min(self.max_rto_ticks,
+                                 max(self.min_rto_ticks, round(raw))))
 
     def backed_off_rto(self, shift: int) -> int:
         """RTO in ticks after *shift* exponential backoffs."""
-        return min(self.max_rto_ticks, self._st.coarse_rto_ticks[self._i] << shift)
+        return min(self.max_rto_ticks, self.rto_ticks << shift)
 
 
 class FineRttEstimator:
@@ -111,47 +85,19 @@ class FineRttEstimator:
     trip times").
     """
 
-    __slots__ = ("min_rto", "_st", "_i")
+    __slots__ = ("min_rto", "srtt", "rttvar", "rto", "base_rtt", "latest",
+                 "samples")
 
     def __init__(self,
                  min_rto: float = C.MIN_FINE_RTO,
-                 initial_rto: float = C.INITIAL_FINE_RTO,
-                 store: Optional[ConnStateStore] = None,
-                 slot: int = 0):
-        if store is None:
-            store = ConnStateStore()
-            slot = store.alloc()
-        self._st = store
-        self._i = slot
+                 initial_rto: float = C.INITIAL_FINE_RTO):
         self.min_rto = min_rto
-        store.fine_rto[slot] = initial_rto
-
-    @property
-    def srtt(self) -> Optional[float]:
-        v = self._st.fine_srtt[self._i]
-        return None if v != v else v
-
-    @property
-    def rttvar(self) -> float:
-        return self._st.fine_rttvar[self._i]
-
-    @property
-    def rto(self) -> float:
-        return self._st.fine_rto[self._i]
-
-    @property
-    def base_rtt(self) -> Optional[float]:
-        v = self._st.fine_base[self._i]
-        return None if v != v else v
-
-    @property
-    def latest(self) -> Optional[float]:
-        v = self._st.fine_latest[self._i]
-        return None if v != v else v
-
-    @property
-    def samples(self) -> int:
-        return self._st.fine_samples[self._i]
+        self.srtt: Optional[float] = None
+        self.rttvar = 0.0
+        self.rto = float(initial_rto)
+        self.base_rtt: Optional[float] = None
+        self.latest: Optional[float] = None
+        self.samples = 0
 
     def update(self, sample: float, update_base: bool = True) -> None:
         """Fold one RTT sample (seconds) into the estimate and BaseRTT.
@@ -163,27 +109,25 @@ class FineRttEstimator:
         """
         if sample < 0:
             raise ValueError("RTT sample must be non-negative")
-        st = self._st
-        i = self._i
-        st.fine_samples[i] += 1
-        st.fine_latest[i] = sample
+        self.samples += 1
+        self.latest = float(sample)
         if update_base:
-            base = st.fine_base[i]
-            if base != base or sample < base:  # NaN or new minimum
-                st.fine_base[i] = sample
-        srtt = st.fine_srtt[i]
-        if srtt != srtt:  # NaN: first sample
+            base = self.base_rtt
+            if base is None or sample < base:
+                self.base_rtt = float(sample)
+        srtt = self.srtt
+        if srtt is None:
             srtt = sample
             rttvar = sample / 2.0
         else:
             err = sample - srtt
             srtt += err / 8.0
-            rttvar = st.fine_rttvar[i]
+            rttvar = self.rttvar
             rttvar += (abs(err) - rttvar) / 4.0
-        st.fine_srtt[i] = srtt
-        st.fine_rttvar[i] = rttvar
-        st.fine_rto[i] = max(self.min_rto, srtt + 4.0 * rttvar)
+        self.srtt = float(srtt)
+        self.rttvar = float(rttvar)
+        self.rto = float(max(self.min_rto, srtt + 4.0 * rttvar))
 
     def set_base_rtt(self, value: float) -> None:
         """Override BaseRTT (Vegas does this when Actual > Expected)."""
-        self._st.fine_base[self._i] = value
+        self.base_rtt = float(value)

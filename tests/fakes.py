@@ -1,5 +1,13 @@
-"""A fake connection exposing the sender-services surface that
-CongestionControl implementations use, for policy unit tests."""
+"""A fake connection for policy unit tests.
+
+It exposes the documented sender services a CongestionControl may use
+(the list in ``repro/core/base.py``) and nothing else — no timers, no
+private state — except the SACK pair (``sack_board``,
+``retransmit_hole``): the SACK controller is tested over real
+connections.  A controller attached to it while a checker is armed
+reports its window moves to that checker, as it would on a real
+connection.
+"""
 
 from __future__ import annotations
 

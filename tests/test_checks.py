@@ -272,6 +272,19 @@ class TestSequenceSpaceHooks:
         chk.on_ack(conn, 100)
         assert "sequence-space" in [v.invariant for v in chk.violations]
 
+    def test_float_sequence_number(self):
+        # Sequence variables are plain attributes, so nothing at the
+        # write site rejects a float; the armed checker must.
+        with checking(mode="collect") as chk:
+            pair = make_pair()
+            transfer = run_transfer(pair, kb(16), cc=make_cc("reno"))
+        assert chk.violations == []
+        conn = transfer.conn
+        conn.snd_nxt = float(conn.snd_nxt)
+        chk.audit(pair.sim.now)
+        assert [v.invariant for v in chk.violations] == ["sequence-integer"]
+        assert chk.violations[0].flow == conn.flow
+
     def test_rcv_nxt_regression(self):
         chk, conn = self._collect(), _StubConnection()
         conn.recv.rcv_nxt = 500

@@ -99,7 +99,7 @@ class TestPersistMeasurementHygiene:
         # Only probes went out during persist: the CC never saw a send,
         # so no probe could be selected as the CAM distinguished segment.
         assert sent_to_cc == []
-        assert conn.cc._cam_end_seq is None
+        assert conn.cc._cam_end is None
 
     def test_probes_never_lower_base_rtt(self):
         pair, conn, peer = _persist_pair(cc=VegasCC())

@@ -209,11 +209,12 @@ class TestSendTimeIndexModel:
     @staticmethod
     def _bare_connection():
         from repro.tcp.connection import TCPConnection
-        from repro.tcp.flatstate import ConnStateStore
 
         conn = TCPConnection.__new__(TCPConnection)
-        conn._st = ConnStateStore()
-        conn._slot = conn._st.alloc()
+        conn._send_times = {}
+        conn._ends_heap = []
+        conn._ambiguous = set()
+        conn._probe_ends = set()
         conn.snd_una = 0
         return conn
 

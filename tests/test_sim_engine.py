@@ -377,6 +377,23 @@ class TestSourceGuard:
         assert "deactivate" not in registry
         assert registry.count("observers.armed(") == 1
 
+    def test_one_home_per_connection_variable(self):
+        """Connection, estimator and controller state are attributes of
+        the objects that own them — no side store, no slot index — and
+        a controller touches its connection only through the services
+        ``core/base.py`` documents."""
+        assert not (self.SRC / "tcp" / "flatstate.py").exists()
+        assert self._matches(r"\b(ConnStateStore|store_for|_conn_store)\b") \
+            == []
+        arrays = [hit for hit in self._matches(
+            r"^\s*(from array import|import array\b)")
+            if hit[0].startswith(("tcp/", "core/"))]
+        assert arrays == []
+        assert self._matches(r"\._(st|slot|fs|fi)\b") == []
+        leaks = [hit for hit in self._matches(
+            r"\bconn\._|getattr\(self\.conn\b") if hit[0].startswith("core/")]
+        assert leaks == []
+
     def test_the_engine_loads_no_instrument(self):
         """Fresh interpreter: the simulator core stands without the
         packages that watch it."""

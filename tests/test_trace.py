@@ -1,7 +1,13 @@
 """Tests for the trace facility: records, tracers, series, graphs."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.experiments.background import run_with_background
+from repro.experiments.figure5 import build_figure5
+from repro.experiments.transfers import start_measured_transfer
 from repro.net.queue import DropTailQueue
 from repro.trace import series as S
 from repro.trace.ascii_plot import (
@@ -13,8 +19,60 @@ from repro.trace.ascii_plot import (
 from repro.trace.graphs import build_trace_graph
 from repro.trace.records import Kind, Record
 from repro.trace.tracer import ConnectionTracer, RouterTracer
+from repro.units import mb
 
 from helpers import make_pair, run_transfer
+
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()
+
+
+class TestPinnedTraces:
+    """The rows Figures 1-3 and 6-9 are drawn from, pinned exactly.
+
+    The sweep fingerprint covers metrics and event counts only; these
+    digests also catch a change in a traced value's type (``3`` vs
+    ``3.0``), an extra or missing record, or a reordered one.
+    """
+
+    # case -> (row count, sha256 of the rows, sha256 of the flow stats)
+    PINNED = {
+        "solo-reno": (
+            5306,
+            "8b7804e391f72123a33b29e8f77b0659956515fe51e3ccb90ffccaeb3e59ebeb",
+            "669c9f8987f01cd8c465685d52503679c32c11944585b5a5d1d8beade27bdb05"),
+        "solo-vegas": (
+            4780,
+            "b0989b96f7c695d9a7c171cb474253a077cf622866dbc3789932454ede28c159",
+            "9672f6fdeec91508dd6df6369924c85fcb1f4f84306ab26cd39815689447b010"),
+        "background-reno": (
+            5319,
+            "6a4fab1e0b45c10028a64048cd6a5027c2ea91e8a1c8b70b302a46f4bdcaf3a6",
+            "73d02a4c86ecfae98e9bd54a4660c8085ec2972d5b2064c32d6647b7c080e0d1"),
+        "background-vegas": (
+            4887,
+            "c738968016a523c5c4c8e0746e8b96b76bea5f5018757adebceb6cb72c09c22a",
+            "1feae344f2898638d83029025dd793e7a48c6a6d8cc5e1696c3ff87da774aac9"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_rows_and_stats_unchanged(self, case):
+        tracer = ConnectionTracer(case)
+        scheme = case.split("-", 1)[1]
+        if case.startswith("solo-"):
+            net = build_figure5(seed=0)
+            holder = start_measured_transfer(net, scheme, mb(1),
+                                             src="Host1a", dst="Host1b",
+                                             tracer=tracer)
+            net.sim.run(until=60.0)
+            outcome = holder[0].conn.stats
+        else:
+            outcome = run_with_background(scheme, seed=0,
+                                          tracer=tracer).transfer
+        rows = [(t, int(k), a, b) for t, k, a, b in tracer.rows()]
+        assert (len(rows), _digest(rows),
+                _digest(dataclasses.astuple(outcome))) == self.PINNED[case]
 
 
 class TestTracer:
