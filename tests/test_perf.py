@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -334,6 +335,56 @@ class TestPerfProbe:
 
 def _named_callback():
     pass
+
+
+# ----------------------------------------------------------------------
+# Pinned engine counts
+# ----------------------------------------------------------------------
+BASELINE = Path(__file__).resolve().parents[1] / "baselines" \
+    / "bench_baseline.json"
+
+#: name -> (experiment, cell params, run_cell options).  The 500- and
+#: 1,000-flow points exercise the far-horizon calendar scheduler; 100
+#: stays below its threshold and covers the plain heap.
+PINNED_CELLS = {
+    "figure6": ("figure6", {"seed": 0}, {}),
+    "figure7": ("figure7", {"seed": 0}, {}),
+    "table2_background": (
+        "table2", {"proto": "vegas-1,3", "buffers": 10, "seed": 0}, {}),
+    "table2_faulted": (
+        "table2", {"proto": "reno", "buffers": 10, "seed": 0},
+        {"faults": "light"}),
+    "figure6_checked": ("figure6", {"seed": 0}, {"checks": "raise"}),
+    "many_flows_100": ("many_flows", {"flows": 100, "seed": 0}, {}),
+    "many_flows_500": ("many_flows", {"flows": 500, "seed": 0}, {}),
+    "many_flows_1000": ("many_flows", {"flows": 1000, "seed": 0}, {}),
+}
+
+
+def _pins():
+    with open(BASELINE) as handle:
+        return json.load(handle)["cells"]
+
+
+class TestPinnedEngineCounts:
+    """``events`` and ``peak_heap`` are pure functions of the simulation,
+    so any engine change that moves them on these cells is a behaviour
+    change.  A deliberate one re-pins by copying the observed pair from
+    the failure message into ``baselines/bench_baseline.json``."""
+
+    def test_baseline_pins_exactly_these_cells(self):
+        assert sorted(_pins()) == sorted(PINNED_CELLS)
+
+    @pytest.mark.parametrize("name", list(PINNED_CELLS))
+    def test_events_and_peak_heap(self, name):
+        from repro.harness.registry import Cell, run_cell
+
+        experiment, params, options = PINNED_CELLS[name]
+        with profiling() as probe:
+            run_cell(Cell.make(experiment, **params), **options)
+        observed = {"events": probe.events, "peak_heap": probe.peak_heap}
+        pinned = {key: _pins()[name][key] for key in observed}
+        assert observed == pinned, f"{name}: observed {observed}"
 
 
 # ----------------------------------------------------------------------
