@@ -18,8 +18,7 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
     python -m repro search --objective vegas_regret --quick --budget 6
     python -m repro check r.json baselines/expected.json --tolerance 0.15
     python -m repro report r.json --telemetry run.jsonl
-    python -m repro bench --rounds 3
-    python -m repro profile table2_background --sort tottime
+    python -m repro profile figure6/seed=0 --sort tottime
 
 (``python -m repro.cli ...`` remains an equivalent legacy spelling.)
 
@@ -42,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.experiments import command as paper
     from repro.harness import check, command as sweeps
     from repro.obs import report
-    from repro.perf import bench, profile
+    from repro.perf import profile
     from repro.search import command as search
 
     parser = argparse.ArgumentParser(
@@ -50,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate artifacts from the TCP Vegas paper "
                     "(Brakmo, O'Malley & Peterson, SIGCOMM 1994).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in (paper, sweeps, arena, search, check, report, bench,
-                   profile):
+    for module in (paper, sweeps, arena, search, check, report, profile):
         module.configure_parser(sub)
     # `list` prints the verbs from here, so it cannot drift.
     parser.set_defaults(_subcommands=tuple(sub.choices))

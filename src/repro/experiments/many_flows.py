@@ -1,8 +1,8 @@
 """Engine-scaling workload: hundreds of concurrent tcplib conversations.
 
 The paper's experiments never exceed a few dozen simultaneous
-connections, but the engine work this repo layers on top (flat
-connection state, the far-horizon calendar scheduler) is motivated by
+connections, but the engine work this repo layers on top (the
+far-horizon calendar scheduler) is motivated by
 much denser populations.  This family is the benchmark for that
 claim: ``flows`` tcplib conversations — the same TRAFFIC mix the
 Table-2/3 background uses — launched across all three Figure-5 host
@@ -35,7 +35,8 @@ HOST_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("Host3a", "Host3b"),
 )
 
-#: Bench points for the many-flows family (see ``repro bench``).
+#: The family's default flow counts; their seed-0 cells' exact event
+#: counts are pinned by ``tests/test_perf.py::TestPinnedEngineCounts``.
 BENCH_FLOW_COUNTS: Tuple[int, ...] = (100, 500, 1000)
 
 
@@ -109,7 +110,7 @@ def run_many_flows(flows: int = 100, seed: int = 0,
 
 
 def many_flows_metrics(flows: int, seed: int) -> Dict[str, float]:
-    """Flat metric dict for the harness registry / bench suite."""
+    """Flat metric dict for the harness registry."""
     result = run_many_flows(flows=flows, seed=seed)
     return {
         "conversations_started": result.conversations_started,

@@ -657,6 +657,19 @@ def resolve_watchdog(watchdog: Any):
     return LivenessWatchdog(stall_after=float(watchdog))
 
 
+def runner_signature(experiment: str):
+    """The :class:`inspect.Signature` of *experiment*'s cell runner:
+    the parameters a cell of it must name."""
+    import inspect
+
+    try:
+        return inspect.signature(_RUNNERS[experiment])
+    except KeyError:
+        known = ", ".join(sorted(_RUNNERS))
+        raise ReproError(
+            f"unknown experiment {experiment!r} (known: {known})") from None
+
+
 def run_cell(cell: Cell, checks: Any = False,
              faults: Any = None, watchdog: Any = False,
              telemetry: Optional[str] = None) -> Dict[str, float]:

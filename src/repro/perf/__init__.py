@@ -1,19 +1,16 @@
 """Performance instrumentation for the event engine.
 
-Attach counters to a run with::
+Attach exact counters to a run with::
 
     from repro.perf import profiling
 
     with profiling() as probe:
         run_experiment()          # simulators self-register
-    print(probe.events, probe.events_per_sec())
+    print(probe.events, probe.peak_heap)
 
-or run the curated benchmark suite from the command line::
-
-    python -m repro bench
-
-which writes ``BENCH_engine.json`` and gates it against
-``baselines/bench_baseline.json`` (see :mod:`repro.perf.bench`).
+``python -m repro profile <cell-key>`` adds cProfile hotspots for one
+harness cell (see :mod:`repro.perf.profile`).  Timing the code is the
+job of the repository benchmark, ``python3 bench/run.py``.
 """
 
 from repro.perf.counters import PerfProbe, profiling

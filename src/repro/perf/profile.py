@@ -1,23 +1,21 @@
 """``python -m repro profile``: cProfile one harness cell.
 
-The bench suite answers *whether* the engine got slower; this command
-answers *where the time goes*.  It runs a single cell under
+``bench/run.py`` measures *whether* the code got slower; this command
+answers *where the time goes* in any one cell.  It runs the cell under
 :mod:`cProfile` with a :class:`~repro.perf.counters.PerfProbe`
 attached and prints the hottest functions alongside the probe's
 per-component event counts, so a scheduler hotspot can be told apart
 from a protocol one at a glance::
 
-    python -m repro profile table2_background
-    python -m repro profile many_flows_1000 --sort cumulative --limit 40
-    python -m repro profile "table2/proto=reno/buffers=20/seed=3"
-    python -m repro profile figure6 --out /tmp/fig6.pstats
+    python -m repro profile "table2/buffers=10/proto=vegas-1,3/seed=0"
+    python -m repro profile many_flows/flows=1000/seed=0 --sort cumulative
+    python -m repro profile figure6/seed=0 --out /tmp/fig6.pstats
 
-Cells are named either by their bench-suite alias (``figure6``,
-``table2_background``, ``many_flows_500``, ...) or by a full harness
-cell key (``experiment/k=v/...`` as printed by ``run-all``).  Profiled
-numbers are for *relative* attribution only — the tracer overhead of
-cProfile itself easily halves events/sec, so never compare them
-against bench gates.
+A cell is named by its harness key (``experiment/k=v/...`` as printed
+by ``run-all``); a key its experiment's runner would not accept is a
+usage error before anything runs.  Profiled numbers are for
+*relative* attribution only — cProfile itself easily halves the event
+rate, so never compare them against ``bench/`` results.
 """
 
 from __future__ import annotations
@@ -26,6 +24,7 @@ import argparse
 import cProfile
 import pstats
 import sys
+import time
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ReproError, exit_code
@@ -35,55 +34,53 @@ SORT_KEYS = ("tottime", "cumulative", "ncalls")
 
 
 def _coerce(raw: str) -> Any:
-    """Cell-key value coercion: int, then float, then bare string."""
+    """Cell-key value coercion: int, then float, then bool, then string."""
     for cast in (int, float):
         try:
             return cast(raw)
         except ValueError:
             continue
-    if raw in ("True", "False"):
-        return raw == "True"
+    if raw.lower() in ("true", "false"):
+        return raw.lower() == "true"
     return raw
 
 
 def resolve_cell(spec: str):
-    """A bench-suite alias or ``experiment/k=v/...`` key -> Cell."""
-    from repro.perf.bench import bench_suite
+    """An ``experiment/k=v/...`` key -> Cell, checked against the
+    experiment's runner so a bad key fails before anything runs."""
+    from repro.harness.registry import Cell, runner_signature
 
-    for descriptor in bench_suite():
-        if descriptor["name"] == spec:
-            return descriptor["cell"]
-    from repro.harness.registry import Cell
-
-    parts = spec.split("/")
-    experiment = parts[0]
+    experiment, *segments = spec.split("/")
+    signature = runner_signature(experiment)
+    usage = f"{experiment} takes " + "/".join(
+        f"{name}=..." for name in signature.parameters)
     params: Dict[str, Any] = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise ReproError(
-                f"bad cell key segment {part!r} in {spec!r} "
-                "(want experiment/k=v/... or a bench cell name)")
-        key, _, raw = part.partition("=")
+    for segment in segments:
+        key, eq, raw = segment.partition("=")
+        if not eq:
+            raise ReproError(f"bad cell key segment {segment!r} in "
+                             f"{spec!r}; {usage}")
         params[key] = _coerce(raw)
-    if not params:
-        raise ReproError(
-            f"unknown bench cell {spec!r} and no k=v params given; "
-            "known bench cells: "
-            + ", ".join(d["name"] for d in bench_suite()))
+    try:
+        signature.bind(**params)
+    except TypeError as exc:
+        raise ReproError(f"bad cell key {spec!r}: {exc}; {usage}") from None
     return Cell.make(experiment, **params)
 
 
 def profile_cell(cell, sort: str = "tottime", limit: int = 25,
-                 out: Optional[str] = None, stream=sys.stdout) -> None:
+                 out: Optional[str] = None, stream=None) -> None:
     """Run *cell* under cProfile; print stats and probe counters."""
     from repro.harness.registry import run_cell
     from repro.perf.counters import profiling
 
     profiler = cProfile.Profile()
-    with profiling() as probe, probe.phase("run"):
+    with profiling() as probe:
+        cpu = time.process_time()
         profiler.enable()
         run_cell(cell)
         profiler.disable()
+        cpu = time.process_time() - cpu
 
     stats = pstats.Stats(profiler, stream=stream)
     if out:
@@ -91,12 +88,10 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
         print(f"pstats dump: {out}", file=stream)
     stats.strip_dirs().sort_stats(sort).print_stats(limit)
 
-    cpu = probe.cpu_phases.get("run", 0.0)
     print(f"probe: {probe.events} events, peak_heap {probe.peak_heap}, "
           f"cpu {cpu:.3f}s"
           + (f" ({probe.events / cpu:,.0f} events/s under the profiler"
-             " — attribution only, not comparable to bench)" if cpu > 0
-             else ""),
+             " — attribution only)" if cpu > 0 else ""),
           file=stream)
     print("top components:", file=stream)
     for qualname, count in probe.top_components(10):
@@ -105,9 +100,8 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
 
 def add_arguments(parser) -> None:
     parser.add_argument("cell",
-                        help="bench cell name (table2_background, "
-                             "many_flows_1000, ...) or full cell key "
-                             "(experiment/k=v/...)")
+                        help="harness cell key (experiment/k=v/..., as "
+                             "printed by run-all)")
     parser.add_argument("--sort", choices=SORT_KEYS, default="tottime",
                         help="pstats sort key (default tottime)")
     parser.add_argument("--limit", type=int, default=25,
@@ -117,8 +111,8 @@ def add_arguments(parser) -> None:
     parser.set_defaults(fn=run)
 
 
-HELP = ("cProfile one cell (bench name or experiment/k=v/... key) and "
-        "print hotspots plus per-component event counts")
+HELP = ("cProfile one cell (experiment/k=v/... key) and print "
+        "hotspots plus per-component event counts")
 
 
 def configure_parser(sub) -> None:

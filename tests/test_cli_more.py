@@ -230,9 +230,9 @@ def _dual_entry_verbs():
     from repro.harness import check
     from repro.harness.dist import worker
     from repro.obs import report
-    from repro.perf import bench, profile
+    from repro.perf import profile
 
-    return [(["check"], check), (["report"], report), (["bench"], bench),
+    return [(["check"], check), (["report"], report),
             (["profile"], profile), (["dist", "worker"], worker)]
 
 
@@ -252,3 +252,37 @@ def test_module_and_subcommand_take_the_same_options(verb, module, capsys):
     via_cli = option_help(main, verb + ["-h"])
     assert re.search(r"^  --[a-z]", via_cli, re.M)
     assert via_cli == option_help(module.main, ["-h"])
+
+
+# ----------------------------------------------------------------------
+# `repro profile` takes a harness cell key and checks it before running.
+# ----------------------------------------------------------------------
+
+class TestProfileVerb:
+    def test_profiles_a_cell_key(self, capsys):
+        assert main(["profile", "figure6/seed=0", "--limit", "3"]) == 0
+        assert "probe: 9960 events, peak_heap 25" in capsys.readouterr().out
+
+    def test_every_printed_key_resolves_to_its_cell(self):
+        """Keys as ``run-all`` prints them, booleans as ``true``/``false``
+        included, parse back to the cell that printed them."""
+        from repro.harness.registry import all_cells
+        from repro.perf.profile import resolve_cell
+
+        for cell in all_cells(quick=True):
+            assert resolve_cell(cell.key) == cell, cell.key
+
+    @pytest.mark.parametrize("key,named", [
+        ("nosuch/seed=0", "known: "),
+        ("figure6/seed=0/extra=3", "figure6 takes seed=..."),
+        ("figure6/seed", "figure6 takes seed=..."),
+    ])
+    def test_bad_key_is_a_usage_error(self, key, named, capsys, monkeypatch):
+        ran = []
+        monkeypatch.setattr("repro.harness.registry.run_cell",
+                            lambda *args, **kwargs: ran.append(args))
+        assert main(["profile", key]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err
+        assert ran == [] and captured.out == ""

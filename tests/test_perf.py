@@ -10,8 +10,9 @@ Three layers:
   contract: role order, all-or-nothing arming, exact unwinding;
 * the hot path's mechanics in isolation (event free list, cancel
   semantics after recycling);
-* the :class:`~repro.perf.counters.PerfProbe` counters and the
-  ``repro bench`` comparator logic.
+* the :class:`~repro.perf.counters.PerfProbe` counters, and the exact
+  ``events``/``peak_heap`` they read on eight pinned cells — the
+  engine's determinism gate.
 """
 
 from __future__ import annotations
@@ -22,10 +23,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.errors import ReproError
 from repro.perf import profiling
-from repro.perf.bench import SCHEMA_VERSION, compare
-from repro.perf.counters import PerfProbe
 from repro.sim import observers
 from repro.sim.engine import Simulator
 from repro.trace.records import Kind
@@ -302,16 +300,6 @@ class TestPerfProbe:
         assert probe.component_counts["_named_callback"] == 2
         assert probe.top_components() == [("_named_callback", 2)]
 
-    def test_phase_accumulates(self):
-        probe = PerfProbe()
-        with probe.phase("x"):
-            pass
-        first = probe.phases["x"]
-        with probe.phase("x"):
-            pass
-        assert probe.phases["x"] >= first
-        assert probe.events_per_sec("missing") == 0.0
-
     def test_inactive_probe_costs_nothing(self):
         sim = Simulator()
         assert sim._observers == ()
@@ -324,13 +312,6 @@ class TestPerfProbe:
                 with profiling():
                     pass  # pragma: no cover
             assert observers.get("probe") is probe
-
-    def test_note_tracer(self):
-        probe = PerfProbe()
-        tracer = ConnectionTracer("conn1")
-        tracer.record(0.0, Kind.SEND, 1)
-        probe.note_tracer(tracer)
-        assert probe.snapshot()["tracer_records"] == {"conn1": 1}
 
 
 def _named_callback():
@@ -385,108 +366,3 @@ class TestPinnedEngineCounts:
         observed = {"events": probe.events, "peak_heap": probe.peak_heap}
         pinned = {key: _pins()[name][key] for key in observed}
         assert observed == pinned, f"{name}: observed {observed}"
-
-
-# ----------------------------------------------------------------------
-# Bench comparator
-# ----------------------------------------------------------------------
-def _doc(events=1000, peak=20, rate=50_000.0):
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "cells": {"cellA": {"events": events, "peak_heap": peak,
-                            "events_per_sec": rate}},
-    }
-
-
-class TestBenchCompare:
-    def test_identical_documents_pass(self):
-        assert compare(_doc(), _doc()) == []
-
-    def test_event_count_must_match_exactly(self):
-        problems = compare(_doc(events=1001), _doc())
-        assert len(problems) == 1 and "events = 1001" in problems[0]
-
-    def test_peak_heap_must_match_exactly(self):
-        assert compare(_doc(peak=21), _doc())
-
-    def test_timing_regression_fails_gate(self):
-        problems = compare(_doc(rate=30_000.0), _doc(rate=50_000.0))
-        assert any("events_per_sec" in p for p in problems)
-
-    def test_small_timing_wobble_passes(self):
-        assert compare(_doc(rate=45_000.0), _doc(rate=50_000.0)) == []
-
-    def test_timing_gate_can_be_disabled(self):
-        assert compare(_doc(rate=1.0), _doc(rate=50_000.0),
-                       timing=False) == []
-
-    def test_missing_cell_fails(self):
-        current = _doc()
-        current["cells"] = {}
-        problems = compare(current, _doc())
-        assert problems == ["missing bench cell: cellA"]
-
-    def test_new_cell_is_ignored(self):
-        current = _doc()
-        current["cells"]["brand_new"] = {"events": 1, "peak_heap": 1,
-                                         "events_per_sec": 1.0}
-        assert compare(current, _doc()) == []
-
-
-class TestBenchCellDeterminism:
-    def test_nondeterministic_counters_raise(self, monkeypatch):
-        # The bench protocol reads the event count off the production
-        # run's simulator after every timed round; any drift from the
-        # warmup round must abort the cell.
-        from repro.perf import bench
-
-        counts = iter([100, 101, 100])
-
-        class _FlakySim:
-            @property
-            def events_processed(self):
-                return next(counts)
-
-        sim = _FlakySim()
-        monkeypatch.setattr("repro.sim.engine.last_simulator", lambda: sim)
-        monkeypatch.setattr("repro.harness.registry.run_cell",
-                            lambda cell, checks=False, faults=None: {})
-        descriptor = {"name": "flaky",
-                      "cell": _NullCell()}
-        with pytest.raises(ReproError, match="nondeterministic"):
-            bench.run_bench_cell(descriptor, rounds=2)
-
-
-class _NullCell:
-    experiment = "null"
-
-
-class TestBenchCellSelection:
-    def test_none_selects_whole_suite(self):
-        from repro.perf import bench
-
-        assert ([d["name"] for d in bench.select_cells(None)]
-                == [d["name"] for d in bench.bench_suite()])
-
-    def test_selection_keeps_suite_order(self):
-        from repro.perf import bench
-
-        # CLI spelling order must not leak into the artifact.
-        names = [d["name"]
-                 for d in bench.select_cells(["many_flows_100", "figure6"])]
-        assert names == ["figure6", "many_flows_100"]
-
-    def test_unknown_cell_raises(self):
-        from repro.perf import bench
-
-        with pytest.raises(ReproError, match="unknown bench cell"):
-            bench.select_cells(["figure6", "bogus"])
-
-    def test_update_baseline_refuses_slice(self, tmp_path, capsys):
-        # A partial run must never overwrite the full-suite baseline.
-        from repro.perf import bench
-
-        rc = bench.main(["--update-baseline", "--cells", "figure6",
-                         "--json", str(tmp_path / "b.json")])
-        assert rc == 2
-        assert "full suite" in capsys.readouterr().err

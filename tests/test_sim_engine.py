@@ -394,6 +394,22 @@ class TestSourceGuard:
             r"\bconn\._|getattr\(self\.conn\b") if hit[0].startswith("core/")]
         assert leaks == []
 
+    def test_one_perf_system(self):
+        """``bench/run.py`` is the only thing that times the code: no
+        second suite, no timing baseline, no clock on the probe."""
+        from repro.cli import build_parser
+        from repro.perf import PerfProbe
+
+        assert not (self.SRC / "perf" / "bench.py").exists()
+        assert not (self.SRC / "perf" / "micro.py").exists()
+        assert "bench" not in build_parser().get_default("_subcommands")
+        ci = self.SRC.parents[1] / ".github"
+        files = [*self.SRC.rglob("*.py"), *ci.rglob("*.yml")]
+        assert [path for path in files
+                if "BENCH_engine" in path.read_text()] == []
+        for name in ("phase", "snapshot", "events_per_sec"):
+            assert not hasattr(PerfProbe, name)
+
     def test_the_engine_loads_no_instrument(self):
         """Fresh interpreter: the simulator core stands without the
         packages that watch it."""
