@@ -113,14 +113,6 @@ class CongestionControl:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
-    def _trace_cwnd(self, now: float) -> None:
-        if self.conn is not None:
-            self.conn.tracer.record(now, Kind.CWND, self.cwnd)
-
-    def _trace_ssthresh(self, now: float) -> None:
-        if self.conn is not None:
-            self.conn.tracer.record(now, Kind.SSTHRESH, self.ssthresh)
-
     def _set_cwnd(self, value: int, now: float) -> None:
         value = int(value)
         old = self.cwnd

@@ -49,7 +49,7 @@ class CardCC(RttEpochMixin, RenoCC):
     def on_new_ack(self, acked_bytes: int, now: float,
                    rtt_sample: Optional[float]) -> None:
         super().on_new_ack(acked_bytes, now, rtt_sample)
-        if not self._epoch_on_ack(now) or self.epoch_count % 2 != 0:
+        if not self._epoch_on_ack() or self.epoch_count % 2 != 0:
             return
         if rtt_sample is None:
             return

@@ -40,7 +40,7 @@ class DualCC(RttEpochMixin, RenoCC):
             if self.rtt_max_seen is None or rtt_sample > self.rtt_max_seen:
                 self.rtt_max_seen = rtt_sample
         super().on_new_ack(acked_bytes, now, rtt_sample)
-        if not self._epoch_on_ack(now):
+        if not self._epoch_on_ack():
             return
         if self.epoch_count % 2 != 0:
             return  # check every *two* round trips

@@ -3,7 +3,7 @@
 DUAL, CARD and Tri-S all adjust their windows "every (two) round-trip
 delay(s)".  This mixin detects RTT boundaries the standard way: mark
 ``snd_nxt``, and when ``snd_una`` catches up one round trip has
-elapsed.  It also measures per-epoch goodput, which Tri-S needs.
+elapsed.
 """
 
 from __future__ import annotations
@@ -16,35 +16,16 @@ class RttEpochMixin:
 
     def _epoch_init(self) -> None:
         self._epoch_mark: Optional[int] = None
-        self._epoch_start_time = 0.0
-        self._epoch_start_acked = 0
         self.epoch_count = 0
-        self._epoch_bytes = 0
-        self._epoch_seconds = 0.0
 
-    def _epoch_on_ack(self, now: float) -> bool:
-        """Return True exactly once per round trip.
-
-        On a boundary, ``self._epoch_bytes`` / ``self._epoch_seconds``
-        describe the just-finished round trip.
-        """
+    def _epoch_on_ack(self) -> bool:
+        """Return True exactly once per round trip."""
         conn = self.conn
         if self._epoch_mark is None:
             self._epoch_mark = conn.snd_nxt
-            self._epoch_start_time = now
-            self._epoch_start_acked = conn.stats.app_bytes_acked
             return False
         if conn.snd_una < self._epoch_mark:
             return False
         self.epoch_count += 1
-        self._epoch_bytes = conn.stats.app_bytes_acked - self._epoch_start_acked
-        self._epoch_seconds = max(1e-9, now - self._epoch_start_time)
         self._epoch_mark = conn.snd_nxt
-        self._epoch_start_time = now
-        self._epoch_start_acked = conn.stats.app_bytes_acked
         return True
-
-    @property
-    def epoch_throughput(self) -> float:
-        """Goodput (bytes/second) over the last completed round trip."""
-        return self._epoch_bytes / self._epoch_seconds

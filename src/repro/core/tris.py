@@ -47,7 +47,7 @@ class TriSCC(RttEpochMixin, RenoCC):
     def on_new_ack(self, acked_bytes: int, now: float,
                    rtt_sample: Optional[float]) -> None:
         super().on_new_ack(acked_bytes, now, rtt_sample)
-        if not self._epoch_on_ack(now) or rtt_sample is None:
+        if not self._epoch_on_ack() or rtt_sample is None:
             return
         mss = self.conn.mss
         # Throughput = bytes outstanding / RTT (the paper's formula).

@@ -39,7 +39,7 @@ does not give the factor; this follows the authors' follow-up
 description and is configurable).
 
 All three techniques can be disabled individually (``enable_*``
-flags), which the ablation benchmarks use to attribute Vegas' gains.
+flags), which the ``ablation``/``figure4`` cells use to attribute Vegas' gains.
 Vegas retains Reno's coarse-grained timeout as a last resort — under
 heavy congestion it "falls back" to Reno, as §6 discusses.
 """

@@ -8,8 +8,8 @@ effective, and Vegas starts to behave more like Reno."
 
 :func:`run_world` drives the TRAFFIC workload with *every* connection
 using one protocol and reports aggregate goodput, retransmissions and
-TELNET response times; sweeping the router buffer count exposes the
-degeneracy the paper predicts.
+TELNET response times; the ``allvegas`` registry experiment sweeps
+the router buffer count to expose the degeneracy the paper predicts.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass
-from typing import List
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
@@ -35,14 +34,6 @@ class WorldResult:
     coarse_timeouts: int
     conversations: int
     telnet_mean_response: float
-
-    @property
-    def retransmit_fraction(self) -> float:
-        """Retransmitted bytes relative to delivered bytes."""
-        delivered_kb = self.goodput_kbps and self.goodput_kbps
-        if delivered_kb == 0:
-            return 0.0
-        return self.retransmit_kb / max(1e-9, delivered_kb)
 
 
 def run_world(cc: CCSpec, buffers: int = DFLT.DEFAULT_BUFFERS,
@@ -77,28 +68,3 @@ def run_world(cc: CCSpec, buffers: int = DFLT.DEFAULT_BUFFERS,
         telnet_mean_response=(statistics.fmean(samples) if samples else 0.0),
     )
 
-
-def buffer_sweep(buffer_counts=(4, 10, 20), seeds=(0, 1),
-                 **kwargs) -> List[WorldResult]:
-    """All-Reno vs all-Vegas worlds across router buffer counts.
-
-    Returns one averaged WorldResult per (cc, buffers) pair.
-    """
-    results: List[WorldResult] = []
-    for buffers in buffer_counts:
-        for cc in ("reno", "vegas"):
-            runs = [run_world(cc, buffers=buffers, seed=s, **kwargs)
-                    for s in seeds]
-            n = len(runs)
-            results.append(WorldResult(
-                cc_name=cc,
-                buffers=buffers,
-                goodput_kbps=sum(r.goodput_kbps for r in runs) / n,
-                retransmit_kb=sum(r.retransmit_kb for r in runs) / n,
-                coarse_timeouts=round(sum(r.coarse_timeouts
-                                          for r in runs) / n),
-                conversations=round(sum(r.conversations for r in runs) / n),
-                telnet_mean_response=sum(r.telnet_mean_response
-                                         for r in runs) / n,
-            ))
-    return results

@@ -53,6 +53,22 @@ SENDBUF_SIZES_KB = (5, 10, 15, 20, 30, 40, 50)
 #: §4.3 "Multiple Competing Connections": connections per run.
 FAIRNESS_COUNTS = (2, 4, 16)
 
+#: §6 all-Vegas world: scarce, canonical and ample router buffers.
+ALLVEGAS_BUFFERS = (4, 10, 20)
+
+#: Ablation schemes (names as in :mod:`repro.experiments.ablation`) on
+#: the solo Figure-5 run: α/β bands, the §3.2 prior schemes, and
+#: BaseRTT pinned at a multiple of the true minimum.
+ABLATION_SOLO = ("vegas-1,3", "vegas-2,4", "vegas-1,2", "vegas-4,6",
+                 "vegas-6,10", "reno", "tahoe", "dual", "card", "tri-s",
+                 "vegas-base0.5", "vegas-base0.8", "vegas-base1",
+                 "vegas-base1.3", "vegas-base1.8")
+
+#: Ablations on the Internet path: (scheme, size KB, runs).
+ABLATION_INTERNET = (("vegas-1,3", 512, 5), ("vegas-noss", 512, 5),
+                     ("vegas-1,3", 128, 5), ("vegas-noss", 128, 5),
+                     ("vegas-nofine", 1024, 6))
+
 #: TRAFFIC generator load producing Table-2-like contention on the
 #: 200 KB/s bottleneck (mean seconds between conversation starts).
 TRAFFIC_ARRIVAL_MEAN = 0.5

@@ -47,7 +47,7 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
     """One Table-1 run: 1 MB on Host1, 300 KB on Host2 after *delay*.
 
     With ``with_background=True`` a Reno TRAFFIC load runs on Host3
-    (the §4.3 variant).
+    (the §4.3 variant) until both measured transfers are done.
     """
     net = build_figure5(buffers=buffers, seed=seed)
     large = start_measured_transfer(net, large_cc, DFLT.LARGE_TRANSFER,
@@ -67,6 +67,14 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
         generator = TrafficGenerator(net.protocol("Host3a"), "Host3b", rng,
                                      RenoCC, arrival_mean=arrival_mean)
         generator.start(0.0)
+
+        def stop_when_done() -> None:
+            if all(t[0] is not None and t[0].done for t in (small, large)):
+                generator.stop()
+            else:
+                net.sim.schedule_anon(1.0, stop_when_done)
+
+        net.sim.schedule_anon(1.0, stop_when_done)
     net.sim.run(until=horizon)
     if generator is not None:
         generator.stop()

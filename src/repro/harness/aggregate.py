@@ -26,7 +26,25 @@ def _group(cells: Cells) -> Dict[str, List[Dict[str, Any]]]:
     return grouped
 
 
-def _table1(cells: Cells) -> str:
+def _means(title: str, by: Sequence[str], columns: Sequence[tuple],
+           cells: Cells) -> str:
+    """One row per distinct *by* value: each ``(label, metric)`` column's mean."""
+    groups: Dict[tuple, List[Dict[str, float]]] = {}
+    for cell in cells:
+        key = tuple(cell["params"][name] for name in by)
+        groups.setdefault(key, []).append(cell["metrics"])
+    lines = [title, " | ".join([*by, *(label for label, _ in columns)])]
+    for key in sorted(groups):
+        runs = groups[key]
+        means = (sum(m[metric] for m in runs) / len(runs)
+                 for _, metric in columns)
+        lines.append(" | ".join([*map(str, key),
+                                 *(f"{mean:.4g}" for mean in means)]))
+    return "\n".join(lines)
+
+
+def _table1(cells: Cells, title: str = "Table 1: one-on-one transfers",
+            with_paper: bool = True) -> str:
     from repro.experiments.one_on_one import PAPER_TABLE1
 
     columns = sorted({f"{c['params']['small']}/{c['params']['large']}"
@@ -50,8 +68,8 @@ def _table1(cells: Cells) -> str:
     if "reno/reno" in columns:
         ratios = {"Small throughput (KB/s)": "reno/reno",
                   "Large throughput (KB/s)": "reno/reno"}
-    return format_table("Table 1: one-on-one transfers", table,
-                        ratios_for=ratios, paper=PAPER_TABLE1)
+    return format_table(title, table, ratios_for=ratios,
+                        paper=PAPER_TABLE1 if with_paper else None)
 
 
 def _simple_transfer_table(cells: Cells, title: str, column_param: str,
@@ -134,8 +152,27 @@ def _figure(title: str, paper_note: str):
                 f"{metrics['retransmit_kb']:.1f} KB retransmitted, "
                 f"{metrics['coarse_timeouts']:.0f} timeouts, "
                 f"{metrics['segments_lost']:.0f} segments lost")
+            if "send_marks" in metrics:
+                lines.append(
+                    f"  {metrics['send_marks']:.0f} send marks, "
+                    f"{metrics['ack_marks']:.0f} ACK marks, "
+                    f"{metrics['timer_diamonds']:.0f} timer diamonds, "
+                    f"{metrics['timeout_circles']:.0f} timeout circles")
+            if "cam_decisions" in metrics:
+                lines.append(
+                    f"  {metrics['cam_decisions']:.0f} CAM decisions, Diff "
+                    f"{metrics['diff_min']:.2f}..{metrics['diff_max']:.2f} "
+                    "buffers")
         return "\n".join(lines)
     return render
+
+
+#: The columns of a table of transfers (``ablation.transfer_metrics``).
+_TRANSFER_COLUMNS = (("time s", "transfer_s"), ("KB/s", "throughput_kbps"),
+                     ("retx KB", "retransmit_kb"),
+                     ("timeouts", "coarse_timeouts"),
+                     ("fast retx", "fast_retransmits"),
+                     ("fine retx", "fine_retransmits"))
 
 
 def _sendbuf(cells: Cells) -> str:
@@ -211,6 +248,11 @@ _AGGREGATORS = {
     "table3": _table3,
     "table4": _table4,
     "table5": _table5,
+    "figure1": _figure("Figure 1 — Reno + tcplib background",
+                       "the Figure 2/3 graph elements"),
+    "figure4": lambda cells: _means(
+        "Figure 4 — two segments lost from a 6 KB window", ("cc",),
+        _TRANSFER_COLUMNS, cells),
     "figure6": _figure("Figure 6 — Reno, no other traffic",
                        "paper: 105 KB/s"),
     "figure7": _figure("Figure 7 — Vegas, no other traffic",
@@ -221,6 +263,18 @@ _AGGREGATORS = {
     "fairness": _fairness,
     "twoway": _twoway,
     "telnet": _telnet,
+    "table1bg": lambda cells: _table1(
+        cells, "§4.3 one-on-one transfers with tcplib background",
+        with_paper=False),
+    "ablation": lambda cells: _means(
+        "Ablations: Vegas techniques, thresholds, prior schemes, BaseRTT",
+        ("path", "size_kb", "scheme"), _TRANSFER_COLUMNS, cells),
+    "allvegas": lambda cells: _means(
+        "§6 all-Reno vs all-Vegas world across router buffers",
+        ("buffers", "cc"),
+        (("goodput KB/s", "goodput_kbps"), ("retx KB", "retransmit_kb"),
+         ("timeouts", "coarse_timeouts"),
+         ("TELNET s", "telnet_mean_response_s")), cells),
 }
 
 

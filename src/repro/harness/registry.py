@@ -75,7 +75,11 @@ def _table1_cell(small: str, large: str, buffers: int, delay: float,
                  seed: int) -> Dict[str, float]:
     from repro.experiments.one_on_one import run_one_on_one
 
-    result = run_one_on_one(small, large, delay, buffers, seed=seed)
+    return _one_on_one_metrics(
+        run_one_on_one(small, large, delay, buffers, seed=seed))
+
+
+def _one_on_one_metrics(result) -> Dict[str, float]:
     return {
         "small_throughput_kbps": result.small.throughput_kbps,
         "small_retransmit_kb": result.small.retransmitted_kb,
@@ -119,26 +123,77 @@ def _table5_cell(proto: str, size_kb: int, seed: int) -> Dict[str, float]:
     return run_internet_transfer(proto, size=kb(size_kb), seed=seed).metrics()
 
 
+def _table1bg_cell(small: str, large: str, buffers: int, delay: float,
+                   seed: int) -> Dict[str, float]:
+    """§4.3 "One-on-One Experiments with background traffic"."""
+    from repro.experiments.one_on_one import run_one_on_one
+
+    return _one_on_one_metrics(run_one_on_one(
+        small, large, delay, buffers, seed=seed, with_background=True))
+
+
 def _traced_metrics(graph, result) -> Dict[str, float]:
-    return {**result.metrics(), "segments_lost": graph.losses()}
+    """A traced run's numbers and the counts of its graph elements
+    (Figures 2, 3 and 8)."""
+    from repro.trace import series as S
+
+    common, windows = graph.common, graph.windows
+    cwnd = windows.congestion_window
+    panels = (cwnd, windows.send_window, windows.bytes_in_transit,
+              windows.threshold_window, graph.sending_rate)
+    t_end = cwnd[-1][0] if cwnd else 0.0
+    metrics = {**result.metrics(), "segments_lost": graph.losses(),
+               "done": float(result.done),
+               "send_marks": len(common.send_marks),
+               "ack_marks": len(common.ack_marks),
+               "kb_marks": len(common.kilobyte_marks),
+               "timer_diamonds": len(common.timer_diamonds),
+               "timeout_circles": len(common.timeout_circles),
+               "window_points": min(len(panel) for panel in panels),
+               "cwnd_sawteeth": S.sawtooth_count(cwnd),
+               "cwnd_tail_spread": S.steady_state_stats(
+                   cwnd, t_start=0.6 * t_end, t_end=t_end)[1]}
+    if graph.cam is not None:
+        cam = graph.cam
+        diffs = [diff for _, diff in cam.diff_buffers]
+        metrics.update(
+            cam_decisions=len(diffs), diff_min=min(diffs),
+            diff_max=max(diffs),
+            actual_over_expected=max(
+                actual / expected for (_, expected), (_, actual)
+                in zip(cam.expected, cam.actual) if expected))
+    return metrics
 
 
-def _figure6_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure6
+def _figure_cell(name: str):
+    def run(seed: int) -> Dict[str, float]:
+        from repro.experiments import traces
 
-    return _traced_metrics(*figure6(seed=seed))
-
-
-def _figure7_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure7
-
-    return _traced_metrics(*figure7(seed=seed))
+        return _traced_metrics(*getattr(traces, name)(seed=seed))
+    return run
 
 
-def _figure9_cell(seed: int) -> Dict[str, float]:
-    from repro.experiments.traces import figure9
+def _figure4_cell(cc: str, seed: int) -> Dict[str, float]:
+    from repro.experiments.ablation import double_loss
 
-    return _traced_metrics(*figure9(seed=seed))
+    return double_loss(cc, seed=seed)
+
+
+def _ablation_cell(scheme: str, path: str, size_kb: int,
+                   seed: int) -> Dict[str, float]:
+    """One ablation: a solo Figure-5 or an Internet-path transfer under
+    a variant :func:`repro.experiments.ablation.ablation_cc` names."""
+    from repro.experiments.ablation import ablation_cc, transfer_metrics
+    from repro.experiments.internet import run_internet_transfer
+    from repro.experiments.transfers import run_solo_transfer
+    from repro.units import kb
+
+    runners = {"solo": run_solo_transfer, "internet": run_internet_transfer}
+    if path not in runners:
+        raise ReproError(f"unknown ablation path {path!r}; "
+                         f"available: {sorted(runners)}")
+    return transfer_metrics(runners[path](ablation_cc(scheme),
+                                          size=kb(size_kb), seed=seed))
 
 
 def _sendbuf_cell(cc: str, size_kb: int, seed: int) -> Dict[str, float]:
@@ -176,6 +231,7 @@ def _fairness_cell(cc: str, count: int, mixed: bool,
         "aggregate_throughput_kbps": result.aggregate_throughput,
         "retransmit_kb": result.total_retransmit_kb,
         "coarse_timeouts": result.coarse_timeouts,
+        "all_done": float(result.all_done),
     }
 
 
@@ -207,6 +263,19 @@ def _telnet_cell(cc: str, seed: int) -> Dict[str, float]:
         "median_response_s": result.median,
         "p95_response_s": result.p95,
         "n_samples": len(result.samples),
+    }
+
+
+def _allvegas_cell(cc: str, buffers: int, seed: int) -> Dict[str, float]:
+    from repro.experiments.allvegas import run_world
+
+    world = run_world(cc, buffers=buffers, seed=seed)
+    return {
+        "goodput_kbps": world.goodput_kbps,
+        "retransmit_kb": world.retransmit_kb,
+        "coarse_timeouts": world.coarse_timeouts,
+        "conversations": world.conversations,
+        "telnet_mean_response_s": world.telnet_mean_response,
     }
 
 
@@ -258,13 +327,18 @@ _RUNNERS: Dict[str, Callable[..., Dict[str, float]]] = {
     "table3": _table3_cell,
     "table4": _table4_cell,
     "table5": _table5_cell,
-    "figure6": _figure6_cell,
-    "figure7": _figure7_cell,
-    "figure9": _figure9_cell,
+    "figure1": _figure_cell("figure1"),
+    "figure4": _figure4_cell,
+    "figure6": _figure_cell("figure6"),
+    "figure7": _figure_cell("figure7"),
+    "figure9": _figure_cell("figure9"),
     "sendbuf": _sendbuf_cell,
     "fairness": _fairness_cell,
     "twoway": _twoway_cell,
     "telnet": _telnet_cell,
+    "table1bg": _table1bg_cell,
+    "ablation": _ablation_cell,
+    "allvegas": _allvegas_cell,
     "many_flows": _many_flows_cell,
     "arena_solo": _arena_solo_cell,
     "arena_duel": _arena_duel_cell,
@@ -282,27 +356,41 @@ _RUNNERS: Dict[str, Callable[..., Dict[str, float]]] = {
 # pass ``--seed``/``--seeds`` there, ``run-all`` leaves the default.
 # ----------------------------------------------------------------------
 
-def _seed_axis(seeds: Optional[Sequence[int]], quick: bool,
-               quick_runs: int) -> Sequence[int]:
-    """The caller's seeds, else ``quick_runs``/the full run count."""
+def _seed_axis(seeds: Optional[Sequence[int]], quick: bool, quick_runs: int,
+               full_runs: Optional[int] = None) -> Sequence[int]:
+    """The caller's seeds, else the quick or full run count."""
     if seeds is not None:
         return seeds
     from repro.experiments import defaults as DFLT
 
-    return range(quick_runs if quick else DFLT.RUNS_PER_CONDITION)
+    return range(quick_runs if quick else full_runs or DFLT.RUNS_PER_CONDITION)
+
+
+def _one_on_one_cells(name: str, delays: Sequence[float],
+                      seeds: Sequence[int]) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    grid = [(nbuf, delay) for nbuf in DFLT.TABLE1_BUFFERS for delay in delays]
+    # Table 1's seed is the run index: one per (buffers, delay) grid
+    # point, restarting per combo, counted from each base in *seeds*.
+    return [Cell.make(name, small=small, large=large, buffers=nbuf,
+                      delay=delay, seed=base + index)
+            for small, large in DFLT.TABLE1_COMBOS for base in seeds
+            for index, (nbuf, delay) in enumerate(grid)]
 
 
 def _table1_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
     from repro.experiments import defaults as DFLT
 
     delays = DFLT.TABLE1_DELAYS[::2] if quick else DFLT.TABLE1_DELAYS
-    runs = [(nbuf, delay) for nbuf in DFLT.TABLE1_BUFFERS for delay in delays]
-    # Table 1's seed is the run index: one per (buffers, delay) grid
-    # point, restarting per combo, counted from each base in *seeds*.
-    return [Cell.make("table1", small=small, large=large, buffers=nbuf,
-                      delay=delay, seed=base + index)
-            for small, large in DFLT.TABLE1_COMBOS for base in seeds
-            for index, (nbuf, delay) in enumerate(runs)]
+    return _one_on_one_cells("table1", delays, seeds)
+
+
+def _table1bg_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
+    """Table 1's quick runs, with background traffic, in both grids."""
+    from repro.experiments import defaults as DFLT
+
+    return _one_on_one_cells("table1bg", DFLT.TABLE1_DELAYS[::2], seeds)
 
 
 def _background_buffers(quick: bool) -> Tuple[int, ...]:
@@ -373,6 +461,36 @@ def _fairness_grid(quick: bool, seeds: Sequence[int] = (0,)) -> List[Cell]:
             for mixed in (False, True) for seed in seeds]
 
 
+def _figure4_grid(quick: bool, seeds: Sequence[int] = (3,)) -> List[Cell]:
+    return [Cell.make("figure4", cc=cc, seed=seed)
+            for cc in ("reno", "vegas", "vegas-nofine") for seed in seeds]
+
+
+def _ablation_grid(quick: bool,
+                   seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    from repro.experiments import defaults as DFLT
+
+    cells = [Cell.make("ablation", scheme=scheme, path="solo",
+                       size_kb=1024, seed=seed)
+             for scheme in DFLT.ABLATION_SOLO
+             for seed in _seed_axis(seeds, quick, 1, 1)]
+    return cells + [Cell.make("ablation", scheme=scheme, path="internet",
+                              size_kb=size, seed=seed)
+                    for scheme, size, runs in DFLT.ABLATION_INTERNET
+                    for seed in _seed_axis(seeds, quick, 1, runs)]
+
+
+def _allvegas_grid(quick: bool,
+                   seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    """The quick grid is the scarce and the ample buffer count."""
+    from repro.experiments import defaults as DFLT
+
+    return [Cell.make("allvegas", cc=cc, buffers=nbuf, seed=seed)
+            for nbuf in DFLT.ALLVEGAS_BUFFERS[::2 if quick else 1]
+            for cc in ("reno", "vegas")
+            for seed in _seed_axis(seeds, quick, 1, 2)]
+
+
 def _twoway_grid(quick: bool,
                  seeds: Optional[Sequence[int]] = None) -> List[Cell]:
     seeds = _seed_axis(seeds, quick, 1)
@@ -394,6 +512,8 @@ _GRIDS: Dict[str, Callable[..., List[Cell]]] = {
     "table3": _table3_grid,
     "table4": _table4_grid,
     "table5": _table5_grid,
+    "figure1": _figure_grid("figure1"),
+    "figure4": _figure4_grid,
     "figure6": _figure_grid("figure6"),
     "figure7": _figure_grid("figure7"),
     "figure9": _figure_grid("figure9"),
@@ -401,6 +521,9 @@ _GRIDS: Dict[str, Callable[..., List[Cell]]] = {
     "fairness": _fairness_grid,
     "twoway": _twoway_grid,
     "telnet": _telnet_grid,
+    "table1bg": _table1bg_grid,
+    "ablation": _ablation_grid,
+    "allvegas": _allvegas_grid,
 }
 
 #: Registry order — also the order ``run-all`` reports experiments in.
@@ -446,14 +569,6 @@ _FAMILIES: Dict[str, Callable[..., List[Cell]]] = {
 def families() -> List[str]:
     """Sorted list of registered cell-family names."""
     return sorted(_FAMILIES)
-
-
-def register_family(name: str,
-                    generator: Callable[..., List[Cell]]) -> None:
-    """Register a parameterized cell family at runtime."""
-    if name in _FAMILIES:
-        raise ReproError(f"cell family {name!r} is already registered")
-    _FAMILIES[name] = generator
 
 
 def family_cells(name: str, **selection: Any) -> List[Cell]:

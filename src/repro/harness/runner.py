@@ -63,12 +63,6 @@ class RunReport:
         """True when no cell was quarantined."""
         return not self.failures
 
-    def by_experiment(self) -> Dict[str, List[CellResult]]:
-        out: Dict[str, List[CellResult]] = {}
-        for result in self.results:
-            out.setdefault(result.cell.experiment, []).append(result)
-        return out
-
 
 def storage_key(cell_key: str, checks: Any = False,
                 faults: Any = None) -> str:

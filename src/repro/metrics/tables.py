@@ -4,8 +4,8 @@ The paper's tables report means over many runs (Table 1: 12 runs,
 Table 2: 57 runs, ...), each column a protocol, each row a metric
 (throughput, throughput ratio, retransmissions, retransmit ratio,
 coarse timeouts).  :class:`RunAggregate` collects per-run numbers and
-:func:`format_table` renders the familiar layout, so benchmark output
-can be compared with the paper side by side.
+:func:`format_table` renders the familiar layout, so a table can be
+compared with the paper side by side.
 """
 
 from __future__ import annotations
@@ -71,20 +71,6 @@ class MetricTable:
 
     def rows(self) -> List[str]:
         return list(self._row_order)
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-friendly summary: per-cell mean and sample count.
-
-        Used by the experiment harness to embed aggregated tables in
-        its JSON artifacts alongside the raw per-cell metrics.
-        """
-        rows: Dict[str, Dict[str, Dict[str, float]]] = {}
-        for row in self._row_order:
-            rows[row] = {
-                column: {"mean": aggregate.mean, "count": aggregate.count}
-                for column, aggregate in self._cells[row].items()
-            }
-        return {"columns": list(self.columns), "rows": rows}
 
 
 def format_table(title: str, table: MetricTable,

@@ -154,10 +154,6 @@ class Channel:
         """Account for a packet an injected fault destroyed in flight."""
         self.in_transit -= 1
 
-    @property
-    def utilization_bytes(self) -> int:
-        return self.bytes_delivered
-
 
 class VariableRateChannel(Channel):
     """A channel that drains its queue at a time-varying rate.

@@ -56,10 +56,6 @@ class DropTailQueue:
         return len(self._items)
 
     @property
-    def is_empty(self) -> bool:
-        return not self._items
-
-    @property
     def is_full(self) -> bool:
         return self.capacity is not None and len(self._items) >= self.capacity
 

@@ -4,9 +4,9 @@ The paper's simulator supported "a particular queuing discipline
 (e.g., FIFO)"; RED (Floyd & Jacobson, 1993 — contemporaneous with
 Vegas) is the canonical alternative, and an interesting comparison
 point: RED keeps router queues short by *router-side* early drops,
-while Vegas keeps them short by *end-host* restraint.  The
-``bench_extension_red`` benchmark runs Reno-over-RED against Vegas
-over drop-tail.
+while Vegas keeps them short by *end-host* restraint.
+``tests/test_red.py`` and ``tests/test_ecn.py`` run Reno over RED
+(with and without ECN marks) against Vegas over drop-tail.
 
 The implementation follows the 1993 paper: an EWMA of the queue
 length, a linearly rising drop probability between ``min_th`` and

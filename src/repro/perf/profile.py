@@ -78,8 +78,10 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
     with profiling() as probe:
         cpu = time.process_time()
         profiler.enable()
-        run_cell(cell)
-        profiler.disable()
+        try:
+            run_cell(cell)
+        finally:
+            profiler.disable()
         cpu = time.process_time() - cpu
 
     stats = pstats.Stats(profiler, stream=stream)

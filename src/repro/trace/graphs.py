@@ -3,9 +3,9 @@
 A :class:`TraceGraph` bundles every panel of a Figure-1/6/7/9-style
 plot for one connection: the common elements (Figure 2), the windows
 panel (Figure 3), the sending-rate panel, and — for Vegas — the CAM
-panel (Figure 8).  The figure benchmarks regenerate these and assert
-their qualitative content; :mod:`repro.trace.ascii_plot` renders them
-as text for the examples.
+panel (Figure 8).  The traced registry cells count their elements,
+which the paper-claim tests assert on; :mod:`repro.trace.ascii_plot`
+renders them as text for the examples.
 """
 
 from __future__ import annotations

@@ -150,7 +150,7 @@ def sawtooth_count(series: Series, drop_fraction: float = 0.3) -> int:
 
     A drop is counted whenever a point falls below ``(1 -
     drop_fraction)`` of the running maximum since the previous drop;
-    used by the Figure-6 benchmark to verify Reno's periodic
+    the traced cells report it as ``cwnd_sawteeth``, Reno's periodic
     self-induced losses.
     """
     count = 0

@@ -10,19 +10,22 @@ sys.path.insert(0, os.path.dirname(__file__))
 
 @pytest.fixture(scope="session")
 def run_shared(tmp_path_factory):
-    """``run_cells`` in this process over one session-wide result cache.
+    """``run_cells`` on two workers over one session-wide result cache.
 
     The paper-verb tests and the paper-claim fixtures need overlapping
     cells (``table2 --seeds 1`` is a third of the Table-2 claims grid);
-    through this each cell is simulated once per session.
+    through this each cell is simulated once per session.  The workers
+    are ``--jobs 2``'s, whose results equal an in-process run's (the
+    sweep fingerprint gate); the deadline only catches a hang.
     """
     from repro.harness import ResultCache, run_cells
 
     cache = ResultCache(tmp_path_factory.mktemp("cells"), "session")
 
     def run(cells):
-        report = run_cells(cells, cache=cache)
+        report = run_cells(cells, cache=cache, jobs=2, timeout_s=600.0)
         assert not report.interrupted
+        assert not report.failures, report.failures
         return report
 
     return run

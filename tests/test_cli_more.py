@@ -286,3 +286,17 @@ class TestProfileVerb:
         assert captured.err.startswith("error: ") and named in captured.err
         assert "Traceback" not in captured.err
         assert ran == [] and captured.out == ""
+
+    @pytest.mark.parametrize("key,named", [
+        ("ablation/scheme=vegas-basex/path=solo/size_kb=64/seed=0",
+         "unknown congestion control 'vegas-basex'"),
+        ("ablation/scheme=vegas/path=foo/size_kb=64/seed=0",
+         "['internet', 'solo']"),
+    ])
+    def test_bad_ablation_value_is_an_error(self, key, named, capsys):
+        """A well-formed key with a value the runner rejects is an
+        error line too, not a traceback."""
+        assert main(["profile", key]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and named in captured.err
+        assert "Traceback" not in captured.err

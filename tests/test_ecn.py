@@ -4,6 +4,7 @@ import random
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.core.reno import RenoCC
+from repro.core.vegas import VegasCC
 from repro.net.packet import Packet
 from repro.net.red import REDQueue
 from repro.net.topology import Topology
@@ -85,39 +86,53 @@ class TestRenoEcnResponse:
 
 
 class TestEcnEndToEnd:
-    def _run(self, ecn):
+    #: RED's drop/mark seeds: this file's own, and the one the former
+    #: RED+ECN-vs-Vegas comparison ran.
+    SEEDS = (5, 11)
+
+    def _run(self, ecn, cc=RenoCC, red=True, seed=5):
         sim = Simulator()
         topo = Topology(sim)
         a, b = topo.add_host("A"), topo.add_host("B")
         r1, r2 = topo.add_router("R1"), topo.add_router("R2")
         topo.add_lan([a, r1])
         topo.add_lan([r2, b])
-        rng = random.Random(5)
+        rng = random.Random(seed)
         factory = lambda name: REDQueue(10, rng, min_th=2, max_th=8,
                                         max_p=0.1, weight=0.02, ecn=ecn,
                                         name=name)
         link = topo.add_link(r1, r2, bandwidth=kbps(200), delay=ms(50),
-                             queue_capacity=10, queue_factory=factory)
+                             queue_capacity=10,
+                             queue_factory=factory if red else None)
         topo.build_routes()
         pa, pb = TCPProtocol(a), TCPProtocol(b)
         BulkSink(pb, 9000, ecn=ecn)
-        transfer = BulkTransfer(pa, "B", 9000, mb(1), cc=RenoCC(), ecn=ecn)
+        transfer = BulkTransfer(pa, "B", 9000, mb(1), cc=cc(), ecn=ecn)
         sim.run(until=180.0)
         assert transfer.done
         return transfer, link.channel_from(r1).queue
 
     def test_ecn_reduces_retransmissions_under_red(self):
-        plain, plain_queue = self._run(ecn=False)
-        ecn, ecn_queue = self._run(ecn=True)
-        assert ecn_queue.marks > 0
-        assert ecn.conn.ecn_echoes_received > 0
-        assert ecn.conn.cc.ecn_reactions > 0
-        # Marks replace early drops, so fewer bytes get retransmitted.
-        assert (ecn.conn.stats.retransmitted_kb()
-                < plain.conn.stats.retransmitted_kb())
+        for seed in self.SEEDS:
+            plain, plain_queue = self._run(ecn=False, seed=seed)
+            ecn, ecn_queue = self._run(ecn=True, seed=seed)
+            assert ecn_queue.marks > 0
+            assert ecn.conn.ecn_echoes_received > 0
+            assert ecn.conn.cc.ecn_reactions > 0
+            # Marks replace early drops, so fewer bytes get retransmitted.
+            assert (ecn.conn.stats.retransmitted_kb()
+                    < plain.conn.stats.retransmitted_kb())
 
     def test_ecn_does_not_hurt_throughput(self):
-        plain, _ = self._run(ecn=False)
-        ecn, _ = self._run(ecn=True)
-        assert (ecn.conn.stats.throughput_kbps()
-                >= 0.9 * plain.conn.stats.throughput_kbps())
+        # Vegas over drop-tail needs no router support: no losses, and
+        # more throughput than Reno over RED with or without marks.
+        vegas, _ = self._run(ecn=False, cc=VegasCC, red=False)
+        assert vegas.conn.stats.retransmitted_kb() <= 2.0
+        for seed in self.SEEDS:
+            plain, _ = self._run(ecn=False, seed=seed)
+            ecn, _ = self._run(ecn=True, seed=seed)
+            assert (ecn.conn.stats.throughput_kbps()
+                    >= 0.9 * plain.conn.stats.throughput_kbps())
+            assert (vegas.conn.stats.throughput_kbps()
+                    > max(plain.conn.stats.throughput_kbps(),
+                          ecn.conn.stats.throughput_kbps()))

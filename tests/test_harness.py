@@ -7,6 +7,7 @@ exit codes.
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -374,6 +375,11 @@ class TestAggregate:
         text = summarize(doc["cells"])
         assert "send-buffer sweep" in text
         assert "Reno KB/s" in text
+        # Every experiment of the committed quick sweep has a renderer.
+        pinned = load_document(str(Path(__file__).parents[1] / "baselines"
+                                   / "expected.json"))["cells"]
+        assert {c["experiment"] for c in pinned} == set(EXPERIMENTS)
+        assert "no aggregator" not in summarize(pinned)
 
     def test_unknown_experiment_does_not_crash(self):
         cells = [{"key": "mystery/seed=0", "experiment": "mystery",

@@ -3,25 +3,21 @@
 These are the "does the reproduction reproduce" tests: each asserts a
 *qualitative* result from the paper (who wins, in which direction, by
 a conservative margin), not an absolute number.  ``python -m repro
-<verb>`` prints the full quantitative comparison.
+run-all --experiments <name>`` prints the full quantitative comparison.
 
-The table-level claims (the ``grid`` fixtures) are means over registry
-cells run through ``run_cells`` — the numbers the verbs print and
-``baselines/expected.json`` pins — served by the session's
+Every paper artifact is a registry experiment, and the claims about it
+read its cells — the numbers ``run-all`` prints and
+``baselines/expected.json`` pins — through the session's
 ``run_shared`` cache, which the verb tests in ``test_cli_more.py``
-fill and read too.
+fill and read too, so each cell is simulated once per session.
 """
 
 import pytest
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.fairness_exp import run_competing_connections
-from repro.experiments.internet import run_internet_transfer
 from repro.experiments.one_on_one import run_one_on_one
-from repro.experiments.traces import figure6, figure7
-from repro.experiments.transfers import run_solo_transfer
-from repro.harness import cells_for
-from repro.trace import series as S
+from repro.harness import Cell, cells_for
 from repro.units import kb
 
 
@@ -36,46 +32,111 @@ def mean_by(results, metric, *params):
     return {key: sum(group) / len(group) for key, group in groups.items()}
 
 
+def cell_metrics(run_shared, experiment, **params):
+    """The metrics of the one registry cell with these parameters."""
+    return run_shared([Cell.make(experiment, **params)]).results[0].metrics
+
+
+class TestFigure1Claims:
+    """Figures 1–3: one traced Reno run under tcplib load draws every
+    keyed element of the trace graphs."""
+
+    def test_every_keyed_element_is_drawn(self, run_shared):
+        trace = cell_metrics(run_shared, "figure1", seed=0)
+        # Figure 2: ACK and send hash marks, KB labels, timer diamonds,
+        # and (Reno loses under background load) loss lines; Figure 3:
+        # every windows-panel series and the sending rate.
+        for element in ("ack_marks", "send_marks", "kb_marks",
+                        "timer_diamonds", "segments_lost", "window_points"):
+            assert trace[element] > 0, element
+
+
+class TestFigure4Claims:
+    """§3.1: two segments lost from one window.  Reno fast-retransmits
+    the first and waits for the coarse timer for the second; Vegas'
+    check on the first ACKs after a retransmission catches it."""
+
+    @pytest.fixture(scope="class")
+    def probes(self, run_shared):
+        results = run_shared(cells_for("figure4")).results
+        for result in results:
+            assert result.metrics["done"] and result.metrics["drops"] == 2
+        return {r.cell.as_dict()["cc"]: r.metrics for r in results}
+
+    def test_vegas_recovers_without_a_coarse_timeout(self, probes):
+        reno, vegas = probes["reno"], probes["vegas"]
+        assert reno["coarse_timeouts"] >= 1
+        assert vegas["coarse_timeouts"] == 0
+        assert vegas["fine_retransmits"] >= 1
+        assert vegas["transfer_s"] < reno["transfer_s"]
+
+    def test_without_fine_retransmit_vegas_waits_like_reno(self, probes):
+        full, ablated = probes["vegas"], probes["vegas-nofine"]
+        assert ablated["coarse_timeouts"] >= 1
+        assert ablated["fine_retransmits"] == 0
+        assert full["transfer_s"] < ablated["transfer_s"]
+
+
 class TestFigure6And7:
     """Reno needs losses to find the bandwidth; Vegas does not (§3.2)."""
 
-    def test_reno_alone_loses_segments(self):
-        graph, result = figure6()
-        assert result.done
-        assert graph.losses() > 10  # periodic self-induced losses
-        # The congestion window shows Reno's sawtooth.
-        assert S.sawtooth_count(graph.windows.congestion_window) >= 2
+    @pytest.fixture(scope="class")
+    def reno(self, run_shared):
+        return cell_metrics(run_shared, "figure6", seed=0)
 
-    def test_vegas_alone_nearly_lossless(self):
-        graph, result = figure7()
-        assert result.done
-        assert result.retransmitted_kb <= 2.0
-        assert result.coarse_timeouts == 0
+    @pytest.fixture(scope="class")
+    def vegas(self, run_shared):
+        return cell_metrics(run_shared, "figure7", seed=0)
 
-    def test_vegas_alone_beats_reno_alone(self):
-        _, reno = figure6()
-        _, vegas = figure7()
+    def test_reno_alone_loses_segments(self, reno):
+        assert reno["done"]
+        assert reno["segments_lost"] > 10  # periodic self-induced losses
+        # The congestion window shows Reno's sawtooth, the coarse timer
+        # its diamonds, and throughput lands well below the 200 KB/s
+        # bottleneck.
+        assert reno["cwnd_sawteeth"] >= 2
+        assert reno["timer_diamonds"] > 5
+        assert 60.0 < reno["throughput_kbps"] < 200.0
+
+    def test_vegas_alone_nearly_lossless(self, vegas):
+        assert vegas["done"]
+        assert vegas["retransmit_kb"] <= 2.0
+        assert vegas["coarse_timeouts"] == 0
+        assert vegas["cam_decisions"] > 20
+
+    def test_vegas_alone_beats_reno_alone(self, reno, vegas):
         # Paper: 169 vs 105 KB/s (1.61x).  Conservative margin: 1.3x.
-        assert vegas.throughput_kbps > 1.3 * reno.throughput_kbps
+        assert vegas["throughput_kbps"] > 1.3 * reno["throughput_kbps"]
 
-    def test_vegas_window_stabilises(self):
-        graph, _ = figure7()
-        cwnd = graph.windows.congestion_window
-        t_end = cwnd[-1][0]
-        _, spread = S.steady_state_stats(cwnd, t_start=t_end * 0.6,
-                                         t_end=t_end)
-        # The window converges at +-1 MSS/RTT, so over the tail of a
-        # 1 MB transfer it wanders by a few segments — far below
+    def test_vegas_window_stabilises(self, vegas):
+        # The window converges at +-1 MSS/RTT, so over the last 40 % of
+        # a 1 MB transfer it wanders by a few segments — far below
         # Reno's sawtooth, which spans half the window (~15 KB here).
-        assert spread <= 8 * 1024
+        assert vegas["cwnd_tail_spread"] <= 8 * 1024
 
-    def test_vegas_cam_panel_tracks_expected(self):
-        graph, _ = figure7()
-        assert graph.cam is not None
+    def test_vegas_cam_panel_tracks_expected(self, vegas):
         # Actual stays at or below Expected at every decision.
-        for (_, expected), (_, actual) in zip(graph.cam.expected,
-                                              graph.cam.actual):
-            assert actual <= expected * 1.01
+        assert vegas["actual_over_expected"] <= 1.01
+
+    def test_vegas_bookkeeping_adds_no_events(self, reno, vegas):
+        # §3.2 fn. 3 puts Vegas' CPU penalty under 5 %.  The simulator's
+        # deterministic analogue: the same 1 MB transfer costs Vegas at
+        # most 5 % more engine events than Reno.  The per-ACK time is
+        # ``core.vegas_over_reno_ack`` in ``bench/``.
+        assert vegas["events_processed"] <= 1.05 * reno["events_processed"]
+
+
+class TestFigure9Claims:
+    """Figure 9: Vegas' CAM adapts to tcplib background load."""
+
+    def test_cam_adapts_and_losses_stay_moderate(self, run_shared):
+        trace = cell_metrics(run_shared, "figure9", seed=0)
+        assert trace["done"]
+        assert trace["cam_decisions"] > 20
+        assert trace["diff_max"] > trace["diff_min"]  # the load varies
+        # Table 2's average for a 1 MB transfer under this load is
+        # ~29 KB.
+        assert trace["retransmit_kb"] < 60.0
 
 
 class TestTable1Claims:
@@ -100,6 +161,10 @@ class TestTable1Claims:
         # Paper: 52 KB -> 19 KB -> <1 KB.
         assert combined["vegas", "reno"] < combined["reno", "reno"]
         assert combined["vegas", "vegas"] < 0.25 * combined["reno", "reno"]
+
+    # The direct runs below put seed 0 (or the delay's index in a
+    # three-delay list) at a start delay whose Table-1 cell has another
+    # seed: a cell's seed is its run index in the grid.
 
     def test_reno_large_unhurt_by_vegas_small(self):
         base = run_one_on_one("reno", "reno", delay=1.0, buffers=15, seed=0)
@@ -184,24 +249,18 @@ class TestTable4Claims:
     """On the (emulated) Internet path Vegas still wins (§5)."""
 
     @pytest.fixture(scope="class")
-    def runs(self):
-        seeds = range(3)
-        reno = [run_internet_transfer("reno", size=kb(512), seed=s)
-                for s in seeds]
-        vegas = [run_internet_transfer("vegas-1,3", size=kb(512), seed=s)
-                 for s in seeds]
-        return reno, vegas
+    def runs(self, run_shared):
+        # 512 KB, three runs each: Table 5's cells.
+        grid = run_shared(cells_for("table5", seeds=range(3))).results
+        return [r for r in grid if r.cell.as_dict()["size_kb"] == 512]
 
     def test_throughput_advantage(self, runs):
-        reno, vegas = runs
-        reno_mean = sum(r.throughput_kbps for r in reno) / len(reno)
-        vegas_mean = sum(r.throughput_kbps for r in vegas) / len(vegas)
-        assert vegas_mean > 1.15 * reno_mean  # paper: 1.38x at 512 KB
+        tput = mean_by(runs, "throughput_kbps", "proto")
+        assert tput["vegas-1,3"] > 1.15 * tput["reno"]  # paper: 1.38x at 512 KB
 
     def test_retransmission_advantage(self, runs):
-        reno, vegas = runs
-        assert (sum(r.retransmitted_kb for r in vegas)
-                < sum(r.retransmitted_kb for r in reno))
+        retx = mean_by(runs, "retransmit_kb", "proto")
+        assert retx["vegas-1,3"] < retx["reno"]
 
     @pytest.fixture(scope="class")
     def grid(self, run_shared):
@@ -225,23 +284,19 @@ class TestTable5Claims:
     """Reno's retransmissions flatten toward the slow-start floor as
     transfers shrink; Vegas' scale roughly linearly (§5)."""
 
-    def test_reno_slow_start_floor(self):
-        seeds = range(3)
-        retx_1024 = sum(run_internet_transfer("reno", kb(1024), s)
-                        .retransmitted_kb for s in seeds) / 3
-        retx_128 = sum(run_internet_transfer("reno", kb(128), s)
-                       .retransmitted_kb for s in seeds) / 3
+    @pytest.fixture(scope="class")
+    def retx(self, run_shared):
+        # Three runs per size and protocol.
+        grid = run_shared(cells_for("table5", seeds=range(3))).results
+        return mean_by(grid, "retransmit_kb", "proto", "size_kb")
+
+    def test_reno_slow_start_floor(self, retx):
         # An 8x smaller transfer loses far more than 1/8 as much: the
         # slow-start floor dominates.
-        assert retx_128 > retx_1024 / 8
+        assert retx["reno", 128] > retx["reno", 1024] / 8
 
-    def test_vegas_avoids_slow_start_losses(self):
-        seeds = range(3)
-        vegas_128 = sum(run_internet_transfer("vegas-1,3", kb(128), s)
-                        .retransmitted_kb for s in seeds) / 3
-        reno_128 = sum(run_internet_transfer("reno", kb(128), s)
-                       .retransmitted_kb for s in seeds) / 3
-        assert vegas_128 < 0.5 * reno_128  # paper ratio: 0.17
+    def test_vegas_avoids_slow_start_losses(self, retx):
+        assert retx["vegas-1,3", 128] < 0.5 * retx["reno", 128]  # paper: 0.17
 
     @pytest.fixture(scope="class")
     def grid(self, run_shared):
@@ -263,12 +318,11 @@ class TestTable5Claims:
 class TestFairnessClaims:
     """§4.3: Vegas is at least as fair as Reno; stable at 16 conns."""
 
-    def test_vegas_fair_at_16_connections(self):
-        result = run_competing_connections("vegas", 16,
-                                           transfer_bytes=kb(512),
-                                           buffers=20, seed=0)
-        assert result.all_done  # "no stability problems"
-        assert result.fairness_index > 0.75
+    def test_vegas_fair_at_16_connections(self, run_shared):
+        result = cell_metrics(run_shared, "fairness", cc="vegas", count=16,
+                              mixed=False, seed=0)
+        assert result["all_done"]  # "no stability problems"
+        assert result["fairness_index"] > 0.75
 
     def test_vegas_at_least_as_fair_with_mixed_delays(self):
         reno = run_competing_connections("reno", 4, transfer_bytes=kb(1024),
@@ -277,27 +331,57 @@ class TestFairnessClaims:
                                           mixed_delays=True, seed=0)
         assert vegas.fairness_index >= reno.fairness_index - 0.05
 
+    @pytest.fixture(scope="class")
+    def grid(self, run_shared):
+        # 2/4/16 connections x equal and 2:1 delays x three runs: one
+        # 16-connection run's Jain index moves by +-0.03, which swamps
+        # the Reno/Vegas difference (the paper calls its fairness
+        # results "preliminary").
+        return run_shared(cells_for("fairness", seeds=range(3))).results
+
+    def test_every_transfer_completes(self, grid):
+        # "There were no stability problems in the case of 16
+        # connections sharing the bottleneck link, even though there
+        # were only 20 buffers at the router."
+        assert all(result.metrics["all_done"] for result in grid)
+
+    def test_vegas_at_least_as_fair_over_seeds(self, grid):
+        jain = mean_by(grid, "fairness_index", "count", "cc", "mixed")
+        # "Vegas was more fair than Reno in all experiments" at 16.
+        for mixed in (False, True):
+            assert jain[16, "vegas", mixed] >= jain[16, "reno", mixed] - 0.02
+        assert jain[4, "vegas", True] >= jain[4, "reno", True] - 0.05
+
+    def test_vegas_no_more_timeouts_at_16(self, grid):
+        timeouts = mean_by(grid, "coarse_timeouts", "count", "cc", "mixed")
+        # In whole timeouts per run, the unit the fairness table prints.
+        for mixed in (False, True):
+            assert (round(timeouts[16, "vegas", mixed])
+                    <= round(timeouts[16, "reno", mixed]))
+
 
 class TestSendBufferClaims:
     """§4.3: Reno improves then degrades as sndbuf shrinks; Vegas is
     flat from 50 KB down to 20 KB and always at least matches Reno."""
 
-    def test_vegas_flat_20_to_50(self):
-        at_20 = run_solo_transfer("vegas", sndbuf=kb(20))
-        at_50 = run_solo_transfer("vegas", sndbuf=kb(50))
-        ratio = at_20.throughput_kbps / at_50.throughput_kbps
-        assert 0.9 < ratio < 1.1
-
-    def test_reno_peaks_below_50(self):
-        tput = {size: run_solo_transfer("reno", sndbuf=kb(size))
-                .throughput_kbps for size in (5, 20, 50)}
-        assert tput[20] > tput[50]
-        assert tput[5] < tput[20]
-
     @pytest.fixture(scope="class")
     def grid(self, run_shared):
         # The paper's seven buffer sizes x Reno and Vegas x two runs.
         return run_shared(cells_for("sendbuf", seeds=range(2))).results
+
+    @pytest.fixture(scope="class")
+    def first_run(self, grid):
+        return {(r.cell.as_dict()["cc"], r.cell.as_dict()["size_kb"]):
+                r.metrics["throughput_kbps"]
+                for r in grid if r.cell.as_dict()["seed"] == 0}
+
+    def test_vegas_flat_20_to_50(self, first_run):
+        ratio = first_run["vegas", 20] / first_run["vegas", 50]
+        assert 0.9 < ratio < 1.1
+
+    def test_reno_peaks_below_50(self, first_run):
+        assert first_run["reno", 20] > first_run["reno", 50]
+        assert first_run["reno", 5] < first_run["reno", 20]
 
     def test_both_starve_at_5kb(self, grid):
         tput = mean_by(grid, "throughput_kbps", "cc", "size_kb")
@@ -327,3 +411,131 @@ class TestTwoWayClaims:
         retx = mean_by(grid, "retransmit_kb", "proto")
         assert tput["vegas"] > 1.2 * tput["reno"]
         assert retx["vegas"] / max(retx["reno"], 0.01) < 0.7
+
+
+class TestOneOnOneWithBackgroundClaims:
+    """§4.3: the Table 1 runs with tcplib background were "similar.
+    Again, Reno did better when running against Vegas than against
+    itself"."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, run_shared):
+        # Table 1's quick runs: 15/20 buffers x three start delays.
+        return run_shared(cells_for("table1bg")).results
+
+    def test_reno_large_unhurt_by_vegas(self, grid):
+        large = mean_by(grid, "large_throughput_kbps", "small", "large")
+        assert large["vegas", "reno"] > 0.75 * large["reno", "reno"]
+
+    def test_combined_losses_fall_with_vegas(self, grid):
+        small = mean_by(grid, "small_retransmit_kb", "small", "large")
+        large = mean_by(grid, "large_retransmit_kb", "small", "large")
+        assert (small["vegas", "vegas"] + large["vegas", "vegas"]
+                < small["reno", "reno"] + large["reno", "reno"])
+
+
+class TestTelnetClaims:
+    """§6: "the average response time in TELNET connections is around
+    25% faster when using Vegas as compared to Reno"."""
+
+    def test_vegas_world_answers_faster(self, run_shared):
+        grid = run_shared(cells_for("telnet", seeds=range(3))).results
+        samples, weighted = {}, {}
+        for result in grid:
+            cc, metrics = result.cell.as_dict()["cc"], result.metrics
+            samples[cc] = samples.get(cc, 0) + metrics["n_samples"]
+            weighted[cc] = (weighted.get(cc, 0.0) + metrics["n_samples"]
+                            * metrics["mean_response_s"])
+        assert samples["reno"] > 50 and samples["vegas"] > 50
+        # The mean over every keystroke of the three runs.
+        assert (weighted["vegas"] / samples["vegas"]
+                < weighted["reno"] / samples["reno"])
+
+
+@pytest.mark.slow
+class TestAllVegasWorldClaims:
+    """§6: with enough router buffers an all-Vegas world has "a higher
+    throughput and a faster response time"; with few, "Vegas starts to
+    behave more like Reno"."""
+
+    @pytest.fixture(scope="class")
+    def world(self, run_shared):
+        grid = run_shared(cells_for("allvegas")).results
+        return {metric: mean_by(grid, metric, "cc", "buffers")
+                for metric in ("goodput_kbps", "retransmit_kb",
+                               "telnet_mean_response_s")}
+
+    def test_ample_buffers_favour_the_vegas_world(self, world):
+        retx, goodput = world["retransmit_kb"], world["goodput_kbps"]
+        assert retx["vegas", 20] < retx["reno", 20]
+        assert goodput["vegas", 20] >= 0.95 * goodput["reno", 20]
+        # At the canonical 10 buffers TELNET answers faster too.
+        telnet = world["telnet_mean_response_s"]
+        assert telnet["vegas", 10] < telnet["reno", 10]
+
+    def test_scarce_buffers_compress_the_advantage(self, world):
+        retx = world["retransmit_kb"]
+
+        def ratio(buffers):
+            return retx["vegas", buffers] / max(1.0, retx["reno", buffers])
+
+        assert ratio(4) > ratio(20)
+
+
+class TestAblationClaims:
+    """The three §3.1–3.3 techniques, the α/β band, the §3.2 prior
+    schemes and §6's BaseRTT sensitivity, each switched in isolation."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, run_shared):
+        return run_shared(cells_for("ablation")).results
+
+    @pytest.fixture(scope="class")
+    def solo(self, grid):
+        return {r.cell.as_dict()["scheme"]: r.metrics for r in grid
+                if r.cell.as_dict()["path"] == "solo"}
+
+    def test_threshold_band_barely_matters(self, solo):
+        bands = ("vegas-1,3", "vegas-2,4", "vegas-1,2", "vegas-4,6",
+                 "vegas-6,10")
+        t13 = solo["vegas-1,3"]["throughput_kbps"]
+        t24 = solo["vegas-2,4"]["throughput_kbps"]
+        # Table 2's two settings are close (89.4 vs 91.8), and every
+        # band stays (near-)lossless on the clean network.
+        assert abs(t13 - t24) < 0.2 * max(t13, t24)
+        assert all(solo[band]["retransmit_kb"] < 10 for band in bands)
+
+    def test_vegas_beats_the_prior_schemes(self, solo):
+        # §3.2: DUAL, CARD and Tri-S are less effective than comparing
+        # measured against expected throughput; only Vegas is lossless.
+        vegas = solo["vegas-2,4"]
+        for scheme in ("reno", "tahoe", "dual", "card", "tri-s"):
+            assert solo[scheme]["done"]
+            assert (vegas["throughput_kbps"]
+                    >= 0.98 * solo[scheme]["throughput_kbps"])
+        assert vegas["retransmit_kb"] < 5
+        assert solo["reno"]["retransmit_kb"] > 10
+        assert solo["tahoe"]["retransmit_kb"] > 10
+
+    def test_misestimated_basertt(self, solo):
+        # §6: "If our estimate for the BaseRTT is too small, then the
+        # protocol's throughput will stay below the available
+        # bandwidth; if it is too large, then it will overrun the
+        # connection."
+        accurate = solo["vegas-base1"]
+        assert (solo["vegas-base0.5"]["throughput_kbps"]
+                < accurate["throughput_kbps"])
+        assert (solo["vegas-base1.8"]["retransmit_kb"]
+                >= accurate["retransmit_kb"])
+
+    def test_modified_slow_start_removes_small_transfer_losses(self, grid):
+        internet = [r for r in grid if r.cell.as_dict()["path"] == "internet"]
+        retx = mean_by(internet, "retransmit_kb", "scheme", "size_kb")
+        assert retx["vegas-noss", 128] > retx["vegas-1,3", 128]
+
+    def test_disabled_fine_retransmit_never_fires(self, grid):
+        ablated = [r for r in grid if r.cell.as_dict()["scheme"]
+                   == "vegas-nofine"]
+        assert len(ablated) == 6
+        assert all(r.metrics["fine_retransmits"] == 0 for r in ablated)
+

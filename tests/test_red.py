@@ -152,11 +152,14 @@ class TestREDOnLink:
     def test_red_link_keeps_average_queue_short(self):
         """Reno over RED holds a shorter average queue than over
         drop-tail — the router-side analogue of what Vegas does
-        end-to-end."""
+        end-to-end.  Vegas over drop-tail never fills the queue, loses
+        nothing, and outruns Reno over either."""
         from repro.apps.bulk import BulkSink, BulkTransfer
+        from repro.core.vegas import VegasCC
         from repro.tcp.protocol import TCPProtocol
+        from repro.trace.tracer import RouterTracer
 
-        def run(queue_factory):
+        def run(size, queue_factory, cc=None):
             sim = Simulator()
             topo = Topology(sim)
             a, b = topo.add_host("A"), topo.add_host("B")
@@ -169,18 +172,26 @@ class TestREDOnLink:
             topo.build_routes()
             pa, pb = TCPProtocol(a), TCPProtocol(b)
             BulkSink(pb, 9000)
-            transfer = BulkTransfer(pa, "B", 9000, 512 * 1024)
-            from repro.trace.tracer import RouterTracer
-
+            transfer = BulkTransfer(pa, "B", 9000, size, cc=cc)
             tracer = RouterTracer(link.channel_from(r1).queue)
             sim.run(until=120.0)
             assert transfer.done
-            return tracer.mean_depth(1.0), transfer
+            return tracer, transfer.conn.stats
 
-        rng = random.Random(7)
-        droptail_depth, _ = run(None)
-        red_depth, red_transfer = run(
-            lambda name: REDQueue(10, rng, min_th=2, max_th=8,
-                                  max_p=0.1, weight=0.02, name=name))
-        assert red_depth < droptail_depth
-        assert red_transfer.done
+        # This test's own case, and the 1 MB one the former
+        # RED-vs-Vegas comparison ran.
+        for size, seed in ((512 * 1024, 7), (1024 * 1024, 11)):
+            rng = random.Random(seed)
+            droptail, reno = run(size, None)
+            red, reno_red = run(size, lambda name: REDQueue(
+                10, rng, min_th=2, max_th=8, max_p=0.1, weight=0.02,
+                name=name))
+            vegas_queue, vegas = run(size, None, VegasCC())
+            assert red.mean_depth(1.0) < droptail.mean_depth(1.0)
+            # "Reno increases its window size until there are losses —
+            # which means all the router buffers are being used" (§6).
+            assert droptail.max_depth() >= 10
+            assert vegas_queue.max_depth() < droptail.max_depth()
+            assert vegas.throughput_kbps() > max(reno.throughput_kbps(),
+                                                 reno_red.throughput_kbps())
+            assert vegas.retransmitted_kb() <= 2.0

@@ -410,6 +410,26 @@ class TestSourceGuard:
         for name in ("phase", "snapshot", "events_per_sec"):
             assert not hasattr(PerfProbe, name)
 
+    def test_one_home_for_paper_artifacts(self):
+        """Every paper artifact is a registry experiment whose claims
+        ``tests/test_paper_claims.py`` reads: there is no second test
+        suite, no benchmark plugin and no lint path for one."""
+        from repro.harness.registry import EXPERIMENTS
+
+        root = self.SRC.parents[1]
+        assert not (root / "benchmarks").exists()
+        pyproject = (root / "pyproject.toml").read_text()
+        assert "pytest-benchmark" not in pyproject
+        assert "bench_*" not in pyproject
+        ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+        assert [line for line in ci.splitlines()
+                if "ruff" in line and "benchmarks" in line] == []
+        claims = ast.parse((root / "tests" / "test_paper_claims.py")
+                           .read_text())
+        literals = {node.value for node in ast.walk(claims)
+                    if isinstance(node, ast.Constant)}
+        assert [name for name in EXPERIMENTS if name not in literals] == []
+
     def test_the_engine_loads_no_instrument(self):
         """Fresh interpreter: the simulator core stands without the
         packages that watch it."""
