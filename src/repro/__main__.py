@@ -1,8 +1,7 @@
 """``python -m repro`` — the package's command-line entry point.
 
-Dispatches to :mod:`repro.cli`, so ``python -m repro figure6`` and
-``python -m repro run-all ...`` are equivalent to the longer
-``python -m repro.cli`` spelling.
+Dispatches to :func:`repro.cli.main`: ``python -m repro <verb>`` is
+the one way to reach every verb.
 """
 
 import sys

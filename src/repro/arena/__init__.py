@@ -8,7 +8,7 @@ that comparison into a tournament over the *whole* scheme registry:
 * :mod:`repro.arena.cells` — solo / 1v1-duel / mixed-cohabitation
   matchup runners;
 * :mod:`repro.arena.matrix` — the parameterized scheme × scenario ×
-  seed cell family (``repro.harness.registry.family_cells("arena")``);
+  seed cell list (:func:`~repro.arena.matrix.generate_matrix`);
 * :mod:`repro.arena.league` — throughput/delay/retransmit/fairness
   standings rendered as Markdown league tables;
 * :mod:`repro.arena.command` — the ``python -m repro arena`` CLI.

@@ -85,11 +85,11 @@ def configure_parser(sub) -> None:
 
 def main(args) -> int:
     from repro.arena import league, matrix
-    from repro.harness import artifacts, registry
+    from repro.harness import artifacts
 
     seeds = args.seeds if args.seeds is not None else (2 if args.quick else 3)
-    cells = registry.family_cells(
-        "arena", schemes=args.schemes, scenarios=args.scenarios,
+    cells = matrix.generate_matrix(
+        schemes=args.schemes, scenarios=args.scenarios,
         seeds=seeds,
         modes=(matrix.MODES if args.modes is None
                else tuple(options.split_csv(args.modes))),

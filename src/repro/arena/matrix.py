@@ -4,10 +4,9 @@ Unlike the paper experiments' fixed quick/full grids, the arena's grid
 is *parameterized*: callers select schemes, scenarios, seed counts and
 matchup modes, and the generator expands the product into harness
 :class:`~repro.harness.registry.Cell`\\ s — solo baselines, round-robin
-1v1 duels, and mixed-cohabitation cells.  The harness registry exposes
-this as the ``arena`` cell family (:func:`repro.harness.registry.
-family_cells`), so the supervised runner, content-hash cache and
-quarantine machinery apply unchanged.
+1v1 duels, and mixed-cohabitation cells.  Their runners are records
+of the harness registry, so the supervised runner, content-hash cache
+and quarantine machinery apply unchanged.
 """
 
 from __future__ import annotations

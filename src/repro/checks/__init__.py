@@ -9,7 +9,7 @@ Activate a checker for a block of code with::
     assert not chk.violations
 
 or through the harness/CLI: ``run_cell(cell, checks="raise")`` /
-``python -m repro.cli run-all --checks``.
+``python -m repro run-all --checks``.
 """
 
 from repro.checks.checker import InvariantChecker, checking

@@ -20,8 +20,6 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
     python -m repro report r.json --telemetry run.jsonl
     python -m repro profile figure6/seed=0 --sort tottime
 
-(``python -m repro.cli ...`` remains an equivalent legacy spelling.)
-
 This module only dispatches: every verb is declared, once, by the
 ``configure_parser(sub)`` of the package that implements it, and the
 flags the sweep verbs share live in :mod:`repro.harness.options`.
@@ -30,7 +28,6 @@ flags the sweep verbs share live in :mod:`repro.harness.options`.
 from __future__ import annotations
 
 import argparse
-import sys
 from typing import List, Optional
 
 from repro.errors import exit_code
@@ -59,7 +56,3 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     return exit_code(args.fn, args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -1,9 +1,10 @@
 """The paper-artifact commands: every table, figure and §4.3/§6 study.
 
-The nine tabular verbs are one function, :func:`print_artifact`.  The
-figure verbs draw ASCII panels from a ``TraceGraph``, which is not a
-cell metric, so each keeps its own printer.  ``list`` and ``solo``
-ride along.
+The nine tabular verbs are one function, :func:`print_artifact`, and
+the three figure verbs another, :func:`print_figure`: the figure's
+registry renderer over its traced run, then ASCII panels drawn from the
+run's ``TraceGraph`` (which is not a cell metric).  ``list`` and
+``solo`` ride along.
 """
 
 from __future__ import annotations
@@ -37,45 +38,27 @@ def print_solo(args) -> int:
     return 0
 
 
-def print_figure6(args) -> int:
-    from repro.experiments.traces import figure6
-    from repro.trace.ascii_plot import render_rate_panel, render_windows_panel
+def print_figure(args) -> int:
+    """A figure verb: its registry renderer's section over the traced
+    run, then the run's ASCII panels."""
+    from repro.experiments import traces
+    from repro.harness import registry
+    from repro.trace.ascii_plot import (
+        render_cam_panel,
+        render_rate_panel,
+        render_windows_panel,
+    )
 
-    graph, result = figure6(seed=args.seed)
-    print("Figure 6 — Reno, no other traffic (paper: 105 KB/s)")
-    print(f"measured: {result.throughput_kbps:.1f} KB/s, "
-          f"{result.retransmitted_kb:.1f} KB retransmitted, "
-          f"{result.coarse_timeouts} timeouts, "
-          f"{graph.losses()} segments lost\n")
+    graph, result = getattr(traces, args.command)(seed=args.seed)
+    cell = registry.Cell.make(args.command, seed=args.seed)
+    render = registry.experiment(args.command).render
+    print(render([{"key": cell.key, "experiment": cell.experiment,
+                   "params": cell.as_dict(),
+                   "metrics": registry._traced_metrics(graph, result)}]))
+    print()
     print(render_windows_panel(graph))
-    print(render_rate_panel(graph))
-    return 0
-
-
-def print_figure7(args) -> int:
-    from repro.experiments.traces import figure7
-    from repro.trace.ascii_plot import render_cam_panel, render_windows_panel
-
-    graph, result = figure7(seed=args.seed)
-    print("Figure 7 — Vegas, no other traffic (paper: 169 KB/s)")
-    print(f"measured: {result.throughput_kbps:.1f} KB/s, "
-          f"{result.retransmitted_kb:.1f} KB retransmitted, "
-          f"{result.coarse_timeouts} timeouts\n")
-    print(render_windows_panel(graph))
-    print(render_cam_panel(graph))
-    return 0
-
-
-def print_figure9(args) -> int:
-    from repro.experiments.traces import figure9
-    from repro.trace.ascii_plot import render_cam_panel, render_windows_panel
-
-    graph, result = figure9(seed=args.seed)
-    print("Figure 9 — Vegas with tcplib background traffic")
-    print(f"measured: {result.throughput_kbps:.1f} KB/s, "
-          f"{result.retransmitted_kb:.1f} KB retransmitted\n")
-    print(render_windows_panel(graph))
-    print(render_cam_panel(graph))
+    print(render_rate_panel(graph) if graph.cam is None
+          else render_cam_panel(graph))
     return 0
 
 
@@ -126,9 +109,9 @@ def configure_parser(sub) -> None:
                       help="congestion control (see `list`)")
     solo.add_argument("--size-kb", type=int, default=1024)
     solo.add_argument("--buffers", type=int, default=10)
-    add("figure6", "Reno solo trace", print_figure6)
-    add("figure7", "Vegas solo trace", print_figure7)
-    add("figure9", "Vegas + tcplib background trace", print_figure9)
+    add("figure6", "Reno solo trace", print_figure)
+    add("figure7", "Vegas solo trace", print_figure)
+    add("figure9", "Vegas + tcplib background trace", print_figure)
     add("table1", "one-on-one transfers", quick=True)
     add("table2", "transfer vs background traffic", seeds=True)
     add("table3", "background throughput", seeds=True)

@@ -35,11 +35,6 @@ HOST_PAIRS: Tuple[Tuple[str, str], ...] = (
     ("Host3a", "Host3b"),
 )
 
-#: The family's default flow counts; their seed-0 cells' exact event
-#: counts are pinned by ``tests/test_perf.py::TestPinnedEngineCounts``.
-BENCH_FLOW_COUNTS: Tuple[int, ...] = (100, 500, 1000)
-
-
 @dataclass
 class ManyFlowsResult:
     """Aggregate outcome of one many-flows run."""

@@ -11,7 +11,7 @@ Compose a fault plan onto any topology::
 (the session is armed under the ``faults`` role of
 :mod:`repro.sim.observers`, like every other instrument), or through
 the harness/CLI: ``run_cell(cell, faults="light")`` /
-``python -m repro.cli run-all --faults drop=0.01,seed=3``.
+``python -m repro run-all --faults drop=0.01,seed=3``.
 """
 
 from repro.faults.injector import ChannelFaults, FaultSession, injecting

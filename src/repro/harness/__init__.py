@@ -6,9 +6,10 @@ delay, seed, ...)`` combinations that share nothing but code.  This
 package decomposes each experiment into those **cells** and runs them
 through one pipeline:
 
-- :mod:`repro.harness.registry` — the scenario registry: every
-  experiment's quick/full grids as :class:`~repro.harness.registry.Cell`
-  objects with stable string keys.
+- :mod:`repro.harness.registry` — the scenario registry: one
+  :class:`~repro.harness.registry.Experiment` record per experiment
+  (runner, quick/full grid, renderer, deadline budget), its cells as
+  :class:`~repro.harness.registry.Cell` objects with stable string keys.
 - :mod:`repro.harness.runner` — :func:`run_cells`: serves cells from
   the cache and runs the rest one of **two ways** — in this process
   (``timeout_s=None``: serial, raw exceptions, for debugging one
@@ -41,7 +42,7 @@ through one pipeline:
 - :mod:`repro.harness.aggregate` — folds cells into the paper-style
   tables; ``run-all`` and the individual table verbs both print it.
 
-The CLI front end is ``python -m repro.cli run-all``.
+The CLI front end is ``python -m repro run-all``.
 """
 
 from repro.harness.artifacts import (
@@ -65,9 +66,7 @@ from repro.harness.registry import (
     cell_budget,
     cells_for,
     register_experiment,
-    register_timeout_hint,
     run_cell,
-    timeout_hint,
     unregister_experiment,
 )
 from repro.harness.runner import RunReport, run_cells
@@ -90,12 +89,10 @@ __all__ = [
     "compute_src_hash",
     "load_document",
     "register_experiment",
-    "register_timeout_hint",
     "retry_backoff",
     "run_cell",
     "run_cells",
     "run_supervised",
-    "timeout_hint",
     "unregister_experiment",
     "write_document",
 ]

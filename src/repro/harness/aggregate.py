@@ -1,13 +1,14 @@
 """Fold harness cells into the paper-style tables and summaries.
 
 Every paper artifact's title, rows and format strings live here and
-nowhere else: ``run-all`` and the paper verbs (``python -m repro
-table2`` ...) both run registry cells and print :func:`summarize`
-over them.  Aggregation works on JSON-shaped cell dicts —
-``{"experiment", "params", "metrics"}`` — so it applies equally to a
-fresh :class:`~repro.harness.runner.RunReport` rendered by
-:func:`repro.harness.artifacts.build_document` and to a document
-loaded back from disk.
+nowhere else: each ``render_*`` function is the renderer of one
+experiment's record in :mod:`repro.harness.registry`, and ``run-all``
+and the paper verbs (``python -m repro table2`` ...) both run registry
+cells and print :func:`summarize` over them.  Aggregation works on
+JSON-shaped cell dicts — ``{"experiment", "params", "metrics"}`` — so
+it applies equally to a fresh :class:`~repro.harness.runner.RunReport`
+rendered by :func:`repro.harness.artifacts.build_document` and to a
+document loaded back from disk.
 """
 
 from __future__ import annotations
@@ -43,8 +44,9 @@ def _means(title: str, by: Sequence[str], columns: Sequence[tuple],
     return "\n".join(lines)
 
 
-def _table1(cells: Cells, title: str = "Table 1: one-on-one transfers",
-            with_paper: bool = True) -> str:
+def render_table1(cells: Cells,
+                  title: str = "Table 1: one-on-one transfers",
+                  with_paper: bool = True) -> str:
     from repro.experiments.one_on_one import PAPER_TABLE1
 
     columns = sorted({f"{c['params']['small']}/{c['params']['large']}"
@@ -94,7 +96,7 @@ def _simple_transfer_table(cells: Cells, title: str, column_param: str,
     return format_table(title, table, ratios_for=ratios, paper=paper)
 
 
-def _table2(cells: Cells) -> str:
+def render_table2(cells: Cells) -> str:
     from repro.experiments.background import PAPER_TABLE2
 
     return _simple_transfer_table(
@@ -102,7 +104,7 @@ def _table2(cells: Cells) -> str:
         paper=PAPER_TABLE2)
 
 
-def _table3(cells: Cells) -> str:
+def render_table3(cells: Cells) -> str:
     from repro.experiments.background import PAPER_TABLE3
 
     sums: Dict[tuple, List[float]] = {}
@@ -119,7 +121,7 @@ def _table3(cells: Cells) -> str:
     return "\n".join(lines)
 
 
-def _table4(cells: Cells) -> str:
+def render_table4(cells: Cells) -> str:
     from repro.experiments.internet import PAPER_TABLE4
 
     return _simple_transfer_table(
@@ -127,7 +129,7 @@ def _table4(cells: Cells) -> str:
         paper=PAPER_TABLE4)
 
 
-def _table5(cells: Cells) -> str:
+def render_table5(cells: Cells) -> str:
     from repro.experiments.internet import PAPER_TABLE5
     from repro.units import kb
 
@@ -167,6 +169,16 @@ def _figure(title: str, paper_note: str):
     return render
 
 
+render_figure1 = _figure("Figure 1 — Reno + tcplib background",
+                         "the Figure 2/3 graph elements")
+render_figure6 = _figure("Figure 6 — Reno, no other traffic",
+                         "paper: 105 KB/s")
+render_figure7 = _figure("Figure 7 — Vegas, no other traffic",
+                         "paper: 169 KB/s")
+render_figure9 = _figure("Figure 9 — Vegas + tcplib background",
+                         "trace headline numbers")
+
+
 #: The columns of a table of transfers (``ablation.transfer_metrics``).
 _TRANSFER_COLUMNS = (("time s", "transfer_s"), ("KB/s", "throughput_kbps"),
                      ("retx KB", "retransmit_kb"),
@@ -175,7 +187,33 @@ _TRANSFER_COLUMNS = (("time s", "transfer_s"), ("KB/s", "throughput_kbps"),
                      ("fine retx", "fine_retransmits"))
 
 
-def _sendbuf(cells: Cells) -> str:
+def render_figure4(cells: Cells) -> str:
+    return _means("Figure 4 — two segments lost from a 6 KB window", ("cc",),
+                  _TRANSFER_COLUMNS, cells)
+
+
+def render_table1bg(cells: Cells) -> str:
+    return render_table1(
+        cells, "§4.3 one-on-one transfers with tcplib background",
+        with_paper=False)
+
+
+def render_ablation(cells: Cells) -> str:
+    return _means(
+        "Ablations: Vegas techniques, thresholds, prior schemes, BaseRTT",
+        ("path", "size_kb", "scheme"), _TRANSFER_COLUMNS, cells)
+
+
+def render_allvegas(cells: Cells) -> str:
+    return _means(
+        "§6 all-Reno vs all-Vegas world across router buffers",
+        ("buffers", "cc"),
+        (("goodput KB/s", "goodput_kbps"), ("retx KB", "retransmit_kb"),
+         ("timeouts", "coarse_timeouts"),
+         ("TELNET s", "telnet_mean_response_s")), cells)
+
+
+def render_sendbuf(cells: Cells) -> str:
     by_size: Dict[int, Dict[str, List[Dict[str, float]]]] = {}
     for cell in cells:
         size = cell["params"]["size_kb"]
@@ -200,7 +238,7 @@ def _sendbuf(cells: Cells) -> str:
     return "\n".join(lines)
 
 
-def _fairness(cells: Cells) -> str:
+def render_fairness(cells: Cells) -> str:
     lines = ["§4.3 multiple competing connections (Jain index)"]
     ordered = sorted(cells, key=lambda c: (c["params"]["count"],
                                            c["params"]["cc"],
@@ -215,12 +253,12 @@ def _fairness(cells: Cells) -> str:
     return "\n".join(lines)
 
 
-def _twoway(cells: Cells) -> str:
+def render_twoway(cells: Cells) -> str:
     return _simple_transfer_table(
         cells, "§4.3 two-way background traffic", "proto")
 
 
-def _telnet(cells: Cells) -> str:
+def render_telnet(cells: Cells) -> str:
     pooled: Dict[str, List[Dict[str, float]]] = {}
     for cell in cells:
         pooled.setdefault(cell["params"]["cc"], []).append(cell["metrics"])
@@ -242,56 +280,20 @@ def _telnet(cells: Cells) -> str:
     return "\n".join(lines)
 
 
-_AGGREGATORS = {
-    "table1": _table1,
-    "table2": _table2,
-    "table3": _table3,
-    "table4": _table4,
-    "table5": _table5,
-    "figure1": _figure("Figure 1 — Reno + tcplib background",
-                       "the Figure 2/3 graph elements"),
-    "figure4": lambda cells: _means(
-        "Figure 4 — two segments lost from a 6 KB window", ("cc",),
-        _TRANSFER_COLUMNS, cells),
-    "figure6": _figure("Figure 6 — Reno, no other traffic",
-                       "paper: 105 KB/s"),
-    "figure7": _figure("Figure 7 — Vegas, no other traffic",
-                       "paper: 169 KB/s"),
-    "figure9": _figure("Figure 9 — Vegas + tcplib background",
-                       "trace headline numbers"),
-    "sendbuf": _sendbuf,
-    "fairness": _fairness,
-    "twoway": _twoway,
-    "telnet": _telnet,
-    "table1bg": lambda cells: _table1(
-        cells, "§4.3 one-on-one transfers with tcplib background",
-        with_paper=False),
-    "ablation": lambda cells: _means(
-        "Ablations: Vegas techniques, thresholds, prior schemes, BaseRTT",
-        ("path", "size_kb", "scheme"), _TRANSFER_COLUMNS, cells),
-    "allvegas": lambda cells: _means(
-        "§6 all-Reno vs all-Vegas world across router buffers",
-        ("buffers", "cc"),
-        (("goodput KB/s", "goodput_kbps"), ("retx KB", "retransmit_kb"),
-         ("timeouts", "coarse_timeouts"),
-         ("TELNET s", "telnet_mean_response_s")), cells),
-}
-
-
 def summarize(cells: Cells) -> str:
     """Paper-style text report for every experiment present in *cells*."""
-    from repro.harness.registry import EXPERIMENTS
+    from repro.harness.registry import RECORDS
 
     grouped = _group(cells)
     sections = []
-    # Registry order first, then anything unknown (forward compatibility).
-    order = [e for e in EXPERIMENTS if e in grouped]
-    order.extend(e for e in sorted(grouped) if e not in EXPERIMENTS)
+    # Table order first, then anything unknown (forward compatibility).
+    order = [e for e in RECORDS if e in grouped]
+    order.extend(e for e in sorted(grouped) if e not in RECORDS)
     for experiment in order:
-        aggregator = _AGGREGATORS.get(experiment)
-        if aggregator is None:
+        render = getattr(RECORDS.get(experiment), "render", None)
+        if render is None:
             sections.append(f"{experiment}: {len(grouped[experiment])} cells "
                             "(no aggregator)")
         else:
-            sections.append(aggregator(grouped[experiment]))
+            sections.append(render(grouped[experiment]))
     return "\n\n".join(sections)

@@ -2,7 +2,7 @@
 
 ::
 
-    python -m repro.harness.check results.json baselines/expected.json \
+    python -m repro check results.json baselines/expected.json \
         --tolerance 0.15
 
 Every cell in the baseline must be present in the results, and every
@@ -21,11 +21,8 @@ completion at all — so CI can route them to different owners.
 
 from __future__ import annotations
 
-import argparse
-import sys
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List
 
-from repro.errors import exit_code
 from repro.harness.artifacts import load_document
 
 
@@ -88,7 +85,13 @@ def failed_cells(results: Dict[str, Any],
     return sorted(lines)
 
 
-def add_arguments(parser) -> None:
+HELP = ("gate a run-all/arena/search JSON artifact against a committed "
+        "baseline (exit 1 = drift, 3 = quarantined cells)")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``check`` subparser to *sub* (a subparsers action)."""
+    parser = sub.add_parser("check", help=HELP)
     parser.add_argument("results",
                         help="artifact from run-all/arena/search --json")
     parser.add_argument("expected", help="committed baseline artifact")
@@ -98,22 +101,6 @@ def add_arguments(parser) -> None:
                         help="append the gate verdict to this telemetry "
                              "JSONL (same file run-all --telemetry wrote)")
     parser.set_defaults(fn=run)
-
-
-HELP = ("gate a run-all/arena/search JSON artifact against a committed "
-        "baseline (exit 1 = drift, 3 = quarantined cells)")
-
-
-def configure_parser(sub) -> None:
-    """Attach the ``check`` subparser to *sub* (a subparsers action)."""
-    add_arguments(sub.add_parser("check", help=HELP))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro.harness.check",
-                                     description=HELP)
-    add_arguments(parser)
-    return exit_code(run, parser.parse_args(argv))
 
 
 def run(args) -> int:
@@ -160,7 +147,3 @@ def run(args) -> int:
     if code == 0:
         print(f"OK: {checked} cell(s) within tolerance {args.tolerance:g}")
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -27,19 +27,18 @@ reach those.
 
 Attach one by hand::
 
-    python -m repro.harness.dist.worker --connect HOST:PORT \
+    python -m repro dist worker --connect HOST:PORT \
         [--worker-id ID] [--preload MODULE]...
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import os
 import signal
 import socket
 import threading
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 from repro.harness.dist import protocol
 from repro.harness.supervisor import execute_cell
@@ -115,7 +114,18 @@ def serve(connect: str, worker_id: str,
             pass
 
 
-def add_arguments(parser) -> None:
+def run(args) -> int:
+    serve(args.connect, args.worker_id or f"pid{os.getpid()}",
+          heartbeat_interval_s=args.heartbeat, preload=args.preload)
+    return 0
+
+
+HELP = "attach one worker process to a listening dist master"
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``worker`` subparser to *sub* (``repro dist``'s)."""
+    parser = sub.add_parser("worker", help=HELP)
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
                         help="master address (a `dist run --workers 0 "
                         "--bind ...` master prints it)")
@@ -132,28 +142,3 @@ def add_arguments(parser) -> None:
                         "how runtime-registered experiments reach an "
                         "attached worker")
     parser.set_defaults(fn=run)
-
-
-def run(args) -> int:
-    serve(args.connect, args.worker_id or f"pid{os.getpid()}",
-          heartbeat_interval_s=args.heartbeat, preload=args.preload)
-    return 0
-
-
-HELP = "attach one worker process to a listening dist master"
-
-
-def configure_parser(sub) -> None:
-    """Attach the ``worker`` subparser to *sub* (``repro dist``'s)."""
-    add_arguments(sub.add_parser("worker", help=HELP))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.harness.dist.worker", description=HELP)
-    add_arguments(parser)
-    return run(parser.parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

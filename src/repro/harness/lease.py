@@ -6,8 +6,9 @@ socket master (:mod:`repro.harness.dist.master`) — is driven by one
 an attempt *means* is decided here, once:
 
 * a cell is never *sent* to a worker, it is **leased** — granted with a
-  deadline sized from the cell's budget (per-cell timeout hints
-  included) plus the transport's grace;
+  deadline sized from the cell's budget (the sweep's ``--timeout``,
+  widened by its experiment's declared ``budget``) plus the
+  transport's grace;
 * a result arriving before the deadline settles the lease into a
   :class:`CellResult`;
 * the deadline passing **expires** the lease: the attempt is recorded
@@ -148,7 +149,7 @@ class Lease:
 
     lease_id: str
     task: Task
-    worker: Optional[str]         # None = anonymous (no worker to name)
+    worker: str
     attempt: int
     budget_s: Optional[float]
     deadline: float               # the transport's clock; inf when unbounded
@@ -233,7 +234,7 @@ class LeaseTable:
     # ------------------------------------------------------------------
     # Granting
     # ------------------------------------------------------------------
-    def grant(self, worker: Optional[str], now: float) -> Optional[Lease]:
+    def grant(self, worker: str, now: float) -> Optional[Lease]:
         """Lease the next due cell to *worker*, or ``None`` if none."""
         task = self.next_due(now)
         if task is None:
@@ -252,7 +253,7 @@ class LeaseTable:
     # ------------------------------------------------------------------
     # Settling
     # ------------------------------------------------------------------
-    def _take(self, lease_id: str, worker: Optional[str]) -> Optional[Lease]:
+    def _take(self, lease_id: str, worker: str) -> Optional[Lease]:
         """Claim a live lease for settling; ``None`` if stale.
 
         Stale = the lease expired (and was re-queued or re-granted) or
@@ -267,7 +268,7 @@ class LeaseTable:
         del self.leases[lease_id]
         return lease
 
-    def settle_ok(self, lease_id: str, worker: Optional[str],
+    def settle_ok(self, lease_id: str, worker: str,
                   metrics: Dict[str, float],
                   wall_clock_s: float) -> Optional[CellResult]:
         """A result arrived; returns its record, or ``None`` if stale."""
@@ -283,7 +284,7 @@ class LeaseTable:
         self.successes.append(result)
         return result
 
-    def settle_fail(self, lease_id: str, worker: Optional[str], kind: str,
+    def settle_fail(self, lease_id: str, worker: str, kind: str,
                     message: str, detail: Dict[str, Any],
                     wall_clock_s: float, now: float,
                     ) -> Optional[Tuple[Task, Outcome]]:
@@ -334,11 +335,8 @@ class LeaseTable:
         self.expired_leases += 1
         budget = lease.budget_s
         message = (f"lease expired: exceeded the per-cell budget of "
-                   f"{budget:g}s")
-        detail: Dict[str, Any] = {"timeout_s": budget}
-        if lease.worker is not None:
-            message += f" on worker {lease.worker}"
-            detail["worker"] = lease.worker
+                   f"{budget:g}s on worker {lease.worker}")
+        detail = {"timeout_s": budget, "worker": lease.worker}
         return self._settle_attempt(lease.task, "timeout", message, detail,
                                     budget, now)
 

@@ -56,8 +56,8 @@ def add_sweep_options(cmd) -> None:
                           f"{lease.DEFAULT_TIMEOUT_S:g}s); a "
                           "timed-out worker is killed, retried, and "
                           "finally quarantined into the failure "
-                          "manifest; experiments with a registered "
-                          "timeout hint get the larger of the two")
+                          "manifest; experiments that declare a "
+                          "budget get the larger of the two")
     cmd.add_argument("--no-timeout", action="store_true",
                      help="run serially in this process (no deadline, "
                           "no quarantine) — crashes and hangs propagate "

@@ -8,12 +8,14 @@ caching, JSON artifacts, and the regression baseline, so the key
 format is a compatibility contract: changing it invalidates every
 cached and committed result.
 
-Each experiment registers a *grid* (quick and full variants) and a
-*runner* that executes one cell and returns a flat ``{metric: number}``
-dict.  Runners are module-level functions so cells can cross a
-``multiprocessing`` pickle boundary.  Seeds are part of the cell
-parameters — never derived from worker identity — which is what makes
-``--jobs 1`` and ``--jobs N`` bit-identical by construction.
+Each experiment is one :class:`Experiment` record in :data:`RECORDS`:
+a *runner* that executes one cell and returns a flat ``{metric:
+number}`` dict, and optionally a *grid* (quick and full variants), a
+*renderer* and a per-cell wall-clock *budget*.  Runners are
+module-level functions so cells can cross a process boundary.  Seeds
+are part of the cell parameters — never derived from worker identity —
+which is what makes ``--jobs 1`` and ``--jobs N`` bit-identical by
+construction.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
+from repro.harness import aggregate as A
 
 #: Metric key every runner gets for free (see :func:`run_cell`).
 EVENTS_METRIC = "events_processed"
@@ -285,11 +288,9 @@ def _many_flows_cell(flows: int, seed: int) -> Dict[str, float]:
     return many_flows_metrics(flows, seed)
 
 
-# Arena matchup cells (see repro.arena): registered as built-in
-# runners so worker processes resolve them by name under any
-# multiprocessing start method, but with *no* fixed grid — their cells
-# come from the parameterized ``arena`` family (family_cells) instead
-# of the run-all sweep.
+# Arena and search cells: built-in records so any worker resolves them
+# by name, but with *no* grid — ``repro arena`` and ``repro search``
+# generate their cells instead of the run-all sweep.
 
 def _arena_solo_cell(scheme: str, scenario: str, seed: int) -> Dict[str, float]:
     from repro.arena.cells import arena_solo
@@ -319,32 +320,6 @@ def _search_cohort_cell(schemes: str, bw_kbps: float, delay_ms: float,
     return run_search_cohort(schemes=schemes, bw_kbps=bw_kbps,
                              delay_ms=delay_ms, buffers=buffers,
                              size_kb=size_kb, loss=loss, seed=seed)
-
-
-_RUNNERS: Dict[str, Callable[..., Dict[str, float]]] = {
-    "table1": _table1_cell,
-    "table2": _table2_cell,
-    "table3": _table3_cell,
-    "table4": _table4_cell,
-    "table5": _table5_cell,
-    "figure1": _figure_cell("figure1"),
-    "figure4": _figure4_cell,
-    "figure6": _figure_cell("figure6"),
-    "figure7": _figure_cell("figure7"),
-    "figure9": _figure_cell("figure9"),
-    "sendbuf": _sendbuf_cell,
-    "fairness": _fairness_cell,
-    "twoway": _twoway_cell,
-    "telnet": _telnet_cell,
-    "table1bg": _table1bg_cell,
-    "ablation": _ablation_cell,
-    "allvegas": _allvegas_cell,
-    "many_flows": _many_flows_cell,
-    "arena_solo": _arena_solo_cell,
-    "arena_duel": _arena_duel_cell,
-    "arena_mix": _arena_mix_cell,
-    "search_cohort": _search_cohort_cell,
-}
 
 
 # ----------------------------------------------------------------------
@@ -506,139 +481,122 @@ def _telnet_grid(quick: bool,
             for cc in ("reno", "vegas") for seed in seeds]
 
 
-_GRIDS: Dict[str, Callable[..., List[Cell]]] = {
-    "table1": _table1_grid,
-    "table2": _table2_grid,
-    "table3": _table3_grid,
-    "table4": _table4_grid,
-    "table5": _table5_grid,
-    "figure1": _figure_grid("figure1"),
-    "figure4": _figure4_grid,
-    "figure6": _figure_grid("figure6"),
-    "figure7": _figure_grid("figure7"),
-    "figure9": _figure_grid("figure9"),
-    "sendbuf": _sendbuf_grid,
-    "fairness": _fairness_grid,
-    "twoway": _twoway_grid,
-    "telnet": _telnet_grid,
-    "table1bg": _table1bg_grid,
-    "ablation": _ablation_grid,
-    "allvegas": _allvegas_grid,
-}
-
-#: Registry order — also the order ``run-all`` reports experiments in.
-EXPERIMENTS: Tuple[str, ...] = tuple(_GRIDS)
-
-
 # ----------------------------------------------------------------------
-# Cell families: parameterized grids generated from selection
-# arguments (scheme/scenario/seed subsets), unlike the fixed quick/full
-# experiment grids above.  A family's cells run through the same
-# supervised runner/cache/quarantine pipeline as any sweep cell.
+# The experiment table: one record per experiment, in sweep order.
 # ----------------------------------------------------------------------
 
-def _arena_family(**selection) -> List[Cell]:
-    from repro.arena.matrix import generate_matrix
+@dataclass(frozen=True)
+class Experiment:
+    """Everything the harness knows about one experiment.
 
-    return generate_matrix(**selection)
+    ``run`` executes one cell.  ``grid(quick, seeds=...)`` makes the
+    experiment part of :func:`all_cells` sweeps, and ``render`` folds
+    its cells into a paper-style section (:mod:`repro.harness.aggregate`).
+    ``budget`` is the per-cell wall-clock budget in seconds, or a
+    callable from the cell's params dict to seconds, for cells that
+    need more than the sweep-wide deadline (see :func:`cell_budget`).
+    """
 
-
-def _many_flows_family(flows=None, seeds=(0,)) -> List[Cell]:
-    from repro.experiments.many_flows import BENCH_FLOW_COUNTS
-
-    counts = BENCH_FLOW_COUNTS if flows is None else tuple(flows)
-    return [Cell.make("many_flows", flows=n, seed=seed)
-            for n in counts for seed in seeds]
-
-
-def _search_family(objective: str = "vegas_regret", count: int = 4,
-                   seed: int = 0, quick: bool = False) -> List[Cell]:
-    from repro.search.driver import family_preview_cells
-
-    return family_preview_cells(objective, count=count, seed=seed,
-                                quick=quick)
+    run: Callable[..., Dict[str, float]]
+    grid: Optional[Callable[..., List[Cell]]] = None
+    render: Optional[Callable[..., str]] = None
+    budget: Any = None
 
 
-_FAMILIES: Dict[str, Callable[..., List[Cell]]] = {
-    "arena": _arena_family,
-    "many_flows": _many_flows_family,
-    "search": _search_family,
+#: Every experiment by name.  Dict order is sweep order and the order
+#: ``run-all`` reports in; runtime registrations are appended.  The
+#: grid-less records are run from the verbs that generate their cells
+#: (``arena``, ``search``, ``profile``).
+RECORDS: Dict[str, Experiment] = {
+    "table1": Experiment(_table1_cell, _table1_grid, A.render_table1),
+    "table2": Experiment(_table2_cell, _table2_grid, A.render_table2),
+    "table3": Experiment(_table3_cell, _table3_grid, A.render_table3),
+    "table4": Experiment(_table4_cell, _table4_grid, A.render_table4),
+    "table5": Experiment(_table5_cell, _table5_grid, A.render_table5),
+    "figure1": Experiment(_figure_cell("figure1"), _figure_grid("figure1"),
+                          A.render_figure1),
+    "figure4": Experiment(_figure4_cell, _figure4_grid, A.render_figure4),
+    "figure6": Experiment(_figure_cell("figure6"), _figure_grid("figure6"),
+                          A.render_figure6),
+    "figure7": Experiment(_figure_cell("figure7"), _figure_grid("figure7"),
+                          A.render_figure7),
+    "figure9": Experiment(_figure_cell("figure9"), _figure_grid("figure9"),
+                          A.render_figure9),
+    "sendbuf": Experiment(_sendbuf_cell, _sendbuf_grid, A.render_sendbuf),
+    "fairness": Experiment(_fairness_cell, _fairness_grid,
+                           A.render_fairness),
+    "twoway": Experiment(_twoway_cell, _twoway_grid, A.render_twoway),
+    "telnet": Experiment(_telnet_cell, _telnet_grid, A.render_telnet),
+    "table1bg": Experiment(_table1bg_cell, _table1bg_grid,
+                           A.render_table1bg),
+    "ablation": Experiment(_ablation_cell, _ablation_grid,
+                           A.render_ablation),
+    "allvegas": Experiment(_allvegas_cell, _allvegas_grid,
+                           A.render_allvegas),
+    # The 500/1,000-conversation cells legitimately run for minutes;
+    # their deadline grows with the population.
+    "many_flows": Experiment(
+        _many_flows_cell,
+        budget=lambda params: max(180.0, 1.2 * params.get("flows", 0))),
+    "arena_solo": Experiment(_arena_solo_cell),
+    "arena_duel": Experiment(_arena_duel_cell),
+    "arena_mix": Experiment(_arena_mix_cell),
+    # Search points range over arbitrary cohort sizes and horizons;
+    # each flow gets a generous slice so a slow corner of the space
+    # quarantines on its own merits rather than on the sweep default.
+    "search_cohort": Experiment(
+        _search_cohort_cell,
+        budget=lambda params: max(
+            150.0, 30.0 * len(str(params.get("schemes", "")).split("+")))),
 }
 
 
-def families() -> List[str]:
-    """Sorted list of registered cell-family names."""
-    return sorted(_FAMILIES)
+
+def _sweep() -> List[str]:
+    """Every experiment with a grid, runtime registrations last."""
+    return [name for name, record in RECORDS.items()
+            if record.grid is not None]
 
 
-def family_cells(name: str, **selection: Any) -> List[Cell]:
-    """Generate one family's cells from keyword selection arguments."""
+#: The paper sweep: the built-in experiments with a grid, in table order.
+EXPERIMENTS: Tuple[str, ...] = tuple(_sweep())
+
+
+def experiment(name: str) -> Experiment:
+    """The record of experiment *name*."""
     try:
-        generator = _FAMILIES[name]
+        return RECORDS[name]
     except KeyError:
-        known = ", ".join(families())
+        known = ", ".join(RECORDS)
         raise ReproError(
-            f"unknown cell family {name!r} (known: {known})") from None
-    return generator(**selection)
+            f"unknown experiment {name!r} (known: {known})") from None
 
 
-# ----------------------------------------------------------------------
-# Per-cell timeout hints: experiments whose cells need more wall clock
-# than the global supervised deadline declare their own budget here, so
-# a nightly sweep never needs a global ``--timeout`` bump just because
-# one family is slow — and the distributed master sizes leases per cell.
-# ----------------------------------------------------------------------
+def register_experiment(name: str,
+                        run: Callable[..., Dict[str, float]],
+                        grid: Optional[Callable[[bool], List[Cell]]] = None,
+                        budget: Any = None) -> None:
+    """Register an extra experiment at runtime.
 
-#: experiment -> float seconds, or callable(params dict) -> seconds.
-_TIMEOUT_HINTS: Dict[str, Any] = {}
-
-
-def register_timeout_hint(experiment: str, hint: Any) -> None:
-    """Declare a per-cell wall-clock budget for one experiment.
-
-    *hint* is either a float (seconds) or a callable taking the cell's
-    params dict and returning seconds — e.g. ``many_flows`` scales its
-    budget with the flow count.  Hints only ever *raise* the effective
-    deadline (see :func:`cell_budget`); they can never shrink it below
-    the sweep-wide timeout.  Re-registering replaces the prior hint.
+    Used by extension code and the supervisor test-suite to add cells
+    beyond the paper's grids.  *run* must be a module-level callable
+    (cells cross process boundaries); *grid*, when given, appends the
+    experiment to :func:`all_cells` sweeps; *budget* is as for
+    :class:`Experiment`.  Worker processes see runtime registrations
+    only when they are forked from the master, as local workers are.
     """
-    _TIMEOUT_HINTS[experiment] = hint
+    if name in RECORDS:
+        raise ReproError(f"experiment {name!r} is already registered")
+    RECORDS[name] = Experiment(run, grid, budget=budget)
 
 
-def timeout_hint(cell: Cell) -> Optional[float]:
-    """The declared budget of *cell* in seconds, or ``None``.
-
-    Hints are validated here, at use time, because a callable hint only
-    misbehaves once it sees a concrete params dict — and the supervisor
-    and dist master both call this mid-sweep, where a raw ``TypeError``
-    or a NaN deadline would otherwise surface as an opaque crash.
-    """
-    hint = _TIMEOUT_HINTS.get(cell.experiment)
-    if hint is None:
-        return None
-    if callable(hint):
-        try:
-            value = hint(cell.as_dict())
-        except Exception as exc:
-            raise ReproError(
-                f"timeout hint for experiment {cell.experiment!r} raised "
-                f"{type(exc).__name__} on cell {cell.key!r}: {exc}") from exc
-    else:
-        value = hint
-    if value is None:
-        return None
-    try:
-        seconds = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ReproError(
-            f"timeout hint for experiment {cell.experiment!r} returned "
-            f"non-numeric budget {value!r} for cell {cell.key!r}") from exc
-    if math.isnan(seconds) or seconds <= 0:
-        raise ReproError(
-            f"timeout hint for experiment {cell.experiment!r} returned "
-            f"invalid budget {seconds!r} for cell {cell.key!r} "
-            f"(must be a positive number of seconds)")
-    return seconds
+def unregister_experiment(name: str) -> None:
+    """Remove a runtime registration (idempotent; built-ins protected)."""
+    record = RECORDS.get(name)
+    # A built-in's runner is defined in this module.
+    if record is not None and record.run.__module__ == __name__:
+        raise ReproError(f"cannot unregister built-in experiment {name!r}")
+    RECORDS.pop(name, None)
 
 
 def cell_budget(cell: Cell,
@@ -646,72 +604,43 @@ def cell_budget(cell: Cell,
     """Effective supervised deadline for *cell*.
 
     ``None`` (unsupervised / no deadline) passes through.  Otherwise
-    the budget is the *larger* of the sweep-wide ``timeout_s`` and the
-    cell's registered hint: a hint widens slow families without letting
-    a forgotten registration silently shrink anyone's deadline.
+    the deadline is the *larger* of the sweep-wide ``timeout_s`` and
+    the experiment's declared budget: a budget widens slow experiments
+    but can never shrink anyone's deadline.  A budget is checked here,
+    at use time, because a callable one only misbehaves once it sees a
+    concrete params dict — and the supervisor and dist master call this
+    mid-sweep, where a raw ``TypeError`` or a NaN deadline would
+    otherwise surface as an opaque crash.
     """
     if timeout_s is None:
         return None
-    hint = timeout_hint(cell)
-    if hint is None:
+    # The master need not know the experiment: an attached worker may
+    # be the only process that preloaded it.
+    budget = getattr(RECORDS.get(cell.experiment), "budget", None)
+    if callable(budget):
+        try:
+            budget = budget(cell.as_dict())
+        except Exception as exc:
+            raise ReproError(
+                f"the budget of experiment {cell.experiment!r} raised "
+                f"{type(exc).__name__} on cell {cell.key!r}: {exc}") from exc
+    if budget is None:
         return timeout_s
-    return max(timeout_s, hint)
+    try:
+        seconds = float(budget)
+    except (TypeError, ValueError) as exc:
+        raise ReproError(
+            f"experiment {cell.experiment!r} declared a non-numeric "
+            f"budget {budget!r} for cell {cell.key!r}") from exc
+    if math.isnan(seconds) or seconds <= 0:
+        raise ReproError(
+            f"experiment {cell.experiment!r} declared an invalid "
+            f"budget {seconds!r} for cell {cell.key!r} "
+            f"(must be a positive number of seconds)")
+    return max(timeout_s, seconds)
 
 
-# The 500/1,000-conversation cells legitimately run for minutes; size
-# their deadline with the population instead of bumping every sweep's
-# global timeout (quick cells keep the tight default).
-register_timeout_hint(
-    "many_flows", lambda params: max(180.0, 1.2 * params.get("flows", 0)))
-
-# Search points range over arbitrary cohort sizes and horizons; give
-# each flow a generous slice so a slow corner of the space quarantines
-# on its own merits rather than on the sweep-wide default.
-register_timeout_hint(
-    "search_cohort",
-    lambda params: max(150.0,
-                       30.0 * len(str(params.get("schemes", "")).split("+"))))
-
-
-def register_experiment(name: str,
-                        runner: Callable[..., Dict[str, float]],
-                        grid: Optional[Callable[[bool], List[Cell]]] = None,
-                        ) -> None:
-    """Register an extra experiment at runtime.
-
-    Used by extension code and the supervisor test-suite to add cells
-    beyond the paper's grids.  *runner* must be a module-level callable
-    (cells cross process boundaries); *grid*, when given, makes the
-    experiment part of :func:`all_cells` sweeps.  Worker processes see
-    runtime registrations only under the ``fork`` start method — the
-    supervised runner's default on POSIX.
-    """
-    global EXPERIMENTS
-    if name in _RUNNERS:
-        raise ReproError(f"experiment {name!r} is already registered")
-    _RUNNERS[name] = runner
-    if grid is not None:
-        _GRIDS[name] = grid
-        EXPERIMENTS = tuple(_GRIDS)
-
-
-def unregister_experiment(name: str) -> None:
-    """Remove a runtime registration (idempotent; built-ins protected)."""
-    global EXPERIMENTS
-    if name in _BUILTIN_EXPERIMENTS:
-        raise ReproError(f"cannot unregister built-in experiment {name!r}")
-    _RUNNERS.pop(name, None)
-    _TIMEOUT_HINTS.pop(name, None)
-    if _GRIDS.pop(name, None) is not None:
-        EXPERIMENTS = tuple(_GRIDS)
-
-
-# Covers grid experiments *and* grid-less built-in runners (the arena
-# cell families dispatch through those).
-_BUILTIN_EXPERIMENTS = frozenset(_RUNNERS)
-
-
-def cells_for(experiment: str, quick: bool = False,
+def cells_for(name: str, quick: bool = False,
               seeds: Optional[Sequence[int]] = None) -> List[Cell]:
     """All cells of one experiment's grid (quick or full variant).
 
@@ -720,19 +649,18 @@ def cells_for(experiment: str, quick: bool = False,
     base).  Only the built-in grids have one; a runtime-registered
     grid is ``(quick) -> cells``.
     """
-    try:
-        grid = _GRIDS[experiment]
-    except KeyError:
-        known = ", ".join(EXPERIMENTS)
+    grid = getattr(RECORDS.get(name), "grid", None)
+    if grid is None:
+        known = ", ".join(_sweep())
         raise ReproError(
-            f"unknown experiment {experiment!r} (known: {known})") from None
+            f"unknown experiment {name!r} (known: {known})")
     return grid(quick) if seeds is None else grid(quick, seeds)
 
 
 def all_cells(quick: bool = False,
               experiments: Optional[Iterable[str]] = None) -> List[Cell]:
-    """The full sweep: every experiment's grid, in registry order."""
-    names = list(experiments) if experiments is not None else list(EXPERIMENTS)
+    """The full sweep: every experiment's grid, in table order."""
+    names = list(experiments) if experiments is not None else _sweep()
     cells: List[Cell] = []
     for name in names:
         cells.extend(cells_for(name, quick=quick))
@@ -772,19 +700,6 @@ def resolve_watchdog(watchdog: Any):
     return LivenessWatchdog(stall_after=float(watchdog))
 
 
-def runner_signature(experiment: str):
-    """The :class:`inspect.Signature` of *experiment*'s cell runner:
-    the parameters a cell of it must name."""
-    import inspect
-
-    try:
-        return inspect.signature(_RUNNERS[experiment])
-    except KeyError:
-        known = ", ".join(sorted(_RUNNERS))
-        raise ReproError(
-            f"unknown experiment {experiment!r} (known: {known})") from None
-
-
 def run_cell(cell: Cell, checks: Any = False,
              faults: Any = None, watchdog: Any = False,
              telemetry: Optional[str] = None) -> Dict[str, float]:
@@ -812,11 +727,7 @@ def run_cell(cell: Cell, checks: Any = False,
     """
     from repro.sim import engine, observers
 
-    try:
-        runner = _RUNNERS[cell.experiment]
-    except KeyError:
-        raise ReproError(f"no runner for experiment {cell.experiment!r}") from None
-
+    runner = experiment(cell.experiment).run
     them = {}
     if checks:
         from repro.checks.checker import InvariantChecker

@@ -150,14 +150,19 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    report = RunReport(jobs=jobs, backend=backend)
+    # Report the workers the master is asked to start: under ``dist``,
+    # ``jobs`` only sizes a degraded master (2 is run_distributed's
+    # default ``workers``).
+    report = RunReport(jobs=jobs if backend == "local"
+                       else (dist_options or {}).get("workers", 2),
+                       backend=backend)
     faults = resolve_faults(faults)
     sink = None
     if telemetry is not None:
         from repro.obs.events import TelemetrySink
 
         sink = TelemetrySink(telemetry, run_id="harness")
-        sink.emit("sweep.start", cells=len(cells), jobs=jobs,
+        sink.emit("sweep.start", cells=len(cells), jobs=report.jobs,
                   supervised=timeout_s is not None)
 
     pending: List[Cell] = []

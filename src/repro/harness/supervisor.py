@@ -123,10 +123,8 @@ def run_supervised(cells: Sequence[Cell], jobs: int,
     :func:`~repro.harness.dist.master.run_distributed` with
     :func:`local_transport`'s settings, and what ``run_cells`` does for
     ``backend="local"``.  ``timeout_s`` is the sweep-wide deadline;
-    experiments that registered a
-    :func:`~repro.harness.registry.register_timeout_hint` budget get
-    the larger of the two (see
-    :func:`~repro.harness.registry.cell_budget`).
+    experiments whose record declares a ``budget`` get the larger of
+    the two (see :func:`~repro.harness.registry.cell_budget`).
     """
     from repro.harness.dist.master import run_distributed
 

@@ -19,12 +19,8 @@ which is what the CI smoke step gates on.
 
 from __future__ import annotations
 
-import argparse
-import sys
 from collections import Counter, defaultdict
 from typing import Any, Dict, List, Optional, Sequence
-
-from repro.errors import exit_code
 
 
 def _mean(values: Sequence[float]) -> float:
@@ -338,7 +334,13 @@ def render_report(doc: Dict[str, Any],
     return "\n".join(lines)
 
 
-def add_arguments(parser) -> None:
+HELP = ("render a Markdown run report from a sweep's JSON artifact "
+        "(plus optional --telemetry JSONL)")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``report`` subparser to *sub* (a subparsers action)."""
+    parser = sub.add_parser("report", help=HELP)
     parser.add_argument("results",
                         help="artifact from run-all/arena/search --json")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
@@ -348,21 +350,6 @@ def add_arguments(parser) -> None:
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="write the report here instead of stdout")
     parser.set_defaults(fn=run)
-
-
-HELP = ("render a Markdown run report from a sweep's JSON artifact "
-        "(plus optional --telemetry JSONL)")
-
-
-def configure_parser(sub) -> None:
-    """Attach the ``report`` subparser to *sub* (a subparsers action)."""
-    add_arguments(sub.add_parser("report", help=HELP))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro report", description=HELP)
-    add_arguments(parser)
-    return exit_code(run, parser.parse_args(argv))
 
 
 def run(args) -> int:
@@ -376,7 +363,3 @@ def run(args) -> int:
         write_text(args.out, report)
     print(f"report written to {args.out}" if args.out else report)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

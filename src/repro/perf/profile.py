@@ -20,14 +20,12 @@ rate, so never compare them against ``bench/`` results.
 
 from __future__ import annotations
 
-import argparse
 import cProfile
 import pstats
-import sys
 import time
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from repro.errors import ReproError, exit_code
+from repro.errors import ReproError
 
 #: Sort keys accepted by ``--sort`` (pstats spellings).
 SORT_KEYS = ("tottime", "cumulative", "ncalls")
@@ -45,15 +43,24 @@ def _coerce(raw: str) -> Any:
     return raw
 
 
+#: The value types a key segment may coerce to, per annotated type.
+_ACCEPTS = {int: (int,), float: (int, float), bool: (bool,), str: (str,)}
+
+
 def resolve_cell(spec: str):
     """An ``experiment/k=v/...`` key -> Cell, checked against the
-    experiment's runner so a bad key fails before anything runs."""
-    from repro.harness.registry import Cell, runner_signature
+    experiment's runner (its parameters and their annotated types) so
+    a bad key fails before anything runs."""
+    import inspect
+    import typing
 
-    experiment, *segments = spec.split("/")
-    signature = runner_signature(experiment)
-    usage = f"{experiment} takes " + "/".join(
-        f"{name}=..." for name in signature.parameters)
+    from repro.harness.registry import Cell, experiment
+
+    name, *segments = spec.split("/")
+    run = experiment(name).run
+    signature = inspect.signature(run)
+    usage = f"{name} takes " + "/".join(
+        f"{param}=..." for param in signature.parameters)
     params: Dict[str, Any] = {}
     for segment in segments:
         key, eq, raw = segment.partition("=")
@@ -65,7 +72,13 @@ def resolve_cell(spec: str):
         signature.bind(**params)
     except TypeError as exc:
         raise ReproError(f"bad cell key {spec!r}: {exc}; {usage}") from None
-    return Cell.make(experiment, **params)
+    hints = typing.get_type_hints(run)
+    for key, value in params.items():
+        accepted = _ACCEPTS.get(hints.get(key))
+        if accepted is not None and type(value) not in accepted:
+            raise ReproError(f"bad cell key {spec!r}: {key} must be "
+                             f"{hints[key].__name__}, got {value!r}; {usage}")
+    return Cell.make(name, **params)
 
 
 def profile_cell(cell, sort: str = "tottime", limit: int = 25,
@@ -100,7 +113,13 @@ def profile_cell(cell, sort: str = "tottime", limit: int = 25,
         print(f"  {count:>10}  {qualname}", file=stream)
 
 
-def add_arguments(parser) -> None:
+HELP = ("cProfile one cell (experiment/k=v/... key) and print "
+        "hotspots plus per-component event counts")
+
+
+def configure_parser(sub) -> None:
+    """Attach the ``profile`` subparser to *sub* (a subparsers action)."""
+    parser = sub.add_parser("profile", help=HELP)
     parser.add_argument("cell",
                         help="harness cell key (experiment/k=v/..., as "
                              "printed by run-all)")
@@ -113,26 +132,7 @@ def add_arguments(parser) -> None:
     parser.set_defaults(fn=run)
 
 
-HELP = ("cProfile one cell (experiment/k=v/... key) and print "
-        "hotspots plus per-component event counts")
-
-
-def configure_parser(sub) -> None:
-    """Attach the ``profile`` subparser to *sub* (a subparsers action)."""
-    add_arguments(sub.add_parser("profile", help=HELP))
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(prog="repro profile", description=HELP)
-    add_arguments(parser)
-    return exit_code(run, parser.parse_args(argv))
-
-
 def run(args) -> int:
     profile_cell(resolve_cell(args.cell), sort=args.sort, limit=args.limit,
                  out=args.out)
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

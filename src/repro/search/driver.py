@@ -174,10 +174,9 @@ def _score_batch(objective: Objective, batch: List[Point],
 
 
 # ----------------------------------------------------------------------
-# The registry's `search` cell family: the deterministic cell list a
-# random-strategy prefix of a search would evaluate.  Gives tests and
-# smoke jobs a harness-native way to materialize search cells without
-# running the loop.
+# The search preview: the deterministic cell list a random-strategy
+# prefix of a search would evaluate, materialized without running the
+# loop.
 # ----------------------------------------------------------------------
 
 def family_preview_cells(objective_name: str, count: int = 4,

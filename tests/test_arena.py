@@ -18,7 +18,7 @@ from repro.arena.scenarios import (
 )
 from repro.core.registry import arena_roster, available, scheme_info
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.registry import Cell, family_cells, run_cell
+from repro.harness.registry import Cell, experiment, run_cell
 
 ROSTER = arena_roster()
 
@@ -158,12 +158,13 @@ class TestMatrix:
         assert len(everyone) == len(ROSTER)
 
     def test_family_registration(self):
-        from repro.harness.registry import families
-
-        assert "arena" in families()
-        direct = matrix.generate_matrix(quick=True)
-        via_family = family_cells("arena", quick=True)
-        assert [c.key for c in direct] == [c.key for c in via_family]
+        """Every arena cell's runner is a registry record, outside the
+        run-all sweep (``repro arena`` generates the cells)."""
+        cells = matrix.generate_matrix(quick=True)
+        kinds = {cell.experiment for cell in cells}
+        assert kinds == {"arena_solo", "arena_duel", "arena_mix"}
+        for kind in kinds:
+            assert experiment(kind).grid is None
 
     def test_bad_selections(self):
         with pytest.raises((ConfigurationError, ReproError)):

@@ -42,8 +42,6 @@ from repro.harness.registry import (
     Cell,
     cell_budget,
     register_experiment,
-    register_timeout_hint,
-    timeout_hint,
     unregister_experiment,
 )
 from repro.harness.runner import storage_key
@@ -229,7 +227,7 @@ class TestLeaseTable:
     def test_grace_zero_expires_exactly_at_the_budget(self):
         # The fork transport's table: no wire to cross, so no grace.
         table = LeaseTable([chaos("ok", seed=0)], timeout_s=5.0, retries=0)
-        lease = table.grant(None, now=100.0)
+        lease = table.grant("w1", now=100.0)
         assert lease.deadline == pytest.approx(105.0)
         assert table.expired(now=104.99) == []
         assert table.expired(now=105.0) == [lease]
@@ -238,17 +236,17 @@ class TestLeaseTable:
         (failure,) = table.failures
         assert failure.kind == "timeout"
         assert failure.wall_clock_s == 5.0
-        # No worker to name: the fork transport's leases are anonymous.
-        assert failure.detail == {"timeout_s": 5.0}
-        assert "worker" not in failure.message
+        # Every lease names its worker.
+        assert failure.detail == {"timeout_s": 5.0, "worker": "w1"}
+        assert failure.message.endswith("on worker w1")
 
-    def test_anonymous_lease_settles_with_no_worker_provenance(self):
+    def test_lease_settles_with_its_worker_provenance(self):
         table = LeaseTable([chaos("ok", seed=0)], timeout_s=5.0, retries=0)
-        lease = table.grant(None, now=0.0)
-        # A named worker cannot settle the parent's own child's lease.
-        assert table.settle_ok(lease.lease_id, "w1", {"m": 1.0}, 0.1) is None
-        result = table.settle_ok(lease.lease_id, None, {"m": 1.0}, 0.1)
-        assert result.worker is None and result.attempts == 1
+        lease = table.grant("w1", now=0.0)
+        # Another worker cannot settle it.
+        assert table.settle_ok(lease.lease_id, "w2", {"m": 1.0}, 0.1) is None
+        result = table.settle_ok(lease.lease_id, "w1", {"m": 1.0}, 0.1)
+        assert result.worker == "w1" and result.attempts == 1
         assert table.successes == [result] and table.done
 
     def test_table_carries_attempts_across_transports(self):
@@ -261,11 +259,11 @@ class TestLeaseTable:
             "w1", "connection closed", now=1.0)
         assert action == "retry"
         table.lease_grace_s = 0.0
-        assert table.grant(None, now=1.0) is None       # backoff gate
-        retry = table.grant(None, now=1.0 + backoff)
+        assert table.grant("w2", now=1.0) is None       # backoff gate
+        retry = table.grant("w2", now=1.0 + backoff)
         assert retry.attempt == 2 and retry.task is lease.task
         assert retry.deadline == pytest.approx(1.0 + backoff + 5.0)
-        table.settle_fail(retry.lease_id, None, "crash", "boom", {}, 0.1,
+        table.settle_fail(retry.lease_id, "w2", "crash", "boom", {}, 0.1,
                           now=2.0)
         (failure,) = table.failures
         assert failure.attempts == 2
@@ -280,16 +278,16 @@ class TestLeaseTable:
 
 
 # ----------------------------------------------------------------------
-# Per-cell timeout hints (satellite: registry budgets size leases)
+# Per-cell budgets (a record's ``budget`` sizes its leases)
 # ----------------------------------------------------------------------
 
 class TestTimeoutHints:
     def test_many_flows_declares_its_own_budget(self):
         big = Cell.make("many_flows", flows=1000, seed=0)
         small = Cell.make("many_flows", flows=10, seed=0)
-        assert timeout_hint(big) == pytest.approx(1200.0)
+        assert cell_budget(big, 1.0) == pytest.approx(1200.0)
         assert cell_budget(big, 120.0) == pytest.approx(1200.0)
-        # Hints only widen: the quick cell keeps the sweep deadline.
+        # Budgets only widen: the quick cell keeps the sweep deadline.
         assert cell_budget(small, 120.0) == 180.0
         assert cell_budget(big, None) is None
 
@@ -305,19 +303,14 @@ class TestTimeoutHints:
         assert lease.deadline == pytest.approx(1202.0)
 
     def test_runtime_registration_round_trip(self):
-        from repro.harness.registry import (
-            _TIMEOUT_HINTS,
-            register_experiment,
-            unregister_experiment,
-        )
+        from repro.harness.registry import RECORDS
 
-        register_experiment("hintx", lambda seed: {"m": 0.0})
-        register_timeout_hint("hintx", 77.0)
+        register_experiment("hintx", lambda seed: {"m": 0.0}, budget=77.0)
         try:
             assert cell_budget(Cell.make("hintx", seed=0), 10.0) == 77.0
         finally:
             unregister_experiment("hintx")
-        assert "hintx" not in _TIMEOUT_HINTS  # unregister cleans hints
+        assert "hintx" not in RECORDS  # unregister drops the whole record
 
     @pytest.mark.parametrize("hint, match", [
         (lambda params: 1 / 0, "raised ZeroDivisionError"),
@@ -328,16 +321,10 @@ class TestTimeoutHints:
     ])
     def test_bad_hints_raise_a_clear_error_naming_the_experiment(
             self, hint, match):
-        # A raising / negative / NaN hint used to pass through
+        # A raising / negative / NaN budget used to pass through
         # unvalidated and crash the supervisor or dist master
         # mid-sweep; now it's a typed ReproError at use time.
-        from repro.harness.registry import (
-            register_experiment,
-            unregister_experiment,
-        )
-
-        register_experiment("badhint", lambda seed: {"m": 0.0})
-        register_timeout_hint("badhint", hint)
+        register_experiment("badhint", lambda seed: {"m": 0.0}, budget=hint)
         cell = Cell.make("badhint", seed=0)
         try:
             with pytest.raises(ReproError, match=match) as excinfo:
@@ -347,13 +334,8 @@ class TestTimeoutHints:
             unregister_experiment("badhint")
 
     def test_bad_hint_fails_fast_when_building_the_lease_table(self):
-        from repro.harness.registry import (
-            register_experiment,
-            unregister_experiment,
-        )
-
-        register_experiment("badhint2", lambda seed: {"m": 0.0})
-        register_timeout_hint("badhint2", lambda params: float("nan"))
+        register_experiment("badhint2", lambda seed: {"m": 0.0},
+                            budget=lambda params: float("nan"))
         try:
             with pytest.raises(ReproError, match="badhint2"):
                 LeaseTable([Cell.make("badhint2", seed=0)],

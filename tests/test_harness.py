@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
 from repro.harness import (
     Cell,
@@ -327,18 +328,18 @@ class TestCheck:
     def test_identical_documents_pass(self, tmp_path, capsys):
         results = self._write(tmp_path, "r.json", _document())
         expected = self._write(tmp_path, "e.json", _document())
-        assert check.main([results, expected]) == 0
+        assert main(["check", results, expected]) == 0
         assert "OK" in capsys.readouterr().out
 
     def test_within_tolerance_passes(self, tmp_path):
         results = self._write(tmp_path, "r.json", _document(metric=110.0))
         expected = self._write(tmp_path, "e.json", _document(metric=100.0))
-        assert check.main([results, expected, "--tolerance", "0.15"]) == 0
+        assert main(["check", results, expected, "--tolerance", "0.15"]) == 0
 
     def test_drift_fails(self, tmp_path, capsys):
         results = self._write(tmp_path, "r.json", _document(metric=130.0))
         expected = self._write(tmp_path, "e.json", _document(metric=100.0))
-        assert check.main([results, expected, "--tolerance", "0.15"]) == 1
+        assert main(["check", results, expected, "--tolerance", "0.15"]) == 1
         assert "throughput_kbps" in capsys.readouterr().out
 
     def test_missing_cell_fails(self, tmp_path, capsys):
@@ -346,7 +347,7 @@ class TestCheck:
         doc["cells"] = []
         results = self._write(tmp_path, "r.json", doc)
         expected = self._write(tmp_path, "e.json", _document())
-        assert check.main([results, expected]) == 1
+        assert main(["check", results, expected]) == 1
         assert "missing cell" in capsys.readouterr().out
 
     def test_extra_cell_is_noted_but_passes(self, tmp_path, capsys):
@@ -355,12 +356,12 @@ class TestCheck:
                                    key="sendbuf/cc=reno/seed=0/size_kb=99"))
         results = self._write(tmp_path, "r.json", extra)
         expected = self._write(tmp_path, "e.json", _document())
-        assert check.main([results, expected]) == 0
+        assert main(["check", results, expected]) == 0
         assert "not in baseline" in capsys.readouterr().out
 
     def test_unreadable_input_exits_2(self, tmp_path):
         expected = self._write(tmp_path, "e.json", _document())
-        assert check.main([str(tmp_path / "absent.json"), expected]) == 2
+        assert main(["check", str(tmp_path / "absent.json"), expected]) == 2
 
     def test_near_zero_metrics_use_absolute_floor(self):
         # 0 expected timeouts vs 0 actual passes; vs 2 actual fails.
@@ -389,8 +390,6 @@ class TestAggregate:
 
 class TestCliRunAll:
     def test_run_all_smoke(self, tmp_path, capsys):
-        from repro.cli import main
-
         out_json = tmp_path / "results.json"
         assert main(["run-all", "--quick", "--experiments", "sendbuf",
                      "--jobs", "1", "--json", str(out_json),
@@ -403,8 +402,6 @@ class TestCliRunAll:
         assert all(c["experiment"] == "sendbuf" for c in doc["cells"])
 
     def test_list_mentions_run_all(self, capsys):
-        from repro.cli import main
-
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "run-all" in out and "telnet" in out

@@ -16,6 +16,7 @@ import re
 
 import pytest
 
+from repro.cli import main
 from repro.errors import ReproError
 from repro.harness import Cell
 from repro.harness.registry import run_cell
@@ -28,7 +29,6 @@ from repro.obs import (
     observing,
     render_report,
 )
-from repro.obs import report as report_mod
 from repro.sim import observers
 
 from helpers import make_pair, run_transfer
@@ -333,7 +333,7 @@ class TestReport:
         write_document(doc_path, self._doc())
         tel = tmp_path / "t.jsonl"
         tel.write_text(json.dumps({"event": "gauge", "ts": 1.0}) + "\n")
-        assert report_mod.main([doc_path, "--telemetry", str(tel)]) == 0
+        assert main(["report", doc_path, "--telemetry", str(tel)]) == 0
         assert "# repro run report" in capsys.readouterr().out
 
     def test_main_exits_2_on_schema_errors(self, tmp_path, capsys):
@@ -343,8 +343,8 @@ class TestReport:
         write_document(doc_path, self._doc())
         bad = tmp_path / "bad.jsonl"
         bad.write_text("not json\n")
-        assert report_mod.main([doc_path, "--telemetry", str(bad)]) == 2
-        assert report_mod.main([str(tmp_path / "absent.json")]) == 2
+        assert main(["report", doc_path, "--telemetry", str(bad)]) == 2
+        assert main(["report", str(tmp_path / "absent.json")]) == 2
 
     def test_main_writes_out_file(self, tmp_path):
         from repro.harness.artifacts import write_document
@@ -352,7 +352,7 @@ class TestReport:
         doc_path = str(tmp_path / "r.json")
         write_document(doc_path, self._doc())
         out = tmp_path / "report.md"
-        assert report_mod.main([doc_path, "--out", str(out)]) == 0
+        assert main(["report", doc_path, "--out", str(out)]) == 0
         assert out.read_text().startswith("# repro run report")
 
 
@@ -367,7 +367,6 @@ class TestCliIntegration:
         assert "repro run report" in capsys.readouterr().out
 
     def test_check_gate_event_with_telemetry(self, tmp_path, capsys):
-        from repro.harness import check
         from repro.harness.artifacts import write_document
 
         doc = TestReport()._doc()
@@ -375,7 +374,7 @@ class TestCliIntegration:
         doc_path = str(tmp_path / "r.json")
         write_document(doc_path, doc)
         tel = str(tmp_path / "t.jsonl")
-        code = check.main([doc_path, doc_path, "--telemetry", tel])
+        code = main(["check", doc_path, doc_path, "--telemetry", tel])
         assert code == 0
         gates = [e for e in load_events(tel) if e["event"] == "gate"]
         assert len(gates) == 1

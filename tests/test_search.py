@@ -16,7 +16,7 @@ from repro.harness.artifacts import write_document
 from repro.harness.cache import ResultCache
 from repro.harness.dist.chaos import CHAOS_EXPERIMENT
 from repro.harness.options import SweepOptions
-from repro.harness.registry import Cell, family_cells
+from repro.harness.registry import Cell
 from repro.search.cells import cohort_horizon, parse_schemes
 from repro.search.driver import (
     SEARCH_SCHEMA,
@@ -347,8 +347,8 @@ class TestSearchCohort:
             assert key in metrics
 
     def test_search_family_is_selectable(self):
-        cells = family_cells("search", objective="vegas_regret",
-                             count=3, seed=0, quick=True)
+        cells = family_preview_cells("vegas_regret", count=3, seed=0,
+                                     quick=True)
         assert cells
         assert all(c.experiment == "search_cohort" for c in cells)
 

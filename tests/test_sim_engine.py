@@ -430,6 +430,31 @@ class TestSourceGuard:
                     if isinstance(node, ast.Constant)}
         assert [name for name in EXPERIMENTS if name not in literals] == []
 
+    def test_one_record_per_experiment(self):
+        """What the harness knows about an experiment is one record in
+        ``harness/registry.py``: no side table of runners, grids,
+        families, deadline hints or renderers, and every sweep
+        experiment has a grid and a renderer.  The registry stays lazy:
+        importing it loads no package its runners and renderers use."""
+        from repro.harness.registry import EXPERIMENTS, RECORDS
+
+        assert self._matches(
+            r"\b(_RUNNERS|_GRIDS|_FAMILIES|_TIMEOUT_HINTS|_AGGREGATORS|"
+            r"register_timeout_hint|family_cells)\b") == []
+        assert [name for name in EXPERIMENTS
+                if name not in RECORDS or RECORDS[name].grid is None
+                or RECORDS[name].render is None] == []
+        code = ("import sys, repro.harness\n"
+                "print(sorted(name for name in sys.modules if name.startswith("
+                "('repro.experiments', 'repro.arena', 'repro.search', "
+                "'repro.trafficgen'))))")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
+
     def test_the_engine_loads_no_instrument(self):
         """Fresh interpreter: the simulator core stands without the
         packages that watch it."""

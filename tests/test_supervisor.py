@@ -33,7 +33,6 @@ from repro.harness import (
     unregister_experiment,
     write_document,
 )
-from repro.harness import check
 from repro.harness.runner import storage_key
 from repro.harness.supervisor import classify_error
 from repro.sim import LivenessWatchdog, Simulator, observers, watching
@@ -427,7 +426,7 @@ class TestFailureManifest:
     def test_check_exit_3_on_failed_baseline_cell(self, tmp_path, capsys):
         results = self._write(tmp_path, "r.json", _failure_doc(_base_doc()))
         expected = self._write(tmp_path, "e.json", _base_doc())
-        assert check.main([results, expected]) == 3
+        assert cli.main(["check", results, expected]) == 3
         out = capsys.readouterr().out
         assert "failed cell" in out and "[timeout]" in out
         # Quarantined cells are reported once, not again as missing.
@@ -436,7 +435,7 @@ class TestFailureManifest:
     def test_check_exit_1_on_plain_drift(self, tmp_path):
         results = self._write(tmp_path, "r.json", _base_doc(metric=200.0))
         expected = self._write(tmp_path, "e.json", _base_doc(metric=100.0))
-        assert check.main([results, expected, "--tolerance", "0.15"]) == 1
+        assert cli.main(["check", results, expected, "--tolerance", "0.15"]) == 1
 
     def test_check_failures_dominate_drift(self, tmp_path):
         results_doc = _failure_doc(_base_doc())
@@ -447,7 +446,7 @@ class TestFailureManifest:
             dict(expected_doc["cells"][0], key="other/seed=0"))
         results = self._write(tmp_path, "r.json", results_doc)
         expected = self._write(tmp_path, "e.json", expected_doc)
-        assert check.main([results, expected]) == 3
+        assert cli.main(["check", results, expected]) == 3
 
     def test_non_baseline_failures_do_not_gate(self, tmp_path):
         # A quarantined cell outside the baseline (new experiment) is
@@ -457,7 +456,7 @@ class TestFailureManifest:
             _base_doc(), key="newexp/seed=0")["failures"]
         results = self._write(tmp_path, "r.json", results_doc)
         expected = self._write(tmp_path, "e.json", _base_doc())
-        assert check.main([results, expected]) == 0
+        assert cli.main(["check", results, expected]) == 0
 
 
 # ----------------------------------------------------------------------
