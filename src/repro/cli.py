@@ -10,9 +10,8 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
     python -m repro sendbuf | fairness | twoway | telnet
     python -m repro run-all --quick --jobs 4 --json results.json
     python -m repro run-all --only table4/proto=reno/seed=0 --no-timeout
-    python -m repro dist run --quick --journal run.journal --json r.json
+    python -m repro run-all --quick --backend dist --workers 4 --json r.json
     python -m repro dist worker --connect 127.0.0.1:7077
-    python -m repro dist journal run.journal
     python -m repro arena --quick --json arena.json --out league.md
     python -m repro traces --scenario lte --seed 0
     python -m repro search --objective vegas_regret --quick --budget 6

@@ -26,8 +26,10 @@ def print_list(args) -> int:
 
 def print_solo(args) -> int:
     from repro.experiments.transfers import run_solo_transfer
+    from repro.harness.options import require_at_least
     from repro.units import kb
 
+    require_at_least("--size-kb", args.size_kb, 1)
     result = run_solo_transfer(args.cc, size=kb(args.size_kb),
                                buffers=args.buffers, seed=args.seed)
     print(f"{args.cc}: {result.throughput_kbps:.1f} KB/s, "

@@ -15,10 +15,11 @@ through one pipeline:
   (``timeout_s=None``: serial, raw exceptions, for debugging one
   cell) or on **socket workers** under the master, which is what both
   ``--jobs N`` (N workers the master forks) and ``--backend dist``
-  (journal, resume, attached workers) mean.  Results are bit-identical
+  (a bind address, attached workers) mean.  Results are bit-identical
   whichever way, because each cell builds its own
   :class:`~repro.sim.engine.Simulator` from its own seed; each is
-  written to the cache as it settles.
+  written to the cache as it settles, which is how a killed sweep
+  resumes: re-run it.
 - :mod:`repro.harness.lease` — the **one policy**:
   :class:`~repro.harness.lease.LeaseTable` owns attempts, the
   deterministic retry backoff, per-cell deadlines, stale-result
@@ -35,8 +36,8 @@ through one pipeline:
 - :mod:`repro.harness.artifacts` — schema-versioned JSON documents of
   every cell's metrics.
 - :mod:`repro.harness.dist` — the transport: a ``selectors`` master,
-  worker processes speaking line-JSON, heartbeats, journal + resume,
-  and degradation to workers of its own when none is reachable.
+  worker processes speaking line-JSON, heartbeats, attach, and
+  degradation to workers of its own when none is reachable.
 - :mod:`repro.harness.check` — the regression gate CI runs against
   ``baselines/expected.json``.
 - :mod:`repro.harness.aggregate` — folds cells into the paper-style

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Optional
 
 from repro.errors import ReproError
 
@@ -135,11 +135,38 @@ def load_json(path: str, what: str, schema: str) -> Dict[str, Any]:
     return doc
 
 
+def _cell_problem(cell: Any) -> Optional[str]:
+    """What makes *cell* unusable by a reader, or ``None``."""
+    if not isinstance(cell, dict):
+        return "is not an object"
+    if not isinstance(cell.get("key"), str):
+        return "has no string 'key'"
+    metrics = cell.get("metrics")
+    if not isinstance(metrics, dict):
+        return "has no 'metrics' object"
+    for name, value in metrics.items():
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            return f"has a non-numeric metric {name!r}: {value!r}"
+    return None
+
+
 def load_document(path: str) -> Dict[str, Any]:
-    """Load and validate an artifact written by :func:`write_document`."""
+    """Load and validate an artifact written by :func:`write_document`.
+
+    Every cell must be an object with a string ``key`` and a
+    ``metrics`` object of numbers: a reader compares and renders them
+    without checking again.
+    """
     doc = load_json(path, "harness artifact", SCHEMA_VERSION)
     if not isinstance(doc.get("cells"), list):
         raise ReproError(f"{path!r}: artifact has no cells array")
-    if not isinstance(doc.get("failures", []), list):
-        raise ReproError(f"{path!r}: artifact failures section is not a list")
+    for index, cell in enumerate(doc["cells"]):
+        problem = _cell_problem(cell)
+        if problem is not None:
+            raise ReproError(f"{path!r}: cell {index} {problem}")
+    failures = doc.get("failures", [])
+    if not (isinstance(failures, list)
+            and all(isinstance(f, dict) for f in failures)):
+        raise ReproError(f"{path!r}: artifact failures section is not a "
+                         "list of objects")
     return doc

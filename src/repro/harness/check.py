@@ -21,8 +21,10 @@ completion at all — so CI can route them to different owners.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List
 
+from repro.errors import ReproError
 from repro.harness.artifacts import load_document
 
 
@@ -104,6 +106,10 @@ def configure_parser(sub) -> None:
 
 
 def run(args) -> int:
+    if not math.isfinite(args.tolerance) or args.tolerance < 0:
+        # NaN would flag every metric, inf pass any, a negative all.
+        raise ReproError(f"--tolerance must be a finite number >= 0, "
+                         f"got {args.tolerance}")
     results = load_document(args.results)
     expected = load_document(args.expected)
 

@@ -1,13 +1,15 @@
-"""The ``run-all`` and ``dist {run,worker,journal}`` commands.
+"""The ``run-all`` and ``dist worker`` commands.
 
 ``run-all`` sweeps every experiment's registered cell grid through
-:func:`repro.harness.runner.run_cells`; ``dist run`` is the same verb
-with ``--backend dist`` preset.  The sweep flags are declared in
+:func:`repro.harness.runner.run_cells`; ``--backend dist`` runs it on
+the distributed master, and ``dist worker`` attaches a worker process
+to such a master.  The sweep flags are declared in
 :mod:`repro.harness.options` (see README, "Sweep options").
 
 Exit codes: 0 = every cell completed, 1 = invariant violations
 collected, 2 = bad flags/selection, 3 = cells quarantined, 130 =
-interrupted (partial artifact flushed).
+interrupted (partial artifact flushed; completed cells are cached, so
+re-running the same command executes only the rest).
 """
 
 from __future__ import annotations
@@ -15,7 +17,13 @@ from __future__ import annotations
 from repro.harness import options
 
 
-def _add_run_all_arguments(cmd) -> None:
+def configure_parser(sub) -> None:
+    """Attach ``run-all`` and ``dist`` to *sub* (a subparsers action)."""
+    from repro.harness.dist import worker
+
+    cmd = sub.add_parser(
+        "run-all",
+        help="run every experiment's cell grid in parallel, with caching")
     cmd.add_argument("--quick", action="store_true",
                      help="reduced grids (the CI smoke configuration)")
     cmd.add_argument("--experiments", metavar="A,B,...",
@@ -27,34 +35,12 @@ def _add_run_all_arguments(cmd) -> None:
     options.add_sweep_options(cmd)
     options.add_single_sweep_options(cmd)
     cmd.set_defaults(fn=run_all)
-
-
-def configure_parser(sub) -> None:
-    """Attach ``run-all`` and ``dist`` to *sub* (a subparsers action)."""
-    from repro.harness.dist import worker
-
-    _add_run_all_arguments(sub.add_parser(
-        "run-all",
-        help="run every experiment's cell grid in parallel, with caching"))
     dist = sub.add_parser(
         "dist",
-        help="distributed sweep backend: run a sweep across worker "
-             "processes, attach a worker, or inspect a run journal")
-    dist_sub = dist.add_subparsers(dest="dist_command", required=True)
-    dist_run = dist_sub.add_parser(
-        "run",
-        help="run-all on the distributed backend "
-             "(shorthand for `run-all --backend dist`)")
-    _add_run_all_arguments(dist_run)
-    dist_run.set_defaults(backend="dist")
-    worker.configure_parser(dist_sub)
-    journal = dist_sub.add_parser(
-        "journal",
-        help="summarize a dist run journal: settled results, "
-             "quarantines, resumability")
-    journal.add_argument("journal", help="journal file from "
-                                         "`dist run --journal`")
-    journal.set_defaults(fn=show_journal)
+        help="distributed sweep backend: attach a worker process to a "
+             "listening `run-all --backend dist` master")
+    worker.configure_parser(dist.add_subparsers(dest="dist_command",
+                                                required=True))
 
 
 def run_all(args) -> int:
@@ -85,18 +71,3 @@ def run_all(args) -> int:
     print(f"cell fingerprint: {artifacts.cells_fingerprint(doc)}")
     return opts.finish(report)
 
-
-def show_journal(args) -> int:
-    from repro.harness.dist import journal
-
-    state = journal.replay(args.journal)
-    torn = " (torn trailing line dropped)" if state.truncated else ""
-    print(f"journal: {args.journal}")
-    print(f"records: {state.records}{torn}")
-    print(f"src hash: {state.src_hash}")
-    print(f"results: {len(state.results)}")
-    print(f"quarantined: {len(state.failures)}")
-    for key, failure in sorted(state.failures.items()):
-        print(f"  {key} [{failure.get('kind')}] after "
-              f"{failure.get('attempts')} attempt(s)")
-    return 0

@@ -5,27 +5,26 @@ it (so they know every experiment it knows) or attached over a socket
 as fresh interpreters (``--preload`` tells those what to import) — with
 robustness as the design driver.  It is the *only* transport:
 ``--jobs N`` is this master with N forked workers, ``--backend dist``
-the same master with a journal and an address.  What a lease, a retry
-or a quarantine means is decided by
-:class:`repro.harness.lease.LeaseTable`.
+the same master with an address others can attach to.  What a lease, a
+retry or a quarantine means is decided by
+:class:`repro.harness.lease.LeaseTable`.  There is no run journal:
+results go to the result cache as they settle, so resuming a killed
+sweep is re-running it.
 
 * :mod:`~repro.harness.dist.protocol` — the newline-delimited JSON
   wire format (versioned; ``hello``/``heartbeat``/``grant``/``result``/
   ``fail``/``shutdown``);
-* :mod:`~repro.harness.dist.journal` — the append-only run journal
-  behind ``--resume``;
 * :mod:`~repro.harness.dist.master` — the event-driven ``selectors``
   master (:func:`~repro.harness.dist.master.run_distributed`);
 * :mod:`~repro.harness.dist.worker` — the expendable worker process;
 * :mod:`~repro.harness.dist.chaos` — adversarial cells used by the
   failure-mode tests and the CI smoke job.
 
-Entry points: ``python -m repro run-all --backend dist --workers N``
-(or ``python -m repro dist run``), and ``python -m repro dist worker
---connect HOST:PORT`` to attach extra workers to a listening master.
+Entry points: ``python -m repro run-all --backend dist --workers N``,
+and ``python -m repro dist worker --connect HOST:PORT`` to attach extra
+workers to a listening master.
 """
 
-from repro.harness.dist.journal import JournalState, RunJournal, replay
 from repro.harness.dist.master import run_distributed
 from repro.harness.dist.protocol import (
     PROTOCOL_VERSION,
@@ -33,10 +32,7 @@ from repro.harness.dist.protocol import (
 )
 
 __all__ = [
-    "JournalState",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "RunJournal",
-    "replay",
     "run_distributed",
 ]

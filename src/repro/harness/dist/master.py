@@ -3,10 +3,10 @@
 :func:`run_distributed` takes pending cells and returns ``(successes,
 failures, interrupted)``; it is how ``run_cells`` executes anything
 under a deadline.  ``--jobs N`` (``backend="local"``) is N workers the
-master forks, no journal, no lease grace; ``--backend dist`` adds the
-journal, ``--resume``, a bind address and attached workers.  Cells move
-to worker *processes* speaking the :mod:`~repro.harness.dist.protocol`
-wire format over TCP.  Robustness is the design driver:
+master forks, no lease grace; ``--backend dist`` adds a bind address,
+attached workers and a lease grace.  Cells move to worker *processes*
+speaking the :mod:`~repro.harness.dist.protocol` wire format over TCP.
+Robustness is the design driver:
 
 * work moves only as **leases** (:mod:`repro.harness.lease`): every
   grant has a deadline sized from the cell's budget, expiry re-queues
@@ -21,10 +21,10 @@ wire format over TCP.  Robustness is the design driver:
   cell's ``retries`` already bound how often it can happen.  Only
   workers that die idle or before ``hello`` spend the **respawn
   budget**;
-* every decision is appended to a **journal**
-  (:mod:`~repro.harness.dist.journal`), so a killed master can be
-  resumed: replay serves the settled cells and only the remainder
-  executes;
+* every decision is a **telemetry** event (``dist.*``, ``cell.retry``,
+  ``cell.quarantine``) when a sink is armed; a settled result is handed
+  to ``on_result`` first, which is how ``run_cells`` writes it to the
+  cache — so re-running a killed sweep executes only the remainder;
 * ``SIGINT``/``SIGTERM`` **drain**: stop granting, shut workers down,
   keep everything settled, report ``interrupted=True``;
 * **zero reachable workers degrades**: nobody attached inside the
@@ -59,7 +59,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.harness.dist import protocol, worker as worker_mod
-from repro.harness.dist.journal import RunJournal, replay
 from repro.harness.lease import (
     DEFAULT_BACKOFF_BASE,
     DEFAULT_RETRIES,
@@ -114,7 +113,7 @@ class _Worker:
 
 
 def _ignore(*args: Any, **fields: Any) -> None:
-    """Stands in for an absent telemetry sink, journal or progress."""
+    """Stands in for an absent telemetry sink or progress."""
 
 
 class _Master:
@@ -122,7 +121,6 @@ class _Master:
 
     def __init__(self, table: LeaseTable, *, workers: int, jobs: int,
                  bind: str, grant_config: Dict[str, Any], sink,
-                 journal: Optional[RunJournal],
                  progress: Optional[Callable[[str], None]],
                  on_result: Optional[Callable[[CellResult], None]],
                  heartbeat_interval_s: float, heartbeat_misses: int,
@@ -136,7 +134,6 @@ class _Master:
         self.sink = sink
         self.progress = progress
         self._emit = sink.emit if sink is not None else _ignore
-        self._rec = journal.record if journal is not None else _ignore
         self._say = progress or _ignore
         self.on_result = on_result
         self.heartbeat_interval_s = heartbeat_interval_s
@@ -239,7 +236,6 @@ class _Master:
                     worker.worker_id, reason, now):
                 self._note_failed_attempt(lease.task, outcome, lease.worker)
         self._emit("dist.worker.lost", worker=worker.worker_id, reason=reason)
-        self._rec("worker.lost", worker=worker.worker_id, reason=reason)
         self._say(f"worker {worker.worker_id} lost ({reason})")
         self._close(worker)
         proc = self.procs.pop(worker.worker_id, None)
@@ -250,13 +246,7 @@ class _Master:
 
     def _note_failed_attempt(self, task: Task, outcome: Outcome,
                              worker: str) -> None:
-        """Journal + announce one attempt the fail/expire/revoke paths
-        settled."""
-        entry = task.attempt_log[-1]
-        self._rec("attempt", key=task.key, kind=entry["kind"],
-                  attempt=entry["attempt"], message=entry["message"])
-        if outcome[0] == "quarantine":
-            self._rec("quarantine", failure=self.table.failures[-1].as_dict())
+        """Announce one attempt the fail/expire/revoke paths settled."""
         note_failed_attempt(task, outcome, sink=self.sink,
                             progress=self.progress, worker=worker)
 
@@ -343,7 +333,6 @@ class _Master:
         self.workers[worker_id] = conn
         self.ever_connected = True
         self._emit("dist.worker.join", worker=worker_id)
-        self._rec("worker.join", worker=worker_id)
 
     def _on_result(self, worker: _Worker, message: Dict[str, Any]) -> None:
         if worker.lease_id == message.get("lease_id"):
@@ -358,9 +347,6 @@ class _Master:
         self.results_seen += 1
         if self.on_result is not None:
             self.on_result(result)     # before anyone is told: write-through
-        self._rec("result", key=result.key, metrics=result.metrics,
-                  wall_clock_s=result.wall_clock_s, worker=result.worker,
-                  attempts=result.attempts, attempt_log=result.attempt_log)
         self._say(result.settled_line())
         self._maybe_chaos_kill()
 
@@ -389,7 +375,6 @@ class _Master:
         victim = next((w for w in victims if w.lease_id), victims[0])
         self._chaos_fired = True
         self._emit("dist.chaos.kill", worker=victim.worker_id)
-        self._rec("chaos.kill", worker=victim.worker_id)
         self._say(f"chaos: SIGKILL worker {victim.worker_id}")
         # The master's own kill: the cell did nothing, so worker-lost.
         self._drop_worker(victim, "chaos kill")
@@ -433,9 +418,6 @@ class _Master:
             self._emit("dist.lease.grant", cell=lease.task.key,
                        worker=worker.worker_id, lease=lease.lease_id,
                        attempt=lease.attempt, budget_s=lease.budget_s)
-            self._rec("grant", key=lease.task.key, lease=lease.lease_id,
-                      worker=worker.worker_id, attempt=lease.attempt,
-                      budget_s=lease.budget_s)
 
     def _check_degrade(self, now: float) -> None:
         if self.workers or self._alive_local() or self.table.done:
@@ -453,7 +435,6 @@ class _Master:
         self._say(f"warning: no reachable dist workers — degrading "
                   f"{remaining} cells to {self.jobs} local workers")
         self._emit("dist.degrade", remaining=remaining)
-        self._rec("degrade", remaining=remaining)
         self.target_workers = self.jobs
         self.respawns_left = 2 * self.jobs
         for _ in range(self.jobs):
@@ -543,22 +524,6 @@ def _grant_config(checks: Any, faults: Any, watchdog: Any,
             "watchdog": watchdog_spec, "telemetry": telemetry}
 
 
-def _replayed_records(cells: Sequence[Cell], state
-                      ) -> Tuple[List[CellResult], List[FailureRecord],
-                                 List[Cell]]:
-    """Split *cells* into journal-served records and the remainder;
-    the journal keeps both kinds of record field for field."""
-    successes, failures, remainder = [], [], []
-    for cell in cells:
-        if cell.key in state.results:
-            successes.append(CellResult(cell=cell, **state.results[cell.key]))
-        elif cell.key in state.failures:
-            failures.append(FailureRecord(**state.failures[cell.key]))
-        else:
-            remainder.append(cell)
-    return successes, failures, remainder
-
-
 def run_distributed(cells: Sequence[Cell],
                     timeout_s: Optional[float] = None,
                     retries: int = DEFAULT_RETRIES,
@@ -568,8 +533,6 @@ def run_distributed(cells: Sequence[Cell],
                     progress: Optional[Callable[[str], None]] = None,
                     telemetry: Optional[str] = None,
                     workers: int = 2, bind: str = "127.0.0.1:0",
-                    journal: Optional[str] = None, resume: bool = False,
-                    src_hash: Optional[str] = None,
                     heartbeat_interval_s: float =
                     protocol.DEFAULT_HEARTBEAT_INTERVAL_S,
                     heartbeat_misses: int = protocol.DEFAULT_HEARTBEAT_MISSES,
@@ -589,79 +552,41 @@ def run_distributed(cells: Sequence[Cell],
     are forked (0 = attach only: listen on ``bind`` and wait
     ``connect_timeout_s`` for ``python -m repro dist worker`` peers).
     ``preload`` modules are imported by a local worker first, which
-    matters only where it cannot be forked.  With ``journal`` set every
-    decision is logged; ``resume=True`` replays an existing journal
-    first and executes only the remainder.  ``on_result`` is called
-    with each result the moment it settles (replayed ones included),
-    before it is journalled or announced — ``run_cells`` writes the
-    cache through it.  If no worker is reachable (or the respawn budget
-    is spent) the master forks ``jobs`` local workers (``None`` =
-    ``os.cpu_count()``) onto the same lease table rather than stranding
-    the sweep.  With nothing pending, no socket is bound and nothing is
-    forked.
+    matters only where it cannot be forked.  ``on_result`` is called
+    with each result the moment it settles, before it is announced —
+    ``run_cells`` writes the cache through it, which is what lets a
+    killed sweep be re-run for only its remainder.  If no worker is
+    reachable (or the respawn budget is spent) the master forks
+    ``jobs`` local workers (``None`` = ``os.cpu_count()``) onto the
+    same lease table rather than stranding the sweep.  With nothing
+    pending, no socket is bound and nothing is forked.
     """
     if workers < 0:
         raise ValueError(f"workers must be >= 0, got {workers}")
-    replayed_ok: List[CellResult] = []
-    replayed_fail: List[FailureRecord] = []
-    pending = list(cells)
-    if resume:
-        if journal is None:
-            raise ReproError("--resume requires --journal (the run to "
-                             "resume is identified by its journal file)")
-        if not os.path.exists(journal):
-            raise ReproError(f"cannot resume: journal {journal!r} "
-                             "does not exist")
-        state = replay(journal, src_hash=src_hash)
-        replayed_ok, replayed_fail, pending = _replayed_records(
-            pending, state)
-        if on_result is not None:
-            for result in replayed_ok:
-                on_result(result)
-        if progress is not None:
-            progress(f"resume: {len(replayed_ok)} results and "
-                     f"{len(replayed_fail)} quarantines replayed from "
-                     f"journal, {len(pending)} cells remain")
-
     sink = None
     if telemetry is not None:
         from repro.obs.events import TelemetrySink
 
         sink = TelemetrySink(telemetry, run_id="dist")
-    journal_file = (RunJournal(journal, resume=resume)
-                    if journal is not None else None)
-    table = LeaseTable(pending, timeout_s=timeout_s, retries=retries,
+    table = LeaseTable(cells, timeout_s=timeout_s, retries=retries,
                        backoff_base=backoff_base,
                        lease_grace_s=lease_grace_s)
     master = _Master(
         table, workers=workers, jobs=jobs or os.cpu_count() or 1, bind=bind,
         grant_config=_grant_config(checks, faults, watchdog, telemetry),
-        sink=sink, journal=journal_file, progress=progress,
-        on_result=on_result,
+        sink=sink, progress=progress, on_result=on_result,
         heartbeat_interval_s=heartbeat_interval_s,
         heartbeat_misses=heartbeat_misses, preload=preload,
         connect_timeout_s=connect_timeout_s,
         chaos_kill_after=chaos_kill_after)
-    if resume:
-        master._rec("run.resume", replayed=len(replayed_ok),
-                    remaining=len(pending))
-    else:
-        master._rec("run.start", src_hash=src_hash, cells=len(pending),
-                    workers=workers, timeout_s=timeout_s, retries=retries)
 
-    interrupted = master.run() if pending else False
-    successes = replayed_ok + table.successes
-    failures = replayed_fail + table.failures
+    interrupted = master.run() if cells else False
     if sink is not None:
-        sink.emit("dist.end", ok=len(successes), failed=len(failures),
-                  interrupted=interrupted,
+        sink.emit("dist.end", ok=len(table.successes),
+                  failed=len(table.failures), interrupted=interrupted,
                   expired_leases=table.expired_leases,
                   stale_results=table.stale_results,
                   workers_lost=master.workers_lost,
                   respawns=master.respawned)
         sink.close()
-    master._rec("run.end", ok=len(successes), failed=len(failures),
-                interrupted=interrupted)
-    if journal_file is not None:
-        journal_file.close()
-    return successes, failures, interrupted
+    return table.successes, table.failures, interrupted

@@ -3,7 +3,7 @@
 Masters and workers speak newline-delimited JSON over a byte stream
 (a TCP socket in practice): one message per line, every message a flat
 object carrying a ``type`` field.  The format is deliberately boring —
-debuggable with ``nc`` and greppable in a journal — and versioned so a
+debuggable with ``nc`` and greppable in a capture — and versioned so a
 stale worker from an older checkout is rejected at handshake instead
 of corrupting a sweep.
 

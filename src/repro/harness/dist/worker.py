@@ -17,9 +17,9 @@ exits; a result it could not deliver is recomputed elsewhere.
 
 The master's local workers are forks of it (where the platform forks):
 they inherit its loaded modules and every runtime-registered
-experiment, and before serving they close whatever
-else came along — listening socket, sibling connections, journal and
-telemetry handles — so a dead peer still reads as EOF to the rest.  A
+experiment, and before serving they close whatever else came along —
+listening socket, sibling connections, the telemetry handle — so a
+dead peer still reads as EOF to the rest.  A
 worker attached from outside (or started where there is no ``fork``)
 is a fresh interpreter and knows only what it imports: ``--preload
 mod`` is how :mod:`repro.harness.dist.chaos` and extension experiments
@@ -127,8 +127,8 @@ def configure_parser(sub) -> None:
     """Attach the ``worker`` subparser to *sub* (``repro dist``'s)."""
     parser = sub.add_parser("worker", help=HELP)
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="master address (a `dist run --workers 0 "
-                        "--bind ...` master prints it)")
+                        help="master address (a `run-all --backend dist "
+                        "--workers 0 --bind ...` master prints it)")
     parser.add_argument("--worker-id", default=None,
                         help="identity announced to the master "
                         "(default: pid-derived)")

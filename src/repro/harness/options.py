@@ -1,9 +1,9 @@
 """The front door of a sweep: one option table, one validator, one epilogue.
 
-``run-all``, ``dist run``, ``arena`` and ``search`` all end in the same
-call — :func:`repro.harness.runner.run_cells` — so they share one
-declaration of the flags that steer it (:func:`add_sweep_options`), one
-place those flags are checked (:func:`sweep_options`, which raises
+``run-all``, ``arena`` and ``search`` all end in the same call —
+:func:`repro.harness.runner.run_cells` — so they share one declaration
+of the flags that steer it (:func:`add_sweep_options`), one place
+those flags are checked (:func:`sweep_options`, which raises
 :class:`UsageError` before the first cell runs) and one object carrying
 the checked values (:class:`SweepOptions`).  A verb is then "build
 cells → ``opts.run(cells, progress)`` → render → ``opts.finish(report)``".
@@ -87,8 +87,8 @@ def add_sweep_options(cmd) -> None:
                      help="transport: 'local' forks --jobs workers and "
                           "feeds them cells over loopback sockets; "
                           "'dist' is the same master with --workers "
-                          "workers plus attach, journal + resume; "
-                          "timeouts, retries and quarantine are the "
+                          "workers plus --bind and attach; timeouts, "
+                          "retries, quarantine and the cache are the "
                           "same on both")
     cmd.add_argument("--workers", type=int, default=2, metavar="N",
                      help="[dist] local worker processes to spawn "
@@ -104,26 +104,16 @@ def add_sweep_options(cmd) -> None:
                           "attached workers take their own --preload)")
     # What add_single_sweep_options exposes; every verb's Namespace
     # carries the attributes so sweep_options reads one shape.
-    cmd.set_defaults(faults=None, journal=None, resume=False,
-                     chaos_kill_after=None)
+    cmd.set_defaults(faults=None, chaos_kill_after=None)
 
 
 def add_single_sweep_options(cmd) -> None:
-    """Flags of the verbs that run exactly one sweep.
-
-    A journal names one run, so ``search`` (many rounds) cannot take
-    one; it never took ``--faults`` either and gains no flag here.
-    """
+    """Flags of the verbs that run exactly one sweep (``search`` runs
+    many rounds and takes neither)."""
     cmd.add_argument("--faults", metavar="SPEC", default=None,
                      help="inject faults: a profile name "
                           "(light/heavy/flap) or 'drop=0.01,dup=...' "
                           "(see repro.faults.FaultPlan.parse)")
-    cmd.add_argument("--journal", metavar="PATH", default=None,
-                     help="[dist] append every grant/result/failure to "
-                          "this run journal; required for --resume")
-    cmd.add_argument("--resume", action="store_true",
-                     help="[dist] replay --journal and execute only the "
-                          "cells it has not settled")
     # CI fault injection: SIGKILL a busy worker after N results.
     cmd.add_argument("--chaos-kill-after", type=int, default=None,
                      help=argparse.SUPPRESS)
@@ -233,10 +223,9 @@ class SweepOptions:
                   f"{report.cache_hits + report.cache_misses} cells "
                   "settled; partial artifact and failure manifest flushed "
                   "(exit 130)", file=out)
-            journal = (self.dist_options or {}).get("journal")
-            if journal:
-                print(f"resume with: repro dist run --journal {journal} "
-                      "--resume ...", file=out)
+            if self.cache is not None:
+                print("completed cells are cached: re-running the same "
+                      "command executes only the rest", file=out)
             code = 130
         return code
 
@@ -255,10 +244,8 @@ def sweep_options(args) -> SweepOptions:
     if args.watchdog is not False and args.watchdog is not True:
         require_positive("--watchdog", args.watchdog)
     faults = registry.resolve_faults(args.faults)
-    if args.backend != "dist" and (args.journal or args.resume):
-        raise UsageError("--journal/--resume require --backend dist")
-    for flag in ("json", "telemetry", "journal"):
-        require_writable(f"--{flag}", getattr(args, flag))
+    require_writable("--json", args.json)
+    require_writable("--telemetry", args.telemetry)
 
     src_hash = cache_mod.compute_src_hash()
     cache = None
@@ -268,9 +255,7 @@ def sweep_options(args) -> SweepOptions:
     dist_options = None
     if args.backend == "dist":
         require_at_least("--workers", args.workers, 0)
-        dist_options = {"workers": args.workers, "journal": args.journal,
-                        "resume": args.resume, "src_hash": src_hash,
-                        "preload": args.preload,
+        dist_options = {"workers": args.workers, "preload": args.preload,
                         "chaos_kill_after": args.chaos_kill_after}
         if args.bind:
             dist_options["bind"] = args.bind
@@ -286,10 +271,9 @@ def counting_progress(total: int) -> Callable[[str], None]:
 
     Only lines that settle a cell advance the counter, so it ends at
     exactly *total*: retry notices and dist lifecycle notices (worker
-    loss, chaos, resume/degrade banners) are passed through uncounted.
+    loss, chaos, degrade banners) are passed through uncounted.
     """
-    informational = ("worker ", "chaos:", "resume:", "warning:",
-                     "dist master")
+    informational = ("worker ", "chaos:", "warning:", "dist master")
     done = [0]
 
     def progress(line: str) -> None:

@@ -12,7 +12,10 @@ exceptions, for debugging) or on socket workers driven by the master
 (:mod:`repro.harness.dist.master`) under one retry / deadline /
 quarantine policy, :class:`~repro.harness.lease.LeaseTable`.
 ``backend`` only picks the master's settings: ``"local"`` is ``jobs``
-workers it forks itself, ``"dist"`` adds journal, resume and attach.
+workers it forks itself, ``"dist"`` adds a bind address and attach.
+Every result is written to the cache as it settles, so the cache is
+also how a killed sweep resumes: re-run it and only the cells that had
+not completed execute.
 """
 
 from __future__ import annotations
@@ -115,10 +118,10 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
       workers** under the master (:mod:`repro.harness.dist.master`),
       each cell leased with its wall-clock deadline.
       ``backend="local"`` is ``jobs`` workers forked by the master
-      (``None`` = ``os.cpu_count()``), loopback, no journal
+      (``None`` = ``os.cpu_count()``), loopback
       (:func:`~repro.harness.supervisor.local_transport`);
-      ``backend="dist"`` forwards ``dist_options`` (workers/journal/
-      resume/bind/...) to
+      ``backend="dist"`` forwards ``dist_options`` (workers/bind/
+      preload/...) to
       :func:`~repro.harness.dist.master.run_distributed`, and ``jobs``
       is only how many local workers it degrades to when none of its
       own is reachable;
@@ -131,11 +134,13 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     land in :attr:`RunReport.failures` instead of aborting the sweep
     (:class:`~repro.harness.lease.LeaseTable` is the state machine).
     A result is written to the cache the moment it settles, so a killed
-    driver keeps every cell it finished; quarantined cells are never
-    written, so partial runs cannot poison later sweeps.  Cache
-    serving, cache writing, and result ordering are identical however
-    cells ran — which is what makes local and distributed sweeps of the
-    same cells produce the same cells fingerprint.
+    driver keeps every cell it finished and re-running the same sweep
+    executes only the rest — the one way to resume; quarantined cells
+    are never written (a re-run retries them), so partial runs cannot
+    poison later sweeps.  Cache serving, cache writing, and result
+    ordering are identical however cells ran — which is what makes
+    local and distributed sweeps of the same cells produce the same
+    cells fingerprint.
 
     A ``KeyboardInterrupt`` drains instead of propagating:
     already-settled results and failures are returned with

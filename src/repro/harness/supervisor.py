@@ -12,7 +12,7 @@ raised onto the failure taxonomy:
 
 :func:`run_supervised` is what ``--jobs N`` means: the socket master
 (:mod:`repro.harness.dist.master`) with N workers it forks itself, on
-loopback, with no journal and no lease grace.  There is no second
+loopback, with no lease grace.  There is no second
 transport behind it: a hung cell's worker is killed at the deadline
 (``timeout``), a worker that dies under its cell is that cell's
 ``crash`` with the exit code, and the
@@ -102,9 +102,9 @@ def execute_cell(cell: Cell, checks: Any = False, faults: Any = None,
 
 def local_transport(jobs: int) -> Dict[str, Any]:
     """What ``--jobs N`` asks of the master: N workers it forks itself
-    (and as many again if it must degrade), default loopback bind, no
-    journal, and no lease grace — the deadline is the cell's budget, a
-    loopback hop needs no allowance."""
+    (and as many again if it must degrade), default loopback bind and
+    no lease grace — the deadline is the cell's budget, a loopback hop
+    needs no allowance."""
     return {"workers": jobs, "jobs": jobs, "lease_grace_s": 0.0}
 
 

@@ -121,12 +121,36 @@ class TelemetrySink:
         return f"TelemetrySink({self.path!r}, {state}, {self.events_written} events)"
 
 
+def _number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _malformed(record: Any) -> Optional[str]:
+    """Why ``repro report`` could not read *record*, or ``None``: the
+    fields it does arithmetic on must be numbers wherever they appear."""
+    if not isinstance(record, dict) or "event" not in record:
+        return "telemetry record has no 'event' field"
+    if not isinstance(record["event"], str):
+        return f"telemetry 'event' is not a string: {record['event']!r}"
+    for name in ("ts", "duration_s", "events_per_sec"):
+        if name in record and not _number(record[name]):
+            return f"telemetry field {name!r} is not a number: {record[name]!r}"
+    queues = record.get("queues", [])
+    if not isinstance(queues, list) or not all(
+            isinstance(q, dict) and isinstance(q.get("name"), str)
+            and _number(q.get("depth"))
+            and all(_number(q.get(f, 0)) for f in ("max_depth", "drops"))
+            for q in queues):
+        return "telemetry 'queues' is not a list of queue objects"
+    return None
+
+
 def load_events(path: str):
     """Parse a telemetry JSONL file into a list of event dicts.
 
     Raises :class:`~repro.errors.ReproError` on unreadable files or
-    malformed lines — the report CLI turns that into a non-zero exit,
-    which is what the CI smoke step gates on.
+    malformed lines — the report CLI turns that into exit 2, which is
+    what the CI smoke step gates on.
     """
     from repro.errors import ReproError
 
@@ -143,9 +167,9 @@ def load_events(path: str):
                     raise ReproError(
                         f"{path}:{lineno}: malformed telemetry line: {exc}"
                     ) from exc
-                if not isinstance(record, dict) or "event" not in record:
-                    raise ReproError(
-                        f"{path}:{lineno}: telemetry record has no 'event' field")
+                problem = _malformed(record)
+                if problem is not None:
+                    raise ReproError(f"{path}:{lineno}: {problem}")
                 events.append(record)
     except OSError as exc:
         raise ReproError(f"cannot read telemetry file {path!r}: {exc}") from exc

@@ -114,6 +114,13 @@ class TestPaperVerbs:
         assert captured.out == ""
         assert f"error: --seeds must be >= 1, got {count}" in captured.err
 
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_solo_size_below_one_is_a_usage_error(self, size, capsys):
+        assert main(["solo", "--size-kb", size]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --size-kb must be >= 1, got {size}" in captured.err
+
     def test_interrupted_verb_prints_no_table(self, monkeypatch, capsys):
         """``run_cells`` drains a Ctrl-C into the report: the cells that
         did run must not be printed as if they were the table."""
@@ -127,13 +134,12 @@ class TestPaperVerbs:
 
 
 # ----------------------------------------------------------------------
-# The four sweep verbs share one option table and one validator
-# (repro.harness.options): one case list, four verbs.
+# The three sweep verbs share one option table and one validator
+# (repro.harness.options): one case list, three verbs.
 # ----------------------------------------------------------------------
 
 SWEEP_VERBS = {
     "run-all": ["run-all", "--quick"],
-    "dist run": ["dist", "run", "--quick"],
     "arena": ["arena", "--quick"],
     "search": ["search", "--objective", "vegas_regret", "--quick"],
 }

@@ -3,10 +3,11 @@
 Covers the robustness contracts of :mod:`repro.harness.dist`: leases
 expire and re-queue, dead workers are declared ``worker-lost`` and
 their cells retried on respawned workers, stale results never settle
-(no cache poisoning), the journal replays a killed master's run, the
-drain path flushes partial results, zero reachable workers degrades to
-local workers on the same lease table and socket, a worker that dies
-under its cell is that cell's ``crash`` — and a ``--backend dist``
+(no cache poisoning), a killed sweep re-run from the cache executes
+only the cells it had not finished, the drain path flushes partial
+results, zero reachable workers degrades to local workers on the same
+lease table and socket, a worker that dies under its cell is that
+cell's ``crash`` — and a ``--backend dist``
 sweep's artifact carries the same cells fingerprint, retry schedule and
 failure records as a ``--jobs`` one, because both are this master.
 """
@@ -33,7 +34,6 @@ from repro.harness import (
     run_supervised,
 )
 from repro.harness.cache import ResultCache
-from repro.harness.dist import journal as journal_mod
 from repro.harness.dist import master as master_mod
 from repro.harness.dist import protocol
 from repro.harness.dist.chaos import CHAOS_EXPERIMENT
@@ -345,72 +345,6 @@ class TestTimeoutHints:
 
 
 # ----------------------------------------------------------------------
-# Journal + replay
-# ----------------------------------------------------------------------
-
-class TestJournal:
-    def test_write_replay_round_trip(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(path) as journal:
-            journal.record("run.start", src_hash="abc", cells=2)
-            journal.record("grant", key="k1", worker="w1")
-            journal.record("result", key="k1", metrics={"m": 1.0},
-                           wall_clock_s=0.5, worker="w1", attempts=1,
-                           attempt_log=[])
-            journal.record("quarantine",
-                           failure={"key": "k2", "experiment": "x",
-                                    "kind": "crash", "message": "boom",
-                                    "attempts": 2, "wall_clock_s": 0.1})
-        state = journal_mod.replay(path, src_hash="abc")
-        assert state.src_hash == "abc"
-        assert state.results["k1"]["metrics"] == {"m": 1.0}
-        assert state.failures["k2"]["kind"] == "crash"
-        assert state.settled == 2 and not state.truncated
-
-    def test_result_supersedes_quarantine(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(path) as journal:
-            journal.record("quarantine", failure={"key": "k1",
-                                                  "kind": "timeout"})
-            journal.record("result", key="k1", metrics={"m": 2.0})
-        state = journal_mod.replay(path)
-        assert "k1" in state.results and not state.failures
-
-    def test_torn_trailing_line_is_tolerated(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(path) as journal:
-            journal.record("run.start", src_hash="abc")
-            journal.record("result", key="k1", metrics={})
-        with open(path, "a") as handle:
-            handle.write('{"rec": "result", "key": "k2", "metr')  # torn
-        state = journal_mod.replay(path)
-        assert state.truncated and "k1" in state.results
-        assert "k2" not in state.results
-
-    def test_malformed_mid_file_raises(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        with open(path, "w") as handle:
-            handle.write("garbage line\n")
-            handle.write('{"rec": "result", "key": "k1", "metrics": {}}\n')
-        with pytest.raises(ReproError, match="malformed"):
-            journal_mod.replay(path)
-
-    def test_src_hash_mismatch_refused(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(path) as journal:
-            journal.record("run.start", src_hash="a" * 20)
-        with pytest.raises(ReproError, match="different"):
-            journal_mod.replay(path, src_hash="b" * 20)
-
-    def test_existing_journal_refused_without_resume(self, tmp_path):
-        path = str(tmp_path / "run.journal")
-        journal_mod.RunJournal(path).close()
-        with pytest.raises(ReproError, match="resume"):
-            journal_mod.RunJournal(path)
-        journal_mod.RunJournal(path, resume=True).close()  # resume appends
-
-
-# ----------------------------------------------------------------------
 # End-to-end worker-failure modes (chaos cells, real processes)
 # ----------------------------------------------------------------------
 
@@ -518,12 +452,10 @@ class TestDistExecution:
         run = master_mod._Master.run
         monkeypatch.setattr(master_mod._Master, "run",
                             lambda self: masters.append(self) or run(self))
-        journal = str(tmp_path / "run.journal")
         telemetry = str(tmp_path / "events.jsonl")
         ok, fail, interrupted = run_distributed(
             [chaos("exit", seed=0)], timeout_s=30.0, retries=3, workers=1,
-            preload=PRELOAD, jobs=1, journal=journal, telemetry=telemetry,
-            **FAST)
+            preload=PRELOAD, jobs=1, telemetry=telemetry, **FAST)
         assert not ok and not interrupted
         (failure,) = fail
         assert failure.kind == "crash" and failure.attempts == 4
@@ -531,12 +463,15 @@ class TestDistExecution:
         assert failure.detail == {"exitcode": 42}
         (master,) = masters
         assert master.respawns_left == 2 and not master.degraded
-        events = [e["event"] for e in load_events(telemetry)]
+        records = load_events(telemetry)
+        events = [e["event"] for e in records]
         assert events.count("dist.lease.grant") == 4
         assert "dist.degrade" not in events
-        state = journal_mod.replay(journal)
-        assert state.failures[failure.key]["attempts"] == 4
-        assert state.failures[failure.key]["kind"] == "crash"
+        (quarantine,) = [e for e in records
+                         if e["event"] == "cell.quarantine"]
+        assert quarantine["cell"] == failure.key
+        assert quarantine["attempts"] == 4
+        assert quarantine["kind"] == "crash"
 
     def test_more_killer_cells_than_respawn_budget_still_settle(
             self, tmp_path):
@@ -590,10 +525,9 @@ def _echo_cell(seed=0):
     return {"value": 2.0 * seed + 1.0, "square": float(seed * seed)}
 
 
-def _fd_probe_cell(journal="", telemetry="", seed=0):
+def _fd_probe_cell(telemetry="", seed=0):
     """What this worker process holds open above stdio, by kind."""
-    held = {"sockets": 0.0, "nodelay": 0.0, "journal": 0.0,
-            "telemetry": 0.0, "other": 0.0}
+    held = {"sockets": 0.0, "nodelay": 0.0, "telemetry": 0.0, "other": 0.0}
     for name in os.listdir("/proc/self/fd"):
         fd = int(name)
         if fd <= 2:
@@ -609,8 +543,6 @@ def _fd_probe_cell(journal="", telemetry="", seed=0):
                         socket.AF_INET, socket.AF_INET6):
                     held["nodelay"] += sock.getsockopt(
                         socket.IPPROTO_TCP, socket.TCP_NODELAY) and 1
-        elif target == journal:
-            held["journal"] += 1
         elif target == telemetry:
             held["telemetry"] += 1
         else:
@@ -658,16 +590,15 @@ class TestEventDrivenMaster:
     def test_forked_worker_keeps_only_stdio_and_its_own_socket(
             self, runtime_experiments, tmp_path):
         # w1 dies on the exit cell, so the probes run on w2 — a respawn,
-        # forked from inside the running loop with the journal, the
-        # telemetry sink, the listener and the selector's own
-        # descriptor all open in the master.
-        journal = str(tmp_path / "run.journal")
+        # forked from inside the running loop with the telemetry sink,
+        # the listener and the selector's own descriptor all open in
+        # the master.
         telemetry = str(tmp_path / "events.jsonl")
-        probes = [Cell.make("fdprobex", journal=journal,
-                            telemetry=telemetry, seed=s) for s in range(3)]
+        probes = [Cell.make("fdprobex", telemetry=telemetry, seed=s)
+                  for s in range(3)]
         ok, fail, _ = run_distributed(
             [chaos("exit", seed=0)] + probes, timeout_s=30.0, retries=0,
-            workers=1, journal=journal, telemetry=telemetry, **FAST)
+            workers=1, telemetry=telemetry, **FAST)
         assert [f.kind for f in fail] == ["crash"]
         assert {r.worker for r in ok} == {"w2"}
         # What the worker body itself holds on the telemetry file while
@@ -676,8 +607,8 @@ class TestEventDrivenMaster:
         own = execute_cell(probes[0], telemetry=telemetry)[1]["telemetry"]
         for record in ok:
             assert record.metrics == {
-                "sockets": 1.0, "nodelay": 1.0, "journal": 0.0,
-                "telemetry": own, "other": 0.0}
+                "sockets": 1.0, "nodelay": 1.0, "telemetry": own,
+                "other": 0.0}
 
     def test_master_side_of_the_connection_has_nodelay(self, monkeypatch):
         # Accepted sockets do not inherit it from the listener.
@@ -974,101 +905,45 @@ def test_fork_and_socket_transports_settle_a_cell_identically(
 
 
 # ----------------------------------------------------------------------
-# Master kill + resume, and SIGINT drain (the acceptance scenarios)
+# Kill + re-run (resume is a re-run: the cache), and SIGINT drain
 # ----------------------------------------------------------------------
 
-_KILL_DRIVER = """\
-import sys
-from repro.harness.registry import Cell
-from repro.harness.dist.master import run_distributed
-
-cells = [Cell.make("dist_chaos", mode="ok", delay=0.4, seed=s)
-         for s in range(8)]
-ok, fail, interrupted = run_distributed(
-    cells, timeout_s=30.0, retries=1, workers=1,
-    journal=sys.argv[1], src_hash="kill-test",
-    preload=["repro.harness.dist.chaos"],
-    heartbeat_interval_s=0.1, heartbeat_misses=4, backoff_base=0.01)
-print(f"DONE ok={len(ok)} fail={len(fail)} intr={interrupted}", flush=True)
-"""
-
-
 _CACHE_DRIVER = """\
-import sys
+import json, sys
 from repro.harness import Cell, ResultCache, run_cells
 import repro.harness.dist.chaos
 
 cells = [Cell.make("dist_chaos", mode="ok", delay=0.3, seed=s)
          for s in range(8)]
-run_cells(cells, jobs=1, timeout_s=30.0,
+run_cells(cells, timeout_s=30.0,
           cache=ResultCache(sys.argv[1], "kill-test"),
-          progress=lambda line: print("P " + line, flush=True))
+          progress=lambda line: print("P " + line, flush=True),
+          **json.loads(sys.argv[2]))
 """
 
-
-def _count_results(journal_path):
-    if not os.path.exists(journal_path):
-        return 0
-    count = 0
-    with open(journal_path) as handle:
-        for line in handle:
-            try:
-                if json.loads(line).get("rec") == "result":
-                    count += 1
-            except ValueError:
-                pass
-    return count
+#: Both ways into the master: forked ``--jobs`` workers, and the
+#: ``--backend dist`` settings.
+TRANSPORTS = {
+    "local": {"jobs": 1},
+    "dist": {"backend": "dist", "dist_options": {"workers": 1}},
+}
 
 
 @posix_only
 class TestKillAndResume:
-    def test_master_sigkill_then_resume_completes_the_run(self, tmp_path):
-        journal = str(tmp_path / "run.journal")
-        driver = tmp_path / "driver.py"
-        driver.write_text(_KILL_DRIVER)
-        proc = subprocess.Popen([sys.executable, str(driver), journal],
-                                env=_env(), stdout=subprocess.PIPE)
-        try:
-            deadline = time.monotonic() + 60.0
-            while _count_results(journal) < 2:
-                assert proc.poll() is None, "driver finished before kill"
-                assert time.monotonic() < deadline, "no results in time"
-                time.sleep(0.05)
-        finally:
-            proc.kill()
-            proc.wait()
-
-        state = journal_mod.replay(journal, src_hash="kill-test")
-        replayed = len(state.results)
-        assert 2 <= replayed < 8
-
-        cells = [chaos("ok", delay=0.4, seed=s) for s in range(8)]
-        ok, fail, interrupted = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=1,
-            journal=journal, resume=True, src_hash="kill-test",
-            preload=PRELOAD, **FAST)
-        assert not fail and not interrupted
-        assert sorted(r.key for r in ok) == sorted(c.key for c in cells)
-        # Metrics are identical whether served from the journal or
-        # recomputed — the resumed run is indistinguishable.
-        for record in ok:
-            assert record.metrics["value"] == float(
-                record.cell.as_dict()["seed"])
-        # Resuming again serves everything from the journal.
-        ok2, fail2, _ = run_distributed(
-            cells, timeout_s=30.0, retries=1, workers=1,
-            journal=journal, resume=True, src_hash="kill-test",
-            preload=PRELOAD, **FAST)
-        assert len(ok2) == 8 and not fail2
-
-    def test_killed_driver_keeps_every_cell_it_finished(self, tmp_path):
-        # No journal here: the cache is written as each cell settles,
-        # not after the transport returns, so SIGKILL loses nothing.
+    @pytest.mark.parametrize("transport", sorted(TRANSPORTS))
+    def test_killed_driver_keeps_every_cell_it_finished(self, tmp_path,
+                                                        transport):
+        # The cache is written as each cell settles, not after the
+        # transport returns, so SIGKILL loses nothing and re-running
+        # the same sweep executes only the cells that had not settled.
+        kwargs = TRANSPORTS[transport]
         cache_dir = str(tmp_path / "cache")
         driver = tmp_path / "driver.py"
         driver.write_text(_CACHE_DRIVER)
-        proc = subprocess.Popen([sys.executable, str(driver), cache_dir],
-                                env=_env(), stdout=subprocess.PIPE, text=True)
+        proc = subprocess.Popen(
+            [sys.executable, str(driver), cache_dir, json.dumps(kwargs)],
+            env=_env(), stdout=subprocess.PIPE, text=True)
         settled = []
         try:
             for line in proc.stdout:
@@ -1085,29 +960,17 @@ class TestKillAndResume:
         cached = [c.key for c in cells if cache.get(storage_key(c.key))]
         assert sorted(cached) == sorted(settled) and len(cached) == 4
         executed = []
-        report = run_cells(cells, jobs=1, timeout_s=30.0, cache=cache,
-                           progress=executed.append)
+        report = run_cells(cells, timeout_s=30.0, cache=cache,
+                           progress=executed.append, **kwargs)
         assert report.cache_hits == 4 and report.cache_misses == 4
         assert len(report.results) == 8 and not report.failures
         ran = {line.split(": ")[0] for line in executed
                if not line.endswith(": cached")}
         assert ran == {c.key for c in cells} - set(settled)
-
-    def test_resume_refuses_wrong_src_hash(self, tmp_path):
-        journal = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(journal) as handle:
-            handle.record("run.start", src_hash="other-tree")
-        with pytest.raises(ReproError, match="different"):
-            run_distributed([chaos("ok", seed=0)], timeout_s=5.0,
-                            retries=0, workers=0, journal=journal,
-                            resume=True, src_hash="this-tree")
-
-    def test_resume_requires_existing_journal(self, tmp_path):
-        with pytest.raises(ReproError, match="does not exist"):
-            run_distributed([chaos("ok", seed=0)], timeout_s=5.0,
-                            retries=0, workers=0,
-                            journal=str(tmp_path / "missing.journal"),
-                            resume=True)
+        # The resumed sweep is indistinguishable from an uninterrupted one.
+        whole = run_cells(cells, jobs=2, timeout_s=30.0)
+        assert (cells_fingerprint(build_document(report, "quick", "h"))
+                == cells_fingerprint(build_document(whole, "quick", "h")))
 
 
 _SIGINT_DRIVER = """\
@@ -1187,47 +1050,3 @@ class TestDrain:
         report = run_cells(cells, jobs=1, progress=interrupt_once)
         assert report.interrupted
         assert 1 <= len(report.results) < len(cells)
-
-
-# ----------------------------------------------------------------------
-# CLI integration
-# ----------------------------------------------------------------------
-
-class TestDistCLI:
-    def test_journal_subcommand_summarizes(self, tmp_path, capsys):
-        from repro import cli
-
-        path = str(tmp_path / "run.journal")
-        with journal_mod.RunJournal(path) as journal:
-            journal.record("run.start", src_hash="abc123" * 8)
-            journal.record("result", key="k1", metrics={"m": 1.0})
-            journal.record("quarantine",
-                           failure={"key": "k2", "kind": "worker-lost",
-                                    "attempts": 2})
-        assert cli.main(["dist", "journal", path]) == 0
-        out = capsys.readouterr().out
-        assert "results: 1" in out
-        assert "quarantined: 1" in out
-        assert "worker-lost" in out
-
-    def test_journal_subcommand_rejects_missing_file(self, tmp_path):
-        from repro import cli
-
-        assert cli.main(["dist", "journal",
-                         str(tmp_path / "nope.journal")]) == 2
-
-    def test_run_all_rejects_journal_without_dist_backend(self, capsys):
-        from repro import cli
-
-        code = cli.main(["run-all", "--quick", "--journal", "x.journal"])
-        assert code == 2
-        assert "--backend dist" in capsys.readouterr().err
-
-    def test_dist_run_resume_without_journal_is_an_error(self, capsys):
-        from repro import cli
-
-        code = cli.main(["dist", "run", "--quick",
-                         "--experiments", "figure6", "--no-cache",
-                         "--resume"])
-        assert code == 2
-        assert "--resume requires --journal" in capsys.readouterr().err

@@ -363,6 +363,39 @@ class TestCheck:
         expected = self._write(tmp_path, "e.json", _document())
         assert main(["check", str(tmp_path / "absent.json"), expected]) == 2
 
+    @pytest.mark.parametrize("cells,problem", [
+        ([{"metrics": {"x": 1.0}}], "cell 0 has no string 'key'"),
+        ([1], "cell 0 is not an object"),
+        ([{"key": "k", "metrics": {"x": "abc"}}],
+         "cell 0 has a non-numeric metric 'x': 'abc'"),
+        ([{"key": "k", "metrics": {"x": None}}],
+         "cell 0 has a non-numeric metric 'x': None"),
+        ([{"key": "k", "metrics": {"x": True}}],
+         "cell 0 has a non-numeric metric 'x': True"),
+        ([{"key": "k", "metrics": "x"}], "cell 0 has no 'metrics' object"),
+    ], ids=["no-key", "not-an-object", "string-metric", "null-metric",
+            "bool-metric", "metrics-not-an-object"])
+    @pytest.mark.parametrize("side", ["results", "expected"])
+    def test_malformed_cells_exit_2_not_drift(self, tmp_path, capsys,
+                                              cells, problem, side):
+        bad = _document()
+        bad["cells"] = cells
+        paths = {"results": self._write(tmp_path, "r.json", _document()),
+                 "expected": self._write(tmp_path, "e.json", _document())}
+        paths[side] = self._write(tmp_path, "bad.json", bad)
+        assert main(["check", paths["results"], paths["expected"]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: '{paths[side]}': {problem}" in captured.err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "-1", "inf"])
+    def test_tolerance_must_be_finite_and_non_negative(self, tmp_path,
+                                                       capsys, tolerance):
+        doc = self._write(tmp_path, "r.json", _document())
+        assert main(["check", doc, doc, "--tolerance", tolerance]) == 2
+        assert ("error: --tolerance must be a finite number >= 0"
+                in capsys.readouterr().err)
+
     def test_near_zero_metrics_use_absolute_floor(self):
         # 0 expected timeouts vs 0 actual passes; vs 2 actual fails.
         assert check._within(0, 0, 0.15)

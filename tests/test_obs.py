@@ -98,6 +98,36 @@ class TestTelemetrySink:
         with pytest.raises(ReproError, match="no 'event' field"):
             load_events(str(path))
 
+    @pytest.mark.parametrize("record,problem", [
+        ('{"event": 5}', "'event' is not a string: 5"),
+        ('{"event": "sweep.end", "duration_s": "abc"}',
+         "field 'duration_s' is not a number: 'abc'"),
+        ('{"event": "cell.end", "ts": null}', "field 'ts' is not a number"),
+        ('{"event": "gauge", "queues": [1]}',
+         "'queues' is not a list of queue objects"),
+        ('{"event": "gauge", "queues": [{"name": "q", "depth": "x"}]}',
+         "'queues' is not a list of queue objects"),
+    ], ids=["event-not-a-string", "duration-not-a-number", "ts-null",
+            "queue-not-an-object", "queue-depth-not-a-number"])
+    def test_load_events_rejects_fields_the_report_computes_with(
+            self, tmp_path, record, problem):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"event": "ok", "ts": 1}\n' + record + "\n")
+        expected = re.escape(f"bad.jsonl:2: telemetry {problem}")
+        with pytest.raises(ReproError, match=expected):
+            load_events(str(path))
+
+    def test_report_exits_2_on_malformed_telemetry(self, tmp_path, capsys):
+        from repro.harness import build_document, write_document
+
+        doc = str(tmp_path / "r.json")
+        write_document(doc, build_document(run_cells([]), mode="quick",
+                                           src_hash="x"))
+        events = tmp_path / "bad.jsonl"
+        events.write_text('{"event": "gauge", "queues": [1]}\n')
+        assert main(["report", doc, "--telemetry", str(events)]) == 2
+        assert "bad.jsonl:1: telemetry" in capsys.readouterr().err
+
     def test_load_events_rejects_missing_file(self, tmp_path):
         with pytest.raises(ReproError, match="cannot read"):
             load_events(str(tmp_path / "absent.jsonl"))

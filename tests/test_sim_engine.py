@@ -264,16 +264,16 @@ class TestSourceGuard:
     def test_one_cell_scheduler(self):
         """Retry, deadline and quarantine policy lives in
         ``harness/lease.py`` only, and a cell is run for the harness by
-        one worker body — the transports cannot drift apart."""
+        one worker body — the transports cannot drift apart.  The
+        result cache is the one way to resume a sweep: there is no run
+        journal to replay."""
         def modules(pattern):
             return sorted(rel for rel, _, _ in self._matches(pattern))
 
         assert set(modules(r"\bretry_backoff\(")) == {"harness/lease.py"}
-        # The journal replay rebuilds recorded quarantines; nothing else
-        # outside the table mints a failure.
-        assert modules(r"\bFailureRecord\(") == [
-            "harness/dist/master.py", "harness/lease.py"]
+        assert modules(r"\bFailureRecord\(") == ["harness/lease.py"]
         assert self._matches(r"\.Pool\(") == []
+        assert self._matches(r"RunJournal|\breplay\(|--journal|--resume") == []
 
         wrappers = set()
         harness = self.SRC / "harness"
