@@ -16,7 +16,8 @@ and may use the connection's documented sender-side services:
   ``snd_una``; returns its first sequence number
 * ``conn.first_unacked_send_time()`` — latest transmission time of the
   first unacked segment (``None`` if nothing is outstanding)
-* ``conn.sack_board`` — the peer's SACK scoreboard, and
+* ``conn.sack_board`` — the peer's SACK scoreboard (``None`` unless
+  the connection was opened with ``sack=True``), and
   ``conn.retransmit_hole(seq, length)`` — resend one un-SACKed chunk
 * ``conn.fine_rtt`` — the fine-grained estimator (per-segment clocks)
 * ``conn.stats`` — the connection's :class:`FlowStats`

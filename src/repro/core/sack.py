@@ -17,13 +17,15 @@ mechanism work in tandem".  Two controllers answer that:
   *which* segments above ``snd_una`` also need repair, so multi-loss
   windows heal in one round trip instead of one loss per RTT.
 
-Both require the connection to be opened with ``sack=True`` on both
-endpoints (the receiver must generate blocks).
+Both need the connection opened with ``sack=True`` on both endpoints
+(the receiver must generate blocks).  Without it the connection has no
+scoreboard (``sack_board`` is ``None``), no hole is ever found, and
+recovery retransmits from ``snd_una`` only.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.core.reno import RenoCC
 from repro.core.vegas import VegasCC
@@ -37,6 +39,17 @@ class HoleRepairMixin:
         self.high_rxt = 0
         self.hole_retransmits = 0
 
+    def _next_hole(self, start: int) -> Optional[Tuple[int, int]]:
+        """The peer's first un-SACKed chunk at or above *start*."""
+        board = self.conn.sack_board
+        if board is None:
+            return None
+        return board.next_hole(start, self.conn.mss)
+
+    def _sacked_bytes(self) -> int:
+        board = self.conn.sack_board
+        return 0 if board is None else board.sacked_bytes()
+
     def _repair_next_hole(self, limit: Optional[int] = None) -> bool:
         """Retransmit the first not-yet-repaired hole; True if sent.
 
@@ -44,8 +57,7 @@ class HoleRepairMixin:
         recovery point); ``HighRxt`` ensures each hole is sent once.
         """
         conn = self.conn
-        start = max(conn.snd_una, self.high_rxt)
-        hole = conn.sack_board.next_hole(start, conn.mss)
+        hole = self._next_hole(max(conn.snd_una, self.high_rxt))
         if hole is None:
             return False
         seq, length = hole
@@ -62,7 +74,8 @@ class HoleRepairMixin:
 
     def _holes_reset(self) -> None:
         self.high_rxt = self.conn.snd_una
-        self.conn.sack_board.clear()  # RFC 2018: SACK info is advisory
+        if self.conn.sack_board is not None:
+            self.conn.sack_board.clear()  # RFC 2018: SACK info is advisory
 
 
 class SackRenoCC(HoleRepairMixin, RenoCC):
@@ -78,7 +91,7 @@ class SackRenoCC(HoleRepairMixin, RenoCC):
     def on_dup_ack(self, count: int, now: float) -> None:
         conn = self.conn
         if not self.in_recovery and (count >= self.dupack_threshold
-                                     or conn.sack_board.sacked_bytes()
+                                     or self._sacked_bytes()
                                      > self.dupack_threshold * conn.mss):
             # Enter recovery: one multiplicative decrease, then fill
             # holes under the scoreboard's guidance.
@@ -138,8 +151,7 @@ class SackVegasCC(HoleRepairMixin, VegasCC):
         conn = self.conn
         # Repair one hole per duplicate ACK beyond the first segment
         # (which Vegas' fast/fine paths own).
-        start = max(conn.snd_una + conn.mss, self.high_rxt)
-        hole = conn.sack_board.next_hole(start, conn.mss)
+        hole = self._next_hole(max(conn.snd_una + conn.mss, self.high_rxt))
         if hole is not None:
             seq, length = hole
             self.high_rxt = seq + length

@@ -135,8 +135,18 @@ def load_json(path: str, what: str, schema: str) -> Dict[str, Any]:
     return doc
 
 
-def _cell_problem(cell: Any) -> Optional[str]:
-    """What makes *cell* unusable by a reader, or ``None``."""
+#: The types ``json`` decodes a number to (``True`` is a ``bool``, not
+#: an ``int``, by this test).
+_NUMBERS = (int, float)
+
+
+def cell_problem(cell: Any) -> Optional[str]:
+    """What makes *cell* unusable by a reader, or ``None``.
+
+    A cell record (an artifact's cell or a cache entry) is an object
+    with a string ``key``, a ``metrics`` object of numbers and, when
+    present, a numeric ``wall_clock_s``.
+    """
     if not isinstance(cell, dict):
         return "is not an object"
     if not isinstance(cell.get("key"), str):
@@ -145,8 +155,10 @@ def _cell_problem(cell: Any) -> Optional[str]:
     if not isinstance(metrics, dict):
         return "has no 'metrics' object"
     for name, value in metrics.items():
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if type(value) not in _NUMBERS:
             return f"has a non-numeric metric {name!r}: {value!r}"
+    if type(cell.get("wall_clock_s", 0.0)) not in _NUMBERS:
+        return f"has a non-numeric 'wall_clock_s': {cell['wall_clock_s']!r}"
     return None
 
 
@@ -161,7 +173,7 @@ def load_document(path: str) -> Dict[str, Any]:
     if not isinstance(doc.get("cells"), list):
         raise ReproError(f"{path!r}: artifact has no cells array")
     for index, cell in enumerate(doc["cells"]):
-        problem = _cell_problem(cell)
+        problem = cell_problem(cell)
         if problem is not None:
             raise ReproError(f"{path!r}: cell {index} {problem}")
     failures = doc.get("failures", [])

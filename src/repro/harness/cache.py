@@ -12,7 +12,9 @@ starts a fresh namespace — stale entries are never consulted and can
 be garbage-collected wholesale by deleting old subdirectories.
 
 Entries store the cell key alongside the metrics so a (truncated-)hash
-collision is detected rather than silently served.
+collision is detected rather than silently served.  An entry that is
+not a cell record (:func:`~repro.harness.artifacts.cell_problem`) is a
+miss, like one that is not JSON at all.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
+
+from repro.harness.artifacts import cell_problem
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
@@ -96,7 +100,9 @@ class ResultCache:
                 payload = json.load(handle)
         except (OSError, ValueError):
             return None
-        if payload.get("key") != key:  # truncated-hash collision
+        if cell_problem(payload) is not None:  # valid JSON, not a record
+            return None
+        if payload["key"] != key:  # truncated-hash collision
             return None
         return payload
 

@@ -9,51 +9,66 @@ sample extremes) used by the analysis modules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.units import bytes_to_kb, rate_kbps
 
 
-@dataclass
 class FlowStats:
-    """Mutable statistics for one TCP connection (sender perspective)."""
+    """Mutable statistics for one TCP connection (sender perspective).
 
-    # Lifecycle timestamps (simulated seconds; None until they happen).
-    open_time: Optional[float] = None
-    established_time: Optional[float] = None
-    first_send_time: Optional[float] = None
-    last_ack_time: Optional[float] = None
-    close_time: Optional[float] = None
+    A plain slotted class (one per endpoint, thousands per tcplib
+    world); the slots group as ``__init__`` does.
+    """
 
-    # Application data accounting.
-    app_bytes_queued: int = 0
-    app_bytes_acked: int = 0
+    __slots__ = (
+        "open_time", "established_time", "first_send_time",
+        "last_ack_time", "close_time",
+        "app_bytes_queued", "app_bytes_acked",
+        "bytes_sent_total", "segments_sent", "retransmitted_bytes",
+        "retransmit_segments",
+        "acks_received", "dup_acks_received", "bytes_received",
+        "coarse_timeouts", "fast_retransmits", "fine_retransmits",
+        "persist_probes",
+        "rtt_samples", "rtt_min", "rtt_max", "rtt_sum",
+    )
 
-    # Wire accounting (payload bytes; headers excluded).
-    bytes_sent_total: int = 0
-    segments_sent: int = 0
-    retransmitted_bytes: int = 0
-    retransmit_segments: int = 0
+    def __init__(self) -> None:
+        # Lifecycle timestamps (simulated seconds; None until they happen).
+        self.open_time: Optional[float] = None
+        self.established_time: Optional[float] = None
+        self.first_send_time: Optional[float] = None
+        self.last_ack_time: Optional[float] = None
+        self.close_time: Optional[float] = None
 
-    # ACK-side accounting.
-    acks_received: int = 0
-    dup_acks_received: int = 0
-    bytes_received: int = 0
+        # Application data accounting.
+        self.app_bytes_queued = 0
+        self.app_bytes_acked = 0
 
-    # Loss-recovery events.
-    coarse_timeouts: int = 0
-    fast_retransmits: int = 0
-    fine_retransmits: int = 0
+        # Wire accounting (payload bytes; headers excluded).
+        self.bytes_sent_total = 0
+        self.segments_sent = 0
+        self.retransmitted_bytes = 0
+        self.retransmit_segments = 0
 
-    # Zero-window persist probes sent (1-byte forced sends).
-    persist_probes: int = 0
+        # ACK-side accounting.
+        self.acks_received = 0
+        self.dup_acks_received = 0
+        self.bytes_received = 0
 
-    # RTT samples (fine-grained, seconds).
-    rtt_samples: int = 0
-    rtt_min: Optional[float] = None
-    rtt_max: Optional[float] = None
-    rtt_sum: float = field(default=0.0, repr=False)
+        # Loss-recovery events.
+        self.coarse_timeouts = 0
+        self.fast_retransmits = 0
+        self.fine_retransmits = 0
+
+        # Zero-window persist probes sent (1-byte forced sends).
+        self.persist_probes = 0
+
+        # RTT samples (fine-grained, seconds).
+        self.rtt_samples = 0
+        self.rtt_min: Optional[float] = None
+        self.rtt_max: Optional[float] = None
+        self.rtt_sum = 0.0
 
     def note_rtt(self, sample: float) -> None:
         """Record a fine-grained RTT sample."""

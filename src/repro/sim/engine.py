@@ -110,6 +110,10 @@ def last_simulator() -> Optional["Simulator"]:
     to read :attr:`Simulator.events_processed` after a cell finishes,
     without threading the engine through every experiment signature.
     Only valid between one experiment's construction and the next.
+    After :func:`repro.harness.run_cell` it is the cell's *closed*
+    simulator (:meth:`Simulator.close`): it holds only the counters
+    (``now``, ``events_processed``, ``far_events_peak``), not the
+    model.
     """
     return _last_simulator
 
@@ -297,6 +301,30 @@ class Simulator:
         if event is not None:
             event.cancel()
 
+    def close(self) -> None:
+        """Drop every pending event and everything the run held.
+
+        The heap, the calendar buckets, the event pool and the observer
+        tuple go; pending handles become dead (a later ``cancel()`` is
+        a no-op).  :attr:`now`, :attr:`events_processed` and
+        :attr:`far_events_peak` survive, so a closed simulator is a
+        record of its run that pins none of the model it drove.
+        Idempotent; ``run()`` afterwards finds nothing to process.
+        """
+        if self._running:
+            raise SimulationError("cannot close a running simulator")
+        for bucket in (self._heap, *self._far.values()):
+            for entry in bucket:
+                if len(entry) == 3:
+                    entry[2]._sim = None
+        self._heap = []
+        self._far = {}
+        self._far_count = 0
+        self._far_bound = _INF
+        self._live = 0
+        self._pool = []
+        self._observers = ()
+
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
@@ -315,8 +343,8 @@ class Simulator:
         # but almost everything dies by refcount; suspending the
         # cyclic collector for the duration avoids generation-0 scans
         # every ~700 allocations.  Cycles made during a run (topology,
-        # connections) are long-lived anyway and are swept once the
-        # collector resumes.
+        # connections) live as long as the model; the harness frees
+        # them when the cell ends (close(), then one young collection).
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:

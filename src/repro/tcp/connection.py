@@ -64,7 +64,33 @@ class State(enum.Enum):
 
 
 class TCPConnection:
-    """One endpoint of a TCP connection with pluggable congestion control."""
+    """One endpoint of a TCP connection with pluggable congestion control.
+
+    ``__slots__`` keeps a connection small for the thousands a tcplib
+    background world opens; the groups follow ``__init__``.
+    """
+
+    __slots__ = (
+        # Identity and plumbing.
+        "protocol", "_host", "_send_packet", "_route", "sim", "flow",
+        "mss", "nagle", "tracer", "stats", "state",
+        # Sender half.
+        "iss", "snd_una", "snd_nxt", "snd_max", "peer_wnd",
+        "peer_wnd_seen", "dupacks", "sendbuf", "coarse_rtt", "fine_rtt",
+        "t_rexmt", "rexmt_shift", "consecutive_timeouts", "_timing_seq",
+        "_timing_ticks", "_persist_shift", "_persist_countdown",
+        "_send_times", "_ends_heap", "_ambiguous", "_probe_ends",
+        "fin_pending", "fin_sent", "fin_end", "fin_acked", "aborted",
+        "_pace_event", "_pace_next_time", "sack_enabled", "sack_board",
+        "ecn_enabled", "_ece_pending", "ecn_echoes_received",
+        # Receiver half.
+        "recv", "peer_fin",
+        # Application callbacks.
+        "on_established", "on_data", "on_send_space", "on_peer_fin",
+        "on_closed",
+        # Congestion control and instruments.
+        "cc", "_paced", "_checker",
+    )
 
     def __init__(self, protocol: "TCPProtocol", flow: FlowId,
                  cc: "CongestionControl",
@@ -140,9 +166,10 @@ class TCPConnection:
         self._pace_next_time = 0.0
         # Selective acknowledgements (§6 extension): when enabled, this
         # endpoint *sends* SACK blocks for its out-of-order reassembly
-        # queue and keeps a scoreboard of blocks the peer reports.
+        # queue and keeps a scoreboard of blocks the peer reports
+        # (``None`` without SACK: every reader tests it first).
         self.sack_enabled = sack
-        self.sack_board = SackScoreboard()
+        self.sack_board = SackScoreboard() if sack else None
         # Explicit congestion notification (RFC 3168, simplified): data
         # packets are sent ECN-capable; a congestion mark seen by the
         # receiver is echoed on its next ACKs until new data confirms

@@ -6,6 +6,7 @@ invalidation behaviour, artifact schema, and the regression checker's
 exit codes.
 """
 
+import gc
 import json
 from pathlib import Path
 
@@ -22,13 +23,19 @@ from repro.harness import (
     cells_for,
     compute_src_hash,
     load_document,
+    register_experiment,
+    run_cell,
     run_cells,
+    unregister_experiment,
     write_document,
 )
 from repro.harness import check
 from repro.harness.aggregate import summarize
 from repro.harness.registry import EXPERIMENTS
 from repro.harness.runner import storage_key
+from repro.sim import engine
+from repro.sim.engine import Simulator
+from repro.tcp.connection import TCPConnection
 
 #: Cheap cells (sub-second solo transfers) for runner/cache tests.
 CHEAP_CELLS = [
@@ -118,6 +125,62 @@ class TestRunner:
             run_cells(CHEAP_CELLS[:1], jobs=0)
 
 
+def _failing_cell(seed: int = 0):
+    sim = Simulator()
+
+    def boom():
+        raise RuntimeError("runner failed mid-run")
+
+    sim.schedule(1.0, boom)
+    sim.run()
+
+
+class TestCellLeavesNothingBehind:
+    """A finished cell frees its memory without a full collection."""
+
+    #: A tcplib-background cell: 84 connections in 0.2 s.
+    CELL = Cell.make("table1bg", buffers=15, delay=0, large="reno",
+                     seed=0, small="reno")
+
+    @staticmethod
+    def _live_connections() -> int:
+        return sum(1 for obj in gc.get_objects()
+                   if isinstance(obj, TCPConnection))
+
+    def test_no_connection_survives_the_cell(self):
+        gc.collect()  # garbage of earlier tests is not this cell's
+        before = self._live_connections()
+        metrics = run_cell(self.CELL)
+        # No gc.collect() here: run_cell must have freed the cell.
+        assert self._live_connections() == before
+        sim = engine.last_simulator()
+        assert sim.events_processed == metrics["events_processed"] > 0
+        assert sim.far_events_peak == 0
+        assert sim.heap_size == 0 and sim.pending_events == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_state_is_restored(self, enabled):
+        was = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            run_cell(CHEAP_CELLS[0])
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_collector_state_is_restored_when_the_runner_raises(self):
+        register_experiment("failingx", _failing_cell)
+        try:
+            assert gc.isenabled()
+            with pytest.raises(RuntimeError, match="runner failed"):
+                run_cell(Cell.make("failingx", seed=0))
+            assert gc.isenabled()
+            sim = engine.last_simulator()
+            assert sim.events_processed == 0 and sim.heap_size == 0
+        finally:
+            unregister_experiment("failingx")
+
+
 class TestCache:
     def test_miss_then_hit(self, tmp_path):
         cache = ResultCache(tmp_path, "hash-a")
@@ -163,6 +226,23 @@ class TestCache:
         cache.put("k", {"metrics": {}})
         for entry in tmp_path.rglob("*.json"):
             entry.write_text("{not json")
+        assert cache.get("k") is None
+
+    @pytest.mark.parametrize("entry", [
+        [1],
+        {"key": "k", "metrics": "x"},
+        {"key": "k"},
+        {"key": "k", "metrics": {"x": "1"}},
+        {"key": "k", "metrics": {"x": True}},
+        {"key": "k", "metrics": {"x": 1.0}, "wall_clock_s": "slow"},
+    ], ids=["list", "metrics-string", "no-metrics", "metric-string",
+            "metric-bool", "wall-clock-string"])
+    def test_valid_json_that_is_not_a_cell_record_is_a_miss(
+            self, tmp_path, entry):
+        cache = ResultCache(tmp_path, "h")
+        cache.put("k", {"metrics": {"x": 1.0}})
+        for path in tmp_path.rglob("*.json"):
+            path.write_text(json.dumps(entry))
         assert cache.get("k") is None
 
     def test_src_hash_folds_support_files(self, tmp_path):

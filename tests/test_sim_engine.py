@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import weakref
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.errors import SimulationError
-from repro.sim import engine
+from repro.sim import engine, observers
 from repro.sim.engine import Simulator
 
 
@@ -187,6 +188,83 @@ class TestRunBounds:
                 sim.run()
 
         sim.schedule(0.0, reenter)
+        sim.run()
+
+
+class _Callback:
+    """A callback a weak reference can watch."""
+
+    def __call__(self) -> None:  # pragma: no cover - never dispatched
+        raise AssertionError("a closed simulator dispatched an event")
+
+
+class _Probe(observers.Instrument):
+    """An armed instrument a weak reference can watch."""
+
+
+class TestClose:
+    """close() drops everything the run held and keeps its counters."""
+
+    def _loaded(self, monkeypatch):
+        # Threshold 0 (as in the differential suite): every far event
+        # parks in a calendar bucket.
+        monkeypatch.setattr(engine, "_WHEEL_THRESHOLD", 0)
+        probe = _Probe()
+        with observers.armed(probe=probe):
+            sim = Simulator()
+        for _ in range(3):
+            sim.schedule(0.5, lambda: None)
+        callbacks = [_Callback() for _ in range(4)]
+        handles = [sim.schedule(0.9, callbacks[0]),        # heap
+                   sim.schedule(5.0, callbacks[1])]        # parked
+        sim.schedule_anon(0.95, callbacks[2])              # heap
+        sim.schedule_anon(7.0, callbacks[3])               # parked
+        sim.run(until=0.6)  # the three fired handles go to the pool
+        assert sim.heap_size == 2 and sim.far_events == 2
+        assert len(sim._pool) == 3
+        return sim, handles, [weakref.ref(c) for c in (*callbacks, probe)]
+
+    def test_drops_heap_parked_and_pooled_events(self, monkeypatch):
+        sim, handles, refs = self._loaded(monkeypatch)
+        far_peak = sim.far_events_peak
+        sim.close()
+        assert sim.heap_size == 0
+        assert sim.far_events == 0
+        assert sim.pending_events == 0
+        assert sim._pool == []
+        for handle in handles:
+            handle.fn = None  # only the simulator may still hold them
+        # Callbacks and the armed instrument are released.
+        assert [ref() for ref in refs] == [None] * 5
+        # Counters survive.
+        assert sim.now == 0.6
+        assert sim.events_processed == 3
+        assert sim.far_events_peak == far_peak == 2
+
+    def test_dropped_handles_are_dead(self, monkeypatch):
+        sim, handles, _ = self._loaded(monkeypatch)
+        sim.close()
+        for handle in handles:
+            handle.cancel()
+        assert sim.pending_events == 0
+
+    def test_second_close_is_a_no_op_and_run_finds_nothing(
+            self, monkeypatch):
+        sim, _, _ = self._loaded(monkeypatch)
+        sim.close()
+        sim.close()
+        assert sim.run() == 0
+        assert sim.events_processed == 3
+        assert sim.far_events_peak == 2
+
+    def test_cannot_close_a_running_simulator(self):
+        sim = Simulator()
+
+        def close_inside():
+            with pytest.raises(SimulationError):
+                sim.close()
+
+        sim.schedule(0.0, close_inside)
         sim.run()
 
 
