@@ -30,21 +30,31 @@ Quickstart::
     print(transfer.conn.stats.summary())
 """
 
-from repro.core import (
-    CardCC,
-    CongestionControl,
-    DualCC,
-    RenoCC,
-    TahoeCC,
-    TriSCC,
-    VegasCC,
-    make_cc,
-)
-from repro.metrics import FlowStats, jain_fairness_index
-from repro.net import Topology
-from repro.sim import Simulator
-from repro.tcp import TCPConnection, TCPProtocol
-from repro.trace import ConnectionTracer, RouterTracer, build_trace_graph
+import importlib
+from typing import Any, Callable, Dict, List, Tuple
+
+#: Public name -> the module that defines it.  Names resolve on first
+#: access (PEP 562), so ``import repro.harness`` -- and with it every
+#: cache-served sweep -- never loads the simulator.
+_EXPORTS = {
+    "CardCC": "repro.core",
+    "CongestionControl": "repro.core",
+    "DualCC": "repro.core",
+    "RenoCC": "repro.core",
+    "TahoeCC": "repro.core",
+    "TriSCC": "repro.core",
+    "VegasCC": "repro.core",
+    "make_cc": "repro.core",
+    "FlowStats": "repro.metrics",
+    "jain_fairness_index": "repro.metrics",
+    "Topology": "repro.net",
+    "Simulator": "repro.sim",
+    "TCPConnection": "repro.tcp",
+    "TCPProtocol": "repro.tcp",
+    "ConnectionTracer": "repro.trace",
+    "RouterTracer": "repro.trace",
+    "build_trace_graph": "repro.trace",
+}
 
 __version__ = "1.0.0"
 
@@ -68,3 +78,26 @@ __all__ = [
     "build_trace_graph",
     "__version__",
 ]
+
+
+def _lazy_exports(namespace: Dict[str, Any], exports: Dict[str, str],
+                  ) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose public
+    names are *exports* (name -> defining module): each name is
+    imported on first access and is a plain attribute after that."""
+
+    def __getattr__(name: str) -> Any:
+        home = exports.get(name)
+        if home is None:
+            raise AttributeError(f"module {namespace['__name__']!r} has no "
+                                 f"attribute {name!r}")
+        value = namespace[name] = getattr(importlib.import_module(home), name)
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -18,13 +18,19 @@ those runs are cells of :mod:`repro.harness.registry` (values from
 | §6 TELNET response time | :mod:`repro.experiments.telnet_response` |
 """
 
+from repro import _lazy_exports
 from repro.experiments import defaults
-from repro.experiments.figure5 import Figure5Network, build_figure5
-from repro.experiments.transfers import (
-    TransferResult,
-    run_solo_transfer,
-    start_measured_transfer,
-)
+
+#: Public name -> the module that defines it.  The drivers build
+#: simulations, so they load on first access (PEP 562): the harness
+#: reads ``defaults`` for its grids without loading the simulator.
+_EXPORTS = {
+    "Figure5Network": "repro.experiments.figure5",
+    "build_figure5": "repro.experiments.figure5",
+    "TransferResult": "repro.experiments.transfers",
+    "run_solo_transfer": "repro.experiments.transfers",
+    "start_measured_transfer": "repro.experiments.transfers",
+}
 
 __all__ = [
     "defaults",
@@ -34,3 +40,5 @@ __all__ = [
     "run_solo_transfer",
     "start_measured_transfer",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

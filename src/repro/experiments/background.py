@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
@@ -89,17 +89,3 @@ def run_with_background(transfer_cc: CCSpec, background_cc: CCSpec = "reno",
         background_conversations=len(generator.conversations),
         telnet_response_times=generator.telnet_response_times(),
     )
-
-
-#: Paper values for side-by-side printing.
-PAPER_TABLE2: Dict[str, Dict[str, float]] = {
-    "Throughput (KB/s)": {"reno": 58.3, "vegas-1,3": 89.4, "vegas-2,4": 91.8},
-    "Retransmissions (KB)": {"reno": 55.4, "vegas-1,3": 27.1,
-                             "vegas-2,4": 29.4},
-    "Coarse timeouts": {"reno": 5.6, "vegas-1,3": 0.9, "vegas-2,4": 0.9},
-}
-
-PAPER_TABLE3: Dict[Tuple[str, str], float] = {
-    ("reno", "reno"): 68, ("reno", "vegas"): 82,
-    ("vegas", "reno"): 84, ("vegas", "vegas"): 85,
-}

@@ -83,3 +83,61 @@ TRANSFER_PORT = 7001
 
 #: Simulation horizon for a single measured transfer (seconds).
 TRANSFER_HORIZON = 300.0
+
+# ----------------------------------------------------------------------
+# The paper's published numbers, printed beside ours by the table
+# renderers (:mod:`repro.harness.aggregate`) and read by the search
+# objectives.
+# ----------------------------------------------------------------------
+
+#: Table 1, keyed by small/large protocol pair.
+PAPER_TABLE1: dict[str, dict[str, float]] = {
+    "Small throughput (KB/s)": {
+        "reno/reno": 60, "reno/vegas": 61, "vegas/reno": 66,
+        "vegas/vegas": 74},
+    "Large throughput (KB/s)": {
+        "reno/reno": 109, "reno/vegas": 123, "vegas/reno": 119,
+        "vegas/vegas": 131},
+    "Small retransmits (KB)": {
+        "reno/reno": 30, "reno/vegas": 43, "vegas/reno": 1.5,
+        "vegas/vegas": 0.3},
+    "Large retransmits (KB)": {
+        "reno/reno": 22, "reno/vegas": 1.8, "vegas/reno": 18,
+        "vegas/vegas": 0.1},
+}
+
+#: Table 2: the 1 MB transfer against tcplib background traffic.
+PAPER_TABLE2: dict[str, dict[str, float]] = {
+    "Throughput (KB/s)": {"reno": 58.3, "vegas-1,3": 89.4, "vegas-2,4": 91.8},
+    "Retransmissions (KB)": {"reno": 55.4, "vegas-1,3": 27.1,
+                             "vegas-2,4": 29.4},
+    "Coarse timeouts": {"reno": 5.6, "vegas-1,3": 0.9, "vegas-2,4": 0.9},
+}
+
+#: Table 3: background throughput (KB/s), keyed by (background, transfer).
+PAPER_TABLE3: dict[tuple[str, str], float] = {
+    ("reno", "reno"): 68, ("reno", "vegas"): 82,
+    ("vegas", "reno"): 84, ("vegas", "vegas"): 85,
+}
+
+#: Table 4: 1 MB over the emulated Internet path.
+PAPER_TABLE4: dict[str, dict[str, float]] = {
+    "Throughput (KB/s)": {"reno": 53.0, "vegas-1,3": 72.5,
+                          "vegas-2,4": 75.3},
+    "Retransmissions (KB)": {"reno": 47.8, "vegas-1,3": 24.5,
+                             "vegas-2,4": 29.3},
+    "Coarse timeouts": {"reno": 3.3, "vegas-1,3": 0.8, "vegas-2,4": 0.9},
+}
+
+#: Table 5: Table 4's path at three transfer sizes, keyed by bytes.
+PAPER_TABLE5: dict[int, dict[str, dict[str, float]]] = {
+    kb(1024): {"Throughput (KB/s)": {"reno": 53.0, "vegas-1,3": 72.5},
+               "Retransmissions (KB)": {"reno": 47.8, "vegas-1,3": 24.5},
+               "Coarse timeouts": {"reno": 3.3, "vegas-1,3": 0.8}},
+    kb(512): {"Throughput (KB/s)": {"reno": 52.0, "vegas-1,3": 72.0},
+              "Retransmissions (KB)": {"reno": 27.9, "vegas-1,3": 10.5},
+              "Coarse timeouts": {"reno": 1.7, "vegas-1,3": 0.2}},
+    kb(128): {"Throughput (KB/s)": {"reno": 31.1, "vegas-1,3": 53.1},
+              "Retransmissions (KB)": {"reno": 22.9, "vegas-1,3": 4.0},
+              "Coarse timeouts": {"reno": 1.1, "vegas-1,3": 0.2}},
+}

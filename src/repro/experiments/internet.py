@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.apps.crosstraffic import CrossTrafficSource
@@ -195,25 +195,3 @@ def run_internet_transfer(cc: CCSpec, size: int = kb(1024), seed: int = 0,
     path.stop_cross_traffic()
     name = cc if isinstance(cc, str) else "custom"
     return TransferResult.from_transfer(holder[0], name)
-
-
-#: Paper values for side-by-side printing.
-PAPER_TABLE4: Dict[str, Dict[str, float]] = {
-    "Throughput (KB/s)": {"reno": 53.0, "vegas-1,3": 72.5,
-                          "vegas-2,4": 75.3},
-    "Retransmissions (KB)": {"reno": 47.8, "vegas-1,3": 24.5,
-                             "vegas-2,4": 29.3},
-    "Coarse timeouts": {"reno": 3.3, "vegas-1,3": 0.8, "vegas-2,4": 0.9},
-}
-
-PAPER_TABLE5: Dict[int, Dict[str, Dict[str, float]]] = {
-    kb(1024): {"Throughput (KB/s)": {"reno": 53.0, "vegas-1,3": 72.5},
-               "Retransmissions (KB)": {"reno": 47.8, "vegas-1,3": 24.5},
-               "Coarse timeouts": {"reno": 3.3, "vegas-1,3": 0.8}},
-    kb(512): {"Throughput (KB/s)": {"reno": 52.0, "vegas-1,3": 72.0},
-              "Retransmissions (KB)": {"reno": 27.9, "vegas-1,3": 10.5},
-              "Coarse timeouts": {"reno": 1.7, "vegas-1,3": 0.2}},
-    kb(128): {"Throughput (KB/s)": {"reno": 31.1, "vegas-1,3": 53.1},
-              "Retransmissions (KB)": {"reno": 22.9, "vegas-1,3": 4.0},
-              "Coarse timeouts": {"reno": 1.1, "vegas-1,3": 0.2}},
-}

@@ -14,7 +14,6 @@ background".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
@@ -85,20 +84,3 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
         large=TransferResult.from_transfer(large[0], large_name),
         small_cc=small_name, large_cc=large_name,
     )
-
-
-#: The paper's Table 1 numbers, for side-by-side printing.
-PAPER_TABLE1: Dict[str, Dict[str, float]] = {
-    "Small throughput (KB/s)": {
-        "reno/reno": 60, "reno/vegas": 61, "vegas/reno": 66,
-        "vegas/vegas": 74},
-    "Large throughput (KB/s)": {
-        "reno/reno": 109, "reno/vegas": 123, "vegas/reno": 119,
-        "vegas/vegas": 131},
-    "Small retransmits (KB)": {
-        "reno/reno": 30, "reno/vegas": 43, "vegas/reno": 1.5,
-        "vegas/vegas": 0.3},
-    "Large retransmits (KB)": {
-        "reno/reno": 22, "reno/vegas": 1.8, "vegas/reno": 18,
-        "vegas/vegas": 0.1},
-}

@@ -47,7 +47,7 @@ def _means(title: str, by: Sequence[str], columns: Sequence[tuple],
 def render_table1(cells: Cells,
                   title: str = "Table 1: one-on-one transfers",
                   with_paper: bool = True) -> str:
-    from repro.experiments.one_on_one import PAPER_TABLE1
+    from repro.experiments.defaults import PAPER_TABLE1
 
     columns = sorted({f"{c['params']['small']}/{c['params']['large']}"
                       for c in cells})
@@ -97,7 +97,7 @@ def _simple_transfer_table(cells: Cells, title: str, column_param: str,
 
 
 def render_table2(cells: Cells) -> str:
-    from repro.experiments.background import PAPER_TABLE2
+    from repro.experiments.defaults import PAPER_TABLE2
 
     return _simple_transfer_table(
         cells, "Table 2: 1MB transfer vs tcplib background", "proto",
@@ -105,7 +105,7 @@ def render_table2(cells: Cells) -> str:
 
 
 def render_table3(cells: Cells) -> str:
-    from repro.experiments.background import PAPER_TABLE3
+    from repro.experiments.defaults import PAPER_TABLE3
 
     sums: Dict[tuple, List[float]] = {}
     for cell in cells:
@@ -122,7 +122,7 @@ def render_table3(cells: Cells) -> str:
 
 
 def render_table4(cells: Cells) -> str:
-    from repro.experiments.internet import PAPER_TABLE4
+    from repro.experiments.defaults import PAPER_TABLE4
 
     return _simple_transfer_table(
         cells, "Table 4: 1MB over the emulated UA->NIH path", "proto",
@@ -130,7 +130,7 @@ def render_table4(cells: Cells) -> str:
 
 
 def render_table5(cells: Cells) -> str:
-    from repro.experiments.internet import PAPER_TABLE5
+    from repro.experiments.defaults import PAPER_TABLE5
     from repro.units import kb
 
     sizes = sorted({c["params"]["size_kb"] for c in cells}, reverse=True)

@@ -86,11 +86,13 @@ class ResultCache:
     def __init__(self, root: Union[str, Path], src_hash: str):
         self.root = Path(root)
         self.src_hash = src_hash
-        self._dir = self.root / src_hash[:16]
+        # A plain string: a cache-warm sweep is one lookup per cell, and
+        # a Path built per lookup was a large share of its cost.
+        self._dir = os.path.join(root, src_hash[:16])
 
-    def _path(self, key: str) -> Path:
+    def _path(self, key: str) -> str:
         name = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return self._dir / f"{name}.json"
+        return f"{self._dir}{os.sep}{name}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload for *key*, or ``None`` on a miss."""
@@ -112,11 +114,11 @@ class ResultCache:
         Writes via a temporary file + rename so concurrent runs never
         observe a torn entry.
         """
-        self._dir.mkdir(parents=True, exist_ok=True)
+        os.makedirs(self._dir, exist_ok=True)
         path = self._path(key)
         record = dict(payload)
         record["key"] = key
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
+        tmp = f"{path}.tmp.{os.getpid()}"
         with open(tmp, "w") as handle:
             json.dump(record, handle, sort_keys=True)
         os.replace(tmp, path)

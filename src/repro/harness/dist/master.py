@@ -49,8 +49,10 @@ so metrics — and the artifact cells fingerprint — do not depend on it.
 
 from __future__ import annotations
 
+import importlib
 import multiprocessing
 import os
+import pkgutil
 import selectors
 import signal
 import socket
@@ -97,6 +99,21 @@ _WORKER_SENDS = {
     "fail": {"lease_id": str, "kind": str, "message": str,
              "wall_clock_s": (int, float)},
 }
+
+
+def _import_drivers() -> None:
+    """Import every module of :mod:`repro.experiments`.
+
+    ``import repro.harness`` loads no simulator, so a cache-served sweep
+    never pays for one; the master calls this before its first fork so
+    that forked workers inherit the drivers instead of each importing
+    them on its first cell.
+    """
+    import repro.experiments as package
+
+    for module in pkgutil.iter_modules(package.__path__,
+                                       package.__name__ + "."):
+        importlib.import_module(module.name)
 
 
 class _Worker:
@@ -167,6 +184,8 @@ class _Master:
         # tests) runtime-registered experiments; elsewhere, the
         # platform's default start method.
         forks = "fork" in multiprocessing.get_all_start_methods()
+        if forks and self._spawned == 1:
+            _import_drivers()
         proc = multiprocessing.get_context("fork" if forks else None).Process(
             target=worker_mod.serve, name=worker_id, daemon=True,
             args=(f"127.0.0.1:{self.port}", worker_id,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -48,10 +48,18 @@ class Cell:
 
     ``params`` is a key-sorted tuple of pairs so cells are hashable,
     picklable, and render to the same key however they were built.
+    ``key`` is rendered once, at construction: a sweep reads it several
+    times per cell, and it is derived, so equality and hashing ignore it.
     """
 
     experiment: str
     params: Tuple[Tuple[str, Any], ...]
+    key: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        parts = [self.experiment]
+        parts.extend(f"{k}={_fmt(v)}" for k, v in self.params)
+        object.__setattr__(self, "key", "/".join(parts))
 
     @classmethod
     def make(cls, experiment: str, **params: Any) -> "Cell":
@@ -59,12 +67,6 @@ class Cell:
 
     def as_dict(self) -> Dict[str, Any]:
         return dict(self.params)
-
-    @property
-    def key(self) -> str:
-        parts = [self.experiment]
-        parts.extend(f"{k}={_fmt(v)}" for k, v in self.params)
-        return "/".join(parts)
 
     def __str__(self) -> str:
         return self.key

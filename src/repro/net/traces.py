@@ -41,7 +41,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError, SimulationError
 
@@ -440,35 +440,52 @@ def load_mahimahi(path: str, mtu: int = MTU,
     """
     if mtu <= 0:
         raise ConfigurationError(f"mtu must be positive, got {mtu!r}")
-    counts = {}
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, 1):
-            text = line.strip()
-            if not text:
-                continue
-            try:
-                ts = int(text)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: expected an integer millisecond "
-                    f"timestamp, got {text!r}") from None
-            if ts < 0:
-                raise ConfigurationError(
-                    f"{path}:{lineno}: timestamps must be non-negative, "
-                    f"got {ts}")
-            counts[ts] = counts.get(ts, 0) + 1
+    counts: Dict[int, int] = {}
+    try:
+        with open(path) as handle:
+            for lineno, line in enumerate(handle, 1):
+                text = line.strip()
+                if not text:
+                    continue
+                try:
+                    ts = int(text)
+                except ValueError:
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: expected an integer millisecond "
+                        f"timestamp, got {text!r}") from None
+                if ts < 0:
+                    raise ConfigurationError(
+                        f"{path}:{lineno}: timestamps must be non-negative, "
+                        f"got {ts}")
+                counts[ts] = counts.get(ts, 0) + 1
+    except OSError as exc:
+        raise ConfigurationError(
+            f"{path}: cannot read trace file: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(
+            f"{path}: not a text trace file (byte {exc.start}: "
+            f"{exc.reason})") from None
     if not counts:
         raise ConfigurationError(
             f"{path}: no delivery opportunities (empty trace)")
     period_ms = max(counts) + 1
-    # Merge consecutive equal-rate milliseconds into one segment.
+    # One segment per distinct timestamp, a zero-rate one for each gap
+    # between them, consecutive equal rates merged: the work follows
+    # the file's lines, not the milliseconds its timestamps span.
     times: List[float] = []
     rates: List[float] = []
-    for b in range(period_ms):
-        rate = counts.get(b, 0) * mtu * 1000.0
+
+    def segment(b: int, rate: float) -> None:
         if not rates or rate != rates[-1]:
             times.append(b * BIN_S)
             rates.append(rate)
+
+    uncovered = 0
+    for ts in sorted(counts):
+        if ts > uncovered:
+            segment(uncovered, 0.0)
+        segment(ts, counts[ts] * mtu * 1000.0)
+        uncovered = ts + 1
     return BandwidthTrace(times, rates, period=period_ms * BIN_S,
                           name=name or path)
 

@@ -121,7 +121,7 @@ def _fairness_cliff_score(point: Point, metrics: Metrics) -> Optional[float]:
 #: calibration is scale-free (the table's absolute numbers depend on
 #: the tcplib background mix, which a 2-flow cohort cannot reproduce).
 def _table2_targets() -> Dict[str, float]:
-    from repro.experiments.background import PAPER_TABLE2
+    from repro.experiments.defaults import PAPER_TABLE2
 
     throughput = PAPER_TABLE2["Throughput (KB/s)"]
     retransmit = PAPER_TABLE2["Retransmissions (KB)"]

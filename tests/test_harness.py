@@ -75,6 +75,37 @@ class TestCellKeys:
         assert len({cell, cell}) == 1
 
 
+    def test_key_is_built_once(self):
+        """Every way of making a cell gives it the same key; the key is
+        derived, so equality and hashing ignore it, and it cannot be
+        assigned."""
+        import dataclasses
+        import pickle
+
+        from repro.harness.dist import protocol
+
+        cell = Cell.make("table1", small="vegas", large="reno", buffers=15,
+                         delay=0.5, seed=3)
+        line = json.dumps(protocol.grant("L1", cell, 1, 30.0))
+        made = [Cell("table1", cell.params),
+                dataclasses.replace(cell),
+                dataclasses.replace(cell, params=cell.params),
+                pickle.loads(pickle.dumps(cell)),
+                protocol.cell_from_grant(json.loads(line))]
+        assert {other.key for other in made} == {
+            "table1/buffers=15/delay=0.5/large=reno/seed=3/small=vegas"}
+        assert all(other == cell and hash(other) == hash(cell)
+                   for other in made)
+        twin = Cell("table1", cell.params)
+        object.__setattr__(twin, "key", "forged")
+        assert twin == cell and hash(twin) == hash(cell)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cell.key = "other"
+        with pytest.raises(TypeError):
+            Cell("table1", cell.params, key="forged")
+        assert cell.key == str(cell) and "key" not in repr(cell)
+
+
 class TestRegistry:
     def test_every_experiment_has_cells(self):
         for quick in (True, False):

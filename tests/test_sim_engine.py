@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 import weakref
 from pathlib import Path
 
@@ -513,7 +514,10 @@ class TestSourceGuard:
         ``harness/registry.py``: no side table of runners, grids,
         families, deadline hints or renderers, and every sweep
         experiment has a grid and a renderer.  The registry stays lazy:
-        importing it loads no package its runners and renderers use."""
+        importing it loads no package its runners and renderers use, and
+        what a cache-served sweep does (enumerate the cells, hash the
+        source, render every experiment of the baseline) loads no
+        simulator package and no experiment driver but ``defaults``."""
         from repro.harness.registry import EXPERIMENTS, RECORDS
 
         assert self._matches(
@@ -522,16 +526,64 @@ class TestSourceGuard:
         assert [name for name in EXPERIMENTS
                 if name not in RECORDS or RECORDS[name].grid is None
                 or RECORDS[name].render is None] == []
-        code = ("import sys, repro.harness\n"
-                "print(sorted(name for name in sys.modules if name.startswith("
-                "('repro.experiments', 'repro.arena', 'repro.search', "
-                "'repro.trafficgen'))))")
+        baseline = self.SRC.parents[1] / "baselines" / "expected.json"
+        code = textwrap.dedent("""
+            import json, sys
+            import repro.harness
+            print(sorted(name for name in sys.modules if name.startswith(
+                ("repro.experiments", "repro.arena", "repro.search",
+                 "repro.trafficgen"))))
+            # A cache-served sweep: enumerate, hash the source, render
+            # every experiment of the committed baseline.
+            from repro.harness import all_cells, compute_src_hash
+            from repro.harness.registry import RECORDS
+
+            all_cells(quick=True)
+            compute_src_hash()
+            with open(sys.argv[1]) as handle:
+                cells = json.load(handle)["cells"]
+            by_experiment = {}
+            for cell in cells:
+                by_experiment.setdefault(cell["experiment"], []).append(cell)
+            for experiment, group in by_experiment.items():
+                assert RECORDS[experiment].render(group), experiment
+            simulator = {"sim", "tcp", "net", "core", "trace", "trafficgen",
+                         "apps"}
+            print(sorted(
+                name for name in sys.modules
+                if name.startswith("repro.") and (
+                    name.split(".")[1] in simulator
+                    or (name.startswith("repro.experiments.")
+                        and name != "repro.experiments.defaults"))))
+            """)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
             str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
-        done = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
+        done = subprocess.run([sys.executable, "-c", code, str(baseline)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.strip() == "[]"
+        assert done.stdout.splitlines() == ["[]", "[]"]
+
+    def test_package_roots_resolve_names_on_first_use(self):
+        """``repro`` and ``repro.experiments`` export the same objects
+        their defining modules hold, and an unknown name is an
+        ``AttributeError``."""
+        import repro.experiments
+
+        for package in (repro, repro.experiments):
+            for name in package.__all__:
+                value = getattr(package, name)
+                if isinstance(value, types.ModuleType):
+                    assert value is sys.modules[f"{package.__name__}.{name}"]
+                elif name == "__version__":
+                    assert isinstance(value, str)
+                else:
+                    home = sys.modules[value.__module__]
+                    assert getattr(home, name) is value, (package, name)
+                assert name in dir(package)
+            with pytest.raises(AttributeError, match="no_such_name"):
+                package.no_such_name
+            assert not hasattr(package, "no_such_name")
 
     def test_the_engine_loads_no_instrument(self):
         """Fresh interpreter: the simulator core stands without the

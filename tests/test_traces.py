@@ -27,6 +27,9 @@ import json
 import math
 import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -207,6 +210,25 @@ class TestMahimahiRoundTrip:
         window_bytes = trace.bytes_between(0.0, nbins * BIN_S)
         assert (abs(written * MTU - window_bytes)
                 < MTU + 1e-6 * abs(window_bytes))
+
+    @given(stamps=st.lists(st.integers(0, 200), min_size=1, max_size=60))
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_load_matches_the_millisecond_walk(self, tmp_path, stamps):
+        """The loader builds segments from the distinct timestamps; the
+        reference walks every millisecond of the cycle."""
+        path = tmp_path / "w.trace"
+        path.write_text("".join(f"{ts}\n" for ts in stamps))
+        counts = {ts: stamps.count(ts) for ts in stamps}
+        times, rates = [], []
+        for b in range(max(stamps) + 1):
+            rate = counts.get(b, 0) * MTU * 1000.0
+            if not rates or rate != rates[-1]:
+                times.append(b * BIN_S)
+                rates.append(rate)
+        trace = load_mahimahi(str(path))
+        assert (list(trace.times), list(trace.rates)) == (times, rates)
+        assert trace.period == (max(stamps) + 1) * BIN_S
 
     def test_load_rejects_garbage(self, tmp_path):
         path = tmp_path / "bad.trace"
@@ -525,6 +547,35 @@ class TestTracesCLI:
         assert "mean 200.0 KB/s" in out
         assert main(["traces", "--load", str(path)]) == 0
         assert "mean 200.0 KB/s" in capsys.readouterr().out
+
+    def test_load_ends_in_a_typed_error(self, tmp_path, capsys):
+        """A missing or non-text trace file is ``error: ...`` naming
+        the path, exit 2: never a traceback."""
+        from repro.cli import main
+
+        missing = tmp_path / "missing.trace"
+        binary = tmp_path / "binary.trace"
+        binary.write_bytes(b"12\n\xff\xfe\x00\n")
+        for path in (missing, binary):
+            assert main(["traces", "--load", str(path)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(path) in err
+
+    def test_load_time_follows_the_line_count(self, tmp_path):
+        """One opportunity 10^11 ms into the cycle is a silent segment
+        and a busy one, not a walk over every millisecond before it;
+        the fresh interpreter turns a regression into a failure, not a
+        hang."""
+        path = tmp_path / "far.trace"
+        path.write_text("100000000000\n")
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(src), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "traces", "--load", str(path)],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "2 segment(s), cyclic, period 1e+08 s" in done.stdout
 
     def test_static_scenario_exits_2(self, capsys):
         from repro.cli import main
