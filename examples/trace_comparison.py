@@ -1,16 +1,20 @@
 #!/usr/bin/env python3
-"""Regenerate the paper's Figures 6 and 7 as ASCII trace graphs.
+"""Regenerate the paper's Figures 6, 7 and 9 as ASCII trace graphs.
 
 Runs the two canonical solo transfers — Reno alone and Vegas alone on
-the Figure-5 network — and renders the windows panel, the sending-rate
-panel, and (for Vegas) the Figure-8 CAM panel as text.  Reno's graph
-shows the sawtooth and loss marks; Vegas' shows a window that finds
-the bandwidth and stays there without losses.
+the Figure-5 network — and Vegas against tcplib background traffic,
+and renders the windows panel, the sending-rate panel, and (for
+Vegas) the Figure-8 CAM panel as text.  Reno's graph shows the
+sawtooth and loss marks; Vegas' shows a window that finds the
+bandwidth and stays there without losses, and under background
+traffic a window that follows the bandwidth left to it.  The figures'
+headline numbers, cached and in any seed, are ``python -m repro
+run-all --experiments figure6,figure7,figure9``.
 
 Run:  python examples/trace_comparison.py
 """
 
-from repro.experiments.traces import figure6, figure7
+from repro.experiments.traces import figure6, figure7, figure9
 from repro.trace.ascii_plot import (
     render_cam_panel,
     render_rate_panel,
@@ -46,6 +50,9 @@ def main():
     vegas_graph, vegas_result = figure7()
     show(vegas_graph, vegas_result,
          "Figure 7: TCP Vegas with no other traffic (paper: 169 KB/s)")
+    background_graph, background_result = figure9()
+    show(background_graph, background_result,
+         "Figure 9: TCP Vegas with tcplib background traffic")
 
 
 if __name__ == "__main__":

@@ -4,13 +4,11 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
 
     python -m repro list
     python -m repro solo --cc vegas-1,3 --size-kb 512 --buffers 15
-    python -m repro figure6 | figure7 | figure9 [--seed N]
-    python -m repro table1 --quick
-    python -m repro table2 | table3 | table4 | table5 [--seeds N]
-    python -m repro sendbuf | fairness | twoway | telnet
     python -m repro run-all --quick --jobs 4 --json results.json
+    python -m repro run-all --experiments table2,telnet --seeds 4
+    python -m repro run-all --experiments figure6 --seed 1
     python -m repro run-all --only table4/proto=reno/seed=0 --no-timeout
-    python -m repro run-all --quick --backend dist --workers 4 --json r.json
+    python -m repro run-all --quick --jobs 4 --bind 0.0.0.0:7077
     python -m repro dist worker --connect 127.0.0.1:7077
     python -m repro arena --quick --json arena.json --out league.md
     python -m repro traces --scenario lte --seed 0

@@ -3,8 +3,7 @@
 Each module runs *one* simulation of its artifact; the grids over
 those runs are cells of :mod:`repro.harness.registry` (values from
 :mod:`repro.experiments.defaults`), rendered by
-:mod:`repro.harness.aggregate` for ``run-all`` and the paper verbs
-(:mod:`repro.experiments.command`) alike.
+:mod:`repro.harness.aggregate` for ``run-all``.
 
 | Paper artifact | Module |
 |---|---|

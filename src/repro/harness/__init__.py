@@ -14,8 +14,8 @@ through one pipeline:
   the cache and runs the rest one of **two ways** — in this process
   (``timeout_s=None``: serial, raw exceptions, for debugging one
   cell) or on **socket workers** under the master, which is what both
-  ``--jobs N`` (N workers the master forks) and ``--backend dist``
-  (a bind address, attached workers) mean.  Results are bit-identical
+  ``--jobs N`` (N workers the master forks) and ``--bind`` (a listen
+  address, attached workers) mean.  Results are bit-identical
   whichever way, because each cell builds its own
   :class:`~repro.sim.engine.Simulator` from its own seed; each is
   written to the cache as it settles, which is how a killed sweep

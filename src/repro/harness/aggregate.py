@@ -3,8 +3,8 @@
 Every paper artifact's title, rows and format strings live here and
 nowhere else: each ``render_*`` function is the renderer of one
 experiment's record in :mod:`repro.harness.registry`, and ``run-all``
-and the paper verbs (``python -m repro table2`` ...) both run registry
-cells and print :func:`summarize` over them.  Aggregation works on
+(``python -m repro run-all --experiments table2`` ...) runs registry
+cells and prints :func:`summarize` over them.  Aggregation works on
 JSON-shaped cell dicts — ``{"experiment", "params", "metrics"}`` — so
 it applies equally to a fresh :class:`~repro.harness.runner.RunReport`
 rendered by :func:`repro.harness.artifacts.build_document` and to a

@@ -5,7 +5,7 @@ cell with its parameters and metrics, plus run metadata (job count,
 cache accounting, wall clock).  Determinism contract: for the same
 source tree and cells, the ``cells`` array is byte-identical across
 ``--jobs`` settings, across cached/uncached runs, **and across
-execution backends** (``--jobs`` vs ``--backend dist``) except for
+execution backends** (``--jobs`` vs ``--bind``) except for
 the ``wall_clock_s``/``cached`` bookkeeping and the v3 provenance
 fields (``worker``/``attempts``/``attempt_log``), which is why
 :func:`cells_fingerprint` — the hash CI compares — covers only the

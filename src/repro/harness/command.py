@@ -1,9 +1,10 @@
 """The ``run-all`` and ``dist worker`` commands.
 
-``run-all`` sweeps every experiment's registered cell grid through
-:func:`repro.harness.runner.run_cells`; ``--backend dist`` runs it on
-the distributed master, and ``dist worker`` attaches a worker process
-to such a master.  The sweep flags are declared in
+``run-all`` is the one command that runs a paper artifact: it sweeps
+every selected experiment's registered cell grid through
+:func:`repro.harness.runner.run_cells` and prints each one's
+paper-style section.  ``--bind`` lets ``dist worker`` processes attach
+to its master.  The sweep flags are declared in
 :mod:`repro.harness.options` (see README, "Sweep options").
 
 Exit codes: 0 = every cell completed, 1 = invariant violations
@@ -28,6 +29,12 @@ def configure_parser(sub) -> None:
                      help="reduced grids (the CI smoke configuration)")
     cmd.add_argument("--experiments", metavar="A,B,...",
                      help="comma-separated subset (default: all)")
+    cmd.add_argument("--seed", type=int, default=None, metavar="S",
+                     help="first seed of the seed axis (default 0)")
+    cmd.add_argument("--seeds", type=int, default=None, metavar="N",
+                     help="run every condition at seeds S..S+N-1 "
+                          "(default 1 with --seed; without either "
+                          "flag, each grid keeps its own seeds)")
     cmd.add_argument("--only", metavar="KEY[,KEY...]", default=None,
                      help="run only the cells whose key equals (or is "
                           "prefixed by) a selector — the way to "
@@ -38,7 +45,7 @@ def configure_parser(sub) -> None:
     dist = sub.add_parser(
         "dist",
         help="distributed sweep backend: attach a worker process to a "
-             "listening `run-all --backend dist` master")
+             "`run-all --bind HOST:PORT` master")
     worker.configure_parser(dist.add_subparsers(dest="dist_command",
                                                 required=True))
 
@@ -46,9 +53,16 @@ def configure_parser(sub) -> None:
 def run_all(args) -> int:
     from repro.harness import aggregate, artifacts, registry
 
+    seeds = None
+    if args.seed is not None or args.seeds is not None:
+        runs = 1 if args.seeds is None else args.seeds
+        options.require_at_least("--seeds", runs, 1)
+        first = args.seed or 0
+        seeds = range(first, first + runs)
     cells = registry.all_cells(
         quick=args.quick,
-        experiments=options.split_csv(args.experiments) or None)
+        experiments=options.split_csv(args.experiments) or None,
+        seeds=seeds)
     if args.only:
         wanted = options.split_csv(args.only)
         cells = [cell for cell in cells

@@ -4,8 +4,8 @@ The master shards a sweep's cells across worker processes — forked by
 it (so they know every experiment it knows) or attached over a socket
 as fresh interpreters (``--preload`` tells those what to import) — with
 robustness as the design driver.  It is the *only* transport:
-``--jobs N`` is this master with N forked workers, ``--backend dist``
-the same master with an address others can attach to.  What a lease, a
+``--jobs N`` is this master with N forked workers, and ``--bind``
+gives the same master an address others can attach to.  What a lease, a
 retry or a quarantine means is decided by
 :class:`repro.harness.lease.LeaseTable`.  There is no run journal:
 results go to the result cache as they settle, so resuming a killed
@@ -20,7 +20,7 @@ sweep is re-running it.
 * :mod:`~repro.harness.dist.chaos` — adversarial cells used by the
   failure-mode tests and the CI smoke job.
 
-Entry points: ``python -m repro run-all --backend dist --workers N``,
+Entry points: ``python -m repro run-all --jobs N --bind HOST:PORT``,
 and ``python -m repro dist worker --connect HOST:PORT`` to attach extra
 workers to a listening master.
 """

@@ -3,8 +3,8 @@
 :func:`run_distributed` takes pending cells and returns ``(successes,
 failures, interrupted)``; it is how ``run_cells`` executes anything
 under a deadline.  ``--jobs N`` (``backend="local"``) is N workers the
-master forks, no lease grace; ``--backend dist`` adds a bind address,
-attached workers and a lease grace.  Cells move to worker *processes*
+master forks, no lease grace; ``--bind`` (``backend="dist"``) adds a
+listen address, attached workers and a lease grace.  Cells move to worker *processes*
 speaking the :mod:`~repro.harness.dist.protocol` wire format over TCP.
 Robustness is the design driver:
 

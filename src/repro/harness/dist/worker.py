@@ -127,8 +127,8 @@ def configure_parser(sub) -> None:
     """Attach the ``worker`` subparser to *sub* (``repro dist``'s)."""
     parser = sub.add_parser("worker", help=HELP)
     parser.add_argument("--connect", required=True, metavar="HOST:PORT",
-                        help="master address (a `run-all --backend dist "
-                        "--workers 0 --bind ...` master prints it)")
+                        help="master address (a `run-all --jobs 0 "
+                        "--bind ...` master prints it)")
     parser.add_argument("--worker-id", default=None,
                         help="identity announced to the master "
                         "(default: pid-derived)")

@@ -1,6 +1,6 @@
 """The cell scheduler core: leases, retries, deadlines, quarantine.
 
-Every supervised sweep — ``--jobs N`` or ``--backend dist``, both the
+Every supervised sweep — ``--jobs N`` with or without ``--bind``, the
 socket master (:mod:`repro.harness.dist.master`) — is driven by one
 :class:`LeaseTable`.  The master only moves cells and payloads; what
 an attempt *means* is decided here, once:
@@ -168,7 +168,7 @@ class LeaseTable:
     arrive, :meth:`expire` on its periodic scan, and
     :meth:`revoke_worker` when a worker is lost.  ``lease_grace_s`` is
     what is added on top of a cell's budget: zero for ``--jobs``
-    (forked workers on loopback), seconds for ``--backend dist``.
+    (forked workers on loopback), seconds with ``--bind``.
     """
 
     def __init__(self, cells, timeout_s: Optional[float],

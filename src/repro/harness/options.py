@@ -31,9 +31,9 @@ class UsageError(ReproError):
 
 
 def add_sweep_options(cmd) -> None:
-    """Declare the flags every sweep verb takes (any backend)."""
+    """Declare the flags every sweep verb takes."""
     cmd.add_argument("--jobs", type=int, default=None,
-                     help="forked workers at a time (default: cpu "
+                     help="workers the master forks (default: cpu "
                           "count; ignored with --no-timeout)")
     cmd.add_argument("--json", metavar="PATH",
                      help="write every cell as a harness JSON artifact "
@@ -82,26 +82,11 @@ def add_sweep_options(cmd) -> None:
                           "quarantine events, plus periodic engine "
                           "gauges (cwnd/flight/queue depth); render "
                           "it with `repro report`")
-    cmd.add_argument("--backend", choices=("local", "dist"),
-                     default="local",
-                     help="transport: 'local' forks --jobs workers and "
-                          "feeds them cells over loopback sockets; "
-                          "'dist' is the same master with --workers "
-                          "workers plus --bind and attach; timeouts, "
-                          "retries, quarantine and the cache are the "
-                          "same on both")
-    cmd.add_argument("--workers", type=int, default=2, metavar="N",
-                     help="[dist] local worker processes to spawn "
-                          "(default 2; 0 = attach-only, wait for "
-                          "`repro dist worker --connect` peers)")
     cmd.add_argument("--bind", metavar="HOST:PORT", default=None,
-                     help="[dist] master listen address "
-                          "(default 127.0.0.1 on an ephemeral port)")
-    cmd.add_argument("--preload", action="append", default=[],
-                     metavar="MODULE",
-                     help="[dist] import MODULE in every local worker "
-                          "(only matters where workers cannot be forked; "
-                          "attached workers take their own --preload)")
+                     help="listen on HOST:PORT so `repro dist worker "
+                          "--connect` peers can attach beside the --jobs "
+                          "forked workers (--jobs 0: attach-only), with "
+                          "a lease grace for the network hop")
     # What add_single_sweep_options exposes; every verb's Namespace
     # carries the attributes so sweep_options reads one shape.
     cmd.set_defaults(faults=None, chaos_kill_after=None)
@@ -162,19 +147,33 @@ class SweepOptions:
     telemetry: Optional[str] = None
     cache: Optional[cache_mod.ResultCache] = None
     src_hash: str = ""
-    backend: str = "local"
-    dist_options: Optional[Dict[str, Any]] = None
+    bind: Optional[str] = None
+    chaos_kill_after: Optional[int] = None
     json: Optional[str] = None
+
+    @property
+    def backend(self) -> str:
+        """What the artifact records as ``run.backend``."""
+        return "local" if self.bind is None else "dist"
 
     def run(self, cells: Sequence[registry.Cell],
             progress: Optional[Callable[[str], None]] = None,
             ) -> runner.RunReport:
+        # With --bind, --jobs is the workers forked beside the attached
+        # ones; under --jobs 0 a master nobody reaches degrades to the
+        # cpu count (run_cells' jobs=None).
+        dist_options = None
+        if self.bind is not None:
+            dist_options = {"workers": self.jobs if self.jobs is not None
+                            else os.cpu_count() or 1,
+                            "bind": self.bind,
+                            "chaos_kill_after": self.chaos_kill_after}
         return runner.run_cells(
-            cells, jobs=self.jobs, cache=self.cache, progress=progress,
-            checks=self.checks, faults=self.faults,
+            cells, jobs=self.jobs or None, cache=self.cache,
+            progress=progress, checks=self.checks, faults=self.faults,
             timeout_s=self.timeout_s, retries=self.retries,
             watchdog=self.watchdog, telemetry=self.telemetry,
-            backend=self.backend, dist_options=self.dist_options)
+            backend=self.backend, dist_options=dist_options)
 
     def document(self, report: runner.RunReport, mode: str) -> Dict[str, Any]:
         """The sweep's artifact, written to ``--json`` when given."""
@@ -236,7 +235,8 @@ def sweep_options(args) -> SweepOptions:
     Everything that can be refused is refused here, before any cell
     runs: a sweep that dies on its last line loses the work.
     """
-    require_at_least("--jobs", args.jobs, 1)
+    # With --bind, --jobs 0 is a master that only waits for attachers.
+    require_at_least("--jobs", args.jobs, 0 if args.bind else 1)
     require_at_least("--retries", args.retries, 0)
     timeout_s = None if args.no_timeout else args.timeout
     if timeout_s is not None:
@@ -252,18 +252,12 @@ def sweep_options(args) -> SweepOptions:
     if not args.no_cache:
         cache = cache_mod.ResultCache(
             args.cache_dir or cache_mod.default_cache_dir(), src_hash)
-    dist_options = None
-    if args.backend == "dist":
-        require_at_least("--workers", args.workers, 0)
-        dist_options = {"workers": args.workers, "preload": args.preload,
-                        "chaos_kill_after": args.chaos_kill_after}
-        if args.bind:
-            dist_options["bind"] = args.bind
     return SweepOptions(
         jobs=args.jobs, timeout_s=timeout_s, retries=args.retries,
         checks=args.checks, faults=faults, watchdog=args.watchdog,
         telemetry=args.telemetry, cache=cache, src_hash=src_hash,
-        backend=args.backend, dist_options=dist_options, json=args.json)
+        bind=args.bind, chaos_kill_after=args.chaos_kill_after,
+        json=args.json)
 
 
 def counting_progress(total: int) -> Callable[[str], None]:

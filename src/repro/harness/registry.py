@@ -330,8 +330,8 @@ def _search_cohort_cell(schemes: str, bw_kbps: float, delay_ms: float,
 # declared once, in repro.experiments.defaults — imported inside each
 # grid so ``import repro.harness`` does not load the experiments
 # package — and a quick grid is a slice of the full one.  Every grid
-# takes the seed axis as an optional second argument: the paper verbs
-# pass ``--seed``/``--seeds`` there, ``run-all`` leaves the default.
+# takes the seed axis as an optional second argument: ``run-all
+# --seed/--seeds`` passes it there, and without them the default holds.
 # ----------------------------------------------------------------------
 
 def _seed_axis(seeds: Optional[Sequence[int]], quick: bool, quick_runs: int,
@@ -661,12 +661,14 @@ def cells_for(name: str, quick: bool = False,
 
 
 def all_cells(quick: bool = False,
-              experiments: Optional[Iterable[str]] = None) -> List[Cell]:
-    """The full sweep: every experiment's grid, in table order."""
+              experiments: Optional[Iterable[str]] = None,
+              seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    """The full sweep: every experiment's grid, in table order, each
+    on the seed axis *seeds* (see :func:`cells_for`) when given."""
     names = list(experiments) if experiments is not None else _sweep()
     cells: List[Cell] = []
     for name in names:
-        cells.extend(cells_for(name, quick=quick))
+        cells.extend(cells_for(name, quick=quick, seeds=seeds))
     return cells
 
 

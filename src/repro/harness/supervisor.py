@@ -17,7 +17,7 @@ transport behind it: a hung cell's worker is killed at the deadline
 (``timeout``), a worker that dies under its cell is that cell's
 ``crash`` with the exit code, and the
 :class:`~repro.harness.lease.LeaseTable` owns attempts, backoff and
-quarantine exactly as it does for ``--backend dist``.
+quarantine exactly as it does for ``--bind``.
 """
 
 from __future__ import annotations

@@ -79,10 +79,19 @@ class BandwidthTrace:
                  period: Optional[float] = None, name: str = "trace"):
         times = tuple(float(t) for t in times)
         rates = tuple(float(r) for r in rates)
+        if period is not None:
+            period = float(period)
         if not times or len(times) != len(rates):
             raise ConfigurationError(
                 f"trace {name!r}: times and rates must be equal-length and "
                 f"non-empty (got {len(times)} times, {len(rates)} rates)")
+        # NaN compares false with everything, so it would slip past the
+        # ordering checks below; an infinite start poisons the integrals.
+        for value in times + ((period,) if period is not None else ()):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"trace {name!r}: segment starts and the period must "
+                    f"be finite, got {value!r}")
         if times[0] != 0.0:
             raise ConfigurationError(
                 f"trace {name!r}: first segment must start at t=0.0")
@@ -96,12 +105,10 @@ class BandwidthTrace:
                 raise ConfigurationError(
                     f"trace {name!r}: rates must be finite and "
                     f"non-negative, got {rate!r}")
-        if period is not None:
-            period = float(period)
-            if period <= times[-1]:
-                raise ConfigurationError(
-                    f"trace {name!r}: period ({period}) must exceed the "
-                    f"last segment start ({times[-1]})")
+        if period is not None and period <= times[-1]:
+            raise ConfigurationError(
+                f"trace {name!r}: period ({period}) must exceed the "
+                f"last segment start ({times[-1]})")
         self.times = times
         self.rates = rates
         self.period = period

@@ -157,7 +157,7 @@ def _worker_section(cells: List[Dict[str, Any]],
 
 
 #: Scheduler counters, label -> telemetry event, all emitted by the
-#: master (``--jobs`` and ``--backend dist`` alike).
+#: master (with or without ``--bind`` alike).
 _COUNTERS = {
     "attempts retried": "cell.retry",
     "cells quarantined": "cell.quarantine",

@@ -20,7 +20,7 @@ The subsystem splits the way the harness does:
   executes a parameterized arena cohort;
 * :mod:`repro.search.driver` — the loop: ask a batch, run the cells
   through :func:`repro.harness.runner.run_cells` (content-hash cache
-  and ``--backend dist`` work unchanged), score, tell; plus the
+  and ``--bind`` work unchanged), score, tell; plus the
   ``repro-search/v1`` artifact and the Markdown leaderboard;
 * :mod:`repro.search.command` — ``python -m repro search``.
 """

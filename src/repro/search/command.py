@@ -13,8 +13,8 @@ options") apply exactly as in ``run-all``.
         --budget 24 --json search.json --result search_result.json
     python -m repro search --objective vegas_regret --quick --budget 6 \\
         --out leaderboard.md
-    python -m repro search --objective table_calibrate --backend dist \\
-        --workers 4 --budget 60
+    python -m repro search --objective table_calibrate --jobs 4 \\
+        --bind 0.0.0.0:7077 --budget 60
 
 Exit codes: 0 = search completed with at least one scored point,
 2 = bad flags/selection, 3 = every evaluation failed, 130 = sweep

@@ -12,8 +12,9 @@ sys.path.insert(0, os.path.dirname(__file__))
 def run_shared(tmp_path_factory):
     """``run_cells`` on two workers over one session-wide result cache.
 
-    The paper-verb tests and the paper-claim fixtures need overlapping
-    cells (``table2 --seeds 1`` is a third of the Table-2 claims grid);
+    The ``run-all`` artifact tests and the paper-claim fixtures need
+    overlapping cells (``run-all --experiments table2 --seeds 1`` is a
+    third of the Table-2 claims grid);
     through this each cell is simulated once per session.  The workers
     are ``--jobs 2``'s, whose results equal an in-process run's (the
     sweep fingerprint gate); the deadline only catches a hang.
@@ -32,12 +33,16 @@ def run_shared(tmp_path_factory):
 
 
 @pytest.fixture
-def verbs_share_cells(monkeypatch, run_shared):
-    """Serve the paper verbs' ``run_cells`` call through :func:`run_shared`."""
+def run_all_shares_cells(monkeypatch, run_shared):
+    """Serve ``run-all``'s ``run_cells`` call through :func:`run_shared`.
+
+    The tests that use it pass no flag that changes a cell's metrics
+    (``--checks``, ``--faults``), so only the transport is dropped.
+    """
     from repro.harness import runner
 
-    def through_cache(cells, **options):
-        assert not options, "a paper verb runs its cells with no options"
+    def through_cache(cells, checks=False, faults=None, **transport):
+        assert not checks and faults is None
         return run_shared(cells)
 
     monkeypatch.setattr(runner, "run_cells", through_cache)

@@ -21,7 +21,12 @@ class TestParser:
         assert args.buffers == 10
 
 
-@pytest.mark.usefixtures("verbs_share_cells")
+def run_all(*argv):
+    """``run-all --no-cache`` over *argv*; the exit code."""
+    return main(["run-all", "--no-cache", *argv])
+
+
+@pytest.mark.usefixtures("run_all_shares_cells")
 class TestCommands:
     def test_list(self, capsys):
         assert main(["list"]) == 0
@@ -39,27 +44,27 @@ class TestCommands:
         assert "vegas-1,3" in capsys.readouterr().out
 
     def test_figure6(self, capsys):
-        assert main(["figure6"]) == 0
+        assert run_all("--experiments", "figure6") == 0
         out = capsys.readouterr().out
-        assert "Figure 6" in out and "windows" in out
+        assert "Figure 6" in out and "send marks" in out
 
     def test_figure7(self, capsys):
-        assert main(["figure7"]) == 0
+        assert run_all("--experiments", "figure7") == 0
         out = capsys.readouterr().out
-        assert "Figure 7" in out and "CAM" in out
+        assert "Figure 7" in out and "CAM decisions" in out
 
     def test_table1_quick(self, capsys):
-        assert main(["table1", "--quick"]) == 0
+        assert run_all("--experiments", "table1", "--quick") == 0
         out = capsys.readouterr().out
         assert "reno/vegas" in out and "(paper)" in out
 
     @pytest.mark.slow
     def test_table2_small(self, capsys):
-        assert main(["table2", "--seeds", "1"]) == 0
+        assert run_all("--experiments", "table2", "--seeds", "1") == 0
         out = capsys.readouterr().out
         assert "vegas-1,3" in out and "Coarse timeouts" in out
 
     def test_sendbuf(self, capsys):
-        assert main(["sendbuf"]) == 0
+        assert run_all("--experiments", "sendbuf") == 0
         out = capsys.readouterr().out
         assert "sndbuf" in out and "50KB" in out

@@ -1,115 +1,156 @@
 """Additional CLI command coverage (fast variants of the slow paths)."""
 
 import os
+import re
 
 import pytest
 
 from repro.cli import main
 
 
-@pytest.mark.usefixtures("verbs_share_cells")
+def run_all(*argv):
+    """``run-all --no-cache`` over *argv*; the exit code."""
+    return main(["run-all", "--no-cache", *argv])
+
+
+@pytest.mark.usefixtures("run_all_shares_cells")
 class TestMoreCommands:
     def test_table4_single_seed(self, capsys):
-        assert main(["table4", "--seeds", "1"]) == 0
+        assert run_all("--experiments", "table4", "--seeds", "1") == 0
         out = capsys.readouterr().out
         assert "UA->NIH" in out and "vegas-2,4" in out
 
     def test_table5_single_seed(self, capsys):
-        assert main(["table5", "--seeds", "1"]) == 0
+        assert run_all("--experiments", "table5", "--seeds", "1") == 0
         out = capsys.readouterr().out
         assert "128 KB transfers" in out
         assert "1024 KB transfers" in out
 
     @pytest.mark.slow
     def test_twoway_single_seed(self, capsys):
-        assert main(["twoway", "--seeds", "1"]) == 0
+        assert run_all("--experiments", "twoway", "--seeds", "1") == 0
         out = capsys.readouterr().out
         assert "two-way" in out
 
     def test_figure9(self, capsys):
-        assert main(["figure9"]) == 0
+        assert run_all("--experiments", "figure9") == 0
         out = capsys.readouterr().out
-        assert "Figure 9" in out and "CAM" in out
+        assert "Figure 9" in out and "CAM decisions" in out
 
     @pytest.mark.slow
     def test_table3_single_seed(self, capsys):
-        assert main(["table3", "--seeds", "1"]) == 0
+        assert run_all("--experiments", "table3", "--seeds", "1") == 0
         out = capsys.readouterr().out
         assert "background CC" in out
 
 
 # ----------------------------------------------------------------------
-# The nine tabular verbs are one function over the registry's cells and
-# the harness's renderer: one case list, nine verbs, each at its
-# cheapest arguments, with the grid those arguments select.
+# Every paper artifact is `run-all --experiments X`: one case list, each
+# artifact at its cheapest arguments, with the grid those arguments
+# select.
 # ----------------------------------------------------------------------
 
 BASELINE = os.path.join(os.path.dirname(__file__), os.pardir,
                         "baselines", "expected.json")
 
 
-def _verb(*argv, slow=False, **grid):
-    return pytest.param(list(argv), grid, id=" ".join(argv),
+def _artifact(name, *flags, slow=False, **grid):
+    return pytest.param(["--experiments", name, *flags], name, grid,
+                        id=" ".join((name,) + flags),
                         marks=[pytest.mark.slow] if slow else [])
 
 
-PAPER_VERBS = [
-    _verb("table1", "--quick", quick=True),
-    _verb("table2", "--seeds", "1", seeds=range(1), slow=True),
-    _verb("table3", "--seeds", "1", seeds=range(1), slow=True),
-    _verb("table4", "--seeds", "2", seeds=range(2)),
-    _verb("table5", "--seeds", "2", seeds=range(2)),
-    _verb("sendbuf"),
-    _verb("fairness"),
-    _verb("twoway", "--seeds", "1", seeds=range(1), slow=True),
-    _verb("telnet", "--seeds", "1", seeds=range(1)),
+PAPER_ARTIFACTS = [
+    _artifact("table1", "--quick", quick=True),
+    _artifact("table2", "--seeds", "1", seeds=range(1), slow=True),
+    _artifact("table3", "--seeds", "1", seeds=range(1), slow=True),
+    _artifact("table4", "--seeds", "2", seeds=range(2)),
+    _artifact("table5", "--seeds", "2", seeds=range(2)),
+    _artifact("sendbuf"),
+    _artifact("fairness"),
+    _artifact("twoway", "--seeds", "1", seeds=range(1), slow=True),
+    _artifact("telnet", "--seeds", "1", seeds=range(1)),
 ]
 
 
-@pytest.mark.usefixtures("verbs_share_cells")
+def footer(doc):
+    """The two lines ``run-all`` prints after the tables."""
+    from repro.harness.artifacts import cells_fingerprint
+
+    return (rf"{len(doc['cells'])} cells, jobs=\d+, [\d.]+s elapsed "
+            r"\(cell wall clock [\d.]+s\); cache: \d+ hits / \d+ misses\n"
+            rf"cell fingerprint: {cells_fingerprint(doc)}\n")
+
+
+@pytest.mark.usefixtures("run_all_shares_cells")
 class TestPaperVerbs:
-    @pytest.mark.parametrize("argv,grid", PAPER_VERBS)
-    def test_verb_prints_its_registry_cells(self, argv, grid, capsys,
+    @pytest.mark.parametrize("argv,name,grid", PAPER_ARTIFACTS)
+    def test_verb_prints_its_registry_cells(self, argv, name, grid, capsys,
                                             run_shared):
         """stdout is ``aggregate.summarize`` over the grid the arguments
-        select, and every cell the quick baseline pins has its numbers."""
+        select plus the footer, and every cell the quick baseline pins
+        has its numbers."""
         from repro.harness import build_document, cells_for, load_document
         from repro.harness.aggregate import summarize
 
-        assert main(argv) == 0
+        assert run_all(*argv) == 0
         out = capsys.readouterr().out
-        report = run_shared(cells_for(argv[0], **grid))
+        report = run_shared(cells_for(name, **grid))
         doc = build_document(report, mode="test", src_hash="")
-        assert out == summarize(doc["cells"]) + "\n"
+        table = summarize(doc["cells"]) + "\n\n"
+        assert out.startswith(table)
+        assert re.fullmatch(footer(doc), out[len(table):])
 
         pinned = {cell["key"]: cell["metrics"]
                   for cell in load_document(BASELINE)["cells"]}
         gated = [cell for cell in doc["cells"] if cell["key"] in pinned]
-        assert gated, "no cell of this verb is in the quick baseline"
+        assert gated, "no cell of this artifact is in the quick baseline"
         for cell in gated:
             assert cell["metrics"] == pinned[cell["key"]], cell["key"]
 
     def test_seed_is_the_base_of_the_seed_axis(self, capsys):
-        """Six verbs parsed ``--seed`` and ignored it: ``--seed 1
-        --seeds 1`` now prints the baseline's own ``seed=1`` cells."""
+        """``--seed 1 --seeds 1`` prints the baseline's own ``seed=1``
+        cells; ``--seed 1`` alone means one seed, and differs from the
+        default base 0."""
         from repro.harness import load_document
         from repro.harness.aggregate import summarize
 
-        assert main(["table4", "--seeds", "1", "--seed", "1"]) == 0
-        shifted = capsys.readouterr().out
         pinned = [cell for cell in load_document(BASELINE)["cells"]
                   if cell["experiment"] == "table4"
                   and cell["params"]["seed"] == 1]
         assert len(pinned) == 3
-        assert shifted == summarize(pinned) + "\n"
-        assert main(["table4", "--seeds", "1"]) == 0
-        assert capsys.readouterr().out != shifted
+        table = summarize(pinned) + "\n\n"
+        assert run_all("--experiments", "table4", "--seeds", "1",
+                       "--seed", "1") == 0
+        assert capsys.readouterr().out.startswith(table)
+        assert run_all("--experiments", "table4", "--seed", "1") == 0
+        assert capsys.readouterr().out.startswith(table)
+        assert run_all("--experiments", "table4", "--seeds", "1") == 0
+        assert not capsys.readouterr().out.startswith(table)
+
+    def test_no_seed_flag_keeps_each_grid_axis(self, monkeypatch):
+        """Without ``--seed``/``--seeds`` every grid keeps its own seeds
+        (figure4's seed 3, the two of quick table4): ``run-all --quick``
+        still sweeps the baseline's 118 cells."""
+        from repro.harness import load_document, runner
+
+        swept = []
+
+        def record(cells, **kwargs):
+            swept.extend(cell.key for cell in cells)
+            return runner.RunReport(interrupted=True)
+
+        monkeypatch.setattr(runner, "run_cells", record)
+        assert run_all("--quick") == 130
+        assert len(swept) == 118
+        assert sorted(swept) == sorted(
+            cell["key"] for cell in load_document(BASELINE)["cells"])
 
     @pytest.mark.parametrize("count", ["0", "-3"])
-    @pytest.mark.parametrize("verb", ["table3", "table4"])
-    def test_seeds_below_one_is_a_usage_error(self, verb, count, capsys,
-                                              no_cells_run):
-        assert main([verb, "--seeds", count]) == 2
+    @pytest.mark.parametrize("experiment", ["table3", "table4"])
+    def test_seeds_below_one_is_a_usage_error(self, experiment, count,
+                                              capsys, no_cells_run):
+        assert run_all("--experiments", experiment, "--seeds", count) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: --seeds must be >= 1, got {count}" in captured.err
@@ -122,15 +163,19 @@ class TestPaperVerbs:
         assert f"error: --size-kb must be >= 1, got {size}" in captured.err
 
     def test_interrupted_verb_prints_no_table(self, monkeypatch, capsys):
-        """``run_cells`` drains a Ctrl-C into the report: the cells that
-        did run must not be printed as if they were the table."""
+        """``run_cells`` drains a Ctrl-C into the report: what did run
+        must not pass for the whole table, so the sweep ends on the
+        INTERRUPTED notice and exit 130."""
         from repro.harness import runner
 
         monkeypatch.setattr(
             runner, "run_cells",
-            lambda cells, **kwargs: runner.RunReport(interrupted=True))
-        assert main(["table4", "--seeds", "1"]) == 130
-        assert capsys.readouterr().out == ""
+            lambda cells, **kwargs: runner.RunReport(
+                interrupted=True, cache_misses=len(cells)))
+        assert run_all("--experiments", "table4", "--seeds", "1") == 130
+        out = capsys.readouterr().out
+        assert "INTERRUPTED: sweep drained with 0/3 cells settled" in out
+        assert "Table 4" not in out
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +195,8 @@ BAD_VALUES = [
     (["--timeout", "0"], "--timeout must be positive, got 0.0"),
     (["--timeout", "nan"], "--timeout must be finite, got nan"),
     (["--watchdog", "-1"], "--watchdog must be positive, got -1.0"),
-    (["--backend", "dist", "--workers", "-1"],
-     "--workers must be >= 0, got -1"),
+    (["--bind", "127.0.0.1:0", "--jobs", "-1"],
+     "--jobs must be >= 0, got -1"),
     (["--json", "{missing}/x.json"], "--json: cannot write"),
 ]
 
@@ -208,15 +253,46 @@ class TestSweepOptionTable:
                   "solo", "--no-cache"]
         local, dist = str(tmp_path / "l.json"), str(tmp_path / "d.json")
         assert main(matrix + ["--jobs", "2", "--json", local]) == 0
-        assert main(matrix + ["--backend", "dist", "--workers", "2",
-                              "--jobs", "1", "--json", dist]) == 0
+        assert main(matrix + ["--jobs", "2", "--bind", "127.0.0.1:0",
+                              "--json", dist]) == 0
         doc = load_document(dist)
         assert doc["run"]["backend"] == "dist"
-        # The workers the master started, not the degrade fallback.
+        assert load_document(local)["run"]["backend"] == "local"
         assert doc["run"]["jobs"] == 2
         assert {c["worker"] for c in doc["cells"]} != {None}
         assert cells_fingerprint(doc) == \
             cells_fingerprint(load_document(local))
+
+    @pytest.mark.parametrize("flags,jobs,dist_options", [
+        ([], None, None),
+        (["--jobs", "3"], 3, None),
+        (["--jobs", "3", "--bind", "127.0.0.1:0"], 3,
+         {"workers": 3, "bind": "127.0.0.1:0", "chaos_kill_after": None}),
+        # Attach-only: a master nobody reaches degrades to the cpu count.
+        (["--jobs", "0", "--bind", "0.0.0.0:7077"], None,
+         {"workers": 0, "bind": "0.0.0.0:7077", "chaos_kill_after": None}),
+        (["--bind", "127.0.0.1:0", "--chaos-kill-after", "2"], None,
+         {"workers": os.cpu_count() or 1, "bind": "127.0.0.1:0",
+          "chaos_kill_after": 2}),
+    ], ids=["default", "jobs", "jobs+bind", "attach-only", "bind"])
+    def test_jobs_and_bind_pick_the_transport(self, flags, jobs,
+                                              dist_options, monkeypatch):
+        """``--bind`` is what makes a sweep ``dist``; ``--jobs`` is the
+        workers the master forks either way."""
+        from repro.harness import runner
+
+        seen = {}
+
+        def record(cells, **kwargs):
+            seen.update(kwargs)
+            return runner.RunReport(interrupted=True)
+
+        monkeypatch.setattr(runner, "run_cells", record)
+        assert run_all("--experiments", "sendbuf", *flags) == 130
+        assert seen["jobs"] == jobs
+        assert seen["backend"] == ("local" if dist_options is None
+                                   else "dist")
+        assert seen["dist_options"] == dist_options
 
     def test_interrupted_arena_exits_130(self, monkeypatch, capsys):
         from repro.harness import runner

@@ -7,7 +7,7 @@ their cells retried on respawned workers, stale results never settle
 only the cells it had not finished, the drain path flushes partial
 results, zero reachable workers degrades to local workers on the same
 lease table and socket, a worker that dies under its cell is that
-cell's ``crash`` — and a ``--backend dist``
+cell's ``crash`` — and a ``--bind``
 sweep's artifact carries the same cells fingerprint, retry schedule and
 failure records as a ``--jobs`` one, because both are this master.
 """
@@ -874,7 +874,7 @@ def _outline(report):
 def test_fork_and_socket_transports_settle_a_cell_identically(
         mode, tmp_path):
     # The name is from when there were two transports; what it pins now
-    # is that ``--jobs`` and ``--backend dist`` are one master: the same
+    # is that ``--jobs`` with and without ``--bind`` is one master: the same
     # cell settles the same way under either set of options.
     if mode == "hang":
         cell = chaos("sleep", delay=30.0, seed=0)
@@ -922,7 +922,7 @@ run_cells(cells, timeout_s=30.0,
 """
 
 #: Both ways into the master: forked ``--jobs`` workers, and the
-#: ``--backend dist`` settings.
+#: ``--bind`` settings.
 TRANSPORTS = {
     "local": {"jobs": 1},
     "dist": {"backend": "dist", "dist_options": {"workers": 1}},

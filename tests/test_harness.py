@@ -548,4 +548,4 @@ class TestCliRunAll:
     def test_list_mentions_run_all(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "run-all" in out and "telnet" in out
+        assert "run-all" in out and "solo" in out

@@ -252,7 +252,7 @@ class TestHarnessTelemetry:
 
     def test_report_counts_retries_of_a_local_supervised_run(self, tmp_path):
         # A `--jobs` run's retries reach `repro report`: it rides the
-        # same master as `--backend dist`, so the retry names its worker
+        # same master as `--bind`, so the retry names its worker
         # and the report carries the counters and the per-worker section.
         from repro.harness import build_document
         from repro.harness.dist.chaos import CHAOS_EXPERIMENT

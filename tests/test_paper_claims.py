@@ -8,7 +8,7 @@ run-all --experiments <name>`` prints the full quantitative comparison.
 Every paper artifact is a registry experiment, and the claims about it
 read its cells — the numbers ``run-all`` prints and
 ``baselines/expected.json`` pins — through the session's
-``run_shared`` cache, which the verb tests in ``test_cli_more.py``
+``run_shared`` cache, which the ``run-all`` tests in ``test_cli_more.py``
 fill and read too, so each cell is simulated once per session.
 """
 
@@ -145,7 +145,7 @@ class TestTable1Claims:
     @pytest.fixture(scope="class")
     def grid(self, run_shared):
         # The paper's 12 runs per combination: 15/20 buffers x six
-        # start delays, what ``python -m repro table1`` prints.
+        # start delays, what ``run-all --experiments table1`` prints.
         return run_shared(cells_for("table1")).results
 
     def test_reno_large_unhurt_over_the_grid(self, grid):
@@ -207,8 +207,8 @@ class TestTable2Claims:
         # Average across seeds x buffer counts, as the paper's 57-run
         # table does; single runs are noisy (one unlucky timeout moves
         # a 1 MB transfer's throughput by 20%).  This is the registry's
-        # full grid, what ``python -m repro table2`` prints; ``table2
-        # --seeds 1`` in test_cli_more.py is its first third.
+        # full grid, what ``run-all --experiments table2`` prints; its
+        # ``--seeds 1`` in test_cli_more.py is the first third.
         return run_shared(cells_for("table2")).results
 
     def test_throughput_advantage(self, grid):

@@ -377,8 +377,7 @@ class TestSourceGuard:
                                            line)]
         for flag in ("--jobs", "--timeout", "--no-timeout", "--retries",
                      "--checks", "--faults", "--watchdog", "--telemetry",
-                     "--no-cache", "--cache-dir", "--backend", "--workers",
-                     "--bind"):
+                     "--no-cache", "--cache-dir", "--bind"):
             homes = [rel for rel, name in declared if name == flag]
             # report/check take a --telemetry *input*; a sweep writes one.
             if flag == "--telemetry":
@@ -391,6 +390,22 @@ class TestSourceGuard:
             assert needle not in cli, needle
         assert {rel for rel, _, _ in self._matches(r"\bResultCache\(")} == {
             "harness/options.py"}
+
+    def test_one_door_per_job(self):
+        """``run-all`` is the only command that runs a paper artifact,
+        and ``--jobs``/``--bind`` the only spelling of a sweep's
+        workers: ``--backend``, ``--workers`` and ``--preload`` belong
+        to ``dist worker`` alone."""
+        from repro.cli import build_parser
+
+        commands = build_parser()._subparsers._group_actions[0].choices
+        assert list(commands) == ["list", "solo", "run-all", "dist", "arena",
+                                  "traces", "search", "check", "report",
+                                  "profile"]
+        assert self._matches(r"def (print_artifact|print_figure)\(") == []
+        homes = {rel for rel, _, line in self._matches(r"add_argument\(")
+                 if re.search(r'"--(backend|workers|preload)"', line)}
+        assert homes == {"harness/dist/worker.py"}
 
     def test_one_definition_per_paper_artifact(self):
         """A paper table is one runner and one grid in

@@ -280,6 +280,21 @@ class TestTraceValidation:
         with pytest.raises(ConfigurationError):
             BandwidthTrace((0.0,), (0.0,))          # zero tail forever
 
+    @pytest.mark.parametrize("times,rates,period", [
+        ((0.0, 1.0), (100.0, 0.0), math.nan),
+        ((0.0, 1.0), (100.0, 0.0), math.inf),
+        ((0.0, math.nan), (100.0, 50.0), None),
+        ((0.0, math.inf), (100.0, 50.0), None),
+    ], ids=["period=nan", "period=inf", "start=nan", "start=inf"])
+    def test_rejects_non_finite_starts_and_periods(self, times, rates,
+                                                   period):
+        """Each was accepted and failed later: a NaN or infinite period
+        mid-run in ``time_to_send``, a NaN start by serialising as if
+        its first segment did not exist, and both starts with a NaN
+        ``mean_rate``."""
+        with pytest.raises(ConfigurationError, match="trace 'hostile'"):
+            BandwidthTrace(times, rates, period=period, name="hostile")
+
     def test_generator_validation(self):
         with pytest.raises(ConfigurationError):
             constant_trace(0.0)
