@@ -7,24 +7,27 @@ that comparison into a tournament over the *whole* scheme registry:
 * :mod:`repro.arena.scenarios` — named bottleneck configurations;
 * :mod:`repro.arena.cells` — solo / 1v1-duel / mixed-cohabitation
   matchup runners;
-* :mod:`repro.arena.matrix` — the parameterized scheme × scenario ×
-  seed cell list (:func:`~repro.arena.matrix.generate_matrix`);
+* :mod:`repro.arena.matrix` — the scheme × scenario × seed cell list
+  (:func:`~repro.arena.matrix.generate_matrix` for a custom selection);
 * :mod:`repro.arena.league` — throughput/delay/retransmit/fairness
   standings rendered as Markdown league tables;
-* :mod:`repro.arena.command` — the ``python -m repro arena`` CLI.
+* :mod:`repro.arena.command` — the ``python -m repro traces`` CLI.
+
+The tournament is the ``arena`` experiment of the harness registry:
+``python -m repro run-all --experiments arena [--quick] [--seeds N]``
+runs, caches, gates and renders it like every paper artifact.
 """
 
 # Re-exports are lazy (PEP 562): the CLI imports this package while
-# building its parser, and must not drag the simulator stack in just
-# to register the `arena` subcommand.
+# building its parser, and the harness enumerates the arena grid from
+# it, so neither may drag the simulator stack in.
 _EXPORTS = {
     "FlowOutcome": "cells", "arena_duel": "cells", "arena_mix": "cells",
     "arena_solo": "cells", "run_cohort": "cells",
     "Standing": "league", "compute_standings": "league",
     "render_league": "league",
-    "MODES": "matrix", "describe_matrix": "matrix",
-    "generate_matrix": "matrix",
-    "DEFAULT_SCENARIOS": "scenarios", "QUICK_SCENARIOS": "scenarios",
+    "MODES": "matrix", "generate_matrix": "matrix",
+    "DEFAULT_SCENARIOS": "scenarios",
     "TIME_VARYING_SCENARIOS": "scenarios",
     "SCENARIOS": "scenarios", "Scenario": "scenarios",
     "available_scenarios": "scenarios", "get_scenario": "scenarios",
@@ -53,7 +56,6 @@ __all__ = [
     "FlowOutcome",
     "MODES",
     "DEFAULT_SCENARIOS",
-    "QUICK_SCENARIOS",
     "TIME_VARYING_SCENARIOS",
     "SCENARIOS",
     "Scenario",
@@ -63,7 +65,6 @@ __all__ = [
     "arena_solo",
     "available_scenarios",
     "compute_standings",
-    "describe_matrix",
     "generate_matrix",
     "get_scenario",
     "render_league",

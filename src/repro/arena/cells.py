@@ -10,10 +10,10 @@ families:
 * ``arena_mix``: one *subject* flow sharing the bottleneck with N
   flows of a *cross* scheme (the "one Vegas among Renos" question).
 
-The functions here are module-level and keyword-callable so the
-harness registry can dispatch them in worker processes (see
-``_arena_*_cell`` in :mod:`repro.harness.registry`); they return flat
-``{metric: number}`` dicts like every other cell runner.
+The ``arena`` record of :mod:`repro.harness.registry` dispatches on
+its cells' ``mode`` (``solo``/``duel``/``mix``) to these module-level
+functions in worker processes; they return flat ``{metric: number}``
+dicts like every other cell runner.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from repro.core.registry import cc_factory
 from repro.experiments import defaults as DFLT
 from repro.metrics.fairness import jain_fairness_index
 from repro.net.topology import Topology
+from repro.numeric import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.protocol import TCPProtocol
@@ -171,9 +172,11 @@ def arena_mix(scheme: str, cross: str, n_cross: int, scenario: str,
     subject, cohort = flows[0], flows[1:]
     metrics = _flow_metrics("subject", subject)
     cohort_rates = [f.throughput_kbps for f in cohort]
-    metrics["cross_throughput_kbps"] = sum(cohort_rates)
-    metrics["cross_mean_throughput_kbps"] = sum(cohort_rates) / len(cohort)
-    metrics["cross_retransmit_kb"] = sum(f.retransmit_kb for f in cohort)
+    cross_total = fold_sum(cohort_rates)
+    metrics["cross_throughput_kbps"] = cross_total
+    metrics["cross_mean_throughput_kbps"] = cross_total / len(cohort)
+    metrics["cross_retransmit_kb"] = fold_sum(f.retransmit_kb
+                                              for f in cohort)
     metrics["cross_completed"] = (
         1.0 if all(f.done for f in cohort) else 0.0)
     metrics["fairness_index"] = jain_fairness_index(

@@ -106,20 +106,20 @@ def compute_standings(cells: Cells,
     def standing(scheme: str) -> Standing:
         return table.setdefault(scheme, Standing(scheme))
 
-    for cell in cells:
-        params = cell.get("params", {})
+    for cell in arena_cells(cells):
+        params = cell["params"]
         metrics = cell.get("metrics", {})
         if scenario is not None and params.get("scenario") != scenario:
             continue
-        experiment = cell.get("experiment")
-        if experiment == "arena_solo":
+        mode = params.get("mode")
+        if mode == "solo":
             entry = standing(params["scheme"])
             entry.solo_throughput.append(metrics["throughput_kbps"])
             entry.solo_rtt_ms.append(metrics["rtt_mean_ms"])
             entry.solo_retransmit_kb.append(metrics["retransmit_kb"])
             if not metrics.get("completed", 0.0):
                 entry.incomplete += 1
-        elif experiment == "arena_duel":
+        elif mode == "duel":
             entry_a = standing(params["a"])
             entry_b = standing(params["b"])
             a_rate = metrics["a_throughput_kbps"]
@@ -147,7 +147,7 @@ def compute_standings(cells: Cells,
             for side, entry in (("a", entry_a), ("b", entry_b)):
                 if not metrics.get(f"{side}_completed", 0.0):
                     entry.incomplete += 1
-        elif experiment == "arena_mix":
+        elif mode == "mix":
             entry = standing(params["scheme"])
             entry.mix_throughput.append(metrics["subject_throughput_kbps"])
             entry.mix_cross_throughput.append(
@@ -184,8 +184,7 @@ def _standings_table(standings: Sequence[Standing]) -> List[str]:
 
 def arena_cells(cells: Cells) -> List[Dict[str, Any]]:
     """The arena subset of an artifact's cells."""
-    return [c for c in cells
-            if c.get("experiment", "").startswith("arena_")]
+    return [c for c in cells if c.get("experiment") == "arena"]
 
 
 def render_league(cells: Cells, title: str = "Arena league") -> str:
@@ -201,10 +200,11 @@ def render_league(cells: Cells, title: str = "Arena league") -> str:
                         if "scenario" in c.get("params", {})})
     by_mode: Dict[str, int] = {}
     for cell in pool:
-        by_mode[cell["experiment"]] = by_mode.get(cell["experiment"], 0) + 1
+        mode = cell["params"].get("mode")
+        by_mode[mode] = by_mode.get(mode, 0) + 1
     lines.append(f"- cells: {len(pool)} ("
-                 + ", ".join(f"{by_mode[k]} {k.split('_', 1)[1]}"
-                             for k in sorted(by_mode)) + ")")
+                 + ", ".join(f"{by_mode[k]} {k}" for k in sorted(by_mode))
+                 + ")")
     lines.append(f"- scenarios: {', '.join(scenarios)}")
     lines.append(f"- scoring: win {WIN_POINTS} / draw {DRAW_POINTS} "
                  f"(draw = goodput within {DRAW_MARGIN:.0%}; duels where "

@@ -124,15 +124,10 @@ SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
 )}
 
 #: Default full-matrix selection (every scenario except ``smoke``).
-DEFAULT_SCENARIOS: Tuple[str, ...] = (
-    "classic", "shallow", "deep", "lfn", "metro",
-    "steps", "lte", "wifi", "outage")
+DEFAULT_SCENARIOS: Tuple[str, ...] = DFLT.ARENA_SCENARIOS
 
 #: The trace-driven subset of the matrix.
 TIME_VARYING_SCENARIOS: Tuple[str, ...] = ("steps", "lte", "wifi", "outage")
-
-#: The ``--quick`` selection: two contrasting buffer regimes.
-QUICK_SCENARIOS: Tuple[str, ...] = ("classic", "shallow")
 
 
 def available_scenarios() -> List[str]:

@@ -10,7 +10,7 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
     python -m repro run-all --only table4/proto=reno/seed=0 --no-timeout
     python -m repro run-all --quick --jobs 4 --bind 0.0.0.0:7077
     python -m repro dist worker --connect 127.0.0.1:7077
-    python -m repro arena --quick --json arena.json --out league.md
+    python -m repro run-all --experiments arena --seeds 3 --json arena.json
     python -m repro traces --scenario lte --seed 0
     python -m repro search --objective vegas_regret --quick --budget 6
     python -m repro check r.json baselines/expected.json --tolerance 0.15
@@ -31,7 +31,7 @@ from repro.errors import exit_code
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.arena import command as arena
+    from repro.arena import command as traces
     from repro.experiments import command as paper
     from repro.harness import check, command as sweeps
     from repro.obs import report
@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Regenerate artifacts from the TCP Vegas paper "
                     "(Brakmo, O'Malley & Peterson, SIGCOMM 1994).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in (paper, sweeps, arena, search, check, report, profile):
+    for module in (paper, sweeps, traces, search, check, report, profile):
         module.configure_parser(sub)
     # `list` prints the verbs from here, so it cannot drift.
     parser.set_defaults(_subcommands=tuple(sub.choices))

@@ -78,6 +78,19 @@ TRAFFIC_ARRIVAL_MEAN = 0.5
 #: 12 runs.
 TABLE1_DELAYS = (0.0, 0.5, 1.0, 1.5, 2.0, 2.5)
 
+#: The arena: §3.2's schemes as a tournament (:mod:`repro.arena`).  A
+#: grid is (schemes, scenarios) blocks, each swept solo, in every 1v1
+#: duel and mixed among Reno cross flows.  The quick grid is the smoke
+#: matrix plus the trace-driven lte slice; the full grid is the whole
+#: roster on every scenario but the test-sized ``smoke``.
+ARENA_SCHEMES = ("card", "dual", "newreno", "reno", "reno-sack", "tahoe",
+                 "tri-s", "vegas")
+ARENA_SCENARIOS = ("classic", "shallow", "deep", "lfn", "metro",
+                   "steps", "lte", "wifi", "outage")
+ARENA_QUICK = ((("vegas", "reno", "tahoe"), ("classic", "shallow")),
+               (("vegas", "reno"), ("lte",)))
+ARENA_FULL = ((ARENA_SCHEMES, ARENA_SCENARIOS),)
+
 #: Ports used by measured transfers (TRAFFIC owns the well-known ones).
 TRANSFER_PORT = 7001
 

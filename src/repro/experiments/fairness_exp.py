@@ -24,6 +24,7 @@ from repro.experiments import defaults as DFLT
 from repro.experiments.transfers import CCSpec, resolve_cc
 from repro.metrics.fairness import jain_fairness_index
 from repro.net.topology import Topology
+from repro.numeric import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.protocol import TCPProtocol
@@ -44,7 +45,7 @@ class FairnessResult:
 
     @property
     def aggregate_throughput(self) -> float:
-        return sum(self.throughputs_kbps)
+        return fold_sum(self.throughputs_kbps)
 
 
 def run_competing_connections(cc: CCSpec, count: int,
@@ -112,8 +113,8 @@ def run_competing_connections(cc: CCSpec, count: int,
         connections=count,
         throughputs_kbps=throughputs,
         fairness_index=jain_fairness_index(throughputs) if throughputs else 0.0,
-        total_retransmit_kb=sum(t.conn.stats.retransmitted_kb()
-                                for t in transfers),
+        total_retransmit_kb=fold_sum(t.conn.stats.retransmitted_kb()
+                                     for t in transfers),
         coarse_timeouts=sum(t.conn.stats.coarse_timeouts for t in transfers),
         all_done=all(t.done for t in transfers) and len(transfers) == count,
     )

@@ -26,6 +26,7 @@ from typing import Dict, List, Tuple
 from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
 from repro.experiments.transfers import resolve_cc
+from repro.numeric import fold_sum
 
 #: The three Figure-5 source/destination pairings used to spread the
 #: conversation population across access LANs.
@@ -91,8 +92,8 @@ def run_many_flows(flows: int = 100, seed: int = 0,
     end = min(horizon, sim.now)
     started = sum(len(g.conversations) for g in generators)
     finished = sum(g.finished_count() for g in generators)
-    throughput = sum(g.throughput_kbps(0.0, end) for g in generators)
-    retransmit = sum(g.total_retransmitted_kb() for g in generators)
+    throughput = fold_sum(g.throughput_kbps(0.0, end) for g in generators)
+    retransmit = fold_sum(g.total_retransmitted_kb() for g in generators)
     return ManyFlowsResult(
         flows=flows,
         conversations_started=started,

@@ -1,6 +1,6 @@
 """The front door of a sweep: one option table, one validator, one epilogue.
 
-``run-all``, ``arena`` and ``search`` all end in the same call —
+``run-all`` and ``search`` both end in the same call —
 :func:`repro.harness.runner.run_cells` — so they share one declaration
 of the flags that steer it (:func:`add_sweep_options`), one place
 those flags are checked (:func:`sweep_options`, which raises
@@ -93,8 +93,8 @@ def add_sweep_options(cmd) -> None:
 
 
 def add_single_sweep_options(cmd) -> None:
-    """Flags of the verbs that run exactly one sweep (``search`` runs
-    many rounds and takes neither)."""
+    """Flags of ``run-all``, the verb that runs exactly one sweep
+    (``search`` runs many rounds and takes neither)."""
     cmd.add_argument("--faults", metavar="SPEC", default=None,
                      help="inject faults: a profile name "
                           "(light/heavy/flap) or 'drop=0.01,dup=...' "

@@ -291,29 +291,25 @@ def _many_flows_cell(flows: int, seed: int) -> Dict[str, float]:
     return many_flows_metrics(flows, seed)
 
 
-# Arena and search cells: built-in records so any worker resolves them
-# by name, but with *no* grid — ``repro arena`` and ``repro search``
-# generate their cells instead of the run-all sweep.
+def _arena_cell(mode: str, scenario: str, seed: int, scheme: str = "",
+                a: str = "", b: str = "", cross: str = "",
+                n_cross: int = 0) -> Dict[str, float]:
+    """One arena matchup: *mode* picks the family, which reads
+    ``scheme`` (solo), ``a``/``b`` (duel) or ``scheme``/``cross``/
+    ``n_cross`` (mix)."""
+    from repro.arena import cells
 
-def _arena_solo_cell(scheme: str, scenario: str, seed: int) -> Dict[str, float]:
-    from repro.arena.cells import arena_solo
-
-    return arena_solo(scheme, scenario, seed)
-
-
-def _arena_duel_cell(a: str, b: str, scenario: str,
-                     seed: int) -> Dict[str, float]:
-    from repro.arena.cells import arena_duel
-
-    return arena_duel(a, b, scenario, seed)
+    if mode == "solo":
+        return cells.arena_solo(scheme, scenario, seed)
+    if mode == "duel":
+        return cells.arena_duel(a, b, scenario, seed)
+    if mode == "mix":
+        return cells.arena_mix(scheme, cross, n_cross, scenario, seed)
+    raise ReproError(f"unknown arena mode {mode!r} (known: solo, duel, mix)")
 
 
-def _arena_mix_cell(scheme: str, cross: str, n_cross: int, scenario: str,
-                    seed: int) -> Dict[str, float]:
-    from repro.arena.cells import arena_mix
-
-    return arena_mix(scheme, cross, n_cross, scenario, seed)
-
+# The search cell: a built-in record so any worker resolves it by name,
+# but with *no* grid — ``repro search`` generates its cells.
 
 def _search_cohort_cell(schemes: str, bw_kbps: float, delay_ms: float,
                         buffers: int, size_kb: int, loss: float,
@@ -484,6 +480,26 @@ def _telnet_grid(quick: bool,
             for cc in ("reno", "vegas") for seed in seeds]
 
 
+def _arena_grid(quick: bool,
+                seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    """Every matchup over each (schemes, scenarios) block, declared by
+    name so enumerating it loads no simulator."""
+    from repro.arena.matrix import matrix_cells
+    from repro.experiments import defaults as DFLT
+
+    seeds = _seed_axis(seeds, quick, 1)
+    return [cell for schemes, scenarios
+            in (DFLT.ARENA_QUICK if quick else DFLT.ARENA_FULL)
+            for cell in matrix_cells(schemes, scenarios, seeds)]
+
+
+def _render_arena(cells: Sequence[Dict[str, Any]]) -> str:
+    """``league.render_league``, imported on use as the runners are."""
+    from repro.arena.league import render_league
+
+    return render_league(cells)
+
+
 # ----------------------------------------------------------------------
 # The experiment table: one record per experiment, in sweep order.
 # ----------------------------------------------------------------------
@@ -509,7 +525,7 @@ class Experiment:
 #: Every experiment by name.  Dict order is sweep order and the order
 #: ``run-all`` reports in; runtime registrations are appended.  The
 #: grid-less records are run from the verbs that generate their cells
-#: (``arena``, ``search``, ``profile``).
+#: (``search``, ``profile``).
 RECORDS: Dict[str, Experiment] = {
     "table1": Experiment(_table1_cell, _table1_grid, A.render_table1),
     "table2": Experiment(_table2_cell, _table2_grid, A.render_table2),
@@ -536,14 +552,12 @@ RECORDS: Dict[str, Experiment] = {
                            A.render_ablation),
     "allvegas": Experiment(_allvegas_cell, _allvegas_grid,
                            A.render_allvegas),
+    "arena": Experiment(_arena_cell, _arena_grid, _render_arena),
     # The 500/1,000-conversation cells legitimately run for minutes;
     # their deadline grows with the population.
     "many_flows": Experiment(
         _many_flows_cell,
         budget=lambda params: max(180.0, 1.2 * params.get("flows", 0))),
-    "arena_solo": Experiment(_arena_solo_cell),
-    "arena_duel": Experiment(_arena_duel_cell),
-    "arena_mix": Experiment(_arena_mix_cell),
     # Search points range over arbitrary cohort sizes and horizons;
     # each flow gets a generous slice so a slow corner of the space
     # quarantines on its own merits rather than on the sweep default.

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 from typing import Sequence
 
+from repro.numeric import fold_sum
+
 
 def jain_fairness_index(allocations: Sequence[float]) -> float:
     """Jain's fairness index over the given per-flow allocations.
@@ -26,10 +28,10 @@ def jain_fairness_index(allocations: Sequence[float]) -> float:
         raise ValueError("fairness index needs at least one allocation")
     if any(x < 0 for x in allocations):
         raise ValueError("allocations must be non-negative")
-    total = sum(allocations)
+    total = fold_sum(allocations)
     if total == 0:
         return 1.0
-    squares = sum(x * x for x in allocations)
+    squares = fold_sum(x * x for x in allocations)
     if squares == 0:
         # Denormal allocations can underflow x*x to zero even though
         # the sum is positive; such allocations are effectively equal.

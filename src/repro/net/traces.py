@@ -119,18 +119,25 @@ class BandwidthTrace:
         for i in range(len(times) - 1):
             prefix.append(prefix[-1] + rates[i] * (times[i + 1] - times[i]))
         self._prefix = tuple(prefix)
+        self._cycle_bytes = (None if period is None else
+                             prefix[-1] + rates[-1] * (period - times[-1]))
+        # Every term is non-negative, so the last integral is the
+        # largest: past float range it is inf, and every difference of
+        # integrals (bytes_between, time_to_send) is nan.
+        total = prefix[-1] if period is None else self._cycle_bytes
+        if not math.isfinite(total):
+            raise ConfigurationError(
+                f"trace {name!r}: the byte integral of the profile "
+                f"overflows a float ({total!r})")
         if period is not None:
-            self._cycle_bytes = prefix[-1] + rates[-1] * (period - times[-1])
-            if self._cycle_bytes <= 0:
+            if total <= 0:
                 raise ConfigurationError(
                     f"trace {name!r}: a cycle must deliver at least one "
                     "byte (all-zero rate profiles never drain a queue)")
-        else:
-            self._cycle_bytes = None
-            if rates[-1] <= 0:
-                raise ConfigurationError(
-                    f"trace {name!r}: a non-cyclic trace must end on a "
-                    "positive rate (a zero tail would never finish a send)")
+        elif rates[-1] <= 0:
+            raise ConfigurationError(
+                f"trace {name!r}: a non-cyclic trace must end on a "
+                "positive rate (a zero tail would never finish a send)")
         # A flat profile — however it was segmented — serialises in
         # closed form, exactly matching the static Channel's
         # ``size / bandwidth``.  That equality is what the constant-

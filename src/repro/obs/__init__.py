@@ -17,9 +17,35 @@ The sampler is armed under the ``gauges`` role of
 when off, construction-time registration when armed.
 """
 
-from repro.obs.events import TELEMETRY_SCHEMA, TelemetrySink, load_events
-from repro.obs.gauges import DEFAULT_SAMPLE_EVERY, GaugeSampler, observing
-from repro.obs.report import render_report
+# Re-exports are lazy (PEP 562): the arena's league tables and the CLI
+# read `repro.obs.report`, and must not load the engine the gauges
+# module arms against.
+_EXPORTS = {
+    "TELEMETRY_SCHEMA": "events", "TelemetrySink": "events",
+    "load_events": "events",
+    "DEFAULT_SAMPLE_EVERY": "gauges", "GaugeSampler": "gauges",
+    "observing": "gauges",
+    "render_report": "report",
+}
+
+
+def __getattr__(name):
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    import importlib
+
+    module = importlib.import_module(f"{__name__}.{module_name}")
+    value = getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __all__ = [
     "TELEMETRY_SCHEMA",

@@ -29,6 +29,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 from repro.errors import ConfigurationError
 from repro.harness.registry import Cell
+from repro.numeric import fold_sum
 from repro.search.space import Dimension, Point, SearchSpace
 
 Metrics = Dict[str, Dict[str, float]]
@@ -150,10 +151,10 @@ def _table_calibrate_cells(point: Point) -> List[Cell]:
 def _cohort_means(metrics: Dict[str, float]) -> Dict[str, float]:
     flows = int(metrics["flows"])
     return {
-        "throughput": sum(metrics[f"f{i}_throughput_kbps"]
-                          for i in range(flows)) / flows,
-        "retransmit": sum(metrics[f"f{i}_retransmit_kb"]
-                          for i in range(flows)) / flows,
+        "throughput": fold_sum(metrics[f"f{i}_throughput_kbps"]
+                               for i in range(flows)) / flows,
+        "retransmit": fold_sum(metrics[f"f{i}_retransmit_kb"]
+                               for i in range(flows)) / flows,
     }
 
 

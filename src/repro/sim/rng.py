@@ -18,6 +18,8 @@ import math
 import random
 from typing import Dict, List, Sequence, Tuple
 
+from repro.numeric import fold_sum
+
 
 class RngRegistry:
     """Factory for named, independently seeded ``random.Random`` streams.
@@ -104,7 +106,7 @@ def empirical(rng: random.Random, table: Sequence[Tuple[float, float]]) -> float
 
 def weighted_choice(rng: random.Random, weights: Dict[str, float]) -> str:
     """Pick a key from *weights* with probability proportional to its value."""
-    total = sum(weights.values())
+    total = fold_sum(weights.values())
     if total <= 0:
         raise ValueError("weights must sum to a positive value")
     u = rng.random() * total

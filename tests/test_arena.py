@@ -3,6 +3,7 @@ registry-completeness suite (every roster scheme survives a smoke
 scenario solo and 1v1 against Reno without invariant violations)."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +11,6 @@ from repro.arena import league, matrix
 from repro.arena.cells import run_cohort
 from repro.arena.scenarios import (
     DEFAULT_SCENARIOS,
-    QUICK_SCENARIOS,
     SCENARIOS,
     TIME_VARYING_SCENARIOS,
     available_scenarios,
@@ -18,7 +18,14 @@ from repro.arena.scenarios import (
 )
 from repro.core.registry import arena_roster, available, scheme_info
 from repro.errors import ConfigurationError, ReproError
-from repro.harness.registry import Cell, experiment, run_cell
+from repro.experiments import defaults as DFLT
+from repro.harness.registry import (
+    EXPERIMENTS,
+    Cell,
+    cells_for,
+    experiment,
+    run_cell,
+)
 
 ROSTER = arena_roster()
 
@@ -63,7 +70,6 @@ class TestScenarios:
     def test_selections_are_registered(self):
         names = set(available_scenarios())
         assert set(DEFAULT_SCENARIOS) <= names
-        assert set(QUICK_SCENARIOS) <= names
         assert "smoke" in names
         assert "smoke" not in DEFAULT_SCENARIOS
 
@@ -78,12 +84,14 @@ class TestScenarios:
             assert 0.0 <= spec.loss < 1.0
 
     def test_time_varying_selection(self):
+        """The quick grid's smoke matrix is static and its lte slice
+        trace-driven."""
         assert set(TIME_VARYING_SCENARIOS) <= set(DEFAULT_SCENARIOS)
-        assert not (set(TIME_VARYING_SCENARIOS) & set(QUICK_SCENARIOS))
         for name in TIME_VARYING_SCENARIOS:
             assert get_scenario(name).time_varying
-        for name in QUICK_SCENARIOS:
-            assert not get_scenario(name).time_varying
+        (_, static), (_, varying) = DFLT.ARENA_QUICK
+        assert not any(get_scenario(name).time_varying for name in static)
+        assert set(varying) <= set(TIME_VARYING_SCENARIOS)
 
     def test_trace_scenario_nominal_bandwidth_is_cycle_mean(self):
         # The static `bandwidth` figure on a trace scenario is a label;
@@ -109,84 +117,100 @@ class TestScenarios:
 # Matrix generation
 # ----------------------------------------------------------------------
 
+def _by_mode(cells):
+    by_mode = {}
+    for cell in cells:
+        by_mode.setdefault(cell.as_dict()["mode"], []).append(cell)
+    return by_mode
+
+
 class TestMatrix:
     def test_quick_matrix_shape(self):
-        cells = matrix.generate_matrix(quick=True)
-        # Acceptance floor: >= 3 schemes x >= 2 scenarios x >= 2 seeds.
-        by_exp = {}
-        for cell in cells:
-            by_exp.setdefault(cell.experiment, []).append(cell)
-        # 3 schemes x 2 scenarios x 2 seeds solo/mix; C(3,2)=3 duels.
-        assert len(by_exp["arena_solo"]) == 12
-        assert len(by_exp["arena_duel"]) == 12
-        assert len(by_exp["arena_mix"]) == 12
-        solo_schemes = {dict(c.params)["scheme"]
-                        for c in by_exp["arena_solo"]}
-        solo_scenarios = {dict(c.params)["scenario"]
-                          for c in by_exp["arena_solo"]}
-        solo_seeds = {dict(c.params)["seed"] for c in by_exp["arena_solo"]}
-        assert len(solo_schemes) >= 3
-        assert len(solo_scenarios) >= 2
-        assert len(solo_seeds) >= 2
+        """The quick grid is the smoke matrix (3 schemes x classic,
+        shallow) plus the lte slice (vegas, reno), every mode, seed 0."""
+        cells = cells_for("arena", quick=True)
+        assert len(cells) == 23
+        by_mode = _by_mode(cells)
+        # (3 solo + C(3,2) duels + 3 mix) x 2 scenarios; 2 + 1 + 2 on lte.
+        assert {mode: len(group) for mode, group in by_mode.items()} == \
+            {"solo": 8, "duel": 7, "mix": 8}
+        assert {cell.as_dict()["seed"] for cell in cells} == {0}
+        lte = {cell.as_dict().get("scheme") for cell in by_mode["solo"]
+               if cell.as_dict()["scenario"] == "lte"}
+        assert lte == {"vegas", "reno"}
+
+    def test_grid_names_are_registered(self):
+        """The arena grids are declared by plain name so enumerating
+        them loads no simulator; each name must still be a roster
+        scheme and a registered scenario."""
+        assert DFLT.ARENA_SCHEMES == tuple(ROSTER)
+        assert DFLT.ARENA_SCENARIOS == DEFAULT_SCENARIOS
+        for schemes, scenarios in DFLT.ARENA_QUICK + DFLT.ARENA_FULL:
+            assert set(schemes) <= set(ROSTER), schemes
+            assert set(scenarios) <= set(SCENARIOS), scenarios
 
     def test_full_matrix_round_robin(self):
-        cells = matrix.generate_matrix(seeds=1, scenarios="classic")
-        duels = [dict(c.params) for c in cells
-                 if c.experiment == "arena_duel"]
+        cells = matrix.generate_matrix(seeds=1, scenarios=["classic"])
+        duels = [c.as_dict() for c in _by_mode(cells)["duel"]]
         n = len(ROSTER)
         assert len(duels) == n * (n - 1) // 2
         for params in duels:
             assert params["a"] < params["b"]  # name-sorted, unordered
+        full = cells_for("arena")
+        assert len(full) == 3 * len(DEFAULT_SCENARIOS) * (2 * n + len(duels))
 
     def test_duel_pair_order_independent(self):
         one = matrix.generate_matrix(schemes=["vegas", "reno"],
-                                     scenarios="smoke", seeds=1,
+                                     scenarios=["smoke"], seeds=1,
                                      modes=("duel",))
         two = matrix.generate_matrix(schemes=["reno", "vegas"],
-                                     scenarios="smoke", seeds=1,
+                                     scenarios=["smoke"], seeds=1,
                                      modes=("duel",))
         assert [c.key for c in one] == [c.key for c in two]
 
     def test_selection_shapes(self):
-        csv = matrix.generate_matrix(schemes="vegas,reno",
-                                     scenarios="smoke", seeds=1)
         listed = matrix.generate_matrix(schemes=["vegas", "reno"],
                                         scenarios=["smoke"], seeds=1)
-        assert [c.key for c in csv] == [c.key for c in listed]
-        everyone = matrix.generate_matrix(schemes="all", scenarios="smoke",
-                                          seeds=1, modes=("solo",))
+        paired = matrix.generate_matrix(schemes=("vegas", "reno"),
+                                        scenarios=("smoke",), seeds=1)
+        assert [c.key for c in listed] == [c.key for c in paired]
+        everyone = matrix.generate_matrix(scenarios=["smoke"], seeds=1,
+                                          modes=("solo",))
         assert len(everyone) == len(ROSTER)
+        default = matrix.generate_matrix(schemes=["vegas"], seeds=1,
+                                         modes=("solo",))
+        assert [c.as_dict()["scenario"] for c in default] == \
+            list(DEFAULT_SCENARIOS)
 
     def test_family_registration(self):
-        """Every arena cell's runner is a registry record, outside the
-        run-all sweep (``repro arena`` generates the cells)."""
-        cells = matrix.generate_matrix(quick=True)
-        kinds = {cell.experiment for cell in cells}
-        assert kinds == {"arena_solo", "arena_duel", "arena_mix"}
-        for kind in kinds:
-            assert experiment(kind).grid is None
+        """Every arena cell, whatever its mode, is a cell of the one
+        ``arena`` record, which is part of the run-all sweep."""
+        cells = matrix.generate_matrix(scenarios=["smoke"], seeds=1)
+        assert {cell.experiment for cell in cells} == {"arena"}
+        assert set(_by_mode(cells)) == set(matrix.MODES)
+        assert experiment("arena").grid is not None
+        assert "arena" in EXPERIMENTS
 
     def test_bad_selections(self):
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="nope", scenarios="smoke")
+            matrix.generate_matrix(schemes=["nope"], scenarios=["smoke"])
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="vegas", scenarios="nope")
+            matrix.generate_matrix(schemes=["vegas"], scenarios=["nope"])
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="vegas", scenarios="smoke",
+            matrix.generate_matrix(schemes=["vegas"], scenarios=["smoke"],
                                    seeds=0)
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="vegas", scenarios="smoke",
+            matrix.generate_matrix(schemes=["vegas"], scenarios=["smoke"],
                                    modes=("melee",))
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="vegas,vegas", scenarios="smoke")
+            matrix.generate_matrix(schemes=["vegas", "vegas"],
+                                   scenarios=["smoke"])
         with pytest.raises((ConfigurationError, ReproError)):
-            matrix.generate_matrix(schemes="vegas", scenarios="smoke",
+            matrix.generate_matrix(schemes=["vegas"], scenarios=["smoke"],
                                    n_cross=0)
-
-    def test_describe_matrix(self):
-        cells = matrix.generate_matrix(quick=True)
-        assert matrix.describe_matrix(cells) == \
-            "12 solo + 12 duel + 12 mix = 36 cells"
+        with pytest.raises(ReproError, match="unknown arena mode"):
+            run_cell(Cell.make("arena", mode="melee", scenario="smoke",
+                               seed=0))
 
 
 # ----------------------------------------------------------------------
@@ -194,16 +218,18 @@ class TestMatrix:
 # ----------------------------------------------------------------------
 
 def _solo(scheme, scenario, throughput, rtt=100.0, retx=1.0, seed=0):
-    return {"experiment": "arena_solo", "key": f"s/{scheme}/{seed}",
-            "params": {"scheme": scheme, "scenario": scenario, "seed": seed},
+    return {"experiment": "arena", "key": f"s/{scheme}/{seed}",
+            "params": {"mode": "solo", "scheme": scheme,
+                       "scenario": scenario, "seed": seed},
             "metrics": {"throughput_kbps": throughput, "rtt_mean_ms": rtt,
                         "retransmit_kb": retx, "coarse_timeouts": 0.0,
                         "completed": 1.0}}
 
 
 def _duel(a, b, a_rate, b_rate, scenario="classic", fairness=0.9, seed=0):
-    return {"experiment": "arena_duel", "key": f"d/{a}/{b}/{seed}",
-            "params": {"a": a, "b": b, "scenario": scenario, "seed": seed},
+    return {"experiment": "arena", "key": f"d/{a}/{b}/{seed}",
+            "params": {"mode": "duel", "a": a, "b": b,
+                       "scenario": scenario, "seed": seed},
             "metrics": {"a_throughput_kbps": a_rate,
                         "b_throughput_kbps": b_rate,
                         "a_completed": 1.0, "b_completed": 1.0,
@@ -301,7 +327,7 @@ class TestLeagueMath:
 class TestRegistryCompleteness:
     @pytest.mark.parametrize("scheme", ROSTER)
     def test_solo_smoke(self, scheme):
-        metrics = run_cell(Cell.make("arena_solo", scheme=scheme,
+        metrics = run_cell(Cell.make("arena", mode="solo", scheme=scheme,
                                      scenario="smoke", seed=0),
                            checks="collect")
         assert metrics["completed"] == 1.0
@@ -311,7 +337,7 @@ class TestRegistryCompleteness:
     @pytest.mark.parametrize("scheme", ROSTER)
     def test_duel_against_reno(self, scheme):
         a, b = sorted((scheme, "reno"))
-        metrics = run_cell(Cell.make("arena_duel", a=a, b=b,
+        metrics = run_cell(Cell.make("arena", mode="duel", a=a, b=b,
                                      scenario="smoke", seed=0),
                            checks="collect")
         assert metrics["a_completed"] == 1.0
@@ -329,7 +355,7 @@ class TestTimeVaryingCompleteness:
     @pytest.mark.parametrize("scenario", TIME_VARYING_SCENARIOS)
     @pytest.mark.parametrize("scheme", ROSTER)
     def test_solo_time_varying(self, scheme, scenario):
-        metrics = run_cell(Cell.make("arena_solo", scheme=scheme,
+        metrics = run_cell(Cell.make("arena", mode="solo", scheme=scheme,
                                      scenario=scenario, seed=0),
                            checks="collect")
         assert metrics["completed"] == 1.0
@@ -340,7 +366,7 @@ class TestTimeVaryingCompleteness:
     @pytest.mark.parametrize("scheme", ROSTER)
     def test_duel_against_reno_time_varying(self, scheme, scenario):
         a, b = sorted((scheme, "reno"))
-        metrics = run_cell(Cell.make("arena_duel", a=a, b=b,
+        metrics = run_cell(Cell.make("arena", mode="duel", a=a, b=b,
                                      scenario=scenario, seed=0),
                            checks="collect")
         assert metrics["a_completed"] == 1.0
@@ -384,34 +410,52 @@ class TestCohort:
 # ----------------------------------------------------------------------
 
 class TestArenaCLI:
-    def test_dry_run_lists_cells(self, capsys):
-        from repro.cli import main
+    """The arena is ``run-all --experiments arena``: the same
+    selection, cache, gate and renderer as every paper artifact."""
 
-        assert main(["arena", "--quick", "--dry-run"]) == 0
-        out = capsys.readouterr().out.strip().splitlines()
-        assert len(out) == 36
-        assert all("/" in line for line in out)
+    SOLO_CLASSIC = "arena/mode=solo/scenario=classic"
+
+    def test_dry_run_lists_cells(self, monkeypatch):
+        from repro.cli import main
+        from repro.harness import runner
+
+        swept = []
+
+        def record(cells, **kwargs):
+            swept.extend(cell.key for cell in cells)
+            return runner.RunReport(interrupted=True)
+
+        monkeypatch.setattr(runner, "run_cells", record)
+        assert main(["run-all", "--quick", "--experiments", "arena"]) == 130
+        assert swept == [cell.key for cell in cells_for("arena", quick=True)]
+        assert len(swept) == 23 and all(k.startswith("arena/") for k in swept)
 
     def test_bad_scheme_exits_2(self, capsys):
         from repro.cli import main
 
-        assert main(["arena", "--schemes", "nope", "--dry-run"]) == 2
+        assert main(["run-all", "--quick", "--experiments", "arena",
+                     "--only", f"{self.SOLO_CLASSIC}/scheme=nope"]) == 2
+        assert "matches no cell" in capsys.readouterr().err
+        assert main(["run-all", "--experiments", "arena,nope"]) == 2
+        assert "unknown experiment 'nope'" in capsys.readouterr().err
 
     def test_quick_smoke_run(self, tmp_path, capsys):
         from repro.cli import main
 
         artifact = tmp_path / "arena.json"
-        table = tmp_path / "league.md"
-        code = main(["arena", "--schemes", "vegas,reno",
-                     "--scenarios", "smoke", "--seeds", "1",
-                     "--modes", "solo,duel", "--jobs", "1", "--no-timeout",
+        code = main(["run-all", "--quick", "--experiments", "arena",
+                     "--only", f"{self.SOLO_CLASSIC}/scheme=vegas,"
+                     f"{self.SOLO_CLASSIC}/scheme=reno,"
+                     "arena/a=reno/b=vegas/mode=duel/scenario=classic",
+                     "--jobs", "1", "--no-timeout",
                      "--cache-dir", str(tmp_path / "cache"),
-                     "--json", str(artifact), "--out", str(table)])
+                     "--json", str(artifact)])
         assert code == 0
         doc = json.loads(artifact.read_text())
-        assert doc["mode"] == "arena"
+        assert doc["mode"] == "quick"
         assert len(doc["cells"]) == 3  # 2 solo + 1 duel
-        text = table.read_text()
+        text = capsys.readouterr().out
+        assert "- cells: 3 (1 duel, 2 solo)" in text
         assert "## Overall standings" in text
         assert "vegas" in text and "reno" in text
 
@@ -419,11 +463,18 @@ class TestArenaCLI:
         from repro.cli import main
 
         artifact = tmp_path / "arena.json"
-        args = ["arena", "--schemes", "vegas", "--scenarios", "smoke",
-                "--seeds", "1", "--modes", "solo", "--jobs", "1",
-                "--no-timeout", "--cache-dir", str(tmp_path / "cache"),
+        args = ["run-all", "--quick", "--experiments", "arena",
+                "--only", f"{self.SOLO_CLASSIC}/scheme=vegas",
+                "--jobs", "1", "--no-timeout",
+                "--cache-dir", str(tmp_path / "cache"),
                 "--json", str(artifact)]
         assert main(args) == 0
-        # The artifact gates cleanly against itself via `repro check`.
+        # The artifact gates cleanly against itself via `repro check`,
+        # and its cell is the committed baseline's to the last digit.
         assert main(["check", str(artifact), str(artifact),
                      "--tolerance", "0.0"]) == 0
+        (cell,) = json.loads(artifact.read_text())["cells"]
+        baseline = Path(__file__).resolve().parents[1] / "baselines"
+        pinned = {c["key"]: c["metrics"] for c in json.loads(
+            (baseline / "expected.json").read_text())["cells"]}
+        assert cell["metrics"] == pinned[cell["key"]]

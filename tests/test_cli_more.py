@@ -131,7 +131,7 @@ class TestPaperVerbs:
     def test_no_seed_flag_keeps_each_grid_axis(self, monkeypatch):
         """Without ``--seed``/``--seeds`` every grid keeps its own seeds
         (figure4's seed 3, the two of quick table4): ``run-all --quick``
-        still sweeps the baseline's 118 cells."""
+        still sweeps the baseline's 141 cells."""
         from repro.harness import load_document, runner
 
         swept = []
@@ -142,7 +142,7 @@ class TestPaperVerbs:
 
         monkeypatch.setattr(runner, "run_cells", record)
         assert run_all("--quick") == 130
-        assert len(swept) == 118
+        assert len(swept) == 141
         assert sorted(swept) == sorted(
             cell["key"] for cell in load_document(BASELINE)["cells"])
 
@@ -179,13 +179,13 @@ class TestPaperVerbs:
 
 
 # ----------------------------------------------------------------------
-# The three sweep verbs share one option table and one validator
-# (repro.harness.options): one case list, three verbs.
+# The two sweep verbs share one option table and one validator
+# (repro.harness.options): one case list, each verb and the arena.
 # ----------------------------------------------------------------------
 
 SWEEP_VERBS = {
     "run-all": ["run-all", "--quick"],
-    "arena": ["arena", "--quick"],
+    "arena": ["run-all", "--quick", "--experiments", "arena"],
     "search": ["search", "--objective", "vegas_regret", "--quick"],
 }
 
@@ -246,15 +246,17 @@ class TestSweepOptionTable:
 
     @pytest.mark.skipif(os.name != "posix", reason="dist workers are forks")
     def test_arena_is_transport_independent(self, tmp_path):
+        """The arena's classic solo cells give the same numbers on the
+        local pool and through a listening master: tolerance 0."""
         from repro.harness.artifacts import cells_fingerprint, load_document
 
-        matrix = ["arena", "--quick", "--schemes", "vegas,reno",
-                  "--scenarios", "classic", "--seeds", "1", "--modes",
-                  "solo", "--no-cache"]
+        matrix = ["run-all", "--quick", "--experiments", "arena", "--only",
+                  "arena/mode=solo/scenario=classic", "--no-cache"]
         local, dist = str(tmp_path / "l.json"), str(tmp_path / "d.json")
         assert main(matrix + ["--jobs", "2", "--json", local]) == 0
         assert main(matrix + ["--jobs", "2", "--bind", "127.0.0.1:0",
                               "--json", dist]) == 0
+        assert main(["check", dist, local, "--tolerance", "0"]) == 0
         doc = load_document(dist)
         assert doc["run"]["backend"] == "dist"
         assert load_document(local)["run"]["backend"] == "local"
@@ -299,10 +301,12 @@ class TestSweepOptionTable:
 
         monkeypatch.setattr(
             runner, "run_cells",
-            lambda cells, **kwargs: runner.RunReport(interrupted=True))
-        assert main(["arena", "--quick", "--no-cache"]) == 130
-        assert "INTERRUPTED: sweep drained with 0/" in \
-            capsys.readouterr().err
+            lambda cells, **kwargs: runner.RunReport(
+                interrupted=True, cache_misses=len(cells)))
+        assert run_all("--quick", "--experiments", "arena") == 130
+        out = capsys.readouterr().out
+        assert "INTERRUPTED: sweep drained with 0/23 cells settled" in out
+        assert "Arena league" not in out
 
 
 # ----------------------------------------------------------------------

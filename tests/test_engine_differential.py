@@ -4,7 +4,7 @@ The production engine — tuple heap, anonymous entries, event free
 list, the far-horizon calendar, batched counters — must be
 *bit-identical* in observable behaviour to the deliberately naive
 object-heap scheduler in ``tests/reference_engine.py``.  This suite is
-the property-level half of that gate (the 66-cell quick sweep vs
+the property-level half of that gate (the quick sweep vs
 ``baselines/expected.json`` is the other): Hypothesis drives random
 scenarios through three modes in-process and asserts identical
 fingerprints:

@@ -67,6 +67,17 @@ class TestFairness:
     def test_all_zero_is_fair(self):
         assert jain_fairness_index([0, 0]) == 1.0
 
+    def test_same_on_every_python(self):
+        """Python 3.12's ``sum()`` compensates float additions: over ten
+        0.1s it gives 1.0 where 3.11 gives 0.9999999999999999, and this
+        index 0.9999999999999998 where 3.11 gives ...993.  A metric
+        sums left to right on every interpreter."""
+        from repro.numeric import fold_sum
+
+        assert fold_sum([0.1] * 10) == 0.9999999999999999
+        assert fold_sum([]) == 0 and fold_sum([2, 3]) == 5
+        assert jain_fairness_index([0.1] * 10) == 0.9999999999999993
+
     def test_worst_to_best(self):
         assert worst_to_best_ratio([5, 10]) == pytest.approx(0.5)
         assert worst_to_best_ratio([0, 0]) == 1.0

@@ -539,3 +539,35 @@ class TestAblationClaims:
         assert len(ablated) == 6
         assert all(r.metrics["fine_retransmits"] == 0 for r in ablated)
 
+
+
+class TestArenaClaims:
+    """§3.2 and §5 as a tournament, read on its Figure-5 bottleneck
+    (the ``classic`` scenario of the quick ``arena`` grid): alone, Vegas
+    moves the transfer faster than Reno and Tahoe and retransmits
+    nothing; against either in a duel, and as one flow among three
+    Renos, it retransmits less than a loss-based flow in its place."""
+
+    @pytest.fixture(scope="class")
+    def classic(self, run_shared):
+        cells = [cell for cell in cells_for("arena", quick=True)
+                 if cell.as_dict()["scenario"] == "classic"]
+        return {result.cell.key.replace("/scenario=classic", "")
+                .replace("/seed=0", ""): result.metrics
+                for result in run_shared(cells).results}
+
+    def test_vegas_alone_is_faster_and_lossless(self, classic):
+        vegas = classic["arena/mode=solo/scheme=vegas"]
+        assert vegas["completed"] and vegas["retransmit_kb"] == 0
+        for scheme in ("reno", "tahoe"):
+            rival = classic[f"arena/mode=solo/scheme={scheme}"]
+            assert rival["retransmit_kb"] > 10
+            assert vegas["throughput_kbps"] > 1.3 * rival["throughput_kbps"]
+
+    def test_vegas_retransmits_less_beside_loss_based_flows(self, classic):
+        for rival in ("reno", "tahoe"):
+            duel = classic[f"arena/a={rival}/b=vegas/mode=duel"]
+            assert duel["b_retransmit_kb"] < duel["a_retransmit_kb"]
+        mix = "arena/cross=reno/mode=mix/n_cross=3/scheme={}"
+        assert (classic[mix.format("vegas")]["subject_retransmit_kb"]
+                < classic[mix.format("reno")]["subject_retransmit_kb"])

@@ -399,7 +399,7 @@ class TestSourceGuard:
         from repro.cli import build_parser
 
         commands = build_parser()._subparsers._group_actions[0].choices
-        assert list(commands) == ["list", "solo", "run-all", "dist", "arena",
+        assert list(commands) == ["list", "solo", "run-all", "dist",
                                   "traces", "search", "check", "report",
                                   "profile"]
         assert self._matches(r"def (print_artifact|print_figure)\(") == []

@@ -295,6 +295,24 @@ class TestTraceValidation:
         with pytest.raises(ConfigurationError, match="trace 'hostile'"):
             BandwidthTrace(times, rates, period=period, name="hostile")
 
+    @pytest.mark.parametrize("period", [20.0, None],
+                             ids=["cyclic", "non-cyclic"])
+    def test_rejects_an_overflowing_integral(self, period):
+        """Every rate and start is finite, but 1e308 B/s for 10 s
+        overflows a float: both traces were accepted with an ``inf``
+        ``mean_rate``, the non-cyclic one gave ``nan`` for
+        ``bytes_between(12, 13)`` and the cyclic one for every interval,
+        even (0, 1), whose 1e308 bytes a float holds."""
+        with pytest.raises(ConfigurationError,
+                           match="trace 'hostile'.* overflows"):
+            BandwidthTrace([0.0, 10.0], [1e308, 1.0], period=period,
+                           name="hostile")
+
+    def test_largest_finite_integral_is_accepted(self):
+        trace = BandwidthTrace([0.0, 1.0], [1e308, 1.0], period=2.0)
+        assert trace.mean_rate == 5e307
+        assert trace.bytes_between(0.0, 0.5) == 5e307
+
     def test_generator_validation(self):
         with pytest.raises(ConfigurationError):
             constant_trace(0.0)
