@@ -14,7 +14,14 @@ be garbage-collected wholesale by deleting old subdirectories.
 Entries store the cell key alongside the metrics so a (truncated-)hash
 collision is detected rather than silently served.  An entry that is
 not a cell record (:func:`~repro.harness.artifacts.cell_problem`) is a
-miss, like one that is not JSON at all.
+miss, like one that is not UTF-8 JSON at all or not a readable file.
+
+A hit is one ``sha256`` of the key, one unbuffered ``os.read`` of the
+entry and one ``json.loads`` of its text: no file object, no text
+layer, no incremental decoder.  An entry is written through tmp +
+rename (:func:`~repro.harness.artifacts.write_text`), so a reader
+never sees a torn one, and a cache directory that cannot be created
+or written is a :class:`~repro.errors.ReproError` naming it.
 """
 
 from __future__ import annotations
@@ -25,13 +32,18 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
-from repro.harness.artifacts import cell_problem
+from repro.errors import ReproError
+from repro.harness.artifacts import cell_problem, write_text
 
 #: Default cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = ".repro-cache"
 
 #: Environment override for the cache location.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Bytes asked of one ``os.read``: a cell record is well under 1 KB, so
+#: one read returns the whole entry; a larger one is read to its end.
+READ_CHUNK = 1 << 16
 
 
 def default_cache_dir() -> str:
@@ -98,8 +110,15 @@ class ResultCache:
         """Return the stored payload for *key*, or ``None`` on a miss."""
         path = self._path(key)
         try:
-            with open(path) as handle:
-                payload = json.load(handle)
+            fd = os.open(path, os.O_RDONLY)
+            try:
+                data = os.read(fd, READ_CHUNK)
+                if len(data) == READ_CHUNK:
+                    data += _read_rest(fd)
+            finally:
+                os.close(fd)
+            # A UnicodeDecodeError is a ValueError: not UTF-8, a miss.
+            payload = json.loads(data.decode())
         except (OSError, ValueError):
             return None
         if cell_problem(payload) is not None:  # valid JSON, not a record
@@ -108,17 +127,34 @@ class ResultCache:
             return None
         return payload
 
+    def prepare(self) -> None:
+        """Create this namespace's directory; a cache directory that
+        cannot hold it is a :class:`~repro.errors.ReproError`."""
+        try:
+            os.makedirs(self._dir, exist_ok=True)
+        except OSError as exc:
+            raise ReproError(f"cannot use cache directory "
+                             f"{str(self.root)!r}: {exc}") from exc
+
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store *payload* (must be JSON-serialisable) under *key*.
 
         Writes via a temporary file + rename so concurrent runs never
-        observe a torn entry.
+        observe a torn entry; a write that fails (a full disk, a
+        directory squatting on the entry) removes its temporary file
+        and is a :class:`~repro.errors.ReproError`.
         """
-        os.makedirs(self._dir, exist_ok=True)
-        path = self._path(key)
+        self.prepare()
         record = dict(payload)
         record["key"] = key
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(record, handle, sort_keys=True)
-        os.replace(tmp, path)
+        write_text(self._path(key), json.dumps(record, sort_keys=True))
+
+
+def _read_rest(fd: int) -> bytes:
+    """Everything left in *fd* after a full first chunk."""
+    chunks = []
+    while True:
+        chunk = os.read(fd, READ_CHUNK)
+        if not chunk:
+            return b"".join(chunks)
+        chunks.append(chunk)

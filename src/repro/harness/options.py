@@ -252,6 +252,7 @@ def sweep_options(args) -> SweepOptions:
     if not args.no_cache:
         cache = cache_mod.ResultCache(
             args.cache_dir or cache_mod.default_cache_dir(), src_hash)
+        cache.prepare()
     return SweepOptions(
         jobs=args.jobs, timeout_s=timeout_s, retries=args.retries,
         checks=args.checks, faults=faults, watchdog=args.watchdog,

@@ -67,22 +67,21 @@ class RunReport:
         return not self.failures
 
 
-def storage_key(cell_key: str, checks: Any = False,
-                faults: Any = None) -> str:
-    """Cache key for one cell under a checks/faults configuration.
+def namespace(checks: Any = False, faults: Any = None) -> str:
+    """The cache-key suffix of a checks/faults configuration.
 
     Checked and faulted runs report extra metrics (and faulted runs
     produce entirely different dynamics), so each configuration gets
-    its own namespace suffix; plain runs keep the bare cell key for
-    compatibility with existing caches and baselines.
+    its own namespace suffix; plain runs have none, so they keep the
+    bare cell key for compatibility with existing caches and baselines.
     """
-    key = cell_key
+    suffix = ""
     if checks:
-        key += "#checks=collect" if checks == "collect" else "#checks"
+        suffix += "#checks=collect" if checks == "collect" else "#checks"
     plan = resolve_faults(faults)
     if plan is not None:
-        key += f"#faults={plan.describe()}"
-    return key
+        suffix += f"#faults={plan.describe()}"
+    return suffix
 
 
 def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
@@ -102,7 +101,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     or cache state.  ``checks``/``faults``/``watchdog`` are forwarded
     to every :func:`~repro.harness.registry.run_cell`; cached entries
     are looked up under a per-configuration namespace (see
-    :func:`storage_key`) so a checked or faulted sweep never serves a
+    :func:`namespace`) so a checked or faulted sweep never serves a
     plain run's results.
 
     ``telemetry`` (a JSONL path) arms the run-scoped telemetry log:
@@ -170,15 +169,16 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
         sink.emit("sweep.start", cells=len(cells), jobs=report.jobs,
                   supervised=timeout_s is not None)
 
+    # Resolved once: every cell of the sweep shares the namespace.
+    suffix = namespace(checks, faults)
     pending: List[Cell] = []
     for cell in cells:
-        cache_key = storage_key(cell.key, checks=checks, faults=faults)
-        payload = cache.get(cache_key) if cache is not None else None
+        payload = cache.get(cell.key + suffix) if cache is not None else None
         if payload is not None:
             report.cache_hits += 1
             report.results.append(CellResult(
-                cell=cell, metrics=payload["metrics"],
-                wall_clock_s=payload.get("wall_clock_s", 0.0), cached=True))
+                cell, payload["metrics"], payload.get("wall_clock_s", 0.0),
+                True))
             if sink is not None:
                 sink.emit("cache.hit", cell=cell.key)
             if progress is not None:
@@ -190,7 +190,7 @@ def run_cells(cells: Sequence[Cell], jobs: Optional[int] = None,
     store = None
     if cache is not None:
         def store(result: CellResult) -> None:
-            cache.put(storage_key(result.key, checks=checks, faults=faults),
+            cache.put(result.key + suffix,
                       {"metrics": result.metrics,
                        "wall_clock_s": result.wall_clock_s})
 

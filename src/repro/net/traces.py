@@ -205,7 +205,35 @@ class BandwidthTrace:
         if t1 < t0:
             raise ValueError(f"bytes_between needs t0 <= t1, "
                              f"got [{t0}, {t1}]")
-        return self._cum(t1) - self._cum(t0)
+        got = self._cum(t1) - self._cum(t0)
+        if math.isfinite(got):
+            return got
+        # An integral from t = 0 overflowed (inf - inf is nan): add the
+        # interval's own non-negative pieces, which reach inf only when
+        # the bytes of [t0, t1] themselves exceed float range.
+        if self._constant:
+            return self.rates[0] * (t1 - t0)
+        if self.period is None:
+            return self._span(t0, t1)
+        c0, p0 = divmod(t0, self.period)
+        c1, p1 = divmod(t1, self.period)
+        if c0 == c1:
+            return self._span(p0, p1)
+        return (self._span(p0, self.period) + (c1 - c0 - 1) * self._cycle_bytes
+                + self._span(0.0, p1))
+
+    def _span(self, t0: float, t1: float) -> float:
+        """Bytes over ``[t0, t1]`` within one cycle (or anywhere on a
+        non-cyclic trace), summed from ``t0``'s segment, the whole
+        segments between and ``t1``'s segment: no term overflows unless
+        the total does."""
+        i = bisect_right(self.times, t0) - 1
+        j = bisect_right(self.times, t1) - 1
+        if i == j:
+            return self.rates[i] * (t1 - t0)
+        return (self.rates[i] * (self.times[i + 1] - t0)
+                + (self._prefix[j] - self._prefix[i + 1])
+                + self.rates[j] * (t1 - self.times[j]))
 
     def time_to_send(self, nbytes: float, start: float = 0.0) -> float:
         """Seconds to serialise *nbytes* starting at *start*.

@@ -13,9 +13,19 @@ harness cell (see :mod:`repro.perf.profile`).  Timing the code is the
 job of the repository benchmark, ``python3 bench/run.py``.
 """
 
-from repro.perf.counters import PerfProbe, profiling
+from repro import _lazy_exports
+
+#: Public name -> the module that defines it.  The counters arm against
+#: the engine's observer registry, so they load on first access (PEP
+#: 562): the CLI declares ``profile`` without loading the simulator.
+_EXPORTS = {
+    "PerfProbe": "repro.perf.counters",
+    "profiling": "repro.perf.counters",
+}
 
 __all__ = [
     "PerfProbe",
     "profiling",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

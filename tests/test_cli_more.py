@@ -198,6 +198,10 @@ BAD_VALUES = [
     (["--bind", "127.0.0.1:0", "--jobs", "-1"],
      "--jobs must be >= 0, got -1"),
     (["--json", "{missing}/x.json"], "--json: cannot write"),
+    (["--cache-dir", "{file}", "--jobs", "1"],
+     "cannot use cache directory '{file}'"),
+    (["--cache-dir", "{file}", "--no-timeout"],
+     "cannot use cache directory '{file}'"),
 ]
 
 
@@ -218,9 +222,12 @@ class TestSweepOptionTable:
     @pytest.mark.parametrize("verb", sorted(SWEEP_VERBS))
     def test_bad_value_is_one_usage_error(self, verb, flags, message,
                                           tmp_path, capsys, no_cells_run):
-        flags = [f.format(missing=tmp_path / "missing") for f in flags]
+        blocker = tmp_path / "file"  # a regular file where a directory goes
+        blocker.write_text("")
+        paths = {"missing": tmp_path / "missing", "file": blocker}
+        flags = [f.format(**paths) for f in flags]
         assert main(SWEEP_VERBS[verb] + flags) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {message.format(**paths)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--out", "--result"])
     def test_search_checks_its_own_outputs_first(self, flag, tmp_path,

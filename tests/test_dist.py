@@ -44,7 +44,6 @@ from repro.harness.registry import (
     register_experiment,
     unregister_experiment,
 )
-from repro.harness.runner import storage_key
 from repro.harness.supervisor import execute_cell
 from repro.obs import load_events
 
@@ -420,8 +419,8 @@ class TestDistExecution:
                            dist_options=dict(workers=1, preload=PRELOAD,
                                              **FAST_OPTS))
         assert [f.kind for f in report.failures] == ["crash"]
-        assert cache.get(storage_key(chaos("crash", seed=0).key)) is None
-        assert cache.get(storage_key(chaos("ok", seed=1).key)) is not None
+        assert cache.get(chaos("crash", seed=0).key) is None
+        assert cache.get(chaos("ok", seed=1).key) is not None
 
     def test_degrades_to_local_pool_when_no_worker_reachable(self, tmp_path):
         cells = [chaos("ok", seed=s) for s in range(2)]
@@ -957,7 +956,7 @@ class TestKillAndResume:
 
         cache = ResultCache(cache_dir, "kill-test")
         cells = [chaos("ok", delay=0.3, seed=s) for s in range(8)]
-        cached = [c.key for c in cells if cache.get(storage_key(c.key))]
+        cached = [c.key for c in cells if cache.get(c.key)]
         assert sorted(cached) == sorted(settled) and len(cached) == 4
         executed = []
         report = run_cells(cells, timeout_s=30.0, cache=cache,

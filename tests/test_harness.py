@@ -6,8 +6,12 @@ invalidation behaviour, artifact schema, and the regression checker's
 exit codes.
 """
 
+import errno
 import gc
 import json
+import multiprocessing
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -31,8 +35,9 @@ from repro.harness import (
 )
 from repro.harness import check
 from repro.harness.aggregate import summarize
+from repro.harness.cache import READ_CHUNK
 from repro.harness.registry import EXPERIMENTS
-from repro.harness.runner import storage_key
+from repro.harness.runner import namespace
 from repro.sim import engine
 from repro.sim.engine import Simulator
 from repro.tcp.connection import TCPConnection
@@ -276,6 +281,105 @@ class TestCache:
             path.write_text(json.dumps(entry))
         assert cache.get("k") is None
 
+    @staticmethod
+    def _entry(tmp_path) -> Path:
+        (entry,) = tmp_path.rglob("*.json")
+        return entry
+
+    @pytest.mark.parametrize("spoil", [
+        "invalid-utf8", "empty", "truncated-mid-float", "larger-than-a-chunk",
+    ])
+    def test_hostile_entry_is_a_miss_and_reruns(self, tmp_path, spoil):
+        cache = ResultCache(tmp_path, "h")
+        cold = run_cells(CHEAP_CELLS[:1], jobs=1, cache=cache)
+        entry = self._entry(tmp_path)
+        good = entry.read_bytes()
+        entry.write_bytes({
+            "invalid-utf8": good[:-1] + b', "\xff": 0}',
+            "empty": b"",
+            "truncated-mid-float":
+                good[:good.index(b".", good.index(b'"metrics"')) + 1],
+            # A reader that stopped at the first chunk would serve it.
+            "larger-than-a-chunk":
+                good + b" " * READ_CHUNK + b"garbage",
+        }[spoil])
+        assert cache.get(CHEAP_CELLS[0].key) is None
+        warm = run_cells(CHEAP_CELLS[:1], jobs=1, cache=cache)
+        assert (warm.cache_hits, warm.cache_misses) == (0, 1)
+        assert warm.results[0].metrics == cold.results[0].metrics
+        assert cache.get(CHEAP_CELLS[0].key) is not None  # rewritten
+
+    @pytest.mark.parametrize("timeout_s", [None, 60.0],
+                             ids=["in-process", "supervised"])
+    def test_directory_at_the_entry_is_a_typed_error(self, tmp_path,
+                                                     timeout_s):
+        # The read is a miss and the cell runs again; storing it cannot
+        # replace a directory, so the sweep stops with the entry named,
+        # no temporary file behind and no worker left running.
+        cache = ResultCache(tmp_path, "h")
+        run_cells(CHEAP_CELLS[:1], jobs=1, cache=cache)
+        entry = self._entry(tmp_path)
+        entry.unlink()
+        entry.mkdir()
+        assert cache.get(CHEAP_CELLS[0].key) is None
+        with pytest.raises(ReproError, match=re.escape(str(entry))):
+            run_cells(CHEAP_CELLS[:1], jobs=1, cache=cache,
+                      timeout_s=timeout_s)
+        assert [p.name for p in entry.parent.iterdir()] == [entry.name]
+        assert multiprocessing.active_children() == []
+
+    def test_a_failed_put_is_a_typed_error_and_leaves_no_temp(
+            self, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path, "h")
+        cache.put("k", {"metrics": {"x": 1.0}})
+
+        def disk_full(src, dst):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", disk_full)
+        with pytest.raises(ReproError, match="No space left"):
+            cache.put("k2", {"metrics": {"x": 2.0}})
+        assert [p.name for p in tmp_path.rglob("*")
+                if ".tmp." in p.name] == []
+
+    def test_an_unusable_cache_directory_is_a_typed_error(self, tmp_path):
+        blocker = tmp_path / "not-a-dir"
+        blocker.write_text("")
+        cache = ResultCache(blocker, "h")
+        assert cache.get("k") is None
+        with pytest.raises(ReproError, match=re.escape(str(blocker))):
+            cache.prepare()
+        with pytest.raises(ReproError, match=re.escape(str(blocker))):
+            cache.put("k", {"metrics": {"x": 1.0}})
+
+    def test_get_parses_what_put_wrote(self, tmp_path):
+        # A hit is the very object `json.load` makes of the file:
+        # floats to the last bit, ints as ints, escaped non-ASCII keys,
+        # and an entry larger than one read chunk.
+        cache = ResultCache(tmp_path, "h")
+        records = {
+            "plain": {"metrics": {"x": 0.1, "n": 12969, "big": 1e300,
+                                  "tiny": 5e-324, "neg": -0.0},
+                      "wall_clock_s": 0.12916445399991971},
+            "ünïcode/κ=λ": {"metrics": {"débit_kbps": 112.10128737497287,
+                                         "事件": 7}},
+            "large": {"metrics": {f"m{i:05d}": i / 7
+                                  for i in range(READ_CHUNK // 8)}},
+        }
+        for key, payload in records.items():
+            cache.put(key, payload)
+        entries = sorted(tmp_path.rglob("*.json"))
+        assert max(p.stat().st_size for p in entries) > READ_CHUNK
+        for key in records:
+            (entry,) = [p for p in entries
+                        if json.loads(p.read_text())["key"] == key]
+            with open(entry) as handle:
+                expected = json.load(handle)
+            got = cache.get(key)
+            assert got == expected
+            assert [type(v) for v in got["metrics"].values()] \
+                == [type(v) for v in expected["metrics"].values()]
+
     def test_src_hash_folds_support_files(self, tmp_path):
         # Tool configuration can change behaviour without touching a
         # .py file; extra_files lets the hash see that.
@@ -307,29 +411,27 @@ class TestStorageKey:
     """Checked/faulted sweeps live in their own cache namespaces."""
 
     def test_plain_run_keeps_bare_key(self):
-        assert storage_key("a/b=1") == "a/b=1"
+        assert namespace() == ""
 
     def test_checks_namespaces(self):
-        assert storage_key("a/b=1", checks=True) == "a/b=1#checks"
-        assert storage_key("a/b=1", checks="raise") == "a/b=1#checks"
-        assert storage_key("a/b=1", checks="collect") \
-            == "a/b=1#checks=collect"
+        assert namespace(checks=True) == "#checks"
+        assert namespace(checks="raise") == "#checks"
+        assert namespace(checks="collect") == "#checks=collect"
 
     def test_faults_namespace_is_canonical(self):
         # Equivalent specs (profile vs explicit, key spelling) map to
         # the same namespace via FaultPlan.describe().
         from repro.faults import PROFILES
 
-        by_profile = storage_key("k", faults="light")
-        by_spec = storage_key("k", faults=PROFILES["light"])
+        by_profile = namespace(faults="light")
+        by_spec = namespace(faults=PROFILES["light"])
         assert by_profile == by_spec
-        assert "#faults=" in by_profile
-        assert storage_key("k", faults="drop=0.1") \
-            != storage_key("k", faults="drop=0.2")
+        assert by_profile.startswith("#faults=")
+        assert namespace(faults="drop=0.1") != namespace(faults="drop=0.2")
 
     def test_null_faults_is_plain(self):
-        assert storage_key("k", faults=None) == "k"
-        assert storage_key("k", faults="drop=0") == "k"
+        assert namespace(faults=None) == ""
+        assert namespace(faults="drop=0") == ""
 
     def test_runner_does_not_cross_namespaces(self, tmp_path):
         cache = ResultCache(tmp_path, "h")

@@ -579,13 +579,56 @@ class TestSourceGuard:
         assert done.returncode == 0, done.stderr
         assert done.stdout.splitlines() == ["[]", "[]"]
 
-    def test_package_roots_resolve_names_on_first_use(self):
-        """``repro`` and ``repro.experiments`` export the same objects
-        their defining modules hold, and an unknown name is an
-        ``AttributeError``."""
-        import repro.experiments
+    def test_a_cache_warm_cli_sweep_loads_no_simulator(self, tmp_path):
+        """The command line is as lazy as the harness: building the
+        parser and a ``run-all --quick`` served wholly from the cache
+        load no simulator module."""
+        baseline = self.SRC.parents[1] / "baselines" / "expected.json"
+        code = textwrap.dedent("""
+            import contextlib, io, json, sys
+            from repro.cli import build_parser, main
+            from repro.harness import ResultCache, compute_src_hash
 
-        for package in (repro, repro.experiments):
+            SIMULATOR = {"sim", "tcp", "net", "core", "trace", "trafficgen",
+                         "apps"}
+
+            def loaded():
+                return sorted(name for name in sys.modules
+                              if name.startswith("repro.")
+                              and name.split(".")[1] in SIMULATOR)
+
+            baseline, cache_dir, artifact = sys.argv[1:]
+            build_parser()
+            print(loaded())
+            cache = ResultCache(cache_dir, compute_src_hash())
+            with open(baseline) as handle:
+                for cell in json.load(handle)["cells"]:
+                    cache.put(cell["key"], {"metrics": cell["metrics"]})
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run-all", "--quick", "--cache-dir", cache_dir,
+                             "--json", artifact])
+            print(code, loaded())
+            with open(artifact) as handle:
+                run = json.load(handle)["run"]
+            print(run["cache_hits"] == run["cells"], run["cache_misses"])
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(baseline),
+             str(tmp_path / "cache"), str(tmp_path / "warm.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["[]", "0 []", "True 0"]
+
+    def test_package_roots_resolve_names_on_first_use(self):
+        """``repro``, ``repro.experiments`` and ``repro.perf`` export the
+        same objects their defining modules hold, and an unknown name is
+        an ``AttributeError``."""
+        import repro.experiments
+        import repro.perf
+
+        for package in (repro, repro.experiments, repro.perf):
             for name in package.__all__:
                 value = getattr(package, name)
                 if isinstance(value, types.ModuleType):

@@ -33,7 +33,6 @@ from repro.harness import (
     unregister_experiment,
     write_document,
 )
-from repro.harness.runner import storage_key
 from repro.harness.supervisor import classify_error
 from repro.sim import LivenessWatchdog, Simulator, observers, watching
 
@@ -327,8 +326,8 @@ class TestSupervisedExecution:
         crash = Cell.make("crashx", seed=0)
         report = self._sweep([CHEAP, crash], retries=0, cache=cache)
         assert [f.key for f in report.failures] == [crash.key]
-        assert cache.get(storage_key(crash.key)) is None
-        assert cache.get(storage_key(CHEAP.key)) is not None
+        assert cache.get(crash.key) is None
+        assert cache.get(CHEAP.key) is not None
 
         # A later sweep serves the good cell from cache and re-attempts
         # the quarantined one rather than replaying its failure.

@@ -313,6 +313,25 @@ class TestTraceValidation:
         assert trace.mean_rate == 5e307
         assert trace.bytes_between(0.0, 0.5) == 5e307
 
+    @pytest.mark.parametrize("times,rates,period,t0,t1,expected", [
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 8.0, 8.5, 5e307),
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 8.5, 9.5, 5e307 + 0.5),
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 9.5, 10.25, 0.5 + 2.5e307),
+        ([0.0], [1e300], None, 1e9, 1e9 + 1, 1e300),
+        ([0.0, 1.0], [1.0, 1e300], None, 1e9, 1e9 + 2, 2e300),
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 0.0, 4.5, math.inf),
+        ([0.0], [1e300], None, 0.0, 1e9, math.inf),
+    ], ids=["cyclic-one-segment", "cyclic-across-segments",
+            "cyclic-across-a-cycle", "constant-late", "non-cyclic-tail",
+            "cyclic-past-float-range", "constant-past-float-range"])
+    def test_bytes_between_is_never_nan(self, times, rates, period, t0, t1,
+                                        expected):
+        """Far from t = 0 both integrals of ``bytes_between`` overflow
+        and their difference was ``nan``, though the bytes of the
+        interval fit a float; past float range the answer is ``inf``."""
+        trace = BandwidthTrace(times, rates, period=period)
+        assert trace.bytes_between(t0, t1) == expected
+
     def test_generator_validation(self):
         with pytest.raises(ConfigurationError):
             constant_trace(0.0)
