@@ -3,7 +3,7 @@
 Every matchup reduces to the same simulation shape — a *cohort* of
 bulk flows, one scheme name per flow, pushed through one scenario's
 bottleneck — so one builder (:func:`run_cohort`) serves all three cell
-families:
+families (and the §4.3 ``fairness`` and ``search_cohort`` cells):
 
 * ``arena_solo``: a single flow, the scheme's unopposed baseline;
 * ``arena_duel``: one flow each of two schemes (round-robin 1v1);
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.arena.scenarios import Scenario, get_scenario
@@ -45,23 +45,31 @@ class FlowOutcome:
     coarse_timeouts: int
     rtt_mean_ms: float
     done: bool
+    start: float            # seeded stagger offset of the flow's start
 
 
 def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
-               seed: int = 0) -> List[FlowOutcome]:
+               seed: int = 0,
+               access_delays: Optional[Sequence[float]] = None
+               ) -> List[FlowOutcome]:
     """Run one flow per entry of *schemes* through *scenario*.
 
     *scenario* is a registered scenario name or a :class:`Scenario`
     instance — the scenario-search driver builds anonymous parameterized
-    scenarios (:func:`repro.arena.scenarios.custom_scenario`) that never
-    enter the named registry.
+    scenarios (:func:`repro.arena.scenarios.custom_scenario`) and the
+    §4.3 fairness cells a ``classic`` variant, neither in the named
+    registry.  *access_delays* gives each flow its own access-link
+    propagation delay (the §4.3 2:1 configuration); by default every
+    flow uses the scenario's ``access_delay``.
 
-    Topology follows the fairness experiment: each flow gets a private
+    This is the one dumbbell builder: each flow gets a private
     source/sink host pair and access links into a shared two-router
     bottleneck, so flows interact only at the scenario's queue.  Flow
     starts are staggered by a small seeded jitter — simultaneous SYNs
     would synchronize slow-start and measure the phase effect, not the
-    schemes.  Outcomes are returned in flow order (``schemes`` order).
+    schemes.  Outcomes are returned in flow order (``schemes`` order);
+    each carries its ``start`` offset for reducers that fold in start
+    order.
     """
     spec: Scenario = (scenario if isinstance(scenario, Scenario)
                       else get_scenario(scenario))
@@ -85,11 +93,16 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
     topo.add_link(r1, r2, bandwidth=spec.bandwidth, delay=spec.delay,
                   queue_capacity=spec.buffers, name="bottleneck",
                   **link_kwargs)
+    if access_delays is None:
+        access_delays = [spec.access_delay] * len(schemes)
+    elif len(access_delays) != len(schemes):
+        raise ValueError(f"{len(access_delays)} access delays for "
+                         f"{len(schemes)} flows")
     sources, sinks = [], []
-    for i in range(len(schemes)):
+    for i, access_delay in enumerate(access_delays):
         src = topo.add_host(f"S{i}")
         dst = topo.add_host(f"D{i}")
-        topo.add_link(src, r1, bandwidth=mbps(10), delay=spec.access_delay,
+        topo.add_link(src, r1, bandwidth=mbps(10), delay=access_delay,
                       queue_capacity=None, name=f"access{i}")
         topo.add_link(r2, dst, bandwidth=mbps(10), delay=ms(0.1),
                       queue_capacity=None, name=f"egress{i}")
@@ -99,6 +112,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
 
     stagger = rng.stream("stagger")
     transfers: List[BulkTransfer] = [None] * len(schemes)
+    starts: List[float] = []
     for i, factory in enumerate(factories):
         sproto = TCPProtocol(sources[i], rng=random.Random(
             rng.stream(f"timer/s{i}").random()))
@@ -106,6 +120,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
             rng.stream(f"timer/d{i}").random()))
         BulkSink(dproto, DFLT.TRANSFER_PORT)
         delay = stagger.uniform(0.0, 0.25)
+        starts.append(delay)
 
         def _start(slot=i, proto=sproto, dst_name=sinks[i].name,
                    make_cc=factory) -> None:
@@ -117,7 +132,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
     sim.run(until=spec.horizon)
 
     outcomes: List[FlowOutcome] = []
-    for scheme, transfer in zip(schemes, transfers):
+    for scheme, transfer, start in zip(schemes, transfers, starts):
         stats = transfer.conn.stats
         rtt_mean = stats.rtt_mean
         outcomes.append(FlowOutcome(
@@ -127,6 +142,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
             coarse_timeouts=stats.coarse_timeouts,
             rtt_mean_ms=(rtt_mean or 0.0) * 1000.0,
             done=transfer.done,
+            start=start,
         ))
     return outcomes
 

@@ -146,8 +146,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
-                    transfer_kb: int, loss: float = 0.0,
-                    horizon: Optional[float] = None,
+                    transfer_kb: int, horizon: float, loss: float = 0.0,
                     name: str = "custom") -> Scenario:
     """Build an anonymous :class:`Scenario` from raw point parameters.
 
@@ -155,9 +154,8 @@ def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
     driver (:mod:`repro.search`) uses: a search point names bandwidth /
     latency / queue / transfer size directly instead of picking from
     :data:`SCENARIOS`.  Validation mirrors what the named scenarios
-    guarantee by construction; the horizon, when not given, is sized so
-    the cohort could drain ~4x its total bytes at the bottleneck rate
-    (clamped to keep pathological corners bounded).
+    guarantee by construction.  The caller sizes the *horizon* for its
+    cohort (:func:`repro.search.cells.cohort_horizon`).
     """
     if not bandwidth_kbps > 0:
         raise ConfigurationError(
@@ -174,9 +172,6 @@ def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
     if not 0.0 <= loss < 1.0:
         raise ConfigurationError(
             f"scenario loss must be in [0, 1), got {loss!r}")
-    if horizon is None:
-        drain_s = 4.0 * transfer_kb / bandwidth_kbps
-        horizon = min(240.0, max(30.0, 10.0 + drain_s))
     return Scenario(
         name=name,
         description=(f"search point: {bandwidth_kbps:g} KB/s, "

@@ -25,7 +25,8 @@ Checked invariants:
   ``rcv_nxt`` never passes what its peer actually sent.
 * **Congestion-window bounds** — windows stay positive and bounded;
   Vegas grows by at most one segment per adjustment and its CAM
-  decisions are consistent with the α/β thresholds; Reno-family
+  decisions are consistent with the α/β thresholds (and, in slow
+  start, with γ); Reno-family
   controllers never halve ``ssthresh`` twice within one recovery
   epoch.
 * **Buffer occupancy** — send buffers respect their capacity and
@@ -249,6 +250,24 @@ class InvariantChecker(Instrument):
             self._fail("reno-single-halving", now, subject=cc.name, flow=flow,
                        detail=f"ssthresh cut {old} -> {new} while already "
                               "in recovery")
+
+    def on_ss_decision(self, cc, diff_buffers: float, valid: bool,
+                       exited: bool, now: float) -> None:
+        """Vegas made a slow-start CAM decision (γ check, §3.3).
+
+        Only CAM exits reach this hook; leaving slow start because
+        ``cwnd >= ssthresh`` or on a loss is not a γ decision.
+        """
+        crossed = diff_buffers > cc.gamma
+        if exited and not crossed:
+            detail = f"left slow start with Diff {diff_buffers:.3f} <= "
+        elif valid and crossed and not exited:
+            detail = f"kept slow start with valid Diff {diff_buffers:.3f} > "
+        else:
+            return
+        self._fail("vegas-ss-gamma", now, subject=cc.name,
+                   flow=getattr(cc.conn, "flow", None),
+                   detail=f"{detail}gamma {cc.gamma}")
 
     def on_cam_decision(self, cc, diff_buffers: float, action: int,
                         now: float) -> None:

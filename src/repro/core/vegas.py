@@ -264,6 +264,9 @@ class VegasCC(CongestionControl):
                     self.ss_grow = True
             else:
                 self.ss_grow = False
+            if self._checker is not None:
+                self._checker.on_ss_decision(
+                    self, diff_buffers, valid, self.mode != SLOW_START, now)
             self.conn.tracer.record(now, Kind.CAM_DECISION,
                                     diff_buffers * 1000.0, 0)
             return

@@ -13,7 +13,7 @@ those runs are cells of :mod:`repro.harness.registry` (values from
 | Tables 2, 3, §4.3 two-way traffic | :mod:`repro.experiments.background` |
 | Tables 4, 5 | :mod:`repro.experiments.internet` |
 | §4.3 send-buffer sweep | :mod:`repro.experiments.transfers` (``sndbuf=``) |
-| §4.3 fairness/stability | :mod:`repro.experiments.fairness_exp` |
+| §4.3 fairness/stability | :func:`repro.arena.cells.run_cohort` |
 | §6 TELNET response time | :mod:`repro.experiments.telnet_response` |
 """
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import gc
 import math
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
@@ -224,20 +224,42 @@ def _sendbuf_cell(cc: str, size_kb: int, seed: int) -> Dict[str, float]:
 
 def _fairness_cell(cc: str, count: int, mixed: bool,
                    seed: int) -> Dict[str, float]:
-    from repro.experiments.fairness_exp import run_competing_connections
+    """§4.3 "Multiple competing connections": *count* flows of *cc*.
+
+    "We ran simulations with 2, 4, and 16 connections sharing a
+    bottleneck link, where all the connections either had the same
+    propagation delay, or where one half of the connections had twice
+    the propagation delay of the other half. ... There were no
+    stability problems in the case of 16 connections sharing the
+    bottleneck link, even though there were only 20 buffers at the
+    router."
+
+    The cohort is the arena's dumbbell over the Figure-5 bottleneck
+    with 20 buffers; ``mixed`` doubles the second half's access delay.
+    Sums fold in flow *start* order, the order the committed baselines
+    were computed in (flow order moves some metrics in the last digit).
+    """
+    from repro.arena.cells import run_cohort
+    from repro.arena.scenarios import get_scenario
+    from repro.metrics.fairness import jain_fairness_index
+    from repro.numeric import fold_sum
     from repro.units import kb, mb
 
     # 2 MB transfers for 2/4 connections, 512 KB for 16.
-    size = mb(2) if count <= 4 else kb(512)
-    result = run_competing_connections(cc, count, transfer_bytes=size,
-                                       mixed_delays=mixed, buffers=20,
-                                       seed=seed)
+    spec = replace(get_scenario("classic"), buffers=20, horizon=600.0,
+                   transfer_bytes=mb(2) if count <= 4 else kb(512))
+    delays = [spec.access_delay * (2 if mixed and i >= count // 2 else 1)
+              for i in range(count)]
+    flows = sorted(run_cohort([cc] * count, spec, seed=seed,
+                              access_delays=delays),
+                   key=lambda flow: flow.start)
+    throughputs = [flow.throughput_kbps for flow in flows]
     return {
-        "fairness_index": result.fairness_index,
-        "aggregate_throughput_kbps": result.aggregate_throughput,
-        "retransmit_kb": result.total_retransmit_kb,
-        "coarse_timeouts": result.coarse_timeouts,
-        "all_done": float(result.all_done),
+        "fairness_index": jain_fairness_index(throughputs),
+        "aggregate_throughput_kbps": fold_sum(throughputs),
+        "retransmit_kb": fold_sum(flow.retransmit_kb for flow in flows),
+        "coarse_timeouts": sum(flow.coarse_timeouts for flow in flows),
+        "all_done": float(all(flow.done for flow in flows)),
     }
 
 

@@ -57,8 +57,8 @@ def run_search_cohort(schemes: str, bw_kbps: float, delay_ms: float,
 
     flows = parse_schemes(schemes)
     spec = custom_scenario(
-        bw_kbps, delay_ms, buffers, size_kb, loss=loss,
-        horizon=cohort_horizon(len(flows), size_kb, bw_kbps),
+        bw_kbps, delay_ms, buffers, size_kb,
+        cohort_horizon(len(flows), size_kb, bw_kbps), loss=loss,
         name="search")
     outcomes = run_cohort(flows, spec, seed=seed)
     metrics: Dict[str, float] = {"flows": float(len(flows))}

@@ -174,34 +174,6 @@ def _score_batch(objective: Objective, batch: List[Point],
 
 
 # ----------------------------------------------------------------------
-# The search preview: the deterministic cell list a random-strategy
-# prefix of a search would evaluate, materialized without running the
-# loop.
-# ----------------------------------------------------------------------
-
-def family_preview_cells(objective_name: str, count: int = 4,
-                         seed: int = 0, quick: bool = False) -> List[Cell]:
-    """First *count* random points' cells, deduped, in draw order."""
-    from repro.search.objectives import get_objective
-
-    if count < 1:
-        raise ReproError(f"search family count must be >= 1, got {count}")
-    objective = get_objective(objective_name, quick=quick)
-    strat = make_strategy("random", objective.space, seed)
-    cells: List[Cell] = []
-    seen = set()
-    points: List[Point] = []
-    while len(points) < count:
-        points.extend(strat.ask())
-    for point in points[:count]:
-        for cell in objective.cells_for(point):
-            if cell.key not in seen:
-                seen.add(cell.key)
-                cells.append(cell)
-    return cells
-
-
-# ----------------------------------------------------------------------
 # Artifact
 # ----------------------------------------------------------------------
 

@@ -125,6 +125,20 @@ class TestCleanRuns:
         assert len(chk._channels) >= 2  # both bottleneck directions
         assert len(chk._connections) == 2
 
+    def test_vegas_slow_start_decisions_reach_the_checker(self):
+        exits = []
+
+        class _Spy(InvariantChecker):
+            def on_ss_decision(self, cc, diff_buffers, valid, exited, now):
+                exits.append(exited)
+                super().on_ss_decision(cc, diff_buffers, valid, exited, now)
+
+        chk = _Spy(mode="collect")
+        with observers.armed(checker=chk):
+            run_transfer(make_pair(), kb(64), cc=make_cc("vegas"))
+        assert chk.violations == []
+        assert exits.count(True) == 1 and False in exits
+
     def test_inactive_checker_costs_nothing(self):
         pair = make_pair()
         assert pair.sim._observers == ()
@@ -384,6 +398,19 @@ class TestCongestionWindowHooks:
         assert "vegas-cam-beta" in names
         assert "vegas-cam-hold" in names
         assert "vegas-diff-nonnegative" in names
+
+    def test_ss_decision_consistency(self):
+        chk = InvariantChecker(mode="collect")
+        cc = self._cc("vegas")
+        gamma = cc.gamma
+        chk.on_ss_decision(cc, gamma + 0.5, True, True, 1.0)    # exit: ok
+        chk.on_ss_decision(cc, gamma - 0.5, True, False, 1.0)   # grow: ok
+        chk.on_ss_decision(cc, gamma + 0.5, False, False, 1.0)  # hold: ok
+        assert chk.violations == []
+        chk.on_ss_decision(cc, gamma - 0.5, True, True, 1.0)    # exit <= γ
+        assert [v.invariant for v in chk.violations] == ["vegas-ss-gamma"]
+        chk.on_ss_decision(cc, gamma + 0.5, True, False, 1.0)   # kept doubling
+        assert [v.invariant for v in chk.violations] == ["vegas-ss-gamma"] * 2
 
 
 class TestCollectModeAndReport:

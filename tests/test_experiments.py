@@ -1,15 +1,19 @@
 """Tests for the experiment drivers (one cheap run per family)."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.arena.cells import run_cohort
+from repro.arena.scenarios import get_scenario
 from repro.experiments import defaults as DFLT
 from repro.experiments.background import run_with_background
-from repro.experiments.fairness_exp import run_competing_connections
 from repro.experiments.figure5 import HOST_NAMES, build_figure5
 from repro.experiments.internet import build_internet_path, run_internet_transfer
 from repro.experiments.one_on_one import run_one_on_one
 from repro.experiments.telnet_response import run_telnet_response
 from repro.experiments.transfers import run_solo_transfer
+from repro.metrics.fairness import jain_fairness_index
 from repro.units import kb
 
 
@@ -114,18 +118,24 @@ class TestSendbufSweep:
 
 
 class TestFairnessRuns:
+    """§4.3 cohorts: the Figure-5 bottleneck with 20 buffers."""
+
+    SPEC = replace(get_scenario("classic"), buffers=20,
+                   transfer_bytes=kb(512), horizon=600.0)
+
     def test_two_connections_share(self):
-        result = run_competing_connections("vegas", 2,
-                                           transfer_bytes=kb(512), seed=0)
-        assert result.all_done
-        assert len(result.throughputs_kbps) == 2
-        assert result.fairness_index > 0.8
+        flows = run_cohort(["vegas"] * 2, self.SPEC, seed=0)
+        assert len(flows) == 2 and all(flow.done for flow in flows)
+        assert jain_fairness_index(
+            [flow.throughput_kbps for flow in flows]) > 0.8
 
     def test_mixed_delays_supported(self):
-        result = run_competing_connections("reno", 2,
-                                           transfer_bytes=kb(512),
-                                           mixed_delays=True, seed=0)
-        assert result.all_done
+        near = self.SPEC.access_delay
+        flows = run_cohort(["reno"] * 2, self.SPEC, seed=0,
+                           access_delays=[near, 2 * near])
+        assert all(flow.done for flow in flows)
+        with pytest.raises(ValueError, match="access delays"):
+            run_cohort(["reno"] * 2, self.SPEC, access_delays=[near])
 
 
 class TestTelnetResponse:

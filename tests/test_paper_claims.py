@@ -12,12 +12,16 @@ read its cells — the numbers ``run-all`` prints and
 fill and read too, so each cell is simulated once per session.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from repro.arena.cells import run_cohort
+from repro.arena.scenarios import get_scenario
 from repro.experiments import defaults as DFLT
-from repro.experiments.fairness_exp import run_competing_connections
 from repro.experiments.one_on_one import run_one_on_one
 from repro.harness import Cell, cells_for
+from repro.metrics.fairness import jain_fairness_index
 from repro.units import kb
 
 
@@ -325,11 +329,16 @@ class TestFairnessClaims:
         assert result["fairness_index"] > 0.75
 
     def test_vegas_at_least_as_fair_with_mixed_delays(self):
-        reno = run_competing_connections("reno", 4, transfer_bytes=kb(1024),
-                                         mixed_delays=True, seed=0)
-        vegas = run_competing_connections("vegas", 4, transfer_bytes=kb(1024),
-                                          mixed_delays=True, seed=0)
-        assert vegas.fairness_index >= reno.fairness_index - 0.05
+        # Four 1 MB flows; the second pair has twice the access delay.
+        spec = replace(get_scenario("classic"), buffers=20,
+                       transfer_bytes=kb(1024), horizon=600.0)
+        near = spec.access_delay
+        index = {cc: jain_fairness_index([
+            flow.throughput_kbps for flow in run_cohort(
+                [cc] * 4, spec, seed=0,
+                access_delays=[near, near, 2 * near, 2 * near])])
+            for cc in ("reno", "vegas")}
+        assert index["vegas"] >= index["reno"] - 0.05
 
     @pytest.fixture(scope="class")
     def grid(self, run_shared):

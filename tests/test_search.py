@@ -21,7 +21,6 @@ from repro.search.cells import cohort_horizon, parse_schemes
 from repro.search.driver import (
     SEARCH_SCHEMA,
     build_search_document,
-    family_preview_cells,
     load_search_document,
     render_leaderboard,
     run_search,
@@ -345,21 +344,6 @@ class TestSearchCohort:
         for key in ("f0_throughput_kbps", "f1_throughput_kbps",
                     "fairness_index"):
             assert key in metrics
-
-    def test_search_family_is_selectable(self):
-        cells = family_preview_cells("vegas_regret", count=3, seed=0,
-                                     quick=True)
-        assert cells
-        assert all(c.experiment == "search_cohort" for c in cells)
-
-    def test_family_preview_is_deterministic(self):
-        first = family_preview_cells("fairness_cliff", count=4, seed=9,
-                                     quick=True)
-        second = family_preview_cells("fairness_cliff", count=4, seed=9,
-                                      quick=True)
-        assert [c.key for c in first] == [c.key for c in second]
-        with pytest.raises(ReproError, match="count"):
-            family_preview_cells("fairness_cliff", count=0)
 
 
 # ----------------------------------------------------------------------

@@ -504,6 +504,14 @@ class TestSourceGuard:
         for name in ("phase", "snapshot", "events_per_sec"):
             assert not hasattr(PerfProbe, name)
 
+    def test_one_cohort_builder(self):
+        """Every shared-bottleneck cohort — arena matchups, search
+        points and the §4.3 fairness cells — is built by
+        ``arena.cells.run_cohort``: one dumbbell, one stagger stream."""
+        assert {rel for rel, _, _ in self._matches(
+            r'stream\("stagger"\)')} == {"arena/cells.py"}
+        assert self._matches(r"def run_competing_connections\b") == []
+
     def test_one_home_for_paper_artifacts(self):
         """Every paper artifact is a registry experiment whose claims
         ``tests/test_paper_claims.py`` reads: there is no second test
