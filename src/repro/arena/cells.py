@@ -3,7 +3,7 @@
 Every matchup reduces to the same simulation shape — a *cohort* of
 bulk flows, one scheme name per flow, pushed through one scenario's
 bottleneck — so one builder (:func:`run_cohort`) serves all three cell
-families (and the §4.3 ``fairness`` and ``search_cohort`` cells):
+families (and the §4.3 ``fairness`` and §4.4 ``crossover`` cells):
 
 * ``arena_solo``: a single flow, the scheme's unopposed baseline;
 * ``arena_duel``: one flow each of two schemes (round-robin 1v1);
@@ -13,17 +13,20 @@ families (and the §4.3 ``fairness`` and ``search_cohort`` cells):
 The ``arena`` record of :mod:`repro.harness.registry` dispatches on
 its cells' ``mode`` (``solo``/``duel``/``mix``) to these module-level
 functions in worker processes; they return flat ``{metric: number}``
-dicts like every other cell runner.
+dicts like every other cell runner.  ``crossover`` is a Reno/Vegas
+duel on a parameterized bottleneck, beside the closed-form buffer
+count B* above which Reno stops losing and wins (:func:`crossover_band`).
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.apps.bulk import BulkSink, BulkTransfer
-from repro.arena.scenarios import Scenario, get_scenario
+from repro.arena.scenarios import Scenario, custom_scenario, get_scenario
 from repro.core.registry import cc_factory
 from repro.experiments import defaults as DFLT
 from repro.metrics.fairness import jain_fairness_index
@@ -31,8 +34,13 @@ from repro.net.topology import Topology
 from repro.numeric import fold_sum
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
+from repro.tcp import constants as C
 from repro.tcp.protocol import TCPProtocol
 from repro.units import mbps, ms
+
+#: Propagation delay of each flow's link from the far router to its
+#: sink; part of every cohort flow's base RTT.
+EGRESS_DELAY = ms(0.1)
 
 
 @dataclass
@@ -55,7 +63,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
     """Run one flow per entry of *schemes* through *scenario*.
 
     *scenario* is a registered scenario name or a :class:`Scenario`
-    instance — the scenario-search driver builds anonymous parameterized
+    instance — the crossover cells build anonymous parameterized
     scenarios (:func:`repro.arena.scenarios.custom_scenario`) and the
     §4.3 fairness cells a ``classic`` variant, neither in the named
     registry.  *access_delays* gives each flow its own access-link
@@ -104,7 +112,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
         dst = topo.add_host(f"D{i}")
         topo.add_link(src, r1, bandwidth=mbps(10), delay=access_delay,
                       queue_capacity=None, name=f"access{i}")
-        topo.add_link(r2, dst, bandwidth=mbps(10), delay=ms(0.1),
+        topo.add_link(r2, dst, bandwidth=mbps(10), delay=EGRESS_DELAY,
                       queue_capacity=None, name=f"egress{i}")
         sources.append(src)
         sinks.append(dst)
@@ -164,7 +172,8 @@ def arena_solo(scheme: str, scenario: str, seed: int) -> Dict[str, float]:
     return _flow_metrics("", flow)
 
 
-def arena_duel(a: str, b: str, scenario: str, seed: int) -> Dict[str, float]:
+def arena_duel(a: str, b: str, scenario: Union[str, Scenario],
+               seed: int) -> Dict[str, float]:
     """Round-robin 1v1: one flow of *a* against one flow of *b*."""
     flow_a, flow_b = run_cohort([a, b], scenario, seed=seed)
     metrics = _flow_metrics("a", flow_a)
@@ -197,4 +206,42 @@ def arena_mix(scheme: str, cross: str, n_cross: int, scenario: str,
         1.0 if all(f.done for f in cohort) else 0.0)
     metrics["fairness_index"] = jain_fairness_index(
         [subject.throughput_kbps] + cohort_rates)
+    return metrics
+
+
+def crossover_band(spec: Scenario) -> Tuple[float, float]:
+    """B* for Vegas's α and β: the router buffers above which a Reno
+    flow capped by its socket buffer stops losing beside one Vegas flow.
+
+    First order, on the propagation-only base RTT: Reno keeps
+    S = sockbuf/MSS segments in flight, so the queue holds
+    S + w − BDP, and Vegas settles where its Diff is a:
+    w·(S + w − BDP) = a·(S + w).  B*(a) = S + w_a − BDP, with w_a the
+    positive root.
+    """
+    vegas = cc_factory("vegas")()
+    sockbuf = C.DEFAULT_SOCKBUF / C.DEFAULT_MSS
+    base_rtt = 2.0 * (spec.delay + spec.access_delay + EGRESS_DELAY)
+    bdp = spec.bandwidth * base_rtt / C.DEFAULT_MSS
+
+    def bstar(a: float) -> float:
+        # w² + (S − BDP − a)·w − a·S = 0
+        half = (sockbuf - bdp - a) / 2.0
+        window = math.sqrt(half * half + a * sockbuf) - half
+        return sockbuf + window - bdp
+
+    return bstar(vegas.alpha), bstar(vegas.beta)
+
+
+def arena_crossover(bw_kbps: float, delay_ms: float, buffers: int,
+                    seed: int) -> Dict[str, float]:
+    """A Reno/Vegas duel on one crossover bottleneck: the duel's
+    metrics, Reno's lead over Vegas (``regret_kbps``) and the B* band."""
+    spec = custom_scenario(bw_kbps, delay_ms, buffers,
+                           DFLT.CROSSOVER_TRANSFER_KB, DFLT.CROSSOVER_HORIZON,
+                           name="crossover")
+    metrics = arena_duel("reno", "vegas", spec, seed)
+    metrics["regret_kbps"] = (metrics["a_throughput_kbps"]
+                              - metrics["b_throughput_kbps"])
+    metrics["bstar_lo"], metrics["bstar_hi"] = crossover_band(spec)
     return metrics

@@ -150,12 +150,11 @@ def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
                     name: str = "custom") -> Scenario:
     """Build an anonymous :class:`Scenario` from raw point parameters.
 
-    This is the parameterized-construction path the scenario-search
-    driver (:mod:`repro.search`) uses: a search point names bandwidth /
-    latency / queue / transfer size directly instead of picking from
-    :data:`SCENARIOS`.  Validation mirrors what the named scenarios
-    guarantee by construction.  The caller sizes the *horizon* for its
-    cohort (:func:`repro.search.cells.cohort_horizon`).
+    The ``crossover`` cells build their bottlenecks this way: bandwidth
+    / latency / queue / transfer size named directly instead of picked
+    from :data:`SCENARIOS`.  Validation mirrors what the named
+    scenarios guarantee by construction.  The caller sizes the
+    *horizon* for its cohort.
     """
     if not bandwidth_kbps > 0:
         raise ConfigurationError(
@@ -174,7 +173,7 @@ def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
             f"scenario loss must be in [0, 1), got {loss!r}")
     return Scenario(
         name=name,
-        description=(f"search point: {bandwidth_kbps:g} KB/s, "
+        description=(f"{bandwidth_kbps:g} KB/s, "
                      f"{delay_ms:g} ms, {buffers} buffers, "
                      f"{transfer_kb} KB transfers, loss {loss:g}"),
         bandwidth=kbps(bandwidth_kbps), delay=ms(delay_ms),

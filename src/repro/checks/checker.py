@@ -26,9 +26,9 @@ Checked invariants:
 * **Congestion-window bounds** — windows stay positive and bounded;
   Vegas grows by at most one segment per adjustment and its CAM
   decisions are consistent with the α/β thresholds (and, in slow
-  start, with γ); Reno-family
-  controllers never halve ``ssthresh`` twice within one recovery
-  epoch.
+  start, with γ); Vegas cuts its window at most once per send-rate
+  epoch (§3.1); Reno-family controllers never halve ``ssthresh`` twice
+  within one recovery epoch.
 * **Buffer occupancy** — send buffers respect their capacity and
   reassembly queues never hold more than the advertised window.
 
@@ -86,6 +86,9 @@ class InvariantChecker(Instrument):
         self._max_sent: Dict[Tuple, int] = {}
         self._last_una: Dict[int, int] = {}
         self._last_rcv_nxt: Dict[int, int] = {}
+        # When each Vegas controller last cut its window, as this
+        # checker saw it (never read back from the controller).
+        self._last_decrease: Dict[int, float] = {}
 
     # ------------------------------------------------------------------
     # Registration (called from component constructors)
@@ -268,6 +271,25 @@ class InvariantChecker(Instrument):
         self._fail("vegas-ss-gamma", now, subject=cc.name,
                    flow=getattr(cc.conn, "flow", None),
                    detail=f"{detail}gamma {cc.gamma}")
+
+    def on_loss_decrease(self, cc, lost_sent_at: Optional[float],
+                         now: float) -> None:
+        """Vegas cut its window for a loss (§3.1).
+
+        *lost_sent_at* is when the lost segment was sent, or ``None``
+        for a coarse timeout.  A retransmission may cut the window only
+        for a segment sent after the previous cut — one decrease per
+        send-rate epoch; a timeout always may, and opens a new epoch.
+        """
+        last = self._last_decrease.get(id(cc))
+        if (lost_sent_at is not None and last is not None
+                and lost_sent_at <= last):
+            self._fail("vegas-one-decrease-per-epoch", now, subject=cc.name,
+                       flow=getattr(cc.conn, "flow", None),
+                       detail=f"cut for a segment sent at "
+                              f"{lost_sent_at:.6f}, not after the last "
+                              f"cut at {last:.6f}")
+        self._last_decrease[id(cc)] = now
 
     def on_cam_decision(self, cc, diff_buffers: float, action: int,
                         now: float) -> None:

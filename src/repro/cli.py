@@ -12,7 +12,6 @@ The verbs (``python -m repro list`` prints them; each takes ``-h``)::
     python -m repro dist worker --connect 127.0.0.1:7077
     python -m repro run-all --experiments arena --seeds 3 --json arena.json
     python -m repro traces --scenario lte --seed 0
-    python -m repro search --objective vegas_regret --quick --budget 6
     python -m repro check r.json baselines/expected.json --tolerance 0.15
     python -m repro report r.json --telemetry run.jsonl
     python -m repro profile figure6/seed=0 --sort tottime
@@ -36,14 +35,13 @@ def build_parser() -> argparse.ArgumentParser:
     from repro.harness import check, command as sweeps
     from repro.obs import report
     from repro.perf import profile
-    from repro.search import command as search
 
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate artifacts from the TCP Vegas paper "
                     "(Brakmo, O'Malley & Peterson, SIGCOMM 1994).")
     sub = parser.add_subparsers(dest="command", required=True)
-    for module in (paper, sweeps, traces, search, check, report, profile):
+    for module in (paper, sweeps, traces, check, report, profile):
         module.configure_parser(sub)
     # `list` prints the verbs from here, so it cannot drift.
     parser.set_defaults(_subcommands=tuple(sub.choices))

@@ -329,6 +329,8 @@ class VegasCC(CongestionControl):
             self.conn.retransmit_first_unacked("fast")
             self.acks_after_retx = 2
             if self._decrease_allowed(lost_sent_at):
+                if self._checker is not None:
+                    self._checker.on_loss_decrease(self, lost_sent_at, now)
                 self._set_ssthresh(self.half_window(), now)
                 self.in_recovery = True
                 self._set_cwnd(self.ssthresh + self.dupack_threshold * self.conn.mss,
@@ -351,6 +353,8 @@ class VegasCC(CongestionControl):
         self.conn.retransmit_first_unacked(reason)
         self.acks_after_retx = 2
         if self._decrease_allowed(sent_at):
+            if self._checker is not None:
+                self._checker.on_loss_decrease(self, sent_at, now)
             mss = self.conn.mss
             cut = int(self.cwnd * self.fine_loss_factor)
             cut = max(2 * mss, (cut // mss) * mss)
@@ -372,6 +376,8 @@ class VegasCC(CongestionControl):
         # A timeout opens a new loss epoch: recovery (if any) ends
         # before the window is cut, so every ssthresh decrease happens
         # outside recovery (the invariant the runtime checker audits).
+        if self._checker is not None:
+            self._checker.on_loss_decrease(self, None, now)
         self.in_recovery = False
         self._set_ssthresh(self.half_window(), now)
         self._set_cwnd(self.conn.mss, now)

@@ -91,6 +91,18 @@ ARENA_QUICK = ((("vegas", "reno", "tahoe"), ("classic", "shallow")),
                (("vegas", "reno"), ("lte",)))
 ARENA_FULL = ((ARENA_SCHEMES, ARENA_SCENARIOS),)
 
+#: §4.4's one regime where Reno beats Vegas: a Reno flow that never
+#: loses.  The ``crossover`` experiment duels one Reno and one Vegas
+#: flow of CROSSOVER_TRANSFER_KB each on every (bandwidth KB/s, one-way
+#: delay ms) point, across the router buffer axis, seeds
+#: 0..CROSSOVER_RUNS-1; every flow completes within CROSSOVER_HORIZON
+#: seconds.  The quick grid is buffers 10..50 by 10 at seed 0.
+CROSSOVER_POINTS = ((200, 10), (255, 26), (500, 40), (200, 50))
+CROSSOVER_BUFFERS = tuple(range(5, 61, 5))
+CROSSOVER_RUNS = 4
+CROSSOVER_TRANSFER_KB = 600
+CROSSOVER_HORIZON = 34.0
+
 #: Ports used by measured transfers (TRAFFIC owns the well-known ones).
 TRANSFER_PORT = 7001
 
@@ -99,8 +111,7 @@ TRANSFER_HORIZON = 300.0
 
 # ----------------------------------------------------------------------
 # The paper's published numbers, printed beside ours by the table
-# renderers (:mod:`repro.harness.aggregate`) and read by the search
-# objectives.
+# renderers (:mod:`repro.harness.aggregate`).
 # ----------------------------------------------------------------------
 
 #: Table 1, keyed by small/large protocol pair.

@@ -280,6 +280,30 @@ def render_telnet(cells: Cells) -> str:
     return "\n".join(lines)
 
 
+def render_crossover(cells: Cells) -> str:
+    """Per bottleneck: Reno's lead over Vegas and Reno's retransmits at
+    each buffer count, seeds pooled, under the closed-form B* band."""
+    points: Dict[tuple, Dict[int, List[Dict[str, float]]]] = {}
+    for cell in cells:
+        params = cell["params"]
+        points.setdefault((params["bw_kbps"], params["delay_ms"]), {}) \
+            .setdefault(params["buffers"], []).append(cell["metrics"])
+    lines = ["§4.4 Reno/Vegas crossover: Reno minus Vegas throughput "
+             "(KB/s) by router buffers"]
+    for (bw, delay), by_buffers in sorted(points.items()):
+        first = next(iter(by_buffers.values()))[0]
+        lines.append(f"{bw} KB/s, {delay} ms: B* in "
+                     f"[{first['bstar_lo']:.1f}, {first['bstar_hi']:.1f}]")
+        lines.append("buffers | regret mean (min..max) | Reno retx KB")
+        for nbuf, runs in sorted(by_buffers.items()):
+            regret = [m["regret_kbps"] for m in runs]
+            retx = sum(m["a_retransmit_kb"] for m in runs) / len(runs)
+            lines.append(f"{nbuf:7d} | {sum(regret) / len(regret):+6.1f} "
+                         f"({min(regret):+6.1f}..{max(regret):+6.1f}) | "
+                         f"{retx:6.1f}")
+    return "\n".join(lines)
+
+
 def summarize(cells: Cells) -> str:
     """Paper-style text report for every experiment present in *cells*."""
     from repro.harness.registry import RECORDS

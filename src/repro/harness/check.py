@@ -87,7 +87,7 @@ def failed_cells(results: Dict[str, Any],
     return sorted(lines)
 
 
-HELP = ("gate a run-all/search JSON artifact against a committed "
+HELP = ("gate a run-all JSON artifact against a committed "
         "baseline (exit 1 = drift, 3 = quarantined cells)")
 
 
@@ -95,7 +95,7 @@ def configure_parser(sub) -> None:
     """Attach the ``check`` subparser to *sub* (a subparsers action)."""
     parser = sub.add_parser("check", help=HELP)
     parser.add_argument("results",
-                        help="artifact from run-all/search --json")
+                        help="artifact from run-all --json")
     parser.add_argument("expected", help="committed baseline artifact")
     parser.add_argument("--tolerance", type=float, default=0.15,
                         help="relative tolerance per metric (default 0.15)")

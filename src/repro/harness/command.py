@@ -40,7 +40,6 @@ def configure_parser(sub) -> None:
                           "prefixed by) a selector — the way to "
                           "reproduce one quarantined cell")
     options.add_sweep_options(cmd)
-    options.add_single_sweep_options(cmd)
     cmd.set_defaults(fn=run_all)
     dist = sub.add_parser(
         "dist",

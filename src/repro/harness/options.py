@@ -1,12 +1,11 @@
 """The front door of a sweep: one option table, one validator, one epilogue.
 
-``run-all`` and ``search`` both end in the same call —
-:func:`repro.harness.runner.run_cells` — so they share one declaration
-of the flags that steer it (:func:`add_sweep_options`), one place
-those flags are checked (:func:`sweep_options`, which raises
-:class:`UsageError` before the first cell runs) and one object carrying
-the checked values (:class:`SweepOptions`).  A verb is then "build
-cells → ``opts.run(cells, progress)`` → render → ``opts.finish(report)``".
+``run-all`` ends in :func:`repro.harness.runner.run_cells`; the flags
+that steer it are declared once (:func:`add_sweep_options`), checked in
+one place (:func:`sweep_options`, which raises :class:`UsageError`
+before the first cell runs) and carried by one object
+(:class:`SweepOptions`).  The verb is then "build cells →
+``opts.run(cells, progress)`` → render → ``opts.finish(report)``".
 
 This module belongs to the command line: ``repro.harness`` does not
 import it, so library users of ``run_cells`` never pay for it.
@@ -31,7 +30,7 @@ class UsageError(ReproError):
 
 
 def add_sweep_options(cmd) -> None:
-    """Declare the flags every sweep verb takes."""
+    """Declare the sweep flags."""
     cmd.add_argument("--jobs", type=int, default=None,
                      help="workers the master forks (default: cpu "
                           "count; ignored with --no-timeout)")
@@ -87,14 +86,6 @@ def add_sweep_options(cmd) -> None:
                           "--connect` peers can attach beside the --jobs "
                           "forked workers (--jobs 0: attach-only), with "
                           "a lease grace for the network hop")
-    # What add_single_sweep_options exposes; every verb's Namespace
-    # carries the attributes so sweep_options reads one shape.
-    cmd.set_defaults(faults=None, chaos_kill_after=None)
-
-
-def add_single_sweep_options(cmd) -> None:
-    """Flags of ``run-all``, the verb that runs exactly one sweep
-    (``search`` runs many rounds and takes neither)."""
     cmd.add_argument("--faults", metavar="SPEC", default=None,
                      help="inject faults: a profile name "
                           "(light/heavy/flap) or 'drop=0.01,dup=...' "
@@ -184,27 +175,23 @@ class SweepOptions:
             artifacts.write_document(self.json, doc)
         return doc
 
-    def finish(self, report: runner.RunReport, out=None,
-               fatal: bool = True) -> int:
-        """Print the closing lines to *out*; return the exit code.
+    def finish(self, report: runner.RunReport) -> int:
+        """Print the closing lines; return the exit code.
 
         130 = interrupted, 3 = cells quarantined, 1 = invariant
-        violations collected, 0 = clean.  ``fatal=False`` is for a
-        caller that survives quarantined cells (``search`` scores what
-        is left): they are listed but do not decide the exit code.
+        violations collected, 0 = clean.
         """
-        out = out or sys.stdout
+        out = sys.stdout
         failed = len(report.failures)
         if failed:
-            print((f"\nFAILED: {failed} cell(s) quarantined (exit 3; "
-                   if fatal else f"quarantined cells: {failed} (")
-                  + "reproduce with `run-all --only <key> --no-timeout`):",
+            print(f"\nFAILED: {failed} cell(s) quarantined (exit 3; "
+                  "reproduce with `run-all --only <key> --no-timeout`):",
                   file=out)
             for failure in report.failures:
                 print(f"  {failure.key} [{failure.kind}] "
                       f"after {failure.attempts} attempt(s): "
                       f"{failure.message}", file=out)
-        code = 3 if failed and fatal else 0
+        code = 3 if failed else 0
         if self.checks:
             violations = sum(int(r.metrics.get("invariant_violations", 0.0))
                              for r in report.results)

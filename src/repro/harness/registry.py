@@ -330,17 +330,11 @@ def _arena_cell(mode: str, scenario: str, seed: int, scheme: str = "",
     raise ReproError(f"unknown arena mode {mode!r} (known: solo, duel, mix)")
 
 
-# The search cell: a built-in record so any worker resolves it by name,
-# but with *no* grid — ``repro search`` generates its cells.
+def _crossover_cell(bw_kbps: float, delay_ms: float, buffers: int,
+                    seed: int) -> Dict[str, float]:
+    from repro.arena.cells import arena_crossover
 
-def _search_cohort_cell(schemes: str, bw_kbps: float, delay_ms: float,
-                        buffers: int, size_kb: int, loss: float,
-                        seed: int) -> Dict[str, float]:
-    from repro.search.cells import run_search_cohort
-
-    return run_search_cohort(schemes=schemes, bw_kbps=bw_kbps,
-                             delay_ms=delay_ms, buffers=buffers,
-                             size_kb=size_kb, loss=loss, seed=seed)
+    return arena_crossover(bw_kbps, delay_ms, buffers, seed)
 
 
 # ----------------------------------------------------------------------
@@ -515,6 +509,19 @@ def _arena_grid(quick: bool,
             for cell in matrix_cells(schemes, scenarios, seeds)]
 
 
+def _crossover_grid(quick: bool,
+                    seeds: Optional[Sequence[int]] = None) -> List[Cell]:
+    """The quick grid is every other buffer count from 10 to 50."""
+    from repro.experiments import defaults as DFLT
+
+    buffers = DFLT.CROSSOVER_BUFFERS
+    return [Cell.make("crossover", bw_kbps=bw, delay_ms=delay, buffers=nbuf,
+                      seed=seed)
+            for bw, delay in DFLT.CROSSOVER_POINTS
+            for nbuf in (buffers[1:10:2] if quick else buffers)
+            for seed in _seed_axis(seeds, quick, 1, DFLT.CROSSOVER_RUNS)]
+
+
 def _render_arena(cells: Sequence[Dict[str, Any]]) -> str:
     """``league.render_league``, imported on use as the runners are."""
     from repro.arena.league import render_league
@@ -546,8 +553,8 @@ class Experiment:
 
 #: Every experiment by name.  Dict order is sweep order and the order
 #: ``run-all`` reports in; runtime registrations are appended.  The
-#: grid-less records are run from the verbs that generate their cells
-#: (``search``, ``profile``).
+#: grid-less record is run from the verb that names its cells
+#: (``profile``).
 RECORDS: Dict[str, Experiment] = {
     "table1": Experiment(_table1_cell, _table1_grid, A.render_table1),
     "table2": Experiment(_table2_cell, _table2_grid, A.render_table2),
@@ -575,18 +582,13 @@ RECORDS: Dict[str, Experiment] = {
     "allvegas": Experiment(_allvegas_cell, _allvegas_grid,
                            A.render_allvegas),
     "arena": Experiment(_arena_cell, _arena_grid, _render_arena),
+    "crossover": Experiment(_crossover_cell, _crossover_grid,
+                            A.render_crossover),
     # The 500/1,000-conversation cells legitimately run for minutes;
     # their deadline grows with the population.
     "many_flows": Experiment(
         _many_flows_cell,
         budget=lambda params: max(180.0, 1.2 * params.get("flows", 0))),
-    # Search points range over arbitrary cohort sizes and horizons;
-    # each flow gets a generous slice so a slow corner of the space
-    # quarantines on its own merits rather than on the sweep default.
-    "search_cohort": Experiment(
-        _search_cohort_cell,
-        budget=lambda params: max(
-            150.0, 30.0 * len(str(params.get("schemes", "")).split("+")))),
 }
 
 

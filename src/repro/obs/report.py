@@ -342,7 +342,7 @@ def configure_parser(sub) -> None:
     """Attach the ``report`` subparser to *sub* (a subparsers action)."""
     parser = sub.add_parser("report", help=HELP)
     parser.add_argument("results",
-                        help="artifact from run-all/search --json")
+                        help="artifact from run-all --json")
     parser.add_argument("--telemetry", metavar="PATH", default=None,
                         help="telemetry JSONL from run-all --telemetry")
     parser.add_argument("--top", type=int, default=10,

@@ -404,6 +404,29 @@ class TestCohort:
         with pytest.raises(ValueError):
             arena_mix("vegas", "reno", 0, "smoke", 0)
 
+    @pytest.mark.parametrize("point,band", [
+        ((200, 10), (46.2, 48.5)), ((255, 26), (37.0, 39.7)),
+        ((500, 40), (13.6, 18.6)), ((200, 50), (31.4, 34.5))])
+    def test_crossover_band_is_the_closed_form(self, point, band):
+        """B*(a) = S + w_a − BDP, with w_a the root of
+        w·(S + w − BDP) = a·(S + w) for a = α, β; the buffer count
+        does not enter it."""
+        from repro.arena.cells import crossover_band
+        from repro.arena.scenarios import custom_scenario
+
+        shallow, deep = (
+            crossover_band(custom_scenario(*point, buffers, 600, 34.0))
+            for buffers in (5, 60))
+        assert shallow == deep
+        assert [round(bstar, 1) for bstar in shallow] == list(band)
+        # KB/s x seconds of base RTT (5 ms access, 0.1 ms egress) is
+        # segments of 1 KB; the socket buffer is 50 of them.
+        bw_kbps, delay_ms = point
+        bdp = bw_kbps * 2.0 * (delay_ms + 5.0 + 0.1) / 1000.0
+        for bstar, a in zip(shallow, (2.0, 4.0)):
+            window = bstar - 50.0 + bdp
+            assert window * bstar == pytest.approx(a * (50.0 + window))
+
 
 # ----------------------------------------------------------------------
 # CLI

@@ -412,6 +412,46 @@ class TestCongestionWindowHooks:
         chk.on_ss_decision(cc, gamma + 0.5, True, False, 1.0)   # kept doubling
         assert [v.invariant for v in chk.violations] == ["vegas-ss-gamma"] * 2
 
+    def test_one_decrease_per_epoch(self):
+        chk = InvariantChecker(mode="collect")
+        cc = self._cc("vegas")
+        chk.on_loss_decrease(cc, 1.0, 2.0)    # first cut: ok
+        chk.on_loss_decrease(cc, 2.5, 3.0)    # sent after that cut: ok
+        assert chk.violations == []
+        # The checker keeps its own record of the last cut (3.0), so a
+        # controller that forgot its own cannot hide a second one.
+        cc.last_decrease_time = float("-inf")
+        chk.on_loss_decrease(cc, 2.9, 3.5)    # sent before the cut at 3.0
+        assert [v.invariant for v in chk.violations] == [
+            "vegas-one-decrease-per-epoch"]
+
+    def test_coarse_timeout_opens_a_new_epoch(self):
+        chk = InvariantChecker(mode="collect")
+        cc = self._cc("vegas")
+        chk.on_loss_decrease(cc, 1.0, 2.0)
+        chk.on_loss_decrease(cc, None, 4.0)   # a timeout always may cut
+        assert chk.violations == []
+        chk.on_loss_decrease(cc, 3.5, 4.2)    # sent before the timeout
+        assert [v.invariant for v in chk.violations] == [
+            "vegas-one-decrease-per-epoch"]
+        chk.on_loss_decrease(cc, 4.5, 5.0)    # sent after it: ok
+        assert len(chk.violations) == 1
+
+    def test_a_vegas_that_cuts_on_every_loss_is_caught(self, monkeypatch):
+        from repro.core.vegas import VegasCC
+
+        def run():
+            with checking(mode="collect") as chk:
+                transfer = run_transfer(make_pair(queue_capacity=3), kb(128),
+                                        cc=make_cc("vegas"))
+            assert transfer.done
+            return [v.invariant for v in chk.violations]
+
+        assert run() == []
+        monkeypatch.setattr(VegasCC, "_decrease_allowed",
+                            lambda self, sent_at: sent_at is not None)
+        assert "vegas-one-decrease-per-epoch" in run()
+
 
 class TestCollectModeAndReport:
     def test_collect_mode_accumulates(self):

@@ -131,7 +131,7 @@ class TestPaperVerbs:
     def test_no_seed_flag_keeps_each_grid_axis(self, monkeypatch):
         """Without ``--seed``/``--seeds`` every grid keeps its own seeds
         (figure4's seed 3, the two of quick table4): ``run-all --quick``
-        still sweeps the baseline's 141 cells."""
+        still sweeps the baseline's 161 cells."""
         from repro.harness import load_document, runner
 
         swept = []
@@ -142,7 +142,7 @@ class TestPaperVerbs:
 
         monkeypatch.setattr(runner, "run_cells", record)
         assert run_all("--quick") == 130
-        assert len(swept) == 141
+        assert len(swept) == 161
         assert sorted(swept) == sorted(
             cell["key"] for cell in load_document(BASELINE)["cells"])
 
@@ -179,14 +179,13 @@ class TestPaperVerbs:
 
 
 # ----------------------------------------------------------------------
-# The two sweep verbs share one option table and one validator
-# (repro.harness.options): one case list, each verb and the arena.
+# run-all has one option table and one validator
+# (repro.harness.options): one case list, the whole sweep and the arena.
 # ----------------------------------------------------------------------
 
 SWEEP_VERBS = {
     "run-all": ["run-all", "--quick"],
     "arena": ["run-all", "--quick", "--experiments", "arena"],
-    "search": ["search", "--objective", "vegas_regret", "--quick"],
 }
 
 BAD_VALUES = [
@@ -228,13 +227,6 @@ class TestSweepOptionTable:
         flags = [f.format(**paths) for f in flags]
         assert main(SWEEP_VERBS[verb] + flags) == 2
         assert f"error: {message.format(**paths)}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("flag", ["--out", "--result"])
-    def test_search_checks_its_own_outputs_first(self, flag, tmp_path,
-                                                 capsys, no_cells_run):
-        path = str(tmp_path / "missing" / "x")
-        assert main(SWEEP_VERBS["search"] + [flag, path]) == 2
-        assert f"error: {flag}: cannot write" in capsys.readouterr().err
 
     def test_write_document_failure_is_typed(self, tmp_path):
         from repro.errors import ReproError

@@ -580,3 +580,56 @@ class TestArenaClaims:
         mix = "arena/cross=reno/mode=mix/n_cross=3/scheme={}"
         assert (classic[mix.format("vegas")]["subject_retransmit_kb"]
                 < classic[mix.format("reno")]["subject_retransmit_kb"])
+
+
+class TestCrossoverClaims:
+    """§4.4's one regime where Reno beats Vegas — a Reno flow that
+    never loses — begins at a closed-form buffer count.  Reno's window
+    is capped by its 50-segment socket buffer, so once the router holds
+    B* = 50 + w_vegas − BDP segments Reno stops losing and takes tens of
+    KB/s from Vegas; well below B* Reno loses in every run.
+
+    The bands were fixed from the full ``crossover`` grid (4 points x
+    buffers 5..60 x seeds 0-3) before pinning.  Across seeds the last
+    lossy Reno run lies at most 1.4 buffers above ``bstar_hi`` (500 KB/s
+    / 40 ms, seed 2 at 20 buffers) and the first lossless one at least
+    3.0 above ``bstar_lo`` (255 KB/s / 26 ms at 40), so DELTA = 6 buffers
+    clears both by more than the widest seed spread.  Above the band
+    the smallest regret is 52.6 KB/s (200 KB/s / 50 ms, seed spread
+    4.6 KB/s; the widest spread, 35.1 KB/s at 500 KB/s / 40 ms, sits
+    over 82.8), so MARGIN = 50 KB/s."""
+
+    DELTA = 6.0
+    MARGIN = 50.0
+
+    @pytest.fixture(scope="class")
+    def points(self, run_shared):
+        points = {}
+        for result in run_shared(cells_for("crossover")).results:
+            params = result.cell.as_dict()
+            points.setdefault((params["bw_kbps"], params["delay_ms"]),
+                              []).append((params["buffers"], result.metrics))
+        assert len(points) == len(DFLT.CROSSOVER_POINTS)
+        return points
+
+    def test_every_flow_completes(self, points):
+        for runs in points.values():
+            for _, metrics in runs:
+                assert metrics["a_completed"] and metrics["b_completed"]
+
+    def test_lossless_reno_beats_vegas_above_bstar(self, points):
+        for point, runs in points.items():
+            above = [m for buffers, m in runs
+                     if buffers >= m["bstar_hi"] + self.DELTA]
+            assert above, point
+            for metrics in above:
+                assert metrics["a_retransmit_kb"] == 0, point
+                assert metrics["regret_kbps"] >= self.MARGIN, point
+
+    def test_reno_loses_below_bstar(self, points):
+        for point, runs in points.items():
+            below = [m for buffers, m in runs
+                     if buffers <= m["bstar_lo"] - self.DELTA]
+            assert below, point
+            for metrics in below:
+                assert metrics["a_retransmit_kb"] > 0, point

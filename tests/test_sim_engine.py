@@ -400,8 +400,8 @@ class TestSourceGuard:
 
         commands = build_parser()._subparsers._group_actions[0].choices
         assert list(commands) == ["list", "solo", "run-all", "dist",
-                                  "traces", "search", "check", "report",
-                                  "profile"]
+                                  "traces", "check", "report", "profile"]
+        assert not (self.SRC / "search").exists()
         assert self._matches(r"def (print_artifact|print_figure)\(") == []
         homes = {rel for rel, _, line in self._matches(r"add_argument\(")
                  if re.search(r'"--(backend|workers|preload)"', line)}
@@ -505,8 +505,8 @@ class TestSourceGuard:
             assert not hasattr(PerfProbe, name)
 
     def test_one_cohort_builder(self):
-        """Every shared-bottleneck cohort — arena matchups, search
-        points and the §4.3 fairness cells — is built by
+        """Every shared-bottleneck cohort — arena matchups, crossover
+        duels and the §4.3 fairness cells — is built by
         ``arena.cells.run_cohort``: one dumbbell, one stagger stream."""
         assert {rel for rel, _, _ in self._matches(
             r'stream\("stagger"\)')} == {"arena/cells.py"}
@@ -554,8 +554,7 @@ class TestSourceGuard:
             import json, sys
             import repro.harness
             print(sorted(name for name in sys.modules if name.startswith(
-                ("repro.experiments", "repro.arena", "repro.search",
-                 "repro.trafficgen"))))
+                ("repro.experiments", "repro.arena", "repro.trafficgen"))))
             # A cache-served sweep: enumerate, hash the source, render
             # every experiment of the committed baseline.
             from repro.harness import all_cells, compute_src_hash

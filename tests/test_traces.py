@@ -332,6 +332,29 @@ class TestTraceValidation:
         trace = BandwidthTrace(times, rates, period=period)
         assert trace.bytes_between(t0, t1) == expected
 
+    @pytest.mark.parametrize("times,rates,period,start,nbytes,expected", [
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 0.0, 5e307, 0.5),
+        ([0.0, 1.0], [1e308, 1.0], 2.0, 0.0, 1e308, 1.0),
+        ([0.0], [1e300], None, 1e9, 1e308, 1e8),
+        ([0.0, 1.0], [1.0, 1e300], None, 1e9, 2e300, 2.0),
+    ], ids=["cyclic-half-segment", "cyclic-whole-segment", "constant-late",
+            "non-cyclic-tail"])
+    def test_time_to_send_on_overflow_traces(self, times, rates, period,
+                                             start, nbytes, expected):
+        """The inverse of ``bytes_between`` on the traces whose
+        integrals overflow: a finite, non-negative duration."""
+        trace = BandwidthTrace(times, rates, period=period)
+        assert trace.time_to_send(nbytes, start) == expected
+
+    def test_time_to_send_below_the_float_spacing(self):
+        """1 B from t = 9.5: the 1 B/s segment drains half a byte by
+        t = 10, and the last half byte at 1e308 B/s needs 5e-309 s —
+        below the float spacing at t = 10 (~1.8e-15 s) — so the
+        answer is 0.5 s, as if the half byte were free."""
+        trace = BandwidthTrace([0.0, 1.0], [1e308, 1.0], period=2.0)
+        assert trace.bytes_between(9.5, 10.0) == 0.5
+        assert trace.time_to_send(1.0, 9.5) == 0.5
+
     def test_generator_validation(self):
         with pytest.raises(ConfigurationError):
             constant_trace(0.0)
