@@ -25,7 +25,7 @@ class BulkTransfer:
     The transfer is *started* by construction (the SYN goes out
     immediately); to delay it, schedule the construction itself::
 
-        sim.schedule(2.5, lambda: BulkTransfer(proto, "Host1b", 7001, kb(300)))
+        sim.schedule_anon(2.5, lambda: BulkTransfer(proto, "Host1b", 7001, kb(300)))
 
     Attributes:
         conn: the underlying connection (stats live in ``conn.stats``).

@@ -136,7 +136,7 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
                                            DFLT.TRANSFER_PORT,
                                            spec.transfer_bytes, cc=make_cc())
 
-        sim.schedule(delay, _start)
+        sim.schedule_anon(delay, _start)
     sim.run(until=spec.horizon)
 
     outcomes: List[FlowOutcome] = []

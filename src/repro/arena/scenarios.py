@@ -146,7 +146,7 @@ def get_scenario(name: str) -> Scenario:
 
 
 def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
-                    transfer_kb: int, horizon: float, loss: float = 0.0,
+                    transfer_kb: int, horizon: float,
                     name: str = "custom") -> Scenario:
     """Build an anonymous :class:`Scenario` from raw point parameters.
 
@@ -168,15 +168,11 @@ def custom_scenario(bandwidth_kbps: float, delay_ms: float, buffers: int,
     if transfer_kb < 1:
         raise ConfigurationError(
             f"scenario transfer size must be >= 1 KB, got {transfer_kb!r}")
-    if not 0.0 <= loss < 1.0:
-        raise ConfigurationError(
-            f"scenario loss must be in [0, 1), got {loss!r}")
     return Scenario(
         name=name,
         description=(f"{bandwidth_kbps:g} KB/s, "
                      f"{delay_ms:g} ms, {buffers} buffers, "
-                     f"{transfer_kb} KB transfers, loss {loss:g}"),
+                     f"{transfer_kb} KB transfers"),
         bandwidth=kbps(bandwidth_kbps), delay=ms(delay_ms),
         buffers=int(buffers), access_delay=ms(5),
-        transfer_bytes=kb(int(transfer_kb)), horizon=float(horizon),
-        loss=float(loss))
+        transfer_bytes=kb(int(transfer_kb)), horizon=float(horizon))

@@ -26,7 +26,8 @@ Checked invariants:
 * **Congestion-window bounds** — windows stay positive and bounded;
   Vegas grows by at most one segment per adjustment and its CAM
   decisions are consistent with the α/β thresholds (and, in slow
-  start, with γ); Vegas cuts its window at most once per send-rate
+  start, with γ); in slow start Vegas grows its window only every
+  other RTT (§3.3); Vegas cuts its window at most once per send-rate
   epoch (§3.1); Reno-family controllers never halve ``ssthresh`` twice
   within one recovery epoch.
 * **Buffer occupancy** — send buffers respect their capacity and
@@ -89,6 +90,10 @@ class InvariantChecker(Instrument):
         # When each Vegas controller last cut its window, as this
         # checker saw it (never read back from the controller).
         self._last_decrease: Dict[int, float] = {}
+        # Whether each Vegas controller's window grew over the RTT its
+        # last slow-start decision measured; a loss cut ends that
+        # slow-start phase and drops the entry.
+        self._ss_grew: Dict[int, bool] = {}
 
     # ------------------------------------------------------------------
     # Registration (called from component constructors)
@@ -255,12 +260,23 @@ class InvariantChecker(Instrument):
                               "in recovery")
 
     def on_ss_decision(self, cc, diff_buffers: float, valid: bool,
-                       exited: bool, now: float) -> None:
+                       grew: bool, exited: bool, now: float) -> None:
         """Vegas made a slow-start CAM decision (γ check, §3.3).
 
-        Only CAM exits reach this hook; leaving slow start because
-        ``cwnd >= ssthresh`` or on a loss is not a γ decision.
+        *valid* says the window stayed fixed over the measured RTT,
+        *grew* that it grew.  Only CAM exits reach this hook; leaving
+        slow start because ``cwnd >= ssthresh`` or on a loss is not a
+        γ decision.  The window may grow only in the RTT after a
+        valid measurement with Diff <= γ, so two consecutive decisions
+        must not both have seen it grow.
         """
+        flow = getattr(cc.conn, "flow", None)
+        if grew and self._ss_grew.get(id(cc)):
+            self._fail("vegas-ss-every-other-rtt", now, subject=cc.name,
+                       flow=flow,
+                       detail="window grew over two consecutive "
+                              "slow-start RTTs")
+        self._ss_grew[id(cc)] = grew
         crossed = diff_buffers > cc.gamma
         if exited and not crossed:
             detail = f"left slow start with Diff {diff_buffers:.3f} <= "
@@ -268,8 +284,7 @@ class InvariantChecker(Instrument):
             detail = f"kept slow start with valid Diff {diff_buffers:.3f} > "
         else:
             return
-        self._fail("vegas-ss-gamma", now, subject=cc.name,
-                   flow=getattr(cc.conn, "flow", None),
+        self._fail("vegas-ss-gamma", now, subject=cc.name, flow=flow,
                    detail=f"{detail}gamma {cc.gamma}")
 
     def on_loss_decrease(self, cc, lost_sent_at: Optional[float],
@@ -290,6 +305,7 @@ class InvariantChecker(Instrument):
                               f"{lost_sent_at:.6f}, not after the last "
                               f"cut at {last:.6f}")
         self._last_decrease[id(cc)] = now
+        self._ss_grew.pop(id(cc), None)
 
     def on_cam_decision(self, cc, diff_buffers: float, action: int,
                         now: float) -> None:

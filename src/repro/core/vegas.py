@@ -266,7 +266,8 @@ class VegasCC(CongestionControl):
                 self.ss_grow = False
             if self._checker is not None:
                 self._checker.on_ss_decision(
-                    self, diff_buffers, valid, self.mode != SLOW_START, now)
+                    self, diff_buffers, valid, self.cwnd > cam_window,
+                    self.mode != SLOW_START, now)
             self.conn.tracer.record(now, Kind.CAM_DECISION,
                                     diff_buffers * 1000.0, 0)
             return

@@ -64,7 +64,7 @@ def run_join_scenario(cc: CCSpec, join_at: float = 8.0,
                                           DFLT.TRANSFER_PORT, mb(2),
                                           cc=factory()))
 
-    net.sim.schedule(join_at, _start_b)
+    net.sim.schedule_anon(join_at, _start_b)
     sampler_a = RateSampler(net.sim,
                             lambda: flow_a.conn.stats.app_bytes_acked,
                             interval=0.25)

@@ -182,7 +182,7 @@ def run_internet_transfer(cc: CCSpec, size: int = kb(1024), seed: int = 0,
         holder[0] = BulkTransfer(path.ua, "NIH", DFLT.TRANSFER_PORT, size,
                                  cc=factory(), tracer=tracer)
 
-    path.sim.schedule(warmup, _start)
+    path.sim.schedule_anon(warmup, _start)
 
     # Run until the transfer completes (cross traffic never drains the
     # event heap, so poll in slices).

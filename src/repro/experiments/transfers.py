@@ -94,7 +94,7 @@ def start_measured_transfer(net: Figure5Network, cc: CCSpec,
     if start_at <= 0:
         _start()
     else:
-        net.sim.schedule(start_at, _start)
+        net.sim.schedule_anon(start_at, _start)
     return holder
 
 

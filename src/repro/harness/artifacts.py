@@ -51,7 +51,9 @@ def build_document(report, mode: str, src_hash: str,
             "key": result.key,
             "experiment": result.cell.experiment,
             "params": result.cell.as_dict(),
-            "metrics": dict(sorted(result.metrics.items())),
+            # Key order is left to the writers: write_document and
+            # cells_fingerprint both serialise with sort_keys.
+            "metrics": result.metrics,
             "wall_clock_s": result.wall_clock_s,
             "cached": result.cached,
             "worker": result.worker,

@@ -102,7 +102,9 @@ _WORKER_SENDS = {
 
 
 def _import_drivers() -> None:
-    """Import every module of :mod:`repro.experiments`.
+    """Import every module of :mod:`repro.experiments`, and
+    :mod:`repro.arena.cells`, which the fairness, arena and crossover
+    cells run through.
 
     ``import repro.harness`` loads no simulator, so a cache-served sweep
     never pays for one; the master calls this before its first fork so
@@ -114,6 +116,7 @@ def _import_drivers() -> None:
     for module in pkgutil.iter_modules(package.__path__,
                                        package.__name__ + "."):
         importlib.import_module(module.name)
+    importlib.import_module("repro.arena.cells")
 
 
 class _Worker:

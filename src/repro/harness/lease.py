@@ -225,12 +225,6 @@ class LeaseTable:
                 return self.pending.pop(index)
         return None
 
-    def earliest_gate(self) -> Optional[float]:
-        """The soonest ``not_before`` among pending tasks, if any."""
-        if not self.pending:
-            return None
-        return min(task.not_before for task in self.pending)
-
     # ------------------------------------------------------------------
     # Granting
     # ------------------------------------------------------------------

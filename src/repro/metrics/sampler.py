@@ -30,7 +30,7 @@ class RateSampler:
         self.samples: Series = []  # (time, bytes/second over the interval)
         self._last_value: Optional[float] = None
         self._running = False
-        self._event = None  # pending tick; None is the only valid test
+        self._event = None  # the pending tick while running
 
     def start(self, delay: float = 0.0) -> None:
         if self._running:
@@ -49,9 +49,6 @@ class RateSampler:
             self._event = None
 
     def _tick(self) -> None:
-        # The event just fired; its handle is dead (the engine may
-        # recycle the object), so null it before anything else.
-        self._event = None
         if not self._running:
             return
         value = self.counter()

@@ -70,8 +70,6 @@ class Host(Node):
     def __init__(self, sim: Simulator, name: str):
         super().__init__(sim, name)
         self.protocol_handler: Optional[Callable[[Packet], None]] = None
-        self.packets_received = 0
-        self.bytes_received = 0
         self.packets_sent = 0
         self.bytes_sent = 0
         self.misdelivered = 0
@@ -90,8 +88,6 @@ class Host(Node):
         if packet.dst != self.name:
             self.misdelivered += 1
             return
-        self.packets_received += 1
-        self.bytes_received += packet.size
         if self.protocol_handler is not None:
             self.protocol_handler(packet)
 
@@ -106,7 +102,6 @@ class Router(Node):
     def __init__(self, sim: Simulator, name: str):
         super().__init__(sim, name)
         self.packets_forwarded = 0
-        self.bytes_forwarded = 0
         self.no_route_drops = 0
 
     def receive(self, packet: Packet) -> None:
@@ -115,5 +110,4 @@ class Router(Node):
             self.no_route_drops += 1
             return
         self.packets_forwarded += 1
-        self.bytes_forwarded += packet.size
         entry[2](packet, entry[1])

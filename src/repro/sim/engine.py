@@ -26,9 +26,12 @@ events per run make the constant factors dominate wall clock, so:
   tuples, and ``seq`` is unique, so a comparison never reaches the
   event object;
 * handle-less events (:meth:`Simulator.schedule_anon`) are bare
-  ``(time, seq, fn, args)`` tuples, with no :class:`Event` at all;
-* :class:`Event` objects are recycled through a free list, cutting
-  allocator churn on the schedule/fire cycle.
+  ``(time, seq, fn, args)`` tuples, with no :class:`Event` at all —
+  only timers that may be cancelled (periodic timers, samplers,
+  pacing) take a handle, about one push in a hundred;
+* the engine keeps no live-event count on the hot path:
+  :attr:`Simulator.pending_events` is derived on demand from the
+  queue lengths and the number of cancelled entries still queued.
 
 The entry format and the parking rule below are private to this
 module; other layers use the public methods only, which is what lets
@@ -87,11 +90,6 @@ _last_simulator: Optional["Simulator"] = None
 
 _INF = float("inf")
 
-#: Upper bound on the event free list.  Steady-state simulations churn
-#: far fewer live events than this; the cap only bounds memory after a
-#: transient burst of cancellations.
-_POOL_MAX = 4096
-
 #: Heap length above which far events overflow into calendar buckets;
 #: small cells (the whole quick sweep) never cross it.
 _WHEEL_THRESHOLD = 256
@@ -125,11 +123,9 @@ class Event:
     cancel them.  A cancelled event stays in the heap but is skipped
     when popped (lazy deletion), which keeps cancellation O(1).
 
-    Once the callback has fired the handle is dead: ``cancel()`` is a
-    no-op (``cancelled`` is set as the event leaves the heap), and the
-    object may be reused for a future ``schedule`` call, so holders
-    that may outlive their event must drop their reference when it
-    fires (see ``TCPConnection._pace_fire``).
+    Once the callback is about to run, or the simulator is closed, the
+    handle is dead: ``cancelled`` is set, so ``cancel()`` — also from
+    inside the callback itself — is a no-op.
     """
 
     __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
@@ -141,17 +137,14 @@ class Event:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        # Back-reference for the owner's live-event counter; cleared
-        # once the event leaves the heap so late cancels stay no-ops.
+        # The owner counts cancelled entries still queued.
         self._sim = sim
 
     def cancel(self) -> None:
         """Mark the event so it will not fire.  No-op after it fired."""
         if not self.cancelled:
             self.cancelled = True
-            if self._sim is not None:
-                self._sim._live -= 1
-                self._sim = None
+            self._sim._cancelled += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -172,10 +165,10 @@ class Simulator:
         # (time, seq, Event) and anonymous (time, seq, fn, args) entries.
         self._heap: List[tuple] = []
         self._seq: int = 0
-        self._live: int = 0
+        # Cancelled Event entries still in the heap or the calendar.
+        self._cancelled: int = 0
         self._events_processed: int = 0
         self._running = False
-        self._pool: List[Event] = []
         # Calendar state (see the module docstring): ``_far`` maps
         # epoch index -> unsorted list of parked heap entries.
         self._far: dict = {}
@@ -201,7 +194,7 @@ class Simulator:
         Negative delays are rejected: an event in the past would break
         the monotone-clock invariant.
         """
-        return self._push(self.now + delay, fn, args, True)
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_anon(self, delay: float, fn: Callable[..., Any],
                       *args: Any) -> None:
@@ -210,20 +203,26 @@ class Simulator:
         The fire-and-forget variant of :meth:`schedule` for callers
         that drop the returned handle — packet deliveries, transmission
         completions, one-shot application timers: no :class:`Event`
-        object, no free-list churn, no handle to neutralise on
-        dispatch.  Ordering is the same ``(time, seq)``, so the two
-        kinds interleave exactly as :meth:`schedule` alone would have
-        ordered them.
+        object and nothing to mark on dispatch.  Ordering is the same
+        ``(time, seq)``, so the two kinds interleave exactly as
+        :meth:`schedule` alone would have ordered them.
         """
-        self._push(self.now + delay, fn, args, False)
+        self._push((self.now + delay, self._seq, fn, args))
 
     def schedule_at(self, time: float, fn: Callable[..., Any], *args: Any) -> Event:
         """Schedule *fn(*args)* at absolute simulated time *time*."""
-        return self._push(time, fn, args, True)
+        seq = self._seq
+        event = Event(time, seq, fn, args, self)
+        self._push((time, seq, event))
+        return event
 
-    def _push(self, time: float, fn: Callable[..., Any], args: tuple,
-              handled: bool) -> Optional[Event]:
-        """The one way an event enters the scheduler."""
+    def _push(self, entry: tuple) -> None:
+        """The one way an entry enters the scheduler.
+
+        *entry* is ``(time, seq, event)`` or ``(time, seq, fn, args)``
+        with ``seq`` the current ``_seq``, which this consumes.
+        """
+        time = entry[0]
         # One chained comparison rejects the past, NaN (every
         # comparison with it is false) and +inf (int(inf / width)
         # below would raise a bare OverflowError) together.
@@ -231,20 +230,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule event at t={time!r}: not a finite time "
                 f"at or after now={self.now:.6f}")
-        seq = self._seq
-        self._seq = seq + 1
-        self._live += 1
-        if handled:
-            pool = self._pool
-            if pool:
-                event = pool.pop()
-                event.__init__(time, seq, fn, args, self)
-            else:
-                event = Event(time, seq, fn, args, self)
-            entry = (time, seq, event)
-        else:
-            event = None
-            entry = (time, seq, fn, args)
+        self._seq += 1
         heap = self._heap
         if self._far_count or len(heap) > _WHEEL_THRESHOLD:
             epoch = int(time / _WHEEL_WIDTH)
@@ -259,11 +245,10 @@ class Simulator:
                 bound = epoch * _WHEEL_WIDTH
                 if bound < self._far_bound:
                     self._far_bound = bound
-                return event
+                return
         if time > self._heap_max:
             self._heap_max = time
         _heappush(heap, entry)
-        return event
 
     def _advance_epoch(self) -> None:
         """Load the earliest calendar bucket into the (empty) heap.
@@ -286,16 +271,6 @@ class Simulator:
         self._heap_max = (epoch + 1) * _WHEEL_WIDTH
         self._far_bound = min(far) * _WHEEL_WIDTH if far else _INF
 
-    def _recycle(self, event: Event) -> None:
-        # Neutralise the handle before pooling: a late cancel() on a
-        # fired event must be a no-op and must not hold references.
-        event.cancelled = True
-        event._sim = None
-        event.fn = None
-        event.args = ()
-        if len(self._pool) < _POOL_MAX:
-            self._pool.append(event)
-
     def cancel(self, event: Optional[Event]) -> None:
         """Cancel *event* if it is pending.  ``None`` is accepted as a no-op."""
         if event is not None:
@@ -304,9 +279,9 @@ class Simulator:
     def close(self) -> None:
         """Drop every pending event and everything the run held.
 
-        The heap, the calendar buckets, the event pool and the observer
-        tuple go; pending handles become dead (a later ``cancel()`` is
-        a no-op).  :attr:`now`, :attr:`events_processed` and
+        The heap, the calendar buckets and the observer tuple go;
+        pending handles become dead (a later ``cancel()`` is a
+        no-op).  :attr:`now`, :attr:`events_processed` and
         :attr:`far_events_peak` survive, so a closed simulator is a
         record of its run that pins none of the model it drove.
         Idempotent; ``run()`` afterwards finds nothing to process.
@@ -316,13 +291,12 @@ class Simulator:
         for bucket in (self._heap, *self._far.values()):
             for entry in bucket:
                 if len(entry) == 3:
-                    entry[2]._sim = None
+                    entry[2].cancelled = True
         self._heap = []
         self._far = {}
         self._far_count = 0
         self._far_bound = _INF
-        self._live = 0
-        self._pool = []
+        self._cancelled = 0
         self._observers = ()
 
     # ------------------------------------------------------------------
@@ -364,13 +338,12 @@ class Simulator:
         heap = self._heap
         observers = self._observers
         now = self.now
-        # ``_live`` and ``_events_processed`` are batched on locals and
-        # folded back whenever someone can look: before observers run
-        # (so what they read mid-run is exact) and on the way out.
-        # ``fired`` counts events popped since the last fold,
-        # ``processed`` callbacks that returned, ``folded`` how many of
-        # those ``_events_processed`` already holds.
-        processed = folded = fired = 0
+        # ``_events_processed`` is batched on a local and folded back
+        # whenever someone can look: before observers run (so what
+        # they read mid-run is exact) and on the way out.
+        # ``processed`` counts callbacks that returned, ``folded`` how
+        # many of those ``_events_processed`` already holds.
+        processed = folded = 0
         try:
             while True:
                 if not heap:
@@ -380,14 +353,14 @@ class Simulator:
                 entry = _heappop(heap)
                 if len(entry) == 4:
                     # Anonymous event (time, seq, fn, args): no handle
-                    # to neutralise, no cancellation to test.
+                    # to mark, no cancellation to test.
                     event = None
                     fn = entry[2]
                     args = entry[3]
                 else:
                     event = entry[2]
                     if event.cancelled:
-                        self._recycle(event)
+                        self._cancelled -= 1
                         continue
                     fn = event.fn
                     args = event.args
@@ -401,24 +374,17 @@ class Simulator:
                 if time < now:
                     raise SimulationError(
                         "event heap yielded an event in the past")
-                fired += 1
                 self.now = now = time
                 if event is not None:
-                    event._sim = None
+                    # The handle dies as it fires: a cancel() from now
+                    # on, the callback's own included, is a no-op.
+                    event.cancelled = True
                 if observers:
-                    self._live -= fired
-                    fired = 0
                     self._events_processed += processed - folded
                     folded = processed
                     for observer in observers:
                         observer.on_event(self, fn)
                 fn(*args)
-                if event is not None:
-                    # Recycle only after dispatch: the callback may
-                    # legally cancel the event that invoked it (timer
-                    # self-stop), which must hit this dead handle, not
-                    # a recycled live one.
-                    self._recycle(event)
                 processed += 1
             # Nothing live remains at or before the horizon: advance
             # the clock to it so back-to-back run(until=...) calls
@@ -426,7 +392,6 @@ class Simulator:
             if now < horizon < _INF:
                 self.now = horizon
         finally:
-            self._live -= fired
             self._events_processed += processed - folded
         return processed
 
@@ -435,8 +400,9 @@ class Simulator:
     # ------------------------------------------------------------------
     @property
     def pending_events(self) -> int:
-        """Number of not-yet-cancelled events still in the heap."""
-        return self._live
+        """Number of not-yet-cancelled events still queued (heap and
+        calendar)."""
+        return len(self._heap) + self._far_count - self._cancelled
 
     @property
     def events_processed(self) -> int:

@@ -928,10 +928,8 @@ class TCPConnection:
         return True
 
     def _pace_fire(self) -> None:
-        # Null the handle first: a fired Event is dead (its object may
-        # be recycled by the engine's pool), so holding it would both
-        # pin a stale args tuple and make any later liveness check on
-        # it meaningless.  `is None` is the only valid pending test.
+        # The wake-up fired: `_pacing_blocked` arms the next one only
+        # when no handle is held.
         self._pace_event = None
         self.output()
 

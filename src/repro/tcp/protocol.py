@@ -76,7 +76,6 @@ class TCPProtocol:
                                    phase=self.rng.uniform(0.0, slow_tick))
         self._fast = PeriodicTimer(self.sim, fast_tick, self._fast_tick,
                                    phase=self.rng.uniform(0.0, fast_tick))
-        self.segments_demuxed = 0
         self.segments_dropped = 0
 
     # ------------------------------------------------------------------
@@ -181,7 +180,6 @@ class TCPProtocol:
             return
         conn = self.connections.get((seg.dst_port, packet.src, seg.src_port))
         if conn is not None:
-            self.segments_demuxed += 1
             conn.handle_segment(seg, ecn_marked=packet.ecn_marked)
             return
         if seg.syn and not seg.has_ack:

@@ -129,9 +129,11 @@ class TestCleanRuns:
         exits = []
 
         class _Spy(InvariantChecker):
-            def on_ss_decision(self, cc, diff_buffers, valid, exited, now):
+            def on_ss_decision(self, cc, diff_buffers, valid, grew, exited,
+                               now):
                 exits.append(exited)
-                super().on_ss_decision(cc, diff_buffers, valid, exited, now)
+                super().on_ss_decision(cc, diff_buffers, valid, grew, exited,
+                                       now)
 
         chk = _Spy(mode="collect")
         with observers.armed(checker=chk):
@@ -403,14 +405,31 @@ class TestCongestionWindowHooks:
         chk = InvariantChecker(mode="collect")
         cc = self._cc("vegas")
         gamma = cc.gamma
-        chk.on_ss_decision(cc, gamma + 0.5, True, True, 1.0)    # exit: ok
-        chk.on_ss_decision(cc, gamma - 0.5, True, False, 1.0)   # grow: ok
-        chk.on_ss_decision(cc, gamma + 0.5, False, False, 1.0)  # hold: ok
+        chk.on_ss_decision(cc, gamma + 0.5, True, False, True, 1.0)  # exit: ok
+        chk.on_ss_decision(cc, gamma - 0.5, True, False, False, 1.0)  # grow: ok
+        chk.on_ss_decision(cc, gamma + 0.5, False, True, False, 1.0)  # hold: ok
         assert chk.violations == []
-        chk.on_ss_decision(cc, gamma - 0.5, True, True, 1.0)    # exit <= γ
+        chk.on_ss_decision(cc, gamma - 0.5, True, False, True, 1.0)  # exit <= γ
         assert [v.invariant for v in chk.violations] == ["vegas-ss-gamma"]
-        chk.on_ss_decision(cc, gamma + 0.5, True, False, 1.0)   # kept doubling
+        chk.on_ss_decision(cc, gamma + 0.5, True, False, False, 1.0)  # kept doubling
         assert [v.invariant for v in chk.violations] == ["vegas-ss-gamma"] * 2
+
+    def test_ss_growth_every_other_rtt(self):
+        chk = InvariantChecker(mode="collect")
+        cc = self._cc("vegas")
+        below = cc.gamma - 0.5
+        chk.on_ss_decision(cc, below, False, True, False, 1.0)  # grew
+        chk.on_ss_decision(cc, below, True, False, False, 2.0)  # held
+        chk.on_ss_decision(cc, below, False, True, False, 3.0)  # grew
+        assert chk.violations == []
+        chk.on_ss_decision(cc, below, False, True, False, 4.0)  # grew again
+        assert [v.invariant for v in chk.violations] == [
+            "vegas-ss-every-other-rtt"]
+        # A loss cut ends the slow-start phase; the next one starts
+        # with a growing RTT.
+        chk.on_loss_decrease(cc, None, 5.0)
+        chk.on_ss_decision(cc, below, False, True, False, 6.0)
+        assert len(chk.violations) == 1
 
     def test_one_decrease_per_epoch(self):
         chk = InvariantChecker(mode="collect")
@@ -451,6 +470,24 @@ class TestCongestionWindowHooks:
         monkeypatch.setattr(VegasCC, "_decrease_allowed",
                             lambda self, sent_at: sent_at is not None)
         assert "vegas-one-decrease-per-epoch" in run()
+
+    def test_a_vegas_that_grows_every_rtt_is_caught(self, monkeypatch):
+        from repro.core.vegas import VegasCC
+
+        def run():
+            with checking(mode="collect") as chk:
+                transfer = run_transfer(make_pair(), kb(128),
+                                        cc=make_cc("vegas"))
+            assert transfer.done
+            return [v.invariant for v in chk.violations]
+
+        assert run() == []
+        # Slow start that never holds its window for a measurement.
+        monkeypatch.setattr(VegasCC, "ss_grow",
+                            property(lambda self: True,
+                                     lambda self, value: None),
+                            raising=False)
+        assert "vegas-ss-every-other-rtt" in run()
 
 
 class TestCollectModeAndReport:

@@ -185,7 +185,6 @@ class TestLeaseTable:
         task, _ = table.settle_fail(lease.lease_id, "w1", "crash", "x",
                                     {}, 0.0, now=10.0)
         assert table.next_due(now=10.0) is None       # gate closed
-        assert table.earliest_gate() == task.not_before
         assert table.next_due(now=task.not_before) is task
 
     def test_expiry_requeues_as_timeout_and_stale_result_is_dropped(self):
@@ -692,6 +691,18 @@ def _has_children():
 
 @posix_only
 class TestLocalPathIsTheMaster:
+    def test_forked_workers_inherit_every_cell_driver(self):
+        # A fresh interpreter: this process may have imported the
+        # drivers already through other tests.
+        probe = ("import sys\n"
+                 "from repro.harness.dist.master import _import_drivers\n"
+                 "assert 'repro.arena.cells' not in sys.modules\n"
+                 "_import_drivers()\n"
+                 "assert 'repro.arena.cells' in sys.modules\n"
+                 "assert 'repro.experiments.transfers' in sys.modules\n")
+        subprocess.run([sys.executable, "-c", probe], env=_env(),
+                       check=True, timeout=60)
+
     def test_all_hits_sweep_opens_no_socket_and_forks_nothing(
             self, tmp_path, monkeypatch):
         made = {"sockets": 0, "forks": 0}

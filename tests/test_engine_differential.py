@@ -167,10 +167,11 @@ class TestEventSoupOrder:
            budget=st.integers(0, 300))
     def test_observer_reads_exact_counters(self, program_seed, seeds,
                                            budget):
-        """Batched counters are folded before an observer can look.
+        """Counters are exact whenever an observer can look.
 
-        The production loop keeps ``events_processed`` and
-        ``pending_events`` on locals between observer calls; the
+        The production loop keeps ``events_processed`` on a local
+        between observer calls and derives ``pending_events`` from the
+        queue lengths and its count of queued cancelled entries; the
         reference recomputes both from its heap.  What an observer
         reads at every ``on_event`` must be what the reference holds
         on entry to the same callback.

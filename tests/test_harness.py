@@ -531,6 +531,23 @@ class TestArtifacts:
         assert cell["metrics"]["throughput_kbps"] > 0
         assert cell["worker"] is None and cell["attempts"] == 1
 
+    def test_unsorted_metrics_write_the_sorted_bytes(self, tmp_path):
+        report = run_cells(CHEAP_CELLS[:1], jobs=1)
+        result = report.results[0]
+        result.metrics = dict(reversed(list(result.metrics.items())))
+        assert list(result.metrics) != sorted(result.metrics)
+        doc = build_document(report, mode="quick", src_hash="abc")
+        write_document(str(tmp_path / "built.json"), doc)
+        # What the writer got when build_document sorted each cell's
+        # metrics itself.
+        presorted = json.loads(json.dumps(doc))
+        for cell in presorted["cells"]:
+            cell["metrics"] = dict(sorted(cell["metrics"].items()))
+        write_document(str(tmp_path / "presorted.json"), presorted)
+        assert ((tmp_path / "built.json").read_bytes()
+                == (tmp_path / "presorted.json").read_bytes())
+        assert cells_fingerprint(doc) == cells_fingerprint(presorted)
+
 
 class TestCheck:
     def _write(self, tmp_path, name, doc):

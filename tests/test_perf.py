@@ -8,8 +8,8 @@ Three layers:
   differential lives in ``tests/test_engine_differential.py``), and
   the registry that arms them (``repro.sim.observers``) keeps its
   contract: role order, all-or-nothing arming, exact unwinding;
-* the hot path's mechanics in isolation (event free list, cancel
-  semantics after recycling);
+* the hot path's mechanics in isolation (cancel semantics of fired
+  handles);
 * the :class:`~repro.perf.counters.PerfProbe` counters, and the exact
   ``events``/``peak_heap`` they read on eight pinned cells — the
   engine's determinism gate.
@@ -180,29 +180,11 @@ class TestInstrumentRegistry:
 
 
 # ----------------------------------------------------------------------
-# Event free list
+# Event handles
 # ----------------------------------------------------------------------
 class TestEventPool:
-    def test_fired_event_is_recycled(self):
-        sim = Simulator()
-        first = sim.schedule(0.0, lambda: None)
-        sim.run()
-        second = sim.schedule(0.0, lambda: None)
-        assert second is first  # came back off the free list
-        assert not second.cancelled
-
-    def test_cancelled_event_is_recycled(self):
-        sim = Simulator()
-        victim = sim.schedule(1.0, lambda: None)
-        keeper = []
-        sim.schedule(2.0, keeper.append, "ran")
-        victim.cancel()
-        sim.run()
-        assert keeper == ["ran"]
-        assert victim in sim._pool
-
     def test_cancel_after_fire_is_noop(self):
-        """A fired handle can be cancelled safely — before reuse."""
+        """A fired handle can be cancelled safely."""
         sim = Simulator()
         handle = sim.schedule(0.0, lambda: None)
         later = []
@@ -213,7 +195,7 @@ class TestEventPool:
         assert later == ["ran"]
 
     def test_callback_may_cancel_its_own_event(self):
-        """The recycle happens after dispatch, so self-cancel is safe."""
+        """The handle is dead while its callback runs."""
         sim = Simulator()
         handles = {}
 
@@ -225,13 +207,7 @@ class TestEventPool:
         sim.schedule(1.0, fired.append, "after")
         sim.run()
         assert fired == ["after"]
-
-    def test_recycled_events_do_not_leak_args(self):
-        sim = Simulator()
-        payload = object()
-        sim.schedule(0.0, lambda _x: None, payload)
-        sim.run()
-        assert all(e.fn is None and e.args == () for e in sim._pool)
+        assert sim.pending_events == 0
 
 
 # ----------------------------------------------------------------------

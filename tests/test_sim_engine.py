@@ -128,6 +128,25 @@ class TestCancellation:
         assert fired == ["keep"]
         assert keep.time == 1.0
 
+    def test_pending_events_counts_what_can_still_fire(self, monkeypatch):
+        # Threshold 0: the 5 s event parks in a calendar bucket.
+        monkeypatch.setattr(engine, "_WHEEL_THRESHOLD", 0)
+        sim = Simulator()
+        first = sim.schedule(0.5, lambda: None)
+        near = sim.schedule(0.9, lambda: None)
+        far = sim.schedule(5.0, lambda: None)
+        sim.schedule_anon(0.7, lambda: None)
+        assert sim.far_events == 1 and sim.pending_events == 4
+        near.cancel()
+        far.cancel()
+        far.cancel()  # a second cancel counts once
+        assert sim.pending_events == 2
+        sim.run(until=0.6)
+        first.cancel()  # already fired: a no-op
+        assert sim.pending_events == 1
+        sim.run()
+        assert sim.pending_events == 0 and sim.events_processed == 2
+
 
 class TestRunBounds:
     def test_until_is_inclusive(self):
@@ -220,19 +239,18 @@ class TestClose:
                    sim.schedule(5.0, callbacks[1])]        # parked
         sim.schedule_anon(0.95, callbacks[2])              # heap
         sim.schedule_anon(7.0, callbacks[3])               # parked
-        sim.run(until=0.6)  # the three fired handles go to the pool
+        sim.run(until=0.6)
         assert sim.heap_size == 2 and sim.far_events == 2
-        assert len(sim._pool) == 3
+        assert sim.pending_events == 4
         return sim, handles, [weakref.ref(c) for c in (*callbacks, probe)]
 
-    def test_drops_heap_parked_and_pooled_events(self, monkeypatch):
+    def test_drops_heap_and_parked_events(self, monkeypatch):
         sim, handles, refs = self._loaded(monkeypatch)
         far_peak = sim.far_events_peak
         sim.close()
         assert sim.heap_size == 0
         assert sim.far_events == 0
         assert sim.pending_events == 0
-        assert sim._pool == []
         for handle in handles:
             handle.fn = None  # only the simulator may still hold them
         # Callbacks and the armed instrument are released.
