@@ -30,7 +30,7 @@ from repro.trace.tracer import ConnectionTracer
 from repro.units import kb, kbps, ms
 
 
-def run_variant(cc_name, sack=False, ecn=False, red=False,
+def run_variant(cc_name, ecn=False, red=False,
                 drops=(5, 9, 13, 17), tracer=None):
     sim = Simulator()
     topo = Topology(sim)
@@ -47,9 +47,9 @@ def run_variant(cc_name, sack=False, ecn=False, red=False,
                          queue_capacity=10, queue_factory=factory)
     topo.build_routes()
     pa, pb = TCPProtocol(a), TCPProtocol(b)
-    BulkSink(pb, 9000, sack=sack, ecn=ecn)
+    BulkSink(pb, 9000, ecn=ecn)
     transfer = BulkTransfer(pa, "B", 9000, kb(256), cc=make_cc(cc_name),
-                            sack=sack, ecn=ecn, tracer=tracer)
+                            ecn=ecn, tracer=tracer)
     if drops:
         queue = link.channel_from(r1).queue
         original = queue.offer
@@ -74,12 +74,12 @@ def main():
     for label, kwargs in (
         ("reno", dict(cc_name="reno")),
         ("newreno", dict(cc_name="newreno")),
-        ("reno + SACK", dict(cc_name="reno-sack", sack=True)),
+        ("reno + SACK", dict(cc_name="reno-sack")),
         ("reno + RED", dict(cc_name="reno", red=True, drops=())),
         ("reno + RED + ECN", dict(cc_name="reno", red=True, ecn=True,
                                   drops=())),
         ("vegas", dict(cc_name="vegas")),
-        ("vegas + SACK", dict(cc_name="vegas-sack", sack=True)),
+        ("vegas + SACK", dict(cc_name="vegas-sack")),
         ("vegas (paced SS)", dict(cc_name="vegas-paced")),
     ):
         stats = run_variant(**kwargs)

@@ -18,39 +18,21 @@ The tournament is the ``arena`` experiment of the harness registry:
 runs, caches, gates and renders it like every paper artifact.
 """
 
+from repro import _lazy_exports
+
 # Re-exports are lazy (PEP 562): the CLI imports this package while
 # building its parser, and the harness enumerates the arena grid from
 # it, so neither may drag the simulator stack in.
 _EXPORTS = {
-    "FlowOutcome": "cells", "arena_duel": "cells", "arena_mix": "cells",
-    "arena_solo": "cells", "run_cohort": "cells",
-    "Standing": "league", "compute_standings": "league",
-    "render_league": "league",
-    "MODES": "matrix", "generate_matrix": "matrix",
-    "DEFAULT_SCENARIOS": "scenarios",
-    "TIME_VARYING_SCENARIOS": "scenarios",
-    "SCENARIOS": "scenarios", "Scenario": "scenarios",
-    "available_scenarios": "scenarios", "get_scenario": "scenarios",
+    **dict.fromkeys(("FlowOutcome", "arena_duel", "arena_mix", "arena_solo",
+                     "run_cohort"), "repro.arena.cells"),
+    **dict.fromkeys(("Standing", "compute_standings", "render_league"),
+                    "repro.arena.league"),
+    **dict.fromkeys(("MODES", "generate_matrix"), "repro.arena.matrix"),
+    **dict.fromkeys(("DEFAULT_SCENARIOS", "TIME_VARYING_SCENARIOS", "SCENARIOS",
+                     "Scenario", "available_scenarios", "get_scenario"),
+                    "repro.arena.scenarios"),
 }
-
-
-def __getattr__(name):
-    try:
-        module_name = _EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}") from None
-    import importlib
-
-    module = importlib.import_module(f"{__name__}.{module_name}")
-    value = getattr(module, name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
-
 
 __all__ = [
     "FlowOutcome",
@@ -70,3 +52,5 @@ __all__ = [
     "render_league",
     "run_cohort",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -399,7 +399,7 @@ class InvariantChecker(Instrument):
             self._fail("sendbuf-occupancy", now, flow=conn.flow,
                        detail=f"{sendbuf.in_buffer} bytes held, capacity "
                               f"{sendbuf.capacity}")
-        buffered = conn.recv.reasm.buffered_bytes
+        buffered = conn.recv.reasm.held.covered_bytes()
         if buffered > conn.recv.rcvbuf:
             self._fail("reassembly-occupancy", now, flow=conn.flow,
                        detail=f"{buffered} out-of-order bytes > advertised "

@@ -17,7 +17,7 @@ and may use the connection's documented sender-side services:
 * ``conn.first_unacked_send_time()`` — latest transmission time of the
   first unacked segment (``None`` if nothing is outstanding)
 * ``conn.sack_board`` — the peer's SACK scoreboard (``None`` unless
-  the connection was opened with ``sack=True``), and
+  the SYN negotiated SACK, see ``uses_sack`` below), and
   ``conn.retransmit_hole(seq, length)`` — resend one un-SACKed chunk
 * ``conn.fine_rtt`` — the fine-grained estimator (per-segment clocks)
 * ``conn.stats`` — the connection's :class:`FlowStats`
@@ -49,6 +49,13 @@ class CongestionControl:
     """
 
     name = "fixed"
+    #: The active opener's SYN offers SACK (RFC 2018) only for a
+    #: controller that repairs holes from the peer's blocks.
+    uses_sack = False
+    #: Only a controller whose :meth:`pacing_rate` can return a rate
+    #: sets this; the sender skips its per-segment pacing probes
+    #: otherwise.
+    paces = False
 
     def __init__(self, initial_cwnd_segments: int = 1):
         self.conn: Optional["TCPConnection"] = None

@@ -7,11 +7,11 @@ zero-argument callable for listener-side use.
 
 Beyond construction, the registry carries per-scheme capability
 metadata (:class:`SchemeInfo`): which congestion *signal* a scheme
-reacts to (loss vs delay), whether it repairs holes with SACK, and
-whether a name is a parameter variant of another scheme.  The arena
-(:mod:`repro.arena`) uses this to build its tournament roster —
-:func:`arena_roster` — without hard-coding the scheme list a second
-time.
+reacts to (loss vs delay) and whether a name is a parameter variant of
+another scheme.  The arena (:mod:`repro.arena`) uses this to build its
+tournament roster — :func:`arena_roster` — without hard-coding the
+scheme list a second time.  Whether a scheme uses SACK is not listed
+here: it is the controller's ``uses_sack``, negotiated on the SYN.
 """
 
 from __future__ import annotations
@@ -63,7 +63,6 @@ class SchemeInfo:
 
     name: str
     signal: str                       # "loss" | "delay" | "none"
-    sack: bool = False                # repairs holes with SACK blocks
     variant_of: Optional[str] = None  # parameter variant of this scheme
 
 
@@ -76,8 +75,8 @@ _INFO: Dict[str, SchemeInfo] = {info.name: info for info in (
     SchemeInfo("vegas-1,3", "delay", variant_of="vegas"),
     SchemeInfo("vegas-2,4", "delay", variant_of="vegas"),
     SchemeInfo("vegas-paced", "delay", variant_of="vegas"),
-    SchemeInfo("reno-sack", "loss", sack=True),
-    SchemeInfo("vegas-sack", "delay", sack=True, variant_of="vegas"),
+    SchemeInfo("reno-sack", "loss"),
+    SchemeInfo("vegas-sack", "delay", variant_of="vegas"),
     SchemeInfo("dual", "delay"),
     SchemeInfo("card", "delay"),
     SchemeInfo("tri-s", "delay"),

@@ -17,10 +17,11 @@ mechanism work in tandem".  Two controllers answer that:
   *which* segments above ``snd_una`` also need repair, so multi-loss
   windows heal in one round trip instead of one loss per RTT.
 
-Both need the connection opened with ``sack=True`` on both endpoints
-(the receiver must generate blocks).  Without it the connection has no
-scoreboard (``sack_board`` is ``None``), no hole is ever found, and
-recovery retransmits from ``snd_una`` only.
+Both declare ``uses_sack``, so an active open offers SACK on its SYN
+and the accepting end generates blocks.  On a connection that did not
+negotiate it (a passive open whose peer made no offer) ``sack_board``
+is ``None``, no hole is ever found, and recovery retransmits from
+``snd_una`` only.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from repro.tcp import constants as C
 class HoleRepairMixin:
     """Scoreboard-guided retransmission with a HighRxt guard."""
 
+    uses_sack = True
+
     def _holes_init(self) -> None:
         self.high_rxt = 0
         self.hole_retransmits = 0
@@ -48,7 +51,7 @@ class HoleRepairMixin:
 
     def _sacked_bytes(self) -> int:
         board = self.conn.sack_board
-        return 0 if board is None else board.sacked_bytes()
+        return 0 if board is None else board.covered_bytes()
 
     def _repair_next_hole(self, limit: Optional[int] = None) -> bool:
         """Retransmit the first not-yet-repaired hole; True if sent.

@@ -292,6 +292,10 @@ class VegasCC(CongestionControl):
         self.conn.tracer.record(now, Kind.CAM_DECISION,
                                 diff_buffers * 1000.0, action)
 
+    @property
+    def paces(self) -> bool:
+        return self.paced_slow_start
+
     def pacing_rate(self) -> Optional[float]:
         """Rate-controlled slow start (§3.3 future work).
 

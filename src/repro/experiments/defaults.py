@@ -88,7 +88,8 @@ ARENA_SCHEMES = ("card", "dual", "newreno", "reno", "reno-sack", "tahoe",
 ARENA_SCENARIOS = ("classic", "shallow", "deep", "lfn", "metro",
                    "steps", "lte", "wifi", "outage")
 ARENA_QUICK = ((("vegas", "reno", "tahoe"), ("classic", "shallow")),
-               (("vegas", "reno"), ("lte",)))
+               (("vegas", "reno"), ("lte",)),
+               (("reno-sack", "reno"), ("wifi",)))
 ARENA_FULL = ((ARENA_SCHEMES, ARENA_SCENARIOS),)
 
 #: §4.4's one regime where Reno beats Vegas: a Reno flow that never

@@ -62,7 +62,6 @@ class ChannelFaults:
         self.duplicates = 0
         self.reorders = 0
         self.delay_spikes = 0
-        self.timer_releases = 0
 
     # ------------------------------------------------------------------
     # Accounting consumed by the invariant checker
@@ -153,7 +152,6 @@ class ChannelFaults:
     def _timer_release(self, packet: Packet) -> None:
         if packet in self._held:
             self._held.remove(packet)
-            self.timer_releases += 1
             self.channel.deliver_now(packet)
 
 

@@ -27,7 +27,7 @@ class FlowStats:
         "app_bytes_queued", "app_bytes_acked",
         "bytes_sent_total", "segments_sent", "retransmitted_bytes",
         "retransmit_segments",
-        "acks_received", "dup_acks_received", "bytes_received",
+        "bytes_received",
         "coarse_timeouts", "fast_retransmits", "fine_retransmits",
         "persist_probes",
         "rtt_samples", "rtt_min", "rtt_max", "rtt_sum",
@@ -51,9 +51,7 @@ class FlowStats:
         self.retransmitted_bytes = 0
         self.retransmit_segments = 0
 
-        # ACK-side accounting.
-        self.acks_received = 0
-        self.dup_acks_received = 0
+        # In-order payload bytes delivered to this endpoint.
         self.bytes_received = 0
 
         # Loss-recovery events.

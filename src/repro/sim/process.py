@@ -36,7 +36,6 @@ class PeriodicTimer:
         self.phase = phase
         self._event: Optional[Event] = None
         self._running = False
-        self.ticks = 0
 
     def start(self) -> None:
         """Begin ticking.  Starting an already-running timer is a no-op."""
@@ -59,7 +58,6 @@ class PeriodicTimer:
     def _fire(self) -> None:
         if not self._running:
             return
-        self.ticks += 1
         self.callback()
         if self._running:
             self._event = self.sim.schedule(self.period, self._fire)

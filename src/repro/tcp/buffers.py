@@ -5,9 +5,9 @@ yet acknowledged, bounded by the socket send-buffer size — the knob the
 paper sweeps in §4.3 ("Different TCP send-buffer sizes").
 
 :class:`ReassemblyBuffer` is the receiver's out-of-order store: it
-accepts segments in any order, coalesces intervals, and reports how far
-the in-order prefix (``rcv_nxt``) advances.  Its occupancy shrinks the
-advertised window, exactly like the BSD sockbuf.
+accepts segments in any order, holds the out-of-order ones in an
+:class:`IntervalSet` (the byte-range set SACK's scoreboard also uses),
+and reports how far the in-order prefix (``rcv_nxt``) advances.
 """
 
 from __future__ import annotations
@@ -68,55 +68,27 @@ class SendBuffer:
         self.queued_end = start_seq
 
 
-class ReassemblyBuffer:
-    """Receiver-side out-of-order segment store.
+class IntervalSet:
+    """Sorted, disjoint half-open ``[start, end)`` byte ranges.
 
-    Intervals are kept sorted and disjoint.  ``add`` returns the number
-    of bytes newly delivered in-order (i.e. how far ``rcv_nxt``
-    advanced), which the receiver hands to the application.
+    Both ends of SACK keep one: the receiver's out-of-order store (the
+    ranges it reports as SACK blocks) and the sender's scoreboard (the
+    blocks the peer reported).  ``ranges`` is public so the receiver's
+    per-segment gap test is one attribute read.
     """
 
-    def __init__(self, rcv_nxt: int = 0):
-        self.rcv_nxt = rcv_nxt
-        self._intervals: List[Tuple[int, int]] = []  # sorted, disjoint (start, end)
+    __slots__ = ("ranges",)
 
-    @property
-    def buffered_bytes(self) -> int:
-        """Bytes held out of order (they consume advertised window)."""
-        return sum(end - start for start, end in self._intervals)
+    def __init__(self) -> None:
+        self.ranges: List[Tuple[int, int]] = []
 
-    @property
-    def has_gaps(self) -> bool:
-        """True when out-of-order data is waiting for a hole to fill."""
-        return bool(self._intervals)
-
-    def add(self, seq: int, length: int) -> int:
-        """Accept ``[seq, seq+length)``; return bytes newly in-order.
-
-        Old (fully duplicate) data returns 0.  Partial overlap with the
-        in-order prefix or with buffered intervals is trimmed.
-        """
-        if length < 0:
-            raise ValueError("segment length must be non-negative")
-        start, end = seq, seq + length
-        if end <= self.rcv_nxt:
-            return 0  # entirely old
-        start = max(start, self.rcv_nxt)
-        if start > self.rcv_nxt:
-            # Out of order: merge into the interval list.
-            self._insert(start, end)
-            return 0
-        # In-order (possibly trimmed): advance rcv_nxt, then pull any
-        # buffered intervals that become contiguous.
-        old_nxt = self.rcv_nxt
-        self.rcv_nxt = end
-        self._drain()
-        return self.rcv_nxt - old_nxt
-
-    def _insert(self, start: int, end: int) -> None:
+    def add(self, start: int, end: int) -> None:
+        """Merge ``[start, end)`` into the set."""
+        if end <= start:
+            return
         merged: List[Tuple[int, int]] = []
         placed = False
-        for s, e in self._intervals:
+        for s, e in self.ranges:
             if e < start or s > end:
                 if not placed and s > end:
                     merged.append((start, end))
@@ -128,14 +100,64 @@ class ReassemblyBuffer:
         if not placed:
             merged.append((start, end))
             merged.sort()
-        self._intervals = merged
+        self.ranges = merged
 
-    def _drain(self) -> None:
-        while self._intervals and self._intervals[0][0] <= self.rcv_nxt:
-            start, end = self._intervals.pop(0)
-            if end > self.rcv_nxt:
-                self.rcv_nxt = end
+    def clear(self) -> None:
+        self.ranges.clear()
 
-    def intervals(self) -> List[Tuple[int, int]]:
-        """Snapshot of buffered out-of-order intervals (for tests)."""
-        return list(self._intervals)
+    def covered_bytes(self) -> int:
+        return sum(e - s for s, e in self.ranges)
+
+    def blocks(self) -> List[Tuple[int, int]]:
+        """A snapshot of the ranges."""
+        return list(self.ranges)
+
+    def __bool__(self) -> bool:
+        return bool(self.ranges)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"{type(self).__name__}({self.ranges})"
+
+
+class ReassemblyBuffer:
+    """Receiver-side out-of-order segment store.
+
+    ``held`` keeps the bytes above ``rcv_nxt`` that arrived out of
+    order; their count is not charged against the advertised window
+    (see ``ReceiverHalf.rcv_wnd``).  ``add`` returns the number of
+    bytes newly delivered in-order (i.e. how far ``rcv_nxt``
+    advanced), which the receiver hands to the application.
+    """
+
+    __slots__ = ("rcv_nxt", "held")
+
+    def __init__(self, rcv_nxt: int = 0):
+        self.rcv_nxt = rcv_nxt
+        self.held = IntervalSet()
+
+    def add(self, seq: int, length: int) -> int:
+        """Accept ``[seq, seq+length)``; return bytes newly in-order.
+
+        Old (fully duplicate) data returns 0.  Partial overlap with the
+        in-order prefix or with held ranges is trimmed.
+        """
+        if length < 0:
+            raise ValueError("segment length must be non-negative")
+        start, end = seq, seq + length
+        if end <= self.rcv_nxt:
+            return 0  # entirely old
+        start = max(start, self.rcv_nxt)
+        if start > self.rcv_nxt:
+            # Out of order: hold it.
+            self.held.add(start, end)
+            return 0
+        # In-order (possibly trimmed): advance rcv_nxt, then pull any
+        # held ranges that become contiguous.
+        old_nxt = self.rcv_nxt
+        self.rcv_nxt = end
+        ranges = self.held.ranges
+        while ranges and ranges[0][0] <= self.rcv_nxt:
+            _, held_end = ranges.pop(0)
+            if held_end > self.rcv_nxt:
+                self.rcv_nxt = held_end
+        return self.rcv_nxt - old_nxt

@@ -38,6 +38,7 @@ from repro.tcp.segment import (
     FLAG_ACK,
     FLAG_ECE,
     FLAG_FIN,
+    FLAG_SACK_OK,
     FLAG_SYN,
     MAX_SACK_BLOCKS,
     SACK_BLOCK_BYTES,
@@ -100,7 +101,6 @@ class TCPConnection:
                  tracer: Optional[ConnectionTracer] = None,
                  nagle: bool = True,
                  delayed_acks: bool = True,
-                 sack: bool = False,
                  ecn: bool = False):
         self.protocol = protocol
         self._host = protocol.host
@@ -164,11 +164,13 @@ class TCPConnection:
         # rate-controlled slow start of §3.3's future work).
         self._pace_event = None
         self._pace_next_time = 0.0
-        # Selective acknowledgements (§6 extension): when enabled, this
-        # endpoint *sends* SACK blocks for its out-of-order reassembly
-        # queue and keeps a scoreboard of blocks the peer reports
-        # (``None`` without SACK: every reader tests it first).
-        self.sack_enabled = sack
+        # Selective acknowledgements (§6 extension), negotiated on the
+        # SYN: an active open offers them when its controller uses
+        # them, and open_passive takes the peer's offer.  When enabled,
+        # this endpoint *sends* SACK blocks for its out-of-order
+        # reassembly queue and keeps a scoreboard of blocks the peer
+        # reports (``None`` without SACK: every reader tests it first).
+        self.sack_enabled = sack = cc.uses_sack
         self.sack_board = SackScoreboard() if sack else None
         # Explicit congestion notification (RFC 3168, simplified): data
         # packets are sent ECN-capable; a congestion mark seen by the
@@ -191,11 +193,9 @@ class TCPConnection:
 
         self.cc = cc
         cc.attach(self)
-        # A controller that never overrides pacing_rate can never pace
-        # (the base method returns None unconditionally), so the
-        # per-segment pacing probes in output() are skipped outright.
-        from repro.core.base import CongestionControl as _base_cc
-        self._paced = type(cc).pacing_rate is not _base_cc.pacing_rate
+        # A controller that cannot pace skips the per-segment pacing
+        # probes in output() outright.
+        self._paced = cc.paces
 
         # Instruments armed in repro.sim.observers register at
         # construction and poll this connection from the engine loop
@@ -298,6 +298,8 @@ class TCPConnection:
         if self.state is not State.CLOSED:
             raise ProtocolError("connection already opened")
         self.stats.open_time = self.sim.now
+        self.sack_enabled = sack = bool(syn.flags & FLAG_SACK_OK)
+        self.sack_board = SackScoreboard() if sack else None
         self.recv.init_sequence(syn.seq + 1)
         self.peer_wnd = syn.wnd
         self.peer_wnd_seen = True
@@ -309,7 +311,11 @@ class TCPConnection:
         self._send_syn(ack=True)
 
     def _send_syn(self, ack: bool = False) -> None:
-        flags = FLAG_SYN | (FLAG_ACK if ack else 0)
+        flags = FLAG_SYN
+        if ack:
+            flags |= FLAG_ACK
+        elif self.sack_enabled:
+            flags |= FLAG_SACK_OK  # RFC 2018's SACK-permitted option
         seg = TCPSegment(self.flow.local_port, self.flow.remote_port,
                          seq=self.iss, length=0,
                          ack=self.recv.rcv_nxt if ack else 0,
@@ -392,9 +398,7 @@ class TCPConnection:
             break
 
     def _sack_blocks(self) -> tuple:
-        if not self.sack_enabled:
-            return ()
-        return tuple(self.recv.reasm.intervals()[:MAX_SACK_BLOCKS])
+        return tuple(self.recv.reasm.held.ranges[:MAX_SACK_BLOCKS])
 
     def _send_data_segment(self, seq: int, length: int,
                            probe: bool = False) -> None:
@@ -696,7 +700,6 @@ class TCPConnection:
               and seg_wnd == self.peer_wnd):
             dupacks = self.dupacks + 1
             self.dupacks = dupacks
-            self.stats.dup_acks_received += 1
             self._trace(Kind.DUPACK_RX, ack, dupacks)
             self.cc.on_dup_ack(dupacks, self.sim.now)
             self.output()
@@ -713,7 +716,6 @@ class TCPConnection:
         tracing = tracer.enabled
         record = tracer.record
         acked = ack - self.snd_una
-        stats.acks_received += 1
         if tracing:
             record(now, Kind.ACK_RX, ack)
         # Coarse RTT sample (one timed segment at a time, Karn-guarded).

@@ -90,7 +90,6 @@ class TCPProtocol:
                 tracer: Optional[ConnectionTracer] = None,
                 nagle: bool = True,
                 delayed_acks: bool = True,
-                sack: bool = False,
                 ecn: bool = False) -> TCPConnection:
         """Actively open a connection; returns the new endpoint.
 
@@ -107,7 +106,7 @@ class TCPProtocol:
             raise ConfigurationError(f"connection {flow} already exists")
         conn = TCPConnection(self, flow, cc_instance, mss=mss, sndbuf=sndbuf,
                              rcvbuf=rcvbuf, tracer=tracer, nagle=nagle,
-                             delayed_acks=delayed_acks, sack=sack, ecn=ecn)
+                             delayed_acks=delayed_acks, ecn=ecn)
         self.connections[key] = conn
         self._open[key] = conn
         self._ensure_timers()

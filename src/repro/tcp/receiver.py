@@ -10,7 +10,7 @@ Implements the BSD receiver behaviour the paper's senders react to:
   full segment immediately, otherwise wait for the 200 ms fast timer;
 * an immediate ACK when a retransmission fills a hole (so the sender
   learns promptly that recovery succeeded);
-* an advertised window that shrinks with buffered out-of-order data.
+* an advertised window of the whole socket buffer (see ``rcv_wnd``).
 """
 
 from __future__ import annotations
@@ -37,15 +37,14 @@ class ReceiverHalf:
     """
 
     __slots__ = ("rcvbuf", "delayed_acks", "reasm", "bytes_delivered",
-                 "segments_received", "duplicate_segments",
-                 "out_of_order_segments", "delack_pending")
+                 "duplicate_segments", "out_of_order_segments",
+                 "delack_pending")
 
     def __init__(self, rcvbuf: int, delayed_acks: bool = True):
         self.rcvbuf = rcvbuf
         self.delayed_acks = delayed_acks
         self.reasm = ReassemblyBuffer()
         self.bytes_delivered = 0
-        self.segments_received = 0
         self.duplicate_segments = 0
         self.out_of_order_segments = 0
         #: True while an ACK for in-order data is being delayed.
@@ -90,12 +89,12 @@ class ReceiverHalf:
         length = seg.length
         if length == 0:
             return 0, AckAction.NONE
-        self.segments_received += 1
 
         reasm = self.reasm
         seq = seg.seq
         rcv_nxt = reasm.rcv_nxt
-        had_gaps = bool(reasm._intervals)
+        held = reasm.held
+        had_gaps = bool(held.ranges)
         if seq + length <= rcv_nxt:
             # Entirely old data: the ACK that covered it must have been
             # lost.  Re-ACK immediately.
@@ -110,7 +109,7 @@ class ReceiverHalf:
 
         delivered = reasm.add(seq, length)
         self.bytes_delivered += delivered
-        if had_gaps or reasm._intervals:
+        if had_gaps or held.ranges:
             # Filling (or partially filling) a hole: ACK right away so
             # the sender exits recovery promptly.
             return delivered, AckAction.NOW

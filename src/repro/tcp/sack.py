@@ -3,64 +3,40 @@
 The paper's §6 discusses selective acknowledgements (RFC 1072/1323) as
 the contemporary alternative to Vegas' retransmission mechanism; this
 module implements the sender half so the two can be compared (and
-combined).  The scoreboard records which byte ranges above ``snd_una``
-the receiver has reported holding, answers "what is the first hole?",
-and totals the SACKed bytes for pipe calculations.
+combined).  The scoreboard is the :class:`~repro.tcp.buffers.IntervalSet`
+of byte ranges above ``snd_una`` the receiver has reported holding; it
+answers "what is the first hole?" and totals the SACKed bytes for pipe
+calculations.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
+
+from repro.tcp.buffers import IntervalSet
 
 
-class SackScoreboard:
-    """Disjoint, sorted intervals of selectively acknowledged bytes."""
+class SackScoreboard(IntervalSet):
+    """Disjoint, sorted ranges of selectively acknowledged bytes."""
 
-    def __init__(self) -> None:
-        self._blocks: List[Tuple[int, int]] = []
-
-    def clear(self) -> None:
-        self._blocks.clear()
-
-    def add(self, start: int, end: int) -> None:
-        """Record that ``[start, end)`` was reported received."""
-        if end <= start:
-            return
-        merged: List[Tuple[int, int]] = []
-        placed = False
-        for s, e in self._blocks:
-            if e < start or s > end:
-                if not placed and s > end:
-                    merged.append((start, end))
-                    placed = True
-                merged.append((s, e))
-            else:
-                start = min(start, s)
-                end = max(end, e)
-        if not placed:
-            merged.append((start, end))
-            merged.sort()
-        self._blocks = merged
+    __slots__ = ()
 
     def advance_to(self, snd_una: int) -> None:
         """Drop bookkeeping below the cumulative ACK point."""
         kept = []
-        for s, e in self._blocks:
+        for s, e in self.ranges:
             if e <= snd_una:
                 continue
             kept.append((max(s, snd_una), e))
-        self._blocks = kept
-
-    def sacked_bytes(self) -> int:
-        return sum(e - s for s, e in self._blocks)
+        self.ranges = kept
 
     def is_sacked(self, seq: int) -> bool:
-        return any(s <= seq < e for s, e in self._blocks)
+        return any(s <= seq < e for s, e in self.ranges)
 
     def highest_sacked(self) -> Optional[int]:
-        if not self._blocks:
+        if not self.ranges:
             return None
-        return self._blocks[-1][1]
+        return self.ranges[-1][1]
 
     def next_hole(self, from_seq: int, mss: int) -> Optional[Tuple[int, int]]:
         """First un-SACKed ``(seq, length)`` chunk at or above *from_seq*.
@@ -73,7 +49,7 @@ class SackScoreboard:
         if top is None or from_seq >= top:
             return None
         seq = from_seq
-        for s, e in self._blocks:
+        for s, e in self.ranges:
             if seq < s:
                 return seq, min(mss, s - seq)
             if seq < e:
@@ -81,12 +57,3 @@ class SackScoreboard:
         if seq < top:  # pragma: no cover - defensive; top is a block end
             return seq, mss
         return None
-
-    def blocks(self) -> List[Tuple[int, int]]:
-        return list(self._blocks)
-
-    def __bool__(self) -> bool:
-        return bool(self._blocks)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SackScoreboard({self._blocks})"

@@ -17,6 +17,9 @@ FLAG_ACK = 0x2
 FLAG_FIN = 0x4
 #: ECN-Echo: the receiver saw a congestion-marked packet (RFC 3168).
 FLAG_ECE = 0x8
+#: SACK-permitted (RFC 2018), offered on an active open's SYN.  Like
+#: the SYN's other options (MSS, window scale) it adds no wire bytes.
+FLAG_SACK_OK = 0x10
 
 
 #: Bytes each SACK block adds to the wire (two 4-byte sequence numbers).

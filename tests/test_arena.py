@@ -16,7 +16,7 @@ from repro.arena.scenarios import (
     available_scenarios,
     get_scenario,
 )
-from repro.core.registry import arena_roster, available, scheme_info
+from repro.core.registry import arena_roster, available, cc_factory, scheme_info
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments import defaults as DFLT
 from repro.harness.registry import (
@@ -55,7 +55,7 @@ class TestSchemeIntrospection:
         assert scheme_info("reno").signal == "loss"
         assert scheme_info("vegas").signal == "delay"
         assert scheme_info("dual").signal == "delay"
-        assert scheme_info("reno-sack").sack
+        assert cc_factory("reno-sack").uses_sack
 
     def test_unknown_scheme_raises(self):
         with pytest.raises(ConfigurationError):
@@ -84,14 +84,15 @@ class TestScenarios:
             assert 0.0 <= spec.loss < 1.0
 
     def test_time_varying_selection(self):
-        """The quick grid's smoke matrix is static and its lte slice
-        trace-driven."""
+        """The quick grid's smoke matrix is static and its lte and wifi
+        slices trace-driven."""
         assert set(TIME_VARYING_SCENARIOS) <= set(DEFAULT_SCENARIOS)
         for name in TIME_VARYING_SCENARIOS:
             assert get_scenario(name).time_varying
-        (_, static), (_, varying) = DFLT.ARENA_QUICK
+        (_, static), (_, varying), (_, lossy) = DFLT.ARENA_QUICK
         assert not any(get_scenario(name).time_varying for name in static)
         assert set(varying) <= set(TIME_VARYING_SCENARIOS)
+        assert set(lossy) <= set(TIME_VARYING_SCENARIOS)
 
     def test_trace_scenario_nominal_bandwidth_is_cycle_mean(self):
         # The static `bandwidth` figure on a trace scenario is a label;
@@ -127,17 +128,22 @@ def _by_mode(cells):
 class TestMatrix:
     def test_quick_matrix_shape(self):
         """The quick grid is the smoke matrix (3 schemes x classic,
-        shallow) plus the lte slice (vegas, reno), every mode, seed 0."""
+        shallow) plus the lte slice (vegas, reno) and the wifi SACK
+        slice (reno-sack, reno), every mode, seed 0."""
         cells = cells_for("arena", quick=True)
-        assert len(cells) == 23
+        assert len(cells) == 28
         by_mode = _by_mode(cells)
-        # (3 solo + C(3,2) duels + 3 mix) x 2 scenarios; 2 + 1 + 2 on lte.
+        # (3 solo + C(3,2) duels + 3 mix) x 2 scenarios; 2 + 1 + 2 on
+        # lte and on wifi.
         assert {mode: len(group) for mode, group in by_mode.items()} == \
-            {"solo": 8, "duel": 7, "mix": 8}
+            {"solo": 10, "duel": 8, "mix": 10}
         assert {cell.as_dict()["seed"] for cell in cells} == {0}
         lte = {cell.as_dict().get("scheme") for cell in by_mode["solo"]
                if cell.as_dict()["scenario"] == "lte"}
         assert lte == {"vegas", "reno"}
+        wifi = {cell.as_dict().get("scheme") for cell in by_mode["solo"]
+                if cell.as_dict()["scenario"] == "wifi"}
+        assert wifi == {"reno-sack", "reno"}
 
     def test_grid_names_are_registered(self):
         """The arena grids are declared by plain name so enumerating
@@ -451,7 +457,7 @@ class TestArenaCLI:
         monkeypatch.setattr(runner, "run_cells", record)
         assert main(["run-all", "--quick", "--experiments", "arena"]) == 130
         assert swept == [cell.key for cell in cells_for("arena", quick=True)]
-        assert len(swept) == 23 and all(k.startswith("arena/") for k in swept)
+        assert len(swept) == 28 and all(k.startswith("arena/") for k in swept)
 
     def test_bad_scheme_exits_2(self, capsys):
         from repro.cli import main

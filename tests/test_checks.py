@@ -15,6 +15,7 @@ from repro.net.addresses import FlowId
 from repro.net.queue import DropTailQueue
 from repro.sim import observers
 from repro.sim.engine import Simulator
+from repro.tcp.buffers import ReassemblyBuffer
 from repro.units import kb
 
 from fakes import FakeConnection
@@ -37,10 +38,7 @@ class _StubReceiver:
         self.rcv_nxt = 0
         self.rcvbuf = 50 * 1024
 
-        class _Reasm:
-            buffered_bytes = 0
-
-        self.reasm = _Reasm()
+        self.reasm = ReassemblyBuffer()
 
 
 class _StubConnection:

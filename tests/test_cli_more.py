@@ -131,7 +131,7 @@ class TestPaperVerbs:
     def test_no_seed_flag_keeps_each_grid_axis(self, monkeypatch):
         """Without ``--seed``/``--seeds`` every grid keeps its own seeds
         (figure4's seed 3, the two of quick table4): ``run-all --quick``
-        still sweeps the baseline's 161 cells."""
+        still sweeps the baseline's 166 cells."""
         from repro.harness import load_document, runner
 
         swept = []
@@ -142,7 +142,7 @@ class TestPaperVerbs:
 
         monkeypatch.setattr(runner, "run_cells", record)
         assert run_all("--quick") == 130
-        assert len(swept) == 161
+        assert len(swept) == 166
         assert sorted(swept) == sorted(
             cell["key"] for cell in load_document(BASELINE)["cells"])
 
@@ -304,7 +304,7 @@ class TestSweepOptionTable:
                 interrupted=True, cache_misses=len(cells)))
         assert run_all("--quick", "--experiments", "arena") == 130
         out = capsys.readouterr().out
-        assert "INTERRUPTED: sweep drained with 0/23 cells settled" in out
+        assert "INTERRUPTED: sweep drained with 0/28 cells settled" in out
         assert "Arena league" not in out
 
 

@@ -120,6 +120,17 @@ class TestPacedSlowStart:
         paced = mean_throughput(lambda: VegasCC(paced_slow_start=True))
         assert paced > 0.85 * mean_throughput(VegasCC)
 
+    def test_only_a_pacing_controller_pays_the_pacing_probes(self):
+        """The sender consults pacing from the controller instance:
+        plain Vegas overrides ``pacing_rate`` but never paces, so its
+        segments skip the probes."""
+        pair = make_pair()
+        pair.proto_b.listen(9000)
+        conns = {name: pair.proto_a.connect("B", 9000, cc=make_cc(name))
+                 for name in ("reno", "vegas", "vegas-paced")}
+        assert {name: conn._paced for name, conn in conns.items()} == \
+            {"reno": False, "vegas": False, "vegas-paced": True}
+
     def test_paced_registry_variant(self):
         cc = make_cc("vegas-paced")
         assert isinstance(cc, VegasCC)

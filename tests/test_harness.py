@@ -664,6 +664,34 @@ class TestCliRunAll:
         assert doc["mode"] == "quick"
         assert all(c["experiment"] == "sendbuf" for c in doc["cells"])
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_a_cache_that_cannot_be_written_serves_a_warm_sweep(
+            self, tmp_path, monkeypatch, capsys, jobs):
+        """A cache directory that holds every cell but refuses writes
+        still serves the sweep.  Every cache write fails through a
+        patch, not file modes, which root ignores."""
+        from repro.harness import cache as cache_module
+
+        argv = ["run-all", "--quick", "--experiments", "sendbuf",
+                "--jobs", jobs, "--cache-dir", str(tmp_path / "cache")]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        attempts = []
+
+        def denied(path, text):
+            attempts.append(path)
+            raise ReproError(f"cannot write {path!r}: [Errno "
+                             f"{errno.EACCES}] Permission denied")
+
+        monkeypatch.setattr(cache_module, "write_text", denied)
+        assert main(argv) == 0
+        warm = capsys.readouterr().out
+        cells = len(cells_for("sendbuf", quick=True))
+        assert f"cache: {cells} hits / 0 misses" in warm
+        assert attempts == []
+        fingerprint = re.compile(r"cell fingerprint: \w+")
+        assert fingerprint.findall(warm) == fingerprint.findall(cold)
+
     def test_list_mentions_run_all(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out

@@ -65,7 +65,7 @@ def test_exact_delivery_under_arbitrary_loss(cc_name, data_drops, ack_drops):
     assert conn.snd_una <= conn.snd_nxt <= conn.snd_max
     # Receiver holds no stray out-of-order bytes.
     server = sink.connections[0]
-    assert server.recv.reasm.buffered_bytes == 0
+    assert server.recv.reasm.held.covered_bytes() == 0
 
 
 @settings(max_examples=10, deadline=None,
@@ -77,9 +77,9 @@ def test_sack_delivery_under_arbitrary_loss(data_drops):
     """The SACK variants obey the same exactly-once contract."""
     size = 64 * 1024
     pair = make_pair(queue_capacity=30)
-    sink = BulkSink(pair.proto_b, 9000, sack=True)
+    sink = BulkSink(pair.proto_b, 9000)
     transfer = BulkTransfer(pair.proto_a, "B", 9000, size,
-                            cc=make_cc("vegas-sack"), sack=True)
+                            cc=make_cc("vegas-sack"))
     lossy_wrap(pair.forward_queue, data_drops,
                predicate=lambda p: p.size > 500)
     pair.sim.run(until=600.0)
@@ -88,4 +88,4 @@ def test_sack_delivery_under_arbitrary_loss(data_drops):
     board = transfer.conn.sack_board
     # Scoreboard fully consumed: nothing SACKed beyond snd_una remains
     # unacknowledged at the end.
-    assert board.sacked_bytes() == 0
+    assert board.covered_bytes() == 0

@@ -43,7 +43,7 @@ class TestScoreboardModel:
             model.update(range(start, start + length))
         board.advance_to(advance)
         model = {b for b in model if b >= advance}
-        assert board.sacked_bytes() == len(model)
+        assert board.covered_bytes() == len(model)
         for probe in range(0, 251, 7):
             assert board.is_sacked(probe) == (probe in model)
 

@@ -7,8 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.core.registry import make_cc
 from repro.core.sack import SackVegasCC
+from repro.tcp.connection import TCPConnection
 from repro.tcp.sack import SackScoreboard
-from repro.tcp.segment import FLAG_ACK, MAX_SACK_BLOCKS, TCPSegment
+from repro.tcp.segment import FLAG_ACK, FLAG_SACK_OK, MAX_SACK_BLOCKS, TCPSegment
 
 from helpers import make_pair
 
@@ -20,7 +21,7 @@ class TestScoreboard:
         board.add(30, 40)
         board.add(20, 30)  # bridges
         assert board.blocks() == [(10, 40)]
-        assert board.sacked_bytes() == 30
+        assert board.covered_bytes() == 30
 
     def test_is_sacked(self):
         board = SackScoreboard()
@@ -82,7 +83,7 @@ class TestScoreboardReordering:
     def test_touching_blocks_coalesce(self):
         board = self._board_with([(20, 30), (10, 20)])
         assert board.blocks() == [(10, 30)]
-        assert board.sacked_bytes() == 20
+        assert board.covered_bytes() == 20
 
     def test_duplicate_reports_idempotent(self):
         # A retransmitted SACK option re-reports old blocks verbatim.
@@ -161,13 +162,13 @@ class TestSegmentSackOption:
                                               range(MAX_SACK_BLOCKS + 1)))
 
 
-def _scattered_loss_run(cc_name, sack, drops=(5, 9, 13, 17)):
+def _scattered_loss_run(cc_name, drops=(5, 9, 13, 17)):
     from repro.apps.bulk import BulkSink, BulkTransfer
 
     pair = make_pair(queue_capacity=30)
-    sink = BulkSink(pair.proto_b, 9000, sack=sack)
+    sink = BulkSink(pair.proto_b, 9000)
     transfer = BulkTransfer(pair.proto_a, "B", 9000, 256 * 1024,
-                            cc=make_cc(cc_name), sack=sack)
+                            cc=make_cc(cc_name))
     queue = pair.forward_queue
     original = queue.offer
     state = {"n": 0}
@@ -191,8 +192,8 @@ def _scattered_loss_run(cc_name, sack, drops=(5, 9, 13, 17)):
 class TestSackRecovery:
     def test_receiver_reports_blocks(self):
         pair = make_pair(queue_capacity=30)
-        pair.proto_b.listen(9000, sack=True)
-        conn = pair.proto_a.connect("B", 9000, sack=True)
+        pair.proto_b.listen(9000)
+        conn = pair.proto_a.connect("B", 9000, cc=make_cc("reno-sack"))
         pair.sim.run(until=2.0)
         # Craft an out-of-order arrival and watch the ACK carry SACK.
         server = pair.proto_b.connection_list()[0]
@@ -201,15 +202,15 @@ class TestSackRecovery:
         assert blocks == ((2048, 3072),)
 
     def test_sack_reno_avoids_timeout_on_scattered_losses(self):
-        plain, _ = _scattered_loss_run("reno", sack=False)
-        sacked, _ = _scattered_loss_run("reno-sack", sack=True)
+        plain, _ = _scattered_loss_run("reno")
+        sacked, _ = _scattered_loss_run("reno-sack")
         assert plain.conn.stats.coarse_timeouts >= 1
         assert sacked.conn.stats.coarse_timeouts == 0
         assert (sacked.conn.stats.transfer_seconds
                 < plain.conn.stats.transfer_seconds)
 
     def test_sack_retransmits_each_hole_once(self):
-        sacked, _ = _scattered_loss_run("reno-sack", sack=True)
+        sacked, _ = _scattered_loss_run("reno-sack")
         # Four drops, four (or five, counting a stray snd_una resend)
         # retransmitted segments — no duplicate hole repairs.
         assert sacked.conn.stats.retransmit_segments <= 6
@@ -219,10 +220,10 @@ class TestSackRecovery:
         selective ACK mechanism work in tandem" — and "there is little
         reason to believe that selective ACKs can significantly improve
         on Vegas in terms of unnecessary retransmissions"."""
-        plain, plain_dups = _scattered_loss_run("vegas", sack=False)
-        tandem, tandem_dups = _scattered_loss_run("vegas-sack", sack=True)
+        plain, plain_dups = _scattered_loss_run("vegas")
+        tandem, tandem_dups = _scattered_loss_run("vegas-sack")
         assert tandem.conn.stats.coarse_timeouts == 0
-        others = [_scattered_loss_run(name, sack=name.endswith("sack"))[0]
+        others = [_scattered_loss_run(name)[0]
                   for name in ("reno", "newreno", "reno-sack")]
         assert (tandem.conn.stats.transfer_seconds
                 <= 1.05 * min(t.conn.stats.transfer_seconds
@@ -233,7 +234,7 @@ class TestSackRecovery:
         assert tandem_dups <= plain_dups
 
     def test_sack_disabled_scoreboard_stays_empty(self):
-        transfer, _ = _scattered_loss_run("reno", sack=False)
+        transfer, _ = _scattered_loss_run("reno")
         assert not transfer.conn.sack_board
 
     def test_clean_transfer_identical_with_sack(self):
@@ -241,12 +242,50 @@ class TestSackRecovery:
         from repro.apps.bulk import BulkSink, BulkTransfer
 
         results = []
-        for sack, name in ((False, "vegas"), (True, "vegas-sack")):
+        for name in ("vegas", "vegas-sack"):
             pair = make_pair(queue_capacity=30)
-            BulkSink(pair.proto_b, 9000, sack=sack)
+            BulkSink(pair.proto_b, 9000)
             transfer = BulkTransfer(pair.proto_a, "B", 9000, 128 * 1024,
-                                    cc=make_cc(name), sack=sack)
+                                    cc=make_cc(name))
             pair.sim.run(until=60.0)
             assert transfer.done
             results.append(transfer.conn.stats.throughput_kbps())
         assert results[0] == pytest.approx(results[1], rel=0.01)
+
+
+class TestSackNegotiation:
+    def test_cohort_negotiates_sack_from_the_controller(self, monkeypatch):
+        """No builder passes a SACK option: a reno-sack flow's SYN
+        offers SACK because its controller uses it, the accepting end
+        then reports blocks, and wifi's random loss fills the sender's
+        scoreboard.  Reno's and Vegas' SYNs make no offer."""
+        from repro.arena.cells import run_cohort
+
+        syn_flags, senders, adds = {}, {}, {}
+        open_active = TCPConnection.open_active
+        open_passive = TCPConnection.open_passive
+        add = SackScoreboard.add
+
+        def spy_active(conn):
+            senders[conn.flow.local_addr] = conn
+            open_active(conn)
+
+        def spy_passive(conn, syn):
+            syn_flags[conn.flow.local_addr] = syn.flags
+            open_passive(conn, syn)
+
+        def spy_add(board, start, end):
+            adds[id(board)] = adds.get(id(board), 0) + 1
+            add(board, start, end)
+
+        monkeypatch.setattr(TCPConnection, "open_active", spy_active)
+        monkeypatch.setattr(TCPConnection, "open_passive", spy_passive)
+        monkeypatch.setattr(SackScoreboard, "add", spy_add)
+        run_cohort(["reno-sack", "reno", "vegas"], "wifi", seed=0)
+        # Flow i runs from host S{i} to host D{i}.
+        assert syn_flags["D0"] & FLAG_SACK_OK
+        assert not syn_flags["D1"] & FLAG_SACK_OK
+        assert not syn_flags["D2"] & FLAG_SACK_OK
+        assert adds.get(id(senders["S0"].sack_board), 0) > 0
+        assert senders["S1"].sack_board is None
+        assert senders["S2"].sack_board is None

@@ -99,16 +99,16 @@ class TestReassemblyBuffer:
         assert buf.add(0, 10) == 10
         assert buf.add(10, 5) == 5
         assert buf.rcv_nxt == 15
-        assert not buf.has_gaps
+        assert not buf.held
 
     def test_out_of_order_held_then_drained(self):
         buf = ReassemblyBuffer(0)
         assert buf.add(10, 10) == 0
-        assert buf.has_gaps
-        assert buf.buffered_bytes == 10
+        assert buf.held
+        assert buf.held.covered_bytes() == 10
         assert buf.add(0, 10) == 20
         assert buf.rcv_nxt == 20
-        assert buf.buffered_bytes == 0
+        assert buf.held.covered_bytes() == 0
 
     def test_duplicate_ignored(self):
         buf = ReassemblyBuffer(0)
@@ -127,7 +127,7 @@ class TestReassemblyBuffer:
         buf.add(10, 5)
         buf.add(20, 5)
         buf.add(15, 5)  # bridges the two
-        assert buf.intervals() == [(10, 25)]
+        assert buf.held.blocks() == [(10, 25)]
         assert buf.add(0, 10) == 25
 
     def test_zero_length_ok(self):
@@ -155,7 +155,7 @@ class TestReassemblyBuffer:
             assert buf.rcv_nxt == expected_nxt
             assert delivered_total == expected_nxt
         # Buffered bytes are exactly the received bytes above rcv_nxt.
-        assert buf.buffered_bytes == sum(1 for b in received if b >= buf.rcv_nxt)
+        assert buf.held.covered_bytes() == sum(1 for b in received if b >= buf.rcv_nxt)
 
 
 class TestCoarseRtt:

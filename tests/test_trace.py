@@ -49,11 +49,11 @@ class TestPinnedTraces:
         "solo-reno": (
             5306,
             "8b7804e391f72123a33b29e8f77b0659956515fe51e3ccb90ffccaeb3e59ebeb",
-            "669c9f8987f01cd8c465685d52503679c32c11944585b5a5d1d8beade27bdb05"),
+            "b89729a0b4b1b69fbaecf7bcb93567b5ddc44c25c9d0989e596f39f491e0f321"),
         "solo-vegas": (
             4780,
             "b0989b96f7c695d9a7c171cb474253a077cf622866dbc3789932454ede28c159",
-            "9672f6fdeec91508dd6df6369924c85fcb1f4f84306ab26cd39815689447b010"),
+            "561adab34be7b665eaf6a4c24b60a88d1d95101bc7d184bcd9f31c6fd31d9301"),
         "background-reno": (
             5319,
             "6a4fab1e0b45c10028a64048cd6a5027c2ea91e8a1c8b70b302a46f4bdcaf3a6",
