@@ -11,10 +11,10 @@ those runs are cells of :mod:`repro.harness.registry` (values from
 | Figures 1, 6, 7, 9 | :mod:`repro.experiments.traces` |
 | Table 1 (+ §4.3 variant) | :mod:`repro.experiments.one_on_one` |
 | Tables 2, 3, §4.3 two-way traffic | :mod:`repro.experiments.background` |
+| §6 TELNET response time, all-Vegas world | :func:`repro.experiments.background.run_world` |
 | Tables 4, 5 | :mod:`repro.experiments.internet` |
 | §4.3 send-buffer sweep | :mod:`repro.experiments.transfers` (``sndbuf=``) |
 | §4.3 fairness/stability | :func:`repro.arena.cells.run_cohort` |
-| §6 TELNET response time | :mod:`repro.experiments.telnet_response` |
 """
 
 from repro import _lazy_exports

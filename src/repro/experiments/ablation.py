@@ -12,11 +12,14 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Dict
 
-from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.core.registry import cc_factory
 from repro.core.vegas import VegasCC
 from repro.experiments.figure5 import build_figure5
-from repro.experiments.transfers import TransferResult
+from repro.experiments.transfers import (
+    TransferResult,
+    start_measured_transfer,
+)
+from repro.units import kb
 
 
 class PinnedBaseRttVegas(VegasCC):
@@ -65,10 +68,9 @@ def double_loss(scheme: str, seed: int = 3) -> Dict[str, float]:
     multi-drop case §3.1's fine-grained retransmit repairs and Reno
     recovers only by a coarse timeout."""
     net = build_figure5(buffers=30, seed=seed)
-    BulkSink(net.protocol("Host1b"), 7001)
-    transfer = BulkTransfer(net.protocol("Host1a"), "Host1b", 7001,
-                            128 * 1024, cc=ablation_cc(scheme)(),
-                            sndbuf=6 * 1024, rcvbuf=6 * 1024)
+    holder = start_measured_transfer(net, ablation_cc(scheme), kb(128),
+                                     src="Host1a", dst="Host1b",
+                                     sndbuf=kb(6), rcvbuf=kb(6))
     queue = net.forward_queue
     original = queue.offer
     drops = []
@@ -82,7 +84,7 @@ def double_loss(scheme: str, seed: int = 3) -> Dict[str, float]:
 
     queue.offer = lossy
     net.sim.run(until=120.0)
-    return {**transfer_metrics(TransferResult.from_transfer(transfer)),
+    return {**transfer_metrics(TransferResult.from_transfer(holder[0])),
             "drops": len(drops)}
 
 

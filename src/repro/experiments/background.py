@@ -1,4 +1,4 @@
-"""Tables 2 and 3: a 1 MB transfer against tcplib background traffic.
+"""Tables 2 and 3 and §6: tcplib background traffic on Figure 5.
 
 Table 2: "the protocol TRAFFIC is running between Host1a and Host1b
 ... and a 1 MByte transfer is running between Host2a and Host2b", with
@@ -8,11 +8,16 @@ router buffers).
 
 Table 3: the background traffic's own throughput for all four
 combinations of background CC x 1 MB-transfer CC.
+
+§6 runs TRAFFIC alone with every connection over one protocol
+(:func:`run_world`): "the average response time in TELNET connections
+is around 25% faster when using Vegas as compared to Reno", and "as
+the load increases and/or the number of router buffers decreases ...
+Vegas starts to behave more like Reno".
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -33,9 +38,7 @@ class BackgroundRunResult:
 
     transfer: TransferResult
     background_throughput_kbps: float
-    background_retransmit_kb: float
     background_conversations: int
-    telnet_response_times: List[float]
 
 
 def run_with_background(transfer_cc: CCSpec, background_cc: CCSpec = "reno",
@@ -54,38 +57,56 @@ def run_with_background(transfer_cc: CCSpec, background_cc: CCSpec = "reno",
     direction (Host3b→Host3a), the §4.3 "two-way background traffic"
     variant.
     """
-    from repro.trafficgen import TrafficGenerator, TrafficServer
-
     net = build_figure5(buffers=buffers, seed=seed)
     bg_factory = resolve_cc(background_cc)
-    rng = random.Random(net.rng.stream("traffic").random())
-    TrafficServer(net.protocol("Host1b"), rng, bg_factory)
-    generator = TrafficGenerator(net.protocol("Host1a"), "Host1b", rng,
-                                 bg_factory, arrival_mean=arrival_mean)
-    generator.start(0.0)
-    reverse_generator = None
+    generator = net.start_traffic("Host1a", "Host1b", bg_factory,
+                                  arrival_mean=arrival_mean)
     if two_way:
-        rng2 = random.Random(net.rng.stream("traffic-reverse").random())
-        TrafficServer(net.protocol("Host3a"), rng2, bg_factory)
-        reverse_generator = TrafficGenerator(net.protocol("Host3b"),
-                                             "Host3a", rng2, bg_factory,
-                                             arrival_mean=arrival_mean)
-        reverse_generator.start(0.0)
-
-    factory = resolve_cc(transfer_cc)
-    holder = start_measured_transfer(net, factory, size,
+        net.start_traffic("Host3b", "Host3a", bg_factory,
+                          stream="traffic-reverse", arrival_mean=arrival_mean)
+    holder = start_measured_transfer(net, transfer_cc, size,
                                      src="Host2a", dst="Host2b",
                                      start_at=transfer_start, tracer=tracer)
     net.sim.run(until=horizon)
-    generator.stop()
-    if reverse_generator is not None:
-        reverse_generator.stop()
     end = min(horizon, net.sim.now)
     name = transfer_cc if isinstance(transfer_cc, str) else "custom"
     return BackgroundRunResult(
         transfer=TransferResult.from_transfer(holder[0], name),
         background_throughput_kbps=generator.throughput_kbps(0.0, end),
-        background_retransmit_kb=generator.total_retransmitted_kb(),
         background_conversations=len(generator.conversations),
-        telnet_response_times=generator.telnet_response_times(),
+    )
+
+
+@dataclass
+class WorldResult:
+    """Aggregates of one TRAFFIC-only run over a single protocol."""
+
+    goodput_kbps: float
+    retransmit_kb: float
+    coarse_timeouts: int
+    conversations: int
+    telnet_samples: List[float]
+
+
+def run_world(cc: CCSpec, buffers: int = DFLT.DEFAULT_BUFFERS,
+              seed: int = 0,
+              arrival_mean: float = DFLT.TRAFFIC_ARRIVAL_MEAN,
+              duration: float = 120.0) -> WorldResult:
+    """TRAFFIC from Host1a to Host1b, every connection using *cc*.
+
+    The §6 ``telnet`` cells read the TELNET keystroke→echo latencies;
+    the ``allvegas`` cells sweep the router buffer count.
+    """
+    net = build_figure5(buffers=buffers, seed=seed)
+    generator = net.start_traffic("Host1a", "Host1b", resolve_cc(cc),
+                                  arrival_mean=arrival_mean)
+    net.sim.run(until=duration)
+    return WorldResult(
+        goodput_kbps=generator.throughput_kbps(0.0, duration),
+        retransmit_kb=generator.total_retransmitted_kb(),
+        coarse_timeouts=sum(conn.stats.coarse_timeouts
+                            for conv in generator.conversations
+                            for conn in conv.connections),
+        conversations=len(generator.conversations),
+        telnet_samples=generator.telnet_response_times(),
     )

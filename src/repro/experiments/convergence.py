@@ -17,12 +17,9 @@ available network bandwidth".  Two scenarios:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
 
-from repro.apps.bulk import BulkSink, BulkTransfer
-from repro.experiments import defaults as DFLT
 from repro.experiments.figure5 import build_figure5
-from repro.experiments.transfers import CCSpec, resolve_cc
+from repro.experiments.transfers import CCSpec, start_measured_transfer
 from repro.metrics.sampler import RateSampler
 from repro.units import mb
 
@@ -50,35 +47,24 @@ def run_join_scenario(cc: CCSpec, join_at: float = 8.0,
                       buffers: int = 20, seed: int = 0,
                       horizon: float = 120.0) -> JoinResult:
     """Flow A (3 MB) runs alone; flow B (2 MB) joins at *join_at*."""
-    factory = resolve_cc(cc)
     net = build_figure5(buffers=buffers, seed=seed)
-    BulkSink(net.protocol("Host1b"), DFLT.TRANSFER_PORT)
-    BulkSink(net.protocol("Host2b"), DFLT.TRANSFER_PORT)
-
-    flow_a = BulkTransfer(net.protocol("Host1a"), "Host1b",
-                          DFLT.TRANSFER_PORT, mb(3), cc=factory())
-    flow_b_holder: List[BulkTransfer] = []
-
-    def _start_b() -> None:
-        flow_b_holder.append(BulkTransfer(net.protocol("Host2a"), "Host2b",
-                                          DFLT.TRANSFER_PORT, mb(2),
-                                          cc=factory()))
-
-    net.sim.schedule_anon(join_at, _start_b)
+    flow_a = start_measured_transfer(net, cc, mb(3), src="Host1a",
+                                     dst="Host1b")[0]
+    flow_b = start_measured_transfer(net, cc, mb(2), src="Host2a",
+                                     dst="Host2b", start_at=join_at)
     sampler_a = RateSampler(net.sim,
                             lambda: flow_a.conn.stats.app_bytes_acked,
                             interval=0.25)
     sampler_b = RateSampler(
         net.sim,
-        lambda: (flow_b_holder[0].conn.stats.app_bytes_acked
-                 if flow_b_holder else 0),
+        lambda: (flow_b[0].conn.stats.app_bytes_acked
+                 if flow_b[0] is not None else 0),
         interval=0.25)
     sampler_a.start()
     sampler_b.start()
     net.sim.run(until=horizon)
     a_done = flow_a.finish_time or horizon
-    b = flow_b_holder[0]
-    b_done = b.finish_time or horizon
+    b_done = flow_b[0].finish_time or horizon
 
     shared_end = min(a_done, b_done)
     name = cc if isinstance(cc, str) else "custom"
@@ -105,14 +91,11 @@ class LeaveResult:
 def run_leave_scenario(cc: CCSpec, buffers: int = 20, seed: int = 0,
                        horizon: float = 180.0) -> LeaveResult:
     """A (1 MB) and B (4 MB) start together; A finishes first."""
-    factory = resolve_cc(cc)
     net = build_figure5(buffers=buffers, seed=seed)
-    BulkSink(net.protocol("Host1b"), DFLT.TRANSFER_PORT)
-    BulkSink(net.protocol("Host2b"), DFLT.TRANSFER_PORT)
-    leaver = BulkTransfer(net.protocol("Host1a"), "Host1b",
-                          DFLT.TRANSFER_PORT, mb(1), cc=factory())
-    survivor = BulkTransfer(net.protocol("Host2a"), "Host2b",
-                            DFLT.TRANSFER_PORT, mb(4), cc=factory())
+    leaver = start_measured_transfer(net, cc, mb(1), src="Host1a",
+                                     dst="Host1b")[0]
+    survivor = start_measured_transfer(net, cc, mb(4), src="Host2a",
+                                       dst="Host2b")[0]
     sampler = RateSampler(net.sim,
                           lambda: survivor.conn.stats.app_bytes_acked,
                           interval=0.25)

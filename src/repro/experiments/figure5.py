@@ -3,14 +3,16 @@
 Three source hosts on access Ethernets into Router1, a configurable
 bottleneck link Router1→Router2, and three destination hosts behind
 Router2.  Every host gets its own TCP protocol stack; the bottleneck
-queues (both directions) are exposed for tracing.
+queues (both directions) are exposed for tracing, and
+:meth:`Figure5Network.start_traffic` starts the tcplib TRAFFIC load
+(§2.1) every experiment with background traffic runs.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Callable, Dict, Optional
 
 from repro.experiments import defaults as DFLT
 from repro.net.link import PointToPointLink
@@ -20,6 +22,7 @@ from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.tcp.protocol import TCPProtocol
+from repro.trafficgen import TrafficGenerator, TrafficServer
 
 HOST_NAMES = ("Host1a", "Host2a", "Host3a", "Host1b", "Host2b", "Host3b")
 
@@ -48,6 +51,29 @@ class Figure5Network:
 
     def protocol(self, host: str) -> TCPProtocol:
         return self.protocols[host]
+
+    def start_traffic(self, src: str, dst: str, cc: Callable, *,
+                      arrival_mean: float, stream: str = "traffic",
+                      quota: Optional[int] = None) -> TrafficGenerator:
+        """Start TRAFFIC from *src* to *dst* now; return its generator.
+
+        Conversations start *arrival_mean* seconds apart on average.
+        The server on *dst* and the generator on *src* share one random
+        stream seeded from the registry stream *stream*, and every
+        conversation's connections use the controller factory *cc*.
+        With a *quota* the generator launches that many conversations,
+        their whole arrival process scheduled up front.
+        """
+        rng = random.Random(self.rng.stream(stream).random())
+        TrafficServer(self.protocol(dst), rng, cc)
+        generator = TrafficGenerator(self.protocol(src), dst, rng, cc,
+                                     arrival_mean=arrival_mean,
+                                     max_conversations=quota)
+        if quota is None:
+            generator.start()
+        else:
+            generator.start_prescheduled()
+        return generator
 
 
 def build_figure5(buffers: int = DFLT.DEFAULT_BUFFERS,

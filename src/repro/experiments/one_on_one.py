@@ -20,6 +20,7 @@ from repro.experiments.figure5 import build_figure5
 from repro.experiments.transfers import (
     CCSpec,
     TransferResult,
+    resolve_cc,
     start_measured_transfer,
 )
 
@@ -55,17 +56,9 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
     small = start_measured_transfer(net, small_cc, DFLT.SMALL_TRANSFER,
                                     src="Host2a", dst="Host2b",
                                     start_at=delay)
-    generator = None
     if with_background:
-        from repro.core.reno import RenoCC
-        from repro.trafficgen import TrafficGenerator, TrafficServer
-
-        import random
-        rng = random.Random(net.rng.stream("traffic").random())
-        TrafficServer(net.protocol("Host3b"), rng, RenoCC)
-        generator = TrafficGenerator(net.protocol("Host3a"), "Host3b", rng,
-                                     RenoCC, arrival_mean=arrival_mean)
-        generator.start(0.0)
+        generator = net.start_traffic("Host3a", "Host3b", resolve_cc("reno"),
+                                      arrival_mean=arrival_mean)
 
         def stop_when_done() -> None:
             if all(t[0] is not None and t[0].done for t in (small, large)):
@@ -75,8 +68,6 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
 
         net.sim.schedule_anon(1.0, stop_when_done)
     net.sim.run(until=horizon)
-    if generator is not None:
-        generator.stop()
     small_name = small_cc if isinstance(small_cc, str) else "custom"
     large_name = large_cc if isinstance(large_cc, str) else "custom"
     return OneOnOneResult(

@@ -14,11 +14,11 @@ from typing import Tuple
 from repro.core.vegas import VegasCC
 from repro.experiments import defaults as DFLT
 from repro.experiments.background import run_with_background
-from repro.experiments.figure5 import build_figure5
 from repro.experiments.transfers import (
     CCSpec,
     TransferResult,
-    start_measured_transfer,
+    resolve_cc,
+    run_solo_transfer,
 )
 from repro.trace.graphs import TraceGraph, build_trace_graph
 from repro.trace.tracer import ConnectionTracer
@@ -31,14 +31,10 @@ def traced_solo_run(cc: CCSpec, name: str,
                     horizon: float = DFLT.TRANSFER_HORIZON,
                     ) -> Tuple[TraceGraph, TransferResult]:
     """One traced transfer with no other traffic (Figures 6 and 7)."""
-    net = build_figure5(buffers=buffers, seed=seed)
     tracer = ConnectionTracer(name)
-    holder = start_measured_transfer(net, cc, size, src="Host1a",
-                                     dst="Host1b", tracer=tracer)
-    net.sim.run(until=horizon)
-    result = TransferResult.from_transfer(
-        holder[0], cc if isinstance(cc, str) else "")
-    alpha, beta = _thresholds(holder[0].conn.cc)
+    result = run_solo_transfer(cc, size=size, buffers=buffers, seed=seed,
+                               tracer=tracer, horizon=horizon)
+    alpha, beta = _thresholds(resolve_cc(cc)())
     graph = build_trace_graph(tracer, name=name, alpha_buffers=alpha,
                               beta_buffers=beta)
     return graph, result

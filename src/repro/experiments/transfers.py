@@ -16,7 +16,7 @@ from typing import Callable, Dict, Optional, Union
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.core.registry import cc_factory
 from repro.experiments import defaults as DFLT
-from repro.experiments.figure5 import Figure5Network
+from repro.experiments.figure5 import Figure5Network, build_figure5
 from repro.trace.tracer import ConnectionTracer
 
 CCSpec = Union[str, Callable]
@@ -106,7 +106,7 @@ def run_solo_transfer(cc: CCSpec, size: int = DFLT.LARGE_TRANSFER,
                       horizon: float = DFLT.TRANSFER_HORIZON,
                       ) -> TransferResult:
     """One transfer, no competing traffic (the Figure 6/7 scenario)."""
-    net = build_net(buffers=buffers, seed=seed)
+    net = build_figure5(buffers=buffers, seed=seed)
     holder = start_measured_transfer(net, cc, size, src="Host1a",
                                      dst="Host1b", sndbuf=sndbuf,
                                      tracer=tracer)
@@ -114,9 +114,3 @@ def run_solo_transfer(cc: CCSpec, size: int = DFLT.LARGE_TRANSFER,
     name = cc if isinstance(cc, str) else ""
     return TransferResult.from_transfer(holder[0], cc_name=name)
 
-
-def build_net(**kwargs) -> Figure5Network:
-    """Convenience re-export to avoid circular imports in callers."""
-    from repro.experiments.figure5 import build_figure5
-
-    return build_figure5(**kwargs)

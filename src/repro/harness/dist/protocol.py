@@ -130,14 +130,27 @@ def shutdown(reason: str = "done") -> Dict[str, Any]:
     return {"type": "shutdown", "reason": reason}
 
 
+#: The fields of a ``grant`` the worker reads, with their types: a
+#: master that gets one wrong is a protocol error on the worker, not a
+#: KeyError or TypeError (the master checks what workers send the same
+#: way).
+_GRANT_FIELDS = {"lease_id": str, "experiment": str, "key": str,
+                 "params": dict}
+
+
 def cell_from_grant(message: Dict[str, Any]) -> Cell:
     """Rebuild the leased cell from a ``grant`` message.
 
-    Verifies the round-tripped key matches what the master leased —
-    a mismatch means JSON mangled a parameter value (or the two ends
-    run different registry code) and the result could be filed under
-    the wrong cache key.
+    Verifies the grant's shape, then that the round-tripped key matches
+    what the master leased — a mismatch means JSON mangled a parameter
+    value (or the two ends run different registry code) and the result
+    could be filed under the wrong cache key.
     """
+    bad = [name for name, kind in _GRANT_FIELDS.items()
+           if not isinstance(message.get(name), kind)]
+    if bad:
+        raise ProtocolError(f"malformed grant from master: "
+                            f"{', '.join(bad)} missing or mistyped")
     cell = Cell.make(message["experiment"], **message["params"])
     if cell.key != message["key"]:
         raise ProtocolError(

@@ -81,15 +81,13 @@ class TrafficGenerator:
             Vegas here).
         arrival_mean: mean seconds between conversation starts.
         mix: conversation-type weights (defaults to tcplib-ish mix).
-        stop_at: stop launching new conversations at this time
-            (existing ones run to completion).
+        max_conversations: launch at most this many conversations.
     """
 
     def __init__(self, client: TCPProtocol, server_addr: str,
                  rng: random.Random, cc_factory: Callable,
                  arrival_mean: float = 1.0,
                  mix: Optional[Dict[str, float]] = None,
-                 stop_at: Optional[float] = None,
                  max_conversations: Optional[int] = None):
         self.client = client
         self.sim = client.sim
@@ -98,7 +96,6 @@ class TrafficGenerator:
         self.cc_factory = cc_factory
         self.arrival_mean = arrival_mean
         self.mix = dict(mix) if mix is not None else dict(D.DEFAULT_MIX)
-        self.stop_at = stop_at
         self.max_conversations = max_conversations
         self.conversations: List[Conversation] = []
         self.started_by_type: Dict[str, int] = {k: 0 for k in self.mix}
@@ -107,38 +104,31 @@ class TrafficGenerator:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def start(self, initial_delay: Optional[float] = None) -> None:
-        """Begin launching conversations."""
+    def start(self) -> None:
+        """Begin launching conversations, the first one now."""
         self._running = True
-        delay = (initial_delay if initial_delay is not None
-                 else self.rng.expovariate(1.0 / self.arrival_mean))
-        self.sim.schedule_anon(delay, self._launch_one)
+        self.sim.schedule_anon(0.0, self._launch_one)
 
-    def start_prescheduled(self, initial_delay: float = 0.0) -> int:
-        """Schedule the entire arrival process up front.
+    def start_prescheduled(self) -> None:
+        """Schedule the entire arrival process up front, the first
+        launch now.
 
         Draws all ``max_conversations`` interarrival gaps now and
         schedules one launch event per conversation, instead of
         chaining each arrival off the previous one.  Used by the
         many-flows scaling family: the pre-scheduled start times are
         the far-future event population the engine's calendar
-        scheduler is built for.  Requires ``max_conversations``;
-        returns the number of launches scheduled.  The RNG draw order
-        differs from chained :meth:`start`, so the two modes are
-        distinct (deterministic) processes.
+        scheduler is built for.  Requires ``max_conversations``.  The
+        RNG draw order differs from chained :meth:`start`, so the two
+        modes are distinct (deterministic) processes.
         """
         if self.max_conversations is None:
             raise ValueError("start_prescheduled requires max_conversations")
         self._running = True
-        at = initial_delay
-        scheduled = 0
+        at = 0.0
         for _ in range(self.max_conversations):
-            if self.stop_at is not None and at >= self.stop_at:
-                break
             self.sim.schedule_anon(at, self._launch_scheduled)
-            scheduled += 1
             at += self.rng.expovariate(1.0 / self.arrival_mean)
-        return scheduled
 
     def stop(self) -> None:
         """Stop launching new conversations."""
@@ -150,9 +140,6 @@ class TrafficGenerator:
 
     def _launch_one(self) -> None:
         if not self._running:
-            return
-        if self.stop_at is not None and self.sim.now >= self.stop_at:
-            self._running = False
             return
         if (self.max_conversations is not None
                 and len(self.conversations) >= self.max_conversations):

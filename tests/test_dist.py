@@ -116,6 +116,70 @@ class TestProtocol:
             protocol.check_hello(dict(ok, worker_id=""))
 
 
+def _worker_against(grant):
+    """Attach ``repro dist worker`` to a fake master that answers its
+    hello with *grant* (and any report with ``shutdown``); return the
+    worker's exit code, its stderr and what it reported, if anything."""
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        listener.settimeout(60)
+        port = listener.getsockname()[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "dist", "worker",
+             "--connect", f"127.0.0.1:{port}"],
+            env=_env(), stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        try:
+            peer, _ = listener.accept()
+            report = None
+            with peer, peer.makefile("rb") as lines:
+                assert protocol.decode(lines.readline())["type"] == "hello"
+                peer.sendall(json.dumps(grant).encode() + b"\n")
+                for line in lines:
+                    message = protocol.decode(line)
+                    if message["type"] != "heartbeat":
+                        report = message
+                        peer.sendall(protocol.encode(protocol.shutdown()))
+                        break
+            _, stderr = proc.communicate(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    return proc.returncode, stderr, report
+
+
+class TestHostileMaster:
+    """A worker checks what a master grants it: a malformed grant is a
+    typed error (exit 2, ``error: …``), never a traceback."""
+
+    @pytest.mark.parametrize("grant", [
+        {"type": "grant", "lease_id": "L1"},
+        {"type": "grant", "lease_id": "L1", "experiment": "table2",
+         "key": "table2", "params": [1]},
+        {"type": "grant", "lease_id": 7, "experiment": "table2",
+         "key": "table2", "params": {}},
+        {"type": "grant", "lease_id": "L1", "experiment": None,
+         "key": "table2", "params": {}},
+    ], ids=["fields-missing", "params-a-list", "lease-id-a-number",
+            "experiment-null"])
+    def test_malformed_grant_is_a_typed_error(self, grant):
+        code, stderr, report = _worker_against(grant)
+        assert code == 2, stderr
+        assert stderr.startswith("error: malformed grant"), stderr
+        assert "Traceback" not in stderr
+        assert report is None
+
+    def test_unknown_experiment_comes_back_as_a_fail_report(self):
+        cell = Cell.make("no-such-experiment", seed=0)
+        code, stderr, report = _worker_against(
+            protocol.grant("L1", cell, 1, 60.0))
+        assert code == 0, stderr
+        assert (report["type"], report["lease_id"], report["key"]) == (
+            "fail", "L1", cell.key)
+
+
 # ----------------------------------------------------------------------
 # Lease table (pure state machine, fake clock, no processes)
 # ----------------------------------------------------------------------

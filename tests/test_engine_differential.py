@@ -233,7 +233,6 @@ class TestManyFlowsDifferential:
         from repro.experiments.many_flows import HOST_PAIRS
         from repro.experiments.transfers import resolve_cc
         from repro.faults import injecting
-        from repro.trafficgen import TrafficGenerator, TrafficServer
 
         ctx = injecting(faults) if faults else contextlib.nullcontext()
         with ctx:
@@ -245,14 +244,9 @@ class TestManyFlowsDifferential:
                 quota = share + (1 if idx < extra else 0)
                 if quota == 0:
                     continue
-                rng = pyrandom.Random(
-                    net.rng.stream(f"engine-diff-{idx}").random())
-                TrafficServer(net.protocol(dst), rng, factory)
-                gen = TrafficGenerator(net.protocol(src), dst, rng, factory,
-                                       arrival_mean=1.5 / quota,
-                                       max_conversations=quota)
-                gen.start_prescheduled(0.0)
-                generators.append(gen)
+                generators.append(net.start_traffic(
+                    src, dst, factory, stream=f"engine-diff-{idx}",
+                    arrival_mean=1.5 / quota, quota=quota))
             net.sim.run(until=4.0)
             for gen in generators:
                 gen.stop()

@@ -1,5 +1,6 @@
 """Tests for the experiment drivers (one cheap run per family)."""
 
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -7,11 +8,10 @@ import pytest
 from repro.arena.cells import run_cohort
 from repro.arena.scenarios import get_scenario
 from repro.experiments import defaults as DFLT
-from repro.experiments.background import run_with_background
+from repro.experiments.background import run_with_background, run_world
 from repro.experiments.figure5 import HOST_NAMES, build_figure5
 from repro.experiments.internet import build_internet_path, run_internet_transfer
 from repro.experiments.one_on_one import run_one_on_one
-from repro.experiments.telnet_response import run_telnet_response
 from repro.experiments.transfers import run_solo_transfer
 from repro.metrics.fairness import jain_fairness_index
 from repro.units import kb
@@ -140,8 +140,8 @@ class TestFairnessRuns:
 
 class TestTelnetResponse:
     def test_samples_collected(self):
-        result = run_telnet_response("reno", seed=0, duration=40.0)
-        assert result.cc_name == "reno"
-        assert len(result.samples) > 5
-        assert result.mean > 0
-        assert result.p95 >= result.median
+        samples = sorted(run_world("reno", seed=0, duration=40.0)
+                         .telnet_samples)
+        assert len(samples) > 5
+        assert statistics.fmean(samples) > 0
+        assert samples[int(0.95 * len(samples))] >= statistics.median(samples)

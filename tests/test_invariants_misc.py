@@ -93,7 +93,7 @@ class TestTrafficRobustness:
         TrafficServer(pair.proto_b, rng, RenoCC)
         generator = TrafficGenerator(pair.proto_a, "B", rng, RenoCC,
                                      arrival_mean=0.4)
-        generator.start(0.0)
+        generator.start()
         pair.sim.run(until=40.0)
         generator.stop()
         # Under a congested 8-buffer bottleneck conversations still

@@ -454,6 +454,20 @@ class TestSourceGuard:
                         '("vegas", "vegas")', "(10, 15, 20)", "(15, 20)"):
             assert literal not in registry, literal
 
+    def test_one_traffic_starter_and_one_transfer_starter(self):
+        """Every Figure-5 experiment starts its tcplib TRAFFIC through
+        ``Figure5Network.start_traffic`` and its measured flows through
+        ``transfers.start_measured_transfer``: no driver wires a
+        generator, a server or a bulk transfer by hand."""
+        traffic = {rel for rel, _, _
+                   in self._matches(r"\bTraffic(Generator|Server)\(")
+                   if not rel.startswith("trafficgen/")}
+        assert traffic == {"experiments/figure5.py"}
+        transfers = {rel for rel, _, _ in self._matches(r"\bBulkTransfer\(")
+                     if rel.startswith("experiments/")}
+        assert transfers == {"experiments/internet.py",
+                             "experiments/transfers.py"}
+
     def test_one_transport(self):
         """A supervised cell travels one way — socket workers under the
         ``selectors`` master: no event-loop framework, no fork-and-pipe

@@ -112,7 +112,7 @@ class TestGenerator:
     def test_conversations_launch_over_time(self):
         pair = make_pair(queue_capacity=30)
         server, generator = wire_traffic(pair, arrival_mean=0.5)
-        generator.start(0.0)
+        generator.start()
         pair.sim.run(until=20.0)
         generator.stop()
         assert len(generator.conversations) >= 10
@@ -124,31 +124,23 @@ class TestGenerator:
         for _ in range(2):
             pair = make_pair(queue_capacity=30)
             server, generator = wire_traffic(pair, seed=42)
-            generator.start(0.0)
+            generator.start()
             pair.sim.run(until=15.0)
             generator.stop()
             counts.append(dict(generator.started_by_type))
         assert counts[0] == counts[1]
 
-    def test_stop_at_limit(self):
-        pair = make_pair(queue_capacity=30)
-        server, generator = wire_traffic(pair, stop_at=5.0)
-        generator.start(0.0)
-        pair.sim.run(until=30.0)
-        started_times = [c.started_at for c in generator.conversations]
-        assert all(t <= 5.5 for t in started_times)
-
     def test_max_conversations_cap(self):
         pair = make_pair(queue_capacity=30)
         server, generator = wire_traffic(pair, max_conversations=5)
-        generator.start(0.0)
+        generator.start()
         pair.sim.run(until=60.0)
         assert len(generator.conversations) <= 5
 
     def test_throughput_and_retransmit_accounting(self):
         pair = make_pair(queue_capacity=30)
         server, generator = wire_traffic(pair, arrival_mean=0.4)
-        generator.start(0.0)
+        generator.start()
         pair.sim.run(until=30.0)
         generator.stop()
         assert generator.total_bytes_acked() > 0
@@ -159,7 +151,7 @@ class TestGenerator:
         pair = make_pair(queue_capacity=30)
         server, generator = wire_traffic(pair, arrival_mean=0.2,
                                          mix={"smtp": 1.0})
-        generator.start(0.0)
+        generator.start()
         pair.sim.run(until=20.0)
         generator.stop()
         assert generator.started_by_type["smtp"] == len(generator.conversations)
