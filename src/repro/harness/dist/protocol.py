@@ -136,6 +136,15 @@ def shutdown(reason: str = "done") -> Dict[str, Any]:
 #: way).
 _GRANT_FIELDS = {"lease_id": str, "experiment": str, "key": str,
                  "params": dict}
+#: The run options a grant may carry, each with a test for the values
+#: the master's ``grant`` writes; an absent option is off.
+_GRANT_OPTIONS = {
+    "checks": lambda v: isinstance(v, bool) or v == "collect",
+    "faults": lambda v: v is None or isinstance(v, str),
+    "watchdog": lambda v: v is None or isinstance(v, bool) or (
+        isinstance(v, (int, float)) and 0 < v < float("inf")),
+    "telemetry": lambda v: v is None or isinstance(v, str),
+}
 
 
 def cell_from_grant(message: Dict[str, Any]) -> Cell:
@@ -148,6 +157,8 @@ def cell_from_grant(message: Dict[str, Any]) -> Cell:
     """
     bad = [name for name, kind in _GRANT_FIELDS.items()
            if not isinstance(message.get(name), kind)]
+    bad += [name for name, valid in _GRANT_OPTIONS.items()
+            if name in message and not valid(message[name])]
     if bad:
         raise ProtocolError(f"malformed grant from master: "
                             f"{', '.join(bad)} missing or mistyped")

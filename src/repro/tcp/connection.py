@@ -54,6 +54,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
+#: The Karn and persist-probe markers before their first add: most
+#: endpoints never retransmit, so most never allocate a set.
+_NO_MARKS = frozenset()
 
 
 class State(enum.Enum):
@@ -73,7 +76,7 @@ class TCPConnection:
 
     __slots__ = (
         # Identity and plumbing.
-        "protocol", "_host", "_send_packet", "_route", "sim", "flow",
+        "protocol", "_host", "_route", "sim", "flow",
         "mss", "nagle", "tracer", "stats", "state",
         # Sender half.
         "iss", "snd_una", "snd_nxt", "snd_max", "peer_wnd",
@@ -104,7 +107,6 @@ class TCPConnection:
                  ecn: bool = False):
         self.protocol = protocol
         self._host = protocol.host
-        self._send_packet = protocol.host.send_packet
         # Egress route cache for _transmit, resolved on first use:
         # routes are static once the topology is built, so the
         # per-segment forwarding lookup collapses to one bound call.
@@ -151,10 +153,9 @@ class TCPConnection:
         # outstanding end_seq is O(1) and purging on ACK is O(log n)
         # per removed entry instead of a full-dict scan.
         self._ends_heap: List[int] = []
-        # End_seqs retransmitted (Karn), and persist-probe end_seqs,
-        # which are excluded from CC measurements.
-        self._ambiguous: set = set()
-        self._probe_ends: set = set()
+        # End_seqs retransmitted (Karn), and persist-probe end_seqs, which
+        # are excluded from CC measurements.  _enter_closed frees all four.
+        self._ambiguous = self._probe_ends = _NO_MARKS
         self.fin_pending = False
         self.fin_sent = False
         self.fin_end: Optional[int] = None
@@ -421,6 +422,7 @@ class TCPConnection:
             if tracing:
                 record(now, Kind.RETX, seq, length)
             if end_seq in send_times:
+                self._ambiguous = self._ambiguous or set()
                 self._ambiguous.add(end_seq)
             # Karn: a retransmission covering the timed segment
             # invalidates the coarse measurement.
@@ -444,6 +446,7 @@ class TCPConnection:
             # window discipline.  Its RTT measures a starved path, so
             # it must never become a Vegas distinguished segment or
             # feed BaseRTT — mark it and keep congestion control blind.
+            self._probe_ends = self._probe_ends or set()
             self._probe_ends.add(end_seq)
         stats.bytes_sent_total += length
         stats.segments_sent += 1
@@ -535,6 +538,7 @@ class TCPConnection:
         self.recv.ack_sent()
         if self.fin_end is not None:
             self._note_send_time(self.fin_end, self.sim.now)
+            self._ambiguous = self._ambiguous or set()
             self._ambiguous.add(self.fin_end)
         self._arm_rexmt()
         self._transmit(seg)
@@ -568,7 +572,7 @@ class TCPConnection:
             if route is None or self.flow.remote_addr == host.name:
                 # No route yet (or loopback): the general path raises
                 # or loops back as appropriate.
-                self._send_packet(packet)
+                host.send_packet(packet)
                 return
             self._route = route
         host.packets_sent += 1
@@ -659,11 +663,12 @@ class TCPConnection:
         if tseq is not None and tseq < ack:
             self.coarse_rtt.update(self._timing_ticks)
             self._timing_seq = None
-        sample = self._fine_sample_for(ack)
-        if sample is not None:
+        ts = self._send_times.get(ack)
+        if ts is not None and ack not in self._ambiguous:
             # A SYN is 40 bytes on the wire; its RTT under-represents
             # the serialization a full data segment pays, so it feeds
             # the smoothed estimate but not BaseRTT.
+            sample = self.sim.now - ts
             self.fine_rtt.update(sample, update_base=False)
             self.stats.note_rtt(sample)
         self._purge_send_times(ack)
@@ -734,7 +739,6 @@ class TCPConnection:
         sample = None
         if ts is not None and ack not in ambiguous:
             sample = now - ts
-        if sample is not None:
             fin_end = self.fin_end
             is_fin_sample = (fin_end is not None and ack == fin_end
                              and self.sendbuf.queued_end < ack)
@@ -757,8 +761,10 @@ class TCPConnection:
         while ends_heap and ends_heap[0] <= ack:
             k = _heappop(ends_heap)
             del send_times[k]
-            ambiguous.discard(k)
-            probe_ends.discard(k)
+            if ambiguous:
+                ambiguous.discard(k)
+            if probe_ends:
+                probe_ends.discard(k)
         self.snd_una = ack
         if self.snd_nxt < ack:
             # After a timeout rolled snd_nxt back, an ACK for the
@@ -819,31 +825,28 @@ class TCPConnection:
     def _maybe_done(self) -> None:
         if (self.fin_acked and self.peer_fin
                 and self.state is not State.CLOSED):
-            self.state = State.CLOSED
-            self.t_rexmt = None
-            self.stats.close_time = self.sim.now
-            self._trace(Kind.STATE, self.state.value)
-            self.protocol.connection_closed(self)
-            if self.on_closed is not None:
-                self.on_closed(self)
+            self._enter_closed()
+
+    def _enter_closed(self) -> None:
+        self.state = State.CLOSED
+        self.t_rexmt = None
+        self.stats.close_time = self.sim.now
+        # The §3.1 clocks matter only while segments are outstanding;
+        # clear() frees a grown table.  cc, sendbuf, sack_board and the
+        # estimators stay: drivers, the checker and the gauges read them.
+        self._send_times.clear()
+        self._ends_heap.clear()
+        self._ambiguous = self._probe_ends = _NO_MARKS
+        self._trace(Kind.STATE, self.state.value)
+        self.protocol.connection_closed(self)
+        if self.on_closed is not None:
+            self.on_closed(self)
 
     # ------------------------------------------------------------------
     # Fine-grained clock bookkeeping (§3.1)
     # ------------------------------------------------------------------
-    def _fine_sample_for(self, ack: int) -> Optional[float]:
-        """Exact RTT for the segment whose end is *ack*, if unambiguous."""
-        ts = self._send_times.get(ack)
-        if ts is None or ack in self._ambiguous:
-            return None
-        return self.sim.now - ts
-
     def _note_send_time(self, end_seq: int, now: float) -> None:
-        """Record a transmit clock, keeping the end-seq heap in sync.
-
-        Retransmissions refresh the clock of an end_seq that is already
-        indexed; only genuinely new keys enter the heap, so heap and
-        dict always hold exactly the same key set.
-        """
+        """Record a transmit clock; only a new end_seq enters the heap."""
         send_times = self._send_times
         if end_seq not in send_times:
             _heappush(self._ends_heap, end_seq)
@@ -851,8 +854,7 @@ class TCPConnection:
 
     def _purge_send_times(self, ack: int) -> None:
         # The heap's top is the smallest outstanding end_seq, so the
-        # cumulative ACK peels covered entries in O(log n) each — the
-        # seed scanned the whole dict per ACK, O(window) on every ack.
+        # cumulative ACK peels covered entries in O(log n) each.
         heap = self._ends_heap
         send_times = self._send_times
         ambiguous = self._ambiguous
@@ -860,8 +862,10 @@ class TCPConnection:
         while heap and heap[0] <= ack:
             k = _heappop(heap)
             del send_times[k]
-            ambiguous.discard(k)
-            probe_ends.discard(k)
+            if ambiguous:
+                ambiguous.discard(k)
+            if probe_ends:
+                probe_ends.discard(k)
 
     def first_unacked_send_time(self) -> Optional[float]:
         """Latest transmit time of the segment containing ``snd_una``.
@@ -870,21 +874,11 @@ class TCPConnection:
         ``now - send_time > fine RTO`` the segment is declared lost
         without waiting for three duplicates.
         """
-        # snd_una only advances through the purge paths, so the heap's
-        # top is normally already > snd_una; the lazy pop is a
-        # defensive sweep that keeps the invariant even if a caller
-        # moved snd_una directly.
+        # The purge paths normally keep the heap's top above snd_una;
+        # this sweep repairs the index if a caller moved snd_una directly.
+        self._purge_send_times(self.snd_una)
         heap = self._ends_heap
-        send_times = self._send_times
-        una = self.snd_una
-        while heap and heap[0] <= una:
-            k = _heappop(heap)
-            send_times.pop(k, None)
-            self._ambiguous.discard(k)
-            self._probe_ends.discard(k)
-        if not heap:
-            return None
-        return send_times[heap[0]]
+        return self._send_times[heap[0]] if heap else None
 
     # ------------------------------------------------------------------
     # Timers (driven by the host protocol's periodic timers)
@@ -946,13 +940,7 @@ class TCPConnection:
     def _abort(self) -> None:
         """Give up after too many fruitless retransmissions (BSD-style)."""
         self.aborted = True
-        self.state = State.CLOSED
-        self.t_rexmt = None
-        self.stats.close_time = self.sim.now
-        self._trace(Kind.STATE, self.state.value)
-        self.protocol.connection_closed(self)
-        if self.on_closed is not None:
-            self.on_closed(self)
+        self._enter_closed()
 
     def _persist_fire(self) -> None:
         """Send one zero-window probe and back its interval off.

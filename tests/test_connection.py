@@ -1,5 +1,7 @@
 """Integration tests for TCP connections over the simulated network."""
 
+import sys
+
 import pytest
 
 from repro.core.reno import RenoCC
@@ -189,6 +191,60 @@ class TestClose:
         pair.sim.run(until=30.0)
         assert conn.is_closed
         assert conn.stats.app_bytes_acked == 30 * 1024
+
+
+class TestSegmentBookkeeping:
+    """The §3.1 per-segment clocks and markers live only while segments
+    are outstanding: marker sets are made on first use and everything
+    is released when the endpoint closes."""
+
+    @staticmethod
+    def _endpoints(pair):
+        return pair.proto_a.connection_list() + pair.proto_b.connection_list()
+
+    def test_clean_transfer_allocates_no_marker_set(self):
+        pair = make_pair(queue_capacity=50)
+        # Kept open: a marker set, once made, would still be here.
+        transfer = run_transfer(pair, 64 * 1024, close_when_done=False)
+        assert transfer.done and not transfer.conn.fin_sent
+        assert transfer.conn.stats.retransmit_segments == 0
+        for conn in self._endpoints(pair):
+            assert type(conn._ambiguous) is frozenset
+            assert type(conn._probe_ends) is frozenset
+
+    def test_closed_endpoints_release_their_clocks(self):
+        pair = make_pair(queue_capacity=50)
+        transfer = run_transfer(pair, 100 * 1024)
+        # A window this size grows the clock table past its first size.
+        assert transfer.conn.stats.segments_sent > 20
+        blackhole = make_pair()
+        blackhole.forward_queue.offer = lambda p, now: False
+        aborted = blackhole.proto_a.connect("B", 9999)
+        blackhole.sim.run(until=3000.0)
+        assert aborted.aborted
+        for conn in self._endpoints(pair) + [aborted]:
+            assert conn.is_closed
+            assert conn._send_times == {}
+            assert sys.getsizeof(conn._send_times) == sys.getsizeof({})
+            assert conn._ends_heap == []
+
+    def test_lossy_transfer_drops_its_karn_markers_at_close(self):
+        from repro.apps.bulk import BulkSink, BulkTransfer
+
+        pair = make_pair(queue_capacity=30)
+        BulkSink(pair.proto_b, 9000)
+        transfer = BulkTransfer(pair.proto_a, "B", 9000, 100 * 1024,
+                                cc=RenoCC())
+        conn = transfer.conn
+        pair.sim.run(until=1.0)
+        drop_next(pair.forward_queue, 1)
+        while conn.stats.retransmit_segments == 0:
+            pair.sim.run(until=pair.sim.now + 0.05)
+        assert not conn.is_closed
+        assert type(conn._ambiguous) is set
+        pair.sim.run(until=60.0)
+        assert transfer.done and conn.is_closed
+        assert type(conn._ambiguous) is frozenset and not conn._ambiguous
 
 
 class TestNagle:

@@ -150,6 +150,13 @@ def _worker_against(grant):
     return proc.returncode, stderr, report
 
 
+def _sendbuf_grant(**options):
+    """A well-formed grant for a sub-second cell, with *options* over
+    its run options."""
+    cell = Cell.make("sendbuf", cc="reno", seed=0, size_kb=50)
+    return {**protocol.grant("L1", cell, 1, 60.0), **options}
+
+
 class TestHostileMaster:
     """A worker checks what a master grants it: a malformed grant is a
     typed error (exit 2, ``error: …``), never a traceback."""
@@ -162,14 +169,30 @@ class TestHostileMaster:
          "key": "table2", "params": {}},
         {"type": "grant", "lease_id": "L1", "experiment": None,
          "key": "table2", "params": {}},
+        _sendbuf_grant(faults=3),
+        _sendbuf_grant(checks=[1]),
+        _sendbuf_grant(telemetry=12345),
     ], ids=["fields-missing", "params-a-list", "lease-id-a-number",
-            "experiment-null"])
+            "experiment-null", "faults-a-number", "checks-a-list",
+            "telemetry-a-number"])
     def test_malformed_grant_is_a_typed_error(self, grant):
         code, stderr, report = _worker_against(grant)
         assert code == 2, stderr
         assert stderr.startswith("error: malformed grant"), stderr
         assert "Traceback" not in stderr
         assert report is None
+
+    def test_run_options_are_checked_before_the_cell_runs(self):
+        cell = Cell.make("sendbuf", cc="reno", seed=0, size_kb=50)
+        for options in ({}, {"checks": "collect", "watchdog": 30.0},
+                        {"checks": True, "watchdog": True, "faults": "x",
+                         "telemetry": "t.jsonl"}, {"watchdog": None}):
+            assert protocol.cell_from_grant(_sendbuf_grant(**options)) == cell
+        for options in ({"checks": "raise"}, {"checks": None},
+                        {"watchdog": -1}, {"watchdog": float("nan")},
+                        {"watchdog": float("inf")}, {"watchdog": "30"}):
+            with pytest.raises(protocol.ProtocolError, match="mistyped"):
+                protocol.cell_from_grant(_sendbuf_grant(**options))
 
     def test_unknown_experiment_comes_back_as_a_fail_report(self):
         cell = Cell.make("no-such-experiment", seed=0)
