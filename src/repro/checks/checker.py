@@ -339,8 +339,18 @@ class InvariantChecker(Instrument):
             self._audit_channel(channel, now)
         for lan in self._lans:
             self._audit_lan(lan, now)
+        # Audited once after close, then forgotten (a freed id recurs).
+        live = []
         for conn in self._connections:
             self._audit_connection(conn, now)
+            if not conn.is_closed:
+                live.append(conn)
+                continue
+            self._last_una.pop(id(conn), None)
+            self._last_rcv_nxt.pop(id(conn), None)
+            self._last_decrease.pop(id(conn.cc), None)
+            self._ss_grew.pop(id(conn.cc), None)
+        self._connections = live
 
     def _audit_queue(self, queue, now: float) -> None:
         depth = len(queue)

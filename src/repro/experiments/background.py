@@ -104,9 +104,7 @@ def run_world(cc: CCSpec, buffers: int = DFLT.DEFAULT_BUFFERS,
     return WorldResult(
         goodput_kbps=generator.throughput_kbps(0.0, duration),
         retransmit_kb=generator.total_retransmitted_kb(),
-        coarse_timeouts=sum(conn.stats.coarse_timeouts
-                            for conv in generator.conversations
-                            for conn in conv.connections),
+        coarse_timeouts=generator.total("coarse_timeouts"),
         conversations=len(generator.conversations),
         telnet_samples=generator.telnet_response_times(),
     )

@@ -608,12 +608,6 @@ class TCPConnection:
                 # Our SYN-ACK was lost; resend it.
                 self._send_syn(ack=True)
                 return
-        elif state is State.CLOSED:
-            # Residual segments after close (e.g. a retransmitted FIN):
-            # re-ACK so the peer can finish, then ignore.
-            if seg.length > 0 or flags & FLAG_FIN:
-                self.send_ack()
-            return
 
         if flags & FLAG_ACK:
             self._process_ack(seg)
@@ -841,6 +835,10 @@ class TCPConnection:
         self.protocol.connection_closed(self)
         if self.on_closed is not None:
             self.on_closed(self)
+        # No cycle through a closed endpoint: refcounting frees it.
+        self.on_established = self.on_data = self.on_send_space = None
+        self.on_peer_fin = self.on_closed = self._pace_event = None
+        self.cc.conn = None
 
     # ------------------------------------------------------------------
     # Fine-grained clock bookkeeping (§3.1)
@@ -968,3 +966,32 @@ class TCPConnection:
         return (f"TCPConnection({self.flow}, {self.state.name}, "
                 f"una={self.snd_una}, nxt={self.snd_nxt}, "
                 f"cwnd={self.cc.cwnd})")
+
+
+class ClosedEndpoint:
+    """A closed endpoint's residue in the demux: answers a data segment
+    or FIN arriving after close (a FIN resent when our last ACK was
+    lost) with the endpoint's own ACK, sent by its ``_transmit``."""
+
+    __slots__ = ("sim", "_host", "_route", "flow", "snd_nxt", "rcv_nxt",
+                 "rcv_wnd", "sack", "ecn_enabled", "_ece_pending")
+
+    def __init__(self, conn: TCPConnection):
+        for name in ("sim", "_host", "_route", "flow", "snd_nxt",
+                     "ecn_enabled", "_ece_pending"):
+            setattr(self, name, getattr(conn, name))
+        self.rcv_nxt = conn.recv.rcv_nxt
+        self.rcv_wnd = conn.recv.rcv_wnd
+        self.sack = conn._sack_blocks() if conn.sack_enabled else ()
+
+    def handle_segment(self, seg: TCPSegment, ecn_marked: bool = False) -> None:
+        """Re-ACK a residual data segment or FIN; ignore anything else."""
+        if self.ecn_enabled and ecn_marked:
+            self._ece_pending = True
+        if seg.length > 0 or seg.flags & FLAG_FIN:
+            self._transmit(TCPSegment(
+                self.flow.local_port, self.flow.remote_port, self.snd_nxt,
+                0, self.rcv_nxt, FLAG_ACK, self.rcv_wnd, self.sack))
+            self._ece_pending = False
+
+    _transmit = TCPConnection._transmit

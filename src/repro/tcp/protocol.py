@@ -21,7 +21,7 @@ from repro.net.addresses import FlowId
 from repro.net.node import Host
 from repro.net.packet import Packet
 from repro.tcp import constants as C
-from repro.tcp.connection import State, TCPConnection
+from repro.tcp.connection import ClosedEndpoint, State, TCPConnection
 from repro.tcp.segment import TCPSegment
 from repro.trace.records import Kind
 from repro.trace.tracer import NULL_TRACER, ConnectionTracer
@@ -59,17 +59,9 @@ class TCPProtocol:
         self.rng = rng if rng is not None else random.Random(
             zlib.crc32(host.name.encode()))
         host.protocol_handler = self._packet_arrived
+        #: The open endpoints, in opening order (closed ones are freed).
         self.connections: Dict[ConnKey, TCPConnection] = {}
-        # Open (not-yet-closed) subset of ``connections``, in the same
-        # insertion order.  The periodic timer scans iterate this dict
-        # instead of every connection ever created — a long-running
-        # host accumulates closed conversations in ``connections`` (the
-        # demux keeps them for residual-segment re-ACKs), and ticking
-        # through thousands of corpses per 200 ms fast tick used to
-        # dominate heavy-traffic runs.  Entries leave via
-        # :meth:`connection_closed`; closure is terminal, so the
-        # surviving iteration order matches the old filtered scan.
-        self._open: Dict[ConnKey, TCPConnection] = {}
+        self._closed: Dict[ConnKey, ClosedEndpoint] = {}
         self.listeners: Dict[int, Listener] = {}
         self._next_port = 1024
         self._slow = PeriodicTimer(self.sim, slow_tick, self._slow_tick,
@@ -102,13 +94,12 @@ class TCPProtocol:
             local_port = self._allocate_port()
         flow = FlowId(self.host.name, local_port, remote_addr, remote_port)
         key = (local_port, remote_addr, remote_port)
-        if key in self.connections:
+        if key in self.connections or key in self._closed:
             raise ConfigurationError(f"connection {flow} already exists")
         conn = TCPConnection(self, flow, cc_instance, mss=mss, sndbuf=sndbuf,
                              rcvbuf=rcvbuf, tracer=tracer, nagle=nagle,
                              delayed_acks=delayed_acks, ecn=ecn)
         self.connections[key] = conn
-        self._open[key] = conn
         self._ensure_timers()
         conn.open_active()
         return conn
@@ -177,7 +168,8 @@ class TCPProtocol:
         if type(seg) is not TCPSegment and not isinstance(seg, TCPSegment):
             self.segments_dropped += 1
             return
-        conn = self.connections.get((seg.dst_port, packet.src, seg.src_port))
+        key = (seg.dst_port, packet.src, seg.src_port)
+        conn = self.connections.get(key) or self._closed.get(key)
         if conn is not None:
             conn.handle_segment(seg, ecn_marked=packet.ecn_marked)
             return
@@ -194,7 +186,6 @@ class TCPProtocol:
         conn = TCPConnection(self, flow, listener.cc_factory(),
                              **listener.options)
         self.connections[key] = conn
-        self._open[key] = conn
         listener.accepted += 1
         self._ensure_timers()
         if listener.on_accept is not None:
@@ -221,7 +212,7 @@ class TCPProtocol:
         closing = State.CLOSING
         now = self.sim.now
         timer_check = Kind.TIMER_CHECK
-        for conn in list(self._open.values()):
+        for conn in list(self.connections.values()):
             # A connection ticked earlier in this scan may have closed
             # a later one (e.g. an abort tearing down its peer).
             if conn.state is closed:
@@ -256,13 +247,13 @@ class TCPProtocol:
                 conn._persist_countdown -= 1
             else:
                 conn._persist_fire()
-        if not self._open:
+        if not self.connections:
             self._stop_timers()
 
     def _fast_tick(self) -> None:
         """One 200 ms fast-timer tick: flush pending delayed ACKs."""
         closed = State.CLOSED
-        for conn in list(self._open.values()):
+        for conn in list(self.connections.values()):
             if conn.state is not closed and conn.recv.delack_pending:
                 conn.send_ack()
 
@@ -273,13 +264,8 @@ class TCPProtocol:
     def connection_closed(self, conn: TCPConnection) -> None:
         """Hook called by connections reaching CLOSED; stops timers when idle."""
         flow = conn.flow
-        self._open.pop((flow.local_port, flow.remote_addr, flow.remote_port),
-                       None)
-        if not self._open:
+        key = (flow.local_port, flow.remote_addr, flow.remote_port)
+        del self.connections[key]
+        self._closed[key] = ClosedEndpoint(conn)
+        if not self.connections:
             self._stop_timers()
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def connection_list(self):
-        return list(self.connections.values())

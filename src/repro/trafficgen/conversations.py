@@ -20,10 +20,16 @@ from repro.tcp.protocol import TCPProtocol
 from repro.trafficgen import distributions as D
 
 
+#: The per-endpoint counters a conversation keeps totals of.
+TOTALS = ("app_bytes_acked", "retransmitted_bytes", "coarse_timeouts")
+
+
 class Conversation:
     """Base class: lifecycle bookkeeping shared by all types."""
 
     kind = "base"
+    #: A subclass's endpoint (FTP's command one), ``None`` once closed.
+    conn = control = None
 
     def __init__(self, protocol: TCPProtocol, server_addr: str,
                  rng: random.Random, cc_factory: Callable,
@@ -37,7 +43,10 @@ class Conversation:
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.bytes_offered = 0
+        #: The endpoints opened and not yet closed.
         self.connections: List[TCPConnection] = []
+        #: :data:`TOTALS` over the endpoints that have closed.
+        self.closed_totals = dict.fromkeys(TOTALS, 0)
 
     @property
     def finished(self) -> bool:
@@ -53,8 +62,23 @@ class Conversation:
     def _open(self, port: int, **options) -> TCPConnection:
         conn = self.protocol.connect(self.server_addr, port,
                                      cc=self.cc_factory(), **options)
+        conn.on_closed = self._retire
         self.connections.append(conn)
         return conn
+
+    def _retire(self, conn: TCPConnection) -> None:
+        for counter in TOTALS:
+            self.closed_totals[counter] += getattr(conn.stats, counter)
+        self.connections.remove(conn)
+        if self.conn is conn:
+            self.conn = None
+        if self.control is conn:
+            self.control = None
+
+    def total(self, counter: str) -> int:
+        """One of :data:`TOTALS` over every endpoint opened."""
+        return self.closed_totals[counter] + sum(
+            getattr(conn.stats, counter) for conn in self.connections)
 
     def _finish(self) -> None:
         if self.finished:
@@ -117,7 +141,6 @@ class TelnetConversation(Conversation):
         self.sent = 0
         self.response_times: List[float] = []
         self._pending_since: Optional[float] = None
-        self.conn: Optional[TCPConnection] = None
 
     def _run(self) -> None:
         self.conn = self._open(D.PORTS["telnet"], nagle=False)
@@ -129,7 +152,7 @@ class TelnetConversation(Conversation):
         self.sim.schedule_anon(delay, self._send_keystroke)
 
     def _send_keystroke(self) -> None:
-        if self.conn is None or self.conn.fin_sent or self.conn.is_closed:
+        if self.conn is None or self.conn.fin_sent:
             return
         self.conn.app_send(1)
         self.bytes_offered += 1
@@ -156,7 +179,6 @@ class FtpConversation(Conversation):
         super().__init__(*args, **kwargs)
         self.params = D.draw_ftp(self.rng)
         self._item_index = 0
-        self.control: Optional[TCPConnection] = None
 
     def _run(self) -> None:
         self.control = self._open(D.PORTS["ftp"], nagle=False)
@@ -164,7 +186,7 @@ class FtpConversation(Conversation):
         self.control.on_data = self._on_control_reply
 
     def _request_next_item(self) -> None:
-        if self.control is None or self.control.is_closed:
+        if self.control is None:
             return
         self.control.app_send(self.params.control_segment_size)
         self.bytes_offered += self.params.control_segment_size
@@ -221,7 +243,6 @@ class NntpConversation(Conversation):
         super().__init__(*args, **kwargs)
         self.params = D.draw_nntp(self.rng)
         self._index = 0
-        self.conn: Optional[TCPConnection] = None
 
     def _run(self) -> None:
         self.conn = self._open(D.PORTS["nntp"])

@@ -22,6 +22,7 @@ from repro.tcp.connection import TCPConnection
 from repro.tcp.protocol import TCPProtocol
 from repro.trafficgen import distributions as D
 from repro.trafficgen.conversations import CONVERSATION_TYPES, Conversation
+from repro.units import bytes_to_kb
 
 
 class TrafficServer:
@@ -161,13 +162,13 @@ class TrafficGenerator:
     # ------------------------------------------------------------------
     # Statistics (Table 3 / Figure 9 / §6)
     # ------------------------------------------------------------------
+    def total(self, counter: str) -> int:
+        """One of ``conversations.TOTALS`` over every conversation."""
+        return sum(conv.total(counter) for conv in self.conversations)
+
     def total_bytes_acked(self) -> int:
         """Application bytes delivered by all background connections."""
-        total = 0
-        for conv in self.conversations:
-            for conn in conv.connections:
-                total += conn.stats.app_bytes_acked
-        return total
+        return self.total("app_bytes_acked")
 
     def throughput_kbps(self, t_start: float, t_end: float) -> float:
         """Aggregate background goodput over [t_start, t_end] in KB/s."""
@@ -176,11 +177,8 @@ class TrafficGenerator:
         return self.total_bytes_acked() / 1024.0 / (t_end - t_start)
 
     def total_retransmitted_kb(self) -> float:
-        total = 0.0
-        for conv in self.conversations:
-            for conn in conv.connections:
-                total += conn.stats.retransmitted_kb()
-        return total
+        # Each endpoint's b/1024 is exact, so this is their float sum.
+        return bytes_to_kb(self.total("retransmitted_bytes"))
 
     def telnet_response_times(self) -> List[float]:
         """All keystroke→echo latencies measured so far (§6 metric)."""

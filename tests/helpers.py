@@ -60,9 +60,19 @@ def make_pair(bandwidth: float = kbps(200), delay: float = ms(50),
 def run_transfer(pair: Pair, nbytes: int, cc=None, until: float = 300.0,
                  port: int = 9000, **options):
     """Run one bulk transfer A→B on *pair*; returns the BulkTransfer."""
+    return run_transfer_and_sink(pair, nbytes, cc=cc, until=until,
+                                 port=port, **options)[0]
+
+
+def run_transfer_and_sink(pair: Pair, nbytes: int, cc=None,
+                          until: float = 300.0, port: int = 9000,
+                          **options):
+    """:func:`run_transfer`, also returning the BulkSink: its
+    ``connections`` are the server endpoints it accepted, which the
+    host's demux forgets once they close."""
     from repro.apps.bulk import BulkSink, BulkTransfer
 
-    BulkSink(pair.proto_b, port)
+    sink = BulkSink(pair.proto_b, port)
     transfer = BulkTransfer(pair.proto_a, "B", port, nbytes, cc=cc, **options)
     pair.sim.run(until=until)
-    return transfer
+    return transfer, sink

@@ -118,10 +118,39 @@ class TestCleanRuns:
     def test_components_register_while_active(self):
         with checking() as chk:
             pair = make_pair()
-            run_transfer(pair, kb(16), cc=make_cc("vegas"))
+            # Kept open: the checker forgets an endpoint once closed.
+            run_transfer(pair, kb(16), cc=make_cc("vegas"),
+                         close_when_done=False)
         assert pair.sim in chk._sims
         assert len(chk._channels) >= 2  # both bottleneck directions
         assert len(chk._connections) == 2
+
+    def test_closed_endpoints_are_forgotten_after_a_run(self):
+        with checking() as chk:
+            pair = make_pair()
+            transfer = run_transfer(pair, kb(16), cc=make_cc("vegas"))
+        assert transfer.conn.is_closed
+        assert chk.violations == []
+        assert chk._connections == []
+        # Nothing keyed by a forgotten endpoint's id is kept either:
+        # a freed object's id can be handed to a new one.
+        assert chk._last_una == chk._last_rcv_nxt == {}
+
+    def test_a_closed_endpoint_is_audited_once_more(self):
+        chk = InvariantChecker(mode="collect")
+        with checking(chk):
+            pair = make_pair()
+            pair.proto_b.listen(9000)
+            conn = pair.proto_a.connect("B", 9000, cc=make_cc("reno"))
+            pair.sim.run(until=2.0)
+            # The window breaks just as the endpoint closes.
+            conn.on_closed = lambda c: setattr(c.cc, "cwnd", 0)
+            conn.close()
+            pair.sim.run(until=10.0)
+        assert conn.is_closed
+        assert [(v.invariant, v.flow) for v in chk.violations] == [
+            ("cwnd-positive", conn.flow)]
+        assert chk._connections == []
 
     def test_vegas_slow_start_decisions_reach_the_checker(self):
         exits = []
@@ -291,7 +320,9 @@ class TestSequenceSpaceHooks:
         # write site rejects a float; the armed checker must.
         with checking(mode="collect") as chk:
             pair = make_pair()
-            transfer = run_transfer(pair, kb(16), cc=make_cc("reno"))
+            # Kept open: the checker forgets an endpoint once closed.
+            transfer = run_transfer(pair, kb(16), cc=make_cc("reno"),
+                                    close_when_done=False)
         assert chk.violations == []
         conn = transfer.conn
         conn.snd_nxt = float(conn.snd_nxt)

@@ -11,7 +11,7 @@ from repro.trace.records import Kind
 from repro.trace.tracer import ConnectionTracer
 from repro.units import kbps
 
-from helpers import make_pair, run_transfer
+from helpers import make_pair, run_transfer, run_transfer_and_sink
 
 
 def drop_next(queue, count):
@@ -159,10 +159,11 @@ class TestLossRecovery:
 class TestClose:
     def test_fin_exchange_closes_both_ends(self):
         pair = make_pair()
-        transfer = run_transfer(pair, 4096)
+        transfer, sink = run_transfer_and_sink(pair, 4096)
         assert transfer.conn.is_closed
-        others = pair.proto_b.connection_list()
+        others = sink.connections
         assert others and all(c.is_closed for c in others)
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
 
     def test_simulation_drains_after_close(self):
         pair = make_pair()
@@ -199,22 +200,26 @@ class TestSegmentBookkeeping:
     is released when the endpoint closes."""
 
     @staticmethod
-    def _endpoints(pair):
-        return pair.proto_a.connection_list() + pair.proto_b.connection_list()
+    def _transfer(pair, nbytes, **options):
+        """One transfer; returns it and both its endpoints."""
+        transfer, sink = run_transfer_and_sink(pair, nbytes, **options)
+        assert len(sink.connections) == 1
+        return transfer, [transfer.conn] + sink.connections
 
     def test_clean_transfer_allocates_no_marker_set(self):
         pair = make_pair(queue_capacity=50)
         # Kept open: a marker set, once made, would still be here.
-        transfer = run_transfer(pair, 64 * 1024, close_when_done=False)
+        transfer, endpoints = self._transfer(pair, 64 * 1024,
+                                             close_when_done=False)
         assert transfer.done and not transfer.conn.fin_sent
         assert transfer.conn.stats.retransmit_segments == 0
-        for conn in self._endpoints(pair):
+        for conn in endpoints:
             assert type(conn._ambiguous) is frozenset
             assert type(conn._probe_ends) is frozenset
 
     def test_closed_endpoints_release_their_clocks(self):
         pair = make_pair(queue_capacity=50)
-        transfer = run_transfer(pair, 100 * 1024)
+        transfer, endpoints = self._transfer(pair, 100 * 1024)
         # A window this size grows the clock table past its first size.
         assert transfer.conn.stats.segments_sent > 20
         blackhole = make_pair()
@@ -222,7 +227,9 @@ class TestSegmentBookkeeping:
         aborted = blackhole.proto_a.connect("B", 9999)
         blackhole.sim.run(until=3000.0)
         assert aborted.aborted
-        for conn in self._endpoints(pair) + [aborted]:
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
+        assert blackhole.proto_a.connections == {}
+        for conn in endpoints + [aborted]:
             assert conn.is_closed
             assert conn._send_times == {}
             assert sys.getsizeof(conn._send_times) == sys.getsizeof({})

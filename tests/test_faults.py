@@ -16,15 +16,21 @@ from repro.faults import PROFILES, FaultPlan, FaultSession, injecting
 from repro.faults.injector import _channel_rng
 from repro.units import kb
 
-from helpers import make_pair, run_transfer
+from helpers import make_pair, run_transfer, run_transfer_and_sink
 
 
 def _faulted_transfer(spec, cc="reno", nbytes=kb(64), **pair_kwargs):
     """One transfer with *spec* active; returns (session, pair, xfer)."""
+    return _faulted_run(spec, cc, nbytes, **pair_kwargs)[:3]
+
+
+def _faulted_run(spec, cc="reno", nbytes=kb(64), **pair_kwargs):
+    """:func:`_faulted_transfer`, plus the sink that accepted the
+    server endpoint."""
     with injecting(spec) as session:
         pair = make_pair(**pair_kwargs)
-        transfer = run_transfer(pair, nbytes, cc=make_cc(cc))
-    return session, pair, transfer
+        transfer, sink = run_transfer_and_sink(pair, nbytes, cc=make_cc(cc))
+    return session, pair, transfer, sink
 
 
 class TestFaultPlan:
@@ -140,20 +146,20 @@ class TestInjectionSemantics:
         assert session.totals()["corrupt_drops"] > 0
 
     def test_duplicates_reach_the_receiver(self):
-        session, pair, transfer = _faulted_transfer("dup=0.2,seed=2")
+        session, pair, transfer, sink = _faulted_run("dup=0.2,seed=2")
         assert transfer.done
         assert session.totals()["duplicates"] > 0
-        receivers = [conn.recv for proto in (pair.proto_a, pair.proto_b)
-                     for conn in proto.connections.values()]
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
+        receivers = [conn.recv for conn in [transfer.conn] + sink.connections]
         assert sum(r.duplicate_segments for r in receivers) > 0
 
     def test_reordering_reaches_the_receiver(self):
-        session, pair, transfer = _faulted_transfer(
+        session, pair, transfer, sink = _faulted_run(
             "reorder=0.1,reorder-hold=0.05,seed=3")
         assert transfer.done
         assert session.totals()["reorders"] > 0
-        receivers = [conn.recv for proto in (pair.proto_a, pair.proto_b)
-                     for conn in proto.connections.values()]
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
+        receivers = [conn.recv for conn in [transfer.conn] + sink.connections]
         assert sum(r.out_of_order_segments for r in receivers) > 0
 
     def test_jitter_spikes_fire(self):

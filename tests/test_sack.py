@@ -192,11 +192,12 @@ def _scattered_loss_run(cc_name, drops=(5, 9, 13, 17)):
 class TestSackRecovery:
     def test_receiver_reports_blocks(self):
         pair = make_pair(queue_capacity=30)
-        pair.proto_b.listen(9000)
+        accepted = []
+        pair.proto_b.listen(9000, on_accept=accepted.append)
         conn = pair.proto_a.connect("B", 9000, cc=make_cc("reno-sack"))
         pair.sim.run(until=2.0)
         # Craft an out-of-order arrival and watch the ACK carry SACK.
-        server = pair.proto_b.connection_list()[0]
+        [server] = accepted
         server.recv.reasm.add(2048, 1024)
         blocks = server._sack_blocks()
         assert blocks == ((2048, 3072),)

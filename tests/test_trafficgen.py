@@ -1,11 +1,13 @@
 """Tests for the tcplib-style TRAFFIC workload generator."""
 
+import gc
 import random
 
 from repro.core.reno import RenoCC
 from repro.sim.rng import RngRegistry
 from repro.trafficgen import distributions as D
 from repro.trafficgen.conversations import (
+    TOTALS,
     FtpConversation,
     NntpConversation,
     SmtpConversation,
@@ -91,9 +93,16 @@ class TestConversations:
         conv.start()
         pair.sim.run(until=600.0)
         assert conv.finished
-        # Control connection + one data connection per item.
-        assert len(conv.connections) == 1 + conv.params.items
-        data_bytes = sum(c.stats.app_bytes_acked for c in conv.connections[1:])
+        # Control connection + one data connection per item, each
+        # accepted by its listener and let go of once closed.
+        listeners = pair.proto_b.listeners
+        assert listeners[D.PORTS["ftp"]].accepted == 1
+        assert listeners[D.PORTS["ftp-data"]].accepted == conv.params.items
+        assert conv.connections == [] and conv.control is None
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
+        # One command per item went over the control connection.
+        control_bytes = conv.params.items * conv.params.control_segment_size
+        data_bytes = conv.total("app_bytes_acked") - control_bytes
         assert data_bytes == sum(conv.params.item_sizes)
 
     def test_nntp_pushes_all_articles(self):
@@ -104,8 +113,9 @@ class TestConversations:
         conv.start()
         pair.sim.run(until=600.0)
         assert conv.finished
-        assert conv.connections[0].stats.app_bytes_acked == \
-            sum(conv.params.article_sizes)
+        assert conv.connections == [] and conv.conn is None
+        assert pair.proto_a.connections == pair.proto_b.connections == {}
+        assert conv.total("app_bytes_acked") == sum(conv.params.article_sizes)
 
 
 class TestGenerator:
@@ -156,3 +166,56 @@ class TestGenerator:
         generator.stop()
         assert generator.started_by_type["smtp"] == len(generator.conversations)
         assert generator.started_by_type["smtp"] > 0
+
+    def test_totals_fold_every_endpoint_opened(self):
+        pair = make_pair(queue_capacity=5)
+        opened = []
+        connect = pair.proto_a.connect
+
+        def keep(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        pair.proto_a.connect = keep
+        server, generator = wire_traffic(pair, arrival_mean=0.2)
+        generator.start()
+        pair.sim.run(until=30.0)
+        generator.stop()
+        closed = [c for c in opened if c.is_closed]
+        assert closed and len(closed) < len(opened)
+        open_now = [c for conv in generator.conversations
+                    for c in conv.connections]
+        assert sorted(map(id, open_now)) == sorted(
+            id(c) for c in opened if not c.is_closed)
+        for counter in TOTALS:
+            assert generator.total(counter) == sum(
+                getattr(c.stats, counter) for c in opened)
+        assert generator.total("retransmitted_bytes") > 0
+        retransmitted_kb = 0.0
+        for conn in opened:
+            retransmitted_kb += conn.stats.retransmitted_kb()
+        assert generator.total_retransmitted_kb() == retransmitted_kb
+
+    def test_closed_endpoints_are_freed(self):
+        """With the cyclic collector off, as a cell runs, a closed
+        endpoint is freed by refcounting alone once TRAFFIC lets go."""
+        from repro.experiments.figure5 import build_figure5
+        from repro.experiments.transfers import resolve_cc
+        from repro.tcp.connection import TCPConnection
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            net = build_figure5(buffers=10, seed=0)
+            generator = net.start_traffic("Host1a", "Host1b",
+                                          resolve_cc("vegas-1,3"),
+                                          arrival_mean=0.1)
+            net.sim.run(until=20.0)
+            alive = [obj for obj in gc.get_objects()
+                     if type(obj) is TCPConnection and obj.sim is net.sim]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert generator.finished_count() > 50
+        assert alive and not [c for c in alive if c.is_closed]
