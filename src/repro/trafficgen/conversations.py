@@ -28,8 +28,8 @@ class Conversation:
     """Base class: lifecycle bookkeeping shared by all types."""
 
     kind = "base"
-    #: A subclass's endpoint (FTP's command one), ``None`` once closed.
-    conn = control = None
+    #: The long-lived endpoint (FTP's command one), ``None`` once closed.
+    conn: Optional[TCPConnection] = None
 
     def __init__(self, protocol: TCPProtocol, server_addr: str,
                  rng: random.Random, cc_factory: Callable,
@@ -72,8 +72,6 @@ class Conversation:
         self.connections.remove(conn)
         if self.conn is conn:
             self.conn = None
-        if self.control is conn:
-            self.control = None
 
     def total(self, counter: str) -> int:
         """One of :data:`TOTALS` over every endpoint opened."""
@@ -181,14 +179,14 @@ class FtpConversation(Conversation):
         self._item_index = 0
 
     def _run(self) -> None:
-        self.control = self._open(D.PORTS["ftp"], nagle=False)
-        self.control.on_established = lambda c: self._request_next_item()
-        self.control.on_data = self._on_control_reply
+        self.conn = self._open(D.PORTS["ftp"], nagle=False)
+        self.conn.on_established = lambda c: self._request_next_item()
+        self.conn.on_data = self._on_control_reply
 
     def _request_next_item(self) -> None:
-        if self.control is None:
+        if self.conn is None:
             return
-        self.control.app_send(self.params.control_segment_size)
+        self.conn.app_send(self.params.control_segment_size)
         self.bytes_offered += self.params.control_segment_size
 
     def _on_control_reply(self, conn: TCPConnection, nbytes: int) -> None:
@@ -206,8 +204,8 @@ class FtpConversation(Conversation):
                 self.sim.schedule_anon(self.rng.uniform(0.1, 1.0),
                                        self._request_next_item)
             else:
-                if self.control is not None:
-                    self.control.close()
+                if self.conn is not None:
+                    self.conn.close()
                 self._finish()
 
         data.on_established = lambda c: _Pusher(c, size, _item_done)

@@ -166,15 +166,11 @@ class TrafficGenerator:
         """One of ``conversations.TOTALS`` over every conversation."""
         return sum(conv.total(counter) for conv in self.conversations)
 
-    def total_bytes_acked(self) -> int:
-        """Application bytes delivered by all background connections."""
-        return self.total("app_bytes_acked")
-
     def throughput_kbps(self, t_start: float, t_end: float) -> float:
         """Aggregate background goodput over [t_start, t_end] in KB/s."""
         if t_end <= t_start:
             return 0.0
-        return self.total_bytes_acked() / 1024.0 / (t_end - t_start)
+        return self.total("app_bytes_acked") / 1024.0 / (t_end - t_start)
 
     def total_retransmitted_kb(self) -> float:
         # Each endpoint's b/1024 is exact, so this is their float sum.

@@ -38,6 +38,7 @@ Three scenario families:
 
 import contextlib
 import random as pyrandom
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -233,9 +234,20 @@ class TestManyFlowsDifferential:
         from repro.experiments.many_flows import HOST_PAIRS
         from repro.experiments.transfers import resolve_cc
         from repro.faults import injecting
+        from repro.trafficgen.conversations import Conversation
+
+        # A conversation lets go of an endpoint once it closes; keep
+        # every one opened here so the closed ones are compared too.
+        opened = {}
+        real_open = Conversation._open
+
+        def keeping_open(conv, port, **options):
+            conn = real_open(conv, port, **options)
+            opened.setdefault(conv, []).append(conn)
+            return conn
 
         ctx = injecting(faults) if faults else contextlib.nullcontext()
-        with ctx:
+        with ctx, mock.patch.object(Conversation, "_open", keeping_open):
             net = figure5.build_figure5(buffers=10, seed=seed)
             factory = resolve_cc(cc)
             share, extra = divmod(flows, len(HOST_PAIRS))
@@ -251,14 +263,10 @@ class TestManyFlowsDifferential:
             for gen in generators:
                 gen.stop()
 
-        # A closed endpoint is folded into its conversation's totals
-        # and let go of; the open ones are compared field by field.
         per_conn = []
         for gen in generators:
             for conv in gen.conversations:
-                per_conn.append((conv.kind, conv.finished,
-                                 tuple(conv.closed_totals.values())))
-                for conn in conv.connections:
+                for conn in opened[conv]:
                     stats = conn.stats
                     per_conn.append((
                         conv.kind, conv.finished,

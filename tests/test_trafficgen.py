@@ -98,7 +98,7 @@ class TestConversations:
         listeners = pair.proto_b.listeners
         assert listeners[D.PORTS["ftp"]].accepted == 1
         assert listeners[D.PORTS["ftp-data"]].accepted == conv.params.items
-        assert conv.connections == [] and conv.control is None
+        assert conv.connections == [] and conv.conn is None
         assert pair.proto_a.connections == pair.proto_b.connections == {}
         # One command per item went over the control connection.
         control_bytes = conv.params.items * conv.params.control_segment_size
@@ -153,7 +153,7 @@ class TestGenerator:
         generator.start()
         pair.sim.run(until=30.0)
         generator.stop()
-        assert generator.total_bytes_acked() > 0
+        assert generator.total("app_bytes_acked") > 0
         assert generator.throughput_kbps(0.0, 30.0) > 0
         assert generator.total_retransmitted_kb() >= 0.0
 
