@@ -31,7 +31,7 @@ def main():
             tputs = [flow.throughput_kbps for flow in flows]
             print(f"{cc:>6}: Jain index {jain_fairness_index(tputs):.3f}, "
                   f"{sum(flow.coarse_timeouts for flow in flows)} timeouts, "
-                  f"{sum(flow.retransmit_kb for flow in flows):.0f} KB "
+                  f"{sum(flow.retransmitted_kb for flow in flows):.0f} KB "
                   "retransmitted")
             print("        per-connection KB/s: "
                   + " ".join(f"{t:5.1f}" for t in tputs))

@@ -12,7 +12,7 @@ for every table and figure in the evaluation.
 Quickstart::
 
     from repro import Simulator, Topology, TCPProtocol, VegasCC
-    from repro.apps import BulkSink, BulkTransfer
+    from repro.experiments import start_measured_transfer
     from repro.units import kbps, mb, ms
 
     sim = Simulator()
@@ -24,8 +24,7 @@ Quickstart::
                   queue_capacity=10)
     topo.build_routes()
     sender, receiver = TCPProtocol(a), TCPProtocol(b)
-    BulkSink(receiver, 7001)
-    transfer = BulkTransfer(sender, "B", 7001, mb(1), cc=VegasCC())
+    transfer = start_measured_transfer(sender, receiver, VegasCC, mb(1))
     sim.run(until=60)
     print(transfer.conn.stats.summary())
 """

@@ -22,13 +22,14 @@ _WRITE_CHUNK = 64 * 1024
 class BulkTransfer:
     """Send ``total_bytes`` over one TCP connection and close.
 
-    The transfer is *started* by construction (the SYN goes out
-    immediately); to delay it, schedule the construction itself::
-
-        sim.schedule_anon(2.5, lambda: BulkTransfer(proto, "Host1b", 7001, kb(300)))
+    The connection opens (the SYN goes out) ``start_at`` seconds after
+    construction; a missing or zero ``start_at`` opens it now.  ``cc``
+    is handed to :meth:`TCPProtocol.connect` as it opens, so a factory
+    builds the controller then.
 
     Attributes:
-        conn: the underlying connection (stats live in ``conn.stats``).
+        conn: the underlying connection (stats live in ``conn.stats``);
+            ``None`` until it opens.
         done: True once every byte has been acknowledged.
         finish_time: simulated time of the final acknowledgement.
     """
@@ -38,6 +39,7 @@ class BulkTransfer:
                  cc: object = None,
                  on_done: Optional[Callable[["BulkTransfer"], None]] = None,
                  close_when_done: bool = True,
+                 start_at: float = 0.0,
                  **conn_options):
         if total_bytes <= 0:
             raise ValueError("total_bytes must be positive")
@@ -47,10 +49,18 @@ class BulkTransfer:
         self.close_when_done = close_when_done
         self.done = False
         self.finish_time: Optional[float] = None
-        self.conn = protocol.connect(remote_addr, remote_port, cc=cc,
-                                     **conn_options)
-        self.conn.on_established = self._pump
-        self.conn.on_send_space = self._pump
+        self.conn: Optional[TCPConnection] = None
+
+        def _open() -> None:
+            self.conn = protocol.connect(remote_addr, remote_port, cc=cc,
+                                         **conn_options)
+            self.conn.on_established = self._pump
+            self.conn.on_send_space = self._pump
+
+        if start_at:
+            protocol.sim.schedule_anon(start_at, _open)
+        else:
+            _open()
 
     def _pump(self, conn: TCPConnection) -> None:
         while self.remaining > 0:
@@ -66,21 +76,6 @@ class BulkTransfer:
                 conn.close()
             if self.on_done is not None:
                 self.on_done(self)
-
-    # ------------------------------------------------------------------
-    # Result accessors (the paper's table columns)
-    # ------------------------------------------------------------------
-    @property
-    def throughput_kbps(self) -> float:
-        return self.conn.stats.throughput_kbps()
-
-    @property
-    def retransmitted_kb(self) -> float:
-        return self.conn.stats.retransmitted_kb()
-
-    @property
-    def coarse_timeouts(self) -> int:
-        return self.conn.stats.coarse_timeouts
 
 
 class BulkSink:

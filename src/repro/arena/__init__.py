@@ -24,8 +24,8 @@ from repro import _lazy_exports
 # building its parser, and the harness enumerates the arena grid from
 # it, so neither may drag the simulator stack in.
 _EXPORTS = {
-    **dict.fromkeys(("FlowOutcome", "arena_duel", "arena_mix", "arena_solo",
-                     "run_cohort"), "repro.arena.cells"),
+    **dict.fromkeys(("arena_duel", "arena_mix", "arena_solo", "run_cohort"),
+                    "repro.arena.cells"),
     **dict.fromkeys(("Standing", "compute_standings", "render_league"),
                     "repro.arena.league"),
     **dict.fromkeys(("MODES", "generate_matrix"), "repro.arena.matrix"),
@@ -35,7 +35,6 @@ _EXPORTS = {
 }
 
 __all__ = [
-    "FlowOutcome",
     "MODES",
     "DEFAULT_SCENARIOS",
     "TIME_VARYING_SCENARIOS",

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.arena.scenarios import Scenario, custom_scenario, get_scenario
 from repro.core.registry import cc_factory
 from repro.experiments import defaults as DFLT
+from repro.experiments.transfers import TransferResult, start_measured_transfer
 from repro.metrics.fairness import jain_fairness_index
 from repro.net.topology import Topology
 from repro.numeric import fold_sum
@@ -43,23 +42,10 @@ from repro.units import mbps, ms
 EGRESS_DELAY = ms(0.1)
 
 
-@dataclass
-class FlowOutcome:
-    """Per-flow results of one cohort run."""
-
-    scheme: str
-    throughput_kbps: float
-    retransmit_kb: float
-    coarse_timeouts: int
-    rtt_mean_ms: float
-    done: bool
-    start: float            # seeded stagger offset of the flow's start
-
-
 def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
                seed: int = 0,
                access_delays: Optional[Sequence[float]] = None
-               ) -> List[FlowOutcome]:
+               ) -> List[TransferResult]:
     """Run one flow per entry of *schemes* through *scenario*.
 
     *scenario* is a registered scenario name or a :class:`Scenario`
@@ -75,13 +61,12 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
     bottleneck, so flows interact only at the scenario's queue.  Flow
     starts are staggered by a small seeded jitter — simultaneous SYNs
     would synchronize slow-start and measure the phase effect, not the
-    schemes.  Outcomes are returned in flow order (``schemes`` order);
-    each carries its ``start`` offset for reducers that fold in start
+    schemes.  Results are returned in flow order (``schemes`` order);
+    each carries its ``start`` time for reducers that fold in start
     order.
     """
     spec: Scenario = (scenario if isinstance(scenario, Scenario)
                       else get_scenario(scenario))
-    factories = [cc_factory(name) for name in schemes]
     sim = Simulator()
     topo = Topology(sim)
     rng = RngRegistry(seed)
@@ -106,7 +91,11 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
     elif len(access_delays) != len(schemes):
         raise ValueError(f"{len(access_delays)} access delays for "
                          f"{len(schemes)} flows")
-    sources, sinks = [], []
+
+    def stack(host, stream: str) -> TCPProtocol:
+        return TCPProtocol(host, rng=random.Random(rng.stream(stream).random()))
+
+    stacks = []
     for i, access_delay in enumerate(access_delays):
         src = topo.add_host(f"S{i}")
         dst = topo.add_host(f"D{i}")
@@ -114,56 +103,25 @@ def run_cohort(schemes: Sequence[str], scenario: Union[str, Scenario],
                       queue_capacity=None, name=f"access{i}")
         topo.add_link(r2, dst, bandwidth=mbps(10), delay=EGRESS_DELAY,
                       queue_capacity=None, name=f"egress{i}")
-        sources.append(src)
-        sinks.append(dst)
+        stacks.append((stack(src, f"timer/s{i}"), stack(dst, f"timer/d{i}")))
     topo.build_routes()
 
     stagger = rng.stream("stagger")
-    transfers: List[BulkTransfer] = [None] * len(schemes)
-    starts: List[float] = []
-    for i, factory in enumerate(factories):
-        sproto = TCPProtocol(sources[i], rng=random.Random(
-            rng.stream(f"timer/s{i}").random()))
-        dproto = TCPProtocol(sinks[i], rng=random.Random(
-            rng.stream(f"timer/d{i}").random()))
-        BulkSink(dproto, DFLT.TRANSFER_PORT)
-        delay = stagger.uniform(0.0, 0.25)
-        starts.append(delay)
-
-        def _start(slot=i, proto=sproto, dst_name=sinks[i].name,
-                   make_cc=factory) -> None:
-            transfers[slot] = BulkTransfer(proto, dst_name,
-                                           DFLT.TRANSFER_PORT,
-                                           spec.transfer_bytes, cc=make_cc())
-
-        sim.schedule_anon(delay, _start)
+    transfers = [start_measured_transfer(src, dst, scheme,
+                                         spec.transfer_bytes,
+                                         start_at=stagger.uniform(0.0, 0.25))
+                 for scheme, (src, dst) in zip(schemes, stacks)]
     sim.run(until=spec.horizon)
-
-    outcomes: List[FlowOutcome] = []
-    for scheme, transfer, start in zip(schemes, transfers, starts):
-        stats = transfer.conn.stats
-        rtt_mean = stats.rtt_mean
-        outcomes.append(FlowOutcome(
-            scheme=scheme,
-            throughput_kbps=stats.throughput_kbps(),
-            retransmit_kb=stats.retransmitted_kb(),
-            coarse_timeouts=stats.coarse_timeouts,
-            rtt_mean_ms=(rtt_mean or 0.0) * 1000.0,
-            done=transfer.done,
-            start=start,
-        ))
-    return outcomes
+    return [TransferResult.from_transfer(transfer, scheme)
+            for scheme, transfer in zip(schemes, transfers)]
 
 
-def _flow_metrics(prefix: str, flow: FlowOutcome) -> Dict[str, float]:
+def _flow_metrics(prefix: str, flow: TransferResult) -> Dict[str, float]:
     key = f"{prefix}_" if prefix else ""
-    return {
-        f"{key}throughput_kbps": flow.throughput_kbps,
-        f"{key}retransmit_kb": flow.retransmit_kb,
-        f"{key}coarse_timeouts": float(flow.coarse_timeouts),
-        f"{key}rtt_mean_ms": flow.rtt_mean_ms,
-        f"{key}completed": 1.0 if flow.done else 0.0,
-    }
+    return {**flow.metrics(key),
+            f"{key}coarse_timeouts": float(flow.coarse_timeouts),
+            f"{key}rtt_mean_ms": flow.rtt_mean_ms,
+            f"{key}completed": 1.0 if flow.done else 0.0}
 
 
 def arena_solo(scheme: str, scenario: str, seed: int) -> Dict[str, float]:
@@ -200,7 +158,7 @@ def arena_mix(scheme: str, cross: str, n_cross: int, scenario: str,
     cross_total = fold_sum(cohort_rates)
     metrics["cross_throughput_kbps"] = cross_total
     metrics["cross_mean_throughput_kbps"] = cross_total / len(cohort)
-    metrics["cross_retransmit_kb"] = fold_sum(f.retransmit_kb
+    metrics["cross_retransmit_kb"] = fold_sum(f.retransmitted_kb
                                               for f in cohort)
     metrics["cross_completed"] = (
         1.0 if all(f.done for f in cohort) else 0.0)

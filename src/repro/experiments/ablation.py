@@ -68,9 +68,8 @@ def double_loss(scheme: str, seed: int = 3) -> Dict[str, float]:
     multi-drop case §3.1's fine-grained retransmit repairs and Reno
     recovers only by a coarse timeout."""
     net = build_figure5(buffers=30, seed=seed)
-    holder = start_measured_transfer(net, ablation_cc(scheme), kb(128),
-                                     src="Host1a", dst="Host1b",
-                                     sndbuf=kb(6), rcvbuf=kb(6))
+    transfer = start_measured_transfer(*net.pair(1), ablation_cc(scheme),
+                                       kb(128), sndbuf=kb(6), rcvbuf=kb(6))
     queue = net.forward_queue
     original = queue.offer
     drops = []
@@ -84,7 +83,7 @@ def double_loss(scheme: str, seed: int = 3) -> Dict[str, float]:
 
     queue.offer = lossy
     net.sim.run(until=120.0)
-    return {**transfer_metrics(TransferResult.from_transfer(holder[0])),
+    return {**transfer_metrics(TransferResult.from_transfer(transfer)),
             "drops": len(drops)}
 
 

@@ -64,16 +64,14 @@ def run_with_background(transfer_cc: CCSpec, background_cc: CCSpec = "reno",
     if two_way:
         net.start_traffic("Host3b", "Host3a", bg_factory,
                           stream="traffic-reverse", arrival_mean=arrival_mean)
-    holder = start_measured_transfer(net, transfer_cc, size,
-                                     src="Host2a", dst="Host2b",
-                                     start_at=transfer_start, tracer=tracer)
+    transfer = start_measured_transfer(*net.pair(2), transfer_cc, size,
+                                       start_at=transfer_start, tracer=tracer)
     net.sim.run(until=horizon)
     end = min(horizon, net.sim.now)
-    name = transfer_cc if isinstance(transfer_cc, str) else "custom"
     return BackgroundRunResult(
-        transfer=TransferResult.from_transfer(holder[0], name),
+        transfer=TransferResult.from_transfer(transfer, transfer_cc),
         background_throughput_kbps=generator.throughput_kbps(0.0, end),
-        background_conversations=len(generator.conversations),
+        background_conversations=generator.started_count(),
     )
 
 
@@ -105,6 +103,6 @@ def run_world(cc: CCSpec, buffers: int = DFLT.DEFAULT_BUFFERS,
         goodput_kbps=generator.throughput_kbps(0.0, duration),
         retransmit_kb=generator.total_retransmitted_kb(),
         coarse_timeouts=generator.total("coarse_timeouts"),
-        conversations=len(generator.conversations),
+        conversations=generator.started_count(),
         telnet_samples=generator.telnet_response_times(),
     )

@@ -48,23 +48,21 @@ def run_join_scenario(cc: CCSpec, join_at: float = 8.0,
                       horizon: float = 120.0) -> JoinResult:
     """Flow A (3 MB) runs alone; flow B (2 MB) joins at *join_at*."""
     net = build_figure5(buffers=buffers, seed=seed)
-    flow_a = start_measured_transfer(net, cc, mb(3), src="Host1a",
-                                     dst="Host1b")[0]
-    flow_b = start_measured_transfer(net, cc, mb(2), src="Host2a",
-                                     dst="Host2b", start_at=join_at)
+    flow_a = start_measured_transfer(*net.pair(1), cc, mb(3))
+    flow_b = start_measured_transfer(*net.pair(2), cc, mb(2), start_at=join_at)
     sampler_a = RateSampler(net.sim,
                             lambda: flow_a.conn.stats.app_bytes_acked,
                             interval=0.25)
     sampler_b = RateSampler(
         net.sim,
-        lambda: (flow_b[0].conn.stats.app_bytes_acked
-                 if flow_b[0] is not None else 0),
+        lambda: (flow_b.conn.stats.app_bytes_acked
+                 if flow_b.conn is not None else 0),
         interval=0.25)
     sampler_a.start()
     sampler_b.start()
     net.sim.run(until=horizon)
     a_done = flow_a.finish_time or horizon
-    b_done = flow_b[0].finish_time or horizon
+    b_done = flow_b.finish_time or horizon
 
     shared_end = min(a_done, b_done)
     name = cc if isinstance(cc, str) else "custom"
@@ -92,10 +90,8 @@ def run_leave_scenario(cc: CCSpec, buffers: int = 20, seed: int = 0,
                        horizon: float = 180.0) -> LeaveResult:
     """A (1 MB) and B (4 MB) start together; A finishes first."""
     net = build_figure5(buffers=buffers, seed=seed)
-    leaver = start_measured_transfer(net, cc, mb(1), src="Host1a",
-                                     dst="Host1b")[0]
-    survivor = start_measured_transfer(net, cc, mb(4), src="Host2a",
-                                       dst="Host2b")[0]
+    leaver = start_measured_transfer(*net.pair(1), cc, mb(1))
+    survivor = start_measured_transfer(*net.pair(2), cc, mb(4))
     sampler = RateSampler(net.sim,
                           lambda: survivor.conn.stats.app_bytes_acked,
                           interval=0.25)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.experiments import defaults as DFLT
 from repro.net.link import PointToPointLink
@@ -51,6 +51,10 @@ class Figure5Network:
 
     def protocol(self, host: str) -> TCPProtocol:
         return self.protocols[host]
+
+    def pair(self, n: int) -> Tuple[TCPProtocol, TCPProtocol]:
+        """The stacks of Host{n}a and Host{n}b, a measured flow's ends."""
+        return self.protocols[f"Host{n}a"], self.protocols[f"Host{n}b"]
 
     def start_traffic(self, src: str, dst: str, cc: Callable, *,
                       arrival_mean: float, stream: str = "traffic",

@@ -17,10 +17,12 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.apps.crosstraffic import CrossTrafficSource
-from repro.experiments import defaults as DFLT
-from repro.experiments.transfers import CCSpec, TransferResult, resolve_cc
+from repro.experiments.transfers import (
+    CCSpec,
+    TransferResult,
+    start_measured_transfer,
+)
 from repro.net.topology import Topology
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -173,16 +175,9 @@ def run_internet_transfer(cc: CCSpec, size: int = kb(1024), seed: int = 0,
                           ) -> TransferResult:
     """One UA→NIH transfer under this seed's cross-traffic conditions."""
     path = build_internet_path(seed=seed)
-    factory = resolve_cc(cc)
-    BulkSink(path.nih, DFLT.TRANSFER_PORT)
     path.start_cross_traffic()
-    holder = [None]
-
-    def _start() -> None:
-        holder[0] = BulkTransfer(path.ua, "NIH", DFLT.TRANSFER_PORT, size,
-                                 cc=factory(), tracer=tracer)
-
-    path.sim.schedule_anon(warmup, _start)
+    transfer = start_measured_transfer(path.ua, path.nih, cc, size,
+                                       start_at=warmup, tracer=tracer)
 
     # Run until the transfer completes (cross traffic never drains the
     # event heap, so poll in slices).
@@ -190,8 +185,7 @@ def run_internet_transfer(cc: CCSpec, size: int = kb(1024), seed: int = 0,
     while t < horizon:
         t = min(t + 10.0, horizon)
         path.sim.run(until=t)
-        if holder[0] is not None and holder[0].done:
+        if transfer.done:
             break
     path.stop_cross_traffic()
-    name = cc if isinstance(cc, str) else "custom"
-    return TransferResult.from_transfer(holder[0], name)
+    return TransferResult.from_transfer(transfer, cc)

@@ -64,7 +64,7 @@ def many_flows_metrics(flows: int, seed: int) -> Dict[str, float]:
     net.sim.run(until=HORIZON)
     end = min(HORIZON, net.sim.now)
     return {
-        "conversations_started": sum(len(g.conversations)
+        "conversations_started": sum(g.started_count()
                                      for g in generators),
         "conversations_finished": sum(g.finished_count()
                                       for g in generators),

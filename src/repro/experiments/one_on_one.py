@@ -31,12 +31,10 @@ class OneOnOneResult:
 
     small: TransferResult
     large: TransferResult
-    small_cc: str
-    large_cc: str
 
     @property
     def combo(self) -> str:
-        return f"{self.small_cc}/{self.large_cc}"
+        return f"{self.small.cc_name}/{self.large.cc_name}"
 
 
 def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
@@ -50,28 +48,22 @@ def run_one_on_one(small_cc: CCSpec, large_cc: CCSpec,
     (the §4.3 variant) until both measured transfers are done.
     """
     net = build_figure5(buffers=buffers, seed=seed)
-    large = start_measured_transfer(net, large_cc, DFLT.LARGE_TRANSFER,
-                                    src="Host1a", dst="Host1b",
-                                    start_at=0.0)
-    small = start_measured_transfer(net, small_cc, DFLT.SMALL_TRANSFER,
-                                    src="Host2a", dst="Host2b",
-                                    start_at=delay)
+    large = start_measured_transfer(*net.pair(1), large_cc,
+                                    DFLT.LARGE_TRANSFER)
+    small = start_measured_transfer(*net.pair(2), small_cc,
+                                    DFLT.SMALL_TRANSFER, start_at=delay)
     if with_background:
         generator = net.start_traffic("Host3a", "Host3b", resolve_cc("reno"),
                                       arrival_mean=arrival_mean)
 
         def stop_when_done() -> None:
-            if all(t[0] is not None and t[0].done for t in (small, large)):
+            if small.done and large.done:
                 generator.stop()
             else:
                 net.sim.schedule_anon(1.0, stop_when_done)
 
         net.sim.schedule_anon(1.0, stop_when_done)
     net.sim.run(until=horizon)
-    small_name = small_cc if isinstance(small_cc, str) else "custom"
-    large_name = large_cc if isinstance(large_cc, str) else "custom"
     return OneOnOneResult(
-        small=TransferResult.from_transfer(small[0], small_name),
-        large=TransferResult.from_transfer(large[0], large_name),
-        small_cc=small_name, large_cc=large_name,
-    )
+        small=TransferResult.from_transfer(small, small_cc),
+        large=TransferResult.from_transfer(large, large_cc))

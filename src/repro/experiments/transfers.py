@@ -1,11 +1,11 @@
-"""Measured-transfer driver and result records.
+"""The measured flow: one starter and one per-flow record.
 
 Every table in the paper reports the same per-transfer metrics:
 throughput (KB/s), kilobytes retransmitted, and (Tables 2/4/5) the
-number of coarse-grained timeouts.  :class:`TransferResult` captures
-those from a finished :class:`~repro.apps.bulk.BulkTransfer`, and
-:func:`start_measured_transfer` wires a transfer into a Figure-5
-network with a sink on the destination host.
+number of coarse-grained timeouts.  :func:`start_measured_transfer`
+starts every measured flow of every topology — Figure 5, the emulated
+Internet path and the arena's dumbbell — and :class:`TransferResult`
+is the one record each flow's metrics are read from.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ from typing import Callable, Dict, Optional, Union
 
 from repro.apps.bulk import BulkSink, BulkTransfer
 from repro.core.registry import cc_factory
+from repro.errors import ConfigurationError
 from repro.experiments import defaults as DFLT
-from repro.experiments.figure5 import Figure5Network, build_figure5
+from repro.experiments.figure5 import build_figure5
+from repro.tcp.protocol import TCPProtocol
 from repro.trace.tracer import ConnectionTracer
 
 CCSpec = Union[str, Callable]
@@ -31,7 +33,7 @@ def resolve_cc(cc: CCSpec) -> Callable:
 
 @dataclass
 class TransferResult:
-    """The paper's per-transfer metrics."""
+    """The paper's per-transfer metrics, one record per measured flow."""
 
     cc_name: str
     size_bytes: int
@@ -42,13 +44,21 @@ class TransferResult:
     fast_retransmits: int
     fine_retransmits: int
     duration: Optional[float]
+    rtt_mean_ms: float
+    start: float                # when the connection opened
 
     @classmethod
     def from_transfer(cls, transfer: BulkTransfer,
-                      cc_name: str = "") -> "TransferResult":
+                      cc: CCSpec = "") -> "TransferResult":
+        """The flow's record; a registry name *cc* names it, else its
+        controller's own ``name`` does."""
+        if transfer.conn is None:
+            raise ConfigurationError(
+                "the measured transfer never opened before the run ended")
         stats = transfer.conn.stats
         return cls(
-            cc_name=cc_name or type(transfer.conn.cc).name,
+            cc_name=(cc if cc and isinstance(cc, str)
+                     else type(transfer.conn.cc).name),
             size_bytes=transfer.total_bytes,
             done=transfer.done,
             throughput_kbps=stats.throughput_kbps(),
@@ -57,45 +67,32 @@ class TransferResult:
             fast_retransmits=stats.fast_retransmits,
             fine_retransmits=stats.fine_retransmits,
             duration=stats.transfer_seconds,
+            rtt_mean_ms=(stats.rtt_mean or 0.0) * 1000.0,
+            start=stats.open_time,
         )
 
-    def metrics(self) -> Dict[str, float]:
+    def metrics(self, prefix: str = "") -> Dict[str, float]:
         """The flat metrics every harness cell reports for a transfer."""
         return {
-            "throughput_kbps": self.throughput_kbps,
-            "retransmit_kb": self.retransmitted_kb,
-            "coarse_timeouts": self.coarse_timeouts,
+            f"{prefix}throughput_kbps": self.throughput_kbps,
+            f"{prefix}retransmit_kb": self.retransmitted_kb,
+            f"{prefix}coarse_timeouts": self.coarse_timeouts,
         }
 
 
-def start_measured_transfer(net: Figure5Network, cc: CCSpec,
-                            size: int,
-                            src: str = "Host2a", dst: str = "Host2b",
-                            port: int = DFLT.TRANSFER_PORT,
+def start_measured_transfer(src: TCPProtocol, dst: TCPProtocol,
+                            cc: CCSpec, size: int,
                             start_at: float = 0.0,
-                            sndbuf: int = DFLT.SOCKBUF,
-                            rcvbuf: int = DFLT.SOCKBUF,
-                            tracer: Optional[ConnectionTracer] = None):
-    """Install a sink on *dst* and schedule a bulk transfer from *src*.
+                            **conn_options) -> BulkTransfer:
+    """Install a sink on *dst* and a *size*-byte transfer from *src*
+    that opens ``start_at`` seconds from now.
 
-    Returns a one-element list that will hold the
-    :class:`BulkTransfer` once it starts (transfers started at
-    ``start_at > 0`` do not exist until then).
+    *conn_options* (``sndbuf``, ``rcvbuf``, ``tracer``, ...) go to the
+    sender's connection; its controller is built as it opens.
     """
-    factory = resolve_cc(cc)
-    BulkSink(net.protocol(dst), port)
-    holder = [None]
-
-    def _start() -> None:
-        holder[0] = BulkTransfer(net.protocol(src), dst, port, size,
-                                 cc=factory(), sndbuf=sndbuf, rcvbuf=rcvbuf,
-                                 tracer=tracer)
-
-    if start_at <= 0:
-        _start()
-    else:
-        net.sim.schedule_anon(start_at, _start)
-    return holder
+    BulkSink(dst, DFLT.TRANSFER_PORT)
+    return BulkTransfer(src, dst.host.name, DFLT.TRANSFER_PORT, size,
+                        cc=resolve_cc(cc), start_at=start_at, **conn_options)
 
 
 def run_solo_transfer(cc: CCSpec, size: int = DFLT.LARGE_TRANSFER,
@@ -107,10 +104,8 @@ def run_solo_transfer(cc: CCSpec, size: int = DFLT.LARGE_TRANSFER,
                       ) -> TransferResult:
     """One transfer, no competing traffic (the Figure 6/7 scenario)."""
     net = build_figure5(buffers=buffers, seed=seed)
-    holder = start_measured_transfer(net, cc, size, src="Host1a",
-                                     dst="Host1b", sndbuf=sndbuf,
-                                     tracer=tracer)
+    transfer = start_measured_transfer(*net.pair(1), cc, size,
+                                       sndbuf=sndbuf, tracer=tracer)
     net.sim.run(until=horizon)
-    name = cc if isinstance(cc, str) else ""
-    return TransferResult.from_transfer(holder[0], cc_name=name)
+    return TransferResult.from_transfer(transfer, cc)
 

@@ -81,19 +81,8 @@ def _table1_cell(small: str, large: str, buffers: int, delay: float,
                  seed: int) -> Dict[str, float]:
     from repro.experiments.one_on_one import run_one_on_one
 
-    return _one_on_one_metrics(
-        run_one_on_one(small, large, delay, buffers, seed=seed))
-
-
-def _one_on_one_metrics(result) -> Dict[str, float]:
-    return {
-        "small_throughput_kbps": result.small.throughput_kbps,
-        "small_retransmit_kb": result.small.retransmitted_kb,
-        "small_coarse_timeouts": result.small.coarse_timeouts,
-        "large_throughput_kbps": result.large.throughput_kbps,
-        "large_retransmit_kb": result.large.retransmitted_kb,
-        "large_coarse_timeouts": result.large.coarse_timeouts,
-    }
+    run = run_one_on_one(small, large, delay, buffers, seed=seed)
+    return {**run.small.metrics("small_"), **run.large.metrics("large_")}
 
 
 def _table2_cell(proto: str, buffers: int, seed: int) -> Dict[str, float]:
@@ -134,8 +123,9 @@ def _table1bg_cell(small: str, large: str, buffers: int, delay: float,
     """§4.3 "One-on-One Experiments with background traffic"."""
     from repro.experiments.one_on_one import run_one_on_one
 
-    return _one_on_one_metrics(run_one_on_one(
-        small, large, delay, buffers, seed=seed, with_background=True))
+    run = run_one_on_one(small, large, delay, buffers, seed=seed,
+                         with_background=True)
+    return {**run.small.metrics("small_"), **run.large.metrics("large_")}
 
 
 def _traced_metrics(graph, result) -> Dict[str, float]:
@@ -257,7 +247,7 @@ def _fairness_cell(cc: str, count: int, mixed: bool,
     return {
         "fairness_index": jain_fairness_index(throughputs),
         "aggregate_throughput_kbps": fold_sum(throughputs),
-        "retransmit_kb": fold_sum(flow.retransmit_kb for flow in flows),
+        "retransmit_kb": fold_sum(flow.retransmitted_kb for flow in flows),
         "coarse_timeouts": sum(flow.coarse_timeouts for flow in flows),
         "all_done": float(all(flow.done for flow in flows)),
     }

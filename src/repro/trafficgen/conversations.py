@@ -33,13 +33,15 @@ class Conversation:
 
     def __init__(self, protocol: TCPProtocol, server_addr: str,
                  rng: random.Random, cc_factory: Callable,
-                 on_finished: Optional[Callable[["Conversation"], None]] = None):
+                 on_spent: Optional[Callable[["Conversation"], None]] = None):
         self.protocol = protocol
         self.sim = protocol.sim
         self.server_addr = server_addr
         self.rng = rng
         self.cc_factory = cc_factory
-        self.on_finished = on_finished
+        #: Called once the conversation has finished and its last
+        #: endpoint has closed: nothing it counts can change after.
+        self.on_spent = on_spent
         self.started_at: Optional[float] = None
         self.finished_at: Optional[float] = None
         self.bytes_offered = 0
@@ -72,6 +74,7 @@ class Conversation:
         self.connections.remove(conn)
         if self.conn is conn:
             self.conn = None
+        self._check_spent()
 
     def total(self, counter: str) -> int:
         """One of :data:`TOTALS` over every endpoint opened."""
@@ -82,8 +85,11 @@ class Conversation:
         if self.finished:
             return
         self.finished_at = self.sim.now
-        if self.on_finished is not None:
-            self.on_finished(self)
+        self._check_spent()
+
+    def _check_spent(self) -> None:
+        if self.finished and not self.connections and self.on_spent:
+            self.on_spent(self)
 
     @property
     def duration(self) -> Optional[float]:

@@ -21,7 +21,11 @@ from repro.sim.rng import weighted_choice
 from repro.tcp.connection import TCPConnection
 from repro.tcp.protocol import TCPProtocol
 from repro.trafficgen import distributions as D
-from repro.trafficgen.conversations import CONVERSATION_TYPES, Conversation
+from repro.trafficgen.conversations import (
+    CONVERSATION_TYPES,
+    TOTALS,
+    Conversation,
+)
 from repro.units import bytes_to_kb
 
 
@@ -98,8 +102,13 @@ class TrafficGenerator:
         self.arrival_mean = arrival_mean
         self.mix = dict(mix) if mix is not None else dict(D.DEFAULT_MIX)
         self.max_conversations = max_conversations
-        self.conversations: List[Conversation] = []
+        #: The conversations not yet spent (finished with every endpoint
+        #: closed), in start order; a spent one's totals and TELNET
+        #: samples are folded into the generator and it is let go.
+        self.live: Dict[Conversation, None] = {}
         self.started_by_type: Dict[str, int] = {k: 0 for k in self.mix}
+        self._spent_totals = dict.fromkeys(TOTALS, 0)
+        self._spent_telnet: List[float] = []
         self._running = False
 
     # ------------------------------------------------------------------
@@ -143,7 +152,7 @@ class TrafficGenerator:
         if not self._running:
             return
         if (self.max_conversations is not None
-                and len(self.conversations) >= self.max_conversations):
+                and self.started_count() >= self.max_conversations):
             self._running = False
             return
         self._start_conversation()
@@ -154,17 +163,33 @@ class TrafficGenerator:
         kind = weighted_choice(self.rng, self.mix)
         conv_cls = CONVERSATION_TYPES[kind]
         conv = conv_cls(self.client, self.server_addr, self.rng,
-                        self.cc_factory)
-        self.conversations.append(conv)
+                        self.cc_factory, on_spent=self._fold_spent)
+        self.live[conv] = None
         self.started_by_type[kind] += 1
         conv.start()
+
+    def _fold_spent(self, conv: Conversation) -> None:
+        del self.live[conv]
+        for counter in TOTALS:
+            self._spent_totals[counter] += conv.total(counter)
+        if conv.kind == "telnet":
+            self._spent_telnet.extend(conv.response_times)
 
     # ------------------------------------------------------------------
     # Statistics (Table 3 / Figure 9 / §6)
     # ------------------------------------------------------------------
+    def started_count(self) -> int:
+        return sum(self.started_by_type.values())
+
+    def finished_count(self) -> int:
+        # Every conversation not live is spent, hence finished.
+        return self.started_count() - sum(
+            1 for c in self.live if not c.finished)
+
     def total(self, counter: str) -> int:
         """One of ``conversations.TOTALS`` over every conversation."""
-        return sum(conv.total(counter) for conv in self.conversations)
+        return self._spent_totals[counter] + sum(
+            conv.total(counter) for conv in self.live)
 
     def throughput_kbps(self, t_start: float, t_end: float) -> float:
         """Aggregate background goodput over [t_start, t_end] in KB/s."""
@@ -178,11 +203,8 @@ class TrafficGenerator:
 
     def telnet_response_times(self) -> List[float]:
         """All keystroke→echo latencies measured so far (§6 metric)."""
-        samples: List[float] = []
-        for conv in self.conversations:
+        samples = list(self._spent_telnet)
+        for conv in self.live:
             if conv.kind == "telnet":
                 samples.extend(conv.response_times)
         return samples
-
-    def finished_count(self) -> int:
-        return sum(1 for c in self.conversations if c.finished)

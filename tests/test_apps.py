@@ -23,8 +23,8 @@ class TestBulkTransfer:
         assert transfer.done
         assert transfer.finish_time is not None
         assert sink.bytes_received == 20 * 1024
-        assert transfer.throughput_kbps > 0
-        assert transfer.coarse_timeouts == 0
+        assert transfer.conn.stats.throughput_kbps() > 0
+        assert transfer.conn.stats.coarse_timeouts == 0
 
     def test_on_done_callback(self):
         pair = make_pair()

@@ -402,7 +402,7 @@ class TestCohort:
 
     def test_flow_order_matches_schemes(self):
         flows = run_cohort(["vegas", "reno"], "smoke", seed=0)
-        assert [f.scheme for f in flows] == ["vegas", "reno"]
+        assert [f.cc_name for f in flows] == ["vegas", "reno"]
 
     def test_mix_rejects_empty_cohort(self):
         from repro.arena.cells import arena_mix

@@ -91,8 +91,8 @@ class TestFaultedDifferential:
             faulted["reno"].conn.stats.retransmitted_kb()
 
     def test_vegas_throughput_at_least_reno(self, faulted):
-        assert faulted["vegas"].throughput_kbps >= \
-            faulted["reno"].throughput_kbps
+        assert faulted["vegas"].conn.stats.throughput_kbps() >= \
+            faulted["reno"].conn.stats.throughput_kbps()
 
     def test_vegas_timeouts_no_more_than_reno(self, faulted):
         assert faulted["vegas"].conn.stats.coarse_timeouts <= \

@@ -940,6 +940,113 @@ class TestLocalPathIsTheMaster:
         assert lost["kind"] == "worker-lost"
         assert "deaf" in lost["message"] and "write failed" in lost["message"]
 
+    @staticmethod
+    def _hostile_peer(talk):
+        """Start a peer that knocks while w1 is busy on seed 0 and runs
+        ``talk(peer, reader)``; returns ``(port, thread, heard)``, with
+        every line the master sent it in *heard*."""
+        port = _free_port()
+        heard = []
+
+        def attach():
+            time.sleep(0.3)                    # w1 is busy on seed 0 by now
+            with socket.create_connection(("127.0.0.1", port)) as peer:
+                peer.settimeout(5.0)
+                reader = peer.makefile("rb")
+                talk(peer, reader)
+                try:
+                    heard.extend(reader.readlines())    # until hung up on
+                except OSError:
+                    pass
+
+        thread = threading.Thread(target=attach, daemon=True)
+        thread.start()
+        return port, thread, heard
+
+    @pytest.mark.parametrize("hello", ["wrong-version", "duplicate-id"])
+    def test_refused_hello_gets_no_grant(self, hello, capfd):
+        def talk(peer, reader):
+            if hello == "wrong-version":
+                message = dict(protocol.hello("old", 0),
+                               version="repro-dist/v0")
+            else:
+                message = protocol.hello("w1", 0)     # w1 is connected
+            peer.sendall(protocol.encode(message))
+
+        port, thread, heard = self._hostile_peer(talk)
+        cells = [chaos("ok", delay=1.0, seed=0), chaos("ok", seed=1)]
+        settled = []
+        ok, fail, _ = run_distributed(
+            cells, timeout_s=30.0, retries=1, workers=1,
+            bind=f"127.0.0.1:{port}", on_result=settled.append, **FAST)
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        replies = [protocol.decode(line) for line in heard]
+        if hello == "wrong-version":
+            assert replies == []               # hung up on, nothing sent
+        else:
+            assert replies == [protocol.shutdown("duplicate worker id 'w1'")]
+        assert not fail
+        assert sorted(r.key for r in settled) == sorted(c.key for c in cells)
+        assert all(r.worker == "w1" and r.attempts == 1 for r in ok)
+        assert not _has_children()
+        assert "Traceback" not in capfd.readouterr().err
+
+    def test_result_for_a_lease_the_peer_does_not_hold_is_stale(
+            self, tmp_path, capfd):
+        # The peer is granted seed 1 (L2) while w1 holds seed 0 (L1).
+        # It files a result for w1's lease and one for a lease nobody
+        # was granted, then hangs up: both are stale, neither reaches
+        # the cache, w1's own result for L1 settles, and seed 1 is
+        # revoked from the peer and completes on w1.
+        def talk(peer, reader):
+            peer.sendall(protocol.encode(protocol.hello("evil", 0)))
+            grant = protocol.decode(reader.readline())
+            assert grant["type"] == "grant" and grant["lease_id"] == "L2"
+            for lease_id in ("L1", "L99"):
+                peer.sendall(protocol.encode(protocol.result(
+                    "evil", lease_id, grant["key"], {"value": -1.0}, 0.0)))
+            peer.shutdown(socket.SHUT_WR)
+
+        port, thread, heard = self._hostile_peer(talk)
+        cache = ResultCache(str(tmp_path / "cache"), "hash")
+        written = []
+        put = cache.put
+
+        def recording_put(key, payload):
+            written.append(key)
+            put(key, payload)
+
+        cache.put = recording_put
+        telemetry = str(tmp_path / "events.jsonl")
+        cells = [chaos("ok", delay=1.0, seed=0), chaos("ok", seed=1)]
+        report = run_cells(
+            cells, jobs=1, cache=cache, backend="dist", timeout_s=30.0,
+            retries=1, backoff_base=FAST["backoff_base"],
+            telemetry=telemetry,
+            dist_options=dict(workers=1, bind=f"127.0.0.1:{port}",
+                              **FAST_OPTS))
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        assert not report.failures
+        assert sorted(written) == sorted(c.key for c in cells)
+        for cell in cells:
+            assert cache.get(cell.key)["metrics"] == {
+                "value": float(cell.as_dict()["seed"]), "chaos": 0.0}
+        first, second = (next(r for r in report.results if r.key == c.key)
+                         for c in cells)
+        assert (first.worker, first.attempts) == ("w1", 1)
+        assert (second.worker, second.attempts) == ("w1", 2)
+        (lost,) = second.attempt_log
+        assert lost["kind"] == "worker-lost" and "evil" in lost["message"]
+        events = load_events(telemetry)
+        stale = [e for e in events if e["event"] == "dist.stale"]
+        assert [e["worker"] for e in stale] == ["evil", "evil"]
+        (end,) = [e for e in events if e["event"] == "dist.end"]
+        assert end["stale_results"] == 2
+        assert not _has_children()
+        assert "Traceback" not in capfd.readouterr().err
+
 
 # ----------------------------------------------------------------------
 # Backend parity: one policy, whichever settings the master ran with

@@ -236,8 +236,9 @@ class TestManyFlowsDifferential:
         from repro.faults import injecting
         from repro.trafficgen.conversations import Conversation
 
-        # A conversation lets go of an endpoint once it closes; keep
-        # every one opened here so the closed ones are compared too.
+        # A conversation lets go of an endpoint once it closes, and the
+        # generator of a spent conversation; keep every endpoint opened
+        # here, by conversation in opening order, so all are compared.
         opened = {}
         real_open = Conversation._open
 
@@ -264,18 +265,17 @@ class TestManyFlowsDifferential:
                 gen.stop()
 
         per_conn = []
-        for gen in generators:
-            for conv in gen.conversations:
-                for conn in opened[conv]:
-                    stats = conn.stats
-                    per_conn.append((
-                        conv.kind, conv.finished,
-                        conn.snd_una, conn.snd_nxt,
-                        stats.app_bytes_acked, stats.retransmitted_bytes,
-                        stats.fast_retransmits, stats.fine_retransmits,
-                        stats.rtt_samples, stats.rtt_min,
-                        stats.last_ack_time,
-                    ))
+        for conv, conns in opened.items():
+            for conn in conns:
+                stats = conn.stats
+                per_conn.append((
+                    conv.kind, conv.finished,
+                    conn.snd_una, conn.snd_nxt,
+                    stats.app_bytes_acked, stats.retransmitted_bytes,
+                    stats.fast_retransmits, stats.fine_retransmits,
+                    stats.rtt_samples, stats.rtt_min,
+                    stats.last_ack_time,
+                ))
         return net.sim.events_processed, net.sim.now, tuple(per_conn)
 
     @settings(max_examples=8, deadline=None,

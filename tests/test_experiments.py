@@ -7,6 +7,7 @@ import pytest
 
 from repro.arena.cells import run_cohort
 from repro.arena.scenarios import get_scenario
+from repro.errors import ConfigurationError
 from repro.experiments import defaults as DFLT
 from repro.experiments.background import run_with_background, run_world
 from repro.experiments.figure5 import HOST_NAMES, build_figure5
@@ -55,6 +56,19 @@ class TestSoloTransfers:
         result = run_solo_transfer(lambda: VegasCC(alpha=1, beta=3),
                                    size=kb(100))
         assert result.done
+
+
+class TestNeverOpened:
+    """A measured transfer whose start falls after the run's end has
+    no connection to report: a typed error says so."""
+
+    def test_background_transfer_after_the_horizon(self):
+        with pytest.raises(ConfigurationError, match="never opened"):
+            run_with_background("vegas", transfer_start=50.0, horizon=10.0)
+
+    def test_internet_transfer_after_the_horizon(self):
+        with pytest.raises(ConfigurationError, match="never opened"):
+            run_internet_transfer("vegas", warmup=5.0, horizon=4.0)
 
 
 class TestOneOnOne:

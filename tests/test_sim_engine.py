@@ -456,17 +456,18 @@ class TestSourceGuard:
 
     def test_one_traffic_starter_and_one_transfer_starter(self):
         """Every Figure-5 experiment starts its tcplib TRAFFIC through
-        ``Figure5Network.start_traffic`` and its measured flows through
-        ``transfers.start_measured_transfer``: no driver wires a
-        generator, a server or a bulk transfer by hand."""
+        ``Figure5Network.start_traffic``, and every measured flow of
+        every topology starts through
+        ``transfers.start_measured_transfer`` and is read through its
+        one record, ``TransferResult``: nothing else in ``src/`` wires
+        a generator, a server, a bulk transfer or a sink by hand."""
         traffic = {rel for rel, _, _
                    in self._matches(r"\bTraffic(Generator|Server)\(")
                    if not rel.startswith("trafficgen/")}
         assert traffic == {"experiments/figure5.py"}
-        transfers = {rel for rel, _, _ in self._matches(r"\bBulkTransfer\(")
-                     if rel.startswith("experiments/")}
-        assert transfers == {"experiments/internet.py",
-                             "experiments/transfers.py"}
+        bulk = {rel for rel, _, _ in self._matches(r"\bBulk(Transfer|Sink)\(")}
+        assert bulk == {"experiments/transfers.py"}
+        assert self._matches(r"\bFlowOutcome\b") == []
 
     def test_one_transport(self):
         """A supervised cell travels one way — socket workers under the

@@ -538,9 +538,9 @@ class TestConstantTraceDifferential:
         static = run_cohort(["vegas", "reno"], "smoke", seed=1)
         _constant_trace_everywhere(monkeypatch)
         traced = run_cohort(["vegas", "reno"], "smoke", seed=1)
-        assert [(f.throughput_kbps, f.rtt_mean_ms, f.retransmit_kb)
+        assert [(f.throughput_kbps, f.rtt_mean_ms, f.retransmitted_kb)
                 for f in static] == \
-            [(f.throughput_kbps, f.rtt_mean_ms, f.retransmit_kb)
+            [(f.throughput_kbps, f.rtt_mean_ms, f.retransmitted_kb)
              for f in traced]
 
 

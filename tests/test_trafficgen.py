@@ -2,12 +2,15 @@
 
 import gc
 import random
+import weakref
+from unittest import mock
 
 from repro.core.reno import RenoCC
 from repro.sim.rng import RngRegistry
 from repro.trafficgen import distributions as D
 from repro.trafficgen.conversations import (
     TOTALS,
+    Conversation,
     FtpConversation,
     NntpConversation,
     SmtpConversation,
@@ -125,9 +128,9 @@ class TestGenerator:
         generator.start()
         pair.sim.run(until=20.0)
         generator.stop()
-        assert len(generator.conversations) >= 10
+        assert generator.started_count() >= 10
         assert sum(generator.started_by_type.values()) == \
-            len(generator.conversations)
+            generator.started_count()
 
     def test_deterministic_given_seed(self):
         counts = []
@@ -145,7 +148,7 @@ class TestGenerator:
         server, generator = wire_traffic(pair, max_conversations=5)
         generator.start()
         pair.sim.run(until=60.0)
-        assert len(generator.conversations) <= 5
+        assert generator.started_count() <= 5
 
     def test_throughput_and_retransmit_accounting(self):
         pair = make_pair(queue_capacity=30)
@@ -164,7 +167,7 @@ class TestGenerator:
         generator.start()
         pair.sim.run(until=20.0)
         generator.stop()
-        assert generator.started_by_type["smtp"] == len(generator.conversations)
+        assert generator.started_by_type["smtp"] == generator.started_count()
         assert generator.started_by_type["smtp"] > 0
 
     def test_totals_fold_every_endpoint_opened(self):
@@ -183,8 +186,7 @@ class TestGenerator:
         generator.stop()
         closed = [c for c in opened if c.is_closed]
         assert closed and len(closed) < len(opened)
-        open_now = [c for conv in generator.conversations
-                    for c in conv.connections]
+        open_now = [c for conv in generator.live for c in conv.connections]
         assert sorted(map(id, open_now)) == sorted(
             id(c) for c in opened if not c.is_closed)
         for counter in TOTALS:
@@ -219,3 +221,42 @@ class TestGenerator:
                 gc.enable()
         assert generator.finished_count() > 50
         assert alive and not [c for c in alive if c.is_closed]
+
+    def test_spent_conversations_are_freed(self):
+        """With the cyclic collector off, a conversation that has
+        finished and closed its last endpoint is freed by refcounting:
+        the generator keeps its counts and totals, not the object."""
+        refs, stats = [], []
+        init, real_open = Conversation.__init__, Conversation._open
+
+        def tracking_init(conv, *args, **kwargs):
+            init(conv, *args, **kwargs)
+            refs.append(weakref.ref(conv))
+
+        def keeping_stats(conv, port, **options):
+            conn = real_open(conv, port, **options)
+            stats.append(conn.stats)
+            return conn
+
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            with mock.patch.object(Conversation, "__init__", tracking_init), \
+                    mock.patch.object(Conversation, "_open", keeping_stats):
+                pair = make_pair(queue_capacity=5)
+                server, generator = wire_traffic(pair, arrival_mean=0.2)
+                generator.start()
+                pair.sim.run(until=30.0)
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert generator.started_count() == len(refs) > 50
+        assert generator.finished_count() > len(generator.live) > 0
+        assert alive == list(generator.live)
+        assert all(not (c.finished and not c.connections) for c in alive)
+        for counter in TOTALS:
+            assert generator.total(counter) == sum(
+                getattr(s, counter) for s in stats)
+        assert generator.total("retransmitted_bytes") > 0
