@@ -29,11 +29,11 @@ Fault semantics:
 
 from __future__ import annotations
 
-import hashlib
 import random
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
+from repro.digest import sha256
 from repro.faults.plan import FaultPlan
 from repro.net.packet import Packet
 from repro.sim.observers import Instrument, armed
@@ -43,7 +43,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 def _channel_rng(seed: int, name: str) -> random.Random:
-    digest = hashlib.sha256(f"{seed}/{name}".encode()).digest()
+    digest = sha256(f"{seed}/{name}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 

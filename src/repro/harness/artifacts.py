@@ -20,11 +20,11 @@ they describe what could *not* be computed.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from typing import Any, Dict, List, Optional
 
+from repro.digest import sha256
 from repro.errors import ReproError
 
 #: Bump on any change to the document layout or cell key format.
@@ -93,7 +93,7 @@ def cells_fingerprint(doc: Dict[str, Any]) -> str:
                "params": c["params"], "metrics": c["metrics"]}
               for c in sorted(doc["cells"], key=lambda c: c["key"])]
     blob = json.dumps(stable, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def write_text(path: str, text: str) -> None:

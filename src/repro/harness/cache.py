@@ -16,22 +16,23 @@ collision is detected rather than silently served.  An entry that is
 not a cell record (:func:`~repro.harness.artifacts.cell_problem`) is a
 miss, like one that is not UTF-8 JSON at all or not a readable file.
 
-A hit is one ``sha256`` of the key, one unbuffered ``os.read`` of the
-entry and one ``json.loads`` of its text: no file object, no text
-layer, no incremental decoder.  An entry is written through tmp +
-rename (:func:`~repro.harness.artifacts.write_text`), so a reader
-never sees a torn one, and a cache directory that cannot be created
-or written is a :class:`~repro.errors.ReproError` naming it.
+A hit is one unbuffered ``os.read`` of the entry and one
+``json.loads`` of its text: no file object, no text layer, no
+incremental decoder.  The ``sha256`` of the key that names the entry
+is computed once per cache object and remembered.  An entry is written
+through tmp + rename (:func:`~repro.harness.artifacts.write_text`), so
+a reader never sees a torn one, and a cache directory that cannot be
+created or written is a :class:`~repro.errors.ReproError` naming it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
 from typing import Any, Dict, Iterable, Optional, Union
 
+from repro.digest import sha256
 from repro.errors import ReproError
 from repro.harness.artifacts import cell_problem, write_text
 
@@ -76,7 +77,7 @@ def compute_src_hash(root: Optional[Union[str, Path]] = None,
             # src/repro/__init__.py -> repo root / pyproject.toml
             extra_files = [root.parents[1] / "pyproject.toml"]
     root = Path(root)
-    digest = hashlib.sha256()
+    digest = sha256()
     for path in sorted(root.rglob("*.py")):
         digest.update(str(path.relative_to(root)).encode())
         digest.update(b"\0")
@@ -101,10 +102,16 @@ class ResultCache:
         # A plain string: a cache-warm sweep is one lookup per cell, and
         # a Path built per lookup was a large share of its cost.
         self._dir = os.path.join(root, src_hash[:16])
+        # key -> entry path: a key is hashed once per cache object, so a
+        # repeated pass over the same cells pays no hash per lookup.
+        self._paths: Dict[str, str] = {}
 
     def _path(self, key: str) -> str:
-        name = hashlib.sha256(key.encode()).hexdigest()[:32]
-        return f"{self._dir}{os.sep}{name}.json"
+        path = self._paths.get(key)
+        if path is None:
+            name = sha256(key.encode()).hexdigest()[:32]
+            path = self._paths[key] = f"{self._dir}{os.sep}{name}.json"
+        return path
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload for *key*, or ``None`` on a miss."""

@@ -32,11 +32,11 @@ without sleeping.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.digest import sha256
 from repro.harness.registry import Cell, cell_budget
 
 #: The failure taxonomy, in display order.  ``worker-lost`` means the
@@ -123,7 +123,7 @@ def retry_backoff(key: str, attempt: int,
     the pair — reproducible across runs and hosts, no shared RNG
     state, and distinct cells never thundering-herd their retries.
     """
-    digest = hashlib.sha256(f"{key}#retry{attempt}".encode()).digest()
+    digest = sha256(f"{key}#retry{attempt}".encode()).digest()
     jitter = 0.5 + int.from_bytes(digest[:4], "big") / 2 ** 32
     return base * (2 ** max(0, attempt - 1)) * jitter
 

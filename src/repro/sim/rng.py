@@ -13,11 +13,11 @@ counts, and draws from small empirical tables.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from typing import Dict, List, Sequence, Tuple
 
+from repro.digest import sha256
 from repro.numeric import fold_sum
 
 
@@ -36,13 +36,13 @@ class RngRegistry:
     def stream(self, name: str) -> random.Random:
         """Return the stream registered under *name*, creating it on first use."""
         if name not in self._streams:
-            digest = hashlib.sha256(f"{self.root_seed}/{name}".encode()).digest()
+            digest = sha256(f"{self.root_seed}/{name}".encode()).digest()
             self._streams[name] = random.Random(int.from_bytes(digest[:8], "big"))
         return self._streams[name]
 
     def spawn(self, name: str) -> "RngRegistry":
         """Derive a child registry whose streams are independent of this one."""
-        digest = hashlib.sha256(f"{self.root_seed}/spawn/{name}".encode()).digest()
+        digest = sha256(f"{self.root_seed}/spawn/{name}".encode()).digest()
         return RngRegistry(int.from_bytes(digest[:8], "big"))
 
 

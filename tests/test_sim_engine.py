@@ -725,3 +725,43 @@ class TestSourceGuard:
         done = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
+
+    def test_hashlib_is_named_only_in_the_digest_fallback(self):
+        """SHA-256 comes from :mod:`repro.digest`; ``hashlib`` (which
+        loads OpenSSL) is imported there only when the interpreter has
+        no built-in SHA-256 module."""
+        mentions = self._matches(r"\bhashlib\b")
+        assert {rel for rel, _, _ in mentions} == {"digest.py"}
+        assert [line for _, _, line in mentions
+                if re.match(r"(from|import) hashlib\b", line)] \
+            == ["from hashlib import sha256"]
+
+    def test_no_process_loads_openssl(self, tmp_path):
+        """Fresh interpreter: hashing the source, a cache round trip, a
+        fingerprint, a retry backoff and a faulted cell load neither
+        ``hashlib`` nor OpenSSL's ``_hashlib`` (~3.6 MB resident)."""
+        code = textwrap.dedent("""
+            import sys
+            import repro.harness
+            from repro.harness import (Cell, ResultCache, cells_fingerprint,
+                                       compute_src_hash, run_cell)
+            from repro.harness.lease import retry_backoff
+
+            cache = ResultCache(sys.argv[1], compute_src_hash())
+            cache.put("k", {"metrics": {"x": 1.0}})
+            assert cache.get("k")["metrics"] == {"x": 1.0}
+            cells_fingerprint({"cells": [dict(cache.get("k"), experiment="e",
+                                              params={})]})
+            retry_backoff("k", 2)
+            metrics = run_cell(Cell.make("sendbuf", cc="vegas", size_kb=5,
+                                         seed=0), faults="light")
+            assert metrics["fault_duplicates"] > 0, metrics
+            print(sorted({"hashlib", "_hashlib"} & set(sys.modules)))
+            """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+            str(self.SRC.parent), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
