@@ -16,7 +16,9 @@ try:
 except ImportError:  # pragma: no cover - interpreter-dependent
     try:
         from _sha256 import sha256
-    except ImportError:  # a build without the built-in hash modules
+    except ImportError:
+        # A build without the built-in hash modules: this one loads
+        # OpenSSL after all.
         from hashlib import sha256
 
 __all__ = ["sha256"]

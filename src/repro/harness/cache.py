@@ -16,13 +16,12 @@ collision is detected rather than silently served.  An entry that is
 not a cell record (:func:`~repro.harness.artifacts.cell_problem`) is a
 miss, like one that is not UTF-8 JSON at all or not a readable file.
 
-A hit is one unbuffered ``os.read`` of the entry and one
-``json.loads`` of its text: no file object, no text layer, no
-incremental decoder.  The ``sha256`` of the key that names the entry
-is computed once per cache object and remembered.  An entry is written
-through tmp + rename (:func:`~repro.harness.artifacts.write_text`), so
-a reader never sees a torn one, and a cache directory that cannot be
-created or written is a :class:`~repro.errors.ReproError` naming it.
+A hit is one ``sha256`` of the key, one unbuffered ``os.read`` of the
+entry and one ``json.loads`` of its text: no file object, no text
+layer, no incremental decoder.  An entry is written through tmp +
+rename (:func:`~repro.harness.artifacts.write_text`), so a reader
+never sees a torn one, and a cache directory that cannot be created
+or written is a :class:`~repro.errors.ReproError` naming it.
 """
 
 from __future__ import annotations
@@ -102,16 +101,10 @@ class ResultCache:
         # A plain string: a cache-warm sweep is one lookup per cell, and
         # a Path built per lookup was a large share of its cost.
         self._dir = os.path.join(root, src_hash[:16])
-        # key -> entry path: a key is hashed once per cache object, so a
-        # repeated pass over the same cells pays no hash per lookup.
-        self._paths: Dict[str, str] = {}
 
     def _path(self, key: str) -> str:
-        path = self._paths.get(key)
-        if path is None:
-            name = sha256(key.encode()).hexdigest()[:32]
-            path = self._paths[key] = f"{self._dir}{os.sep}{name}.json"
-        return path
+        name = sha256(key.encode()).hexdigest()[:32]
+        return f"{self._dir}{os.sep}{name}.json"
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         """Return the stored payload for *key*, or ``None`` on a miss."""

@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine."""
 
 import ast
+import importlib.util
 import math
 import os
 import re
@@ -736,6 +737,9 @@ class TestSourceGuard:
                 if re.match(r"(from|import) hashlib\b", line)] \
             == ["from hashlib import sha256"]
 
+    @pytest.mark.skipif(
+        not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+        reason="no built-in SHA-256 module: repro.digest falls back to hashlib")
     def test_no_process_loads_openssl(self, tmp_path):
         """Fresh interpreter: hashing the source, a cache round trip, a
         fingerprint, a retry backoff and a faulted cell load neither
